@@ -25,7 +25,7 @@ point = parse_configuration([[1, 1]])
 print("self-dual:", is_self_dual(point).value)
 v = is_strongly_self_dual(point)
 print("strongly self-dual:", v.value)
-print("products per column (lhs vs rhs):", v.witness["canonical"]["products"])
+print("product bit lengths per column (lhs vs rhs, negative sign kept):", v.witness["canonical"]["products"])
 
 print()
 print("=" * 72)
@@ -52,7 +52,7 @@ strong = parse_configuration(
 v = is_strongly_self_dual(strong)
 print("strongly self-dual:", v.value)
 for lhs, rhs in v.witness["canonical"]["products"]:
-    print(f"  balanced products: {lhs} == {rhs}")
+    print(f"  balanced products, bit lengths: {lhs} == {rhs}")
 
 print()
 print("=" * 72)
@@ -61,7 +61,7 @@ print("=" * 72)
 scaled_conic = parse_configuration([[1, 1, 1], [0, 1, -1]])
 print("self-dual:", is_self_dual(scaled_conic).value)
 v = is_strongly_self_dual(scaled_conic)
-print("strongly self-dual:", v.value, " products:", v.witness["canonical"]["products"])
+print("strongly self-dual:", v.value, " product bit lengths:", v.witness["canonical"]["products"])
 
 print()
 print("=" * 72)

@@ -16,8 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import families
-from .configuration import affine_dim, parse_configuration, reduce_configuration
+from .configuration import affine_dim, parse_configuration
 from .engine import (
+    _decompose,
     full_decomposition,
     hypersurface_class,
     is_lawrence,
@@ -111,17 +112,13 @@ def _report(start, config=None, verdict: Verdict = None, **extra) -> dict:
 
 
 def _oracle_verify_self_dual(c, claimed: bool):
-    red = reduce_configuration(c)
-    from .configuration import dedup as _dedup
-
-    dd = _dedup(red)
-    b = gale_dual(dd.distinct)
-    if dd.repeat_codim or b.zero_rows():
+    distinct, b, dec = _decompose(c)
+    if dec.repeat_codim or dec.apex_indices:
         return {"status": "skipped", "reason": "oracle covers repeat-free non-pyramidal input"}
-    if red.npoints > ENUMERATION_GUARD:
+    if b.npoints > ENUMERATION_GUARD:
         return {"status": "skipped", "reason": "enumeration guard"}
     flats = self_dual_via_flats(b)
-    sigma = self_dual_via_sigma(dd.distinct)
+    sigma = self_dual_via_sigma(distinct)
     agree = flats == sigma == claimed
     return {"status": "ok" if agree else "DISAGREEMENT", "flats": flats, "sigma": sigma}
 

@@ -7,33 +7,29 @@ apexes — all preserve the lattice of affine relations among the columns,
 which is the invariant every duality criterion in this package consumes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import (
-    imat,
-    in_row_span,
-    integer_kernel,
-    invariant_factors,
-    rational_rank,
-    smith_normal_form,
-)
+from .intlinalg import imat, in_row_span, integer_kernel, smith_normal_form
 
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """A d x n matrix of column weights plus normalization metadata.
+    """A d x n matrix of column weights; every invariant is computed on first
+    use and then kept.
 
     ``regular`` means the columns lie on a rational affine hyperplane off the
     origin (equivalently the all-ones vector is in the row span), so affine
     relations among columns coincide with linear ones.  ``lattice_normalized``
-    means the columns span the full ambient lattice Z^d.
+    means the columns span the full ambient lattice Z^d.  ``relations`` is the
+    saturated affine relation basis that :func:`gale_dual` wraps.  All three
+    are read-only; the reductions below hand on the flags that hold by
+    construction, so no configuration recomputes what its source knew.
     """
 
     weights: np.ndarray
-    regular: bool
-    lattice_normalized: bool
 
     @property
     def dim(self) -> int:
@@ -42,6 +38,30 @@ class Configuration:
     @property
     def npoints(self) -> int:
         return self.weights.shape[1]
+
+    @cached_property
+    def regular(self) -> bool:
+        return in_row_span(self.weights, [1] * self.npoints)
+
+    @cached_property
+    def _smith(self):
+        return smith_normal_form(self.weights)
+
+    @property
+    def _factors(self) -> list:
+        """Nonzero invariant factors of the weights."""
+        s = self._smith[0]
+        return [s[i, i] for i in range(min(s.shape)) if s[i, i] != 0]
+
+    @cached_property
+    def lattice_normalized(self) -> bool:
+        return self._factors == [1] * self.dim
+
+    @cached_property
+    def relations(self) -> np.ndarray:
+        k = affine_relation_kernel(self)
+        k.setflags(write=False)
+        return k
 
     def column(self, j: int) -> tuple:
         return tuple(int(x) for x in self.weights[:, j])
@@ -82,11 +102,11 @@ class DecompositionReport:
     Apexes are the points that belong to no affine relation (zero rows of the
     Gale dual); the core is the rest.  ``splitting_valid`` records whether the
     ambient lattice splits as (lattice spanned by the apexes, which they must
-    base) ⊕ (a complement containing the core) — checked exactly through
-    Smith forms.  ``join_shape`` is (repeat multiplicity count, apex count,
-    core count): the variety is an iterated join of an empty factor of that
-    first size, a projective subspace spanned by the apexes, and the core's
-    variety.
+    base) ⊕ (a complement containing the core); see :func:`pyramid_decompose`
+    for the one-line rule.  ``join_shape`` is (repeat multiplicity count, apex
+    count, core count): the variety is an iterated join of an empty factor of
+    that first size, a projective subspace spanned by the apexes, and the
+    core's variety.
     """
 
     repeat_codim: int
@@ -97,14 +117,21 @@ class DecompositionReport:
 
 
 def parse_configuration(matrix) -> Configuration:
-    """Validate a matrix and compute the regular / lattice-normalized flags."""
+    """Validate an integer matrix and freeze it; flags are computed on use."""
     w = imat(matrix)
     w.setflags(write=False)
-    ones = [1] * w.shape[1]
-    regular = in_row_span(w, ones)
-    facs = invariant_factors(w)
-    normalized = len(facs) == w.shape[0] and all(f == 1 for f in facs)
-    return Configuration(weights=w, regular=regular, lattice_normalized=normalized)
+    return Configuration(weights=w)
+
+
+def _derive(weights, source: Configuration = None, **flags) -> Configuration:
+    """A configuration on ``weights`` that keeps the flags already computed on
+    ``source`` and sets ``flags``; the caller vouches that both carry over."""
+    out = parse_configuration(weights)
+    if source is not None:
+        known = ("regular", "lattice_normalized")
+        vars(out).update({k: v for k, v in vars(source).items() if k in known})
+    vars(out).update(flags)
+    return out
 
 
 def subconfiguration(c: Configuration, indices) -> Configuration:
@@ -127,7 +154,7 @@ def regularize(c: Configuration) -> Configuration:
     if c.regular:
         return c
     ones = np.array([[1] * c.npoints], dtype=object)
-    return parse_configuration(np.vstack([ones, c.weights]))
+    return _derive(np.vstack([ones, c.weights]), regular=True)
 
 
 def affine_relation_kernel(c: Configuration) -> np.ndarray:
@@ -135,6 +162,7 @@ def affine_relation_kernel(c: Configuration) -> np.ndarray:
 
     Always computed as the integer kernel of the weights with a prepended
     all-ones row, so regular and non-regular inputs go through one code path.
+    ``c.relations`` keeps the result; call this only to recompute it.
     """
     ones = np.array([[1] * c.npoints], dtype=object)
     stacked = np.vstack([ones, c.weights])
@@ -142,8 +170,9 @@ def affine_relation_kernel(c: Configuration) -> np.ndarray:
 
 
 def affine_dim(c: Configuration) -> int:
-    """Dimension of the affine span of the columns (= dim of the toric variety)."""
-    return rational_rank(regularize(c).weights) - 1
+    """Dimension of the affine span of the columns (= dim of the toric variety):
+    rank([1; W]) - 1, which is n - 1 - (number of independent relations)."""
+    return c.npoints - 1 - c.relations.shape[1]
 
 
 def normalize_lattice(c: Configuration):
@@ -151,14 +180,14 @@ def normalize_lattice(c: Configuration):
 
     Returns ``(c2, back)`` where ``c2.lattice_normalized`` holds and ``back``
     is an integer matrix with ``c.weights == back @ c2.weights`` exactly; the
-    affine relation lattice is unchanged.  Obtained from the Smith form of
-    the weights: unimodular row transform, divide row i by the i-th invariant
-    factor, drop zero rows.
+    affine relation lattice is unchanged.  Obtained from the Smith form
+    ``u @ W @ v == S`` of the weights: unimodular row transform, divide row i
+    by the i-th invariant factor, drop zero rows.
     """
     if c.lattice_normalized:
         return c, np.eye(c.dim, dtype=object)
-    s, u, _ = smith_normal_form(c.weights)
-    facs = [s[i, i] for i in range(min(s.shape)) if s[i, i] != 0]
+    _, u, v = c._smith
+    facs = c._factors
     r = len(facs)
     if r == 0:
         raise ValueError("rank-zero configuration cannot be normalized")
@@ -168,28 +197,13 @@ def normalize_lattice(c: Configuration):
         row = um[i]
         assert all(x % facs[i] == 0 for x in row.tolist())
         new_rows.append([x // facs[i] for x in row.tolist()])
-    c2 = parse_configuration(new_rows)
-    # back transform: weights == u^-1 [diag(facs); 0] @ new == back @ new
-    uinv = _unimodular_inverse(u)
-    d_block = np.zeros((c.dim, r), dtype=object)
-    for i in range(r):
-        d_block[i, i] = facs[i]
-    back = uinv @ d_block
+    # the new rows have the old rational row span, so ``regular`` carries over
+    c2 = _derive(new_rows, c, lattice_normalized=True)
+    # new == first r rows of v^-1 and W @ v vanishes past column r, so
+    # W == W v v^-1 == (W v[:, :r]) @ new
+    back = c.weights @ v[:, :r]
     assert np.array_equal(c.weights, back @ c2.weights)
     return c2, back
-
-
-def _unimodular_inverse(u: np.ndarray) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix via adjugate-free solve."""
-    n = u.shape[0]
-    s, p, q = smith_normal_form(u)
-    assert all(s[i, i] in (1, -1) for i in range(n))
-    d = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        d[i, i] = s[i, i]
-    inv = q @ d @ p
-    assert np.array_equal(u @ inv, np.eye(n, dtype=object))
-    return inv
 
 
 def reduce_configuration(c: Configuration) -> Configuration:
@@ -199,7 +213,11 @@ def reduce_configuration(c: Configuration) -> Configuration:
 
 
 def dedup(c: Configuration) -> DedupReport:
-    """Group equal columns, keeping first-occurrence order."""
+    """Group equal columns, keeping first-occurrence order.
+
+    The distinct configuration has the same column set as ``c``, so it keeps
+    the flags of ``c``; without repeats it is ``c`` itself.
+    """
     seen = {}
     order = []
     index_map = []
@@ -212,7 +230,7 @@ def dedup(c: Configuration) -> DedupReport:
     mult = [0] * len(order)
     for t in index_map:
         mult[t] += 1
-    distinct = subconfiguration(c, order)
+    distinct = c if len(order) == c.npoints else _derive(c.weights[:, order], c)
     return DedupReport(
         distinct=distinct, multiplicity=tuple(mult), index_map=tuple(index_map)
     )
@@ -221,42 +239,25 @@ def dedup(c: Configuration) -> DedupReport:
 def pyramid_decompose(c: Configuration) -> DecompositionReport:
     """Split a repeat-free configuration into pyramid apexes and a core.
 
-    Apexes are detected as the zero rows of the affine relation basis.  The
-    lattice splitting is judged in the regular presentation of ``c``: the
-    apex columns must be linearly independent, their span lattice saturated,
-    the whole column lattice saturated, and the apex/core ranks must add.
-    After the ambient lattice has been normalized these checks always pass
-    (the zero-row apexes then automatically base a direct summand); on a
-    non-normalized presentation they can genuinely fail and the report says
-    so instead of silently renormalizing.
+    Apexes are detected as the zero rows of the affine relation basis.  They
+    lie in no relation, so in the regular presentation they are linearly
+    independent and meet the span of the core only in 0; the lattice then
+    splits exactly when the column lattice of that presentation is saturated
+    (all invariant factors 1), which is checked only when apexes exist.
+    After normalization this always holds; on a non-normalized presentation
+    it can genuinely fail and the report says so instead of silently
+    renormalizing.
     """
     if len(set(c.columns())) != c.npoints:
         raise ValueError("pyramid decomposition expects no repeated columns")
-    kernel = affine_relation_kernel(c)
-    apex = []
-    core = []
+    kernel = c.relations
+    apex, core = [], []
     for i in range(c.npoints):
-        if kernel.shape[1] == 0 or all(x == 0 for x in kernel[i].tolist()):
-            apex.append(i)
-        else:
-            core.append(i)
-    reg = regularize(c).weights
-    p = reg[:, apex]
-    q = reg[:, core]
-    rank_all = rational_rank(reg)
+        (core if any(kernel[i].tolist()) else apex).append(i)
+    splitting = True
     if apex:
-        rank_p = rational_rank(p)
-        rank_q = rational_rank(q) if core else 0
-        apex_saturated = invariant_factors(p) == [1] * len(apex)
-        whole_saturated = invariant_factors(reg) == [1] * rank_all
-        splitting = (
-            rank_p == len(apex)
-            and rank_p + rank_q == rank_all
-            and apex_saturated
-            and whole_saturated
-        )
-    else:
-        splitting = True
+        reg = regularize(c)
+        splitting = reg.lattice_normalized or all(f == 1 for f in reg._factors)
     return DecompositionReport(
         repeat_codim=0,
         apex_indices=tuple(apex),

@@ -8,6 +8,7 @@ independent checker can replay.
 
 import enum
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,12 +19,25 @@ from .configuration import (
     dedup,
     pyramid_decompose,
     reduce_configuration,
-    subconfiguration,
 )
-from .exceptions import GuardExceeded, InapplicableInput
+from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero, verify_gale_dual
 from .intlinalg import column_lattices_equal, det, imat, integer_kernel
 from .verdict import Verdict
+
+
+def _decompose(c: Configuration):
+    """The reduction pipeline: reduce, merge repeats, split off apexes.
+
+    Returns ``(distinct, b, report)``: the distinct-column configuration of
+    the reduced presentation, its Gale dual, and the combined report.  The
+    Gale kernel is computed once, by the apex split, and ``b`` reuses it.
+    """
+    rep = dedup(reduce_configuration(c))
+    dec = pyramid_decompose(rep.distinct)
+    k = rep.repeat_codim
+    report = replace(dec, repeat_codim=k, join_shape=(k, *dec.join_shape[1:]))
+    return rep.distinct, gale_dual(rep.distinct), report
 
 
 def is_self_dual(c: Configuration) -> Verdict:
@@ -33,23 +47,21 @@ def is_self_dual(c: Configuration) -> Verdict:
     join decomposition.  A repeat-free non-pyramidal configuration is decided
     directly by the line sums of its Gale dual; otherwise the variety is an
     iterated join over the distinct-point core, which must be non-pyramidal
-    with apex count equal to the number of repeats, carry a valid lattice
-    splitting, and have a self-dual core (empty core means the variety is a
-    linear subspace, self-dual exactly in the half-dimensional pattern).
+    with apex count equal to the number of repeats, and have a self-dual core
+    (empty core means the variety is a linear subspace, self-dual exactly in
+    the half-dimensional pattern).  The lattice splitting always exists after
+    normalization; the witness still reports it.
     """
-    red = reduce_configuration(c)
-    rep = dedup(red)
-    k = rep.repeat_codim
-    dec = pyramid_decompose(rep.distinct)
-    r = len(dec.apex_indices)
+    _, b, dec = _decompose(c)
+    k, r = dec.repeat_codim, len(dec.apex_indices)
     if r == 0 and k == 0:
-        return line_sums_zero(gale_dual(rep.distinct))
+        return line_sums_zero(b)
     decomposition = {
         "repeat_codim": k,
         "apex_indices": list(dec.apex_indices),
         "core_indices": list(dec.core_indices),
         "splitting_valid": dec.splitting_valid,
-        "join_shape": [k, r, len(dec.core_indices)],
+        "join_shape": list(dec.join_shape),
     }
     if r != k:
         return Verdict(
@@ -61,12 +73,7 @@ def is_self_dual(c: Configuration) -> Verdict:
                 **decomposition,
             },
         )
-    if not dec.splitting_valid:
-        return Verdict(
-            value=False,
-            criterion="join-decomposition",
-            witness={"kind": "splitting_failure", **decomposition},
-        )
+    assert dec.splitting_valid, "normalization guarantees the lattice splitting"
     if not dec.core_indices:
         return Verdict(
             value=True,
@@ -77,8 +84,8 @@ def is_self_dual(c: Configuration) -> Verdict:
                 **decomposition,
             },
         )
-    core = subconfiguration(rep.distinct, dec.core_indices)
-    core_verdict = line_sums_zero(gale_dual(core))
+    # the core's canonical Gale dual is the distinct one without its zero rows
+    core_verdict = line_sums_zero(GaleDual(matrix=b.matrix[list(dec.core_indices)]))
     return Verdict(
         value=core_verdict.value,
         criterion="join-decomposition",
@@ -106,6 +113,11 @@ def _strong_products(b: GaleDual):
     return out
 
 
+def _signed_bits(x: int) -> int:
+    """Bit length of ``x``, negated when ``x`` is negative."""
+    return x.bit_length() if x >= 0 else -x.bit_length()
+
+
 def is_strongly_self_dual(c: Configuration, basis=None) -> Verdict:
     """Decide strong self-duality (equality with the dual under the canonical
     coordinate identification).
@@ -116,7 +128,11 @@ def is_strongly_self_dual(c: Configuration, basis=None) -> Verdict:
     e^(-e) over negative entries (0^0 = 1).  Condition (b) depends on the
     choice of basis columns, so the verdict is computed on the canonical
     deterministic basis; pass ``basis`` to see the same two checks on your
-    own Gale dual matrix side by side.
+    own Gale dual matrix side by side.  Strong self-duality implies
+    self-duality, so when (a) fails the products are not formed and their
+    report fields are None.  Products are reported as bit lengths (negated
+    for a negative product): their decimal forms can run to tens of
+    thousands of digits.
     """
     if not c.regular:
         raise InapplicableInput(
@@ -125,22 +141,20 @@ def is_strongly_self_dual(c: Configuration, basis=None) -> Verdict:
         )
     b = gale_dual(c)
     if b.zero_rows():
-        raise InapplicableInput(
-            "pyramidal input (zero Gale rows at "
-            f"{list(b.zero_rows())}): strong self-duality requires a "
-            "non-pyramidal configuration"
-        )
+        raise pyramidal_input(b.zero_rows(), "strong self-duality")
 
     def evaluate(dual: GaleDual):
-        line_ok = line_sums_zero(dual)
-        prods = _strong_products(dual)
-        balanced = all(l == r for l, r in prods)
-        return {
-            "line_sums_zero": bool(line_ok.value),
-            "products": [[str(l), str(r)] for l, r in prods],
-            "products_balanced": balanced,
+        report = {
+            "line_sums_zero": bool(line_sums_zero(dual).value),
+            "products": None,
+            "products_balanced": None,
             "basis": dual.matrix.tolist(),
-        }, bool(line_ok.value) and balanced
+        }
+        if report["line_sums_zero"]:
+            prods = _strong_products(dual)
+            report["products"] = [[_signed_bits(l), _signed_bits(r)] for l, r in prods]
+            report["products_balanced"] = all(l == r for l, r in prods)
+        return report, report["line_sums_zero"] and report["products_balanced"]
 
     canon_report, value = evaluate(b)
     witness = {"kind": "strong_conditions", "canonical": canon_report}
@@ -327,20 +341,7 @@ def hypersurface_class(c: Configuration) -> HypersurfaceClass:
 
 def full_decomposition(c: Configuration) -> DecompositionReport:
     """Reduce, merge repeats, and split off apexes; one combined report."""
-    red = reduce_configuration(c)
-    rep = dedup(red)
-    dec = pyramid_decompose(rep.distinct)
-    return DecompositionReport(
-        repeat_codim=rep.repeat_codim,
-        apex_indices=dec.apex_indices,
-        core_indices=dec.core_indices,
-        splitting_valid=dec.splitting_valid,
-        join_shape=(
-            rep.repeat_codim,
-            len(dec.apex_indices),
-            len(dec.core_indices),
-        ),
-    )
+    return _decompose(c)[2]
 
 
 def smooth_certificate(c: Configuration) -> Verdict:

@@ -8,3 +8,11 @@ class InapplicableInput(ValueError):
 
 class GuardExceeded(ValueError):
     """A brute-force enumeration guard was hit; the oracle refuses to run."""
+
+
+def pyramidal_input(zero_rows, criterion: str) -> InapplicableInput:
+    """The refusal of a criterion that needs a non-pyramidal configuration."""
+    return InapplicableInput(
+        f"pyramidal input (zero Gale rows at {list(zero_rows)}): "
+        f"{criterion} requires a non-pyramidal configuration"
+    )

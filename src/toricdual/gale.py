@@ -13,12 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configuration import (
-    Configuration,
-    affine_relation_kernel,
-    regularize,
-)
-from .exceptions import InapplicableInput
+from .configuration import Configuration, regularize
+from .exceptions import InapplicableInput, pyramidal_input
 from .intlinalg import column_lattices_equal, imat, primitive_vector, rational_rank
 from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import Verdict
@@ -64,8 +60,12 @@ class LinePartition:
 
 
 def gale_dual(c: Configuration) -> GaleDual:
-    """Compute the canonical Gale dual (deterministic Hermite-form basis)."""
-    return GaleDual(matrix=affine_relation_kernel(c))
+    """The canonical Gale dual (deterministic Hermite-form basis).
+
+    Wraps ``c.relations``, which is computed once per configuration and is
+    read-only.
+    """
+    return GaleDual(matrix=c.relations)
 
 
 def verify_gale_dual(c: Configuration, b) -> bool:
@@ -122,11 +122,7 @@ def line_sums_zero(b: GaleDual) -> Verdict:
     """
     part = line_partition(b)
     if part.zero_rows:
-        raise InapplicableInput(
-            "pyramidal input (zero Gale rows at "
-            f"{list(part.zero_rows)}): the line-sum self-duality criterion "
-            "requires a non-pyramidal configuration"
-        )
+        raise pyramidal_input(part.zero_rows, "the line-sum self-duality criterion")
     for cls in part.classes:
         if any(x != 0 for x in cls.total):
             return Verdict(
@@ -263,11 +259,7 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     reg = regularize(c)
     b = gale_dual(reg)
     if b.zero_rows():
-        raise InapplicableInput(
-            "pyramidal input (zero Gale rows at "
-            f"{list(b.zero_rows())}): the coparallelism criterion requires a "
-            "non-pyramidal configuration"
-        )
+        raise pyramidal_input(b.zero_rows(), "the coparallelism criterion")
     functionals = []
     for cls in coparallel_classes(b):
         sub = is_parallel_face_complement(reg, cls)

@@ -1,10 +1,15 @@
 """Independent brute-force referees for every criterion in the package.
 
-Nothing here shares code paths with the fast predicates it checks: circuits
-come from subset enumeration, faces from a separating-functional LP, strong
+Each referee decides its question by a different route from the fast
+predicate it checks: circuits come from subset enumeration, flats from
+Fraction ranks of row subsets, faces from a separating-functional LP, strong
 self-duality from exact evaluation of the defining binomials on a grid large
-enough to certify a polynomial identity.  These run at desk scale only and
-guard themselves with explicit size limits.
+enough to certify a polynomial identity.  The inputs they start from are
+shared, not independent: the referees use the same ``integer_kernel``,
+``gale_dual`` (and so the Gale kernel cached on each configuration),
+``regularize``, ``reduce_configuration`` and ``affine_dim`` as the fast
+predicates.  These run at desk scale only and guard themselves with explicit
+size limits.
 """
 
 import itertools
@@ -17,13 +22,11 @@ import numpy as np
 from .configuration import (
     Configuration,
     affine_dim,
-    affine_relation_kernel,
-    dedup,
     parse_configuration,
     reduce_configuration,
     regularize,
 )
-from .exceptions import GuardExceeded, InapplicableInput
+from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual
 from .intlinalg import imat, in_row_span, integer_kernel, primitive_vector, rational_rank
 from .ratlp import feasible_nonneg
@@ -132,10 +135,7 @@ def enumerate_flats(b: GaleDual) -> list:
 def self_dual_via_flats(b: GaleDual) -> bool:
     """Self-duality referee: every flat of the dual rows must sum to zero."""
     if b.zero_rows():
-        raise InapplicableInput(
-            "pyramidal input: the flat-sum test requires a non-pyramidal "
-            "configuration"
-        )
+        raise pyramidal_input(b.zero_rows(), "the flat-sum test")
     for flat in enumerate_flats(b):
         total = [
             sum(b.row(i)[j] for i in flat.closure) for j in range(b.corank)
@@ -222,10 +222,7 @@ def strong_via_points(c: Configuration, samples: int = 0) -> bool:
         )
     b = gale_dual(c)
     if b.zero_rows():
-        raise InapplicableInput(
-            "pyramidal input: strong self-duality requires a non-pyramidal "
-            "configuration"
-        )
+        raise pyramidal_input(b.zero_rows(), "strong self-duality")
     if b.corank == 0:
         return True
     per_axis = strong_binomial_degree(b) + 1

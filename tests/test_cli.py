@@ -63,6 +63,24 @@ def test_check_strong(tmp_path, capsys):
     assert doc["verdict"] is True
 
 
+def test_check_strong_on_large_products_exits_zero(tmp_path, capsys):
+    # the line sums fail, so the strong test stops before forming e^e products
+    path = tmp_path / "strong6x16.txt"
+    path.write_text(
+        "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n"
+        "3 -3 2 0 -1 2 3 -2 1 -3 -1 -3 -3 -3 2 1\n"
+        "-3 0 2 -2 0 2 -3 1 -2 3 0 0 1 -2 -1 -2\n"
+        "2 -2 3 0 -1 -3 0 3 1 2 -3 -2 2 2 3 -1\n"
+        "-3 2 -1 2 2 1 0 1 3 2 -2 -1 -1 1 0 3\n"
+        "1 0 1 3 -3 0 -2 2 3 0 0 2 -2 -1 1 2\n"
+    )
+    code, out, err = run(capsys, "check", "strong", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["verdict"] is False
+    assert doc["witness"]["canonical"]["line_sums_zero"] is False
+
+
 def test_check_facial(tmp_path, capsys):
     code, out, _ = run(
         capsys, "check", "facial", write_segre2(tmp_path), "--subset", "0,2", "--verify"

@@ -1,6 +1,8 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricdual.configuration import (
@@ -14,7 +16,15 @@ from toricdual.configuration import (
     regularize,
     subconfiguration,
 )
-from toricdual.intlinalg import column_lattices_equal, imat, rational_rank
+from toricdual import configuration
+from toricdual.engine import _decompose, is_self_dual
+from toricdual.gale import gale_dual
+from toricdual.intlinalg import (
+    column_lattices_equal,
+    imat,
+    invariant_factors,
+    rational_rank,
+)
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -242,3 +252,111 @@ def test_non_pyramidal_iff_full_support_relation(rows):
         if kernel.shape[1] and any(x != 0 for x in kernel[i].tolist())
     }
     assert set(dec.core_indices) == nonzero_rows
+
+
+def _four_condition_splitting(c):
+    """The lattice-splitting rule written out in full: apexes independent,
+    apex and core ranks adding up, apex lattice and whole lattice saturated,
+    all in the regular presentation."""
+    kernel = affine_relation_kernel(c)
+    apex = [i for i in range(c.npoints) if not any(kernel[i].tolist())]
+    core = [i for i in range(c.npoints) if i not in apex]
+    if not apex:
+        return True
+    reg = regularize(c).weights
+    rank_all = rational_rank(reg)
+    rank_p = rational_rank(reg[:, apex])
+    rank_q = rational_rank(reg[:, core]) if core else 0
+    return (
+        rank_p == len(apex)
+        and rank_p + rank_q == rank_all
+        and invariant_factors(reg[:, apex]) == [1] * len(apex)
+        and invariant_factors(reg) == [1] * rank_all
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(conf_matrices, st.integers(2, 3))
+def test_splitting_rule_matches_four_conditions(rows, scale):
+    # scaling the first row moves the columns off the ambient lattice
+    c = parse_configuration([[scale * x for x in rows[0]]] + rows[1:])
+    assume(len(set(c.columns())) == c.npoints)
+    assert not c.lattice_normalized
+    assert pyramid_decompose(c).splitting_valid == _four_condition_splitting(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(conf_matrices)
+def test_core_gale_rows_are_the_core_gale_dual(rows):
+    try:
+        distinct, b, dec = _decompose(parse_configuration(rows))
+    except ValueError:
+        return
+    assume(dec.core_indices)
+    core = subconfiguration(distinct, dec.core_indices)
+    assert np.array_equal(b.matrix[list(dec.core_indices)], gale_dual(core).matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(conf_matrices, st.booleans())
+def test_handed_on_flags_match_recomputed(rows, flags_known):
+    c = parse_configuration([r + r[:1] for r in rows])  # one repeated column
+    if flags_known:  # computed now, so the reductions hand them on
+        _ = (c.regular, c.lattice_normalized)
+    derived = [regularize(c), dedup(c).distinct]
+    try:
+        derived += [normalize_lattice(c)[0], reduce_configuration(c)]
+    except ValueError:
+        pass  # rank zero
+    for d in derived:
+        fresh = parse_configuration(d.weights)
+        assert d.regular == fresh.regular
+        assert d.lattice_normalized == fresh.lattice_normalized
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("doubled_row", [False, True])
+def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
+    rng = random.Random(8)
+    rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
+    if doubled_row:
+        rows[0] = [2 * x for x in rows[0]]
+    c = parse_configuration(rows)
+    rep = dedup(reduce_configuration(c))
+    assert rep.repeat_codim == 0
+    assert not pyramid_decompose(rep.distinct).apex_indices
+    counts = _count_calls(
+        monkeypatch,
+        configuration,
+        ("in_row_span", "smith_normal_form", "affine_relation_kernel"),
+    )
+    is_self_dual(parse_configuration(rows))
+    assert counts["in_row_span"] <= 1
+    assert counts["smith_normal_form"] <= 1
+    assert counts["affine_relation_kernel"] == 1
+
+
+def test_flags_are_read_only():
+    c = parse_configuration(SEGRE2)
+    assert c.regular
+    with pytest.raises(AttributeError):
+        c.regular = False
+
+
+def test_normalize_back_transform_on_a_non_square_lattice():
+    c = parse_configuration([[2, 4, 6, 0], [0, 2, 4, 6], [2, 6, 10, 6]])
+    c2, back = normalize_lattice(c)
+    assert c2.lattice_normalized and c2.dim == 2
+    assert np.array_equal(c.weights, back @ c2.weights)

@@ -52,6 +52,17 @@ STRONG_7x9 = parse_configuration(
 
 PYRAMID = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
 
+# regular and non-pyramidal; its canonical Gale dual has 11-bit entries, so
+# the e^e products of the strong test run to tens of thousands of bits
+STRONG_6X16 = [
+    [1] * 16,
+    [3, -3, 2, 0, -1, 2, 3, -2, 1, -3, -1, -3, -3, -3, 2, 1],
+    [-3, 0, 2, -2, 0, 2, -3, 1, -2, 3, 0, 0, 1, -2, -1, -2],
+    [2, -2, 3, 0, -1, -3, 0, 3, 1, 2, -3, -2, 2, 2, 3, -1],
+    [-3, 2, -1, 2, 2, 1, 0, 1, 3, 2, -2, -1, -1, 1, 0, 3],
+    [1, 0, 1, 3, -3, 0, -2, 2, 3, 0, 0, 2, -2, -1, 1, 2],
+]
+
 
 def test_self_dual_family_alpha():
     for a in (1, 2, 3):
@@ -176,6 +187,28 @@ def test_strong_point_in_p1_is_self_dual_but_not_strong():
     assert not is_strongly_self_dual(c).value
 
 
+def test_strong_stops_at_failed_line_sums():
+    c = parse_configuration(STRONG_6X16)
+    assert not is_self_dual(c).value
+    v = is_strongly_self_dual(c)
+    assert not v.value
+    report = v.witness["canonical"]
+    assert report["line_sums_zero"] is False
+    assert report["products"] is None and report["products_balanced"] is None
+
+
+def test_strong_products_reported_as_bit_lengths():
+    v = is_strongly_self_dual(STRONG_7x9)
+    report = v.witness["canonical"]
+    assert report["products_balanced"]
+    # both canonical columns give 2^2 == (-2)^2 (-1)^1 (-1)^1 = 4: three bits
+    assert report["products"] == [[3, 3], [3, 3]]
+    # the point in P^1 has products 1 and (-1)^1: equal size, opposite sign
+    v = is_strongly_self_dual(parse_configuration([[1, 1]]))
+    assert v.witness["canonical"]["products"] == [[1, -1]]
+    assert v.witness["canonical"]["products_balanced"] is False
+
+
 def test_is_lawrence_round_trip():
     m = imat([[1, 2, -1], [0, 3, 5]])
     c = lawrence(m)
@@ -254,6 +287,21 @@ def test_full_decomposition():
 def test_smooth_certificate_segre():
     for m in (2, 3):
         assert smooth_certificate(segre(m)).value
+
+
+def test_smooth_certificate_computes_the_gale_kernel_once(monkeypatch):
+    from toricdual import configuration
+
+    calls = []
+    original = configuration.affine_relation_kernel
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(configuration, "affine_relation_kernel", counting)
+    assert smooth_certificate(segre(6)).value
+    assert len(calls) == 1
 
 
 def test_smooth_certificate_not_certified_examples():

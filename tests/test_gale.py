@@ -189,3 +189,12 @@ def test_coparallel_criterion_rejects_pyramid_and_repeats():
         coparallel_criterion(pyramid)
     with pytest.raises(InapplicableInput):
         coparallel_criterion(parse_configuration([[1, 1]]))
+
+
+def test_gale_dual_is_cached_and_read_only():
+    c = parse_configuration([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+    m = gale_dual(c).matrix
+    assert gale_dual(c).matrix is m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 7

@@ -134,3 +134,20 @@ def test_crosscheck_small_run():
     report = crosscheck(seed=5, count=8)
     assert report["count"] == 8
     assert report["disagreements"] == []
+
+
+def test_pyramidal_refusals_name_the_zero_rows():
+    from toricdual.engine import is_strongly_self_dual
+    from toricdual.gale import coparallel_criterion
+
+    pyramid = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
+    b = gale_dual(pyramid)
+    for refuse in (
+        lambda: line_sums_zero(b),
+        lambda: coparallel_criterion(pyramid),
+        lambda: self_dual_via_flats(b),
+        lambda: strong_via_points(pyramid),
+        lambda: is_strongly_self_dual(pyramid),
+    ):
+        with pytest.raises(InapplicableInput, match=r"zero Gale rows at \[3\]"):
+            refuse()
