@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import imat, in_row_span, integer_kernel, smith_normal_form
+from .intlinalg import imat, integer_kernel, rank, smith_normal_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,8 @@ class Configuration:
 
     @cached_property
     def regular(self) -> bool:
-        return in_row_span(self.weights, [1] * self.npoints)
+        w = self.weights.tolist()
+        return rank(w) == rank(w + [[1] * self.npoints])
 
     @cached_property
     def _smith(self):

@@ -4,7 +4,7 @@ import numpy as np
 
 from .configuration import Configuration, parse_configuration
 from .gale import verify_gale_dual
-from .intlinalg import imat, integer_kernel, rational_rank, row_hermite
+from .intlinalg import imat, integer_kernel, rank, row_hermite
 
 
 def segre(m: int) -> Configuration:
@@ -85,7 +85,7 @@ def config_from_gale(b) -> Configuration:
     col_sums = [sum(int(x) for x in bm[:, j]) for j in range(r)]
     if any(s != 0 for s in col_sums):
         raise ValueError("rows of a Gale dual must sum to zero")
-    if rational_rank(bm) != r:
+    if rank(bm) != r:
         raise ValueError("columns of a Gale dual must be linearly independent")
     comp = integer_kernel(bm.T)  # n x (n - r), saturated
     rows = comp.T

@@ -15,7 +15,7 @@ import numpy as np
 
 from .configuration import Configuration, regularize
 from .exceptions import InapplicableInput, pyramidal_input
-from .intlinalg import column_lattices_equal, imat, primitive_vector, rational_rank
+from .intlinalg import column_lattices_equal, imat, primitive_vector, rank
 from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import Verdict
 
@@ -85,7 +85,7 @@ def verify_gale_dual(c: Configuration, b) -> bool:
     prod = stacked @ bm
     if any(x != 0 for x in prod.ravel().tolist()):
         return False
-    if rational_rank(bm) != bm.shape[1]:
+    if rank(bm) != bm.shape[1]:
         return False
     canonical = gale_dual(c).matrix
     if bm.shape[1] != canonical.shape[1]:
@@ -95,11 +95,11 @@ def verify_gale_dual(c: Configuration, b) -> bool:
 
 def line_partition(b: GaleDual) -> LinePartition:
     """Group the nonzero dual rows by the line through the origin they span."""
+    rows = b.matrix.tolist()
     classes = {}
     zero = []
-    for i in range(b.npoints):
-        row = b.row(i)
-        if all(x == 0 for x in row):
+    for i, row in enumerate(rows):
+        if not any(row):
             zero.append(i)
             continue
         key = primitive_vector(row)
@@ -108,7 +108,7 @@ def line_partition(b: GaleDual) -> LinePartition:
     for key in sorted(classes, key=lambda k: (classes[k][0],)):
         members = classes[key]
         total = tuple(
-            sum(b.row(i)[j] for i in members) for j in range(b.corank)
+            sum(rows[i][j] for i in members) for j in range(b.corank)
         )
         out.append(LineClass(direction=key, members=tuple(members), total=total))
     return LinePartition(classes=tuple(out), zero_rows=tuple(zero))

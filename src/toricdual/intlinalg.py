@@ -1,9 +1,15 @@
 """Exact integer linear algebra on numpy object arrays.
 
 Matrices are 2-d numpy arrays with ``dtype=object`` whose entries are Python
-ints (arbitrary precision), so nothing here can overflow or round.  Rational
-intermediates use ``fractions.Fraction``.  Every transform that claims to be
-unimodular really is, and the tests check it.
+ints (arbitrary precision), so nothing here can overflow or round.  Every
+transform that claims to be unimodular really is, and the tests check it.
+
+The fast path is fraction-free and runs on plain int lists: one Bareiss loop
+serves ``rank`` and ``det``, and one Hermite echelon loop (``_echelon``)
+serves ``row_hermite``, ``hermite_normal_form``, ``integer_kernel`` and
+``column_lattices_equal``.  ``rational_rank`` and ``in_row_span`` keep
+``fractions.Fraction`` Gauss-Jordan elimination as the oracles' reference
+arithmetic; the package's fast predicates do not call them.
 """
 
 from fractions import Fraction
@@ -52,50 +58,90 @@ def _swap_rows(a, i, j):
         a[[i, j]] = a[[j, i]]
 
 
+def _int_rows(a) -> list:
+    """A fresh list-of-lists copy of ``a`` with Python int entries."""
+    return [[int(x) for x in row] for row in (a.tolist() if isinstance(a, np.ndarray) else a)]
+
+
+def _with_identity(a) -> list:
+    """Rows of ``[a | I]`` as int lists, ``I`` the identity of ``a``'s row count."""
+    rows = _int_rows(a)
+    for i, row in enumerate(rows):
+        row.extend(int(i == j) for j in range(len(rows)))
+    return rows
+
+
+def _matrix(rows: list, ncols: int) -> np.ndarray:
+    """An object array holding ``rows`` (which may be empty) as a matrix."""
+    out = np.empty((len(rows), ncols), dtype=object)
+    for i, row in enumerate(rows):
+        out[i, :] = row
+    return out
+
+
+def _echelon(rows: list, ncols: int) -> list:
+    """Canonical row echelon form of the first ``ncols`` columns, in place.
+
+    The pivot candidate is the entry of smallest absolute value in its column
+    at or below the current row (ties to the lowest row), made positive; the
+    rows below are reduced by floor division by it, and this repeats until it
+    is the only nonzero entry left there.  The entries above the pivot are
+    then reduced into ``[0, pivot)``.  Columns past ``ncols`` are carried
+    along by the same row operations, which is how transforms are recorded.
+    Returns ``rows``.
+    """
+    m = len(rows)
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        while True:
+            best = None
+            for i in range(r, m):
+                x = rows[i][c]
+                if x and (best is None or abs(x) < abs(rows[best][c])):
+                    best = i
+            if best is None:
+                break
+            rows[r], rows[best] = rows[best], rows[r]
+            pr = rows[r]
+            if pr[c] < 0:
+                pr = rows[r] = [-x for x in pr]
+            p = pr[c]
+            done = True
+            for i in range(r + 1, m):
+                row = rows[i]
+                if row[c]:
+                    q = row[c] // p
+                    if q:
+                        row = rows[i] = [x - q * y for x, y in zip(row, pr)]
+                    if row[c]:
+                        done = False
+            if done:
+                break
+        pr = rows[r]
+        p = pr[c]
+        if p:
+            for i in range(r):
+                q = rows[i][c] // p
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], pr)]
+            r += 1
+    return rows
+
+
 def row_hermite(a: np.ndarray):
     """Row Hermite normal form.
 
     Returns ``(h, u)`` with ``u @ a == h``, ``u`` unimodular and ``h`` in the
     canonical row echelon form: pivots positive, entries above each pivot
     reduced into ``[0, pivot)``, zero rows at the bottom.  The form is unique,
-    so two matrices have equal row lattices iff their forms agree.
+    so two matrices have equal row lattices iff their forms agree.  Computed
+    as the echelon form of ``[a | I]``.
     """
-    h = a.astype(object).copy()
-    m, n = h.shape
-    u = eye(m)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if h[i, c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i, c]), i))
-            _swap_rows(h, r, i0)
-            _swap_rows(u, r, i0)
-            if h[r, c] < 0:
-                h[r] = -h[r]
-                u[r] = -u[r]
-            done = True
-            for i in range(r + 1, m):
-                if h[i, c] != 0:
-                    q = h[i, c] // h[r, c]
-                    if q:
-                        h[i] = h[i] - q * h[r]
-                        u[i] = u[i] - q * u[r]
-                    if h[i, c] != 0:
-                        done = False
-            if done:
-                break
-        if h[r, c] != 0:
-            for i in range(r):
-                q = h[i, c] // h[r, c]
-                if q:
-                    h[i] = h[i] - q * h[r]
-                    u[i] = u[i] - q * u[r]
-            r += 1
-    return h, u
+    m, n = a.shape
+    rows = _echelon(_with_identity(a), n)
+    return _matrix([row[:n] for row in rows], n), _matrix([row[n:] for row in rows], m)
 
 
 def hermite_normal_form(a: np.ndarray):
@@ -209,27 +255,49 @@ def invariant_factors(a: np.ndarray):
     return [s[i, i] for i in range(min(s.shape)) if s[i, i] != 0]
 
 
+def _bareiss(rows: list) -> tuple:
+    """Fraction-free (Bareiss 1968) forward elimination of ``rows``, in place.
+
+    Columns without a pivot are skipped, so every division is exact on any
+    shape.  Returns ``(rank, sign, pivot)``: ``sign`` is the parity of the row
+    swaps and ``pivot`` the last pivot; a nonsingular square matrix has
+    determinant ``sign * pivot``.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        pr = rows[r]
+        p = pr[c]
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
 def det(a: np.ndarray):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     m, n = a.shape
     if m != n:
         raise ValueError("determinant requires a square matrix")
-    w = a.astype(object).copy()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k, k] == 0:
-            swap = next((i for i in range(k + 1, n) if w[i, k] != 0), None)
-            if swap is None:
-                return 0
-            _swap_rows(w, k, swap)
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i, j] = (w[i, j] * w[k, k] - w[i, k] * w[k, j]) // prev
-            w[i, k] = 0
-        prev = w[k, k]
-    return sign * w[n - 1, n - 1]
+    r, sign, pivot = _bareiss(_int_rows(a))
+    return sign * pivot if r == n else 0
+
+
+def rank(a) -> int:
+    """Rank of an integer matrix (array or nested lists), by fraction-free
+    elimination."""
+    return _bareiss(_int_rows(a))[0]
 
 
 def rational_rank(a: np.ndarray) -> int:
@@ -258,17 +326,15 @@ def integer_kernel(a: np.ndarray) -> np.ndarray:
     """Saturated basis of the integer kernel ``{v : a @ v = 0}``.
 
     The columns of the result span the full lattice ``ker(a) ∩ Z^n``, not a
-    finite-index sublattice, and are put into a canonical Hermite form so the
-    output is deterministic.
+    finite-index sublattice, and are the canonical (column Hermite) basis, so
+    the output is deterministic.  One echelon pass over ``[a^T | I_n]``: its
+    rows that vanish on the first m columns carry a unimodular basis of the
+    kernel, already in Hermite form because the pass reduces every pivot
+    column of the whole matrix.
     """
-    h, u = hermite_normal_form(a)
-    zero_cols = [j for j in range(h.shape[1]) if not any(h[i, j] != 0 for i in range(h.shape[0]))]
-    k = u[:, zero_cols]
-    if k.shape[1] == 0:
-        return k
-    kh, _ = hermite_normal_form(k)
-    keep = [j for j in range(kh.shape[1]) if any(kh[i, j] != 0 for i in range(kh.shape[0]))]
-    return kh[:, keep]
+    m, n = a.shape
+    rows = _echelon(_with_identity(a.T), m + n)
+    return _matrix([row[m:] for row in rows if not any(row[:m])], n).T.copy()
 
 
 def column_lattices_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -276,13 +342,11 @@ def column_lattices_equal(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape[0] != b.shape[0]:
         return False
 
-    def canon(m):
-        h, _ = hermite_normal_form(m)
-        keep = [j for j in range(h.shape[1]) if any(h[i, j] != 0 for i in range(h.shape[0]))]
-        return h[:, keep]
+    def canon(mat):
+        h = _echelon(_int_rows(mat.T), mat.shape[0])
+        return [row for row in h if any(row)]
 
-    ca, cb = canon(a), canon(b)
-    return ca.shape == cb.shape and bool(np.array_equal(ca, cb))
+    return canon(a) == canon(b)
 
 
 def in_row_span(a: np.ndarray, v) -> bool:

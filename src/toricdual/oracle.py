@@ -1,15 +1,17 @@
 """Independent brute-force referees for every criterion in the package.
 
 Each referee decides its question by a different route from the fast
-predicate it checks: circuits come from subset enumeration, flats from
-Fraction ranks of row subsets, faces from a separating-functional LP, strong
+predicate it checks: circuits come from subset enumeration, flats from a
+Fraction echelon basis of each row subset, row-span tests from the Fraction
+``in_row_span`` (the fast path's rank is fraction-free, so the two do not
+share elimination code), faces from a separating-functional LP, strong
 self-duality from exact evaluation of the defining binomials on a grid large
 enough to certify a polynomial identity.  The inputs they start from are
-shared, not independent: the referees use the same ``integer_kernel``,
-``gale_dual`` (and so the Gale kernel cached on each configuration),
-``regularize``, ``reduce_configuration`` and ``affine_dim`` as the fast
-predicates.  These run at desk scale only and guard themselves with explicit
-size limits.
+shared, not independent: the referees use the same ``integer_kernel`` (one
+Hermite echelon pass), ``gale_dual`` (and so the Gale kernel cached on each
+configuration), ``regularize``, ``reduce_configuration`` and ``affine_dim``
+as the fast predicates.  These run at desk scale only and guard themselves
+with explicit size limits.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from .configuration import (
 )
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual
-from .intlinalg import imat, in_row_span, integer_kernel, primitive_vector, rational_rank
+from .intlinalg import imat, in_row_span, integer_kernel, primitive_vector
 from .ratlp import feasible_nonneg
 
 ENUMERATION_GUARD = 12
@@ -106,27 +108,46 @@ def coparallel_via_circuits(c: Configuration) -> tuple:
     return tuple(sorted(classes, key=lambda g: g[0]))
 
 
+def _fraction_echelon(rows) -> list:
+    """A basis over Q of the span of Fraction ``rows``, as (pivot column, row)
+    pairs: each row is 1 at its pivot and 0 at the pivots listed before it."""
+    basis = []
+    for v in rows:
+        v = _reduce(basis, v)
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            basis.append((c, [x / v[c] for x in v]))
+    return basis
+
+
+def _reduce(basis, v) -> list:
+    """``v`` minus its components along the pivots of ``basis``, in order;
+    this leaves ``v`` zero at every pivot, so the result is the zero vector
+    exactly when ``v`` lies in the span of ``basis``."""
+    for c, row in basis:
+        if v[c]:
+            f = v[c]
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
 def enumerate_flats(b: GaleDual) -> list:
     """All distinct flats of the dual row configuration.
 
     The flat of a subset J is every row index whose row lies in the span of
-    the rows indexed by J; J = {} gives the zero rows.
+    the rows indexed by J; J = {} gives the zero rows.  Each subset's rows are
+    brought to a Fraction echelon basis once, and every row is tested by
+    reducing it against that basis.
     """
     _check_guard(b.npoints, "flat enumeration")
-    rows = b.matrix
+    rows = [[Fraction(int(x)) for x in row] for row in b.matrix.tolist()]
     seen = {}
     for size in range(0, b.npoints + 1):
         for sub in itertools.combinations(range(b.npoints), size):
-            if size == 0:
-                closure = tuple(b.zero_rows())
-            else:
-                span = rows[list(sub), :]
-                base_rank = rational_rank(span)
-                closure = tuple(
-                    i
-                    for i in range(b.npoints)
-                    if rational_rank(np.vstack([span, rows[i : i + 1, :]])) == base_rank
-                )
+            basis = _fraction_echelon([rows[j] for j in sub])
+            closure = tuple(
+                i for i in range(b.npoints) if not any(_reduce(basis, rows[i]))
+            )
             if closure not in seen:
                 seen[closure] = sub
     return [Flat(generators=j, closure=cl) for cl, j in sorted(seen.items())]

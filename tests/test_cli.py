@@ -63,8 +63,9 @@ def test_check_strong(tmp_path, capsys):
     assert doc["verdict"] is True
 
 
-def test_check_strong_on_large_products_exits_zero(tmp_path, capsys):
-    # the line sums fail, so the strong test stops before forming e^e products
+def write_strong6x16(tmp_path):
+    """A regular, non-pyramidal 6x16 matrix whose canonical Gale entries are
+    near 1e9, so e^e products and the certifying grid are both out of reach."""
     path = tmp_path / "strong6x16.txt"
     path.write_text(
         "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n"
@@ -74,11 +75,24 @@ def test_check_strong_on_large_products_exits_zero(tmp_path, capsys):
         "-3 2 -1 2 2 1 0 1 3 2 -2 -1 -1 1 0 3\n"
         "1 0 1 3 -3 0 -2 2 3 0 0 2 -2 -1 1 2\n"
     )
-    code, out, err = run(capsys, "check", "strong", str(path))
+    return str(path)
+
+
+def test_check_strong_on_large_products_exits_zero(tmp_path, capsys):
+    # the line sums fail, so the strong test stops before forming e^e products
+    code, out, err = run(capsys, "check", "strong", write_strong6x16(tmp_path))
     assert code == 0, err
     doc = json.loads(out)
     assert doc["verdict"] is False
     assert doc["witness"]["canonical"]["line_sums_zero"] is False
+
+
+def test_check_strong_verify_reports_a_skipped_oracle_past_its_guard(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "strong", write_strong6x16(tmp_path), "--verify")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["verdict"] is False
+    assert doc["oracle"] == {"status": "skipped", "reason": "certifying grid guard"}
 
 
 def test_check_facial(tmp_path, capsys):

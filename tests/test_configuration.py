@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from toricdual.configuration import (
 )
 from toricdual import configuration
 from toricdual.engine import _decompose, is_self_dual
-from toricdual.gale import gale_dual
+from toricdual.gale import gale_dual, is_facial
 from toricdual.intlinalg import (
     column_lattices_equal,
     imat,
+    in_row_span,
     invariant_factors,
     rational_rank,
 )
@@ -314,17 +316,28 @@ def test_handed_on_flags_match_recomputed(rows, flags_known):
         assert d.lattice_normalized == fresh.lattice_normalized
 
 
-def _count_calls(monkeypatch, module, names):
+def _count_calls(monkeypatch, modules, names):
+    """Count calls to ``names`` made through any of ``modules``' bindings."""
     counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(module, name)
+    for module in modules:
+        for name in names:
+            if not hasattr(module, name):
+                continue
+            original = getattr(module, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, name, counting)
     return counts
+
+
+def _fraction_rank_calls(monkeypatch):
+    """Count the Fraction reference routines wherever a toricdual module
+    holds them: intlinalg itself and every module that imported them."""
+    modules = [m for k, m in sorted(sys.modules.items()) if k.startswith("toricdual")]
+    return _count_calls(monkeypatch, modules, ("rational_rank", "in_row_span"))
 
 
 @pytest.mark.parametrize("doubled_row", [False, True])
@@ -338,14 +351,30 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     assert rep.repeat_codim == 0
     assert not pyramid_decompose(rep.distinct).apex_indices
     counts = _count_calls(
-        monkeypatch,
-        configuration,
-        ("in_row_span", "smith_normal_form", "affine_relation_kernel"),
+        monkeypatch, [configuration], ("smith_normal_form", "affine_relation_kernel")
     )
+    fraction_counts = _fraction_rank_calls(monkeypatch)
     is_self_dual(parse_configuration(rows))
-    assert counts["in_row_span"] <= 1
+    assert fraction_counts == {"rational_rank": 0, "in_row_span": 0}
     assert counts["smith_normal_form"] <= 1
     assert counts["affine_relation_kernel"] == 1
+
+
+def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):
+    rng = random.Random(9)
+    rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(4)]
+    counts = _fraction_rank_calls(monkeypatch)
+    c = parse_configuration(rows)
+    gale_dual(c)
+    is_facial(c, [0, 1])
+    assert counts == {"rational_rank": 0, "in_row_span": 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(conf_matrices)
+def test_regular_flag_is_the_fraction_row_span_test(rows):
+    c = parse_configuration(rows)
+    assert c.regular == in_row_span(c.weights, [1] * c.npoints)
 
 
 def test_flags_are_read_only():

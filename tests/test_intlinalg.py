@@ -15,6 +15,7 @@ from toricdual.intlinalg import (
     invariant_factors,
     column_lattices_equal,
     primitive_vector,
+    rank,
     rational_rank,
     row_hermite,
     smith_normal_form,
@@ -42,6 +43,50 @@ small_matrices = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+# entries up to 10^12; ``_decorate`` adds repeated, zero and scaled rows
+big_entries = st.one_of(st.integers(-6, 6), st.integers(-(10**12), 10**12))
+big_matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(big_entries, min_size=n, max_size=n), min_size=m, max_size=m),
+            st.lists(st.sampled_from(["copy", "zero", "scale"]), max_size=3),
+        )
+    )
+)
+
+
+def _decorate(rows, extras):
+    """Append a repeated, a zero or a scaled copy of a row for each extra."""
+    rows = [list(r) for r in rows]
+    made = {
+        "copy": lambda src: list(src),
+        "zero": lambda src: [0] * len(src),
+        "scale": lambda src: [-3 * x for x in src],
+    }
+    for k, kind in enumerate(extras):
+        rows.append(made[kind](rows[k % len(rows)]))
+    return rows
+
+
+any_matrices = st.one_of(small_matrices, big_matrices.map(lambda case: _decorate(*case)))
+
+
+def _is_column_hermite(k) -> bool:
+    """Column Hermite form: each column's first nonzero entry (its pivot) is
+    positive and lies strictly below the previous column's, and every other
+    entry in a pivot's row lies in [0, pivot)."""
+    rows, cols = k.shape
+    last = -1
+    for j in range(cols):
+        p = next((i for i in range(rows) if k[i, j] != 0), None)
+        if p is None or p <= last or k[p, j] <= 0:
+            return False
+        if any(not 0 <= k[p, i] < k[p, j] for i in range(cols) if i != j):
+            return False
+        last = p
+    return True
 
 
 def test_imat_rejects_non_integers():
@@ -75,13 +120,17 @@ def test_hermite_2x2_example():
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_matrices)
+@given(any_matrices)
 def test_hermite_properties(rows):
     m = imat(rows)
     h, u = hermite_normal_form(m)
     assert np.array_equal(m @ u, h)
     assert abs(det(u)) == 1
     assert abs(det(u)) == abs(cofactor_det(u.tolist()))
+    assert _is_column_hermite(h[:, [j for j in range(h.shape[1]) if any(h[:, j].tolist())]])
+    hr, ur = row_hermite(m)
+    assert np.array_equal(ur @ m, hr)
+    assert abs(det(ur)) == 1
 
 
 def test_row_hermite_is_canonical():
@@ -170,8 +219,9 @@ def test_kernel_twisted_cubic_lattice():
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_matrices)
+@given(any_matrices)
 def test_kernel_is_saturated_and_annihilates(rows):
+    # these four properties determine the kernel matrix uniquely
     m = imat(rows)
     k = integer_kernel(m)
     if k.shape[1]:
@@ -179,7 +229,8 @@ def test_kernel_is_saturated_and_annihilates(rows):
         assert all(x == 0 for x in prod.ravel().tolist())
         # saturated basis: the kernel matrix itself has trivial invariant factors
         assert invariant_factors(k) == [1] * k.shape[1]
-    assert k.shape[1] == m.shape[1] - rational_rank(m)
+        assert _is_column_hermite(k)
+    assert k.shape == (m.shape[1], m.shape[1] - rational_rank(m))
 
 
 def test_rank_examples():
@@ -211,3 +262,19 @@ def test_big_integers_survive():
     s, u, v = smith_normal_form(m)
     assert s[1, 1] == big
     assert det(m) == big
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_matrices)
+def test_bareiss_rank_equals_fraction_rank(rows):
+    m = imat(rows)
+    assert rank(m) == rank(rows) == rank(m.T) == rational_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_bareiss_det_equals_cofactor_expansion(rows):
+    n = min(len(rows), len(rows[0]))
+    square = [r[:n] for r in rows[:n]]
+    assert det(imat(square)) == cofactor_det(square)

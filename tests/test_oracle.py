@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from toricdual.configuration import parse_configuration, regularize
 from toricdual.exceptions import GuardExceeded, InapplicableInput
 from toricdual.families import family_alpha, segre
 from toricdual.gale import coparallel_classes, gale_dual, is_facial, line_sums_zero
+from toricdual.intlinalg import rational_rank
 from toricdual.oracle import (
     Circuit,
     coparallel_via_circuits,
@@ -68,6 +70,40 @@ def test_flats_family_alpha_contains_line_classes():
     closures = {f.closure for f in flats}
     assert {(0, 1, 2), (3, 4), (5, 6)} <= closures
     assert () in closures  # empty generating set -> zero rows
+
+
+def _flats_by_rank(b):
+    """Flats by their definition: the closure of J is every row i with
+    rank(rows J + row i) == rank(rows J); the first J, in the order of
+    subsets by size and then lexicographically, names each closure."""
+    rows = b.matrix
+    seen = {}
+    for size in range(b.npoints + 1):
+        for sub in itertools.combinations(range(b.npoints), size):
+            base = rational_rank(rows[list(sub), :]) if sub else 0
+            closure = tuple(
+                i
+                for i in range(b.npoints)
+                if rational_rank(rows[list(sub) + [i], :]) == base
+            )
+            seen.setdefault(closure, sub)
+    return sorted((cl, j) for cl, j in seen.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flat_closures_match_the_rank_definition(seed):
+    c = random_configuration(random.Random(seed), max_points=8)
+    b = gale_dual(c)
+    flats = enumerate_flats(b)
+    assert [(f.closure, f.generators) for f in flats] == _flats_by_rank(b)
+
+
+def test_flat_closures_include_zero_rows():
+    b = gale_dual(parse_configuration([[0, 1, 2, 0], [0, 0, 0, 1]]))
+    assert b.zero_rows() == (3,)
+    flats = enumerate_flats(b)
+    assert [(f.closure, f.generators) for f in flats] == _flats_by_rank(b)
+    assert any(f.generators == () and f.closure == (3,) for f in flats)
 
 
 def test_self_dual_via_flats():
