@@ -22,7 +22,7 @@ from .configuration import (
 )
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero, verify_gale_dual
-from .intlinalg import column_lattices_equal, det, imat, integer_kernel
+from .intlinalg import column_lattices_equal, det, imat, integer_kernel, primitive_vector
 from .verdict import Verdict
 
 
@@ -358,41 +358,41 @@ def smooth_certificate(c: Configuration) -> Verdict:
     red = reduce_configuration(c)
     n = red.npoints
     dim = affine_dim(red)
-    cols = [np.array(red.column(j), dtype=object) for j in range(n)]
-    vertices = [i for i in range(n) if is_facial(red, [i]).value]
+    cols = red.columns()
+    facial = {}
+
+    def is_face(subset):
+        # an edge is a candidate at both of its ends: test each subset once
+        if subset not in facial:
+            facial[subset] = is_facial(red, subset).value
+        return facial[subset]
+
+    vertices = [i for i in range(n) if is_face((i,))]
     report = []
     certified = True
     for i in vertices:
-        others = [j for j in range(n) if j != i]
-        diffs = np.zeros((red.dim, len(others)), dtype=object)
-        for pos, j in enumerate(others):
-            diffs[:, pos] = cols[j] - cols[i]
-        edge_sets = set()
+        diffs = [[x - y for x, y in zip(col, cols[i])] for col in cols]
+        lines = {}
         for j in range(n):
-            if j == i:
-                continue
-            on_line = [
-                k
-                for k in range(n)
-                if k == i or _collinear(cols[k] - cols[i], cols[j] - cols[i])
-            ]
-            edge_sets.add(tuple(sorted(on_line)))
-        edges = [s for s in sorted(edge_sets) if is_facial(red, s).value]
+            if j != i:
+                lines.setdefault(primitive_vector(diffs[j]), [i]).append(j)
+        candidates = sorted(tuple(sorted(on_line)) for on_line in lines.values())
+        edges = [s for s in candidates if is_face(s)]
         entry = {"vertex": i, "edge_count": len(edges), "needed": dim}
         if len(edges) != dim:
             entry["reason"] = "edge count differs from dimension"
             certified = False
             report.append(entry)
             continue
-        vectors = []
-        for s in edges:
-            on_edge = [k for k in s if k != i]
-            nearest = min(on_edge, key=lambda k: _line_parameter(cols[k] - cols[i]))
-            vectors.append([int(x) for x in (cols[nearest] - cols[i])])
-        basis_matrix = np.zeros((red.dim, len(vectors)), dtype=object)
-        for pos, v in enumerate(vectors):
-            basis_matrix[:, pos] = v
-        ok = column_lattices_equal(basis_matrix, diffs)
+        # the point nearest to the vertex along each edge, by the 1-norm
+        vectors = [
+            diffs[min((k for k in s if k != i), key=lambda k: sum(map(abs, diffs[k])))]
+            for s in edges
+        ]
+        others = [diffs[j] for j in range(n) if j != i]
+        ok = column_lattices_equal(
+            _column_matrix(vectors, red.dim), _column_matrix(others, red.dim)
+        )
         entry["edge_vectors"] = vectors
         entry["basis_of_difference_lattice"] = ok
         if not ok:
@@ -410,15 +410,9 @@ def smooth_certificate(c: Configuration) -> Verdict:
     )
 
 
-def _collinear(u, v) -> bool:
-    n = len(u)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if u[a] * v[b] - u[b] * v[a] != 0:
-                return False
-    return True
-
-
-def _line_parameter(vec) -> int:
-    """Distance proxy for collinear vectors on a common ray: the 1-norm."""
-    return sum(abs(int(x)) for x in vec)
+def _column_matrix(vectors, nrows: int) -> np.ndarray:
+    """The integer matrix with the given vectors as its columns."""
+    out = np.zeros((nrows, len(vectors)), dtype=object)
+    for pos, v in enumerate(vectors):
+        out[:, pos] = v
+    return out

@@ -188,8 +188,8 @@ def is_facial(c: Configuration, subset) -> Verdict:
             criterion="gale-positive-dependency",
             witness={"kind": "simplex", "note": "no affine relations"},
         )
-    rows = [b.row(i) for i in complement]
-    dep, farkas = positive_dependency_certified(rows)
+    rows = b.matrix.tolist()
+    dep, farkas = positive_dependency_certified([rows[i] for i in complement])
     if dep is not None:
         return Verdict(
             value=True,

@@ -327,14 +327,13 @@ def integer_kernel(a: np.ndarray) -> np.ndarray:
 
     The columns of the result span the full lattice ``ker(a) ∩ Z^n``, not a
     finite-index sublattice, and are the canonical (column Hermite) basis, so
-    the output is deterministic.  One echelon pass over ``[a^T | I_n]``: its
-    rows that vanish on the first m columns carry a unimodular basis of the
-    kernel, already in Hermite form because the pass reduces every pivot
-    column of the whole matrix.
+    the output is deterministic.  After an echelon pass over the first m
+    columns of ``[a^T | I_n]``, the rows that vanish there carry a unimodular
+    basis of the kernel; echelon them on their own to get the Hermite form.
     """
     m, n = a.shape
-    rows = _echelon(_with_identity(a.T), m + n)
-    return _matrix([row[m:] for row in rows if not any(row[:m])], n).T.copy()
+    rows = _echelon(_with_identity(a.T), m)
+    return _matrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T.copy()
 
 
 def column_lattices_equal(a: np.ndarray, b: np.ndarray) -> bool:

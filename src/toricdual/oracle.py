@@ -189,7 +189,11 @@ def facial_via_separation(c: Configuration, subset) -> bool:
     """Face membership referee by exact LP separation.
 
     ``subset`` is a face intersection iff some affine functional vanishes on
-    it and is <= -1 on the rest (scaling makes strictness linear).
+    it and is <= -1 on the rest (scaling makes strictness linear).  It shares
+    ``feasible_nonneg`` with ``is_facial`` but on a different LP: the primal
+    one, whose unknowns are the functional and one slack per outside point,
+    where ``is_facial`` looks for a positive dependency among the Gale dual
+    rows of the complement.
     """
     sel = sorted(set(int(j) for j in subset))
     if not sel:
@@ -206,15 +210,15 @@ def facial_via_separation(c: Configuration, subset) -> bool:
     rows = []
     rhs = []
     for j in sel:
-        col = [Fraction(int(x)) for x in reg.weights[:, j]]
-        rows.append(col + [-x for x in col] + [Fraction(0)] * len(outside))
-        rhs.append(Fraction(0))
+        col = [int(x) for x in reg.weights[:, j]]
+        rows.append(col + [-x for x in col] + [0] * len(outside))
+        rhs.append(0)
     for pos, j in enumerate(outside):
-        col = [Fraction(int(x)) for x in reg.weights[:, j]]
-        slack = [Fraction(0)] * len(outside)
-        slack[pos] = Fraction(1)
+        col = [int(x) for x in reg.weights[:, j]]
+        slack = [0] * len(outside)
+        slack[pos] = 1
         rows.append(col + [-x for x in col] + slack)
-        rhs.append(Fraction(-1))
+        rhs.append(-1)
     x, _ = feasible_nonneg(rows, rhs)
     return x is not None
 

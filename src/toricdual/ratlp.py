@@ -1,11 +1,14 @@
 """Exact rational linear solving and feasibility.
 
-Everything runs on ``fractions.Fraction``; there is no floating point and no
-tolerance anywhere.  Infeasibility comes with a Farkas certificate that the
-caller can recheck by two inner products.
+There is no floating point and no tolerance anywhere.  ``solve_linear`` runs
+on ``fractions.Fraction``.  The simplex behind ``feasible_nonneg`` is
+fraction-free on integers: rational input is scaled to integers row by row,
+and Fractions appear only in the results.  Infeasibility comes with a Farkas
+certificate that the caller can recheck by two inner products.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -55,6 +58,29 @@ def solve_linear(a, b):
     return tuple(x)
 
 
+def _integral_rows(a, b):
+    """Rows of ``[a | b]`` as int lists with a nonnegative last entry.
+
+    Each row is multiplied by ``s_i``: the lcm of its denominators (1 for an
+    integer row), negated when its right-hand side is negative.  Returns the
+    rows and the multipliers; the scaled system has the same solutions.
+    """
+    rows, scale = [], []
+    for row, rhs in zip(a, b):
+        vals = [*row, rhs]
+        s = 1
+        if not all(type(v) is int for v in vals):
+            vals = [Fraction(v) for v in vals]
+            s = lcm(*(v.denominator for v in vals))
+            vals = [int(v * s) for v in vals]
+        if vals[-1] < 0:
+            s = -s
+            vals = [-v for v in vals]
+        rows.append(vals)
+        scale.append(s)
+    return rows, scale
+
+
 def feasible_nonneg(a, b):
     """Find ``x >= 0`` with ``a @ x = b`` by exact phase-1 simplex.
 
@@ -62,75 +88,80 @@ def feasible_nonneg(a, b):
     Farkas vector ``y`` satisfies ``y @ a <= 0`` componentwise and
     ``y @ b > 0`` — a self-contained proof that no such ``x`` exists.
     Bland's rule makes the pivoting finite and deterministic.
+
+    The tableau is fraction-free (Edmonds' integer-preserving pivoting): int
+    rows ``M`` with one positive common denominator ``d``, the true tableau
+    being ``M / d``.  A pivot on ``p = M[r][c] > 0`` replaces every other row
+    by ``(p * M[i] - M[i][c] * M[r]) // d``, an exact division, and sets
+    ``d = p``.  Signs and ratio comparisons read ``M`` directly, so the pivot
+    sequence is that of the same simplex on Fractions.  A row with
+    non-integral entries is first scaled to integers.
     """
-    rows = _frac_rows(a)
-    rhs = [Fraction(x) for x in b]
-    m = len(rows)
-    k = len(rows[0]) if m else 0
-    if len(rhs) != m:
+    if isinstance(a, np.ndarray):
+        a = a.tolist()
+    m = len(a)
+    k = len(a[0]) if m else 0
+    if len(b) != m:
         raise ValueError("right-hand side length mismatch")
     if m == 0:
         return (), None
-    flip = []
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            flip.append(-1)
-        else:
-            flip.append(1)
-
-    width = k + m + 1
+    rows, scale = _integral_rows(a, b)
+    last = k + m
     tab = []
-    for i in range(m):
-        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        tab.append(rows[i] + art + [rhs[i]])
-    basis = [k + i for i in range(m)]
+    for i, row in enumerate(rows):
+        art = [0] * m
+        art[i] = 1
+        tab.append(row[:k] + art + row[k:])
+    basis = list(range(k, last))
     # reduced-cost row for the objective "minimize sum of artificials"
-    obj = [Fraction(0)] * width
-    for j in range(k):
-        obj[j] = -sum(tab[i][j] for i in range(m))
-    obj[width - 1] = -sum(rhs)
+    obj = [-sum(col) for col in zip(*rows)]
+    obj[k:k] = [0] * m
+    d = 1
 
     while True:
-        enter = next((j for j in range(k + m) if obj[j] < 0), None)
+        enter = next((j for j in range(last) if obj[j] < 0), None)
         if enter is None:
             break
-        best = None
+        row = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width - 1] / tab[i][enter]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        assert best is not None, "phase-1 objective is bounded below by zero"
-        row = best[1]
-        piv = tab[row][enter]
-        tab[row] = [x / piv for x in tab[row]]
+            t = tab[i]
+            p = t[enter]
+            if p > 0:
+                if row is None:
+                    row, num, den = i, t[last], p
+                else:
+                    # t[last] / p against the smallest ratio num / den so far
+                    diff = t[last] * den - num * p
+                    if diff < 0 or (diff == 0 and basis[i] < basis[row]):
+                        row, num, den = i, t[last], p
+        assert row is not None, "phase-1 objective is bounded below by zero"
+        pr = tab[row]
+        p = pr[enter]
         for i in range(m):
-            if i != row and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[row])]
+            if i != row:
+                t = tab[i]
+                f = t[enter]
+                if f:
+                    tab[i] = [(p * x - f * y) // d for x, y in zip(t, pr)]
+                else:  # only rescaled to the new denominator
+                    tab[i] = [p * x // d for x in t]
+        f = obj[enter]
+        obj = [(p * x - f * y) // d for x, y in zip(obj, pr)]
+        d = p
         basis[row] = enter
 
-    total = -obj[width - 1]
-    if total == 0:
+    if obj[last] == 0:
         x = [Fraction(0)] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                x[bv] = tab[i][width - 1]
+                x[bv] = Fraction(tab[i][last], d)
         return tuple(x), None
-    y = [flip[i] * (1 - obj[k + i]) for i in range(m)]
-    # recheck the certificate exactly before handing it out
-    orig = _frac_rows(a)
-    orig_rhs = [Fraction(v) for v in b]
+    # d * y, rechecked exactly against the caller's system before handing out
+    dy = [s * (d - obj[k + i]) for i, s in enumerate(scale)]
     for j in range(k):
-        assert sum(y[i] * orig[i][j] for i in range(m)) <= 0
-    assert sum(y[i] * orig_rhs[i] for i in range(m)) > 0
-    return None, tuple(y)
+        assert sum(v * row[j] for v, row in zip(dy, a)) <= 0
+    assert sum(v * rhs for v, rhs in zip(dy, b)) > 0
+    return None, tuple(Fraction(v, d) for v in dy)
 
 
 def positive_dependency(rows):
@@ -161,14 +192,14 @@ def positive_dependency_certified(rows):
     if dim == 0:
         return tuple(Fraction(1) for _ in range(kk)), None
     # substitute r = 1 + x, x >= 0:  A x = -A 1  with A[j][i] = rows[i][j]
-    a = [[Fraction(vecs[i][j]) for i in range(kk)] for j in range(dim)]
-    b = [-sum(a[j]) for j in range(dim)]
-    x, farkas = feasible_nonneg(a, b)
+    a = [list(col) for col in zip(*vecs)]
+    x, farkas = feasible_nonneg(a, [-sum(row) for row in a])
     if x is None:
-        z = [-val for val in farkas]
-        return None, tuple(z)
-    r = [Fraction(1) + xi for xi in x]
-    for j in range(dim):
-        assert sum(r[i] * vecs[i][j] for i in range(kk)) == 0
+        return None, tuple(-val for val in farkas)
+    # den * r, rechecked exactly before handing out
+    den = lcm(*(xi.denominator for xi in x))
+    r = [den + xi.numerator * (den // xi.denominator) for xi in x]
+    for row in a:
+        assert sum(ri * v for ri, v in zip(r, row)) == 0
     assert all(ri > 0 for ri in r)
-    return tuple(r), None
+    return tuple(Fraction(ri, den) for ri in r), None

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from toricdual.configuration import parse_configuration
@@ -302,6 +304,26 @@ def test_smooth_certificate_computes_the_gale_kernel_once(monkeypatch):
     monkeypatch.setattr(configuration, "affine_relation_kernel", counting)
     assert smooth_certificate(segre(6)).value
     assert len(calls) == 1
+
+
+def test_smooth_certificate_tests_each_subset_once(monkeypatch):
+    calls = []
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("toricdual") and hasattr(module, "feasible_nonneg"):
+
+            def counting(a, b, _original=module.feasible_nonneg):
+                calls.append(a)
+                return _original(a, b)
+
+            monkeypatch.setattr(module, "feasible_nonneg", counting)
+    v = smooth_certificate(segre(6))
+    assert v.value
+    # the 12 points are the vertices of a product of simplices, no three
+    # collinear, so every pair is one candidate edge: one LP per point and
+    # one per pair
+    n = 12
+    assert len(v.witness["vertices"]) == n
+    assert len(calls) == n + n * (n - 1) // 2
 
 
 def test_smooth_certificate_not_certified_examples():
