@@ -1,10 +1,13 @@
 """Repeats, pyramids, and the join decomposition.
 
-Arbitrary input is reduced before any duality criterion runs: regularize
-(put the points on an affine hyperplane off the origin), normalize the
-lattice (make the columns span it), merge repeated columns, and split off
-pyramid apexes.  The variety is an iterated join over what remains, and
-self-duality of the join needs the apex count to match the repeat count.
+The reductions shown here (regularize: put the points on an affine
+hyperplane off the origin; normalize the lattice: make the columns span it;
+merge repeated columns; split off pyramid apexes) all keep the lattice of
+affine relations.  The duality criteria therefore read that lattice off the
+input as given: they merge repeated columns and take the apexes from the
+zero rows of the Gale dual.  The variety is an iterated join over what
+remains, and self-duality of the join needs the apex count to match the
+repeat count.
 """
 
 from toricdual import (

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import families
-from .configuration import affine_dim, parse_configuration
+from .configuration import affine_dim, parse_configuration, regularize
 from .engine import (
     _decompose,
     full_decomposition,
@@ -118,7 +118,9 @@ def _oracle_verify_self_dual(c, claimed: bool):
     if b.npoints > ENUMERATION_GUARD:
         return {"status": "skipped", "reason": "enumeration guard"}
     flats = self_dual_via_flats(b)
-    sigma = self_dual_via_sigma(distinct)
+    # the sigma test needs a regular presentation; this one has the same
+    # rational row space as the lattice-normalized one, so the same answer
+    sigma = self_dual_via_sigma(regularize(distinct))
     agree = flats == sigma == claimed
     return {"status": "ok" if agree else "DISAGREEMENT", "flats": flats, "sigma": sigma}
 

@@ -25,8 +25,7 @@ class Configuration:
     relations among columns coincide with linear ones.  ``lattice_normalized``
     means the columns span the full ambient lattice Z^d.  ``relations`` is the
     saturated affine relation basis that :func:`gale_dual` wraps.  All three
-    are read-only; the reductions below hand on the flags that hold by
-    construction, so no configuration recomputes what its source knew.
+    are read-only, and each is computed at most once per configuration.
     """
 
     weights: np.ndarray
@@ -104,7 +103,9 @@ class DecompositionReport:
     Gale dual); the core is the rest.  ``splitting_valid`` records whether the
     ambient lattice splits as (lattice spanned by the apexes, which they must
     base) ⊕ (a complement containing the core); see :func:`pyramid_decompose`
-    for the one-line rule.  ``join_shape`` is (repeat multiplicity count, apex
+    for the one-line rule.  The engine reports it for the lattice-normalized
+    presentation, where it always holds; that presentation has the input's
+    relations, so the engine does not compute it.  ``join_shape`` is (repeat multiplicity count, apex
     count, core count): the variety is an iterated join of an empty factor of
     that first size, a projective subspace spanned by the apexes, and the
     core's variety.
@@ -122,17 +123,6 @@ def parse_configuration(matrix) -> Configuration:
     w = imat(matrix)
     w.setflags(write=False)
     return Configuration(weights=w)
-
-
-def _derive(weights, source: Configuration = None, **flags) -> Configuration:
-    """A configuration on ``weights`` that keeps the flags already computed on
-    ``source`` and sets ``flags``; the caller vouches that both carry over."""
-    out = parse_configuration(weights)
-    if source is not None:
-        known = ("regular", "lattice_normalized")
-        vars(out).update({k: v for k, v in vars(source).items() if k in known})
-    vars(out).update(flags)
-    return out
 
 
 def subconfiguration(c: Configuration, indices) -> Configuration:
@@ -155,7 +145,7 @@ def regularize(c: Configuration) -> Configuration:
     if c.regular:
         return c
     ones = np.array([[1] * c.npoints], dtype=object)
-    return _derive(np.vstack([ones, c.weights]), regular=True)
+    return parse_configuration(np.vstack([ones, c.weights]))
 
 
 def affine_relation_kernel(c: Configuration) -> np.ndarray:
@@ -198,8 +188,7 @@ def normalize_lattice(c: Configuration):
         row = um[i]
         assert all(x % facs[i] == 0 for x in row.tolist())
         new_rows.append([x // facs[i] for x in row.tolist()])
-    # the new rows have the old rational row span, so ``regular`` carries over
-    c2 = _derive(new_rows, c, lattice_normalized=True)
+    c2 = parse_configuration(new_rows)
     # new == first r rows of v^-1 and W @ v vanishes past column r, so
     # W == W v v^-1 == (W v[:, :r]) @ new
     back = c.weights @ v[:, :r]
@@ -216,8 +205,7 @@ def reduce_configuration(c: Configuration) -> Configuration:
 def dedup(c: Configuration) -> DedupReport:
     """Group equal columns, keeping first-occurrence order.
 
-    The distinct configuration has the same column set as ``c``, so it keeps
-    the flags of ``c``; without repeats it is ``c`` itself.
+    Without repeats the distinct configuration is ``c`` itself.
     """
     seen = {}
     order = []
@@ -231,7 +219,10 @@ def dedup(c: Configuration) -> DedupReport:
     mult = [0] * len(order)
     for t in index_map:
         mult[t] += 1
-    distinct = c if len(order) == c.npoints else _derive(c.weights[:, order], c)
+    if len(order) == c.npoints:
+        distinct = c
+    else:
+        distinct = parse_configuration(c.weights[:, order])
     return DedupReport(
         distinct=distinct, multiplicity=tuple(mult), index_map=tuple(index_map)
     )

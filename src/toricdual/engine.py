@@ -1,43 +1,43 @@
 """Top-level verdicts: self-duality, strong self-duality, recognizers.
 
-The main pipeline reduces an arbitrary configuration (regularize, normalize
-the lattice, merge repeats, split off pyramid apexes) until the line-sum
-criterion on the Gale dual applies, and assembles a verdict whose witness an
+The main pipeline works on the input as given, because every criterion here
+reads only its lattice of affine relations: merge repeated columns, then
+read the pyramid apexes off the Gale dual as its zero rows.  The line-sum
+criterion then applies to the core, and the verdict carries a witness an
 independent checker can replay.
 """
 
 import enum
 import itertools
-from dataclasses import replace
 
-import numpy as np
-
-from .configuration import (
-    Configuration,
-    DecompositionReport,
-    affine_dim,
-    dedup,
-    pyramid_decompose,
-    reduce_configuration,
-)
+from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero, verify_gale_dual
-from .intlinalg import column_lattices_equal, det, imat, integer_kernel, primitive_vector
+from .intlinalg import det, imat, integer_kernel, lattice_basis, primitive_vector
 from .verdict import Verdict
 
 
 def _decompose(c: Configuration):
-    """The reduction pipeline: reduce, merge repeats, split off apexes.
+    """The decision pipeline: merge repeats, then split off apexes.
 
     Returns ``(distinct, b, report)``: the distinct-column configuration of
-    the reduced presentation, its Gale dual, and the combined report.  The
-    Gale kernel is computed once, by the apex split, and ``b`` reuses it.
+    ``c``, its Gale dual, and the combined report.  Apexes are the zero rows
+    of ``b`` and the core is every other row.
     """
-    rep = dedup(reduce_configuration(c))
-    dec = pyramid_decompose(rep.distinct)
+    rep = dedup(c)
+    b = gale_dual(rep.distinct)
+    apex = b.zero_rows()
+    core = tuple(i for i in range(b.npoints) if i not in apex)
     k = rep.repeat_codim
-    report = replace(dec, repeat_codim=k, join_shape=(k, *dec.join_shape[1:]))
-    return rep.distinct, gale_dual(rep.distinct), report
+    # the lattice-normalized presentation has these relations and splits
+    report = DecompositionReport(
+        repeat_codim=k,
+        apex_indices=apex,
+        core_indices=core,
+        splitting_valid=True,
+        join_shape=(k, len(apex), len(core)),
+    )
+    return rep.distinct, b, report
 
 
 def is_self_dual(c: Configuration) -> Verdict:
@@ -49,8 +49,8 @@ def is_self_dual(c: Configuration) -> Verdict:
     iterated join over the distinct-point core, which must be non-pyramidal
     with apex count equal to the number of repeats, and have a self-dual core
     (empty core means the variety is a linear subspace, self-dual exactly in
-    the half-dimensional pattern).  The lattice splitting always exists after
-    normalization; the witness still reports it.
+    the half-dimensional pattern).  Everything is read off the Gale dual of
+    ``c`` itself; no reduction to a normalized presentation is computed.
     """
     _, b, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
@@ -73,7 +73,6 @@ def is_self_dual(c: Configuration) -> Verdict:
                 **decomposition,
             },
         )
-    assert dec.splitting_valid, "normalization guarantees the lattice splitting"
     if not dec.core_indices:
         return Verdict(
             value=True,
@@ -340,7 +339,7 @@ def hypersurface_class(c: Configuration) -> HypersurfaceClass:
 
 
 def full_decomposition(c: Configuration) -> DecompositionReport:
-    """Reduce, merge repeats, and split off apexes; one combined report."""
+    """Merge repeats and split off apexes; one combined report."""
     return _decompose(c)[2]
 
 
@@ -350,21 +349,26 @@ def smooth_certificate(c: Configuration) -> Verdict:
     Certifies smoothness when every hull vertex has exactly (affine dim) many
     edges and the differences to the nearest configuration point along each
     edge form a basis of the difference lattice.  Not certified does not mean
-    singular: the test is one-sided.  Repeat-free input required; the check
-    runs on the reduced presentation, where it is equivalent.
+    singular: the test is one-sided.  Repeat-free input required.  The check
+    runs on ``c`` itself, so the edge vectors are differences of input
+    columns; line grouping, the nearest point on an edge and lattice equality
+    do not change under an injective integral linear map, so any other
+    presentation of the same relations gives the same verdict.
     """
     if len(set(c.columns())) != c.npoints:
         raise ValueError("smoothness certificate expects no repeated columns")
-    red = reduce_configuration(c)
-    n = red.npoints
-    dim = affine_dim(red)
-    cols = red.columns()
+    n = c.npoints
+    dim = affine_dim(c)
+    cols = c.columns()
+    # the differences to any one point generate the whole difference lattice
+    to_first = [[x - y for x, y in zip(col, cols[0])] for col in cols]
+    lattice = lattice_basis(to_first, c.dim)
     facial = {}
 
     def is_face(subset):
         # an edge is a candidate at both of its ends: test each subset once
         if subset not in facial:
-            facial[subset] = is_facial(red, subset).value
+            facial[subset] = is_facial(c, subset).value
         return facial[subset]
 
     vertices = [i for i in range(n) if is_face((i,))]
@@ -389,10 +393,7 @@ def smooth_certificate(c: Configuration) -> Verdict:
             diffs[min((k for k in s if k != i), key=lambda k: sum(map(abs, diffs[k])))]
             for s in edges
         ]
-        others = [diffs[j] for j in range(n) if j != i]
-        ok = column_lattices_equal(
-            _column_matrix(vectors, red.dim), _column_matrix(others, red.dim)
-        )
+        ok = lattice_basis(vectors, c.dim) == lattice
         entry["edge_vectors"] = vectors
         entry["basis_of_difference_lattice"] = ok
         if not ok:
@@ -408,11 +409,3 @@ def smooth_certificate(c: Configuration) -> Verdict:
             "note": "one-sided: not certified does not mean singular",
         },
     )
-
-
-def _column_matrix(vectors, nrows: int) -> np.ndarray:
-    """The integer matrix with the given vectors as its columns."""
-    out = np.zeros((nrows, len(vectors)), dtype=object)
-    for pos, v in enumerate(vectors):
-        out[:, pos] = v
-    return out

@@ -174,7 +174,8 @@ def is_facial(c: Configuration, subset) -> Verdict:
         raise ValueError("facial test expects a nonempty subset")
     if sel[0] < 0 or sel[-1] >= c.npoints:
         raise ValueError("subset index out of range")
-    complement = [i for i in range(c.npoints) if i not in set(sel)]
+    inside = set(sel)
+    complement = [i for i in range(c.npoints) if i not in inside]
     if not complement:
         return Verdict(
             value=True,

@@ -7,9 +7,10 @@ transform that claims to be unimodular really is, and the tests check it.
 The fast path is fraction-free and runs on plain int lists: one Bareiss loop
 serves ``rank`` and ``det``, and one Hermite echelon loop (``_echelon``)
 serves ``row_hermite``, ``hermite_normal_form``, ``integer_kernel`` and
-``column_lattices_equal``.  ``rational_rank`` and ``in_row_span`` keep
-``fractions.Fraction`` Gauss-Jordan elimination as the oracles' reference
-arithmetic; the package's fast predicates do not call them.
+``lattice_basis`` (behind ``column_lattices_equal``).  ``rational_rank`` and
+``in_row_span`` keep ``fractions.Fraction`` Gauss-Jordan elimination as the
+oracles' reference arithmetic; the package's fast predicates do not call
+them.
 """
 
 from fractions import Fraction
@@ -336,16 +337,17 @@ def integer_kernel(a: np.ndarray) -> np.ndarray:
     return _matrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T.copy()
 
 
+def lattice_basis(vectors, dim: int) -> list:
+    """Canonical Hermite basis, as int lists, of the lattice that the integer
+    vectors of length ``dim`` generate; equal lattices give equal bases."""
+    return [row for row in _echelon(_int_rows(vectors), dim) if any(row)]
+
+
 def column_lattices_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two integer matrices generate the same column lattice."""
     if a.shape[0] != b.shape[0]:
         return False
-
-    def canon(mat):
-        h = _echelon(_int_rows(mat.T), mat.shape[0])
-        return [row for row in h if any(row)]
-
-    return canon(a) == canon(b)
+    return lattice_basis(a.T, a.shape[0]) == lattice_basis(b.T, b.shape[0])
 
 
 def in_row_span(a: np.ndarray, v) -> bool:

@@ -9,9 +9,10 @@ self-duality from exact evaluation of the defining binomials on a grid large
 enough to certify a polynomial identity.  The inputs they start from are
 shared, not independent: the referees use the same ``integer_kernel`` (one
 Hermite echelon pass), ``gale_dual`` (and so the Gale kernel cached on each
-configuration), ``regularize``, ``reduce_configuration`` and ``affine_dim``
-as the fast predicates.  These run at desk scale only and guard themselves
-with explicit size limits.
+configuration) and ``affine_dim`` as the fast predicates, and ``regularize``
+as ``coparallel_criterion``.  No fast predicate calls
+``reduce_configuration``; only the random generator here does.  These run
+at desk scale only and guard themselves with explicit size limits.
 """
 
 import itertools
@@ -200,7 +201,8 @@ def facial_via_separation(c: Configuration, subset) -> bool:
         raise ValueError("facial test expects a nonempty subset")
     if sel[0] < 0 or sel[-1] >= c.npoints:
         raise ValueError("subset index out of range")
-    outside = [j for j in range(c.npoints) if j not in set(sel)]
+    inside = set(sel)
+    outside = [j for j in range(c.npoints) if j not in inside]
     if not outside:
         return True
     reg = regularize(c)

@@ -56,6 +56,17 @@ def test_check_self_dual(tmp_path, capsys):
     assert doc["oracle"]["status"] == "ok"
 
 
+def test_check_self_dual_verify_on_non_regular_input(tmp_path, capsys):
+    # the sigma oracle needs a regular presentation of the distinct columns
+    path = tmp_path / "twisted_cubic.txt"
+    path.write_text("0 1 2 3\n")
+    code, out, err = run(capsys, "check", "self-dual", str(path), "--verify")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["verdict"] is False
+    assert doc["oracle"] == {"status": "ok", "flats": False, "sigma": False}
+
+
 def test_check_strong(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "strong", write_segre2(tmp_path), "--verify")
     assert code == 0

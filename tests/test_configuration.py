@@ -18,7 +18,7 @@ from toricdual.configuration import (
     subconfiguration,
 )
 from toricdual import configuration
-from toricdual.engine import _decompose, is_self_dual
+from toricdual.engine import _decompose, is_self_dual, smooth_certificate
 from toricdual.gale import gale_dual, is_facial
 from toricdual.intlinalg import (
     column_lattices_equal,
@@ -299,11 +299,52 @@ def test_core_gale_rows_are_the_core_gale_dual(rows):
     assert np.array_equal(b.matrix[list(dec.core_indices)], gale_dual(core).matrix)
 
 
+@settings(max_examples=150, deadline=None)
+@given(conf_matrices, st.integers(2, 3))
+def test_decompose_matches_the_reduce_first_pipeline(rows, scale):
+    # a scaled first row, the first column repeated, and an apex on a new
+    # coordinate
+    rows = [[scale * x for x in rows[0]]] + rows[1:]
+    rows = [r + r[:1] + [0] for r in rows]
+    c = parse_configuration(rows + [[0] * (len(rows[0]) - 1) + [1]])
+    _, b, dec = _decompose(c)
+    # the pipeline that reduced the input first, written out
+    rep = dedup(reduce_configuration(c))
+    old = pyramid_decompose(rep.distinct)
+    assert np.array_equal(b.matrix, gale_dual(rep.distinct).matrix)
+    assert dec.apex_indices == old.apex_indices
+    assert dec.core_indices == old.core_indices
+    assert dec.repeat_codim == rep.repeat_codim
+    assert dec.join_shape == (rep.repeat_codim, *old.join_shape[1:])
+    assert dec.splitting_valid and old.splitting_valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(conf_matrices, st.integers(1, 3))
+def test_smooth_certificate_runs_on_the_input_columns(rows, scale):
+    # a scaled row leaves the input off its lattice-normalized presentation
+    c = parse_configuration([[scale * x for x in rows[0]]] + rows[1:])
+    assume(len(set(c.columns())) == c.npoints)
+    v = smooth_certificate(c)
+    ref = smooth_certificate(reduce_configuration(c))
+    assert v.value == ref.value
+    keys = ("vertex", "edge_count", "needed", "basis_of_difference_lattice")
+    assert [[e.get(k) for k in keys] for e in v.witness["vertices"]] == [
+        [e.get(k) for k in keys] for e in ref.witness["vertices"]
+    ]
+    cols = c.columns()
+    for entry in v.witness["vertices"]:
+        base = cols[entry["vertex"]]
+        differences = [[x - y for x, y in zip(col, base)] for col in cols]
+        for vec in entry.get("edge_vectors", []):
+            assert vec in differences
+
+
 @settings(max_examples=100, deadline=None)
 @given(conf_matrices, st.booleans())
 def test_handed_on_flags_match_recomputed(rows, flags_known):
     c = parse_configuration([r + r[:1] for r in rows])  # one repeated column
-    if flags_known:  # computed now, so the reductions hand them on
+    if flags_known:  # computed before the reductions run
         _ = (c.regular, c.lattice_normalized)
     derived = [regularize(c), dedup(c).distinct]
     try:
@@ -333,11 +374,16 @@ def _count_calls(monkeypatch, modules, names):
     return counts
 
 
+def _toricdual_modules():
+    return [m for k, m in sorted(sys.modules.items()) if k.startswith("toricdual")]
+
+
 def _fraction_rank_calls(monkeypatch):
     """Count the Fraction reference routines wherever a toricdual module
     holds them: intlinalg itself and every module that imported them."""
-    modules = [m for k, m in sorted(sys.modules.items()) if k.startswith("toricdual")]
-    return _count_calls(monkeypatch, modules, ("rational_rank", "in_row_span"))
+    return _count_calls(
+        monkeypatch, _toricdual_modules(), ("rational_rank", "in_row_span")
+    )
 
 
 @pytest.mark.parametrize("doubled_row", [False, True])
@@ -350,13 +396,13 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     rep = dedup(reduce_configuration(c))
     assert rep.repeat_codim == 0
     assert not pyramid_decompose(rep.distinct).apex_indices
-    counts = _count_calls(
-        monkeypatch, [configuration], ("smith_normal_form", "affine_relation_kernel")
-    )
+    counts = _count_calls(monkeypatch, [configuration], ("affine_relation_kernel",))
+    reductions = ("smith_normal_form", "normalize_lattice", "reduce_configuration")
+    reduction_counts = _count_calls(monkeypatch, _toricdual_modules(), reductions)
     fraction_counts = _fraction_rank_calls(monkeypatch)
     is_self_dual(parse_configuration(rows))
     assert fraction_counts == {"rational_rank": 0, "in_row_span": 0}
-    assert counts["smith_normal_form"] <= 1
+    assert reduction_counts == dict.fromkeys(reductions, 0)
     assert counts["affine_relation_kernel"] == 1
 
 
