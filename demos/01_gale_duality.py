@@ -43,6 +43,9 @@ verdict = is_self_dual(cubic)
 print(f"self-dual? {verdict.value}")
 print("every line carries a single row, so no line can sum to zero:")
 print("witness:", verdict.witness)
+print("(the verdict reads the fundamental-circuit basis of the relations, so")
+print(" the witness's direction and sum are in its coordinates; the members")
+print(" are the same in every basis)")
 
 print()
 print("=" * 72)

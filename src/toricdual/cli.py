@@ -112,12 +112,13 @@ def _report(start, config=None, verdict: Verdict = None, **extra) -> dict:
 
 
 def _oracle_verify_self_dual(c, claimed: bool):
-    distinct, b, dec = _decompose(c)
+    distinct, _, dec = _decompose(c)
     if dec.repeat_codim or dec.apex_indices:
         return {"status": "skipped", "reason": "oracle covers repeat-free non-pyramidal input"}
-    if b.npoints > ENUMERATION_GUARD:
+    if distinct.npoints > ENUMERATION_GUARD:
         return {"status": "skipped", "reason": "enumeration guard"}
-    flats = self_dual_via_flats(b)
+    # the verdict read the circuit basis; the referee reads the canonical one
+    flats = self_dual_via_flats(gale_dual(distinct))
     # the sigma test needs a regular presentation; this one has the same
     # rational row space as the lattice-normalized one, so the same answer
     sigma = self_dual_via_sigma(regularize(distinct))

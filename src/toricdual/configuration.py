@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import imat, integer_kernel, rank, smith_normal_form
+from .intlinalg import circuit_kernel, imat, integer_kernel, rank, smith_normal_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,8 +24,12 @@ class Configuration:
     origin (equivalently the all-ones vector is in the row span), so affine
     relations among columns coincide with linear ones.  ``lattice_normalized``
     means the columns span the full ambient lattice Z^d.  ``relations`` is the
-    saturated affine relation basis that :func:`gale_dual` wraps.  All three
-    are read-only, and each is computed at most once per configuration.
+    saturated affine relation basis that :func:`gale_dual` wraps.
+    ``circuit_basis`` is the fundamental-circuit basis of the same relations
+    (:func:`circuit_kernel` of ``[1; W]``): it spans them over Q only, needs
+    no saturation step, and is what the self-duality verdict reads, so its
+    witnesses are stated in its coordinates.  All four are read-only, and
+    each is computed at most once per configuration.
     """
 
     weights: np.ndarray
@@ -60,6 +64,12 @@ class Configuration:
     @cached_property
     def relations(self) -> np.ndarray:
         k = affine_relation_kernel(self)
+        k.setflags(write=False)
+        return k
+
+    @cached_property
+    def circuit_basis(self) -> np.ndarray:
+        k = circuit_kernel([[1] * self.npoints] + self.weights.tolist())
         k.setflags(write=False)
         return k
 

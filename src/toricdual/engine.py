@@ -2,9 +2,14 @@
 
 The main pipeline works on the input as given, because every criterion here
 reads only its lattice of affine relations: merge repeated columns, then
-read the pyramid apexes off the Gale dual as its zero rows.  The line-sum
-criterion then applies to the core, and the verdict carries a witness an
-independent checker can replay.
+read the pyramid apexes off a Gale dual as its zero rows.  Zero rows, line
+classes and zero line sums do not change when the Gale basis is changed
+over Q, so the self-duality verdict reads the fundamental-circuit basis
+(``Configuration.circuit_basis``) and never saturates it; its line-sum
+witnesses give directions and sums in that basis and say so with
+``"basis": "fundamental_circuits"``.  The strong test (whose products
+depend on the basis) and the Segre and hypersurface recognizers read the
+saturated canonical basis of :func:`gale_dual`.
 """
 
 import enum
@@ -21,11 +26,12 @@ def _decompose(c: Configuration):
     """The decision pipeline: merge repeats, then split off apexes.
 
     Returns ``(distinct, b, report)``: the distinct-column configuration of
-    ``c``, its Gale dual, and the combined report.  Apexes are the zero rows
-    of ``b`` and the core is every other row.
+    ``c``, its fundamental-circuit Gale dual (a rational, not a saturated,
+    basis of its relations), and the combined report.  Apexes are the zero
+    rows of ``b`` and the core is every other row.
     """
     rep = dedup(c)
-    b = gale_dual(rep.distinct)
+    b = GaleDual(matrix=rep.distinct.circuit_basis)
     apex = b.zero_rows()
     core = tuple(i for i in range(b.npoints) if i not in apex)
     k = rep.repeat_codim
@@ -49,13 +55,16 @@ def is_self_dual(c: Configuration) -> Verdict:
     iterated join over the distinct-point core, which must be non-pyramidal
     with apex count equal to the number of repeats, and have a self-dual core
     (empty core means the variety is a linear subspace, self-dual exactly in
-    the half-dimensional pattern).  Everything is read off the Gale dual of
-    ``c`` itself; no reduction to a normalized presentation is computed.
+    the half-dimensional pattern).  Everything is read off the
+    fundamental-circuit basis of ``c``'s relations; no reduction to a
+    normalized presentation and no saturated Gale dual is computed.  Line
+    class directions and sums in the witness are in that basis, marked
+    ``"basis": "fundamental_circuits"``.
     """
     _, b, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
     if r == 0 and k == 0:
-        return line_sums_zero(b)
+        return _circuit_line_sums(b)
     decomposition = {
         "repeat_codim": k,
         "apex_indices": list(dec.apex_indices),
@@ -83,8 +92,8 @@ def is_self_dual(c: Configuration) -> Verdict:
                 **decomposition,
             },
         )
-    # the core's canonical Gale dual is the distinct one without its zero rows
-    core_verdict = line_sums_zero(GaleDual(matrix=b.matrix[list(dec.core_indices)]))
+    # the core's circuit basis is the distinct one without its zero rows
+    core_verdict = _circuit_line_sums(GaleDual(matrix=b.matrix[list(dec.core_indices)]))
     return Verdict(
         value=core_verdict.value,
         criterion="join-decomposition",
@@ -94,6 +103,13 @@ def is_self_dual(c: Configuration) -> Verdict:
             **decomposition,
         },
     )
+
+
+def _circuit_line_sums(b: GaleDual) -> Verdict:
+    """:func:`line_sums_zero` on a fundamental-circuit basis, with the
+    witness marked as stated in that basis."""
+    v = line_sums_zero(b)
+    return Verdict(v.value, v.criterion, {**v.witness, "basis": "fundamental_circuits"})
 
 
 def _strong_products(b: GaleDual):
@@ -139,8 +155,9 @@ def is_strongly_self_dual(c: Configuration, basis=None) -> Verdict:
             "(all-ones vector in the row span)"
         )
     b = gale_dual(c)
-    if b.zero_rows():
-        raise pyramidal_input(b.zero_rows(), "strong self-duality")
+    apexes = b.zero_rows()
+    if apexes:
+        raise pyramidal_input(apexes, "strong self-duality")
 
     def evaluate(dual: GaleDual):
         report = {

@@ -22,7 +22,11 @@ from .verdict import Verdict
 
 @dataclass(frozen=True, eq=False)
 class GaleDual:
-    """n x r matrix whose columns are a saturated basis of affine relations."""
+    """n x r matrix whose columns are a basis of the affine relations.
+
+    :func:`gale_dual` gives the saturated canonical basis; the self-duality
+    verdict wraps ``Configuration.circuit_basis``, a basis over Q only.
+    """
 
     matrix: np.ndarray
 
@@ -41,7 +45,7 @@ class GaleDual:
         return [self.row(i) for i in range(self.npoints)]
 
     def zero_rows(self) -> tuple:
-        return tuple(i for i in range(self.npoints) if all(x == 0 for x in self.row(i)))
+        return tuple(i for i, row in enumerate(self.matrix.tolist()) if not any(row))
 
 
 @dataclass(frozen=True)
@@ -107,9 +111,7 @@ def line_partition(b: GaleDual) -> LinePartition:
     out = []
     for key in sorted(classes, key=lambda k: (classes[k][0],)):
         members = classes[key]
-        total = tuple(
-            sum(rows[i][j] for i in members) for j in range(b.corank)
-        )
+        total = tuple(map(sum, zip(*(rows[i] for i in members))))
         out.append(LineClass(direction=key, members=tuple(members), total=total))
     return LinePartition(classes=tuple(out), zero_rows=tuple(zero))
 
@@ -118,7 +120,10 @@ def line_sums_zero(b: GaleDual) -> Verdict:
     """Self-duality test for non-pyramidal configurations.
 
     True iff every line class of dual rows sums to zero.  A zero row means
-    the configuration is pyramidal and the criterion does not apply.
+    the configuration is pyramidal and the criterion does not apply.  The
+    verdict, the witness kind and its members are the same for every basis
+    of the relations over Q; the ``direction`` and ``sum`` of a witness are
+    coordinates in the columns of ``b`` as given.
     """
     part = line_partition(b)
     if part.zero_rows:

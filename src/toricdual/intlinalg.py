@@ -5,9 +5,14 @@ ints (arbitrary precision), so nothing here can overflow or round.  Every
 transform that claims to be unimodular really is, and the tests check it.
 
 The fast path is fraction-free and runs on plain int lists: one Bareiss loop
-serves ``rank`` and ``det``, and one Hermite echelon loop (``_echelon``)
-serves ``row_hermite``, ``hermite_normal_form``, ``integer_kernel`` and
-``lattice_basis`` (behind ``column_lattices_equal``).  ``rational_rank`` and
+serves ``rank`` and ``det`` (forward elimination) and ``circuit_kernel``
+(the same loop eliminating above each pivot too), and one Hermite echelon
+loop (``_echelon``) serves ``row_hermite``, ``hermite_normal_form``,
+``integer_kernel`` and ``lattice_basis`` (behind ``column_lattices_equal``).
+``integer_kernel`` is the saturated canonical kernel basis behind the Gale
+dual; ``circuit_kernel`` is the fundamental-circuit basis, a kernel basis
+over Q only, and the self-duality verdict states its line-sum witnesses in
+its coordinates.  ``rational_rank`` and
 ``in_row_span`` keep ``fractions.Fraction`` Gauss-Jordan elimination as the
 oracles' reference arithmetic; the package's fast predicates do not call
 them.
@@ -256,13 +261,17 @@ def invariant_factors(a: np.ndarray):
     return [s[i, i] for i in range(min(s.shape)) if s[i, i] != 0]
 
 
-def _bareiss(rows: list) -> tuple:
-    """Fraction-free (Bareiss 1968) forward elimination of ``rows``, in place.
+def _bareiss(rows: list, jordan: bool = False) -> tuple:
+    """Fraction-free (Bareiss 1968) elimination of ``rows``, in place.
 
     Columns without a pivot are skipped, so every division is exact on any
     shape.  Returns ``(rank, sign, pivot)``: ``sign`` is the parity of the row
     swaps and ``pivot`` the last pivot; a nonsingular square matrix has
-    determinant ``sign * pivot``.
+    determinant ``sign * pivot``.  Forward elimination by default; with
+    ``jordan`` the rows above each pivot are eliminated by the same update
+    (fraction-free Gauss-Jordan), which leaves the first ``rank`` rows equal
+    to ``pivot`` times the reduced row echelon form, each with its first
+    nonzero entry in its pivot column.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -278,9 +287,10 @@ def _bareiss(rows: list) -> tuple:
             sign = -sign
         pr = rows[r]
         p = pr[c]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
+        for i in range(0 if jordan else r + 1, m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
         prev = p
         r += 1
     return r, sign, prev
@@ -335,6 +345,37 @@ def integer_kernel(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     rows = _echelon(_with_identity(a.T), m)
     return _matrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T.copy()
+
+
+def circuit_kernel(a) -> np.ndarray:
+    """Fundamental-circuit basis of the rational kernel ``{v : a @ v = 0}``.
+
+    The pivot columns of a fraction-free Gauss-Jordan pass form the
+    lex-first column basis of ``a``.  Column t of the result belongs to the
+    t-th non-pivot column j: it is the primitive kernel vector supported on
+    the basis plus j, positive at j.  It spans the kernel over Q but, unlike
+    :func:`integer_kernel`, need not span the kernel lattice; no saturation
+    step runs: before the column's common factor is divided out, each entry
+    is, up to sign, a ``rank(a)``-square minor of ``a``.
+    """
+    rows = _int_rows(a)
+    n = len(rows[0])
+    k, _, d = _bareiss(rows, jordan=True)
+    # row t is d times the reduced echelon row of the t-th pivot
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows[:k]]
+    s = 1 if d > 0 else -1
+    taken = set(pivots)
+    cols = []
+    for j in range(n):
+        if j in taken:
+            continue
+        v = [0] * n
+        v[j] = abs(d)
+        for t, c in enumerate(pivots):
+            v[c] = -s * rows[t][j]
+        g = gcd(*v)
+        cols.append([x // g for x in v])
+    return _matrix(cols, n).T.copy()
 
 
 def lattice_basis(vectors, dim: int) -> list:

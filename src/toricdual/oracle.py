@@ -9,8 +9,10 @@ self-duality from exact evaluation of the defining binomials on a grid large
 enough to certify a polynomial identity.  The inputs they start from are
 shared, not independent: the referees use the same ``integer_kernel`` (one
 Hermite echelon pass), ``gale_dual`` (and so the Gale kernel cached on each
-configuration) and ``affine_dim`` as the fast predicates, and ``regularize``
-as ``coparallel_criterion``.  No fast predicate calls
+configuration) and ``affine_dim`` as the facial and strong predicates, and
+``regularize`` as ``coparallel_criterion``.  The self-duality verdict reads
+the fundamental-circuit basis instead (a Bareiss-Jordan pass), so the
+flat-sum referee and it share no kernel.  No fast predicate calls
 ``reduce_configuration``; only the random generator here does.  These run
 at desk scale only and guard themselves with explicit size limits.
 """
@@ -292,23 +294,26 @@ def random_configuration(
     """One random reduced configuration satisfying the requested filters.
 
     Drawing is rejection-based but fully determined by the caller's ``rng``,
-    so seeded sweeps are reproducible.
+    so seeded sweeps are reproducible.  The filters run on the raw draw:
+    reduction maps columns injectively and keeps the relations, so repeats,
+    apexes and corank are the same before and after it, and only the draw
+    that is kept is reduced.
     """
     for _ in range(max_tries):
         d = rng.randint(1, max_dim)
         n = rng.randint(max(2, d + 1), max_points)
         rows = [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(d)]
-        try:
-            c = reduce_configuration(parse_configuration(rows))
-        except ValueError:
-            continue
+        c = parse_configuration(rows)
         if repeat_free and len(set(c.columns())) != c.npoints:
             continue
-        if non_pyramidal and gale_dual(c).zero_rows():
+        if non_pyramidal:
+            b = GaleDual(matrix=c.circuit_basis)
+            if b.corank == 0 or b.zero_rows():
+                continue
+        try:
+            return reduce_configuration(c)
+        except ValueError:
             continue
-        if non_pyramidal and gale_dual(c).corank == 0:
-            continue
-        return c
     raise RuntimeError("rejection sampling starved; loosen the filters")
 
 

@@ -25,6 +25,7 @@ from toricdual.intlinalg import (
     imat,
     in_row_span,
     invariant_factors,
+    rank,
     rational_rank,
 )
 
@@ -287,6 +288,13 @@ def test_splitting_rule_matches_four_conditions(rows, scale):
     assert pyramid_decompose(c).splitting_valid == _four_condition_splitting(c)
 
 
+def _same_rational_column_space(b, canonical):
+    """Equal ranks of ``b``, ``canonical`` and the two side by side."""
+    assert b.shape == canonical.shape
+    both = np.hstack([b, canonical])
+    assert rank(b) == rank(canonical) == rank(both) == b.shape[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(conf_matrices)
 def test_core_gale_rows_are_the_core_gale_dual(rows):
@@ -294,9 +302,16 @@ def test_core_gale_rows_are_the_core_gale_dual(rows):
         distinct, b, dec = _decompose(parse_configuration(rows))
     except ValueError:
         return
+    canonical = gale_dual(distinct)
+    _same_rational_column_space(b.matrix, canonical.matrix)
+    assert b.zero_rows() == canonical.zero_rows() == dec.apex_indices
     assume(dec.core_indices)
     core = subconfiguration(distinct, dec.core_indices)
-    assert np.array_equal(b.matrix[list(dec.core_indices)], gale_dual(core).matrix)
+    core_rows = b.matrix[list(dec.core_indices)]
+    # apexes lie in no circuit, so dropping them keeps every circuit and
+    # the lex-first basis of the rest: the same columns, even unscaled
+    assert np.array_equal(core_rows, core.circuit_basis)
+    _same_rational_column_space(core_rows, gale_dual(core).matrix)
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,7 +326,9 @@ def test_decompose_matches_the_reduce_first_pipeline(rows, scale):
     # the pipeline that reduced the input first, written out
     rep = dedup(reduce_configuration(c))
     old = pyramid_decompose(rep.distinct)
-    assert np.array_equal(b.matrix, gale_dual(rep.distinct).matrix)
+    _same_rational_column_space(b.matrix, gale_dual(rep.distinct).matrix)
+    # the circuits depend on the relations only, not on the presentation
+    assert np.array_equal(b.matrix, rep.distinct.circuit_basis)
     assert dec.apex_indices == old.apex_indices
     assert dec.core_indices == old.core_indices
     assert dec.repeat_codim == rep.repeat_codim
@@ -396,14 +413,15 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     rep = dedup(reduce_configuration(c))
     assert rep.repeat_codim == 0
     assert not pyramid_decompose(rep.distinct).apex_indices
-    counts = _count_calls(monkeypatch, [configuration], ("affine_relation_kernel",))
+    kernels = ("affine_relation_kernel", "integer_kernel", "circuit_kernel")
+    counts = _count_calls(monkeypatch, _toricdual_modules(), kernels)
     reductions = ("smith_normal_form", "normalize_lattice", "reduce_configuration")
     reduction_counts = _count_calls(monkeypatch, _toricdual_modules(), reductions)
     fraction_counts = _fraction_rank_calls(monkeypatch)
     is_self_dual(parse_configuration(rows))
     assert fraction_counts == {"rational_rank": 0, "in_row_span": 0}
     assert reduction_counts == dict.fromkeys(reductions, 0)
-    assert counts["affine_relation_kernel"] == 1
+    assert counts == {"affine_relation_kernel": 0, "integer_kernel": 0, "circuit_kernel": 1}
 
 
 def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):

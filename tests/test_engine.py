@@ -1,8 +1,11 @@
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricdual.configuration import parse_configuration
+from toricdual.configuration import dedup, parse_configuration
 from toricdual.engine import (
     HypersurfaceClass,
     full_decomposition,
@@ -16,7 +19,8 @@ from toricdual.engine import (
 )
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import family_alpha, lawrence, segre
-from toricdual.intlinalg import imat
+from toricdual.gale import GaleDual, gale_dual, line_sums_zero
+from toricdual.intlinalg import det, eye, imat
 from toricdual.oracle import self_dual_via_sigma, strong_via_points
 
 # two faces of this one contain a configuration point in their relative interior
@@ -349,3 +353,83 @@ def test_smooth_certificate_degenerate_point():
     # a single point is a zero-dimensional variety; the chart test is vacuous
     assert smooth_certificate(parse_configuration([[5]])).value
     assert smooth_certificate(parse_configuration([[5, 7]])).value
+
+
+# small weights, then optional decorations: the first row scaled, the first
+# column repeated, and an apex on a new coordinate
+decorated_configurations = st.tuples(
+    st.integers(1, 3).flatmap(
+        lambda d: st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                min_size=d,
+                max_size=d,
+            )
+        )
+    ),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+def _decorated(rows, scale, repeat, apex):
+    rows = [[scale * x for x in rows[0]]] + rows[1:]
+    if repeat:
+        rows = [r + r[:1] for r in rows]
+    if apex:
+        rows = [r + [0] for r in rows] + [[0] * len(rows[0]) + [1]]
+    return rows
+
+
+def _unimodular(rng, r):
+    """A random r x r unimodular matrix: signed swaps and row additions."""
+    u = eye(r)
+    for _ in range(3 * r):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i != j:
+            u[i] = u[i] + rng.randint(-2, 2) * u[j]
+            if rng.random() < 0.3:
+                u[[i, j]] = u[[j, i]]
+        else:
+            u[i] = -u[i]
+    assert abs(det(u)) == 1
+    return u
+
+
+def _nonsingular(rng, r):
+    while True:
+        m = imat([[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)])
+        if det(m):
+            return m
+
+
+def _members(witness):
+    if witness["kind"] == "violating_line_class":
+        return witness["members"]
+    return [cls["members"] for cls in witness["classes"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(decorated_configurations, st.integers(0, 2**32))
+def test_circuit_basis_verdict_matches_the_canonical_line_sums(case, seed):
+    c = parse_configuration(_decorated(*case))
+    v = is_self_dual(c)
+    canonical = gale_dual(dedup(c).distinct)
+    w = v.witness
+    if v.criterion == "join-decomposition":
+        assert w["apex_indices"] == list(canonical.zero_rows())
+        if w["kind"] != "join_core":
+            return
+        b, got = canonical.matrix[w["core_indices"]], w["core_verdict"]
+    else:
+        b, got = canonical.matrix, w
+    assert got["basis"] == "fundamental_circuits"
+    rng = random.Random(seed)
+    r = b.shape[1]
+    # line classes, members and zero sums survive any change of basis over Q
+    for change in (eye(r), _unimodular(rng, r), _nonsingular(rng, r)):
+        ref = line_sums_zero(GaleDual(matrix=b @ change))
+        assert ref.value == v.value
+        assert ref.witness["kind"] == got["kind"]
+        assert _members(ref.witness) == _members(got)

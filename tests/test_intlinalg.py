@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricdual.configuration import parse_configuration
 from toricdual.intlinalg import (
+    circuit_kernel,
     det,
     eye,
     hermite_normal_form,
@@ -278,3 +281,37 @@ def test_bareiss_det_equals_cofactor_expansion(rows):
     n = min(len(rows), len(rows[0]))
     square = [r[:n] for r in rows[:n]]
     assert det(imat(square)) == cofactor_det(square)
+
+
+def test_circuit_kernel_twisted_cubic():
+    # basis {0, 1}; the circuits of columns 2 and 3 are 1-2+1 and 2-3+1
+    k = circuit_kernel(imat([[1, 1, 1, 1], [0, 1, 2, 3]]))
+    assert k.tolist() == [[1, 2], [-2, -3], [1, 0], [0, 1]]
+
+
+def _lex_first_basis(m):
+    """Greedy column basis, each column tested with the Fraction rank."""
+    basis = []
+    for j in range(m.shape[1]):
+        if rational_rank(m[:, basis + [j]]) > len(basis):
+            basis.append(j)
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices)
+def test_circuit_basis_columns_are_fundamental_circuits(rows):
+    c = parse_configuration(rows)
+    a = imat([[1] * c.npoints] + rows)
+    k = c.circuit_basis
+    assert np.array_equal(k, circuit_kernel(a))
+    basis = _lex_first_basis(a)
+    free = [j for j in range(c.npoints) if j not in basis]
+    assert k.shape == (c.npoints, c.npoints - rational_rank(a))
+    for t, j in enumerate(free):
+        col = k[:, t].tolist()
+        # an affine relation, primitive, on the basis plus j, positive at j
+        assert not any((a @ k[:, t]).tolist())
+        assert gcd(*col) == 1
+        assert all(x == 0 for i, x in enumerate(col) if i != j and i not in basis)
+        assert col[j] > 0
