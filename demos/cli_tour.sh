@@ -17,6 +17,7 @@ run toricdual circuits demos/data/twisted_cubic.txt
 run toricdual flats demos/data/segre2.json
 run toricdual smooth-certificate demos/data/missing_points.json
 run toricdual classify-hypersurface demos/data/segre2.json
+run toricdual classify-hypersurface demos/data/random_26x100.txt
 run toricdual generate lawrence --rows "1 1 1" --format text
 run toricdual oracle crosscheck --seed 7 --count 20 --format text
 echo

@@ -59,7 +59,6 @@ from .intlinalg import (
     in_row_span,
     integer_kernel,
     rational_rank,
-    smith_normal_form,
 )
 from .oracle import (
     Circuit,
@@ -128,7 +127,6 @@ __all__ = [
     "segre",
     "self_dual_via_flats",
     "self_dual_via_sigma",
-    "smith_normal_form",
     "smooth_certificate",
     "strong_via_points",
     "subconfiguration",

@@ -5,6 +5,9 @@ A configuration is a d x n integer matrix whose columns are lattice points
 regularize, normalize the lattice, merge repeated columns, split off pyramid
 apexes — all preserve the lattice of affine relations among the columns,
 which is the invariant every duality criterion in this package consumes.
+Every question about the column lattice itself (is it Z^d, is it
+saturated, what basis to rewrite the columns in) is answered by its Hermite
+basis, :func:`lattice_basis`.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .intlinalg import circuit_kernel, imat, integer_kernel, rank, smith_normal_form
+from .intlinalg import (
+    circuit_kernel,
+    column_lattice_saturated,
+    eye,
+    imat,
+    integer_kernel,
+    lattice_basis,
+    rank,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,7 +34,8 @@ class Configuration:
     ``regular`` means the columns lie on a rational affine hyperplane off the
     origin (equivalently the all-ones vector is in the row span), so affine
     relations among columns coincide with linear ones.  ``lattice_normalized``
-    means the columns span the full ambient lattice Z^d.  ``relations`` is the
+    means the columns span the full ambient lattice Z^d, that is, the
+    Hermite basis of their lattice is the identity.  ``relations`` is the
     saturated affine relation basis that :func:`gale_dual` wraps.
     ``circuit_basis`` is the fundamental-circuit basis of the same relations
     (:func:`circuit_kernel` of ``[1; W]``): it spans them over Q only, needs
@@ -48,18 +60,13 @@ class Configuration:
         return rank(w) == rank(w + [[1] * self.npoints])
 
     @cached_property
-    def _smith(self):
-        return smith_normal_form(self.weights)
-
-    @property
-    def _factors(self) -> list:
-        """Nonzero invariant factors of the weights."""
-        s = self._smith[0]
-        return [s[i, i] for i in range(min(s.shape)) if s[i, i] != 0]
+    def _lattice_basis(self) -> list:
+        """Hermite basis (as rows) of the lattice the columns generate."""
+        return lattice_basis(self.weights.T, self.dim)
 
     @cached_property
     def lattice_normalized(self) -> bool:
-        return self._factors == [1] * self.dim
+        return self._lattice_basis == eye(self.dim).tolist()
 
     @cached_property
     def relations(self) -> np.ndarray:
@@ -109,13 +116,14 @@ class DedupReport:
 class DecompositionReport:
     """Pyramid/join structure of a configuration without repeated columns.
 
-    Apexes are the points that belong to no affine relation (zero rows of the
+    Apexes are the points that belong to no affine relation (zero rows of any
     Gale dual); the core is the rest.  ``splitting_valid`` records whether the
     ambient lattice splits as (lattice spanned by the apexes, which they must
-    base) ⊕ (a complement containing the core); see :func:`pyramid_decompose`
-    for the one-line rule.  The engine reports it for the lattice-normalized
-    presentation, where it always holds; that presentation has the input's
-    relations, so the engine does not compute it.  ``join_shape`` is (repeat multiplicity count, apex
+    base) ⊕ (a complement containing the core); by :func:`pyramid_decompose`
+    that is saturation of the regular presentation's column lattice.  The
+    engine reports it for the lattice-normalized presentation, where it
+    always holds; that presentation has the input's relations, so the engine
+    does not compute it.  ``join_shape`` is (repeat multiplicity count, apex
     count, core count): the variety is an iterated join of an empty factor of
     that first size, a projective subspace spanned by the apexes, and the
     core's variety.
@@ -173,7 +181,7 @@ def affine_relation_kernel(c: Configuration) -> np.ndarray:
 def affine_dim(c: Configuration) -> int:
     """Dimension of the affine span of the columns (= dim of the toric variety):
     rank([1; W]) - 1, which is n - 1 - (number of independent relations)."""
-    return c.npoints - 1 - c.relations.shape[1]
+    return rank([[1] * c.npoints] + c.weights.tolist()) - 1
 
 
 def normalize_lattice(c: Configuration):
@@ -181,27 +189,28 @@ def normalize_lattice(c: Configuration):
 
     Returns ``(c2, back)`` where ``c2.lattice_normalized`` holds and ``back``
     is an integer matrix with ``c.weights == back @ c2.weights`` exactly; the
-    affine relation lattice is unchanged.  Obtained from the Smith form
-    ``u @ W @ v == S`` of the weights: unimodular row transform, divide row i
-    by the i-th invariant factor, drop zero rows.
+    affine relation lattice is unchanged.  ``back`` is the d x r Hermite
+    basis H of the column lattice (its columns), and column j of ``c2`` holds
+    the coordinates of column j of W in it, read off H's pivots by exact
+    back-substitution.  H is injective and its columns are generated by W's,
+    so ``c2`` spans Z^r and has exactly the relations of W, at any rank r.
     """
     if c.lattice_normalized:
-        return c, np.eye(c.dim, dtype=object)
-    _, u, v = c._smith
-    facs = c._factors
-    r = len(facs)
-    if r == 0:
+        return c, eye(c.dim)
+    h = c._lattice_basis
+    if not h:
         raise ValueError("rank-zero configuration cannot be normalized")
-    um = u @ c.weights
-    new_rows = []
-    for i in range(r):
-        row = um[i]
-        assert all(x % facs[i] == 0 for x in row.tolist())
-        new_rows.append([x // facs[i] for x in row.tolist()])
-    c2 = parse_configuration(new_rows)
-    # new == first r rows of v^-1 and W @ v vanishes past column r, so
-    # W == W v v^-1 == (W v[:, :r]) @ new
-    back = c.weights @ v[:, :r]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    coords = []
+    for w in c.columns():
+        x = []
+        for row, p in zip(h, pivots):
+            q, rem = divmod(w[p] - sum(a * b[p] for a, b in zip(x, h)), row[p])
+            assert rem == 0
+            x.append(q)
+        coords.append(x)
+    c2 = parse_configuration(list(zip(*coords)))
+    back = imat(zip(*h))
     assert np.array_equal(c.weights, back @ c2.weights)
     return c2, back
 
@@ -241,25 +250,25 @@ def dedup(c: Configuration) -> DedupReport:
 def pyramid_decompose(c: Configuration) -> DecompositionReport:
     """Split a repeat-free configuration into pyramid apexes and a core.
 
-    Apexes are detected as the zero rows of the affine relation basis.  They
-    lie in no relation, so in the regular presentation they are linearly
-    independent and meet the span of the core only in 0; the lattice then
-    splits exactly when the column lattice of that presentation is saturated
-    (all invariant factors 1), which is checked only when apexes exist.
-    After normalization this always holds; on a non-normalized presentation
-    it can genuinely fail and the report says so instead of silently
-    renormalizing.
+    Apexes are detected as the zero rows of the fundamental-circuit basis
+    ``c.circuit_basis``: a point lies in no affine relation exactly when its
+    row vanishes in any basis of the relations over Q.  Apexes are therefore
+    linearly independent in the regular presentation and meet the span of
+    the core only in 0; the lattice then splits exactly when the column
+    lattice of that presentation is saturated (``column_lattice_saturated``),
+    which is checked only when apexes exist.  After normalization this
+    always holds; on a non-normalized presentation it can genuinely fail and
+    the report says so instead of silently renormalizing.
     """
     if len(set(c.columns())) != c.npoints:
         raise ValueError("pyramid decomposition expects no repeated columns")
-    kernel = c.relations
+    kernel = c.circuit_basis.tolist()
     apex, core = [], []
     for i in range(c.npoints):
-        (core if any(kernel[i].tolist()) else apex).append(i)
+        (core if any(kernel[i]) else apex).append(i)
     splitting = True
     if apex:
-        reg = regularize(c)
-        splitting = reg.lattice_normalized or all(f == 1 for f in reg._factors)
+        splitting = column_lattice_saturated(regularize(c).weights)
     return DecompositionReport(
         repeat_codim=0,
         apex_indices=tuple(apex),

@@ -8,7 +8,11 @@ The fast path is fraction-free and runs on plain int lists: one Bareiss loop
 serves ``rank`` and ``det`` (forward elimination) and ``circuit_kernel``
 (the same loop eliminating above each pivot too), and one Hermite echelon
 loop (``_echelon``) serves ``row_hermite``, ``hermite_normal_form``,
-``integer_kernel`` and ``lattice_basis`` (behind ``column_lattices_equal``).
+``integer_kernel`` and ``lattice_basis``.  ``lattice_basis`` answers every
+question about a column lattice: equality (``column_lattices_equal``),
+saturation (``column_lattice_saturated``), whether it is all of Z^d, and a
+basis to rewrite the columns in (``configuration.normalize_lattice``); no
+Smith form is needed for any of them.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual; ``circuit_kernel`` is the fundamental-circuit basis, a kernel basis
 over Q only, and the self-duality verdict states its line-sum witnesses in
@@ -51,17 +55,8 @@ def imat(rows) -> np.ndarray:
     return out
 
 
-def zeros(r: int, c: int) -> np.ndarray:
-    return np.zeros((r, c), dtype=object)
-
-
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=object)
-
-
-def _swap_rows(a, i, j):
-    if i != j:
-        a[[i, j]] = a[[j, i]]
 
 
 def _int_rows(a) -> list:
@@ -157,108 +152,6 @@ def hermite_normal_form(a: np.ndarray):
     """
     ht, ut = row_hermite(a.T)
     return ht.T.copy(), ut.T.copy()
-
-
-def smith_normal_form(a: np.ndarray):
-    """Smith normal form: ``(s, u, v)`` with ``u @ a @ v == s``.
-
-    ``u`` and ``v`` are unimodular; ``s`` is diagonal with nonnegative entries
-    d1 | d2 | ... (each dividing the next).
-    """
-    s = a.astype(object).copy()
-    m, n = s.shape
-    u, v = eye(m), eye(n)
-
-    def clear_col(t):
-        moved = False
-        while True:
-            nz = [i for i in range(t, m) if s[i, t] != 0]
-            if not nz:
-                return moved
-            i0 = min(nz, key=lambda i: (abs(s[i, t]), i))
-            _swap_rows(s, t, i0)
-            _swap_rows(u, t, i0)
-            done = True
-            for i in range(t + 1, m):
-                if s[i, t] != 0:
-                    q = s[i, t] // s[t, t]
-                    if q:
-                        s[i] = s[i] - q * s[t]
-                        u[i] = u[i] - q * u[t]
-                    if s[i, t] != 0:
-                        done = False
-            if done:
-                return moved
-            moved = True
-
-    def clear_row(t):
-        moved = False
-        while True:
-            nz = [j for j in range(t, n) if s[t, j] != 0]
-            if not nz:
-                return moved
-            j0 = min(nz, key=lambda j: (abs(s[t, j]), j))
-            if j0 != t:
-                s[:, [t, j0]] = s[:, [j0, t]]
-                v[:, [t, j0]] = v[:, [j0, t]]
-            done = True
-            for j in range(t + 1, n):
-                if s[t, j] != 0:
-                    q = s[t, j] // s[t, t]
-                    if q:
-                        s[:, j] = s[:, j] - q * s[:, t]
-                        v[:, j] = v[:, j] - q * v[:, t]
-                    if s[t, j] != 0:
-                        done = False
-            if done:
-                return moved
-            moved = True
-
-    def diagonalize_at(t):
-        while True:
-            clear_col(t)
-            if not clear_row(t):
-                if not any(s[i, t] != 0 for i in range(t + 1, m)):
-                    return
-
-    for t in range(min(m, n)):
-        pivot = next(
-            ((i, j) for i in range(t, m) for j in range(t, n) if s[i, j] != 0), None
-        )
-        if pivot is None:
-            break
-        _swap_rows(s, t, pivot[0])
-        _swap_rows(u, t, pivot[0])
-        if pivot[1] != t:
-            s[:, [t, pivot[1]]] = s[:, [pivot[1], t]]
-            v[:, [t, pivot[1]]] = v[:, [pivot[1], t]]
-        diagonalize_at(t)
-        # enforce the divisibility chain: fold any non-multiple into row t
-        while True:
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if s[i, j] % s[t, t] != 0
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            s[t] = s[t] + s[bad]
-            u[t] = u[t] + u[bad]
-            diagonalize_at(t)
-        if s[t, t] < 0:
-            s[t] = -s[t]
-            u[t] = -u[t]
-    return s, u, v
-
-
-def invariant_factors(a: np.ndarray):
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    s, _, _ = smith_normal_form(a)
-    return [s[i, i] for i in range(min(s.shape)) if s[i, i] != 0]
 
 
 def _bareiss(rows: list, jordan: bool = False) -> tuple:
@@ -389,6 +282,20 @@ def column_lattices_equal(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape[0] != b.shape[0]:
         return False
     return lattice_basis(a.T, a.shape[0]) == lattice_basis(b.T, b.shape[0])
+
+
+def column_lattice_saturated(a) -> bool:
+    """Whether the column lattice L of ``a`` (array or nested lists) is
+    saturated, L = span_Q(L) ∩ Z^d: every nonzero invariant factor is 1.
+
+    With H the r x d Hermite basis of L, the index of L in its saturation is
+    the gcd of the r-square minors of H, which is the index in Z^r of the
+    lattice that H's d columns generate; so L is saturated iff those columns
+    have the identity as their Hermite basis.
+    """
+    rows = _int_rows(a)
+    h = lattice_basis(zip(*rows), len(rows))
+    return lattice_basis(zip(*h), len(h)) == eye(len(h)).tolist()
 
 
 def in_row_span(a: np.ndarray, v) -> bool:

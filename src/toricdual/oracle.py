@@ -9,12 +9,15 @@ self-duality from exact evaluation of the defining binomials on a grid large
 enough to certify a polynomial identity.  The inputs they start from are
 shared, not independent: the referees use the same ``integer_kernel`` (one
 Hermite echelon pass), ``gale_dual`` (and so the Gale kernel cached on each
-configuration) and ``affine_dim`` as the facial and strong predicates, and
-``regularize`` as ``coparallel_criterion``.  The self-duality verdict reads
-the fundamental-circuit basis instead (a Bareiss-Jordan pass), so the
-flat-sum referee and it share no kernel.  No fast predicate calls
-``reduce_configuration``; only the random generator here does.  These run
-at desk scale only and guard themselves with explicit size limits.
+configuration) and ``affine_dim`` (a Bareiss rank) as the facial and strong
+predicates, and ``regularize`` as ``coparallel_criterion``.  The
+self-duality verdict reads the fundamental-circuit basis instead (a
+Bareiss-Jordan pass), so the flat-sum referee and it share no kernel.  No
+fast predicate calls ``reduce_configuration``; only the random generator
+here does, and it and ``random_lawrence_block`` read the column lattice
+through its Hermite basis (``normalize_lattice``,
+``column_lattice_saturated``).  These run at desk scale only and guard
+themselves with explicit size limits.
 """
 
 import itertools
@@ -33,7 +36,13 @@ from .configuration import (
 )
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual
-from .intlinalg import imat, in_row_span, integer_kernel, primitive_vector
+from .intlinalg import (
+    column_lattice_saturated,
+    imat,
+    in_row_span,
+    integer_kernel,
+    primitive_vector,
+)
 from .ratlp import feasible_nonneg
 
 ENUMERATION_GUARD = 12
@@ -325,8 +334,6 @@ def random_lawrence_block(
 ) -> np.ndarray:
     """A random M whose Lawrence lift is non-pyramidal and whose columns span
     a saturated lattice (the standing hypothesis of the parity criterion)."""
-    from .intlinalg import invariant_factors
-
     for _ in range(max_tries):
         d = rng.randint(1, max_size)
         n = rng.randint(1, max_size)
@@ -338,9 +345,8 @@ def random_lawrence_block(
             continue
         if any(all(x == 0 for x in k[i].tolist()) for i in range(n)):
             continue  # pyramidal lift
-        facs = invariant_factors(m)
-        if facs != [1] * len(facs):
-            continue  # column lattice not saturated
+        if not column_lattice_saturated(m):
+            continue
         return m
     raise RuntimeError("rejection sampling starved; loosen the filters")
 

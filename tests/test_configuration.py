@@ -18,16 +18,21 @@ from toricdual.configuration import (
     subconfiguration,
 )
 from toricdual import configuration
-from toricdual.engine import _decompose, is_self_dual, smooth_certificate
+from toricdual.engine import (
+    _decompose,
+    hypersurface_class,
+    is_self_dual,
+    smooth_certificate,
+)
 from toricdual.gale import gale_dual, is_facial
 from toricdual.intlinalg import (
     column_lattices_equal,
     imat,
     in_row_span,
-    invariant_factors,
     rank,
     rational_rank,
 )
+from test_intlinalg import any_matrices, minor_gcd
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -273,8 +278,8 @@ def _four_condition_splitting(c):
     return (
         rank_p == len(apex)
         and rank_p + rank_q == rank_all
-        and invariant_factors(reg[:, apex]) == [1] * len(apex)
-        and invariant_factors(reg) == [1] * rank_all
+        and minor_gcd(reg[:, apex].tolist(), len(apex)) == 1
+        and minor_gcd(reg.tolist(), rank_all) == 1
     )
 
 
@@ -415,13 +420,25 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     assert not pyramid_decompose(rep.distinct).apex_indices
     kernels = ("affine_relation_kernel", "integer_kernel", "circuit_kernel")
     counts = _count_calls(monkeypatch, _toricdual_modules(), kernels)
-    reductions = ("smith_normal_form", "normalize_lattice", "reduce_configuration")
+    reductions = ("normalize_lattice", "reduce_configuration")
     reduction_counts = _count_calls(monkeypatch, _toricdual_modules(), reductions)
     fraction_counts = _fraction_rank_calls(monkeypatch)
     is_self_dual(parse_configuration(rows))
     assert fraction_counts == {"rational_rank": 0, "in_row_span": 0}
     assert reduction_counts == dict.fromkeys(reductions, 0)
     assert counts == {"affine_relation_kernel": 0, "integer_kernel": 0, "circuit_kernel": 1}
+
+
+def test_affine_dim_computes_no_gale_kernel(monkeypatch):
+    rng = random.Random(10)
+    rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
+    kernels = ("affine_relation_kernel", "integer_kernel")
+    counts = _count_calls(monkeypatch, _toricdual_modules(), kernels)
+    assert affine_dim(parse_configuration(rows)) == 5
+    assert counts == dict.fromkeys(kernels, 0)
+    # 14 points in dimension 5 are no hypersurface: no Gale dual is needed
+    assert hypersurface_class(parse_configuration(rows)).value == "not_hypersurface"
+    assert counts == dict.fromkeys(kernels, 0)
 
 
 def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):
@@ -453,3 +470,23 @@ def test_normalize_back_transform_on_a_non_square_lattice():
     c2, back = normalize_lattice(c)
     assert c2.lattice_normalized and c2.dim == 2
     assert np.array_equal(c.weights, back @ c2.weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices)
+def test_normalize_lattice_contract(rows):
+    # rank-deficient, repeated, zero and scaled rows, entries up to 10^12
+    c = parse_configuration(rows)
+    r = rank(rows)
+    if r == 0:
+        with pytest.raises(ValueError):
+            normalize_lattice(c)
+        return
+    c2, back = normalize_lattice(c)
+    assert back.shape == (c.dim, c2.dim)
+    assert np.array_equal(c.weights, back @ c2.weights)
+    # the new columns span Z^r: coprime maximal minors
+    assert c2.dim == r and minor_gcd(c2.weights.tolist(), r) == 1
+    assert c2.lattice_normalized
+    assert np.array_equal(c2.relations, c.relations)
+    assert c2.relations.shape == c.relations.shape

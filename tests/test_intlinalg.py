@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -9,19 +10,18 @@ from hypothesis import strategies as st
 from toricdual.configuration import parse_configuration
 from toricdual.intlinalg import (
     circuit_kernel,
+    column_lattice_saturated,
     det,
     eye,
     hermite_normal_form,
     imat,
     in_row_span,
     integer_kernel,
-    invariant_factors,
     column_lattices_equal,
     primitive_vector,
     rank,
     rational_rank,
     row_hermite,
-    smith_normal_form,
 )
 
 
@@ -35,6 +35,22 @@ def cofactor_det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def minor_gcd(rows, size):
+    """Independent lattice-index oracle: the gcd of all ``size``-square
+    minors (cofactor expansion), stopping once it reaches 1; 0 when there is
+    no such minor or all vanish.  For ``size`` the rank, it is 1 exactly
+    when the column lattice is saturated (every nonzero invariant factor 1);
+    for ``size`` the row count, exactly when the columns span Z^d."""
+    rows = [[int(x) for x in row] for row in rows]
+    g = 0
+    for rs in combinations(range(len(rows)), size):
+        for cs in combinations(range(len(rows[0])), size):
+            g = gcd(g, cofactor_det([[rows[i][j] for j in cs] for i in rs]))
+            if g == 1:
+                return 1
+    return g
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -146,59 +162,6 @@ def test_row_hermite_is_canonical():
     assert all(x == 0 for x in hb[2].tolist())
 
 
-def test_smith_identity():
-    s, u, v = smith_normal_form(eye(3))
-    assert np.array_equal(s, eye(3))
-    assert np.array_equal(u, eye(3))
-    assert np.array_equal(v, eye(3))
-
-
-def test_smith_divisibility_example():
-    # gcd/lcm by hand: diag(2,3) ~ diag(gcd, lcm) = diag(1, 6)
-    m = imat([[2, 0], [0, 3]])
-    s, u, v = smith_normal_form(m)
-    assert [s[0, 0], s[1, 1]] == [1, 6]
-    assert np.array_equal(u @ m @ v, s)
-    assert abs(cofactor_det(u.tolist())) == 1
-    assert abs(cofactor_det(v.tolist())) == 1
-
-
-def test_smith_rank_one():
-    m = imat([[1, 1], [1, 1]])
-    s, _, _ = smith_normal_form(m)
-    assert [s[0, 0], s[1, 1]] == [1, 0]
-
-
-def test_smith_zero_pivot_block():
-    m = imat([[0, 0], [0, 5]])
-    s, u, v = smith_normal_form(m)
-    assert [s[0, 0], s[1, 1]] == [5, 0]
-    assert np.array_equal(u @ m @ v, s)
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_matrices)
-def test_smith_properties(rows):
-    m = imat(rows)
-    s, u, v = smith_normal_form(m)
-    assert np.array_equal(u @ m @ v, s)
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    diag = [s[i, i] for i in range(min(s.shape))]
-    assert all(
-        s[i, j] == 0
-        for i in range(s.shape[0])
-        for j in range(s.shape[1])
-        if i != j
-    )
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
-
-
 def test_kernel_collinear_triple():
     # three collinear points 0, 1, 2 with the middle one the midpoint
     m = imat([[1, 1, 1], [0, 1, 2]])
@@ -230,8 +193,8 @@ def test_kernel_is_saturated_and_annihilates(rows):
     if k.shape[1]:
         prod = m @ k
         assert all(x == 0 for x in prod.ravel().tolist())
-        # saturated basis: the kernel matrix itself has trivial invariant factors
-        assert invariant_factors(k) == [1] * k.shape[1]
+        # saturated basis: its maximal minors are coprime
+        assert minor_gcd(k.tolist(), k.shape[1]) == 1
         assert _is_column_hermite(k)
     assert k.shape == (m.shape[1], m.shape[1] - rational_rank(m))
 
@@ -262,10 +225,17 @@ def test_primitive_vector():
 def test_big_integers_survive():
     big = 10**40
     m = imat([[big, 0], [0, 1]])
-    s, u, v = smith_normal_form(m)
-    assert s[1, 1] == big
     assert det(m) == big
 
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices)
+def test_saturation_and_normalized_flag_match_minor_gcd(rows):
+    r = rational_rank(imat(rows))
+    assert column_lattice_saturated(rows) == (r == 0 or minor_gcd(rows, r) == 1)
+    assert column_lattice_saturated(imat(rows)) == column_lattice_saturated(rows)
+    c = parse_configuration(rows)
+    assert c.lattice_normalized == (minor_gcd(rows, len(rows)) == 1)
 
 
 @settings(max_examples=200, deadline=None)
