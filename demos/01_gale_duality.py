@@ -53,4 +53,5 @@ print("Any matrix whose columns are a relation basis is 'a' Gale dual")
 print("=" * 72)
 g = gale_dual(square).matrix
 print("canonical dual accepted:", verify_gale_dual(square, g))
-print("doubled columns rejected (index-2 sublattice):", verify_gale_dual(square, 2 * g))
+doubled = [[2 * x for x in row] for row in g]
+print("doubled columns rejected (index-2 sublattice):", verify_gale_dual(square, doubled))

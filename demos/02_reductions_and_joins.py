@@ -15,6 +15,7 @@ from toricdual import (
     dedup,
     full_decomposition,
     is_self_dual,
+    matmul,
     normalize_lattice,
     parse_configuration,
     pyramid_decompose,
@@ -33,7 +34,7 @@ r = regularize(c)
 print("regularized:", r.weights.tolist())
 n, back = normalize_lattice(r)
 print("normalized:", n.weights.tolist())
-print("back-transform satisfies old == back @ new:", (back @ n.weights).tolist())
+print("back-transform satisfies old == back @ new:", matmul(back, n.weights).tolist())
 print("affine dimension is invariant:", affine_dim(c), "==", affine_dim(n))
 
 print()

@@ -54,10 +54,12 @@ from .gale import (
     verify_gale_dual,
 )
 from .intlinalg import (
+    IntMatrix,
     hermite_normal_form,
     imat,
     in_row_span,
     integer_kernel,
+    matmul,
     rational_rank,
 )
 from .oracle import (
@@ -85,6 +87,7 @@ __all__ = [
     "GuardExceeded",
     "HypersurfaceClass",
     "InapplicableInput",
+    "IntMatrix",
     "Verdict",
     "affine_dim",
     "config_from_gale",
@@ -117,6 +120,7 @@ __all__ = [
     "lawrence_strong_parity",
     "line_partition",
     "line_sums_zero",
+    "matmul",
     "normalize_lattice",
     "parse_configuration",
     "positive_dependency",

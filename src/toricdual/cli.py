@@ -13,8 +13,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import families
 from .configuration import affine_dim, parse_configuration, regularize
 from .engine import (
@@ -27,7 +25,7 @@ from .engine import (
     lawrence_strong_parity,
     smooth_certificate,
 )
-from .exceptions import GuardExceeded, InapplicableInput
+from .exceptions import GuardExceeded
 from .gale import gale_dual, is_facial
 from .intlinalg import imat
 from .oracle import (
@@ -46,8 +44,6 @@ from .verdict import Verdict
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, (set, frozenset, tuple)):
         return list(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
@@ -55,7 +51,11 @@ def _jsonable(obj):
 
 def read_matrix(path: str):
     """Load a matrix from a JSON or plain-text file ('-' reads stdin)."""
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     text = text.strip()
     if not text:
         raise ValueError(f"empty matrix file: {path}")
@@ -365,10 +365,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InapplicableInput, GuardExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    # InapplicableInput, GuardExceeded and JSONDecodeError are ValueErrors
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

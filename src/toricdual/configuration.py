@@ -13,15 +13,15 @@ basis, :func:`lattice_basis`.
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .intlinalg import (
+    IntMatrix,
     circuit_kernel,
     column_lattice_saturated,
     eye,
     imat,
     integer_kernel,
     lattice_basis,
+    matmul,
     rank,
 )
 
@@ -40,11 +40,12 @@ class Configuration:
     ``circuit_basis`` is the fundamental-circuit basis of the same relations
     (:func:`circuit_kernel` of ``[1; W]``): it spans them over Q only, needs
     no saturation step, and is what the self-duality verdict reads, so its
-    witnesses are stated in its coordinates.  All four are read-only, and
-    each is computed at most once per configuration.
+    witnesses are stated in its coordinates.  ``weights``, ``relations`` and
+    ``circuit_basis`` are immutable :class:`IntMatrix` values, and each
+    invariant is computed at most once per configuration.
     """
 
-    weights: np.ndarray
+    weights: IntMatrix
 
     @property
     def dim(self) -> int:
@@ -56,8 +57,7 @@ class Configuration:
 
     @cached_property
     def regular(self) -> bool:
-        w = self.weights.tolist()
-        return rank(w) == rank(w + [[1] * self.npoints])
+        return rank(self.weights) == rank(_ones_on_top(self))
 
     @cached_property
     def _lattice_basis(self) -> list:
@@ -69,22 +69,18 @@ class Configuration:
         return self._lattice_basis == eye(self.dim).tolist()
 
     @cached_property
-    def relations(self) -> np.ndarray:
-        k = affine_relation_kernel(self)
-        k.setflags(write=False)
-        return k
+    def relations(self) -> IntMatrix:
+        return affine_relation_kernel(self)
 
     @cached_property
-    def circuit_basis(self) -> np.ndarray:
-        k = circuit_kernel([[1] * self.npoints] + self.weights.tolist())
-        k.setflags(write=False)
-        return k
+    def circuit_basis(self) -> IntMatrix:
+        return circuit_kernel(_ones_on_top(self))
 
     def column(self, j: int) -> tuple:
-        return tuple(int(x) for x in self.weights[:, j])
+        return self.weights.column(j)
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.npoints)]
+        return list(self.weights.T)
 
     def __repr__(self):
         return (
@@ -137,10 +133,17 @@ class DecompositionReport:
 
 
 def parse_configuration(matrix) -> Configuration:
-    """Validate an integer matrix and freeze it; flags are computed on use."""
+    """Validate an integer matrix with at least one column; flags are
+    computed on use."""
     w = imat(matrix)
-    w.setflags(write=False)
+    if not w.shape[1]:
+        raise ValueError("a configuration needs at least one point (column)")
     return Configuration(weights=w)
+
+
+def _ones_on_top(c: Configuration) -> list:
+    """Rows of ``[1; W]``: the weights under a row of ones."""
+    return [(1,) * c.npoints, *c.weights]
 
 
 def subconfiguration(c: Configuration, indices) -> Configuration:
@@ -150,7 +153,7 @@ def subconfiguration(c: Configuration, indices) -> Configuration:
         raise ValueError("empty column selection")
     if any(j < 0 or j >= c.npoints for j in idx):
         raise ValueError("column index out of range")
-    return parse_configuration(c.weights[:, idx])
+    return parse_configuration(c.weights.select(idx))
 
 
 def regularize(c: Configuration) -> Configuration:
@@ -162,33 +165,30 @@ def regularize(c: Configuration) -> Configuration:
     """
     if c.regular:
         return c
-    ones = np.array([[1] * c.npoints], dtype=object)
-    return parse_configuration(np.vstack([ones, c.weights]))
+    return parse_configuration(_ones_on_top(c))
 
 
-def affine_relation_kernel(c: Configuration) -> np.ndarray:
+def affine_relation_kernel(c: Configuration) -> IntMatrix:
     """Saturated basis (as columns) of the affine relations among the columns.
 
     Always computed as the integer kernel of the weights with a prepended
     all-ones row, so regular and non-regular inputs go through one code path.
     ``c.relations`` keeps the result; call this only to recompute it.
     """
-    ones = np.array([[1] * c.npoints], dtype=object)
-    stacked = np.vstack([ones, c.weights])
-    return integer_kernel(stacked)
+    return integer_kernel(_ones_on_top(c))
 
 
 def affine_dim(c: Configuration) -> int:
     """Dimension of the affine span of the columns (= dim of the toric variety):
     rank([1; W]) - 1, which is n - 1 - (number of independent relations)."""
-    return rank([[1] * c.npoints] + c.weights.tolist()) - 1
+    return rank(_ones_on_top(c)) - 1
 
 
 def normalize_lattice(c: Configuration):
     """Rewrite the configuration so its columns span the full ambient lattice.
 
     Returns ``(c2, back)`` where ``c2.lattice_normalized`` holds and ``back``
-    is an integer matrix with ``c.weights == back @ c2.weights`` exactly; the
+    is an integer matrix with ``c.weights == matmul(back, c2.weights)``; the
     affine relation lattice is unchanged.  ``back`` is the d x r Hermite
     basis H of the column lattice (its columns), and column j of ``c2`` holds
     the coordinates of column j of W in it, read off H's pivots by exact
@@ -210,8 +210,8 @@ def normalize_lattice(c: Configuration):
             x.append(q)
         coords.append(x)
     c2 = parse_configuration(list(zip(*coords)))
-    back = imat(zip(*h))
-    assert np.array_equal(c.weights, back @ c2.weights)
+    back = IntMatrix(zip(*h), len(h))
+    assert c.weights == matmul(back, c2.weights)
     return c2, back
 
 
@@ -229,8 +229,7 @@ def dedup(c: Configuration) -> DedupReport:
     seen = {}
     order = []
     index_map = []
-    for j in range(c.npoints):
-        col = c.column(j)
+    for j, col in enumerate(c.columns()):
         if col not in seen:
             seen[col] = len(order)
             order.append(j)
@@ -241,7 +240,7 @@ def dedup(c: Configuration) -> DedupReport:
     if len(order) == c.npoints:
         distinct = c
     else:
-        distinct = parse_configuration(c.weights[:, order])
+        distinct = parse_configuration(c.weights.select(order))
     return DedupReport(
         distinct=distinct, multiplicity=tuple(mult), index_map=tuple(index_map)
     )
@@ -262,10 +261,9 @@ def pyramid_decompose(c: Configuration) -> DecompositionReport:
     """
     if len(set(c.columns())) != c.npoints:
         raise ValueError("pyramid decomposition expects no repeated columns")
-    kernel = c.circuit_basis.tolist()
     apex, core = [], []
-    for i in range(c.npoints):
-        (core if any(kernel[i]) else apex).append(i)
+    for i, row in enumerate(c.circuit_basis):
+        (core if any(row) else apex).append(i)
     splitting = True
     if apex:
         splitting = column_lattice_saturated(regularize(c).weights)

@@ -14,11 +14,12 @@ saturated canonical basis of :func:`gale_dual`.
 
 import enum
 import itertools
+from math import prod
 
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero, verify_gale_dual
-from .intlinalg import det, imat, integer_kernel, lattice_basis, primitive_vector
+from .intlinalg import IntMatrix, det, imat, integer_kernel, lattice_basis, primitive_vector
 from .verdict import Verdict
 
 
@@ -93,7 +94,8 @@ def is_self_dual(c: Configuration) -> Verdict:
             },
         )
     # the core's circuit basis is the distinct one without its zero rows
-    core_verdict = _circuit_line_sums(GaleDual(matrix=b.matrix[list(dec.core_indices)]))
+    core_rows = IntMatrix([b.matrix[i] for i in dec.core_indices], b.corank)
+    core_verdict = _circuit_line_sums(GaleDual(matrix=core_rows))
     return Verdict(
         value=core_verdict.value,
         criterion="join-decomposition",
@@ -114,18 +116,10 @@ def _circuit_line_sums(b: GaleDual) -> Verdict:
 
 def _strong_products(b: GaleDual):
     """Per-column pair (product over positive entries, product over negative)."""
-    out = []
-    for j in range(b.corank):
-        lhs = 1
-        rhs = 1
-        for i in range(b.npoints):
-            e = int(b.matrix[i, j])
-            if e > 0:
-                lhs *= e**e
-            elif e < 0:
-                rhs *= e ** (-e)
-        out.append((lhs, rhs))
-    return out
+    return [
+        (prod(e**e for e in column if e > 0), prod(e ** -e for e in column if e < 0))
+        for column in b.matrix.T
+    ]
 
 
 def _signed_bits(x: int) -> int:
@@ -191,17 +185,17 @@ def is_lawrence(c: Configuration):
     Recognition is syntactic: affine-equivalent presentations of a Lawrence
     configuration are not detected.
     """
-    w = c.weights
-    rows_total, cols_total = w.shape
+    rows_total, cols_total = c.weights.shape
     if cols_total % 2 != 0:
         return None
     n = cols_total // 2
     d = rows_total - n
     if d < 1:
         return None
+    cols = c.columns()
     pairs = {}
-    for j in range(cols_total):
-        top = tuple(int(x) for x in w[:n, j])
+    for j, col in enumerate(cols):
+        top = col[:n]
         ones = [i for i, x in enumerate(top) if x == 1]
         if len(ones) != 1 or any(x not in (0, 1) for x in top):
             return None
@@ -210,16 +204,11 @@ def is_lawrence(c: Configuration):
         return None
     m_cols = []
     for i in range(n):
-        j1, j2 = pairs[i]
-        bot1 = [int(x) for x in w[n:, j1]]
-        bot2 = [int(x) for x in w[n:, j2]]
-        if all(x == 0 for x in bot1):
-            m_cols.append(bot2)
-        elif all(x == 0 for x in bot2):
-            m_cols.append(bot1)
-        else:
+        bot1, bot2 = (cols[j][n:] for j in pairs[i])
+        if any(bot1) and any(bot2):
             return None
-    return imat([[m_cols[j][i] for j in range(n)] for i in range(d)])
+        m_cols.append(bot1 if any(bot1) else bot2)
+    return IntMatrix(zip(*m_cols), n)
 
 
 def lawrence_strong_parity(m) -> Verdict:
@@ -232,9 +221,7 @@ def lawrence_strong_parity(m) -> Verdict:
     mm = imat(m)
     d, n = mm.shape
     kernel = integer_kernel(mm)
-    if kernel.shape[1] == 0 or any(
-        all(x == 0 for x in kernel[i].tolist()) for i in range(n)
-    ):
+    if not all(map(any, kernel)):  # a zero row, or no kernel at all
         raise InapplicableInput(
             "the Lawrence lift of this matrix is pyramidal (its kernel does "
             "not have full support); the parity criterion requires a "
@@ -242,8 +229,8 @@ def lawrence_strong_parity(m) -> Verdict:
         )
     # solve alpha @ M == 1 over GF(2); track combinations for a certificate
     eqs = []
-    for k in range(n):
-        row = [int(mm[i, k]) % 2 for i in range(d)] + [1]
+    for k, column in enumerate(mm.T):
+        row = [x % 2 for x in column] + [1]
         tracker = [1 if t == k else 0 for t in range(n)]
         eqs.append((row, tracker))
     pivots = []
@@ -276,7 +263,7 @@ def lawrence_strong_parity(m) -> Verdict:
     for i, col in pivots:
         alpha[col] = eqs[i][0][d]
     subset = [i for i in range(d) if alpha[i] == 1]
-    sums = [sum(int(mm[i, k]) for i in subset) for k in range(n)]
+    sums = [sum(column[i] for i in subset) for column in mm.T]
     assert all(s % 2 == 1 for s in sums)
     return Verdict(
         value=True,
@@ -302,7 +289,7 @@ def is_segre(c: Configuration):
     b = gale_dual(c)
     if b.corank != m - 1:
         return None
-    rows = [b.row(i) for i in range(n)]
+    rows = b.rows()
     unmatched = list(range(n))
     reps = []
     while unmatched:
@@ -319,8 +306,7 @@ def is_segre(c: Configuration):
         if any(x != 0 for x in total):
             continue
         # rows sum to zero, so every (m-1)-subset has the same |det|
-        sub = imat(chosen[: m - 1])
-        if abs(det(sub)) == 1:
+        if abs(det(chosen[: m - 1])) == 1:
             return m
     return None
 
@@ -344,7 +330,7 @@ def hypersurface_class(c: Configuration) -> HypersurfaceClass:
         return HypersurfaceClass.NOT_HYPERSURFACE
     b = gale_dual(c)
     assert b.corank == 1
-    col = [int(x) for x in b.matrix[:, 0]]
+    col = b.matrix.column(0)
     canon = min(tuple(sorted(col)), tuple(sorted(-x for x in col)))
     if canon == (-1, 1):
         return HypersurfaceClass.POINT

@@ -1,10 +1,8 @@
 """Constructors for the standard example families and the Gale-inverse map."""
 
-import numpy as np
-
 from .configuration import Configuration, parse_configuration
 from .gale import verify_gale_dual
-from .intlinalg import imat, integer_kernel, rank, row_hermite
+from .intlinalg import IntMatrix, imat, integer_kernel, rank, row_hermite
 
 
 def segre(m: int) -> Configuration:
@@ -29,7 +27,7 @@ def lawrence(m) -> Configuration:
     for i in range(n):
         rows.append([1 if j % n == i else 0 for j in range(2 * n)])
     for i in range(d):
-        rows.append([0] * n + [int(x) for x in mm[i]])
+        rows.append([0] * n + list(mm[i]))
     return parse_configuration(rows)
 
 
@@ -53,7 +51,7 @@ def family_alpha(alpha: int) -> Configuration:
     )
 
 
-def family_alpha_gale(alpha: int) -> np.ndarray:
+def family_alpha_gale(alpha: int) -> IntMatrix:
     """The companion 7 x 2 Gale dual matrix for :func:`family_alpha`."""
     if alpha == 0:
         raise ValueError("family_alpha requires alpha != 0")
@@ -81,17 +79,13 @@ def config_from_gale(b) -> Configuration:
     saturated lattice — exactly the properties a Gale dual matrix has.
     """
     bm = imat(b)
-    n, r = bm.shape
-    col_sums = [sum(int(x) for x in bm[:, j]) for j in range(r)]
-    if any(s != 0 for s in col_sums):
+    if any(map(sum, bm.T)):
         raise ValueError("rows of a Gale dual must sum to zero")
-    if rank(bm) != r:
+    if rank(bm) != bm.shape[1]:
         raise ValueError("columns of a Gale dual must be linearly independent")
     comp = integer_kernel(bm.T)  # n x (n - r), saturated
-    rows = comp.T
-    h, _ = row_hermite(rows)
-    keep = [i for i in range(h.shape[0]) if any(x != 0 for x in h[i].tolist())]
-    c = parse_configuration(h[keep, :])
+    h, _ = row_hermite(comp.T)
+    c = parse_configuration([row for row in h if any(row)])
     if not verify_gale_dual(c, bm):
         raise ValueError(
             "columns do not span a saturated relation lattice; "

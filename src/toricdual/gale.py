@@ -11,11 +11,9 @@ complementary rows.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .configuration import Configuration, regularize
+from .configuration import Configuration, _ones_on_top, regularize
 from .exceptions import InapplicableInput, pyramidal_input
-from .intlinalg import column_lattices_equal, imat, primitive_vector, rank
+from .intlinalg import IntMatrix, column_lattices_equal, imat, matmul, primitive_vector, rank
 from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import Verdict
 
@@ -28,7 +26,7 @@ class GaleDual:
     verdict wraps ``Configuration.circuit_basis``, a basis over Q only.
     """
 
-    matrix: np.ndarray
+    matrix: IntMatrix
 
     @property
     def npoints(self) -> int:
@@ -39,13 +37,13 @@ class GaleDual:
         return self.matrix.shape[1]
 
     def row(self, i: int) -> tuple:
-        return tuple(int(x) for x in self.matrix[i])
+        return self.matrix[i]
 
     def rows(self) -> list:
-        return [self.row(i) for i in range(self.npoints)]
+        return list(self.matrix)
 
     def zero_rows(self) -> tuple:
-        return tuple(i for i, row in enumerate(self.matrix.tolist()) if not any(row))
+        return tuple(i for i, row in enumerate(self.matrix) if not any(row))
 
 
 @dataclass(frozen=True)
@@ -84,22 +82,15 @@ def verify_gale_dual(c: Configuration, b) -> bool:
         raise ValueError(
             f"candidate has {bm.shape[0]} rows, configuration has {c.npoints} points"
         )
-    ones = np.array([[1] * c.npoints], dtype=object)
-    stacked = np.vstack([ones, c.weights])
-    prod = stacked @ bm
-    if any(x != 0 for x in prod.ravel().tolist()):
-        return False
-    if rank(bm) != bm.shape[1]:
+    if any(map(any, matmul(_ones_on_top(c), bm))) or rank(bm) != bm.shape[1]:
         return False
     canonical = gale_dual(c).matrix
-    if bm.shape[1] != canonical.shape[1]:
-        return False
-    return column_lattices_equal(bm, canonical)
+    return bm.shape[1] == canonical.shape[1] and column_lattices_equal(bm, canonical)
 
 
 def line_partition(b: GaleDual) -> LinePartition:
     """Group the nonzero dual rows by the line through the origin they span."""
-    rows = b.matrix.tolist()
+    rows = b.matrix
     classes = {}
     zero = []
     for i, row in enumerate(rows):
@@ -194,8 +185,7 @@ def is_facial(c: Configuration, subset) -> Verdict:
             criterion="gale-positive-dependency",
             witness={"kind": "simplex", "note": "no affine relations"},
         )
-    rows = b.matrix.tolist()
-    dep, farkas = positive_dependency_certified([rows[i] for i in complement])
+    dep, farkas = positive_dependency_certified([b.matrix[i] for i in complement])
     if dep is not None:
         return Verdict(
             value=True,
@@ -230,8 +220,7 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
         raise ValueError("class index out of range")
     inside = set(sel)
     targets = [Fraction(1) if j in inside else Fraction(0) for j in range(c.npoints)]
-    system = [list(c.weights[:, j]) for j in range(c.npoints)]
-    ell = solve_linear(system, targets)
+    ell = solve_linear(c.columns(), targets)
     if ell is None:
         return Verdict(
             value=False,

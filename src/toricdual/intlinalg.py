@@ -1,8 +1,10 @@
-"""Exact integer linear algebra on numpy object arrays.
+"""Exact integer linear algebra on immutable matrices of Python ints.
 
-Matrices are 2-d numpy arrays with ``dtype=object`` whose entries are Python
-ints (arbitrary precision), so nothing here can overflow or round.  Every
-transform that claims to be unimodular really is, and the tests check it.
+A matrix is an :class:`IntMatrix`, a tuple of row tuples whose entries are
+Python ints (arbitrary precision), so nothing here can overflow or round.
+:func:`imat` validates outside input into one, and the functions here also
+take nested int sequences.  Every transform that claims to be unimodular
+really is, and the tests check it.
 
 The fast path is fraction-free and runs on plain int lists: one Bareiss loop
 serves ``rank`` and ``det`` (forward elimination) and ``circuit_kernel``
@@ -23,61 +25,114 @@ them.
 """
 
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
+from math import gcd, lcm
 
 
-def imat(rows) -> np.ndarray:
-    """Build an exact integer matrix from nested sequences.
+class IntMatrix:
+    """An immutable integer matrix: a tuple of row tuples of Python ints.
 
-    Entries must be integral; bools and floats with fractional parts are
-    rejected so nothing inexact sneaks into a computation.
+    ``m[i]`` is row i, ``m.column(j)`` column j, ``m.select(cols)`` the
+    matrix of the chosen columns and ``m.T`` the transpose; iterating gives
+    the rows.  There are no arithmetic operators; :func:`matmul` forms a
+    product.  Build one from outside data with :func:`imat`, which
+    validates; the constructor trusts its rows and column count, which a
+    matrix without rows needs.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype == object and rows.ndim == 2:
-        data = rows.tolist()
-    else:
-        data = [list(r) for r in rows]
+
+    __slots__ = ("_rows", "_ncols")
+
+    def __init__(self, rows, ncols: int):
+        self._rows = tuple(map(tuple, rows))
+        self._ncols = ncols
+
+    @property
+    def shape(self) -> tuple:
+        return len(self._rows), self._ncols
+
+    @property
+    def T(self) -> "IntMatrix":
+        if not self._rows:
+            return IntMatrix(((),) * self._ncols, 0)
+        return IntMatrix(zip(*self._rows), len(self._rows))
+
+    def tolist(self) -> list:
+        return [list(row) for row in self._rows]
+
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self._rows)
+
+    def select(self, cols) -> "IntMatrix":
+        """The matrix of columns ``cols`` (a sequence), in that order."""
+        return IntMatrix([[row[j] for j in cols] for row in self._rows], len(cols))
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self._ncols == other._ncols and self._rows == other._rows
+
+    def __repr__(self):
+        return f"IntMatrix({self.tolist()})"
+
+
+def imat(rows) -> IntMatrix:
+    """Validate nested sequences of integers into an :class:`IntMatrix`.
+
+    Entries must be ints or integral Fractions; bools, floats and anything
+    else raise ``ValueError``, so nothing inexact sneaks into a computation,
+    as does a row that is not a sequence.  A matrix needs at least one row;
+    rows may be empty (an n x 0 matrix).
+    """
+    if isinstance(rows, IntMatrix):
+        return rows
+    try:
+        data = [tuple(r) for r in rows]
+    except TypeError:
+        raise ValueError("a matrix must be a sequence of rows of integers") from None
     if not data:
         raise ValueError("empty matrix")
     ncols = len(data[0])
-    out = np.empty((len(data), ncols), dtype=object)
     for i, row in enumerate(data):
         if len(row) != ncols:
             raise ValueError("ragged rows in matrix input")
-        for j, e in enumerate(row):
-            if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
-                if isinstance(e, Fraction) and e.denominator == 1:
-                    e = e.numerator
-                else:
+        if not all(type(e) is int for e in row):
+            for j, e in enumerate(row):
+                if isinstance(e, bool) or not isinstance(e, (int, Fraction)) or e.denominator != 1:
                     raise ValueError(f"non-integer entry {e!r} at ({i},{j})")
-            out[i, j] = int(e)
-    return out
+            data[i] = tuple(map(int, row))
+    return IntMatrix(data, ncols)
 
 
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=object)
+def eye(n: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
-def _int_rows(a) -> list:
-    """A fresh list-of-lists copy of ``a`` with Python int entries."""
-    return [[int(x) for x in row] for row in (a.tolist() if isinstance(a, np.ndarray) else a)]
+def matmul(a, b) -> IntMatrix:
+    """The exact product of an m x k and a k x n integer matrix (an
+    :class:`IntMatrix` or nested int sequences)."""
+    a, b = imat(a), imat(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    cols = b.T
+    return IntMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a], b.shape[1]
+    )
 
 
 def _with_identity(a) -> list:
     """Rows of ``[a | I]`` as int lists, ``I`` the identity of ``a``'s row count."""
-    rows = _int_rows(a)
+    rows = [list(row) for row in a]
     for i, row in enumerate(rows):
         row.extend(int(i == j) for j in range(len(rows)))
     return rows
-
-
-def _matrix(rows: list, ncols: int) -> np.ndarray:
-    """An object array holding ``rows`` (which may be empty) as a matrix."""
-    out = np.empty((len(rows), ncols), dtype=object)
-    for i, row in enumerate(rows):
-        out[i, :] = row
-    return out
 
 
 def _echelon(rows: list, ncols: int) -> list:
@@ -131,27 +186,28 @@ def _echelon(rows: list, ncols: int) -> list:
     return rows
 
 
-def row_hermite(a: np.ndarray):
+def row_hermite(a):
     """Row Hermite normal form.
 
-    Returns ``(h, u)`` with ``u @ a == h``, ``u`` unimodular and ``h`` in the
+    Returns ``(h, u)`` with ``matmul(u, a) == h``, ``u`` unimodular and ``h`` in the
     canonical row echelon form: pivots positive, entries above each pivot
     reduced into ``[0, pivot)``, zero rows at the bottom.  The form is unique,
     so two matrices have equal row lattices iff their forms agree.  Computed
     as the echelon form of ``[a | I]``.
     """
+    a = imat(a)
     m, n = a.shape
     rows = _echelon(_with_identity(a), n)
-    return _matrix([row[:n] for row in rows], n), _matrix([row[n:] for row in rows], m)
+    return IntMatrix([row[:n] for row in rows], n), IntMatrix([row[n:] for row in rows], m)
 
 
-def hermite_normal_form(a: np.ndarray):
-    """Column Hermite normal form: ``(h, u)`` with ``a @ u == h``, u unimodular.
+def hermite_normal_form(a):
+    """Column Hermite normal form: ``(h, u)``, ``matmul(a, u) == h``, u unimodular.
 
     The rank of ``a`` is the number of nonzero columns of ``h``.
     """
-    ht, ut = row_hermite(a.T)
-    return ht.T.copy(), ut.T.copy()
+    ht, ut = row_hermite(imat(a).T)
+    return ht.T, ut.T
 
 
 def _bareiss(rows: list, jordan: bool = False) -> tuple:
@@ -189,24 +245,25 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     return r, sign, prev
 
 
-def det(a: np.ndarray):
+def det(a):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    a = imat(a)
     m, n = a.shape
     if m != n:
         raise ValueError("determinant requires a square matrix")
-    r, sign, pivot = _bareiss(_int_rows(a))
+    r, sign, pivot = _bareiss(list(a))
     return sign * pivot if r == n else 0
 
 
 def rank(a) -> int:
-    """Rank of an integer matrix (array or nested lists), by fraction-free
+    """Rank of an integer matrix (or nested int sequences), by fraction-free
     elimination."""
-    return _bareiss(_int_rows(a))[0]
+    return _bareiss(list(a))[0]
 
 
-def rational_rank(a: np.ndarray) -> int:
+def rational_rank(a) -> int:
     """Rank of the matrix over the rationals, computed exactly."""
-    rows = [[Fraction(int(x)) for x in row] for row in a.tolist()]
+    rows = [[Fraction(x) for x in row] for row in a]
     m = len(rows)
     n = len(rows[0]) if m else 0
     rank = 0
@@ -226,7 +283,7 @@ def rational_rank(a: np.ndarray) -> int:
     return rank
 
 
-def integer_kernel(a: np.ndarray) -> np.ndarray:
+def integer_kernel(a) -> IntMatrix:
     """Saturated basis of the integer kernel ``{v : a @ v = 0}``.
 
     The columns of the result span the full lattice ``ker(a) ∩ Z^n``, not a
@@ -235,12 +292,13 @@ def integer_kernel(a: np.ndarray) -> np.ndarray:
     columns of ``[a^T | I_n]``, the rows that vanish there carry a unimodular
     basis of the kernel; echelon them on their own to get the Hermite form.
     """
+    a = imat(a)
     m, n = a.shape
     rows = _echelon(_with_identity(a.T), m)
-    return _matrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T.copy()
+    return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
 
 
-def circuit_kernel(a) -> np.ndarray:
+def circuit_kernel(a) -> IntMatrix:
     """Fundamental-circuit basis of the rational kernel ``{v : a @ v = 0}``.
 
     The pivot columns of a fraction-free Gauss-Jordan pass form the
@@ -251,7 +309,7 @@ def circuit_kernel(a) -> np.ndarray:
     step runs: before the column's common factor is divided out, each entry
     is, up to sign, a ``rank(a)``-square minor of ``a``.
     """
-    rows = _int_rows(a)
+    rows = list(a)
     n = len(rows[0])
     k, _, d = _bareiss(rows, jordan=True)
     # row t is d times the reduced echelon row of the t-th pivot
@@ -268,24 +326,25 @@ def circuit_kernel(a) -> np.ndarray:
             v[c] = -s * rows[t][j]
         g = gcd(*v)
         cols.append([x // g for x in v])
-    return _matrix(cols, n).T.copy()
+    return IntMatrix(cols, n).T
 
 
 def lattice_basis(vectors, dim: int) -> list:
     """Canonical Hermite basis, as int lists, of the lattice that the integer
     vectors of length ``dim`` generate; equal lattices give equal bases."""
-    return [row for row in _echelon(_int_rows(vectors), dim) if any(row)]
+    return [row for row in _echelon([list(v) for v in vectors], dim) if any(row)]
 
 
-def column_lattices_equal(a: np.ndarray, b: np.ndarray) -> bool:
+def column_lattices_equal(a, b) -> bool:
     """Whether two integer matrices generate the same column lattice."""
-    if a.shape[0] != b.shape[0]:
+    a, b = imat(a), imat(b)
+    if len(a) != len(b):
         return False
-    return lattice_basis(a.T, a.shape[0]) == lattice_basis(b.T, b.shape[0])
+    return lattice_basis(a.T, len(a)) == lattice_basis(b.T, len(b))
 
 
 def column_lattice_saturated(a) -> bool:
-    """Whether the column lattice L of ``a`` (array or nested lists) is
+    """Whether the column lattice L of ``a`` (or of nested int sequences) is
     saturated, L = span_Q(L) ∩ Z^d: every nonzero invariant factor is 1.
 
     With H the r x d Hermite basis of L, the index of L in its saturation is
@@ -293,22 +352,19 @@ def column_lattice_saturated(a) -> bool:
     lattice that H's d columns generate; so L is saturated iff those columns
     have the identity as their Hermite basis.
     """
-    rows = _int_rows(a)
+    rows = list(a)
     h = lattice_basis(zip(*rows), len(rows))
     return lattice_basis(zip(*h), len(h)) == eye(len(h)).tolist()
 
 
-def in_row_span(a: np.ndarray, v) -> bool:
+def in_row_span(a, v) -> bool:
     """Whether vector ``v`` (ints or Fractions) is a rational combination of rows of ``a``."""
-    vec = [Fraction(x) for x in (v.tolist() if isinstance(v, np.ndarray) else list(v))]
+    a = imat(a)
+    vec = [Fraction(x) for x in v]
     if len(vec) != a.shape[1]:
         raise ValueError(f"vector length {len(vec)} != matrix columns {a.shape[1]}")
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ivec = np.array([int(x * den) for x in vec], dtype=object)
-    stacked = np.vstack([a, ivec.reshape(1, -1)])
-    return rational_rank(stacked) == rational_rank(a)
+    den = lcm(*(x.denominator for x in vec))
+    return rational_rank([*a, [int(x * den) for x in vec]]) == rational_rank(a)
 
 
 def primitive_vector(v) -> tuple:
@@ -317,10 +373,8 @@ def primitive_vector(v) -> tuple:
     The zero vector is returned unchanged; used as the canonical key for the
     line through the origin spanned by ``v``.
     """
-    vals = [int(x) for x in (v.tolist() if isinstance(v, np.ndarray) else list(v))]
-    g = 0
-    for x in vals:
-        g = gcd(g, abs(x))
+    vals = [int(x) for x in v]
+    g = gcd(*vals)
     if g == 0:
         return tuple(vals)
     vals = [x // g for x in vals]

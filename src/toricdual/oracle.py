@@ -24,8 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from math import prod
 
 from .configuration import (
     Configuration,
@@ -37,6 +36,7 @@ from .configuration import (
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual
 from .intlinalg import (
+    IntMatrix,
     column_lattice_saturated,
     imat,
     in_row_span,
@@ -84,14 +84,11 @@ def enumerate_circuits(c: Configuration) -> list:
     out = []
     for size in range(2, max_size + 1):
         for sub in itertools.combinations(range(c.npoints), size):
-            k = integer_kernel(reg.weights[:, sub])
-            if k.shape[1] != 1:
-                continue
-            gen = [int(x) for x in k[:, 0]]
-            if any(x == 0 for x in gen):
+            k = integer_kernel(reg.weights.select(sub))
+            if k.shape[1] != 1 or not all(k.column(0)):
                 continue
             rel = [0] * c.npoints
-            vec = primitive_vector(gen)
+            vec = primitive_vector(k.column(0))
             for pos, j in enumerate(sub):
                 rel[j] = vec[pos]
             out.append(Circuit(support=tuple(sub), relation=tuple(rel)))
@@ -152,7 +149,7 @@ def enumerate_flats(b: GaleDual) -> list:
     reducing it against that basis.
     """
     _check_guard(b.npoints, "flat enumeration")
-    rows = [[Fraction(int(x)) for x in row] for row in b.matrix.tolist()]
+    rows = [[Fraction(x) for x in row] for row in b.matrix]
     seen = {}
     for size in range(0, b.npoints + 1):
         for sub in itertools.combinations(range(b.npoints), size):
@@ -222,12 +219,13 @@ def facial_via_separation(c: Configuration, subset) -> bool:
     nvars = 2 * d + len(outside)
     rows = []
     rhs = []
+    cols = reg.columns()
     for j in sel:
-        col = [int(x) for x in reg.weights[:, j]]
+        col = list(cols[j])
         rows.append(col + [-x for x in col] + [0] * len(outside))
         rhs.append(0)
     for pos, j in enumerate(outside):
-        col = [int(x) for x in reg.weights[:, j]]
+        col = list(cols[j])
         slack = [0] * len(outside)
         slack[pos] = 1
         rows.append(col + [-x for x in col] + slack)
@@ -238,11 +236,7 @@ def facial_via_separation(c: Configuration, subset) -> bool:
 
 def strong_binomial_degree(b: GaleDual) -> int:
     """Largest one-sided degree among the basis binomials."""
-    deg = 0
-    for j in range(b.corank):
-        pos = sum(int(x) for x in b.matrix[:, j] if x > 0)
-        deg = max(deg, pos)
-    return deg
+    return max((sum(x for x in column if x > 0) for column in b.matrix.T), default=0)
 
 
 def strong_via_points(c: Configuration, samples: int = 0) -> bool:
@@ -273,20 +267,14 @@ def strong_via_points(c: Configuration, samples: int = 0) -> bool:
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     for t in range(samples):
         points.append([primes[(t + j) % len(primes)] ** (j + 1) for j in range(b.corank)])
-    cols = [[int(x) for x in b.matrix[:, j]] for j in range(b.corank)]
+    cols = list(b.matrix.T)
     for s in points:
         coords = [
             sum(s[j] * b.row(i)[j] for j in range(b.corank)) for i in range(b.npoints)
         ]
         for v in cols:
-            lhs = 1
-            rhs = 1
-            for i, vi in enumerate(v):
-                if vi > 0:
-                    lhs *= coords[i] ** vi
-                elif vi < 0:
-                    rhs *= coords[i] ** (-vi)
-            if lhs != rhs:
+            lhs = prod(coords[i] ** vi for i, vi in enumerate(v) if vi > 0)
+            if lhs != prod(coords[i] ** -vi for i, vi in enumerate(v) if vi < 0):
                 return False
     return True
 
@@ -331,7 +319,7 @@ def random_lawrence_block(
     max_size: int = 4,
     max_entry: int = 3,
     max_tries: int = 20_000,
-) -> np.ndarray:
+) -> IntMatrix:
     """A random M whose Lawrence lift is non-pyramidal and whose columns span
     a saturated lattice (the standing hypothesis of the parity criterion)."""
     for _ in range(max_tries):
@@ -340,11 +328,8 @@ def random_lawrence_block(
         m = imat(
             [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(d)]
         )
-        k = integer_kernel(m)
-        if k.shape[1] == 0:
-            continue
-        if any(all(x == 0 for x in k[i].tolist()) for i in range(n)):
-            continue  # pyramidal lift
+        if not all(map(any, integer_kernel(m))):
+            continue  # pyramidal lift: a zero kernel row, or no kernel at all
         if not column_lattice_saturated(m):
             continue
         return m

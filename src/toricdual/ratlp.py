@@ -10,21 +10,13 @@ certificate that the caller can recheck by two inner products.
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
-
-def _frac_rows(a):
-    if isinstance(a, np.ndarray):
-        a = a.tolist()
-    return [[Fraction(x) for x in row] for row in a]
-
 
 def solve_linear(a, b):
     """One rational solution ``x`` of ``a @ x = b``, or None if inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    rows = _frac_rows(a)
+    rows = [[Fraction(x) for x in row] for row in a]
     rhs = [Fraction(x) for x in b]
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -97,8 +89,6 @@ def feasible_nonneg(a, b):
     sequence is that of the same simplex on Fractions.  A row with
     non-integral entries is first scaled to integers.
     """
-    if isinstance(a, np.ndarray):
-        a = a.tolist()
     m = len(a)
     k = len(a[0]) if m else 0
     if len(b) != m:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import toricdual
 from toricdual.cli import main, read_matrix
 
 
@@ -179,6 +184,59 @@ def test_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "gale", str(missing))
     assert code == 1
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entries", [5, [5], [[1, 2], 3], None])
+def test_malformed_entries_are_input_errors(tmp_path, capsys, entries):
+    path = tmp_path / "bad_shape.json"
+    path.write_text(json.dumps({"entries": entries}))
+    for argv in (("check", "self-dual", str(path)), ("gale", str(path))):
+        _assert_one_error_line(*run(capsys, *argv))
+
+
+def test_configuration_without_points_is_refused(tmp_path, capsys):
+    path = tmp_path / "no_points.json"
+    path.write_text(json.dumps({"entries": [[]]}))
+    for argv in (("check", "self-dual", str(path)), ("gale", str(path)), ("decompose", str(path))):
+        code, out, err = run(capsys, *argv)
+        _assert_one_error_line(code, out, err)
+        assert "at least one point" in err
+
+
+def test_read_matrix_closes_its_file(tmp_path):
+    path = write_segre2(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert read_matrix(path).shape == (3, 4)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_numpy_is_never_imported(tmp_path):
+    """Importing the CLI, a check and a crosscheck all run without numpy."""
+    script = "\n".join(
+        [
+            "import sys",
+            "import toricdual.cli",
+            "assert 'numpy' not in sys.modules, 'import'",
+            f"assert toricdual.cli.main(['check', 'self-dual', {write_segre2(tmp_path)!r}]) == 0",
+            "assert 'numpy' not in sys.modules, 'check self-dual'",
+            "assert toricdual.cli.main(['oracle', 'crosscheck', '--count', '3']) == 0",
+            "assert toricdual.crosscheck(seed=1, count=2)['disagreements'] == []",
+            "assert 'numpy' not in sys.modules, 'crosscheck'",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(toricdual.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_inconsistent_json_header(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import random
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -32,7 +31,7 @@ from toricdual.intlinalg import (
     rank,
     rational_rank,
 )
-from test_intlinalg import any_matrices, minor_gcd
+from test_intlinalg import any_matrices, minor_gcd, product
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -89,11 +88,20 @@ def test_regularize_preserves_affine_relations():
     assert before.shape[1] == 2
 
 
+def test_a_configuration_needs_a_point():
+    for rows in ([[]], [[], []]):
+        with pytest.raises(ValueError, match="at least one point"):
+            parse_configuration(rows)
+    c = parse_configuration([[1, 2]])
+    with pytest.raises(ValueError):
+        subconfiguration(c, [])
+
+
 def test_normalize_divides_content():
     c = parse_configuration([[2, 4, 6]])
     c2, back = normalize_lattice(c)
     assert c2.weights.tolist() == [[1, 2, 3]]
-    assert np.array_equal(c.weights, back @ c2.weights)
+    assert product(back, c2.weights) == c.weights.tolist()
     assert c2.lattice_normalized
 
 
@@ -257,7 +265,7 @@ def test_non_pyramidal_iff_full_support_relation(rows):
     nonzero_rows = {
         i
         for i in range(kernel.shape[0])
-        if kernel.shape[1] and any(x != 0 for x in kernel[i].tolist())
+        if kernel.shape[1] and any(x != 0 for x in kernel[i])
     }
     assert set(dec.core_indices) == nonzero_rows
 
@@ -267,18 +275,18 @@ def _four_condition_splitting(c):
     apex and core ranks adding up, apex lattice and whole lattice saturated,
     all in the regular presentation."""
     kernel = affine_relation_kernel(c)
-    apex = [i for i in range(c.npoints) if not any(kernel[i].tolist())]
+    apex = [i for i in range(c.npoints) if not any(kernel[i])]
     core = [i for i in range(c.npoints) if i not in apex]
     if not apex:
         return True
     reg = regularize(c).weights
     rank_all = rational_rank(reg)
-    rank_p = rational_rank(reg[:, apex])
-    rank_q = rational_rank(reg[:, core]) if core else 0
+    rank_p = rational_rank(reg.select(apex))
+    rank_q = rational_rank(reg.select(core)) if core else 0
     return (
         rank_p == len(apex)
         and rank_p + rank_q == rank_all
-        and minor_gcd(reg[:, apex].tolist(), len(apex)) == 1
+        and minor_gcd(reg.select(apex).tolist(), len(apex)) == 1
         and minor_gcd(reg.tolist(), rank_all) == 1
     )
 
@@ -296,7 +304,7 @@ def test_splitting_rule_matches_four_conditions(rows, scale):
 def _same_rational_column_space(b, canonical):
     """Equal ranks of ``b``, ``canonical`` and the two side by side."""
     assert b.shape == canonical.shape
-    both = np.hstack([b, canonical])
+    both = [row + other for row, other in zip(b, canonical)]
     assert rank(b) == rank(canonical) == rank(both) == b.shape[1]
 
 
@@ -312,10 +320,10 @@ def test_core_gale_rows_are_the_core_gale_dual(rows):
     assert b.zero_rows() == canonical.zero_rows() == dec.apex_indices
     assume(dec.core_indices)
     core = subconfiguration(distinct, dec.core_indices)
-    core_rows = b.matrix[list(dec.core_indices)]
+    core_rows = imat([b.matrix[i] for i in dec.core_indices])
     # apexes lie in no circuit, so dropping them keeps every circuit and
     # the lex-first basis of the rest: the same columns, even unscaled
-    assert np.array_equal(core_rows, core.circuit_basis)
+    assert core_rows == core.circuit_basis
     _same_rational_column_space(core_rows, gale_dual(core).matrix)
 
 
@@ -333,7 +341,7 @@ def test_decompose_matches_the_reduce_first_pipeline(rows, scale):
     old = pyramid_decompose(rep.distinct)
     _same_rational_column_space(b.matrix, gale_dual(rep.distinct).matrix)
     # the circuits depend on the relations only, not on the presentation
-    assert np.array_equal(b.matrix, rep.distinct.circuit_basis)
+    assert b.matrix == rep.distinct.circuit_basis
     assert dec.apex_indices == old.apex_indices
     assert dec.core_indices == old.core_indices
     assert dec.repeat_codim == rep.repeat_codim
@@ -469,7 +477,7 @@ def test_normalize_back_transform_on_a_non_square_lattice():
     c = parse_configuration([[2, 4, 6, 0], [0, 2, 4, 6], [2, 6, 10, 6]])
     c2, back = normalize_lattice(c)
     assert c2.lattice_normalized and c2.dim == 2
-    assert np.array_equal(c.weights, back @ c2.weights)
+    assert product(back, c2.weights) == c.weights.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -484,9 +492,10 @@ def test_normalize_lattice_contract(rows):
         return
     c2, back = normalize_lattice(c)
     assert back.shape == (c.dim, c2.dim)
-    assert np.array_equal(c.weights, back @ c2.weights)
+    assert product(back, c2.weights) == c.weights.tolist()
     # the new columns span Z^r: coprime maximal minors
     assert c2.dim == r and minor_gcd(c2.weights.tolist(), r) == 1
     assert c2.lattice_normalized
-    assert np.array_equal(c2.relations, c.relations)
+    assert c2.relations == c.relations
+    assert c2.relations.tolist() == c.relations.tolist()
     assert c2.relations.shape == c.relations.shape

@@ -32,7 +32,7 @@ def test_lawrence_relations_are_lifted_kernel():
     m = imat([[1, 2, 3]])
     c = lawrence(m)
     k = integer_kernel(m)
-    lifted = [[-int(x) for x in k[:, j]] + [int(x) for x in k[:, j]] for j in range(k.shape[1])]
+    lifted = [[-x for x in k.column(j)] + list(k.column(j)) for j in range(k.shape[1])]
     assert column_lattices_equal(gale_dual(c).matrix, imat(lifted).T)
 
 

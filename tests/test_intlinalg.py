@@ -2,13 +2,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricdual.configuration import parse_configuration
 from toricdual.intlinalg import (
+    IntMatrix,
     circuit_kernel,
     column_lattice_saturated,
     det,
@@ -18,6 +18,7 @@ from toricdual.intlinalg import (
     in_row_span,
     integer_kernel,
     column_lattices_equal,
+    matmul,
     primitive_vector,
     rank,
     rational_rank,
@@ -35,6 +36,18 @@ def cofactor_det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def product(a, b):
+    """Reference matrix product as int lists, by the textbook triple loop
+    over indices (not ``intlinalg.matmul``)."""
+    a, b = [list(r) for r in a], [list(r) for r in b]
+    assert all(len(row) == len(b) for row in a)
+    ncols = len(b[0]) if b else 0
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(ncols)]
+        for i in range(len(a))
+    ]
 
 
 def minor_gcd(rows, size):
@@ -99,10 +112,10 @@ def _is_column_hermite(k) -> bool:
     rows, cols = k.shape
     last = -1
     for j in range(cols):
-        p = next((i for i in range(rows) if k[i, j] != 0), None)
-        if p is None or p <= last or k[p, j] <= 0:
+        p = next((i for i in range(rows) if k[i][j] != 0), None)
+        if p is None or p <= last or k[p][j] <= 0:
             return False
-        if any(not 0 <= k[p, i] < k[p, j] for i in range(cols) if i != j):
+        if any(not 0 <= k[p][i] < k[p][j] for i in range(cols) if i != j):
             return False
         last = p
     return True
@@ -115,25 +128,78 @@ def test_imat_rejects_non_integers():
         imat([])
     with pytest.raises(ValueError):
         imat([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        imat([[True, 0]])
+
+
+def test_imat_rejects_rows_that_are_not_sequences():
+    for bad in (5, [5], [[1, 2], 3], None):
+        with pytest.raises(ValueError):
+            imat(bad)
+
+
+def test_imat_accepts_zero_columns():
+    m = imat([[], [], []])
+    assert m.shape == (3, 0)
+    assert m.tolist() == [[], [], []]
+    assert m.T.shape == (0, 3)
+    assert m.T.T == m
+
+
+def test_int_matrix_access_and_equality():
+    m = imat([[1, 2, 3], [4, 5, Fraction(6)]])
+    assert m.shape == (2, 3)
+    assert m.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert all(type(x) is int for row in m.tolist() for x in row)
+    assert m[1] == (4, 5, 6) and list(m) == [(1, 2, 3), (4, 5, 6)] and len(m) == 2
+    assert m.column(2) == (3, 6)
+    assert m.T.tolist() == [[1, 4], [2, 5], [3, 6]]
+    assert m.select([2, 0]).tolist() == [[3, 1], [6, 4]]
+    assert m.select([]).shape == (2, 0)
+    assert imat(m) is m
+    assert m == imat([[1, 2, 3], [4, 5, 6]]) == imat(m.tolist())
+    assert m != imat([[1, 2, 3]]) and m != m.T and m != m.tolist()
+    assert imat([[]]) != imat([[], []])
+
+
+def test_int_matrix_is_immutable():
+    m = imat([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        m[0] = (0, 0)
+    with pytest.raises(TypeError):
+        m[0][0] = 0
+    rows = m.tolist()
+    rows[0][0] = 9
+    assert m.tolist() == [[1, 2], [3, 4]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices, st.integers(1, 4), st.randoms(use_true_random=False))
+def test_matmul_matches_reference_product(rows, k, rnd):
+    other = [[rnd.randint(-9, 9) for _ in range(k)] for _ in rows[0]]
+    assert matmul(rows, other).tolist() == product(rows, other)
+    assert matmul(imat(rows), imat(other)) == imat(product(rows, other))
+    with pytest.raises(ValueError):
+        matmul(rows, other + [[0] * k])
 
 
 def test_hermite_identity():
     h, u = hermite_normal_form(eye(3))
-    assert np.array_equal(h, eye(3))
-    assert np.array_equal(u, eye(3))
+    assert h == eye(3) == imat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert u == eye(3)
 
 
 def test_hermite_zero():
     z = imat([[0, 0], [0, 0]])
     h, u = hermite_normal_form(z)
-    assert np.array_equal(h, z)
-    assert np.array_equal(u, eye(2))
+    assert h == z
+    assert u == eye(2)
 
 
 def test_hermite_2x2_example():
     m = imat([[2, 4], [0, 2]])
     h, u = hermite_normal_form(m)
-    assert np.array_equal(m @ u, h)
+    assert product(m, u) == h.tolist()
     assert abs(cofactor_det(u.tolist())) == 1
     assert abs(cofactor_det(h.tolist())) == 4
 
@@ -143,12 +209,12 @@ def test_hermite_2x2_example():
 def test_hermite_properties(rows):
     m = imat(rows)
     h, u = hermite_normal_form(m)
-    assert np.array_equal(m @ u, h)
+    assert product(m, u) == h.tolist()
     assert abs(det(u)) == 1
     assert abs(det(u)) == abs(cofactor_det(u.tolist()))
-    assert _is_column_hermite(h[:, [j for j in range(h.shape[1]) if any(h[:, j].tolist())]])
+    assert _is_column_hermite(h.select([j for j in range(h.shape[1]) if any(h.column(j))]))
     hr, ur = row_hermite(m)
-    assert np.array_equal(ur @ m, hr)
+    assert product(ur, m) == hr.tolist()
     assert abs(det(ur)) == 1
 
 
@@ -158,8 +224,8 @@ def test_row_hermite_is_canonical():
     b = imat([[2, 1], [2, 4], [4, 5]])
     ha, _ = row_hermite(a)
     hb, _ = row_hermite(b)
-    assert np.array_equal(ha, hb[:2])
-    assert all(x == 0 for x in hb[2].tolist())
+    assert ha.tolist() == hb.tolist()[:2]
+    assert all(x == 0 for x in hb[2])
 
 
 def test_kernel_collinear_triple():
@@ -167,7 +233,7 @@ def test_kernel_collinear_triple():
     m = imat([[1, 1, 1], [0, 1, 2]])
     k = integer_kernel(m)
     assert k.shape == (3, 1)
-    col = primitive_vector(k[:, 0])
+    col = primitive_vector(k.column(0))
     assert col == (1, -2, 1)
 
 
@@ -191,8 +257,8 @@ def test_kernel_is_saturated_and_annihilates(rows):
     m = imat(rows)
     k = integer_kernel(m)
     if k.shape[1]:
-        prod = m @ k
-        assert all(x == 0 for x in prod.ravel().tolist())
+        prod = product(m, k)
+        assert prod == [[0] * k.shape[1] for _ in range(m.shape[0])]
         # saturated basis: its maximal minors are coprime
         assert minor_gcd(k.tolist(), k.shape[1]) == 1
         assert _is_column_hermite(k)
@@ -263,7 +329,7 @@ def _lex_first_basis(m):
     """Greedy column basis, each column tested with the Fraction rank."""
     basis = []
     for j in range(m.shape[1]):
-        if rational_rank(m[:, basis + [j]]) > len(basis):
+        if rational_rank(m.select(basis + [j])) > len(basis):
             basis.append(j)
     return basis
 
@@ -274,14 +340,14 @@ def test_circuit_basis_columns_are_fundamental_circuits(rows):
     c = parse_configuration(rows)
     a = imat([[1] * c.npoints] + rows)
     k = c.circuit_basis
-    assert np.array_equal(k, circuit_kernel(a))
+    assert k == circuit_kernel(a)
     basis = _lex_first_basis(a)
     free = [j for j in range(c.npoints) if j not in basis]
     assert k.shape == (c.npoints, c.npoints - rational_rank(a))
     for t, j in enumerate(free):
-        col = k[:, t].tolist()
+        col = list(k.column(t))
         # an affine relation, primitive, on the basis plus j, positive at j
-        assert not any((a @ k[:, t]).tolist())
+        assert product(a, [[x] for x in col]) == [[0]] * a.shape[0]
         assert gcd(*col) == 1
         assert all(x == 0 for i, x in enumerate(col) if i != j and i not in basis)
         assert col[j] > 0

@@ -80,11 +80,11 @@ def _flats_by_rank(b):
     seen = {}
     for size in range(b.npoints + 1):
         for sub in itertools.combinations(range(b.npoints), size):
-            base = rational_rank(rows[list(sub), :]) if sub else 0
+            base = rational_rank([rows[j] for j in sub]) if sub else 0
             closure = tuple(
                 i
                 for i in range(b.npoints)
-                if rational_rank(rows[list(sub) + [i], :]) == base
+                if rational_rank([rows[j] for j in sub] + [rows[i]]) == base
             )
             seen.setdefault(closure, sub)
     return sorted((cl, j) for cl, j in seen.items())

@@ -29,6 +29,7 @@ from toricdual.oracle import (
     strong_via_points,
 )
 from toricdual.ratlp import feasible_nonneg
+from test_intlinalg import product
 
 INT_POINT_FACE = parse_configuration(
     [
@@ -66,7 +67,7 @@ def on_proper_face(c, i) -> bool:
     """Exact LP: is there a supporting hyperplane through point i?"""
     reg = regularize(c)
     d = reg.dim
-    cols = [[Fraction(int(x)) for x in reg.weights[:, j]] for j in range(reg.npoints)]
+    cols = [[Fraction(x) for x in col] for col in reg.columns()]
     others = [j for j in range(reg.npoints) if j != i]
     nslack = len(others) + 1
     rows = []
@@ -203,11 +204,12 @@ def test_parity_sanity_smooth_self_dual_beyond_hypersurfaces_has_even_n():
 def _random_unimodular(rng, d):
     from toricdual.intlinalg import eye
 
-    u = eye(d)
+    u = eye(d).tolist()
     for _ in range(3 * d):
         i, j = rng.randrange(d), rng.randrange(d)
         if i != j:
-            u[i] = u[i] + rng.choice([-2, -1, 1, 2]) * u[j]
+            f = rng.choice([-2, -1, 1, 2])
+            u[i] = [x + f * y for x, y in zip(u[i], u[j])]
     return u
 
 
@@ -221,17 +223,17 @@ def test_self_duality_is_an_affine_invariant():
 
         perm = list(range(c.npoints))
         rng.shuffle(perm)
-        permuted = parse_configuration(c.weights[:, perm])
+        permuted = parse_configuration(c.weights.select(perm))
         assert is_self_dual(permuted).value == base
 
         u = _random_unimodular(rng, c.dim)
-        transformed = parse_configuration(u @ c.weights)
+        transformed = parse_configuration(product(u, c.weights))
         assert is_self_dual(transformed).value == base
 
         shift = [[rng.randint(-3, 3)] * c.npoints for _ in range(c.dim)]
-        from toricdual.intlinalg import imat
-
-        translated = parse_configuration(c.weights + imat(shift))
+        translated = parse_configuration(
+            [[x + s for x, s in zip(row, srow)] for row, srow in zip(c.weights, shift)]
+        )
         assert is_self_dual(translated).value == base
 
 
@@ -272,7 +274,7 @@ def test_lawrence_lifts_self_dual_even_without_saturation():
         k = integer_kernel(m)
         if k.shape[1] == 0:
             continue
-        if any(all(x == 0 for x in k[i].tolist()) for i in range(n)):
+        if any(all(x == 0 for x in k[i]) for i in range(n)):
             continue
         assert is_self_dual(lawrence(m)).value, m.tolist()
         found += 1
