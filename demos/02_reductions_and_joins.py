@@ -1,9 +1,8 @@
 """Repeats, pyramids, and the join decomposition.
 
 The reductions shown here (regularize: put the points on an affine
-hyperplane off the origin; normalize the lattice: make the columns span it;
-merge repeated columns; split off pyramid apexes) all keep the lattice of
-affine relations.  The duality criteria therefore read that lattice off the
+hyperplane off the origin; merge repeated columns; split off pyramid
+apexes) all keep the lattice of affine relations.  The duality criteria therefore read that lattice off the
 input as given: they merge repeated columns and take the apexes from the
 zero rows of the Gale dual.  The variety is an iterated join over what
 remains, and self-duality of the join needs the apex count to match the
@@ -15,36 +14,28 @@ from toricdual import (
     dedup,
     full_decomposition,
     is_self_dual,
-    matmul,
-    normalize_lattice,
     parse_configuration,
-    pyramid_decompose,
-    reduce_configuration,
     regularize,
 )
 
 print(__doc__)
 
 print("=" * 72)
-print("Regularize + normalize")
+print("Regularize")
 print("=" * 72)
 c = parse_configuration([[0, 2, 4]])
-print("input:", c.weights.tolist(), "regular:", c.regular, "normalized:", c.lattice_normalized)
+print("input:", c.weights.tolist(), "regular:", c.regular)
 r = regularize(c)
-print("regularized:", r.weights.tolist())
-n, back = normalize_lattice(r)
-print("normalized:", n.weights.tolist())
-print("back-transform satisfies old == back @ new:", matmul(back, n.weights).tolist())
-print("affine dimension is invariant:", affine_dim(c), "==", affine_dim(n))
+print("regularized:", r.weights.tolist(), "regular:", r.regular)
+print("affine dimension is invariant:", affine_dim(c), "==", affine_dim(r))
 
 print()
 print("=" * 72)
 print("A pyramid over a conic is never self-dual (without repeats)")
 print("=" * 72)
 pyramid = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
-rep = pyramid_decompose(pyramid)
+rep = full_decomposition(pyramid)
 print("apexes:", rep.apex_indices, " core:", rep.core_indices)
-print("lattice splitting valid:", rep.splitting_valid)
 v = is_self_dual(pyramid)
 print("self-dual?", v.value, "->", v.witness["kind"])
 

@@ -49,9 +49,9 @@ print("Face membership two ways on a random instance")
 print("=" * 72)
 inst = random_configuration(random.Random(11), max_points=6)
 print("instance:", inst.weights.tolist())
-print("(the draw as random_configuration returns it: regularized, then its columns")
-print(" rewritten in the Hermite basis of their lattice; another normal form would")
-print(" print other numbers with the same affine relations and the same answers)")
+print("(the draw as random_configuration returns it: regularized, and only the rows")
+print(" that raise the rank kept, so its entries are the draw's; another presentation")
+print(" would print other numbers with the same affine relations and the same answers)")
 for sub in ([0], [0, 1], [1, 2, 3]):
     fast = is_facial(inst, sub).value
     slow = facial_via_separation(inst, sub)

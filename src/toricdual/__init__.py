@@ -14,10 +14,7 @@ from .configuration import (
     DedupReport,
     affine_dim,
     dedup,
-    normalize_lattice,
     parse_configuration,
-    pyramid_decompose,
-    reduce_configuration,
     regularize,
     subconfiguration,
 )
@@ -55,7 +52,6 @@ from .gale import (
 )
 from .intlinalg import (
     IntMatrix,
-    hermite_normal_form,
     imat,
     in_row_span,
     integer_kernel,
@@ -105,7 +101,6 @@ __all__ = [
     "family_dim",
     "full_decomposition",
     "gale_dual",
-    "hermite_normal_form",
     "hypersurface_class",
     "imat",
     "in_row_span",
@@ -121,12 +116,9 @@ __all__ = [
     "line_partition",
     "line_sums_zero",
     "matmul",
-    "normalize_lattice",
     "parse_configuration",
     "positive_dependency",
-    "pyramid_decompose",
     "rational_rank",
-    "reduce_configuration",
     "regularize",
     "segre",
     "self_dual_via_flats",

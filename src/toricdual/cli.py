@@ -19,7 +19,6 @@ from .engine import (
     _decompose,
     full_decomposition,
     hypersurface_class,
-    is_lawrence,
     is_self_dual,
     is_strongly_self_dual,
     lawrence_strong_parity,
@@ -82,6 +81,21 @@ def matrix_doc(m) -> dict:
 
 
 def _emit(report: dict, fmt: str):
+    """Write a report.  Its integers may run past the interpreter's int-to-str
+    digit limit, where it has one; the limit is lifted while the report is
+    written and put back afterwards, so input parsing still keeps it."""
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is None:
+        _write(report, fmt)
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        _write(report, fmt)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _write(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, indent=2, default=_jsonable))
         return
@@ -119,8 +133,8 @@ def _oracle_verify_self_dual(c, claimed: bool):
         return {"status": "skipped", "reason": "enumeration guard"}
     # the verdict read the circuit basis; the referee reads the canonical one
     flats = self_dual_via_flats(gale_dual(distinct))
-    # the sigma test needs a regular presentation; this one has the same
-    # rational row space as the lattice-normalized one, so the same answer
+    # the sigma test needs a regular presentation; regularize keeps the
+    # relations, so it answers for the input
     sigma = self_dual_via_sigma(regularize(distinct))
     agree = flats == sigma == claimed
     return {"status": "ok" if agree else "DISAGREEMENT", "flats": flats, "sigma": sigma}
@@ -186,7 +200,6 @@ def cmd_decompose(args):
         repeat_codim=rep.repeat_codim,
         apex_indices=list(rep.apex_indices),
         core_indices=list(rep.core_indices),
-        splitting_valid=rep.splitting_valid,
         join_shape=list(rep.join_shape),
     )
     _emit(report, args.format)

@@ -1,29 +1,19 @@
-"""Lattice point configurations and their standard reductions.
+"""Lattice point configurations and the reductions that keep their relations.
 
 A configuration is a d x n integer matrix whose columns are lattice points
-(weights of a torus action); columns may repeat.  The reductions here —
-regularize, normalize the lattice, merge repeated columns, split off pyramid
-apexes — all preserve the lattice of affine relations among the columns,
-which is the invariant every duality criterion in this package consumes.
-Every question about the column lattice itself (is it Z^d, is it
-saturated, what basis to rewrite the columns in) is answered by its Hermite
-basis, :func:`lattice_basis`.
+(weights of a torus action); columns may repeat.  Every duality criterion in
+this package reads a configuration only through the lattice of affine
+relations among its columns, so the verdicts work on the input as given.
+The two reductions here keep that lattice: ``regularize`` puts the columns
+on an affine hyperplane off the origin, and ``dedup`` merges repeated
+columns and records their multiplicities.  Apexes are split off in
+``engine.full_decomposition``, as the zero rows of a Gale dual.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intlinalg import (
-    IntMatrix,
-    circuit_kernel,
-    column_lattice_saturated,
-    eye,
-    imat,
-    integer_kernel,
-    lattice_basis,
-    matmul,
-    rank,
-)
+from .intlinalg import IntMatrix, circuit_kernel, imat, integer_kernel, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,9 +23,7 @@ class Configuration:
 
     ``regular`` means the columns lie on a rational affine hyperplane off the
     origin (equivalently the all-ones vector is in the row span), so affine
-    relations among columns coincide with linear ones.  ``lattice_normalized``
-    means the columns span the full ambient lattice Z^d, that is, the
-    Hermite basis of their lattice is the identity.  ``relations`` is the
+    relations among columns coincide with linear ones.  ``relations`` is the
     saturated affine relation basis that :func:`gale_dual` wraps.
     ``circuit_basis`` is the fundamental-circuit basis of the same relations
     (:func:`circuit_kernel` of ``[1; W]``): it spans them over Q only, needs
@@ -60,15 +48,6 @@ class Configuration:
         return rank(self.weights) == rank(_ones_on_top(self))
 
     @cached_property
-    def _lattice_basis(self) -> list:
-        """Hermite basis (as rows) of the lattice the columns generate."""
-        return lattice_basis(self.weights.T, self.dim)
-
-    @cached_property
-    def lattice_normalized(self) -> bool:
-        return self._lattice_basis == eye(self.dim).tolist()
-
-    @cached_property
     def relations(self) -> IntMatrix:
         return affine_relation_kernel(self)
 
@@ -83,10 +62,7 @@ class Configuration:
         return list(self.weights.T)
 
     def __repr__(self):
-        return (
-            f"Configuration({self.dim}x{self.npoints}, regular={self.regular}, "
-            f"normalized={self.lattice_normalized})"
-        )
+        return f"Configuration({self.dim}x{self.npoints}, regular={self.regular})"
 
 
 @dataclass(frozen=True)
@@ -110,16 +86,12 @@ class DedupReport:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Pyramid/join structure of a configuration without repeated columns.
+    """Join structure of a configuration: repeats, pyramid apexes and core.
 
-    Apexes are the points that belong to no affine relation (zero rows of any
-    Gale dual); the core is the rest.  ``splitting_valid`` records whether the
-    ambient lattice splits as (lattice spanned by the apexes, which they must
-    base) ⊕ (a complement containing the core); by :func:`pyramid_decompose`
-    that is saturation of the regular presentation's column lattice.  The
-    engine reports it for the lattice-normalized presentation, where it
-    always holds; that presentation has the input's relations, so the engine
-    does not compute it.  ``join_shape`` is (repeat multiplicity count, apex
+    ``repeat_codim`` counts the repeated columns beyond the first of each.
+    Apexes are the distinct points that belong to no affine relation (zero
+    rows of any Gale dual); the core is the rest.  Indices number the
+    distinct columns.  ``join_shape`` is (repeat multiplicity count, apex
     count, core count): the variety is an iterated join of an empty factor of
     that first size, a projective subspace spanned by the apexes, and the
     core's variety.
@@ -128,7 +100,6 @@ class DecompositionReport:
     repeat_codim: int
     apex_indices: tuple
     core_indices: tuple
-    splitting_valid: bool
     join_shape: tuple
 
 
@@ -184,43 +155,6 @@ def affine_dim(c: Configuration) -> int:
     return rank(_ones_on_top(c)) - 1
 
 
-def normalize_lattice(c: Configuration):
-    """Rewrite the configuration so its columns span the full ambient lattice.
-
-    Returns ``(c2, back)`` where ``c2.lattice_normalized`` holds and ``back``
-    is an integer matrix with ``c.weights == matmul(back, c2.weights)``; the
-    affine relation lattice is unchanged.  ``back`` is the d x r Hermite
-    basis H of the column lattice (its columns), and column j of ``c2`` holds
-    the coordinates of column j of W in it, read off H's pivots by exact
-    back-substitution.  H is injective and its columns are generated by W's,
-    so ``c2`` spans Z^r and has exactly the relations of W, at any rank r.
-    """
-    if c.lattice_normalized:
-        return c, eye(c.dim)
-    h = c._lattice_basis
-    if not h:
-        raise ValueError("rank-zero configuration cannot be normalized")
-    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
-    coords = []
-    for w in c.columns():
-        x = []
-        for row, p in zip(h, pivots):
-            q, rem = divmod(w[p] - sum(a * b[p] for a, b in zip(x, h)), row[p])
-            assert rem == 0
-            x.append(q)
-        coords.append(x)
-    c2 = parse_configuration(list(zip(*coords)))
-    back = IntMatrix(zip(*h), len(h))
-    assert c.weights == matmul(back, c2.weights)
-    return c2, back
-
-
-def reduce_configuration(c: Configuration) -> Configuration:
-    """Regularize then normalize: the standard presentation used by the engine."""
-    c2, _ = normalize_lattice(regularize(c))
-    return c2
-
-
 def dedup(c: Configuration) -> DedupReport:
     """Group equal columns, keeping first-occurrence order.
 
@@ -243,34 +177,4 @@ def dedup(c: Configuration) -> DedupReport:
         distinct = parse_configuration(c.weights.select(order))
     return DedupReport(
         distinct=distinct, multiplicity=tuple(mult), index_map=tuple(index_map)
-    )
-
-
-def pyramid_decompose(c: Configuration) -> DecompositionReport:
-    """Split a repeat-free configuration into pyramid apexes and a core.
-
-    Apexes are detected as the zero rows of the fundamental-circuit basis
-    ``c.circuit_basis``: a point lies in no affine relation exactly when its
-    row vanishes in any basis of the relations over Q.  Apexes are therefore
-    linearly independent in the regular presentation and meet the span of
-    the core only in 0; the lattice then splits exactly when the column
-    lattice of that presentation is saturated (``column_lattice_saturated``),
-    which is checked only when apexes exist.  After normalization this
-    always holds; on a non-normalized presentation it can genuinely fail and
-    the report says so instead of silently renormalizing.
-    """
-    if len(set(c.columns())) != c.npoints:
-        raise ValueError("pyramid decomposition expects no repeated columns")
-    apex, core = [], []
-    for i, row in enumerate(c.circuit_basis):
-        (core if any(row) else apex).append(i)
-    splitting = True
-    if apex:
-        splitting = column_lattice_saturated(regularize(c).weights)
-    return DecompositionReport(
-        repeat_codim=0,
-        apex_indices=tuple(apex),
-        core_indices=tuple(core),
-        splitting_valid=splitting,
-        join_shape=(0, len(apex), len(core)),
     )

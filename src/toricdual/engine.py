@@ -36,12 +36,10 @@ def _decompose(c: Configuration):
     apex = b.zero_rows()
     core = tuple(i for i in range(b.npoints) if i not in apex)
     k = rep.repeat_codim
-    # the lattice-normalized presentation has these relations and splits
     report = DecompositionReport(
         repeat_codim=k,
         apex_indices=apex,
         core_indices=core,
-        splitting_valid=True,
         join_shape=(k, len(apex), len(core)),
     )
     return rep.distinct, b, report
@@ -57,10 +55,10 @@ def is_self_dual(c: Configuration) -> Verdict:
     with apex count equal to the number of repeats, and have a self-dual core
     (empty core means the variety is a linear subspace, self-dual exactly in
     the half-dimensional pattern).  Everything is read off the
-    fundamental-circuit basis of ``c``'s relations; no reduction to a
-    normalized presentation and no saturated Gale dual is computed.  Line
-    class directions and sums in the witness are in that basis, marked
-    ``"basis": "fundamental_circuits"``.
+    fundamental-circuit basis of ``c``'s relations; no other presentation
+    and no saturated Gale dual is computed.  Line class directions and sums
+    in the witness are in that basis, marked ``"basis":
+    "fundamental_circuits"``.
     """
     _, b, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
@@ -70,7 +68,6 @@ def is_self_dual(c: Configuration) -> Verdict:
         "repeat_codim": k,
         "apex_indices": list(dec.apex_indices),
         "core_indices": list(dec.core_indices),
-        "splitting_valid": dec.splitting_valid,
         "join_shape": list(dec.join_shape),
     }
     if r != k:

@@ -9,12 +9,10 @@ really is, and the tests check it.
 The fast path is fraction-free and runs on plain int lists: one Bareiss loop
 serves ``rank`` and ``det`` (forward elimination) and ``circuit_kernel``
 (the same loop eliminating above each pivot too), and one Hermite echelon
-loop (``_echelon``) serves ``row_hermite``, ``hermite_normal_form``,
-``integer_kernel`` and ``lattice_basis``.  ``lattice_basis`` answers every
-question about a column lattice: equality (``column_lattices_equal``),
-saturation (``column_lattice_saturated``), whether it is all of Z^d, and a
-basis to rewrite the columns in (``configuration.normalize_lattice``); no
-Smith form is needed for any of them.
+loop (``_echelon``) serves ``row_hermite``, ``integer_kernel`` and
+``lattice_basis``.  ``lattice_basis`` answers every question about a column
+lattice: equality (``column_lattices_equal``) and saturation
+(``column_lattice_saturated``); no Smith form is needed for either.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual; ``circuit_kernel`` is the fundamental-circuit basis, a kernel basis
 over Q only, and the self-duality verdict states its line-sum witnesses in
@@ -199,15 +197,6 @@ def row_hermite(a):
     m, n = a.shape
     rows = _echelon(_with_identity(a), n)
     return IntMatrix([row[:n] for row in rows], n), IntMatrix([row[n:] for row in rows], m)
-
-
-def hermite_normal_form(a):
-    """Column Hermite normal form: ``(h, u)``, ``matmul(a, u) == h``, u unimodular.
-
-    The rank of ``a`` is the number of nonzero columns of ``h``.
-    """
-    ht, ut = row_hermite(imat(a).T)
-    return ht.T, ut.T
 
 
 def _bareiss(rows: list, jordan: bool = False) -> tuple:

@@ -12,12 +12,10 @@ Hermite echelon pass), ``gale_dual`` (and so the Gale kernel cached on each
 configuration) and ``affine_dim`` (a Bareiss rank) as the facial and strong
 predicates, and ``regularize`` as ``coparallel_criterion``.  The
 self-duality verdict reads the fundamental-circuit basis instead (a
-Bareiss-Jordan pass), so the flat-sum referee and it share no kernel.  No
-fast predicate calls ``reduce_configuration``; only the random generator
-here does, and it and ``random_lawrence_block`` read the column lattice
-through its Hermite basis (``normalize_lattice``,
-``column_lattice_saturated``).  These run at desk scale only and guard
-themselves with explicit size limits.
+Bareiss-Jordan pass), so the flat-sum referee and it share no kernel.
+``random_lawrence_block`` reads the column lattice through its Hermite
+basis (``column_lattice_saturated``).  These run at desk scale only and
+guard themselves with explicit size limits.
 """
 
 import itertools
@@ -30,7 +28,6 @@ from .configuration import (
     Configuration,
     affine_dim,
     parse_configuration,
-    reduce_configuration,
     regularize,
 )
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
@@ -42,6 +39,7 @@ from .intlinalg import (
     in_row_span,
     integer_kernel,
     primitive_vector,
+    rank,
 )
 from .ratlp import feasible_nonneg
 
@@ -288,13 +286,13 @@ def random_configuration(
     non_pyramidal: bool = True,
     max_tries: int = 20_000,
 ) -> Configuration:
-    """One random reduced configuration satisfying the requested filters.
+    """One random regular configuration satisfying the requested filters.
 
     Drawing is rejection-based but fully determined by the caller's ``rng``,
-    so seeded sweeps are reproducible.  The filters run on the raw draw:
-    reduction maps columns injectively and keeps the relations, so repeats,
-    apexes and corank are the same before and after it, and only the draw
-    that is kept is reduced.
+    so seeded sweeps are reproducible.  The filters run on the raw draw.  The
+    draw that is kept is regularized, and of its rows only those that raise
+    the rank, read top to bottom, are returned: ``rank([1; W])`` independent
+    rows, still regular, with the draw's own relations and entries.
     """
     for _ in range(max_tries):
         d = rng.randint(1, max_dim)
@@ -307,10 +305,11 @@ def random_configuration(
             b = GaleDual(matrix=c.circuit_basis)
             if b.corank == 0 or b.zero_rows():
                 continue
-        try:
-            return reduce_configuration(c)
-        except ValueError:
-            continue
+        basis = []
+        for row in regularize(c).weights:
+            if rank([*basis, row]) > len(basis):
+                basis.append(row)
+        return parse_configuration(basis)
     raise RuntimeError("rejection sampling starved; loosen the filters")
 
 

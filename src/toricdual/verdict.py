@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 class Verdict:
     """A yes/no answer plus the evidence that produced it.
 
-    ``criterion`` names the test that decided the question;``witness`` is a
+    ``criterion`` names the test that decided the question; ``witness`` is a
     JSON-ready dict (tagged by ``kind``) that an independent checker can
-    re-verify: a violating line class, a failed lattice splitting, a parity
-    subset, a supporting functional, and so on.
+    re-verify: a violating line class, a join whose apex and repeat counts
+    differ, a parity subset, a supporting functional, and so on.
     """
 
     value: bool

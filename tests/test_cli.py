@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import warnings
@@ -184,6 +186,22 @@ def test_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "gale", str(missing))
     assert code == 1
+
+
+def test_reports_with_integers_past_the_digit_limit(tmp_path, capsys):
+    # 2000-digit entries are read under the int-to-str limit (4300 digits by
+    # default), but the Gale dual and the line-sum witness hold 3x3 minors
+    rng = random.Random(3)
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps({"entries": [[rng.randrange(10**1999, 10**2000) for _ in range(6)] for _ in range(3)]})
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for argv in (("gale", str(path)), ("check", "self-dual", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def _assert_one_error_line(code, out, err):

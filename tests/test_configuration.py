@@ -9,16 +9,14 @@ from toricdual.configuration import (
     affine_dim,
     affine_relation_kernel,
     dedup,
-    normalize_lattice,
     parse_configuration,
-    pyramid_decompose,
-    reduce_configuration,
     regularize,
     subconfiguration,
 )
 from toricdual import configuration
 from toricdual.engine import (
     _decompose,
+    full_decomposition,
     hypersurface_class,
     is_self_dual,
     smooth_certificate,
@@ -26,12 +24,15 @@ from toricdual.engine import (
 from toricdual.gale import gale_dual, is_facial
 from toricdual.intlinalg import (
     column_lattices_equal,
+    eye,
     imat,
     in_row_span,
+    lattice_basis,
     rank,
     rational_rank,
 )
-from test_intlinalg import any_matrices, minor_gcd, product
+from test_engine import _unimodular
+from test_intlinalg import product
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -39,13 +40,11 @@ SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 def test_parse_flags():
     c = parse_configuration(SEGRE2)
     assert c.regular  # rows 1+2 sum to the all-ones vector
-    assert c.lattice_normalized
     # e1, e2 lie on the hyperplane x + y = 1, so the identity is regular
     c2 = parse_configuration([[1, 0], [0, 1]])
     assert c2.regular
-    assert c2.lattice_normalized
     c3 = parse_configuration([[2, 4]])
-    assert not c3.lattice_normalized
+    assert not c3.regular
 
 
 def test_parse_rejects_empty():
@@ -62,9 +61,7 @@ def test_missing_points_example_spans_its_lattice():
             [2, 0, 0, 2, 0, 1],
         ]
     )
-    assert c.lattice_normalized
-    c2, back = normalize_lattice(c)
-    assert c2 is c
+    assert lattice_basis(c.weights.T, c.dim) == eye(4).tolist()
     assert affine_dim(c) == 3
 
 
@@ -95,32 +92,6 @@ def test_a_configuration_needs_a_point():
     c = parse_configuration([[1, 2]])
     with pytest.raises(ValueError):
         subconfiguration(c, [])
-
-
-def test_normalize_divides_content():
-    c = parse_configuration([[2, 4, 6]])
-    c2, back = normalize_lattice(c)
-    assert c2.weights.tolist() == [[1, 2, 3]]
-    assert product(back, c2.weights) == c.weights.tolist()
-    assert c2.lattice_normalized
-
-
-def test_normalize_identity_transform_when_normalized():
-    c = parse_configuration([[1, 0], [0, 1]])
-    c2, back = normalize_lattice(c)
-    assert c2 is c
-    assert back.tolist() == [[1, 0], [0, 1]]
-
-
-def test_normalize_preserves_relations():
-    c = parse_configuration([[2, 4, 6], [0, 2, 4]])
-    c2, _ = normalize_lattice(c)
-    assert column_lattices_equal(affine_relation_kernel(c), affine_relation_kernel(c2))
-
-
-def test_normalize_rank_zero_errors():
-    with pytest.raises(ValueError):
-        normalize_lattice(parse_configuration([[0, 0]]))
 
 
 def test_dedup_counts():
@@ -160,47 +131,6 @@ def test_affine_dim_is_rank_of_regularized_minus_one():
     assert affine_dim(c) == rational_rank(regularize(c).weights) - 1
 
 
-def test_pyramid_decompose_cone_over_conic():
-    c = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
-    rep = pyramid_decompose(c)
-    assert rep.apex_indices == (3,)
-    assert rep.core_indices == (0, 1, 2)
-    assert rep.splitting_valid
-    assert rep.join_shape == (0, 1, 3)
-    k = affine_relation_kernel(c)
-    assert k.shape == (4, 1)
-
-
-def test_pyramid_decompose_non_pyramidal():
-    rep = pyramid_decompose(parse_configuration(SEGRE2))
-    assert rep.apex_indices == ()
-    assert rep.splitting_valid
-
-
-def test_pyramid_decompose_identity_all_apex():
-    rep = pyramid_decompose(parse_configuration([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert rep.apex_indices == (0, 1, 2)
-    assert rep.core_indices == ()
-    assert rep.splitting_valid
-
-
-def test_pyramid_decompose_rejects_repeats():
-    with pytest.raises(ValueError):
-        pyramid_decompose(parse_configuration([[1, 1]]))
-
-
-def test_pyramid_splitting_fails_off_the_spanned_lattice():
-    # two independent points whose lattice has index 2 in the ambient plane:
-    # no complement of the apex span can contain the other column
-    c = parse_configuration([[1, 1], [0, 2]])
-    rep = pyramid_decompose(c)
-    assert rep.apex_indices == (0, 1)
-    assert not rep.splitting_valid
-    # after normalization the splitting exists
-    rep2 = pyramid_decompose(reduce_configuration(c))
-    assert rep2.splitting_valid
-
-
 def test_subconfiguration():
     c = parse_configuration(SEGRE2)
     sub = subconfiguration(c, [0, 2])
@@ -222,45 +152,59 @@ conf_matrices = st.integers(1, 3).flatmap(
 )
 
 
+def _other_presentation(c, seed):
+    """``regularize(U W)`` for a random unimodular U: other columns with the
+    relations of ``c``, and the same repeats."""
+    u = _unimodular(random.Random(seed), c.dim)
+    return regularize(parse_configuration(product(u, c.weights)))
+
+
+def _apexes_by_rank(c):
+    """The distinct columns of ``c`` whose removal lowers rank([1; W]): the
+    points that lie in no affine relation."""
+    distinct = dedup(c).distinct
+    ones_on_top = [[1] * distinct.npoints, *distinct.weights]
+    full = rational_rank(ones_on_top)
+    return tuple(
+        i
+        for i in range(distinct.npoints)
+        if rational_rank([row[:i] + row[i + 1 :] for row in ones_on_top]) < full
+    )
+
+
+seeds = st.integers(0, 2**16)
+
+
 @settings(max_examples=100, deadline=None)
-@given(conf_matrices)
-def test_reductions_preserve_relations_and_flags(rows):
-    try:
-        c = parse_configuration(rows)
-        red = reduce_configuration(c)
-    except ValueError:
-        return  # rank-zero inputs cannot be normalized
-    assert red.regular and red.lattice_normalized
+@given(conf_matrices, seeds)
+def test_reductions_preserve_relations_and_flags(rows, seed):
+    c = parse_configuration(rows)
+    red = _other_presentation(c, seed)
+    assert red.regular
     assert column_lattices_equal(affine_relation_kernel(c), affine_relation_kernel(red))
     assert affine_dim(c) == affine_dim(red)
 
 
 @settings(max_examples=100, deadline=None)
-@given(conf_matrices)
-def test_dedup_then_decompose_partitions(rows):
-    try:
-        c = reduce_configuration(parse_configuration(rows))
-    except ValueError:
-        return
+@given(conf_matrices, seeds)
+def test_dedup_then_decompose_partitions(rows, seed):
+    c = _other_presentation(parse_configuration(rows), seed)
     rep = dedup(c)
-    dec = pyramid_decompose(rep.distinct)
+    dec = full_decomposition(c)
     assert sorted(dec.apex_indices + dec.core_indices) == list(
         range(rep.distinct.npoints)
     )
-    assert dec.splitting_valid  # always true after normalization
+    assert dec.apex_indices == _apexes_by_rank(c)
 
 
 @settings(max_examples=100, deadline=None)
-@given(conf_matrices)
-def test_non_pyramidal_iff_full_support_relation(rows):
+@given(conf_matrices, seeds)
+def test_non_pyramidal_iff_full_support_relation(rows, seed):
     # a configuration has no apexes iff some affine relation has full support
-    try:
-        c = reduce_configuration(parse_configuration(rows))
-    except ValueError:
-        return
+    c = _other_presentation(parse_configuration(rows), seed)
     rep = dedup(c)
     kernel = affine_relation_kernel(rep.distinct)
-    dec = pyramid_decompose(rep.distinct)
+    dec = full_decomposition(c)
     # generic combination of kernel columns: support = rows that are not all zero
     nonzero_rows = {
         i
@@ -268,37 +212,6 @@ def test_non_pyramidal_iff_full_support_relation(rows):
         if kernel.shape[1] and any(x != 0 for x in kernel[i])
     }
     assert set(dec.core_indices) == nonzero_rows
-
-
-def _four_condition_splitting(c):
-    """The lattice-splitting rule written out in full: apexes independent,
-    apex and core ranks adding up, apex lattice and whole lattice saturated,
-    all in the regular presentation."""
-    kernel = affine_relation_kernel(c)
-    apex = [i for i in range(c.npoints) if not any(kernel[i])]
-    core = [i for i in range(c.npoints) if i not in apex]
-    if not apex:
-        return True
-    reg = regularize(c).weights
-    rank_all = rational_rank(reg)
-    rank_p = rational_rank(reg.select(apex))
-    rank_q = rational_rank(reg.select(core)) if core else 0
-    return (
-        rank_p == len(apex)
-        and rank_p + rank_q == rank_all
-        and minor_gcd(reg.select(apex).tolist(), len(apex)) == 1
-        and minor_gcd(reg.tolist(), rank_all) == 1
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(conf_matrices, st.integers(2, 3))
-def test_splitting_rule_matches_four_conditions(rows, scale):
-    # scaling the first row moves the columns off the ambient lattice
-    c = parse_configuration([[scale * x for x in rows[0]]] + rows[1:])
-    assume(len(set(c.columns())) == c.npoints)
-    assert not c.lattice_normalized
-    assert pyramid_decompose(c).splitting_valid == _four_condition_splitting(c)
 
 
 def _same_rational_column_space(b, canonical):
@@ -328,35 +241,35 @@ def test_core_gale_rows_are_the_core_gale_dual(rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(conf_matrices, st.integers(2, 3))
-def test_decompose_matches_the_reduce_first_pipeline(rows, scale):
+@given(conf_matrices, st.integers(2, 3), seeds)
+def test_decompose_matches_the_reduce_first_pipeline(rows, scale, seed):
     # a scaled first row, the first column repeated, and an apex on a new
     # coordinate
     rows = [[scale * x for x in rows[0]]] + rows[1:]
     rows = [r + r[:1] + [0] for r in rows]
     c = parse_configuration(rows + [[0] * (len(rows[0]) - 1) + [1]])
     _, b, dec = _decompose(c)
-    # the pipeline that reduced the input first, written out
-    rep = dedup(reduce_configuration(c))
-    old = pyramid_decompose(rep.distinct)
+    # a pipeline that changes the presentation first, and apexes by their
+    # rank definition, written out
+    rep = dedup(_other_presentation(c, seed))
+    apexes = _apexes_by_rank(c)
     _same_rational_column_space(b.matrix, gale_dual(rep.distinct).matrix)
     # the circuits depend on the relations only, not on the presentation
     assert b.matrix == rep.distinct.circuit_basis
-    assert dec.apex_indices == old.apex_indices
-    assert dec.core_indices == old.core_indices
+    assert dec.apex_indices == apexes == _apexes_by_rank(rep.distinct)
+    assert dec.core_indices == tuple(i for i in range(rep.distinct.npoints) if i not in apexes)
     assert dec.repeat_codim == rep.repeat_codim
-    assert dec.join_shape == (rep.repeat_codim, *old.join_shape[1:])
-    assert dec.splitting_valid and old.splitting_valid
+    assert dec.join_shape == (rep.repeat_codim, len(apexes), rep.distinct.npoints - len(apexes))
 
 
 @settings(max_examples=100, deadline=None)
-@given(conf_matrices, st.integers(1, 3))
-def test_smooth_certificate_runs_on_the_input_columns(rows, scale):
-    # a scaled row leaves the input off its lattice-normalized presentation
+@given(conf_matrices, st.integers(1, 3), seeds)
+def test_smooth_certificate_runs_on_the_input_columns(rows, scale, seed):
+    # a scaled row moves the columns onto a sublattice of their span
     c = parse_configuration([[scale * x for x in rows[0]]] + rows[1:])
     assume(len(set(c.columns())) == c.npoints)
     v = smooth_certificate(c)
-    ref = smooth_certificate(reduce_configuration(c))
+    ref = smooth_certificate(_other_presentation(c, seed))
     assert v.value == ref.value
     keys = ("vertex", "edge_count", "needed", "basis_of_difference_lattice")
     assert [[e.get(k) for k in keys] for e in v.witness["vertices"]] == [
@@ -375,16 +288,10 @@ def test_smooth_certificate_runs_on_the_input_columns(rows, scale):
 def test_handed_on_flags_match_recomputed(rows, flags_known):
     c = parse_configuration([r + r[:1] for r in rows])  # one repeated column
     if flags_known:  # computed before the reductions run
-        _ = (c.regular, c.lattice_normalized)
-    derived = [regularize(c), dedup(c).distinct]
-    try:
-        derived += [normalize_lattice(c)[0], reduce_configuration(c)]
-    except ValueError:
-        pass  # rank zero
-    for d in derived:
+        _ = c.regular
+    for d in (regularize(c), dedup(c).distinct):
         fresh = parse_configuration(d.weights)
         assert d.regular == fresh.regular
-        assert d.lattice_normalized == fresh.lattice_normalized
 
 
 def _count_calls(monkeypatch, modules, names):
@@ -422,13 +329,12 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
     if doubled_row:
         rows[0] = [2 * x for x in rows[0]]
-    c = parse_configuration(rows)
-    rep = dedup(reduce_configuration(c))
-    assert rep.repeat_codim == 0
-    assert not pyramid_decompose(rep.distinct).apex_indices
+    dec = full_decomposition(parse_configuration(rows))
+    assert dec.repeat_codim == 0
+    assert not dec.apex_indices
     kernels = ("affine_relation_kernel", "integer_kernel", "circuit_kernel")
     counts = _count_calls(monkeypatch, _toricdual_modules(), kernels)
-    reductions = ("normalize_lattice", "reduce_configuration")
+    reductions = ("regularize",)
     reduction_counts = _count_calls(monkeypatch, _toricdual_modules(), reductions)
     fraction_counts = _fraction_rank_calls(monkeypatch)
     is_self_dual(parse_configuration(rows))
@@ -471,31 +377,3 @@ def test_flags_are_read_only():
     assert c.regular
     with pytest.raises(AttributeError):
         c.regular = False
-
-
-def test_normalize_back_transform_on_a_non_square_lattice():
-    c = parse_configuration([[2, 4, 6, 0], [0, 2, 4, 6], [2, 6, 10, 6]])
-    c2, back = normalize_lattice(c)
-    assert c2.lattice_normalized and c2.dim == 2
-    assert product(back, c2.weights) == c.weights.tolist()
-
-
-@settings(max_examples=150, deadline=None)
-@given(any_matrices)
-def test_normalize_lattice_contract(rows):
-    # rank-deficient, repeated, zero and scaled rows, entries up to 10^12
-    c = parse_configuration(rows)
-    r = rank(rows)
-    if r == 0:
-        with pytest.raises(ValueError):
-            normalize_lattice(c)
-        return
-    c2, back = normalize_lattice(c)
-    assert back.shape == (c.dim, c2.dim)
-    assert product(back, c2.weights) == c.weights.tolist()
-    # the new columns span Z^r: coprime maximal minors
-    assert c2.dim == r and minor_gcd(c2.weights.tolist(), r) == 1
-    assert c2.lattice_normalized
-    assert c2.relations == c.relations
-    assert c2.relations.tolist() == c.relations.tolist()
-    assert c2.relations.shape == c.relations.shape

@@ -12,13 +12,15 @@ from toricdual.families import (
     segre,
 )
 from toricdual.gale import gale_dual, verify_gale_dual
-from toricdual.intlinalg import column_lattices_equal, imat, integer_kernel
+from toricdual.intlinalg import column_lattices_equal, imat, integer_kernel, lattice_basis
 
 
 def test_segre_shape_and_flags():
     c = segre(2)
     assert c.weights.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
-    assert c.regular and c.lattice_normalized
+    assert c.regular
+    # the columns span Z^3: their Hermite basis is the identity
+    assert lattice_basis(c.weights.T, c.dim) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(ValueError):
         segre(1)
 

@@ -13,11 +13,11 @@ from toricdual.intlinalg import (
     column_lattice_saturated,
     det,
     eye,
-    hermite_normal_form,
     imat,
     in_row_span,
     integer_kernel,
     column_lattices_equal,
+    lattice_basis,
     matmul,
     primitive_vector,
     rank,
@@ -184,22 +184,24 @@ def test_matmul_matches_reference_product(rows, k, rnd):
 
 
 def test_hermite_identity():
-    h, u = hermite_normal_form(eye(3))
+    # the column Hermite form of a is the row Hermite form of its transpose
+    h, u = row_hermite(eye(3).T)
     assert h == eye(3) == imat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert u == eye(3)
 
 
 def test_hermite_zero():
     z = imat([[0, 0], [0, 0]])
-    h, u = hermite_normal_form(z)
+    h, u = row_hermite(z.T)
     assert h == z
     assert u == eye(2)
 
 
 def test_hermite_2x2_example():
     m = imat([[2, 4], [0, 2]])
-    h, u = hermite_normal_form(m)
-    assert product(m, u) == h.tolist()
+    h, u = row_hermite(m.T)
+    assert h == imat([[2, 0], [0, 2]])
+    assert product(u, m.T) == h.tolist()
     assert abs(cofactor_det(u.tolist())) == 1
     assert abs(cofactor_det(h.tolist())) == 4
 
@@ -208,10 +210,11 @@ def test_hermite_2x2_example():
 @given(any_matrices)
 def test_hermite_properties(rows):
     m = imat(rows)
-    h, u = hermite_normal_form(m)
-    assert product(m, u) == h.tolist()
-    assert abs(det(u)) == 1
-    assert abs(det(u)) == abs(cofactor_det(u.tolist()))
+    ht, ut = row_hermite(m.T)
+    assert product(ut, m.T) == ht.tolist()
+    assert abs(det(ut)) == 1
+    assert abs(det(ut)) == abs(cofactor_det(ut.tolist()))
+    h = ht.T
     assert _is_column_hermite(h.select([j for j in range(h.shape[1]) if any(h.column(j))]))
     hr, ur = row_hermite(m)
     assert product(ur, m) == hr.tolist()
@@ -300,8 +303,9 @@ def test_saturation_and_normalized_flag_match_minor_gcd(rows):
     r = rational_rank(imat(rows))
     assert column_lattice_saturated(rows) == (r == 0 or minor_gcd(rows, r) == 1)
     assert column_lattice_saturated(imat(rows)) == column_lattice_saturated(rows)
-    c = parse_configuration(rows)
-    assert c.lattice_normalized == (minor_gcd(rows, len(rows)) == 1)
+    # the columns span Z^d exactly when their Hermite basis is the identity
+    spans = lattice_basis(imat(rows).T, len(rows)) == eye(len(rows)).tolist()
+    assert spans == (minor_gcd(rows, len(rows)) == 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -151,13 +151,35 @@ def test_facial_via_separation_matches_gale_test():
                 assert facial_via_separation(c, sub) == is_facial(c, sub).value, sub
 
 
+def _replayed_draw(rng):
+    """The draw ``random_configuration(rng)`` keeps, found by replaying its
+    rejection sampling with the default filters on the saturated Gale dual."""
+    while True:
+        d = rng.randint(1, 4)
+        n = rng.randint(max(2, d + 1), 8)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        c = parse_configuration(rows)
+        if len(set(c.columns())) != n:
+            continue
+        b = gale_dual(c)
+        if b.corank and not b.zero_rows():
+            return rows
+
+
 def test_random_configuration_filters():
-    rng = random.Random(7)
+    rng, replay = random.Random(7), random.Random(7)
     for _ in range(10):
         c = random_configuration(rng)
-        assert c.regular and c.lattice_normalized
+        draw = _replayed_draw(replay)
+        assert c.regular
         assert len(set(c.columns())) == c.npoints
         assert not gale_dual(c).zero_rows()
+        # independent rows taken from [1; W]: rank([1; W]) of them, with the
+        # relations of the draw
+        ones_on_top = [[1] * len(draw[0]), *draw]
+        assert c.dim == rational_rank(c.weights) == rational_rank(ones_on_top)
+        assert all(list(row) in ones_on_top for row in c.weights)
+        assert c.relations == parse_configuration(ones_on_top).relations
 
 
 def test_random_configuration_deterministic():
