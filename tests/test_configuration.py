@@ -131,6 +131,35 @@ def test_affine_dim_is_rank_of_regularized_minus_one():
     assert affine_dim(c) == rational_rank(regularize(c).weights) - 1
 
 
+def test_pyramid_decompose_cone_over_conic():
+    c = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
+    rep = full_decomposition(c)
+    assert rep.apex_indices == (3,)
+    assert rep.core_indices == (0, 1, 2)
+    assert rep.join_shape == (0, 1, 3)
+    k = affine_relation_kernel(c)
+    assert k.shape == (4, 1)
+
+
+def test_pyramid_decompose_non_pyramidal():
+    rep = full_decomposition(parse_configuration(SEGRE2))
+    assert rep.apex_indices == ()
+    assert rep.join_shape == (0, 0, 4)
+
+
+def test_pyramid_decompose_identity_all_apex():
+    rep = full_decomposition(parse_configuration(eye(3)))
+    assert rep.apex_indices == (0, 1, 2)
+    assert rep.core_indices == ()
+
+
+def test_pyramid_splitting_fails_off_the_spanned_lattice():
+    # two independent points whose lattice has index 2 in the ambient plane
+    # are both apexes: no lattice normalization is needed to find them
+    c = parse_configuration([[1, 1], [0, 2]])
+    assert full_decomposition(c).apex_indices == (0, 1)
+
+
 def test_subconfiguration():
     c = parse_configuration(SEGRE2)
     sub = subconfiguration(c, [0, 2])

@@ -288,21 +288,6 @@ def test_full_decomposition():
     rep = full_decomposition(parse_configuration([[1, 1, 0, 0], [0, 0, 1, 1]]))
     assert rep.repeat_codim == 2
     assert rep.join_shape == (2, 2, 0)
-    # the cone over the conic: one apex
-    cone = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
-    rep = full_decomposition(cone)
-    assert rep.apex_indices == (3,)
-    assert rep.core_indices == (0, 1, 2)
-    assert rep.join_shape == (0, 1, 3)
-    assert gale_dual(cone).corank == 1
-    rep = full_decomposition(segre(2))
-    assert rep.apex_indices == ()
-    assert rep.join_shape == (0, 0, 4)
-    rep = full_decomposition(parse_configuration(eye(3)))
-    assert rep.apex_indices == (0, 1, 2)
-    assert rep.core_indices == ()
-    # two independent points spanning an index-2 sublattice are both apexes
-    assert full_decomposition(parse_configuration([[1, 1], [0, 2]])).apex_indices == (0, 1)
 
 
 def test_smooth_certificate_segre():
