@@ -11,6 +11,7 @@ run toricdual check self-dual demos/data/family_alpha_1.json --verify
 run toricdual check self-dual demos/data/twisted_cubic.txt --verify
 run toricdual check self-dual demos/data/random_26x100.txt --format text
 run toricdual check strong demos/data/strong_7x9.json
+run toricdual check strong demos/data/strong_bigint.json
 run toricdual check facial demos/data/segre2.json --subset 0,2 --verify
 run toricdual decompose demos/data/pyramid.txt
 run toricdual circuits demos/data/twisted_cubic.txt

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import families
 from .configuration import affine_dim, parse_configuration, regularize
@@ -38,14 +37,6 @@ from .oracle import (
     ENUMERATION_GUARD,
 )
 from .verdict import Verdict
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (set, frozenset, tuple)):
-        return list(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def read_matrix(path: str):
@@ -97,7 +88,7 @@ def _emit(report: dict, fmt: str):
 
 def _write(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(report, indent=2, default=_jsonable))
+        print(json.dumps(report, indent=2))
         return
     verdict = report.get("verdict")
     if verdict is not None:
@@ -107,7 +98,7 @@ def _write(report: dict, fmt: str):
     for key, val in report.items():
         if key in ("verdict", "criterion", "config_echo", "timings"):
             continue
-        print(f"{key}: {json.dumps(val, default=_jsonable)}")
+        print(f"{key}: {json.dumps(val)}")
     if "timings" in report:
         print(f"elapsed: {report['timings']['total_ms']:.1f} ms")
 

@@ -7,18 +7,17 @@ classes and zero line sums do not change when the Gale basis is changed
 over Q, so the self-duality verdict reads the fundamental-circuit basis
 (``Configuration.circuit_basis``) and never saturates it; its line-sum
 witnesses give directions and sums in that basis and say so with
-``"basis": "fundamental_circuits"``.  The strong test (whose products
-depend on the basis) and the Segre and hypersurface recognizers read the
-saturated canonical basis of :func:`gale_dual`.
+``"basis": "fundamental_circuits"``.  The strong test (whose balance
+condition needs a lattice basis) and the Segre and hypersurface
+recognizers read the saturated canonical basis of :func:`gale_dual`.
 """
 
 import enum
-import itertools
-from math import prod
+from math import gcd
 
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
-from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
-from .gale import GaleDual, gale_dual, is_facial, line_sums_zero, verify_gale_dual
+from .exceptions import InapplicableInput, pyramidal_input
+from .gale import GaleDual, gale_dual, is_facial, line_sums_zero
 from .intlinalg import IntMatrix, det, imat, integer_kernel, lattice_basis, primitive_vector
 from .verdict import Verdict
 
@@ -111,34 +110,65 @@ def _circuit_line_sums(b: GaleDual) -> Verdict:
     return Verdict(v.value, v.criterion, {**v.witness, "basis": "fundamental_circuits"})
 
 
-def _strong_products(b: GaleDual):
-    """Per-column pair (product over positive entries, product over negative)."""
-    return [
-        (prod(e**e for e in column if e > 0), prod(e ** -e for e in column if e < 0))
-        for column in b.matrix.T
-    ]
+def _coprime_base(numbers) -> list:
+    """A coprime base (Bernstein 2005) of ``numbers`` (all > 1): pairwise
+    coprime integers > 1 whose products give each of them.  A split replaces
+    ``x, p`` with ``g = gcd(x, p) > 1`` by ``g, p/g, x/g`` (ones dropped); it
+    divides the product of all numbers held by ``g``, so the loop ends."""
+    pending, base = set(numbers), []
+    while pending:
+        x = pending.pop()
+        for i, p in enumerate(base):
+            g = gcd(x, p)
+            if g > 1:
+                del base[i]
+                pending.update(y for y in (g, p // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
 
 
-def _signed_bits(x: int) -> int:
-    """Bit length of ``x``, negated when ``x`` is negative."""
-    return x.bit_length() if x >= 0 else -x.bit_length()
+def _balanced(column) -> bool:
+    """Whether ``prod e^e`` over ``column`` is 1 (``0^0 = 1``), with no power
+    formed.  Its sign is ``(-1)^(sum of the negative e)``; its size is
+    ``prod a^s_a`` with ``s_a`` the sum of the ``e`` with ``|e| = a``, which is
+    1 iff ``sum s_a v_p(a) = 0`` for each ``p`` of a coprime base of the ``a``.
+    """
+    if sum(e for e in column if e < 0) % 2:
+        return False
+    net = {}
+    for e in column:
+        if e:  # 0^0 = 1, and no valuation of 0 ends
+            net[abs(e)] = net.get(abs(e), 0) + e
+    net = {a: s for a, s in net.items() if a > 1 and s}
+    for p in _coprime_base(net):
+        exponent = 0
+        for a, s in net.items():
+            while a % p == 0:
+                a //= p
+                exponent += s
+        if exponent:
+            return False
+    return True
 
 
-def is_strongly_self_dual(c: Configuration, basis=None) -> Verdict:
+def is_strongly_self_dual(c: Configuration) -> Verdict:
     """Decide strong self-duality (equality with the dual under the canonical
     coordinate identification).
 
     Requires a regular non-pyramidal configuration.  Two conditions on the
-    Gale dual: (a) every line class of rows sums to zero, (b) for each basis
-    column the product of e^e over positive entries equals the product of
-    e^(-e) over negative entries (0^0 = 1).  Condition (b) depends on the
-    choice of basis columns, so the verdict is computed on the canonical
-    deterministic basis; pass ``basis`` to see the same two checks on your
-    own Gale dual matrix side by side.  Strong self-duality implies
-    self-duality, so when (a) fails the products are not formed and their
-    report fields are None.  Products are reported as bit lengths (negated
-    for a negative product): their decimal forms can run to tens of
-    thousands of digits.
+    Gale dual ``B`` of :func:`gale_dual`: (a) every line class of rows sums
+    to zero, (b) every column is balanced, the product of e^e over its
+    entries being 1 (0^0 = 1); (b) is decided on exponents, no power formed.
+    When (a) fails, (b) is not evaluated and ``unbalanced_columns`` is None.
+
+    No other basis can change the verdict.  Under (a), write the rows of a
+    line class C as ``λ_i u_C``, ``u_C`` primitive and ``Σ λ_i = 0``; then
+    the column ``B u`` has ``∏ e^e = ∏_C K_C^<u_C, u>``, ``K_C = ∏ λ_i^λ_i``.
+    That is a homomorphism Z^r → Q^×, trivial on one basis of the saturated
+    relation lattice iff on all of it, so on every Gale dual that
+    :func:`verify_gale_dual` accepts.
     """
     if not c.regular:
         raise InapplicableInput(
@@ -149,30 +179,20 @@ def is_strongly_self_dual(c: Configuration, basis=None) -> Verdict:
     apexes = b.zero_rows()
     if apexes:
         raise pyramidal_input(apexes, "strong self-duality")
-
-    def evaluate(dual: GaleDual):
-        report = {
-            "line_sums_zero": bool(line_sums_zero(dual).value),
-            "products": None,
-            "products_balanced": None,
-            "basis": dual.matrix.tolist(),
-        }
-        if report["line_sums_zero"]:
-            prods = _strong_products(dual)
-            report["products"] = [[_signed_bits(l), _signed_bits(r)] for l, r in prods]
-            report["products_balanced"] = all(l == r for l, r in prods)
-        return report, report["line_sums_zero"] and report["products_balanced"]
-
-    canon_report, value = evaluate(b)
-    witness = {"kind": "strong_conditions", "canonical": canon_report}
-    if basis is not None:
-        bm = imat(basis)
-        if not verify_gale_dual(c, bm):
-            raise ValueError("supplied matrix is not a Gale dual of the configuration")
-        user_report, user_value = evaluate(GaleDual(matrix=bm))
-        user_report["value"] = user_value
-        witness["supplied"] = user_report
-    return Verdict(value=value, criterion="strong-gale-products", witness=witness)
+    sums_zero = bool(line_sums_zero(b).value)
+    unbalanced = None
+    if sums_zero:
+        unbalanced = [j for j, column in enumerate(b.matrix.T) if not _balanced(column)]
+    return Verdict(
+        value=unbalanced == [],
+        criterion="strong-gale-products",
+        witness={
+            "kind": "strong_conditions",
+            "line_sums_zero": sums_zero,
+            "unbalanced_columns": unbalanced,
+            "basis": b.matrix.tolist(),
+        },
+    )
 
 
 def is_lawrence(c: Configuration):
@@ -275,14 +295,15 @@ def is_segre(c: Configuration):
 
     Characterized on the Gale dual: 2m rows in antipodal pairs, one
     representative per pair summing to zero over all pairs, with any m-1 of
-    the representatives a lattice basis.
+    the representatives a lattice basis.  The m representatives span
+    Q^(m-1), so their relations form one line: a zero-sum choice of signs
+    exists iff its primitive vector is all ±1, and then the signs change no
+    determinant's absolute value.
     """
     n = c.npoints
     if n % 2 != 0 or n < 4:
         return None
     m = n // 2
-    if m > 12:
-        raise GuardExceeded(f"Segre recognition searches 2^{m} sign patterns")
     b = gale_dual(c)
     if b.corank != m - 1:
         return None
@@ -297,15 +318,11 @@ def is_segre(c: Configuration):
             return None
         unmatched.remove(j)
         reps.append(rows[i])
-    for signs in itertools.product((1, -1), repeat=m):
-        chosen = [tuple(s * x for x in rep) for s, rep in zip(signs, reps)]
-        total = tuple(sum(v[j] for v in chosen) for j in range(m - 1))
-        if any(x != 0 for x in total):
-            continue
-        # rows sum to zero, so every (m-1)-subset has the same |det|
-        if abs(det(chosen[: m - 1])) == 1:
-            return m
-    return None
+    signs = integer_kernel(IntMatrix(reps, m - 1).T).column(0)
+    if any(abs(s) != 1 for s in signs):
+        return None
+    # rows sum to zero, so every (m-1)-subset has the same |det|
+    return m if abs(det(reps[: m - 1])) == 1 else None
 
 
 class HypersurfaceClass(enum.Enum):

@@ -2,7 +2,7 @@
 
 from .configuration import Configuration, parse_configuration
 from .gale import verify_gale_dual
-from .intlinalg import IntMatrix, imat, integer_kernel, rank, row_hermite
+from .intlinalg import IntMatrix, imat, integer_kernel, lattice_basis, rank
 
 
 def segre(m: int) -> Configuration:
@@ -84,8 +84,7 @@ def config_from_gale(b) -> Configuration:
     if rank(bm) != bm.shape[1]:
         raise ValueError("columns of a Gale dual must be linearly independent")
     comp = integer_kernel(bm.T)  # n x (n - r), saturated
-    h, _ = row_hermite(comp.T)
-    c = parse_configuration([row for row in h if any(row)])
+    c = parse_configuration(lattice_basis(comp.T, bm.shape[0]))
     if not verify_gale_dual(c, bm):
         raise ValueError(
             "columns do not span a saturated relation lattice; "

@@ -10,6 +10,7 @@ complementary rows.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .configuration import Configuration, _ones_on_top, regularize
 from .exceptions import InapplicableInput, pyramidal_input
@@ -157,13 +158,22 @@ def coparallel_classes(b: GaleDual) -> tuple:
     return tuple(sorted(groups, key=lambda g: g[0]))
 
 
+def _cleared(values) -> tuple:
+    """``(ints, den)``: the rationals times ``den``, the lcm of their
+    denominators, so a witness is stated in integers."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def is_facial(c: Configuration, subset) -> Verdict:
     """Is ``subset`` exactly the set of points on some face of the hull?
 
     Decided on the Gale side: the complement must carry a strictly positive
     rational dependency among its dual rows.  The full set is the improper
     face; a configuration with no affine relations is a simplex, where every
-    nonempty subset is facial.
+    nonempty subset is facial.  The dependency, or the Farkas vector that
+    rules one out, is given in integers: the rational one times the lcm of
+    its denominators, which is a certificate too.
     """
     sel = sorted(set(int(j) for j in subset))
     if not sel:
@@ -193,7 +203,7 @@ def is_facial(c: Configuration, subset) -> Verdict:
             witness={
                 "kind": "positive_dependency",
                 "complement": complement,
-                "coefficients": [str(x) for x in dep],
+                "coefficients": _cleared(dep)[0],
             },
         )
     return Verdict(
@@ -202,7 +212,7 @@ def is_facial(c: Configuration, subset) -> Verdict:
         witness={
             "kind": "no_positive_dependency",
             "complement": complement,
-            "separating_certificate": [str(x) for x in farkas],
+            "separating_certificate": _cleared(farkas)[0],
         },
     )
 
@@ -211,7 +221,8 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
     """Does a linear functional take value 0 off ``members`` and 1 on them?
 
     When it does, ``members`` and its complement lie in parallel hyperplanes
-    and both are faces; the functional is returned as the witness.
+    and both are faces; the witness gives the functional as ``ell``, integers
+    to be divided by ``denominator``.
     """
     sel = sorted(set(int(j) for j in members))
     if not sel:
@@ -227,14 +238,11 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
             criterion="parallel-face-complement",
             witness={"kind": "no_functional", "members": sel},
         )
+    ell, den = _cleared(ell)
     return Verdict(
         value=True,
         criterion="parallel-face-complement",
-        witness={
-            "kind": "functional",
-            "members": sel,
-            "ell": [str(x) for x in ell],
-        },
+        witness={"kind": "functional", "members": sel, "ell": ell, "denominator": den},
     )
 
 
@@ -264,8 +272,9 @@ def coparallel_criterion(c: Configuration) -> Verdict:
                 criterion="coparallel-face-complements",
                 witness={"kind": "violating_class", "members": list(cls)},
             )
+        w = sub.witness
         functionals.append(
-            {"members": list(cls), "ell": sub.witness["ell"]}
+            {"members": list(cls), "ell": w["ell"], "denominator": w["denominator"]}
         )
     return Verdict(
         value=True,

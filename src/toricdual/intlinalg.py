@@ -3,23 +3,21 @@
 A matrix is an :class:`IntMatrix`, a tuple of row tuples whose entries are
 Python ints (arbitrary precision), so nothing here can overflow or round.
 :func:`imat` validates outside input into one, and the functions here also
-take nested int sequences.  Every transform that claims to be unimodular
-really is, and the tests check it.
+take nested int sequences.
 
 The fast path is fraction-free and runs on plain int lists: one Bareiss loop
 serves ``rank`` and ``det`` (forward elimination) and ``circuit_kernel``
 (the same loop eliminating above each pivot too), and one Hermite echelon
-loop (``_echelon``) serves ``row_hermite``, ``integer_kernel`` and
-``lattice_basis``.  ``lattice_basis`` answers every question about a column
-lattice: equality (``column_lattices_equal``) and saturation
-(``column_lattice_saturated``); no Smith form is needed for either.
+loop (``_echelon``) serves ``integer_kernel`` and ``lattice_basis``.
+``lattice_basis`` answers every question about a lattice: a canonical basis
+(``config_from_gale``), equality (``column_lattices_equal``) and saturation
+(``column_lattice_saturated``); no Smith form is needed for any.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual; ``circuit_kernel`` is the fundamental-circuit basis, a kernel basis
 over Q only, and the self-duality verdict states its line-sum witnesses in
-its coordinates.  ``rational_rank`` and
-``in_row_span`` keep ``fractions.Fraction`` Gauss-Jordan elimination as the
-oracles' reference arithmetic; the package's fast predicates do not call
-them.
+its coordinates.  ``rational_rank`` and ``in_row_span`` keep
+``fractions.Fraction`` Gauss-Jordan elimination as the oracles' reference
+arithmetic; the package's fast predicates do not call them.
 """
 
 from fractions import Fraction
@@ -182,21 +180,6 @@ def _echelon(rows: list, ncols: int) -> list:
                     rows[i] = [x - q * y for x, y in zip(rows[i], pr)]
             r += 1
     return rows
-
-
-def row_hermite(a):
-    """Row Hermite normal form.
-
-    Returns ``(h, u)`` with ``matmul(u, a) == h``, ``u`` unimodular and ``h`` in the
-    canonical row echelon form: pivots positive, entries above each pivot
-    reduced into ``[0, pivot)``, zero rows at the bottom.  The form is unique,
-    so two matrices have equal row lattices iff their forms agree.  Computed
-    as the echelon form of ``[a | I]``.
-    """
-    a = imat(a)
-    m, n = a.shape
-    rows = _echelon(_with_identity(a), n)
-    return IntMatrix([row[:n] for row in rows], n), IntMatrix([row[n:] for row in rows], m)
 
 
 def _bareiss(rows: list, jordan: bool = False) -> tuple:

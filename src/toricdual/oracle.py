@@ -237,14 +237,13 @@ def strong_binomial_degree(b: GaleDual) -> int:
     return max((sum(x for x in column if x > 0) for column in b.matrix.T), default=0)
 
 
-def strong_via_points(c: Configuration, samples: int = 0) -> bool:
+def strong_via_points(c: Configuration) -> bool:
     """Strong self-duality referee by exact evaluation.
 
     Substitutes the dual parameterization into each basis binomial and checks
     the two sides agree on an integer grid with more values per coordinate
     than the degree bound — which certifies the polynomial identity, so the
-    answer is exact, not probabilistic.  ``samples`` asks for extra prime
-    coordinate points on top of the certifying grid.
+    answer is exact, not probabilistic.
     """
     if not c.regular:
         raise InapplicableInput(
@@ -261,12 +260,8 @@ def strong_via_points(c: Configuration, samples: int = 0) -> bool:
             f"certifying grid would need {per_axis}^{b.corank} evaluations"
         )
     grid = [range(per_axis)] * b.corank
-    points = [list(p) for p in itertools.product(*grid)]
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    for t in range(samples):
-        points.append([primes[(t + j) % len(primes)] ** (j + 1) for j in range(b.corank)])
     cols = list(b.matrix.T)
-    for s in points:
+    for s in itertools.product(*grid):
         coords = [
             sum(s[j] * b.row(i)[j] for j in range(b.corank)) for i in range(b.npoints)
         ]

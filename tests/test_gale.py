@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toricdual.configuration import parse_configuration, regularize
@@ -175,10 +177,39 @@ def test_parallel_face_complement_segre2():
     # the two columns sharing first coordinate 1; ell = (1,0,0) works
     v = is_parallel_face_complement(c, [0, 2])
     assert v.value
-    assert v.witness["ell"] == ["1", "0", "0"]
+    assert v.witness["ell"] == [1, 0, 0] and v.witness["denominator"] == 1
     # the whole set: solvable iff the configuration is regular
     assert is_parallel_face_complement(c, [0, 1, 2, 3]).value
     assert not is_parallel_face_complement(parse_configuration([[0, 1, 2]]), [0, 1, 2]).value
+
+
+def _digits_3900(rows, cols):
+    # entries of 3900 digits: a witness's decimal form passes the
+    # interpreter's int-to-str digit limit, so witnesses must not need one
+    rng = random.Random(3)
+    return [[rng.randrange(10**3899, 10**3900) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_facial_witness_in_integers_past_the_digit_limit():
+    c = parse_configuration(_digits_3900(3, 6))
+    v = is_facial(c, [0])
+    assert v.value and v.witness["kind"] == "positive_dependency"
+    coefficients = v.witness["coefficients"]
+    assert all(type(x) is int and x > 0 for x in coefficients)
+    assert max(coefficients).bit_length() > 14300  # past 4300 digits
+    rows = [gale_dual(c).matrix[i] for i in v.witness["complement"]]
+    assert not any(sum(x * row[j] for x, row in zip(coefficients, rows)) for j in range(2))
+
+
+def test_parallel_face_witness_in_integers_past_the_digit_limit():
+    c = parse_configuration(_digits_3900(3, 3))
+    v = is_parallel_face_complement(c, [0])
+    assert v.value
+    ell, den = v.witness["ell"], v.witness["denominator"]
+    assert all(type(x) is int for x in ell) and den > 0
+    assert den.bit_length() > 14300
+    values = [sum(x * y for x, y in zip(ell, col)) for col in c.columns()]
+    assert values == [den, 0, 0]
 
 
 def test_parallel_face_complement_needs_facial():

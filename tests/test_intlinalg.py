@@ -22,7 +22,6 @@ from toricdual.intlinalg import (
     primitive_vector,
     rank,
     rational_rank,
-    row_hermite,
 )
 
 
@@ -183,52 +182,63 @@ def test_matmul_matches_reference_product(rows, k, rnd):
         matmul(rows, other + [[0] * k])
 
 
+def _in_lattice(h, v) -> bool:
+    """Whether ``v`` is an integer combination of the rows of the echelon
+    basis ``h``, by exact back-substitution along its pivots."""
+    v = list(v)
+    for row in h:
+        p = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[p], row[p])
+        if rem:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 def test_hermite_identity():
     # the column Hermite form of a is the row Hermite form of its transpose
-    h, u = row_hermite(eye(3).T)
-    assert h == eye(3) == imat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert u == eye(3)
+    assert lattice_basis(eye(3).T, 3) == eye(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_hermite_zero():
-    z = imat([[0, 0], [0, 0]])
-    h, u = row_hermite(z.T)
-    assert h == z
-    assert u == eye(2)
+    # the zero lattice has an empty basis
+    assert lattice_basis(imat([[0, 0], [0, 0]]).T, 2) == []
 
 
 def test_hermite_2x2_example():
     m = imat([[2, 4], [0, 2]])
-    h, u = row_hermite(m.T)
-    assert h == imat([[2, 0], [0, 2]])
-    assert product(u, m.T) == h.tolist()
-    assert abs(cofactor_det(u.tolist())) == 1
-    assert abs(cofactor_det(h.tolist())) == 4
+    h = lattice_basis(m.T, 2)
+    assert h == [[2, 0], [0, 2]]
+    assert all(_in_lattice(h, col) for col in m.T)
+    assert abs(cofactor_det(h)) == abs(cofactor_det(m.tolist())) == 4
+
+
+def _check_hermite_basis(vectors, dim):
+    """``lattice_basis`` against independent oracles: Hermite shape, the
+    rank, every generator in its lattice, and equal maximal-minor gcds (so
+    the generators' lattice is not a proper sublattice of it)."""
+    h = lattice_basis(vectors, dim)
+    k = len(h)
+    assert _is_column_hermite(IntMatrix([[row[i] for row in h] for i in range(dim)], k))
+    assert k == rational_rank(vectors)
+    assert all(_in_lattice(h, v) for v in vectors)
+    if k:
+        assert minor_gcd(h, k) == minor_gcd(vectors, k)
 
 
 @settings(max_examples=150, deadline=None)
 @given(any_matrices)
 def test_hermite_properties(rows):
     m = imat(rows)
-    ht, ut = row_hermite(m.T)
-    assert product(ut, m.T) == ht.tolist()
-    assert abs(det(ut)) == 1
-    assert abs(det(ut)) == abs(cofactor_det(ut.tolist()))
-    h = ht.T
-    assert _is_column_hermite(h.select([j for j in range(h.shape[1]) if any(h.column(j))]))
-    hr, ur = row_hermite(m)
-    assert product(ur, m) == hr.tolist()
-    assert abs(det(ur)) == 1
+    _check_hermite_basis(m.T.tolist(), m.shape[0])  # column lattice
+    _check_hermite_basis(m.tolist(), m.shape[1])  # row lattice
 
 
-def test_row_hermite_is_canonical():
-    # same row lattice presented by two generating sets -> identical form
-    a = imat([[2, 1], [0, 3]])
-    b = imat([[2, 1], [2, 4], [4, 5]])
-    ha, _ = row_hermite(a)
-    hb, _ = row_hermite(b)
-    assert ha.tolist() == hb.tolist()[:2]
-    assert all(x == 0 for x in hb[2])
+def test_lattice_basis_is_canonical():
+    # same lattice presented by two generating sets -> identical basis
+    a = [[2, 1], [0, 3]]
+    b = [[2, 1], [2, 4], [4, 5]]
+    assert lattice_basis(a, 2) == lattice_basis(b, 2) == [[2, 1], [0, 3]]
 
 
 def test_kernel_collinear_triple():

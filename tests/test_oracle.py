@@ -134,7 +134,7 @@ def test_sigma_twisted_cubic_witness():
 
 def test_strong_via_points_examples():
     assert strong_via_points(segre(2))
-    assert strong_via_points(segre(3), samples=3)
+    assert strong_via_points(segre(3))
     # conic variant with dual column (-2, 1, 1): 4 s^2 != s^2
     c = parse_configuration([[1, 1, 1], [0, 1, -1]])
     assert not strong_via_points(c)
