@@ -5,17 +5,20 @@ Python ints (arbitrary precision), so nothing here can overflow or round.
 :func:`imat` validates outside input into one, and the functions here also
 take nested int sequences.
 
-The fast path is fraction-free and runs on plain int lists: one Bareiss loop
-serves ``rank`` and ``det`` (forward elimination) and ``circuit_kernel``
-(the same loop eliminating above each pivot too), and one Hermite echelon
-loop (``_echelon``) serves ``integer_kernel`` and ``lattice_basis``.
+The fast path is fraction-free and runs on plain int lists.  One Bareiss loop
+serves ``rank`` and ``det`` (forward elimination), ``circuit_kernel`` (the
+same loop eliminating above each pivot too) and ``integer_kernel`` (that
+Gauss-Jordan pass on the reversed columns, then a Hermite form kept modulo
+its last pivot); one Hermite echelon loop (``_echelon``) serves
+``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: a canonical basis
 (``config_from_gale``), equality (``column_lattices_equal``) and saturation
 (``column_lattice_saturated``); no Smith form is needed for any.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
-dual; ``circuit_kernel`` is the fundamental-circuit basis, a kernel basis
-over Q only, and the self-duality verdict states its line-sum witnesses in
-its coordinates.  ``rational_rank`` and ``in_row_span`` keep
+dual (the oracles keep the two-pass echelon route to the same basis as
+their reference); ``circuit_kernel`` is the fundamental-circuit basis, a
+kernel basis over Q only, and the self-duality verdict states its line-sum
+witnesses in its coordinates.  ``rational_rank`` and ``in_row_span`` keep
 ``fractions.Fraction`` Gauss-Jordan elimination as the oracles' reference
 arithmetic; the package's fast predicates do not call them.
 """
@@ -123,14 +126,6 @@ def matmul(a, b) -> IntMatrix:
     )
 
 
-def _with_identity(a) -> list:
-    """Rows of ``[a | I]`` as int lists, ``I`` the identity of ``a``'s row count."""
-    rows = [list(row) for row in a]
-    for i, row in enumerate(rows):
-        row.extend(int(i == j) for j in range(len(rows)))
-    return rows
-
-
 def _echelon(rows: list, ncols: int) -> list:
     """Canonical row echelon form of the first ``ncols`` columns, in place.
 
@@ -186,17 +181,17 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     """Fraction-free (Bareiss 1968) elimination of ``rows``, in place.
 
     Columns without a pivot are skipped, so every division is exact on any
-    shape.  Returns ``(rank, sign, pivot)``: ``sign`` is the parity of the row
-    swaps and ``pivot`` the last pivot; a nonsingular square matrix has
-    determinant ``sign * pivot``.  Forward elimination by default; with
+    shape.  Returns ``(pivots, sign, pivot)``: ``pivots`` lists the pivot
+    columns in order (their count is the rank), ``sign`` is the parity of
+    the row swaps and ``pivot`` the last pivot; a nonsingular square matrix
+    has determinant ``sign * pivot``.  Forward elimination by default; with
     ``jordan`` the rows above each pivot are eliminated by the same update
-    (fraction-free Gauss-Jordan), which leaves the first ``rank`` rows equal
-    to ``pivot`` times the reduced row echelon form, each with its first
-    nonzero entry in its pivot column.
+    (fraction-free Gauss-Jordan), which leaves row t, for t below the rank,
+    equal to ``pivot`` times the reduced row echelon row of the t-th pivot.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    r, sign, prev = 0, 1, 1
+    pivots, r, sign, prev = [], 0, 1, 1
     for c in range(ncols):
         if r == m:
             break
@@ -213,8 +208,9 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
                 f = rows[i][c]
                 rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
         prev = p
+        pivots.append(c)
         r += 1
-    return r, sign, prev
+    return pivots, sign, prev
 
 
 def det(a):
@@ -223,14 +219,14 @@ def det(a):
     m, n = a.shape
     if m != n:
         raise ValueError("determinant requires a square matrix")
-    r, sign, pivot = _bareiss(list(a))
-    return sign * pivot if r == n else 0
+    pivots, sign, pivot = _bareiss(list(a))
+    return sign * pivot if len(pivots) == n else 0
 
 
 def rank(a) -> int:
     """Rank of an integer matrix (or nested int sequences), by fraction-free
     elimination."""
-    return _bareiss(list(a))[0]
+    return len(_bareiss(list(a))[0])
 
 
 def rational_rank(a) -> int:
@@ -258,16 +254,117 @@ def rational_rank(a) -> int:
 def integer_kernel(a) -> IntMatrix:
     """Saturated basis of the integer kernel ``{v : a @ v = 0}``.
 
-    The columns of the result span the full lattice ``ker(a) ∩ Z^n``, not a
-    finite-index sublattice, and are the canonical (column Hermite) basis, so
-    the output is deterministic.  After an echelon pass over the first m
-    columns of ``[a^T | I_n]``, the rows that vanish there carry a unimodular
-    basis of the kernel; echelon them on their own to get the Hermite form.
+    The columns of the result span the full lattice ``L = ker(a) ∩ Z^n``,
+    not a finite-index sublattice, and are its column Hermite form, so the
+    output is deterministic.  Method: Hermite form modulo a determinant
+    (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, *A Course
+    in Computational Algebraic Number Theory*, Alg. 2.4.8) behind one
+    fraction-free Gauss-Jordan pass over ``a`` with its columns reversed.
+
+    That pass picks B, the lex-last column basis (k = rank(a) columns), and
+    ends on the pivot d; with D = |d|, P the other columns in increasing
+    order and R the k Jordan rows on P, the kernel is
+    ``d·x_B + R·x_P = 0``.  A vector of L can have its first nonzero entry
+    at column j iff column j of ``a`` lies in the span of the later columns,
+    i.e. iff j is in P, so P is the pivot set of the Hermite form H of L.
+    Projecting L onto P is injective (x_P determines x_B), with image
+    ``L_P = {x : R·x ≡ 0 mod D}``, which contains D·Z^P; so H on P is the
+    Hermite form of L_P, square, upper triangular, each pivot dividing D,
+    and every entry can be kept mod D.  Each row is lifted back exactly by
+    ``x_B = -(R·x_P)/d``.
+
+    The rows of H are found right to left over P.  The lattice
+    ``Λ = (span of the columns of R seen) + D·Z^k`` is kept as a Hermite
+    basis whose rows carry their coefficients on the columns inserted; since
+    D·e_s lies in the span of the rows from s on, every entry right of a
+    pivot may be reduced mod D.  If column j of R lies in Λ, the pivot h is 1
+    and the reduction gives the row's coefficients; otherwise h is the index
+    of Λ in Λ + Z·R_j (the ratio of the pivot products as R_j is inserted by
+    extended gcd) and the row comes from reducing h·R_j against the old Λ.
+    A back-reduction on the columns with h > 1 gives H; unit columns carry
+    no entries.  The Hermite form of a lattice is unique, so this is entry
+    for entry the basis of the textbook route (echelon ``[a^T | I]``, then
+    echelon the kernel rows again), without that second pass's entry growth.
     """
     a = imat(a)
-    m, n = a.shape
-    rows = _echelon(_with_identity(a.T), m)
-    return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
+    n = a.shape[1]
+    rows = [row[::-1] for row in a]
+    pivots, _, d = _bareiss(rows, jordan=True)
+    k = len(pivots)
+    big = abs(d)
+    cols = list(zip(*rows[:k])) if k else [()] * n  # R's columns, reversed numbering
+    lam = [[big if s == t else 0 for s in range(k)] for t in range(k)]
+    taken = set(pivots)
+    # slots: the columns with h > 1, in sweep order; hs: their h; full: their
+    # rows of H on the slots (h last)
+    slots, hs, full = [], [], []
+    out = []
+    for j in range(n):
+        if j in taken:
+            continue
+        v = [y % big for y in cols[j]] + [0] * len(slots)
+        old, h = None, 1
+        for t in range(k):
+            x = v[t]
+            if not x:
+                continue
+            row = lam[t]
+            g = row[t]
+            q, rem = divmod(x, g)
+            if not rem:
+                v = [(y - q * z) % big for y, z in zip(v, row)]
+                continue
+            if old is None:  # R_j is not in Λ: insert it, with a slot for j
+                old, part = lam, v
+                lam = [r + [0] for r in lam]
+                row, v = lam[t], v + [1]
+            # extended gcd, f·g + u·x = e = gcd(g, x): the pivot drops to e
+            e = gcd(g, x)
+            g1, x1 = g // e, x // e
+            u = pow(x1, -1, g1)
+            f = (1 - u * x1) // g1
+            lam[t] = [(f * y + u * z) % big for y, z in zip(row, v)]
+            v = [(g1 * z - x1 * y) % big for y, z in zip(row, v)]
+            h *= g1
+        if old is not None:
+            # h·R_j lies in the old Λ; reducing it there gives the coefficients
+            v = [h * y % big for y in part]
+            for t in range(k):
+                x = v[t]
+                if x:
+                    row = old[t]
+                    q = x // row[t]
+                    if q:
+                        v = [(y - q * z) % big for y, z in zip(v, row)]
+        x = v[k:] + [h]  # row j of H on the slots so far, then h at j
+        ns = len(x) - 1
+        for s in range(ns - 1, -1, -1):  # left to right in a's numbering
+            q = x[s] // hs[s]
+            if q:
+                rs = full[s]
+                for t in range(s + 1):
+                    x[t] -= q * rs[t]
+        if h > 1:
+            slots.append(j)
+            hs.append(h)
+            full.append(x)
+        vec = [0] * n
+        vec[j] = h
+        lift = [h * y for y in cols[j]]
+        for s in range(ns):
+            c = x[s]
+            if c:
+                i = slots[s]
+                vec[i] = c
+                lift = [z + c * y for z, y in zip(lift, cols[i])]
+        for p, y in zip(pivots, lift):
+            vec[p] = -y // d
+        out.append(vec)
+    if not out:
+        return IntMatrix(((),) * n, 0)
+    # out holds H's rows right to left, each in reversed numbering
+    out.reverse()
+    return IntMatrix(reversed(list(zip(*out))), len(out))
 
 
 def circuit_kernel(a) -> IntMatrix:
@@ -283,9 +380,8 @@ def circuit_kernel(a) -> IntMatrix:
     """
     rows = list(a)
     n = len(rows[0])
-    k, _, d = _bareiss(rows, jordan=True)
+    pivots, _, d = _bareiss(rows, jordan=True)
     # row t is d times the reduced echelon row of the t-th pivot
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows[:k]]
     s = 1 if d > 0 else -1
     taken = set(pivots)
     cols = []

@@ -7,15 +7,21 @@ Fraction echelon basis of each row subset, row-span tests from the Fraction
 share elimination code), faces from a separating-functional LP, strong
 self-duality from exact evaluation of the defining binomials on a grid large
 enough to certify a polynomial identity.  The inputs they start from are
-shared, not independent: the referees use the same ``integer_kernel`` (one
-Hermite echelon pass), ``gale_dual`` (and so the Gale kernel cached on each
-configuration) and ``affine_dim`` (a Bareiss rank) as the facial and strong
-predicates, and ``regularize`` as ``coparallel_criterion``.  The
-self-duality verdict reads the fundamental-circuit basis instead (a
-Bareiss-Jordan pass), so the flat-sum referee and it share no kernel.
-``random_lawrence_block`` reads the column lattice through its Hermite
-basis (``column_lattice_saturated``).  These run at desk scale only and
-guard themselves with explicit size limits.
+shared, not independent.  ``strong_via_points`` reads ``gale_dual`` (so
+``integer_kernel``, through the Gale kernel cached on each configuration)
+as the strong predicate does, and ``crosscheck`` hands that same Gale dual
+to ``self_dual_via_flats``.  ``enumerate_circuits`` reads ``affine_dim`` (a
+Bareiss rank) as the facial and strong predicates do, and ``regularize`` as
+``coparallel_criterion`` does.  ``facial_via_separation`` reads the input
+columns only, not the Gale dual.  ``enumerate_circuits`` and
+``random_lawrence_block`` compute kernels with ``_hermite_kernel``, the
+two-pass Hermite echelon route kept here as the reference, so they share no
+kernel code with ``integer_kernel`` (a Hermite form modulo a determinant).
+The self-duality verdict reads the fundamental-circuit basis (a
+Bareiss-Jordan pass), so the flat-sum referee and it share no kernel
+either.  ``random_lawrence_block`` reads the column lattice through its
+Hermite basis (``column_lattice_saturated``).  These run at desk scale only
+and guard themselves with explicit size limits.
 """
 
 import itertools
@@ -34,10 +40,10 @@ from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual
 from .intlinalg import (
     IntMatrix,
+    _echelon,
     column_lattice_saturated,
     imat,
     in_row_span,
-    integer_kernel,
     primitive_vector,
     rank,
 )
@@ -70,6 +76,23 @@ def _check_guard(n: int, what: str):
         )
 
 
+def _hermite_kernel(a) -> IntMatrix:
+    """The referees' saturated kernel basis, by the two-pass Hermite route.
+
+    An echelon pass over the first m columns of ``[a^T | I_n]`` leaves, in
+    the rows that vanish there, a unimodular basis of ``ker(a) ∩ Z^n``;
+    echelon those rows on their own for the Hermite form.  The result equals
+    ``integer_kernel(a)``, which reaches the same form modulo a determinant;
+    keeping this route here means a referee and the predicate it checks do
+    not share kernel code.
+    """
+    a = imat(a)
+    m, n = a.shape
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a.T)]
+    rows = _echelon(rows, m)
+    return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
+
+
 def enumerate_circuits(c: Configuration) -> list:
     """All circuits, by subset enumeration plus a kernel-rank-1 test.
 
@@ -82,7 +105,7 @@ def enumerate_circuits(c: Configuration) -> list:
     out = []
     for size in range(2, max_size + 1):
         for sub in itertools.combinations(range(c.npoints), size):
-            k = integer_kernel(reg.weights.select(sub))
+            k = _hermite_kernel(reg.weights.select(sub))
             if k.shape[1] != 1 or not all(k.column(0)):
                 continue
             rel = [0] * c.npoints
@@ -322,7 +345,7 @@ def random_lawrence_block(
         m = imat(
             [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(d)]
         )
-        if not all(map(any, integer_kernel(m))):
+        if not all(map(any, _hermite_kernel(m))):
             continue  # pyramidal lift: a zero kernel row, or no kernel at all
         if not column_lattice_saturated(m):
             continue

@@ -372,6 +372,15 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     assert counts == {"affine_relation_kernel": 0, "integer_kernel": 0, "circuit_kernel": 1}
 
 
+def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
+    rng = random.Random(11)
+    rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
+    c = parse_configuration(rows)
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("_bareiss", "_echelon"))
+    assert gale_dual(c).corank == 14 - 6
+    assert counts == {"_bareiss": 1, "_echelon": 0}
+
+
 def test_affine_dim_computes_no_gale_kernel(monkeypatch):
     rng = random.Random(10)
     rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]

@@ -340,6 +340,8 @@ def test_is_lawrence_segre():
 def test_is_lawrence_rejects():
     assert is_lawrence(parse_configuration([[1, 0], [0, 1]])) is None
     assert is_lawrence(parse_configuration([[1, 1, 0], [0, 0, 1]])) is None
+    # the block Id_1 | Id_1 takes the only row, leaving no row for M
+    assert is_lawrence(parse_configuration([[1, 1]])) is None
 
 
 def test_lawrence_parity_examples():
@@ -356,6 +358,16 @@ def test_lawrence_parity_examples():
     # zero matrix: kernel is everything (full support), but all sums are even
     v = lawrence_strong_parity([[0, 0, 0]])
     assert not v.value
+
+    # no subset of these rows has an odd sum in every column; the certificate
+    # is a mod-2 kernel vector of M with an odd sum
+    m = [[1, 1, 0], [0, 1, 1]]
+    v = lawrence_strong_parity(m)
+    assert v.value is False and v.witness["kind"] == "odd_kernel_certificate"
+    combination = v.witness["combination"]
+    assert combination == [1, 1, 1]
+    assert all(sum(x * y for x, y in zip(row, combination)) % 2 == 0 for row in m)
+    assert sum(combination) % 2 == 1
 
 
 def test_lawrence_parity_matches_strong_on_lift():

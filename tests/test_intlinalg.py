@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -23,6 +24,8 @@ from toricdual.intlinalg import (
     rank,
     rational_rank,
 )
+from toricdual.oracle import _hermite_kernel
+from test_gale import _digits_3900
 
 
 def cofactor_det(rows):
@@ -278,6 +281,52 @@ def test_kernel_is_saturated_and_annihilates(rows):
     assert k.shape == (m.shape[1], m.shape[1] - rational_rank(m))
 
 
+def _with_columns(rows, extras, ones):
+    """Append a repeated, a scaled or a zero copy of a column for each extra,
+    then a row of ones on top if ``ones`` (the ``[1; W]`` of a Gale dual)."""
+    cols = [list(c) for c in zip(*rows)]
+    made = {
+        "repeat": list,
+        "scale": lambda src: [5 * x for x in src],
+        "zero": lambda src: [0] * len(src),
+    }
+    for k, kind in enumerate(extras):
+        cols.append(made[kind](cols[k % len(cols)]))
+    rows = [list(r) for r in zip(*cols)]
+    return [[1] * len(cols), *rows] if ones else rows
+
+
+kernel_matrices = st.one_of(
+    st.tuples(
+        any_matrices,
+        st.lists(st.sampled_from(["repeat", "scale", "zero"]), max_size=3),
+        st.booleans(),
+    ).map(lambda case: _with_columns(*case)),
+    # rank 0: the kernel is everything
+    st.tuples(st.integers(1, 3), st.integers(1, 5)).map(lambda s: [[0] * s[1]] * s[0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices)
+def test_kernel_equals_two_pass_reference(rows):
+    assert integer_kernel(rows) == _hermite_kernel(rows)
+
+
+def _random_26x100():
+    # the entries of demos/data/random_26x100.txt
+    rng = random.Random(26100)
+    return [[rng.randint(-3, 3) for _ in range(100)] for _ in range(26)]
+
+
+@pytest.mark.parametrize(
+    "weights", [_random_26x100(), _digits_3900(3, 6)], ids=["26x100", "3900-digit-3x6"]
+)
+def test_kernel_equals_two_pass_reference_at_scale(weights):
+    a = [[1] * len(weights[0]), *weights]
+    assert integer_kernel(a) == _hermite_kernel(a)
+
+
 def test_rank_examples():
     assert rational_rank(eye(5)) == 5
     assert rational_rank(imat([[0, 0], [0, 0]])) == 0
@@ -293,6 +342,9 @@ def test_in_row_span():
     assert in_row_span(m, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
         in_row_span(m, [1, 0])
+    # unequal denominators: the vector is cleared by their lcm, not divided
+    assert not in_row_span([[2, 4]], [Fraction(1, 2), Fraction(1, 3)])
+    assert in_row_span([[2, 4]], [Fraction(1, 2), 1])
 
 
 def test_primitive_vector():
