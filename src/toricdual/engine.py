@@ -7,9 +7,14 @@ classes and zero line sums do not change when the Gale basis is changed
 over Q, so the self-duality verdict reads the fundamental-circuit basis
 (``Configuration.circuit_basis``) and never saturates it; its line-sum
 witnesses give directions and sums in that basis and say so with
-``"basis": "fundamental_circuits"``.  The strong test (whose balance
-condition needs a lattice basis) and the Segre and hypersurface
-recognizers read the saturated canonical basis of :func:`gale_dual`.
+``"basis": "fundamental_circuits"``.  The other questions that hold over Q
+read a circuit basis too: ``hypersurface_class`` the one column of
+``circuit_basis``, ``lawrence_strong_parity`` the zero rows of
+``circuit_kernel(M)``, and ``is_segre`` its sign vector, a primitive
+1-dimensional kernel.  Only the strong test (whose sign condition needs a
+lattice basis), ``is_segre``'s determinant and the facial tests behind
+``smooth_certificate`` read the saturated canonical basis of
+:func:`gale_dual`.
 """
 
 import enum
@@ -18,7 +23,7 @@ from math import gcd
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero
-from .intlinalg import IntMatrix, det, imat, integer_kernel, lattice_basis, primitive_vector
+from .intlinalg import IntMatrix, circuit_kernel, det, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
 
 
@@ -237,7 +242,7 @@ def lawrence_strong_parity(m) -> Verdict:
     """
     mm = imat(m)
     d, n = mm.shape
-    kernel = integer_kernel(mm)
+    kernel = circuit_kernel(mm)
     if not all(map(any, kernel)):  # a zero row, or no kernel at all
         raise InapplicableInput(
             "the Lawrence lift of this matrix is pyramidal (its kernel does "
@@ -298,7 +303,8 @@ def is_segre(c: Configuration):
     the representatives a lattice basis.  The m representatives span
     Q^(m-1), so their relations form one line: a zero-sum choice of signs
     exists iff its primitive vector is all ±1, and then the signs change no
-    determinant's absolute value.
+    determinant's absolute value.  That vector is read off
+    :func:`circuit_kernel`; the determinant needs the saturated basis.
     """
     n = c.npoints
     if n % 2 != 0 or n < 4:
@@ -318,7 +324,7 @@ def is_segre(c: Configuration):
             return None
         unmatched.remove(j)
         reps.append(rows[i])
-    signs = integer_kernel(IntMatrix(reps, m - 1).T).column(0)
+    signs = circuit_kernel(IntMatrix(reps, m - 1).T).column(0)
     if any(abs(s) != 1 for s in signs):
         return None
     # rows sum to zero, so every (m-1)-subset has the same |det|
@@ -338,13 +344,14 @@ def hypersurface_class(c: Configuration) -> HypersurfaceClass:
 
     The three smooth patterns are recognized from the single Gale column up
     to permutation and global sign: a point in P^1, the conic, and the Segre
-    quadric surface.
+    quadric surface.  The one column of ``c.circuit_basis`` is primitive, so
+    it is the saturated Gale column up to sign.
     """
     if c.npoints != affine_dim(c) + 2:
         return HypersurfaceClass.NOT_HYPERSURFACE
-    b = gale_dual(c)
-    assert b.corank == 1
-    col = b.matrix.column(0)
+    b = c.circuit_basis
+    assert b.shape[1] == 1
+    col = b.column(0)
     canon = min(tuple(sorted(col)), tuple(sorted(-x for x in col)))
     if canon == (-1, 1):
         return HypersurfaceClass.POINT

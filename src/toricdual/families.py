@@ -2,7 +2,7 @@
 
 from .configuration import Configuration, parse_configuration
 from .gale import verify_gale_dual
-from .intlinalg import IntMatrix, imat, integer_kernel, lattice_basis, rank
+from .intlinalg import IntMatrix, imat, integer_kernel, rank
 
 
 def segre(m: int) -> Configuration:
@@ -83,8 +83,8 @@ def config_from_gale(b) -> Configuration:
         raise ValueError("rows of a Gale dual must sum to zero")
     if rank(bm) != bm.shape[1]:
         raise ValueError("columns of a Gale dual must be linearly independent")
-    comp = integer_kernel(bm.T)  # n x (n - r), saturated
-    c = parse_configuration(lattice_basis(comp.T, bm.shape[0]))
+    # the columns of the kernel are a saturated basis in Hermite form already
+    c = parse_configuration(integer_kernel(bm.T).T)
     if not verify_gale_dual(c, bm):
         raise ValueError(
             "columns do not span a saturated relation lattice; "

@@ -9,7 +9,6 @@ complementary rows.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .configuration import Configuration, _ones_on_top, regularize
@@ -230,7 +229,7 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
     if sel[0] < 0 or sel[-1] >= c.npoints:
         raise ValueError("class index out of range")
     inside = set(sel)
-    targets = [Fraction(1) if j in inside else Fraction(0) for j in range(c.npoints)]
+    targets = [int(j in inside) for j in range(c.npoints)]
     ell = solve_linear(c.columns(), targets)
     if ell is None:
         return Verdict(
@@ -251,18 +250,20 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     a parallel face complement.
 
     Equivalent to :func:`line_sums_zero`; requires a repeat-free non-pyramidal
-    configuration.  Works in the regular presentation so linear functionals
-    capture affine conditions.
+    configuration.  The classes are read off ``c.circuit_basis``, since
+    parallel and zero rows do not change with the basis over Q; the
+    functionals are solved in the regular presentation, so that linear
+    functionals capture affine conditions.
     """
     if len(set(c.columns())) != c.npoints:
         raise InapplicableInput(
             "repeated columns: the coparallelism criterion expects a "
             "repeat-free configuration"
         )
-    reg = regularize(c)
-    b = gale_dual(reg)
+    b = GaleDual(matrix=c.circuit_basis)
     if b.zero_rows():
         raise pyramidal_input(b.zero_rows(), "the coparallelism criterion")
+    reg = regularize(c)
     functionals = []
     for cls in coparallel_classes(b):
         sub = is_parallel_face_complement(reg, cls)

@@ -6,11 +6,11 @@ Python ints (arbitrary precision), so nothing here can overflow or round.
 take nested int sequences.
 
 The fast path is fraction-free and runs on plain int lists.  One Bareiss loop
-serves ``rank`` and ``det`` (forward elimination), ``circuit_kernel`` (the
-same loop eliminating above each pivot too) and ``integer_kernel`` (that
-Gauss-Jordan pass on the reversed columns, then a Hermite form kept modulo
-its last pivot); one Hermite echelon loop (``_echelon``) serves
-``lattice_basis``.
+serves ``rank`` and ``det`` (forward elimination), ``circuit_kernel`` and
+``ratlp.solve_linear`` (the same loop eliminating above each pivot too) and
+``integer_kernel`` (that Gauss-Jordan pass on the reversed columns, then a
+Hermite form kept modulo its last pivot); one Hermite echelon loop
+(``_echelon``) serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: a canonical basis
 (``config_from_gale``), equality (``column_lattices_equal``) and saturation
 (``column_lattice_saturated``); no Smith form is needed for any.

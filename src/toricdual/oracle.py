@@ -9,10 +9,13 @@ self-duality from exact evaluation of the defining binomials on a grid large
 enough to certify a polynomial identity.  The inputs they start from are
 shared, not independent.  ``strong_via_points`` reads ``gale_dual`` (so
 ``integer_kernel``, through the Gale kernel cached on each configuration)
-as the strong predicate does, and ``crosscheck`` hands that same Gale dual
-to ``self_dual_via_flats``.  ``enumerate_circuits`` reads ``affine_dim`` (a
-Bareiss rank) as the facial and strong predicates do, and ``regularize`` as
-``coparallel_criterion`` does.  ``facial_via_separation`` reads the input
+as the strong predicate does.  ``crosscheck`` hands that same Gale dual to
+``line_sums_zero`` and ``self_dual_via_flats``; ``coparallel_criterion``
+reads the fundamental-circuit basis (``circuit_kernel``) for its classes and
+``solve_linear`` for its functionals, so there it shares no kernel basis
+with those two.  ``enumerate_circuits`` reads ``affine_dim`` (a Bareiss
+rank) as ``hypersurface_class`` and ``smooth_certificate`` do, and
+``regularize`` as ``coparallel_criterion`` does.  ``facial_via_separation`` reads the input
 columns only, not the Gale dual.  ``enumerate_circuits`` and
 ``random_lawrence_block`` compute kernels with ``_hermite_kernel``, the
 two-pass Hermite echelon route kept here as the reference, so they share no
@@ -296,28 +299,26 @@ def strong_via_points(c: Configuration) -> bool:
 
 
 def random_configuration(
-    rng: random.Random,
-    max_points: int = 8,
-    max_dim: int = 4,
-    max_entry: int = 3,
-    repeat_free: bool = True,
-    non_pyramidal: bool = True,
-    max_tries: int = 20_000,
+    rng: random.Random, max_points: int = 8, non_pyramidal: bool = True
 ) -> Configuration:
-    """One random regular configuration satisfying the requested filters.
+    """One random regular, repeat-free configuration of at most
+    ``max_points`` points, drawn in dimension at most 4 with entries in
+    [-3, 3]; with ``non_pyramidal`` it also has a relation and no apex.
 
-    Drawing is rejection-based but fully determined by the caller's ``rng``,
-    so seeded sweeps are reproducible.  The filters run on the raw draw.  The
-    draw that is kept is regularized, and of its rows only those that raise
-    the rank, read top to bottom, are returned: ``rank([1; W])`` independent
-    rows, still regular, with the draw's own relations and entries.
+    Drawing is rejection-based (at most 20000 draws) but fully determined by
+    the caller's ``rng``, so seeded sweeps are reproducible; the benchmark's
+    ``oracle_instance`` replays the draws.  The filters run on the raw draw.
+    The draw that is kept is regularized, and of its rows only those that
+    raise the rank, read top to bottom, are returned: ``rank([1; W])``
+    independent rows, still regular, with the draw's own relations and
+    entries.
     """
-    for _ in range(max_tries):
-        d = rng.randint(1, max_dim)
+    for _ in range(20_000):
+        d = rng.randint(1, 4)
         n = rng.randint(max(2, d + 1), max_points)
-        rows = [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(d)]
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
         c = parse_configuration(rows)
-        if repeat_free and len(set(c.columns())) != c.npoints:
+        if len(set(c.columns())) != c.npoints:
             continue
         if non_pyramidal:
             b = GaleDual(matrix=c.circuit_basis)
@@ -331,26 +332,20 @@ def random_configuration(
     raise RuntimeError("rejection sampling starved; loosen the filters")
 
 
-def random_lawrence_block(
-    rng: random.Random,
-    max_size: int = 4,
-    max_entry: int = 3,
-    max_tries: int = 20_000,
-) -> IntMatrix:
-    """A random M whose Lawrence lift is non-pyramidal and whose columns span
-    a saturated lattice (the standing hypothesis of the parity criterion)."""
-    for _ in range(max_tries):
-        d = rng.randint(1, max_size)
-        n = rng.randint(1, max_size)
-        m = imat(
-            [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(d)]
-        )
+def random_lawrence_block(rng: random.Random) -> IntMatrix:
+    """A random M, at most 4 x 4 with entries in [-3, 3], whose Lawrence lift
+    is non-pyramidal and whose columns span a saturated lattice (the standing
+    hypothesis of the parity criterion); at most 20000 draws."""
+    for _ in range(20_000):
+        d = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        m = imat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
         if not all(map(any, _hermite_kernel(m))):
             continue  # pyramidal lift: a zero kernel row, or no kernel at all
         if not column_lattice_saturated(m):
             continue
         return m
-    raise RuntimeError("rejection sampling starved; loosen the filters")
+    raise RuntimeError("rejection sampling starved")
 
 
 def crosscheck(seed: int, count: int) -> dict:

@@ -1,52 +1,41 @@
 """Exact rational linear solving and feasibility.
 
-There is no floating point and no tolerance anywhere.  ``solve_linear`` runs
-on ``fractions.Fraction``.  The simplex behind ``feasible_nonneg`` is
-fraction-free on integers: rational input is scaled to integers row by row,
-and Fractions appear only in the results.  Infeasibility comes with a Farkas
-certificate that the caller can recheck by two inner products.
+There is no floating point and no tolerance anywhere, and no elimination
+runs on ``fractions.Fraction``: rational input is scaled to integers row by
+row (``_integral_rows``), and Fractions appear only in the results.
+``solve_linear`` is one fraction-free Gauss-Jordan pass, the Bareiss loop of
+:mod:`intlinalg`; the simplex behind ``feasible_nonneg`` is fraction-free
+too.  Infeasibility comes with a Farkas certificate that the caller can
+recheck by two inner products.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from .intlinalg import _bareiss
+
 
 def solve_linear(a, b):
     """One rational solution ``x`` of ``a @ x = b``, or None if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.  One
+    fraction-free Gauss-Jordan pass (:func:`intlinalg._bareiss`) runs over the
+    integral rows of ``[a | b]``; it leaves row t equal to its last pivot
+    ``d`` times the reduced row echelon row of the t-th pivot, so ``x`` at
+    that pivot is ``row[n] / d``, and a pivot in the last column means that
+    no solution exists.
     """
-    rows = [[Fraction(x) for x in row] for row in a]
-    rhs = [Fraction(x) for x in b]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if len(rhs) != m:
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if len(b) != m:
         raise ValueError("right-hand side length mismatch")
-    aug = [rows[i] + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[c]
-        aug[r] = [x * inv for x in pr]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    rows, _ = _integral_rows(a, b)
+    pivots, _, d = _bareiss(rows, jordan=True)
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
+    for t, c in enumerate(pivots):
+        x[c] = Fraction(rows[t][n], d)
     return tuple(x)
 
 

@@ -19,9 +19,11 @@ from toricdual.engine import (
     full_decomposition,
     hypersurface_class,
     is_self_dual,
+    lawrence_strong_parity,
     smooth_certificate,
 )
-from toricdual.gale import gale_dual, is_facial
+from toricdual.families import family_alpha, segre
+from toricdual.gale import coparallel_criterion, gale_dual, is_facial
 from toricdual.intlinalg import (
     column_lattices_equal,
     eye,
@@ -391,6 +393,17 @@ def test_affine_dim_computes_no_gale_kernel(monkeypatch):
     # 14 points in dimension 5 are no hypersurface: no Gale dual is needed
     assert hypersurface_class(parse_configuration(rows)).value == "not_hypersurface"
     assert counts == dict.fromkeys(kernels, 0)
+
+
+def test_rational_questions_compute_no_hermite_kernel(monkeypatch):
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("integer_kernel",))
+    assert coparallel_criterion(family_alpha(2)).value
+    assert not coparallel_criterion(parse_configuration([[1, 2, 3, 5]])).value
+    assert hypersurface_class(segre(2)).value == "segre_quadric"
+    assert hypersurface_class(parse_configuration([[0, 1, 2]])).value == "conic"
+    assert lawrence_strong_parity([[1, 1]]).value
+    assert not lawrence_strong_parity([[1, 1, 0], [0, 1, 1]]).value
+    assert counts == {"integer_kernel": 0}
 
 
 def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):

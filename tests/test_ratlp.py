@@ -61,6 +61,42 @@ def fraction_phase1(a, b):
     return None, tuple(flip[i] * (1 - obj[k + i]) for i in range(m))
 
 
+def fraction_solve(a, b):
+    """Reference: Gauss-Jordan elimination on Fractions, free variables 0.
+
+    The reduced row echelon form of ``[a | b]`` is unique, so the
+    fraction-free ``solve_linear`` must return the identical tuple.
+    """
+    rows = [[Fraction(x) for x in row] for row in a]
+    rhs = [Fraction(x) for x in b]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [rows[i] + [rhs[i]] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return tuple(x)
+
+
 def assert_valid(a, b, result):
     """``x >= 0`` solving ``a x = b``, or a Farkas ``y`` with ``y a <= 0 < y b``."""
     x, y = result
@@ -82,6 +118,44 @@ def test_solve_linear_basic():
     # underdetermined: free variable pinned to zero
     x = solve_linear([[1, 2, 3]], [6])
     assert x == (6, 0, 0)
+    with pytest.raises(ValueError):
+        solve_linear([[1, 2]], [1, 2])
+
+
+@st.composite
+def linear_systems(draw):
+    """Int or rational systems with entries up to 10**30, some with a zero
+    row or a multiple of the first row, consistent or not."""
+    bound = draw(st.sampled_from([1, 3, 10**6, 10**30]))
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.builds(Fraction, entry, st.integers(1, 12)))
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 6))
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(entry, min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        k = draw(entry)
+        a[-1] = [k * x for x in a[0]]
+        b[-1] = k * b[0] + draw(st.sampled_from([0, 0, 1]))
+    if m and draw(st.booleans()):
+        a[0] = [0] * n
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+@example(([], []))
+@example(([[], []], [0, 1]))
+@example(([[1, 1], [2, 2]], [1, 3]))
+@example(([[10**30, 1], [10**30 + 1, 1]], [Fraction(1, 3), 0]))
+def test_solve_linear_matches_fraction_reference(system):
+    a, b = system
+    got = solve_linear(a, b)
+    # repr also compares the types: Fractions, not ints
+    assert repr(got) == repr(fraction_solve(a, b))
+    if got is not None:
+        assert [sum(v * w for v, w in zip(row, got)) for row in a] == list(b)
 
 
 def test_feasible_nonneg_simple():

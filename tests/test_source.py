@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricdual"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "toricdual"
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +41,45 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """``(file, name)`` of the module-level ``_private`` functions in
+    ``sources`` (file name to text) that no source names, directly or as an
+    attribute."""
+    defined, used = [], set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((path, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(item for item in defined if item[1] not in used)
+
+
+def test_unreferenced_private_functions_are_found():
+    sources = {
+        "a.py": (
+            "def _called():\n    pass\n"
+            "def _dead():\n    pass\n"
+            "def _by_attribute():\n    pass\n"
+            "def __dunder__():\n    pass\n"
+            "def public():\n    def _nested():\n        pass\n    return _called()\n"
+        ),
+        "b.py": "import a\na._by_attribute()\n",
+    }
+    assert unreferenced_private_functions(sources) == [("a.py", "_dead")]
+
+
+def test_no_unreferenced_private_functions():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    sources = {str(p.relative_to(TESTS.parent)): p.read_text(encoding="utf-8") for p in paths}
+    assert unreferenced_private_functions(sources) == []
