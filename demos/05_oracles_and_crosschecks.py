@@ -1,9 +1,10 @@
 """Every verdict has an independent brute-force referee.
 
-Circuits (minimal affine dependencies) and flats (span-closed subsets of
-dual rows) are enumerated by subsets; face membership is re-decided by an
-exact separating-functional LP; strong self-duality is re-decided by exact
-evaluation on a certifying grid.  The crosscheck sweep runs four equivalent
+Circuits (minimal affine dependencies) are enumerated by subsets, and flats
+(span-closed subsets of dual rows) by growing their lattice upward from the
+zero rows; face membership is re-decided by an exact separating-functional
+LP; strong self-duality is re-decided by exact evaluation on a certifying
+grid.  The crosscheck sweep runs four equivalent
 self-duality tests on seeded random instances and demands unanimity.
 """
 

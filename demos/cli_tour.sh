@@ -21,7 +21,7 @@ run toricdual smooth-certificate demos/data/missing_points.json
 run toricdual classify-hypersurface demos/data/segre2.json
 run toricdual classify-hypersurface demos/data/random_26x100.txt
 run toricdual generate lawrence --rows "1 1 1" --format text
-run toricdual oracle crosscheck --seed 7 --count 20 --format text
+run toricdual oracle crosscheck --seed 7 --count 200 --format text
 echo
 echo "pyramidal input is refused with the violated hypothesis named:"
 toricdual check strong demos/data/pyramid.txt || true

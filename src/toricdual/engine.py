@@ -10,11 +10,11 @@ witnesses give directions and sums in that basis and say so with
 ``"basis": "fundamental_circuits"``.  The other questions that hold over Q
 read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, ``lawrence_strong_parity`` the zero rows of
-``circuit_kernel(M)``, and ``is_segre`` its sign vector, a primitive
-1-dimensional kernel.  Only the strong test (whose sign condition needs a
-lattice basis), ``is_segre``'s determinant and the facial tests behind
-``smooth_certificate`` read the saturated canonical basis of
-:func:`gale_dual`.
+``circuit_kernel(M)``, and ``is_segre`` its corank, its antipodal pairs
+and its sign vector, a primitive 1-dimensional kernel.  Only the strong test
+(whose sign condition needs a lattice basis), ``is_segre``'s determinant and
+the facial tests behind ``smooth_certificate`` read the saturated canonical
+basis of :func:`gale_dual` (``Configuration.relations``).
 """
 
 import enum
@@ -300,20 +300,23 @@ def is_segre(c: Configuration):
 
     Characterized on the Gale dual: 2m rows in antipodal pairs, one
     representative per pair summing to zero over all pairs, with any m-1 of
-    the representatives a lattice basis.  The m representatives span
-    Q^(m-1), so their relations form one line: a zero-sum choice of signs
-    exists iff its primitive vector is all ±1, and then the signs change no
-    determinant's absolute value.  That vector is read off
-    :func:`circuit_kernel`; the determinant needs the saturated basis.
+    the representatives a lattice basis.  The corank and the pairing read
+    the same on every basis over Q (rows pair under ``B·M``, M invertible,
+    exactly when they pair under ``B``), so they are decided on
+    ``c.circuit_basis``.  The m representatives span Q^(m-1), so their
+    relations form one line: a zero-sum choice of signs exists iff its
+    primitive vector is all ±1, and then the signs change no determinant's
+    absolute value.  That vector is read off :func:`circuit_kernel`; only the
+    determinant needs the saturated basis, ``c.relations``, at the same
+    representatives.
     """
     n = c.npoints
     if n % 2 != 0 or n < 4:
         return None
     m = n // 2
-    b = gale_dual(c)
-    if b.corank != m - 1:
+    rows = c.circuit_basis
+    if rows.shape[1] != m - 1:
         return None
-    rows = b.rows()
     unmatched = list(range(n))
     reps = []
     while unmatched:
@@ -323,12 +326,12 @@ def is_segre(c: Configuration):
         if j is None:
             return None
         unmatched.remove(j)
-        reps.append(rows[i])
-    signs = circuit_kernel(IntMatrix(reps, m - 1).T).column(0)
+        reps.append(i)
+    signs = circuit_kernel(IntMatrix([rows[i] for i in reps], m - 1).T).column(0)
     if any(abs(s) != 1 for s in signs):
         return None
     # rows sum to zero, so every (m-1)-subset has the same |det|
-    return m if abs(det(reps[: m - 1])) == 1 else None
+    return m if abs(det([c.relations[i] for i in reps[: m - 1]])) == 1 else None
 
 
 class HypersurfaceClass(enum.Enum):

@@ -1,8 +1,9 @@
 """Independent brute-force referees for every criterion in the package.
 
 Each referee decides its question by a different route from the fast
-predicate it checks: circuits come from subset enumeration, flats from a
-Fraction echelon basis of each row subset, row-span tests from the Fraction
+predicate it checks: circuits come from subset enumeration, flats from
+growing the lattice of flats upward by Fraction row operations (no
+``intlinalg`` routine and no line classes), row-span tests from the Fraction
 ``in_row_span`` (the fast path's rank is fraction-free, so the two do not
 share elimination code), faces from a separating-functional LP, strong
 self-duality from exact evaluation of the defining binomials on a grid large
@@ -141,18 +142,6 @@ def coparallel_via_circuits(c: Configuration) -> tuple:
     return tuple(sorted(classes, key=lambda g: g[0]))
 
 
-def _fraction_echelon(rows) -> list:
-    """A basis over Q of the span of Fraction ``rows``, as (pivot column, row)
-    pairs: each row is 1 at its pivot and 0 at the pivots listed before it."""
-    basis = []
-    for v in rows:
-        v = _reduce(basis, v)
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is not None:
-            basis.append((c, [x / v[c] for x in v]))
-    return basis
-
-
 def _reduce(basis, v) -> list:
     """``v`` minus its components along the pivots of ``basis``, in order;
     this leaves ``v`` zero at every pivot, so the result is the zero vector
@@ -160,30 +149,67 @@ def _reduce(basis, v) -> list:
     for c, row in basis:
         if v[c]:
             f = v[c]
-            v = [x - f * y for x, y in zip(v, row)]
+            v = [x - f * y if y else x for x, y in zip(v, row)]
     return v
+
+
+def _unit(v):
+    """``(p, v / v[p])`` for the first nonzero entry ``v[p]``; None when
+    ``v`` is zero."""
+    p = next((j for j, x in enumerate(v) if x), None)
+    if p is None:
+        return None
+    d = v[p]
+    return p, tuple(x / d if x else x for x in v)
+
+
+def _lex_first_basis(rows, closure) -> tuple:
+    """The rows of ``closure`` that are independent of the rows before them:
+    the greedy basis, which is the lexicographically first basis of the flat
+    and so the first subset, by size and then lexicographically, that
+    generates it."""
+    basis, picked = [], []
+    for i in closure:
+        unit = _unit(_reduce(basis, rows[i]))
+        if unit is not None:
+            basis.append(unit)
+            picked.append(i)
+    return tuple(picked)
 
 
 def enumerate_flats(b: GaleDual) -> list:
     """All distinct flats of the dual row configuration.
 
     The flat of a subset J is every row index whose row lies in the span of
-    the rows indexed by J; J = {} gives the zero rows.  Each subset's rows are
-    brought to a Fraction echelon basis once, and every row is tested by
-    reducing it against that basis.
+    the rows indexed by J; J = {} gives the zero rows.  The flats are grown
+    upward, one rank at a time, from that bottom flat.  Each flat F keeps the
+    residue of every row modulo span(F), in Fraction arithmetic; a row is in
+    F exactly when its residue is zero.  The flats covering F are F joined
+    with one parallel class of nonzero residues (residues scaled to 1 at
+    their first nonzero entry, then compared), and each cover's residues come
+    from F's by one row operation per row, with that scaled residue as the
+    pivot row.  A flat's generators are its lexicographically first basis.
     """
     _check_guard(b.npoints, "flat enumeration")
     rows = [[Fraction(x) for x in row] for row in b.matrix]
-    seen = {}
-    for size in range(0, b.npoints + 1):
-        for sub in itertools.combinations(range(b.npoints), size):
-            basis = _fraction_echelon([rows[j] for j in sub])
-            closure = tuple(
-                i for i in range(b.npoints) if not any(_reduce(basis, rows[i]))
-            )
-            if closure not in seen:
-                seen[closure] = sub
-    return [Flat(generators=j, closure=cl) for cl, j in sorted(seen.items())]
+    bottom = tuple(i for i, row in enumerate(rows) if not any(row))
+    generators = {bottom: ()}
+    level = {bottom: rows}
+    while level:
+        covers = {}
+        for flat, residues in level.items():
+            classes = {}
+            for i, v in enumerate(residues):
+                unit = _unit(v)
+                if unit is not None:
+                    classes.setdefault(unit, []).append(i)
+            for unit, members in classes.items():
+                closure = tuple(sorted((*flat, *members)))
+                if closure not in generators:
+                    generators[closure] = _lex_first_basis(rows, closure)
+                    covers[closure] = [_reduce([unit], v) for v in residues]
+        level = covers
+    return [Flat(generators=j, closure=cl) for cl, j in sorted(generators.items())]
 
 
 def self_dual_via_flats(b: GaleDual) -> bool:

@@ -18,6 +18,7 @@ from toricdual.engine import (
     _decompose,
     full_decomposition,
     hypersurface_class,
+    is_segre,
     is_self_dual,
     lawrence_strong_parity,
     smooth_certificate,
@@ -34,6 +35,7 @@ from toricdual.intlinalg import (
     rational_rank,
 )
 from test_engine import _unimodular
+from test_gale import _digits_3900
 from test_intlinalg import product
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
@@ -404,6 +406,15 @@ def test_rational_questions_compute_no_hermite_kernel(monkeypatch):
     assert lawrence_strong_parity([[1, 1]]).value
     assert not lawrence_strong_parity([[1, 1, 0], [0, 1, 1]]).value
     assert counts == {"integer_kernel": 0}
+
+
+def test_is_segre_saturates_only_for_the_determinant(monkeypatch):
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("integer_kernel",))
+    assert is_segre(parse_configuration(_digits_3900(3, 6))) is None
+    assert is_segre(family_alpha(1)) is None
+    assert counts == {"integer_kernel": 0}
+    assert is_segre(segre(3)) == 3
+    assert counts == {"integer_kernel": 1}
 
 
 def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):

@@ -1,13 +1,23 @@
+import inspect
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricdual import intlinalg
 from toricdual.configuration import parse_configuration, regularize
 from toricdual.exceptions import GuardExceeded, InapplicableInput
 from toricdual.families import family_alpha, segre
-from toricdual.gale import coparallel_classes, gale_dual, is_facial, line_sums_zero
-from toricdual.intlinalg import rational_rank
+from toricdual.gale import (
+    GaleDual,
+    coparallel_classes,
+    gale_dual,
+    is_facial,
+    line_sums_zero,
+)
+from toricdual.intlinalg import imat, rational_rank
 from toricdual.oracle import (
     Circuit,
     coparallel_via_circuits,
@@ -20,6 +30,7 @@ from toricdual.oracle import (
     self_dual_via_sigma,
     strong_via_points,
 )
+from test_configuration import _count_calls, _toricdual_modules
 
 CONIC = parse_configuration([[0, 1, 2]])
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
@@ -98,12 +109,67 @@ def test_flat_closures_match_the_rank_definition(seed):
     assert [(f.closure, f.generators) for f in flats] == _flats_by_rank(b)
 
 
+@st.composite
+def gale_matrices(draw):
+    """1-9 rows of corank 1-4 with entries in [-3, 3]: up to 6 drawn rows,
+    then a zero row and up to two rows that repeat another row scaled by
+    ±1, ±2 or ±3, inserted anywhere.  The reference makes 2^n rank tests
+    (about 1 s at 9 rows), so most draws stay below 9 rows."""
+    r = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for _ in range(draw(st.integers(0, 1))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * r)
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+        rows.insert(draw(st.integers(0, len(rows))), [k * x for x in row])
+    return GaleDual(matrix=imat(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gale_matrices())
+def test_flats_match_the_rank_definition(b):
+    flats = enumerate_flats(b)
+    assert [(f.closure, f.generators) for f in flats] == _flats_by_rank(b)
+
+
 def test_flat_closures_include_zero_rows():
     b = gale_dual(parse_configuration([[0, 1, 2, 0], [0, 0, 0, 1]]))
     assert b.zero_rows() == (3,)
     flats = enumerate_flats(b)
     assert [(f.closure, f.generators) for f in flats] == _flats_by_rank(b)
     assert any(f.generators == () and f.closure == (3,) for f in flats)
+
+
+def test_flats_guard():
+    line = [[i, 1] for i in range(12)]
+    assert len(enumerate_flats(GaleDual(matrix=imat(line)))) == 14
+    with pytest.raises(GuardExceeded):
+        enumerate_flats(GaleDual(matrix=imat([*line, [12, 1]])))
+
+
+def test_flats_share_no_code_with_the_line_sum_test(monkeypatch):
+    # every intlinalg routine (its eliminations, ranks and primitive_vector)
+    # and the line classes behind line_sums_zero and coparallel_criterion
+    names = [
+        name
+        for name, f in vars(intlinalg).items()
+        if inspect.isfunction(f) and f.__module__ == intlinalg.__name__
+    ]
+    names += ["line_partition", "coparallel_classes"]
+    assert {"_bareiss", "_echelon", "rational_rank", "primitive_vector"} <= set(names)
+    b = gale_dual(random_configuration(random.Random(2)))
+    expected = bool(line_sums_zero(b).value)
+    counts = _count_calls(monkeypatch, _toricdual_modules(), names)
+    assert enumerate_flats(b)
+    assert self_dual_via_flats(b) == expected
+    assert counts == dict.fromkeys(names, 0)
 
 
 def test_self_dual_via_flats():
