@@ -10,6 +10,7 @@ run toricdual gale demos/data/segre2.json
 run toricdual gale demos/data/random_26x100.txt
 run toricdual check self-dual demos/data/family_alpha_1.json --verify
 run toricdual check self-dual demos/data/twisted_cubic.txt --verify
+run toricdual check self-dual demos/data/pyramid.txt --verify
 run toricdual check self-dual demos/data/random_26x100.txt --format text
 run toricdual check strong demos/data/strong_7x9.json
 run toricdual check strong demos/data/strong_bigint.json
@@ -20,7 +21,11 @@ run toricdual flats demos/data/segre2.json
 run toricdual smooth-certificate demos/data/missing_points.json
 run toricdual classify-hypersurface demos/data/segre2.json
 run toricdual classify-hypersurface demos/data/random_26x100.txt
+run toricdual generate segre --m 4
 run toricdual generate lawrence --rows "1 1 1" --format text
+run toricdual generate family-alpha --alpha 2
+run toricdual generate family-dim --r 2 --alphas 2,-2
+run toricdual generate family-codim --m 2 --r 2 --alphas 1,-1
 run toricdual oracle crosscheck --seed 7 --count 200 --format text
 echo
 echo "pyramidal input is refused with the violated hypothesis named:"

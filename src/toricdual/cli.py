@@ -15,7 +15,6 @@ import time
 from . import families
 from .configuration import affine_dim, parse_configuration, regularize
 from .engine import (
-    _decompose,
     full_decomposition,
     hypersurface_class,
     is_self_dual,
@@ -116,18 +115,18 @@ def _report(start, config=None, verdict: Verdict = None, **extra) -> dict:
     return rep
 
 
-def _oracle_verify_self_dual(c, claimed: bool):
-    distinct, _, dec = _decompose(c)
-    if dec.repeat_codim or dec.apex_indices:
+def _oracle_verify_self_dual(c, verdict: Verdict):
+    # a verdict by any other criterion means c has no repeats and no apexes
+    if verdict.criterion == "join-decomposition":
         return {"status": "skipped", "reason": "oracle covers repeat-free non-pyramidal input"}
-    if distinct.npoints > ENUMERATION_GUARD:
+    if c.npoints > ENUMERATION_GUARD:
         return {"status": "skipped", "reason": "enumeration guard"}
     # the verdict read the circuit basis; the referee reads the canonical one
-    flats = self_dual_via_flats(gale_dual(distinct))
+    flats = self_dual_via_flats(gale_dual(c))
     # the sigma test needs a regular presentation; regularize keeps the
     # relations, so it answers for the input
-    sigma = self_dual_via_sigma(regularize(distinct))
-    agree = flats == sigma == claimed
+    sigma = self_dual_via_sigma(regularize(c))
+    agree = flats == sigma == verdict.value
     return {"status": "ok" if agree else "DISAGREEMENT", "flats": flats, "sigma": sigma}
 
 
@@ -153,7 +152,7 @@ def cmd_check(args):
         v = is_self_dual(c)
         extra = {}
         if args.verify:
-            extra["oracle"] = _oracle_verify_self_dual(c, v.value)
+            extra["oracle"] = _oracle_verify_self_dual(c, v)
     elif args.property == "strong":
         v = is_strongly_self_dual(c)
         extra = {}

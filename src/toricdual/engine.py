@@ -11,10 +11,10 @@ witnesses give directions and sums in that basis and say so with
 read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, ``lawrence_strong_parity`` the zero rows of
 ``circuit_kernel(M)``, and ``is_segre`` its corank, its antipodal pairs
-and its sign vector, a primitive 1-dimensional kernel.  Only the strong test
-(whose sign condition needs a lattice basis), ``is_segre``'s determinant and
-the facial tests behind ``smooth_certificate`` read the saturated canonical
-basis of :func:`gale_dual` (``Configuration.relations``).
+and its sign vector, a primitive 1-dimensional kernel; its lattice condition
+follows from those.  Only the strong test (whose sign condition needs a
+lattice basis) and the facial tests behind ``smooth_certificate`` read the
+saturated canonical basis of :func:`gale_dual` (``Configuration.relations``).
 """
 
 import enum
@@ -23,7 +23,7 @@ from math import gcd
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import InapplicableInput, pyramidal_input
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero
-from .intlinalg import IntMatrix, circuit_kernel, det, imat, lattice_basis, primitive_vector
+from .intlinalg import IntMatrix, circuit_kernel, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
 
 
@@ -305,10 +305,11 @@ def is_segre(c: Configuration):
     exactly when they pair under ``B``), so they are decided on
     ``c.circuit_basis``.  The m representatives span Q^(m-1), so their
     relations form one line: a zero-sum choice of signs exists iff its
-    primitive vector is all ±1, and then the signs change no determinant's
-    absolute value.  That vector is read off :func:`circuit_kernel`; only the
-    determinant needs the saturated basis, ``c.relations``, at the same
-    representatives.
+    primitive vector is all ±1, read off :func:`circuit_kernel`.  The
+    lattice condition then holds by itself: the rows of a saturated basis
+    generate Z^(m-1) (it extends to a unimodular matrix), each row is ± a
+    representative, and with a ±1 zero-sum relation any m-1 of them
+    generate what all m do.  No saturated basis is read.
     """
     n = c.npoints
     if n % 2 != 0 or n < 4:
@@ -328,10 +329,7 @@ def is_segre(c: Configuration):
         unmatched.remove(j)
         reps.append(i)
     signs = circuit_kernel(IntMatrix([rows[i] for i in reps], m - 1).T).column(0)
-    if any(abs(s) != 1 for s in signs):
-        return None
-    # rows sum to zero, so every (m-1)-subset has the same |det|
-    return m if abs(det([c.relations[i] for i in reps[: m - 1]])) == 1 else None
+    return m if all(abs(s) == 1 for s in signs) else None
 
 
 class HypersurfaceClass(enum.Enum):

@@ -1,8 +1,7 @@
 """Constructors for the standard example families and the Gale-inverse map."""
 
 from .configuration import Configuration, parse_configuration
-from .gale import verify_gale_dual
-from .intlinalg import IntMatrix, imat, integer_kernel, rank
+from .intlinalg import IntMatrix, column_lattice_saturated, imat, integer_kernel, rank
 
 
 def segre(m: int) -> Configuration:
@@ -76,21 +75,23 @@ def config_from_gale(b) -> Configuration:
     columns of ``b`` (canonicalized by Hermite form, since the configuration
     is only determined up to affine equivalence).  Requires the rows of ``b``
     to sum to zero, its columns to be independent, and the columns to span a
-    saturated lattice — exactly the properties a Gale dual matrix has.
+    saturated lattice — exactly the properties a Gale dual matrix has.  Then
+    the all-ones row lies in the row span of the result, so the columns of
+    ``b`` are affine relations, as many as its corank: the result passes
+    :func:`verify_gale_dual` by construction.
     """
     bm = imat(b)
     if any(map(sum, bm.T)):
         raise ValueError("rows of a Gale dual must sum to zero")
     if rank(bm) != bm.shape[1]:
         raise ValueError("columns of a Gale dual must be linearly independent")
-    # the columns of the kernel are a saturated basis in Hermite form already
-    c = parse_configuration(integer_kernel(bm.T).T)
-    if not verify_gale_dual(c, bm):
+    if not column_lattice_saturated(bm):
         raise ValueError(
             "columns do not span a saturated relation lattice; "
             "no configuration has this exact matrix as a Gale dual"
         )
-    return c
+    # the columns of the kernel are a saturated basis in Hermite form already
+    return parse_configuration(integer_kernel(bm.T).T)
 
 
 def family_dim(r: int, alphas) -> Configuration:

@@ -13,7 +13,7 @@ from math import lcm
 
 from .configuration import Configuration, _ones_on_top, regularize
 from .exceptions import InapplicableInput, pyramidal_input
-from .intlinalg import IntMatrix, column_lattices_equal, imat, matmul, primitive_vector, rank
+from .intlinalg import IntMatrix, column_lattice_saturated, imat, matmul, primitive_vector, rank
 from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import Verdict
 
@@ -73,19 +73,23 @@ def gale_dual(c: Configuration) -> GaleDual:
 def verify_gale_dual(c: Configuration, b) -> bool:
     """Check that ``b`` is a legitimate Gale dual matrix for ``c``.
 
-    Columns must be affine relations, be linearly independent, and span the
-    full saturated relation lattice (not a finite-index sublattice); the last
-    is a canonical-form comparison against the computed dual.
+    Decided from the defining properties, with no Gale dual computed: the
+    columns are affine relations (``[1; W]·b = 0``), independent, as many
+    as the corank ``n - rank([1; W])``, and they span a saturated lattice.
+    The first three make them a basis of the relations over Q; a saturated
+    lattice of that rank inside them is all of their integer points.
     """
     bm = imat(b)
     if bm.shape[0] != c.npoints:
         raise ValueError(
             f"candidate has {bm.shape[0]} rows, configuration has {c.npoints} points"
         )
-    if any(map(any, matmul(_ones_on_top(c), bm))) or rank(bm) != bm.shape[1]:
-        return False
-    canonical = gale_dual(c).matrix
-    return bm.shape[1] == canonical.shape[1] and column_lattices_equal(bm, canonical)
+    a = _ones_on_top(c)
+    return (
+        not any(map(any, matmul(a, bm)))
+        and bm.shape[1] == c.npoints - rank(a) == rank(bm)
+        and column_lattice_saturated(bm)
+    )
 
 
 def line_partition(b: GaleDual) -> LinePartition:

@@ -6,14 +6,15 @@ Python ints (arbitrary precision), so nothing here can overflow or round.
 take nested int sequences.
 
 The fast path is fraction-free and runs on plain int lists.  One Bareiss loop
-serves ``rank`` and ``det`` (forward elimination), ``circuit_kernel`` and
+(``_bareiss``) serves ``rank`` (forward elimination), ``circuit_kernel`` and
 ``ratlp.solve_linear`` (the same loop eliminating above each pivot too) and
 ``integer_kernel`` (that Gauss-Jordan pass on the reversed columns, then a
 Hermite form kept modulo its last pivot); one Hermite echelon loop
 (``_echelon``) serves ``lattice_basis``.
-``lattice_basis`` answers every question about a lattice: a canonical basis
-(``config_from_gale``), equality (``column_lattices_equal``) and saturation
-(``column_lattice_saturated``); no Smith form is needed for any.
+``lattice_basis`` answers every question about a lattice: equality
+(``column_lattices_equal``, the tests' reference) and saturation
+(``column_lattice_saturated``, which ``verify_gale_dual`` reads); no Smith
+form is needed for either.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual (the oracles keep the two-pass echelon route to the same basis as
 their reference); ``circuit_kernel`` is the fundamental-circuit basis, a
@@ -181,26 +182,24 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     """Fraction-free (Bareiss 1968) elimination of ``rows``, in place.
 
     Columns without a pivot are skipped, so every division is exact on any
-    shape.  Returns ``(pivots, sign, pivot)``: ``pivots`` lists the pivot
-    columns in order (their count is the rank), ``sign`` is the parity of
-    the row swaps and ``pivot`` the last pivot; a nonsingular square matrix
-    has determinant ``sign * pivot``.  Forward elimination by default; with
-    ``jordan`` the rows above each pivot are eliminated by the same update
-    (fraction-free Gauss-Jordan), which leaves row t, for t below the rank,
-    equal to ``pivot`` times the reduced row echelon row of the t-th pivot.
+    shape.  Returns ``(pivots, pivot)``: ``pivots`` lists the pivot columns
+    in order (their count is the rank) and ``pivot`` is the last pivot, a
+    rank-square minor of the input up to sign.  Forward elimination by
+    default; with ``jordan`` the rows above each pivot are eliminated by the
+    same update (fraction-free Gauss-Jordan), which leaves row t, for t
+    below the rank, equal to ``pivot`` times the reduced row echelon row of
+    the t-th pivot.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    pivots, r, sign, prev = [], 0, 1, 1
+    pivots, r, prev = [], 0, 1
     for c in range(ncols):
         if r == m:
             break
         piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
+        rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
         p = pr[c]
         for i in range(0 if jordan else r + 1, m):
@@ -210,17 +209,7 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         prev = p
         pivots.append(c)
         r += 1
-    return pivots, sign, prev
-
-
-def det(a):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    a = imat(a)
-    m, n = a.shape
-    if m != n:
-        raise ValueError("determinant requires a square matrix")
-    pivots, sign, pivot = _bareiss(list(a))
-    return sign * pivot if len(pivots) == n else 0
+    return pivots, prev
 
 
 def rank(a) -> int:
@@ -289,7 +278,7 @@ def integer_kernel(a) -> IntMatrix:
     a = imat(a)
     n = a.shape[1]
     rows = [row[::-1] for row in a]
-    pivots, _, d = _bareiss(rows, jordan=True)
+    pivots, d = _bareiss(rows, jordan=True)
     k = len(pivots)
     big = abs(d)
     cols = list(zip(*rows[:k])) if k else [()] * n  # R's columns, reversed numbering
@@ -380,7 +369,7 @@ def circuit_kernel(a) -> IntMatrix:
     """
     rows = list(a)
     n = len(rows[0])
-    pivots, _, d = _bareiss(rows, jordan=True)
+    pivots, d = _bareiss(rows, jordan=True)
     # row t is d times the reduced echelon row of the t-th pivot
     s = 1 if d > 0 else -1
     taken = set(pivots)

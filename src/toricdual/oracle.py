@@ -10,11 +10,12 @@ self-duality from exact evaluation of the defining binomials on a grid large
 enough to certify a polynomial identity.  The inputs they start from are
 shared, not independent.  ``strong_via_points`` reads ``gale_dual`` (so
 ``integer_kernel``, through the Gale kernel cached on each configuration)
-as the strong predicate does.  ``crosscheck`` hands that same Gale dual to
-``line_sums_zero`` and ``self_dual_via_flats``; ``coparallel_criterion``
-reads the fundamental-circuit basis (``circuit_kernel``) for its classes and
-``solve_linear`` for its functionals, so there it shares no kernel basis
-with those two.  ``enumerate_circuits`` reads ``affine_dim`` (a Bareiss
+as the strong predicate does.  ``crosscheck`` compares the verdict that
+ships, ``is_self_dual`` (line sums on the fundamental-circuit basis), with
+``self_dual_via_flats`` on the canonical Gale dual, ``self_dual_via_sigma``
+and ``coparallel_criterion``, which reads the same circuit basis (cached on
+the configuration) for its classes and ``solve_linear`` for its
+functionals.  ``enumerate_circuits`` reads ``affine_dim`` (a Bareiss
 rank) as ``hypersurface_class`` and ``smooth_certificate`` do, and
 ``regularize`` as ``coparallel_criterion`` does.  ``facial_via_separation`` reads the input
 columns only, not the Gale dual.  ``enumerate_circuits`` and
@@ -41,7 +42,8 @@ from .configuration import (
     regularize,
 )
 from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
-from .gale import GaleDual, gale_dual
+from .engine import is_self_dual
+from .gale import GaleDual, coparallel_criterion, gale_dual
 from .intlinalg import (
     IntMatrix,
     _echelon,
@@ -302,10 +304,8 @@ def strong_via_points(c: Configuration) -> bool:
             "strong self-duality is defined for regular configurations"
         )
     b = gale_dual(c)
-    if b.zero_rows():
+    if b.zero_rows():  # every row is zero at corank 0
         raise pyramidal_input(b.zero_rows(), "strong self-duality")
-    if b.corank == 0:
-        return True
     per_axis = strong_binomial_degree(b) + 1
     if per_axis**b.corank > 200_000:
         raise GuardExceeded(
@@ -377,20 +377,19 @@ def random_lawrence_block(rng: random.Random) -> IntMatrix:
 def crosscheck(seed: int, count: int) -> dict:
     """Run the four equivalent self-duality tests on a seeded random corpus.
 
-    Returns a report with one entry per instance and the list of any
-    disagreements (there should never be one).
+    The ``"line_sums_zero"`` answer is the shipped verdict,
+    ``is_self_dual(c).value``; the other three are the referees.  Returns a
+    report with one entry per instance and the list of any disagreements
+    (there should never be one).
     """
-    from .gale import coparallel_criterion, line_sums_zero
-
     rng = random.Random(seed)
     results = []
     disagreements = []
     for idx in range(count):
         c = random_configuration(rng)
-        b = gale_dual(c)
         answers = {
-            "line_sums_zero": bool(line_sums_zero(b).value),
-            "flats": self_dual_via_flats(b),
+            "line_sums_zero": bool(is_self_dual(c).value),
+            "flats": self_dual_via_flats(gale_dual(c)),
             "sigma": self_dual_via_sigma(c),
             "coparallel": bool(coparallel_criterion(c).value),
         }

@@ -30,7 +30,7 @@ def solve_linear(a, b):
     if len(b) != m:
         raise ValueError("right-hand side length mismatch")
     rows, _ = _integral_rows(a, b)
-    pivots, _, d = _bareiss(rows, jordan=True)
+    pivots, d = _bareiss(rows, jordan=True)
     if pivots and pivots[-1] == n:
         return None
     x = [Fraction(0)] * n

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import warnings
 import pytest
 
 import toricdual
+from toricdual import cli
 from toricdual.cli import main, read_matrix
 
 
@@ -72,6 +74,40 @@ def test_check_self_dual_verify_on_non_regular_input(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] is False
     assert doc["oracle"] == {"status": "ok", "flats": False, "sigma": False}
+
+
+JOIN_SKIP = "oracle covers repeat-free non-pyramidal input"
+
+
+@pytest.mark.parametrize(
+    "text, criterion, reason",
+    [
+        # an apex, then a repeated column: both are joins
+        ("1 1 1 1\n0 1 2 0\n0 0 0 1\n", "join-decomposition", JOIN_SKIP),
+        ("0 1 1 2\n", "join-decomposition", JOIN_SKIP),
+        # 13 distinct points on a line: past the referees' enumeration guard
+        (" ".join(map(str, range(13))) + "\n", "gale-line-sums", "enumeration guard"),
+    ],
+)
+def test_check_self_dual_verify_skips_what_the_oracle_does_not_cover(
+    tmp_path, capsys, text, criterion, reason
+):
+    path = tmp_path / "matrix.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "self-dual", str(path), "--verify")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["criterion"] == criterion
+    assert doc["oracle"] == {"status": "skipped", "reason": reason}
+
+
+def test_check_self_dual_verify_exits_one_on_a_disagreement(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "self_dual_via_flats", lambda b: False)
+    code, out, _ = run(capsys, "check", "self-dual", write_segre2(tmp_path), "--verify")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] is True
+    assert doc["oracle"] == {"status": "DISAGREEMENT", "flats": False, "sigma": True}
 
 
 def test_check_strong(tmp_path, capsys):
@@ -237,6 +273,28 @@ def test_read_matrix_closes_its_file(tmp_path):
         warnings.simplefilter("always", ResourceWarning)
         assert read_matrix(path).shape == (3, 4)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_read_matrix_from_stdin(capsys, monkeypatch):
+    text = "1 0 1 0\n0 1 0 1\n0 0 1 1\n"
+    rows = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert read_matrix("-").tolist() == rows
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "gale", "-")
+    assert code == 0
+    assert json.loads(out)["config_echo"]["entries"] == rows
+
+
+def test_read_matrix_refusals(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(" \n\n")
+    with pytest.raises(ValueError, match="empty matrix file"):
+        read_matrix(str(empty))
+    path = tmp_path / "bad_cols.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 3, "entries": [[1, 0], [0, 1]]}))
+    with pytest.raises(ValueError, match="'cols' field disagrees"):
+        read_matrix(str(path))
 
 
 def test_numpy_is_never_imported(tmp_path):

@@ -23,8 +23,8 @@ from toricdual.engine import (
     lawrence_strong_parity,
     smooth_certificate,
 )
-from toricdual.families import family_alpha, segre
-from toricdual.gale import coparallel_criterion, gale_dual, is_facial
+from toricdual.families import config_from_gale, family_alpha, segre
+from toricdual.gale import coparallel_criterion, gale_dual, is_facial, verify_gale_dual
 from toricdual.intlinalg import (
     column_lattices_equal,
     eye,
@@ -408,13 +408,27 @@ def test_rational_questions_compute_no_hermite_kernel(monkeypatch):
     assert counts == {"integer_kernel": 0}
 
 
-def test_is_segre_saturates_only_for_the_determinant(monkeypatch):
+def test_is_segre_computes_no_saturated_kernel(monkeypatch):
     counts = _count_calls(monkeypatch, _toricdual_modules(), ("integer_kernel",))
     assert is_segre(parse_configuration(_digits_3900(3, 6))) is None
     assert is_segre(family_alpha(1)) is None
-    assert counts == {"integer_kernel": 0}
     assert is_segre(segre(3)) == 3
+    assert is_segre(segre(4)) == 4
+    assert counts == {"integer_kernel": 0}
+
+
+def test_gale_dual_checks_compute_no_second_kernel(monkeypatch):
+    rng = random.Random(12)
+    rows = [[rng.randint(-3, 3) for _ in range(9)] for _ in range(3)]
+    b = gale_dual(parse_configuration(rows)).matrix
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("integer_kernel",))
+    # a fresh configuration: its Gale kernel is not cached yet
+    assert verify_gale_dual(parse_configuration(rows), b)
+    assert counts == {"integer_kernel": 0}
+    # the construction's own kernel, and no second one to check it
+    c = config_from_gale(b)
     assert counts == {"integer_kernel": 1}
+    assert c.relations == b
 
 
 def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):

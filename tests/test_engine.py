@@ -22,14 +22,15 @@ from toricdual.engine import (
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import config_from_gale, family_alpha, lawrence, segre
 from toricdual.gale import GaleDual, gale_dual, line_sums_zero, verify_gale_dual
-from toricdual.intlinalg import det, eye, imat
+from toricdual.intlinalg import eye, imat, rank
 from toricdual.oracle import (
     random_configuration,
     random_lawrence_block,
     self_dual_via_sigma,
     strong_via_points,
 )
-from test_intlinalg import product
+from toricdual.verdict import Verdict
+from test_intlinalg import cofactor_det, product
 
 # two faces of this one contain a configuration point in their relative interior
 INT_POINT_FACE = parse_configuration(
@@ -342,6 +343,18 @@ def test_is_lawrence_rejects():
     assert is_lawrence(parse_configuration([[1, 1, 0], [0, 0, 1]])) is None
     # the block Id_1 | Id_1 takes the only row, leaving no row for M
     assert is_lawrence(parse_configuration([[1, 1]])) is None
+    # unit tops, but e_1 tops three columns and e_2 one
+    assert is_lawrence(parse_configuration([[1, 1, 1, 0], [0, 0, 0, 1], [0, 0, 5, 0]])) is None
+    # paired, but both columns of the first pair have a nonzero bottom
+    assert is_lawrence(parse_configuration([[1, 0, 1, 0], [0, 1, 0, 1], [2, 0, 3, 0]])) is None
+    back = is_lawrence(parse_configuration([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 2, 3]]))
+    assert back.tolist() == [[2, 3]]
+
+
+def test_verdict_truth_value_is_its_value():
+    assert Verdict(True, "c")
+    assert not Verdict(False, "c", {"kind": "k"})
+    assert bool(is_self_dual(segre(2))) is True
 
 
 def test_lawrence_parity_examples():
@@ -522,14 +535,14 @@ def _unimodular(rng, r):
                 u[i], u[j] = u[j], u[i]
         else:
             u[i] = [-x for x in u[i]]
-    assert abs(det(u)) == 1
+    assert abs(cofactor_det(u)) == 1
     return u
 
 
 def _nonsingular(rng, r):
     while True:
         m = imat([[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)])
-        if det(m):
+        if rank(m) == r:
             return m
 
 

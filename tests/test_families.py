@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdual.configuration import affine_dim, parse_configuration
 from toricdual.engine import is_segre, is_self_dual
@@ -12,7 +16,16 @@ from toricdual.families import (
     segre,
 )
 from toricdual.gale import gale_dual, verify_gale_dual
-from toricdual.intlinalg import column_lattices_equal, imat, integer_kernel, lattice_basis
+from toricdual.intlinalg import (
+    column_lattices_equal,
+    imat,
+    integer_kernel,
+    lattice_basis,
+    rational_rank,
+)
+from toricdual.oracle import _hermite_kernel
+from test_engine import _nonsingular, _unimodular
+from test_intlinalg import cofactor_det, product
 
 
 def test_segre_shape_and_flags():
@@ -123,3 +136,91 @@ def test_family_validation():
         family_codim(1, 2, [1, -1])
     with pytest.raises(ValueError):
         family_codim(2, 2, [1, -1, 0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: family_alpha_gale(0), "alpha != 0"),
+        (lambda: family_dim(3, [1, -1]), "expected 3 alpha values"),
+        (lambda: family_dim(2, [0, 0]), "nonzero and sum to zero"),
+        (lambda: family_codim(2, 1, [1]), "r >= 2"),
+        (lambda: family_codim(2, 2, [0, 0]), "nonzero and sum to zero"),
+        (lambda: family_codim(2, 2, [1, 1]), "nonzero and sum to zero"),
+    ],
+)
+def test_family_argument_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _canonical_verify(c, b):
+    """The former ``verify_gale_dual``, kept as the reference: the columns
+    are affine relations, independent, as many as the canonical Gale dual's
+    and generate the same lattice; the canonical basis comes from the
+    referees' two-pass Hermite kernel and the rank from Fractions."""
+    ones_on_top = [[1] * c.npoints, *c.weights]
+    bm = imat(b)
+    if any(map(any, product(ones_on_top, bm))) or rational_rank(bm) != bm.shape[1]:
+        return False
+    canonical = _hermite_kernel(ones_on_top)
+    return bm.shape[1] == canonical.shape[1] and column_lattices_equal(bm, canonical)
+
+
+def _candidate(c, kind, rng):
+    """A candidate Gale dual of ``c`` of the given kind, and the answer when
+    the kind decides it (None otherwise)."""
+    rel = c.relations.tolist()
+    n, r = len(rel), len(rel[0])
+    if kind == "unimodular":  # another basis of the saturated lattice
+        return product(rel, _unimodular(rng, r)), True
+    if kind == "nonsingular":  # a sublattice, proper unless |det| = 1
+        m = _nonsingular(rng, r).tolist()
+        return product(rel, m), abs(cofactor_det(m)) == 1
+    if kind in ("doubled", "zeroed"):  # index 2; dependent, still saturated
+        t, f = rng.randrange(r), 2 if kind == "doubled" else 0
+        return [[f * x if j == t else x for j, x in enumerate(row)] for row in rel], False
+    if kind == "circuits":  # a basis over Q, saturated or not
+        return c.circuit_basis, None
+    if kind == "wrong_count":  # one column too few or one too many
+        if rng.random() < 0.5:
+            return [row[1:] for row in rel], False
+        return [row + [row[0]] for row in rel], False
+    if kind == "combination":  # r - 1, r or r + 1 integer combinations
+        k = rng.randint(max(0, r - 1), r + 1)
+        m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(r)]
+        return product(rel, m), None
+    return [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)], None
+
+
+# d <= 3 rows and n >= d + 2 points, so there is at least one relation
+gale_inputs = st.integers(1, 3).flatmap(
+    lambda d: st.integers(d + 2, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=d, max_size=d
+        )
+    )
+)
+candidate_kinds = st.sampled_from(
+    [
+        "unimodular",
+        "nonsingular",
+        "doubled",
+        "zeroed",
+        "circuits",
+        "wrong_count",
+        "combination",
+        "random",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gale_inputs, candidate_kinds, st.integers(0, 2**32))
+def test_verify_gale_dual_matches_the_canonical_comparison(rows, kind, seed):
+    c = parse_configuration(rows)
+    b, expected = _candidate(c, kind, random.Random(seed))
+    got = verify_gale_dual(c, b)
+    assert got == _canonical_verify(c, b)
+    if expected is not None:
+        assert got == expected

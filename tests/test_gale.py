@@ -166,6 +166,14 @@ def test_is_facial_conventions():
         is_facial(CONIC, [])
 
 
+@pytest.mark.parametrize("subset", [[3], [-1], [0, 3]])
+def test_subsets_and_classes_out_of_range_are_refused(subset):
+    with pytest.raises(ValueError, match="out of range"):
+        is_facial(CONIC, subset)
+    with pytest.raises(ValueError, match="out of range"):
+        is_parallel_face_complement(CONIC, subset)
+
+
 def test_is_facial_simplex_everything():
     simplex = parse_configuration([[0, 1, 0], [0, 0, 1]])
     for subset in ([0], [1], [0, 1], [0, 2], [0, 1, 2]):

@@ -217,6 +217,12 @@ def test_facial_via_separation_matches_gale_test():
                 assert facial_via_separation(c, sub) == is_facial(c, sub).value, sub
 
 
+@pytest.mark.parametrize("subset", [[], [3], [-1], [0, 3]])
+def test_facial_via_separation_refuses_bad_subsets(subset):
+    with pytest.raises(ValueError):
+        facial_via_separation(CONIC, subset)
+
+
 def _replayed_draw(rng):
     """The draw ``random_configuration(rng)`` keeps, found by replaying its
     rejection sampling with the default filters on the saturated Gale dual."""
@@ -265,13 +271,16 @@ def test_pyramidal_refusals_name_the_zero_rows():
     from toricdual.gale import coparallel_criterion
 
     pyramid = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
-    b = gale_dual(pyramid)
-    for refuse in (
-        lambda: line_sums_zero(b),
-        lambda: coparallel_criterion(pyramid),
-        lambda: self_dual_via_flats(b),
-        lambda: strong_via_points(pyramid),
-        lambda: is_strongly_self_dual(pyramid),
-    ):
-        with pytest.raises(InapplicableInput, match=r"zero Gale rows at \[3\]"):
-            refuse()
+    # a simplex has no relations: every row of its Gale dual is zero
+    simplex = parse_configuration([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
+    for c, zero_rows in ((pyramid, r"\[3\]"), (simplex, r"\[0, 1, 2\]")):
+        b = gale_dual(c)
+        for refuse in (
+            lambda: line_sums_zero(b),
+            lambda: coparallel_criterion(c),
+            lambda: self_dual_via_flats(b),
+            lambda: strong_via_points(c),
+            lambda: is_strongly_self_dual(c),
+        ):
+            with pytest.raises(InapplicableInput, match="zero Gale rows at " + zero_rows):
+                refuse()

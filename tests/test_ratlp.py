@@ -166,6 +166,8 @@ def test_feasible_nonneg_simple():
     assert x is None
     # certificate: y*a <= 0 and y*b > 0
     assert cert[0] * 1 <= 0 and cert[0] * (-1) > 0
+    with pytest.raises(ValueError, match="length mismatch"):
+        feasible_nonneg([[1, 1]], [1, 2])
 
 
 def test_positive_dependency_antiparallel_pair():

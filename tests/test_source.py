@@ -2,11 +2,13 @@
 
 import ast
 import pathlib
+import shlex
 
 import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "toricdual"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "toricdual"
 
 
 def unused_imports(source: str) -> list:
@@ -83,3 +85,28 @@ def test_no_unreferenced_private_functions():
     paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     sources = {str(p.relative_to(TESTS.parent)): p.read_text(encoding="utf-8") for p in paths}
     assert unreferenced_private_functions(sources) == []
+
+
+def readme_commands(readme: str) -> list:
+    """The ``toricdual`` command lines of the README's "Command line" code
+    block, as argument lists, with trailing comments dropped."""
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith("toricdual ")
+    ]
+
+
+def test_readme_commands_run_in_the_cli_tour():
+    commands = readme_commands((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(commands) >= 10
+    tour = [
+        shlex.split(line)[1:]
+        for line in (ROOT / "demos" / "cli_tour.sh").read_text(encoding="utf-8").splitlines()
+        if line.startswith("run toricdual ")
+    ]
+    # a tour line may add options (--verify, --format text) after the README's
+    missing = [c for c in commands if not any(t[: len(c)] == c for t in tour)]
+    assert missing == []
