@@ -6,72 +6,13 @@ in exact integer/rational arithmetic, with machine-checkable witnesses —
 whether that variety is self-dual or strongly self-dual, working from the
 Gale dual of the configuration.  Brute-force oracles re-derive every verdict
 independently for cross-validation.
+
+Names load on first use: each exported name is imported from its
+submodule when it is first read, so a program loads only the code it runs
+(reading ``toricdual.is_self_dual`` loads no oracle code).
 """
 
-from .configuration import (
-    Configuration,
-    DecompositionReport,
-    DedupReport,
-    affine_dim,
-    dedup,
-    parse_configuration,
-    regularize,
-    subconfiguration,
-)
-from .engine import (
-    HypersurfaceClass,
-    full_decomposition,
-    hypersurface_class,
-    is_lawrence,
-    is_segre,
-    is_self_dual,
-    is_strongly_self_dual,
-    lawrence_strong_parity,
-    smooth_certificate,
-)
-from .exceptions import GuardExceeded, InapplicableInput
-from .families import (
-    config_from_gale,
-    family_alpha,
-    family_alpha_gale,
-    family_codim,
-    family_dim,
-    lawrence,
-    segre,
-)
-from .gale import (
-    GaleDual,
-    coparallel_classes,
-    coparallel_criterion,
-    gale_dual,
-    is_facial,
-    is_parallel_face_complement,
-    line_partition,
-    line_sums_zero,
-    verify_gale_dual,
-)
-from .intlinalg import (
-    IntMatrix,
-    imat,
-    in_row_span,
-    integer_kernel,
-    matmul,
-    rational_rank,
-)
-from .oracle import (
-    Circuit,
-    Flat,
-    coparallel_via_circuits,
-    crosscheck,
-    enumerate_circuits,
-    enumerate_flats,
-    facial_via_separation,
-    self_dual_via_flats,
-    self_dual_via_sigma,
-    strong_via_points,
-)
-from .ratlp import positive_dependency
-from .verdict import Verdict
+from importlib import import_module
 
 __all__ = [
     "Circuit",
@@ -130,3 +71,74 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# where each name in __all__ is defined
+_SUBMODULE = {
+    "Circuit": "oracle",
+    "Configuration": "configuration",
+    "DecompositionReport": "configuration",
+    "DedupReport": "configuration",
+    "Flat": "oracle",
+    "GaleDual": "gale",
+    "GuardExceeded": "exceptions",
+    "HypersurfaceClass": "engine",
+    "InapplicableInput": "exceptions",
+    "IntMatrix": "intlinalg",
+    "Verdict": "verdict",
+    "affine_dim": "configuration",
+    "config_from_gale": "families",
+    "coparallel_classes": "gale",
+    "coparallel_criterion": "gale",
+    "coparallel_via_circuits": "oracle",
+    "crosscheck": "oracle",
+    "dedup": "configuration",
+    "enumerate_circuits": "oracle",
+    "enumerate_flats": "oracle",
+    "facial_via_separation": "oracle",
+    "family_alpha": "families",
+    "family_alpha_gale": "families",
+    "family_codim": "families",
+    "family_dim": "families",
+    "full_decomposition": "engine",
+    "gale_dual": "gale",
+    "hypersurface_class": "engine",
+    "imat": "intlinalg",
+    "in_row_span": "intlinalg",
+    "integer_kernel": "intlinalg",
+    "is_facial": "gale",
+    "is_lawrence": "engine",
+    "is_parallel_face_complement": "gale",
+    "is_segre": "engine",
+    "is_self_dual": "engine",
+    "is_strongly_self_dual": "engine",
+    "lawrence": "families",
+    "lawrence_strong_parity": "engine",
+    "line_partition": "gale",
+    "line_sums_zero": "gale",
+    "matmul": "intlinalg",
+    "parse_configuration": "configuration",
+    "positive_dependency": "ratlp",
+    "rational_rank": "intlinalg",
+    "regularize": "configuration",
+    "segre": "families",
+    "self_dual_via_flats": "oracle",
+    "self_dual_via_sigma": "oracle",
+    "smooth_certificate": "engine",
+    "strong_via_points": "oracle",
+    "subconfiguration": "configuration",
+    "verify_gale_dual": "gale",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,7 +4,9 @@ Matrices come in as JSON ({"rows": d, "cols": n, "entries": [[...], ...]})
 or as whitespace-separated text with one row per line.  Reports go out as
 JSON (default) or readable text; witnesses are included verbatim so a
 skeptical consumer can recheck them, and ``--verify`` does that recheck with
-the brute-force oracles right away.
+the brute-force oracles right away.  The oracles and the built-in families
+are imported only by the commands that run them, so ``check`` without
+``--verify`` loads no oracle code.
 """
 
 import argparse
@@ -12,7 +14,6 @@ import json
 import sys
 import time
 
-from . import families
 from .configuration import affine_dim, parse_configuration, regularize
 from .engine import (
     full_decomposition,
@@ -25,16 +26,6 @@ from .engine import (
 from .exceptions import GuardExceeded
 from .gale import gale_dual, is_facial
 from .intlinalg import imat
-from .oracle import (
-    crosscheck,
-    enumerate_circuits,
-    enumerate_flats,
-    facial_via_separation,
-    self_dual_via_flats,
-    self_dual_via_sigma,
-    strong_via_points,
-    ENUMERATION_GUARD,
-)
 from .verdict import Verdict
 
 
@@ -116,6 +107,8 @@ def _report(start, config=None, verdict: Verdict = None, **extra) -> dict:
 
 
 def _oracle_verify_self_dual(c, verdict: Verdict):
+    from .oracle import ENUMERATION_GUARD, self_dual_via_flats, self_dual_via_sigma
+
     # a verdict by any other criterion means c has no repeats and no apexes
     if verdict.criterion == "join-decomposition":
         return {"status": "skipped", "reason": "oracle covers repeat-free non-pyramidal input"}
@@ -157,6 +150,8 @@ def cmd_check(args):
         v = is_strongly_self_dual(c)
         extra = {}
         if args.verify:
+            from .oracle import strong_via_points
+
             try:
                 ok = strong_via_points(c)
             except GuardExceeded:
@@ -171,6 +166,8 @@ def cmd_check(args):
         v = is_facial(c, subset)
         extra = {"subset": subset}
         if args.verify:
+            from .oracle import facial_via_separation
+
             ok = facial_via_separation(c, subset)
             extra["oracle"] = {"status": "ok" if ok == v.value else "DISAGREEMENT", "separation": ok}
     report = _report(start, config=c, verdict=v, **extra)
@@ -197,6 +194,8 @@ def cmd_decompose(args):
 
 
 def cmd_circuits(args):
+    from .oracle import enumerate_circuits
+
     start = time.perf_counter()
     c = parse_configuration(read_matrix(args.matrix))
     circuits = enumerate_circuits(c)
@@ -210,6 +209,8 @@ def cmd_circuits(args):
 
 
 def cmd_flats(args):
+    from .oracle import enumerate_flats
+
     start = time.perf_counter()
     c = parse_configuration(read_matrix(args.matrix))
     b = gale_dual(c)
@@ -247,6 +248,8 @@ def _parse_alphas(text):
 
 
 def cmd_generate(args):
+    from . import families
+
     start = time.perf_counter()
     extra = {}
     if args.family == "segre":
@@ -279,6 +282,8 @@ def cmd_generate(args):
 
 
 def cmd_oracle(args):
+    from .oracle import crosscheck
+
     start = time.perf_counter()
     rep = crosscheck(seed=args.seed, count=args.count)
     report = _report(

@@ -10,13 +10,12 @@ columns and records their multiplicities.  Apexes are split off in
 ``engine.full_decomposition``, as the zero rows of a Gale dual.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .intlinalg import IntMatrix, circuit_kernel, imat, integer_kernel, rank
 
 
-@dataclass(frozen=True, eq=False)
 class Configuration:
     """A d x n matrix of column weights; every invariant is computed on first
     use and then kept.
@@ -30,10 +29,18 @@ class Configuration:
     no saturation step, and is what the self-duality verdict reads, so its
     witnesses are stated in its coordinates.  ``weights``, ``relations`` and
     ``circuit_basis`` are immutable :class:`IntMatrix` values, and each
-    invariant is computed at most once per configuration.
+    invariant is computed at most once per configuration.  A configuration
+    refuses attribute assignment and equals only itself.
     """
 
-    weights: IntMatrix
+    def __init__(self, weights: IntMatrix):
+        object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -65,8 +72,7 @@ class Configuration:
         return f"Configuration({self.dim}x{self.npoints}, regular={self.regular})"
 
 
-@dataclass(frozen=True)
-class DedupReport:
+class DedupReport(NamedTuple):
     """Distinct columns of a configuration with their multiplicities.
 
     ``multiplicity[i]`` counts how often distinct column i occurs;
@@ -84,8 +90,7 @@ class DedupReport:
         return sum(self.multiplicity) - len(self.multiplicity)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Join structure of a configuration: repeats, pyramid apexes and core.
 
     ``repeat_codim`` counts the repeated columns beyond the first of each.

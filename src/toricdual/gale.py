@@ -8,8 +8,8 @@ faces of the convex hull correspond to strictly positive dependencies among
 complementary rows.
 """
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, regularize
 from .exceptions import InapplicableInput, pyramidal_input
@@ -18,15 +18,27 @@ from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import Verdict
 
 
-@dataclass(frozen=True, eq=False)
 class GaleDual:
     """n x r matrix whose columns are a basis of the affine relations.
 
     :func:`gale_dual` gives the saturated canonical basis; the self-duality
-    verdict wraps ``Configuration.circuit_basis``, a basis over Q only.
+    verdict wraps ``Configuration.circuit_basis``, a basis over Q only.  A
+    Gale dual refuses attribute assignment and equals only itself.
     """
 
-    matrix: IntMatrix
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: IntMatrix):
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"GaleDual(matrix={self.matrix!r})"
 
     @property
     def npoints(self) -> int:
@@ -46,8 +58,7 @@ class GaleDual:
         return tuple(i for i, row in enumerate(self.matrix) if not any(row))
 
 
-@dataclass(frozen=True)
-class LineClass:
+class LineClass(NamedTuple):
     """All dual rows lying on one line through the origin."""
 
     direction: tuple  # primitive, sign-normalized
@@ -55,8 +66,7 @@ class LineClass:
     total: tuple  # exact sum of the member rows
 
 
-@dataclass(frozen=True)
-class LinePartition:
+class LinePartition(NamedTuple):
     classes: tuple
     zero_rows: tuple
 

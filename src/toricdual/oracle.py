@@ -31,9 +31,9 @@ and guard themselves with explicit size limits.
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .configuration import (
     Configuration,
@@ -58,16 +58,14 @@ from .ratlp import feasible_nonneg
 ENUMERATION_GUARD = 12
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """A minimal affine dependency: primitive relation, zero off its support."""
 
     support: tuple
     relation: tuple
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A span-closed subset of Gale rows, with the subset that generated it."""
 
     generators: tuple
@@ -380,8 +378,10 @@ def crosscheck(seed: int, count: int) -> dict:
     The ``"line_sums_zero"`` answer is the shipped verdict,
     ``is_self_dual(c).value``; the other three are the referees.  Returns a
     report with one entry per instance and the list of any disagreements
-    (there should never be one).
+    (there should never be one).  A negative ``count`` raises ``ValueError``.
     """
+    if count < 0:
+        raise ValueError(f"crosscheck count must be at least 0, got {count}")
     rng = random.Random(seed)
     results = []
     disagreements = []

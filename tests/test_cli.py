@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import toricdual
-from toricdual import cli
+from toricdual import oracle
 from toricdual.cli import main, read_matrix
 
 
@@ -102,7 +102,7 @@ def test_check_self_dual_verify_skips_what_the_oracle_does_not_cover(
 
 
 def test_check_self_dual_verify_exits_one_on_a_disagreement(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "self_dual_via_flats", lambda b: False)
+    monkeypatch.setattr(oracle, "self_dual_via_flats", lambda b: False)
     code, out, _ = run(capsys, "check", "self-dual", write_segre2(tmp_path), "--verify")
     assert code == 1
     doc = json.loads(out)
@@ -211,6 +211,13 @@ def test_oracle_crosscheck(capsys):
     assert doc["disagreements"] == []
 
 
+def test_oracle_crosscheck_refuses_a_negative_count(capsys):
+    _assert_one_error_line(*run(capsys, "oracle", "crosscheck", "--count", "-1"))
+    code, out, _ = run(capsys, "oracle", "crosscheck", "--count", "0")
+    assert code == 0
+    assert json.loads(out)["agreements"] == 0
+
+
 def test_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -311,11 +318,41 @@ def test_numpy_is_never_imported(tmp_path):
             "assert 'numpy' not in sys.modules, 'crosscheck'",
         ]
     )
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_python(script):
+    """Run ``script`` in a fresh interpreter that finds this checkout's package."""
     src = os.path.dirname(os.path.dirname(toricdual.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_check_self_dual_loads_no_oracle_code(tmp_path):
+    """A plain check imports neither the referees, the families nor
+    dataclasses; the commands that run them still work in that process."""
+    path = write_segre2(tmp_path)
+    # a site that preloads one of them must not fail the test, so leave out
+    # what an interpreter holds before it imports toricdual
+    bare = set(_run_python("import sys; print('\\n'.join(sys.modules))").stdout.split())
+    watched = sorted({"toricdual.oracle", "toricdual.families", "dataclasses"} - bare)
+    assert "toricdual.oracle" in watched and "toricdual.families" in watched
+    script = "\n".join(
+        [
+            "import sys",
+            "import toricdual.cli",
+            f"assert toricdual.cli.main(['check', 'self-dual', {path!r}]) == 0",
+            f"loaded = [m for m in {watched!r} if m in sys.modules]",
+            "assert loaded == [], loaded",
+            f"assert toricdual.cli.main(['check', 'self-dual', {path!r}, '--verify']) == 0",
+            "assert toricdual.cli.main(['generate', 'segre', '--m', '2']) == 0",
+            "assert toricdual.cli.main(['oracle', 'crosscheck', '--count', '2']) == 0",
+        ]
+    )
+    proc = _run_python(script)
     assert proc.returncode == 0, proc.stderr
 
 

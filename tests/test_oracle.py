@@ -266,6 +266,13 @@ def test_crosscheck_small_run():
     assert report["disagreements"] == []
 
 
+def test_crosscheck_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="at least 0"):
+        crosscheck(seed=5, count=-1)
+    empty = crosscheck(seed=5, count=0)
+    assert (empty["count"], empty["results"], empty["disagreements"]) == (0, [], [])
+
+
 def test_pyramidal_refusals_name_the_zero_rows():
     from toricdual.engine import is_strongly_self_dual
     from toricdual.gale import coparallel_criterion
