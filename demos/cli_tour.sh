@@ -29,4 +29,11 @@ run toricdual generate family-codim --m 2 --r 2 --alphas 1,-1
 run toricdual oracle crosscheck --seed 7 --count 200 --format text
 echo
 echo "pyramidal input is refused with the violated hypothesis named:"
-toricdual check strong demos/data/pyramid.txt || true
+status=0
+err=$(toricdual check strong demos/data/pyramid.txt 2>&1 >/dev/null) || status=$?
+echo "$err"
+# a traceback exits 1 too: require exactly one error: line
+if [[ $status -ne 1 || $err != "error: "* || $err == *$'\n'* ]]; then
+    echo "expected exit 1 and one error: line on stderr, got exit $status" >&2
+    exit 1
+fi

@@ -14,65 +14,9 @@ submodule when it is first read, so a program loads only the code it runs
 
 from importlib import import_module
 
-__all__ = [
-    "Circuit",
-    "Configuration",
-    "DecompositionReport",
-    "DedupReport",
-    "Flat",
-    "GaleDual",
-    "GuardExceeded",
-    "HypersurfaceClass",
-    "InapplicableInput",
-    "IntMatrix",
-    "Verdict",
-    "affine_dim",
-    "config_from_gale",
-    "coparallel_classes",
-    "coparallel_criterion",
-    "coparallel_via_circuits",
-    "crosscheck",
-    "dedup",
-    "enumerate_circuits",
-    "enumerate_flats",
-    "facial_via_separation",
-    "family_alpha",
-    "family_alpha_gale",
-    "family_codim",
-    "family_dim",
-    "full_decomposition",
-    "gale_dual",
-    "hypersurface_class",
-    "imat",
-    "in_row_span",
-    "integer_kernel",
-    "is_facial",
-    "is_lawrence",
-    "is_parallel_face_complement",
-    "is_segre",
-    "is_self_dual",
-    "is_strongly_self_dual",
-    "lawrence",
-    "lawrence_strong_parity",
-    "line_partition",
-    "line_sums_zero",
-    "matmul",
-    "parse_configuration",
-    "positive_dependency",
-    "rational_rank",
-    "regularize",
-    "segre",
-    "self_dual_via_flats",
-    "self_dual_via_sigma",
-    "smooth_certificate",
-    "strong_via_points",
-    "subconfiguration",
-    "verify_gale_dual",
-]
-
 __version__ = "0.1.0"
 
-# where each name in __all__ is defined
+# each public name and the submodule that defines it
 _SUBMODULE = {
     "Circuit": "oracle",
     "Configuration": "configuration",
@@ -128,6 +72,8 @@ _SUBMODULE = {
     "subconfiguration": "configuration",
     "verify_gale_dual": "gale",
 }
+
+__all__ = list(_SUBMODULE)
 
 
 def __getattr__(name):

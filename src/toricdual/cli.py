@@ -1,12 +1,15 @@
 """Command-line front end: file input, verdict reports, batch crosschecks.
 
 Matrices come in as JSON ({"rows": d, "cols": n, "entries": [[...], ...]})
-or as whitespace-separated text with one row per line.  Reports go out as
-JSON (default) or readable text; witnesses are included verbatim so a
-skeptical consumer can recheck them, and ``--verify`` does that recheck with
-the brute-force oracles right away.  The oracles and the built-in families
-are imported only by the commands that run them, so ``check`` without
-``--verify`` loads no oracle code.
+or as whitespace-separated text with one row per line ('#' starts a comment
+line; '-' reads stdin).  Each command returns what it decided; ``main``
+times it and writes one report, as JSON (default) or readable text.
+Witnesses are included verbatim so a skeptical consumer can recheck them,
+and ``--verify`` does that recheck with the brute-force oracles right away.
+The exit code is 1 on an input error, reported as one ``error:`` line, and
+when a report holds a disagreement with an oracle.  The oracles and the
+built-in families are imported only by the commands that run them, so
+``check`` without ``--verify`` loads no oracle code.
 """
 
 import argparse
@@ -93,7 +96,7 @@ def _write(report: dict, fmt: str):
         print(f"elapsed: {report['timings']['total_ms']:.1f} ms")
 
 
-def _report(start, config=None, verdict: Verdict = None, **extra) -> dict:
+def _report(start, config, verdict, extra: dict) -> dict:
     rep = {}
     if verdict is not None:
         rep["verdict"] = verdict.value
@@ -123,32 +126,28 @@ def _oracle_verify_self_dual(c, verdict: Verdict):
     return {"status": "ok" if agree else "DISAGREEMENT", "flats": flats, "sigma": sigma}
 
 
-def cmd_gale(args):
-    start = time.perf_counter()
-    c = parse_configuration(read_matrix(args.matrix))
+# Each command takes the parsed arguments and the configuration read from
+# the command's matrix file (None for a command without one), and returns
+# (configuration to echo, verdict, extra report fields); main reports them.
+
+
+def cmd_gale(args, c):
     b = gale_dual(c)
-    report = _report(
-        start,
-        config=c,
-        gale_matrix=matrix_doc(b.matrix),
-        affine_dim=affine_dim(c),
-        zero_rows=list(b.zero_rows()),
-    )
-    _emit(report, args.format)
-    return 0
+    return c, None, {
+        "gale_matrix": matrix_doc(b.matrix),
+        "affine_dim": affine_dim(c),
+        "zero_rows": list(b.zero_rows()),
+    }
 
 
-def cmd_check(args):
-    start = time.perf_counter()
-    c = parse_configuration(read_matrix(args.matrix))
+def cmd_check(args, c):
+    extra = {}
     if args.property == "self-dual":
         v = is_self_dual(c)
-        extra = {}
         if args.verify:
             extra["oracle"] = _oracle_verify_self_dual(c, v)
     elif args.property == "strong":
         v = is_strongly_self_dual(c)
-        extra = {}
         if args.verify:
             from .oracle import strong_via_points
 
@@ -164,93 +163,59 @@ def cmd_check(args):
             raise ValueError("check facial requires --subset i,j,k (zero-based)")
         subset = [int(t) for t in args.subset.split(",")]
         v = is_facial(c, subset)
-        extra = {"subset": subset}
+        extra["subset"] = subset
         if args.verify:
             from .oracle import facial_via_separation
 
             ok = facial_via_separation(c, subset)
             extra["oracle"] = {"status": "ok" if ok == v.value else "DISAGREEMENT", "separation": ok}
-    report = _report(start, config=c, verdict=v, **extra)
-    _emit(report, args.format)
-    if args.verify and report.get("oracle", {}).get("status") == "DISAGREEMENT":
-        return 1
-    return 0
+    return c, v, extra
 
 
-def cmd_decompose(args):
-    start = time.perf_counter()
-    c = parse_configuration(read_matrix(args.matrix))
+def cmd_decompose(args, c):
     rep = full_decomposition(c)
-    report = _report(
-        start,
-        config=c,
-        repeat_codim=rep.repeat_codim,
-        apex_indices=list(rep.apex_indices),
-        core_indices=list(rep.core_indices),
-        join_shape=list(rep.join_shape),
-    )
-    _emit(report, args.format)
-    return 0
+    return c, None, {
+        "repeat_codim": rep.repeat_codim,
+        "apex_indices": list(rep.apex_indices),
+        "core_indices": list(rep.core_indices),
+        "join_shape": list(rep.join_shape),
+    }
 
 
-def cmd_circuits(args):
+def cmd_circuits(args, c):
     from .oracle import enumerate_circuits
 
-    start = time.perf_counter()
-    c = parse_configuration(read_matrix(args.matrix))
     circuits = enumerate_circuits(c)
-    report = _report(
-        start,
-        config=c,
-        circuits=[{"support": list(x.support), "relation": list(x.relation)} for x in circuits],
-    )
-    _emit(report, args.format)
-    return 0
+    return c, None, {
+        "circuits": [{"support": list(x.support), "relation": list(x.relation)} for x in circuits]
+    }
 
 
-def cmd_flats(args):
+def cmd_flats(args, c):
     from .oracle import enumerate_flats
 
-    start = time.perf_counter()
-    c = parse_configuration(read_matrix(args.matrix))
-    b = gale_dual(c)
-    flats = enumerate_flats(b)
-    report = _report(
-        start,
-        config=c,
-        flats=[{"generators": list(f.generators), "closure": list(f.closure)} for f in flats],
-    )
-    _emit(report, args.format)
-    return 0
+    flats = enumerate_flats(gale_dual(c))
+    return c, None, {
+        "flats": [{"generators": list(f.generators), "closure": list(f.closure)} for f in flats]
+    }
 
 
-def cmd_smooth(args):
-    start = time.perf_counter()
-    c = parse_configuration(read_matrix(args.matrix))
+def cmd_smooth(args, c):
     v = smooth_certificate(c)
-    report = _report(start, config=c, verdict=v)
-    report["certificate"] = "SmoothCertified" if v.value else "NotCertified"
-    _emit(report, args.format)
-    return 0
+    return c, v, {"certificate": "SmoothCertified" if v.value else "NotCertified"}
 
 
-def cmd_classify(args):
-    start = time.perf_counter()
-    c = parse_configuration(read_matrix(args.matrix))
-    cls = hypersurface_class(c)
-    report = _report(start, config=c, hypersurface_class=cls.value)
-    _emit(report, args.format)
-    return 0
+def cmd_classify(args, c):
+    return c, None, {"hypersurface_class": hypersurface_class(c).value}
 
 
 def _parse_alphas(text):
     return [int(t) for t in text.replace(",", " ").split()]
 
 
-def cmd_generate(args):
+def cmd_generate(args, _):
     from . import families
 
-    start = time.perf_counter()
     extra = {}
     if args.family == "segre":
         c = families.segre(args.m)
@@ -276,26 +241,20 @@ def cmd_generate(args):
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         extra["written"] = args.output
-    report = _report(start, config=c, matrix=doc, affine_dim=affine_dim(c), **extra)
-    _emit(report, args.format)
-    return 0
+    return c, None, {"matrix": doc, "affine_dim": affine_dim(c), **extra}
 
 
-def cmd_oracle(args):
+def cmd_oracle(args, _):
     from .oracle import crosscheck
 
-    start = time.perf_counter()
     rep = crosscheck(seed=args.seed, count=args.count)
-    report = _report(
-        start,
-        seed=args.seed,
-        count=args.count,
-        self_dual_instances=rep["self_dual_instances"],
-        agreements=rep["count"] - len(rep["disagreements"]),
-        disagreements=rep["disagreements"],
-    )
-    _emit(report, args.format)
-    return 1 if rep["disagreements"] else 0
+    return None, None, {
+        "seed": args.seed,
+        "count": args.count,
+        "self_dual_instances": rep["self_dual_instances"],
+        "agreements": rep["count"] - len(rep["disagreements"]),
+        "disagreements": rep["disagreements"],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,13 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its report.  Exit 1 on an input error (one
+    ``error:`` line on stderr) or when the report holds a disagreement with
+    an oracle; 0 otherwise."""
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        c = parse_configuration(read_matrix(args.matrix)) if "matrix" in args else None
+        report = _report(start, *args.func(args, c))
+        _emit(report, args.format)
     # InapplicableInput, GuardExceeded and JSONDecodeError are ValueErrors
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    disagreed = report.get("oracle", {}).get("status") == "DISAGREEMENT"
+    return 1 if disagreed or report.get("disagreements") else 0
 
 
 if __name__ == "__main__":

@@ -10,13 +10,15 @@ columns and records their multiplicities.  Apexes are split off in
 ``engine.full_decomposition``, as the zero rows of a Gale dual.
 """
 
+import operator
 from functools import cached_property
 from typing import NamedTuple
 
 from .intlinalg import IntMatrix, circuit_kernel, imat, integer_kernel, rank
+from .verdict import ReadOnly
 
 
-class Configuration:
+class Configuration(ReadOnly):
     """A d x n matrix of column weights; every invariant is computed on first
     use and then kept.
 
@@ -35,12 +37,6 @@ class Configuration:
 
     def __init__(self, weights: IntMatrix):
         object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -122,14 +118,23 @@ def _ones_on_top(c: Configuration) -> list:
     return [(1,) * c.npoints, *c.weights]
 
 
-def subconfiguration(c: Configuration, indices) -> Configuration:
-    """The configuration made of the selected columns (order preserved)."""
-    idx = list(indices)
+def column_indices(c: Configuration, indices) -> list:
+    """``indices`` as a list of ints, in the order given; ``ValueError`` when
+    it is empty, holds a non-integer, or names no column of ``c``."""
+    try:
+        idx = [operator.index(j) for j in indices]
+    except TypeError:
+        raise ValueError("column indices must be integers") from None
     if not idx:
         raise ValueError("empty column selection")
-    if any(j < 0 or j >= c.npoints for j in idx):
+    if min(idx) < 0 or max(idx) >= c.npoints:
         raise ValueError("column index out of range")
-    return parse_configuration(c.weights.select(idx))
+    return idx
+
+
+def subconfiguration(c: Configuration, indices) -> Configuration:
+    """The configuration made of the selected columns (order preserved)."""
+    return parse_configuration(c.weights.select(column_indices(c, indices)))
 
 
 def regularize(c: Configuration) -> Configuration:

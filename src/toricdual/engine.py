@@ -30,10 +30,10 @@ from .verdict import Verdict
 def _decompose(c: Configuration):
     """The decision pipeline: merge repeats, then split off apexes.
 
-    Returns ``(distinct, b, report)``: the distinct-column configuration of
-    ``c``, its fundamental-circuit Gale dual (a rational, not a saturated,
-    basis of its relations), and the combined report.  Apexes are the zero
-    rows of ``b`` and the core is every other row.
+    Returns ``(b, report)``: the fundamental-circuit Gale dual of the
+    distinct columns of ``c`` (a rational, not a saturated, basis of their
+    relations) and the combined report.  Apexes are the zero rows of ``b``
+    and the core is every other row.
     """
     rep = dedup(c)
     b = GaleDual(matrix=rep.distinct.circuit_basis)
@@ -46,7 +46,7 @@ def _decompose(c: Configuration):
         core_indices=core,
         join_shape=(k, len(apex), len(core)),
     )
-    return rep.distinct, b, report
+    return b, report
 
 
 def is_self_dual(c: Configuration) -> Verdict:
@@ -64,7 +64,7 @@ def is_self_dual(c: Configuration) -> Verdict:
     in the witness are in that basis, marked ``"basis":
     "fundamental_circuits"``.
     """
-    _, b, dec = _decompose(c)
+    b, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
     if r == 0 and k == 0:
         return _circuit_line_sums(b)
@@ -365,7 +365,7 @@ def hypersurface_class(c: Configuration) -> HypersurfaceClass:
 
 def full_decomposition(c: Configuration) -> DecompositionReport:
     """Merge repeats and split off apexes; one combined report."""
-    return _decompose(c)[2]
+    return _decompose(c)[1]
 
 
 def smooth_certificate(c: Configuration) -> Verdict:
@@ -381,7 +381,10 @@ def smooth_certificate(c: Configuration) -> Verdict:
     presentation of the same relations gives the same verdict.
     """
     if len(set(c.columns())) != c.npoints:
-        raise ValueError("smoothness certificate expects no repeated columns")
+        raise InapplicableInput(
+            "repeated columns: the smoothness certificate expects a "
+            "repeat-free configuration"
+        )
     n = c.npoints
     dim = affine_dim(c)
     cols = c.columns()

@@ -11,14 +11,14 @@ complementary rows.
 from math import lcm
 from typing import NamedTuple
 
-from .configuration import Configuration, _ones_on_top, regularize
+from .configuration import Configuration, _ones_on_top, column_indices, regularize
 from .exceptions import InapplicableInput, pyramidal_input
 from .intlinalg import IntMatrix, column_lattice_saturated, imat, matmul, primitive_vector, rank
 from .ratlp import positive_dependency_certified, solve_linear
-from .verdict import Verdict
+from .verdict import ReadOnly, Verdict
 
 
-class GaleDual:
+class GaleDual(ReadOnly):
     """n x r matrix whose columns are a basis of the affine relations.
 
     :func:`gale_dual` gives the saturated canonical basis; the self-duality
@@ -30,12 +30,6 @@ class GaleDual:
 
     def __init__(self, matrix: IntMatrix):
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"GaleDual(matrix={self.matrix!r})"
@@ -188,12 +182,7 @@ def is_facial(c: Configuration, subset) -> Verdict:
     rules one out, is given in integers: the rational one times the lcm of
     its denominators, which is a certificate too.
     """
-    sel = sorted(set(int(j) for j in subset))
-    if not sel:
-        raise ValueError("facial test expects a nonempty subset")
-    if sel[0] < 0 or sel[-1] >= c.npoints:
-        raise ValueError("subset index out of range")
-    inside = set(sel)
+    inside = set(column_indices(c, subset))
     complement = [i for i in range(c.npoints) if i not in inside]
     if not complement:
         return Verdict(
@@ -237,11 +226,7 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
     and both are faces; the witness gives the functional as ``ell``, integers
     to be divided by ``denominator``.
     """
-    sel = sorted(set(int(j) for j in members))
-    if not sel:
-        raise ValueError("expected a nonempty class")
-    if sel[0] < 0 or sel[-1] >= c.npoints:
-        raise ValueError("class index out of range")
+    sel = sorted(set(column_indices(c, members)))
     inside = set(sel)
     targets = [int(j in inside) for j in range(c.npoints)]
     ell = solve_linear(c.columns(), targets)

@@ -11,10 +11,10 @@ The fast path is fraction-free and runs on plain int lists.  One Bareiss loop
 ``integer_kernel`` (that Gauss-Jordan pass on the reversed columns, then a
 Hermite form kept modulo its last pivot); one Hermite echelon loop
 (``_echelon``) serves ``lattice_basis``.
-``lattice_basis`` answers every question about a lattice: equality
-(``column_lattices_equal``, the tests' reference) and saturation
-(``column_lattice_saturated``, which ``verify_gale_dual`` reads); no Smith
-form is needed for either.
+``lattice_basis`` answers every question about a lattice: equality (equal
+lattices have equal bases, which ``smooth_certificate`` compares) and
+saturation (``column_lattice_saturated``, which ``verify_gale_dual``
+reads); no Smith form is needed for either.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual (the oracles keep the two-pass echelon route to the same basis as
 their reference); ``circuit_kernel`` is the fundamental-circuit basis, a
@@ -390,14 +390,6 @@ def lattice_basis(vectors, dim: int) -> list:
     """Canonical Hermite basis, as int lists, of the lattice that the integer
     vectors of length ``dim`` generate; equal lattices give equal bases."""
     return [row for row in _echelon([list(v) for v in vectors], dim) if any(row)]
-
-
-def column_lattices_equal(a, b) -> bool:
-    """Whether two integer matrices generate the same column lattice."""
-    a, b = imat(a), imat(b)
-    if len(a) != len(b):
-        return False
-    return lattice_basis(a.T, len(a)) == lattice_basis(b.T, len(b))
 
 
 def column_lattice_saturated(a) -> bool:

@@ -38,6 +38,7 @@ from typing import NamedTuple
 from .configuration import (
     Configuration,
     affine_dim,
+    column_indices,
     parse_configuration,
     regularize,
 )
@@ -254,11 +255,7 @@ def facial_via_separation(c: Configuration, subset) -> bool:
     where ``is_facial`` looks for a positive dependency among the Gale dual
     rows of the complement.
     """
-    sel = sorted(set(int(j) for j in subset))
-    if not sel:
-        raise ValueError("facial test expects a nonempty subset")
-    if sel[0] < 0 or sel[-1] >= c.npoints:
-        raise ValueError("subset index out of range")
+    sel = sorted(set(column_indices(c, subset)))
     inside = set(sel)
     outside = [j for j in range(c.npoints) if j not in inside]
     if not outside:

@@ -1,7 +1,21 @@
-"""Boolean verdicts that carry machine-checkable witnesses."""
+"""Boolean verdicts that carry machine-checkable witnesses, and the
+read-only base that every value record of the package shares."""
 
 
-class Verdict:
+class ReadOnly:
+    """Base of the records whose fields are set once, in ``__init__`` through
+    ``object.__setattr__``, and then refuse assignment and deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Verdict(ReadOnly):
     """A yes/no answer plus the evidence that produced it.
 
     ``criterion`` names the test that decided the question; ``witness`` is a
@@ -18,12 +32,6 @@ class Verdict:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "criterion", criterion)
         object.__setattr__(self, "witness", {} if witness is None else witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

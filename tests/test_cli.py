@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -374,3 +375,59 @@ def test_format_flag_after_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, "gale", write_segre2(tmp_path), "--format", "text")
     assert code == 0
     assert out.startswith("gale_matrix") or "gale_matrix" in out
+
+
+REPORT = ("verdict", "criterion", "witness")
+ECHO = ("config_echo", "timings")
+GENERATED = ("matrix", "affine_dim")
+# each command line (SEGRE2 stands for a matrix file) and its report's keys
+COMMAND_KEYS = {
+    "gale SEGRE2": ("gale_matrix", "affine_dim", "zero_rows", *ECHO),
+    "check self-dual SEGRE2": (*REPORT, *ECHO),
+    "check self-dual SEGRE2 --verify": (*REPORT, "oracle", *ECHO),
+    "check strong SEGRE2 --verify": (*REPORT, "oracle", *ECHO),
+    "check facial SEGRE2 --subset 0": (*REPORT, "subset", *ECHO),
+    "check facial SEGRE2 --subset 0 --verify": (*REPORT, "subset", "oracle", *ECHO),
+    "decompose SEGRE2": ("repeat_codim", "apex_indices", "core_indices", "join_shape", *ECHO),
+    "circuits SEGRE2": ("circuits", *ECHO),
+    "flats SEGRE2": ("flats", *ECHO),
+    "smooth-certificate SEGRE2": (*REPORT, "certificate", *ECHO),
+    "classify-hypersurface SEGRE2": ("hypersurface_class", *ECHO),
+    "generate segre": (*GENERATED, "m", *ECHO),
+    'generate lawrence --rows "1 1 1"': (
+        *GENERATED, "block", "parity_verdict", "parity_witness", *ECHO
+    ),
+    "generate family-alpha": (*GENERATED, "alpha", *ECHO),
+    "generate family-dim": (*GENERATED, *ECHO),
+    "generate family-codim": (*GENERATED, *ECHO),
+    "oracle crosscheck --count 2": (
+        "seed", "count", "self_dual_instances", "agreements", "disagreements", "timings"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_KEYS)
+def test_every_command_reports_its_keys_in_order(tmp_path, capsys, command):
+    segre2 = write_segre2(tmp_path)
+    argv = [segre2 if a == "SEGRE2" else a for a in shlex.split(command)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert tuple(json.loads(out)) == COMMAND_KEYS[command]
+
+
+def test_every_command_refuses_with_one_error_line(tmp_path, capsys, monkeypatch):
+    pyramid = tmp_path / "pyramid.txt"
+    pyramid.write_text("1 1 1 1\n0 1 2 0\n0 0 0 1\n")
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("1 1 1 1\n0 1 2 1\n")
+    path = write_segre2(tmp_path)
+    for argv in (
+        ("check", "strong", str(pyramid)),
+        ("check", "facial", path, "--subset", "4"),
+        ("smooth-certificate", str(repeated)),
+        ("generate", "lawrence"),
+    ):
+        _assert_one_error_line(*run(capsys, *argv))
+    monkeypatch.setattr(oracle, "facial_via_separation", lambda c, s: False)
+    code, out, _ = run(capsys, "check", "facial", path, "--subset", "0", "--verify")
+    assert code == 1 and json.loads(out)["oracle"]["status"] == "DISAGREEMENT"

@@ -21,7 +21,13 @@ from toricdual.engine import (
 )
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import config_from_gale, family_alpha, lawrence, segre
-from toricdual.gale import GaleDual, gale_dual, line_sums_zero, verify_gale_dual
+from toricdual.gale import (
+    GaleDual,
+    coparallel_criterion,
+    gale_dual,
+    line_sums_zero,
+    verify_gale_dual,
+)
 from toricdual.intlinalg import eye, imat, rank
 from toricdual.oracle import (
     random_configuration,
@@ -486,8 +492,11 @@ def test_smooth_certificate_conic_certified():
 
 
 def test_smooth_certificate_rejects_repeats():
-    with pytest.raises(ValueError):
-        smooth_certificate(parse_configuration([[1, 1]]))
+    # a failed hypothesis, refused as the coparallelism criterion refuses it
+    for rows in ([[1, 1]], [[1, 1, 1, 1], [0, 1, 2, 1]]):
+        for criterion in (smooth_certificate, coparallel_criterion):
+            with pytest.raises(InapplicableInput, match="repeated columns"):
+                criterion(parse_configuration(rows))
 
 
 def test_smooth_certificate_degenerate_point():

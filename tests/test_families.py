@@ -17,7 +17,6 @@ from toricdual.families import (
 )
 from toricdual.gale import gale_dual, verify_gale_dual
 from toricdual.intlinalg import (
-    column_lattices_equal,
     imat,
     integer_kernel,
     lattice_basis,
@@ -25,6 +24,7 @@ from toricdual.intlinalg import (
 )
 from toricdual.oracle import _hermite_kernel
 from test_engine import _nonsingular, _unimodular
+from test_gale import column_lattices_equal
 from test_intlinalg import cofactor_det, product
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from toricdual.configuration import parse_configuration, regularize
+from toricdual.configuration import parse_configuration, regularize, subconfiguration
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import family_alpha, family_alpha_gale, segre
 from toricdual.gale import (
@@ -15,10 +15,20 @@ from toricdual.gale import (
     line_sums_zero,
     verify_gale_dual,
 )
-from toricdual.intlinalg import column_lattices_equal, imat, primitive_vector
+from toricdual.intlinalg import imat, lattice_basis, primitive_vector
+from toricdual.oracle import facial_via_separation
 
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
 CONIC = parse_configuration([[0, 1, 2]])
+
+
+def column_lattices_equal(a, b) -> bool:
+    """Whether two integer matrices generate the same column lattice: the
+    tests' reference for lattice equality."""
+    a, b = imat(a), imat(b)
+    if len(a) != len(b):
+        return False
+    return lattice_basis(a.T, len(a)) == lattice_basis(b.T, len(b))
 
 
 def test_gale_dual_segre2_single_column():
@@ -164,6 +174,26 @@ def test_is_facial_conventions():
     assert not is_facial(CONIC, [0, 1]).value  # not closed: face containing 1 has 2
     with pytest.raises(ValueError):
         is_facial(CONIC, [])
+
+
+@pytest.mark.parametrize(
+    "indices, match",
+    [
+        ([], "empty column selection"),
+        ([-1], "out of range"),
+        ([3], "out of range"),
+        ([0, 3], "out of range"),
+        ([0.9], "must be integers"),
+    ],
+)
+@pytest.mark.parametrize(
+    "select",
+    [subconfiguration, is_facial, is_parallel_face_complement, facial_via_separation],
+    ids=lambda f: f.__name__,
+)
+def test_index_lists_are_refused_alike(select, indices, match):
+    with pytest.raises(ValueError, match=match):
+        select(CONIC, indices)
 
 
 @pytest.mark.parametrize("subset", [[3], [-1], [0, 3]])

@@ -17,7 +17,6 @@ from toricdual.intlinalg import (
     imat,
     in_row_span,
     integer_kernel,
-    column_lattices_equal,
     lattice_basis,
     matmul,
     primitive_vector,
@@ -25,7 +24,7 @@ from toricdual.intlinalg import (
     rational_rank,
 )
 from toricdual.oracle import _hermite_kernel
-from test_gale import _digits_3900
+from test_gale import _digits_3900, column_lattices_equal
 
 
 def cofactor_det(rows):

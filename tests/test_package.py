@@ -1,9 +1,7 @@
 """The package's import surface and the semantics of its value records."""
 
-import ast
 import importlib
 import inspect
-import pathlib
 
 import pytest
 
@@ -37,15 +35,6 @@ def test_public_names():
     assert len(PUBLIC) == 53
     assert set(toricdual.__all__) == PUBLIC and len(toricdual.__all__) == 53
     assert set(toricdual._SUBMODULE) == PUBLIC
-    # test_source.unused_imports reads __all__ as a list literal
-    tree = ast.parse(pathlib.Path(toricdual.__file__).read_text(encoding="utf-8"))
-    [value] = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
-    ]
-    assert isinstance(value, ast.List)
-    assert [e.value for e in value.elts] == toricdual.__all__
 
 
 def test_each_name_is_its_submodule_object():

@@ -26,9 +26,12 @@ def unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.List)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         ):
+            # an __all__ that is not a list literal exports nothing here
             exported |= {e.value for e in node.value.elts}
     return sorted(
         (line, name) for name, line in imported.items() if name not in used | exported
@@ -38,6 +41,8 @@ def unused_imports(source: str) -> list:
 def test_unused_imports_are_found():
     source = "import os\nfrom math import gcd, lcm\nfrom . import x\n__all__ = ['x']\nprint(gcd)\n"
     assert unused_imports(source) == [(1, "os"), (2, "lcm")]
+    derived = "from . import x\nnames = {'x': 1}\n__all__ = list(names)\n"
+    assert unused_imports(derived) == [(1, "x")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
