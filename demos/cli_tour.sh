@@ -24,8 +24,8 @@ run toricdual classify-hypersurface demos/data/random_26x100.txt
 run toricdual generate segre --m 4
 run toricdual generate lawrence --rows "1 1 1" --format text
 run toricdual generate family-alpha --alpha 2
-run toricdual generate family-dim --r 2 --alphas 2,-2
-run toricdual generate family-codim --m 2 --r 2 --alphas 1,-1
+run toricdual generate family-dim --alphas 2,-2
+run toricdual generate family-codim --m 2 --alphas 1,-1
 run toricdual oracle crosscheck --seed 7 --count 200 --format text
 echo
 echo "pyramidal input is refused with the violated hypothesis named:"

@@ -173,13 +173,7 @@ def cmd_check(args, c):
 
 
 def cmd_decompose(args, c):
-    rep = full_decomposition(c)
-    return c, None, {
-        "repeat_codim": rep.repeat_codim,
-        "apex_indices": list(rep.apex_indices),
-        "core_indices": list(rep.core_indices),
-        "join_shape": list(rep.join_shape),
-    }
+    return c, None, full_decomposition(c).as_json()
 
 
 def cmd_circuits(args, c):
@@ -233,9 +227,11 @@ def cmd_generate(args, _):
         c = families.family_alpha(args.alpha)
         extra["alpha"] = args.alpha
     elif args.family == "family-dim":
-        c = families.family_dim(args.r, _parse_alphas(args.alphas))
+        alphas = _parse_alphas(args.alphas)
+        c = families.family_dim(len(alphas), alphas)
     else:  # family-codim
-        c = families.family_codim(args.m, args.r, _parse_alphas(args.alphas))
+        alphas = _parse_alphas(args.alphas)
+        c = families.family_codim(args.m, len(alphas), alphas)
     doc = matrix_doc(c.weights)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -307,15 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("matrix")
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("generate", parents=[common], help="emit one of the built-in families")
+    # no abbreviations: the removed --r must not read as --rows
+    sp = sub.add_parser("generate", parents=[common], allow_abbrev=False, help="emit one of the built-in families")
     sp.add_argument(
         "family",
         choices=("segre", "lawrence", "family-alpha", "family-dim", "family-codim"),
     )
     sp.add_argument("--m", type=int, default=2, help="segre block size / codimension")
-    sp.add_argument("--r", type=int, default=2, help="number of alpha entries")
     sp.add_argument("--alpha", type=int, default=1, help="parameter for family-alpha")
-    sp.add_argument("--alphas", default="1,-1", help="comma-separated nonzero integers summing to 0")
+    sp.add_argument("--alphas", default="1,-1", help="comma-separated nonzero integers summing to 0; r is their count")
     sp.add_argument("--rows", help='lawrence block, rows separated by ";": "1 1 1" or "1 0; 2 1"')
     sp.add_argument("--output", help="also write the matrix JSON to this file")
     sp.set_defaults(func=cmd_generate)

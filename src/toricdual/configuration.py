@@ -103,6 +103,10 @@ class DecompositionReport(NamedTuple):
     core_indices: tuple
     join_shape: tuple
 
+    def as_json(self) -> dict:
+        """The report's fields in order, index tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
+
 
 def parse_configuration(matrix) -> Configuration:
     """Validate an integer matrix with at least one column; flags are

@@ -21,7 +21,7 @@ import enum
 from math import gcd
 
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
-from .exceptions import InapplicableInput, pyramidal_input
+from .exceptions import irregular_input, pyramidal_input, repeated_columns
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero
 from .intlinalg import IntMatrix, circuit_kernel, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
@@ -68,44 +68,18 @@ def is_self_dual(c: Configuration) -> Verdict:
     k, r = dec.repeat_codim, len(dec.apex_indices)
     if r == 0 and k == 0:
         return _circuit_line_sums(b)
-    decomposition = {
-        "repeat_codim": k,
-        "apex_indices": list(dec.apex_indices),
-        "core_indices": list(dec.core_indices),
-        "join_shape": list(dec.join_shape),
-    }
     if r != k:
-        return Verdict(
-            value=False,
-            criterion="join-decomposition",
-            witness={
-                "kind": "apex_repeat_mismatch",
-                "note": "self-duality of a join needs apex count == repeat count",
-                **decomposition,
-            },
-        )
-    if not dec.core_indices:
-        return Verdict(
-            value=True,
-            criterion="join-decomposition",
-            witness={
-                "kind": "linear_subspace",
-                "note": "subspace of half the ambient dimension",
-                **decomposition,
-            },
-        )
-    # the core's circuit basis is the distinct one without its zero rows
-    core_rows = IntMatrix([b.matrix[i] for i in dec.core_indices], b.corank)
-    core_verdict = _circuit_line_sums(GaleDual(matrix=core_rows))
-    return Verdict(
-        value=core_verdict.value,
-        criterion="join-decomposition",
-        witness={
-            "kind": "join_core",
-            "core_verdict": core_verdict.witness,
-            **decomposition,
-        },
-    )
+        note = "self-duality of a join needs apex count == repeat count"
+        value, head = False, {"kind": "apex_repeat_mismatch", "note": note}
+    elif not dec.core_indices:
+        note = "subspace of half the ambient dimension"
+        value, head = True, {"kind": "linear_subspace", "note": note}
+    else:
+        # the core's circuit basis is the distinct one without its zero rows
+        core_rows = IntMatrix([b.matrix[i] for i in dec.core_indices], b.corank)
+        core = _circuit_line_sums(GaleDual(matrix=core_rows))
+        value, head = core.value, {"kind": "join_core", "core_verdict": core.witness}
+    return Verdict(value, "join-decomposition", {**head, **dec.as_json()})
 
 
 def _circuit_line_sums(b: GaleDual) -> Verdict:
@@ -176,10 +150,7 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     :func:`verify_gale_dual` accepts.
     """
     if not c.regular:
-        raise InapplicableInput(
-            "strong self-duality is defined for regular configurations "
-            "(all-ones vector in the row span)"
-        )
+        raise irregular_input("strong self-duality")
     b = gale_dual(c)
     apexes = b.zero_rows()
     if apexes:
@@ -238,53 +209,46 @@ def lawrence_strong_parity(m) -> Verdict:
 
     True iff some subset I of the rows of M has odd column sums throughout,
     i.e. the all-ones vector lies in the GF(2) row span of M.  Applies when
-    the lift is non-pyramidal (the kernel of M has full support).
+    the lift is non-pyramidal: the lift's Gale dual is ``(-K ; K)`` for a
+    kernel basis K of M, so its zero rows are i and n + i for each zero row
+    i of K.
     """
     mm = imat(m)
     d, n = mm.shape
-    kernel = circuit_kernel(mm)
-    if not all(map(any, kernel)):  # a zero row, or no kernel at all
-        raise InapplicableInput(
-            "the Lawrence lift of this matrix is pyramidal (its kernel does "
-            "not have full support); the parity criterion requires a "
-            "non-pyramidal lift"
-        )
-    # solve alpha @ M == 1 over GF(2); track combinations for a certificate
-    eqs = []
-    for k, column in enumerate(mm.T):
-        row = [x % 2 for x in column] + [1]
-        tracker = [1 if t == k else 0 for t in range(n)]
-        eqs.append((row, tracker))
+    zero = [i for i, row in enumerate(circuit_kernel(mm)) if not any(row)]
+    if zero:  # a zero row, or no kernel at all
+        raise pyramidal_input(zero + [n + i for i in zero], "the Lawrence parity criterion")
+    # solve alpha @ M == 1 over GF(2): equation k is column k of M as a
+    # bitmask, bit d its right-hand side, paired with the bitmask of the
+    # columns combined into it, for a certificate
+    eqs = [
+        (sum((x & 1) << i for i, x in enumerate(col)) | 1 << d, 1 << k)
+        for k, col in enumerate(mm.T)
+    ]
     pivots = []
-    r = 0
     for col in range(d):
-        piv = next((i for i in range(r, len(eqs)) if eqs[i][0][col] == 1), None)
+        r, bit = len(pivots), 1 << col
+        piv = next((i for i in range(r, n) if eqs[i][0] & bit), None)
         if piv is None:
             continue
         eqs[r], eqs[piv] = eqs[piv], eqs[r]
-        for i in range(len(eqs)):
-            if i != r and eqs[i][0][col] == 1:
-                eqs[i] = (
-                    [(a + b) % 2 for a, b in zip(eqs[i][0], eqs[r][0])],
-                    [(a + b) % 2 for a, b in zip(eqs[i][1], eqs[r][1])],
-                )
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, len(eqs)):
-        if eqs[i][0][d] == 1:
-            # 0 = 1 row: its tracker is a mod-2 kernel vector of M with odd sum
+        e, t = eqs[r]
+        for i, (a, b) in enumerate(eqs):
+            if i != r and a & bit:
+                eqs[i] = (a ^ e, b ^ t)
+        pivots.append(col)
+    for a, t in eqs[len(pivots):]:
+        if a >> d & 1:
+            # 0 = 1 row: its columns give a mod-2 kernel vector of M with odd sum
             return Verdict(
                 value=False,
                 criterion="lawrence-parity",
                 witness={
                     "kind": "odd_kernel_certificate",
-                    "combination": eqs[i][1],
+                    "combination": [t >> k & 1 for k in range(n)],
                 },
             )
-    alpha = [0] * d
-    for i, col in pivots:
-        alpha[col] = eqs[i][0][d]
-    subset = [i for i in range(d) if alpha[i] == 1]
+    subset = [col for (a, _), col in zip(eqs, pivots) if a >> d & 1]
     sums = [sum(column[i] for i in subset) for column in mm.T]
     assert all(s % 2 == 1 for s in sums)
     return Verdict(
@@ -381,10 +345,7 @@ def smooth_certificate(c: Configuration) -> Verdict:
     presentation of the same relations gives the same verdict.
     """
     if len(set(c.columns())) != c.npoints:
-        raise InapplicableInput(
-            "repeated columns: the smoothness certificate expects a "
-            "repeat-free configuration"
-        )
+        raise repeated_columns("the smoothness certificate")
     n = c.npoints
     dim = affine_dim(c)
     cols = c.columns()

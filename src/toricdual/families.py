@@ -7,15 +7,12 @@ from .intlinalg import IntMatrix, column_lattice_saturated, imat, integer_kernel
 def segre(m: int) -> Configuration:
     """The (m+1) x 2m configuration of the Segre embedding of P^1 x P^(m-1).
 
-    Block shape (Id_m | Id_m) on top, (0...0 | 1...1) below.
+    It is the Lawrence lift of the all-ones row: block shape (Id_m | Id_m)
+    on top, (0...0 | 1...1) below.
     """
     if m < 2:
         raise ValueError("segre requires m >= 2")
-    rows = []
-    for i in range(m):
-        rows.append([1 if j % m == i else 0 for j in range(2 * m)])
-    rows.append([0] * m + [1] * m)
-    return parse_configuration(rows)
+    return lawrence([[1] * m])
 
 
 def lawrence(m) -> Configuration:
@@ -97,19 +94,11 @@ def config_from_gale(b) -> Configuration:
 def family_dim(r: int, alphas) -> Configuration:
     """Self-dual configurations of dimension r+1 (any r >= 2) and codimension 2.
 
-    Built from the planar Gale configuration
+    This is :func:`family_codim` at m = 2: the planar Gale configuration
     {(a_1,0),...,(a_r,0),(0,1),(0,-1),(1,1),(-1,-1)} where the nonzero
     integers a_i sum to zero.
     """
-    alphas = [int(a) for a in alphas]
-    if r < 2:
-        raise ValueError("family_dim requires r >= 2")
-    if len(alphas) != r:
-        raise ValueError(f"expected {r} alpha values")
-    if any(a == 0 for a in alphas) or sum(alphas) != 0:
-        raise ValueError("alphas must be nonzero and sum to zero")
-    rows = [[a, 0] for a in alphas] + [[0, 1], [0, -1], [1, 1], [-1, -1]]
-    return config_from_gale(rows)
+    return family_codim(2, r, alphas)
 
 
 def family_codim(m: int, r: int, alphas) -> Configuration:

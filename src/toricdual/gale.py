@@ -12,7 +12,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, column_indices, regularize
-from .exceptions import InapplicableInput, pyramidal_input
+from .exceptions import pyramidal_input, repeated_columns
 from .intlinalg import IntMatrix, column_lattice_saturated, imat, matmul, primitive_vector, rank
 from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import ReadOnly, Verdict
@@ -255,10 +255,7 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     functionals capture affine conditions.
     """
     if len(set(c.columns())) != c.npoints:
-        raise InapplicableInput(
-            "repeated columns: the coparallelism criterion expects a "
-            "repeat-free configuration"
-        )
+        raise repeated_columns("the coparallelism criterion")
     b = GaleDual(matrix=c.circuit_basis)
     if b.zero_rows():
         raise pyramidal_input(b.zero_rows(), "the coparallelism criterion")

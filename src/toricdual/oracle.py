@@ -42,7 +42,7 @@ from .configuration import (
     parse_configuration,
     regularize,
 )
-from .exceptions import GuardExceeded, InapplicableInput, pyramidal_input
+from .exceptions import GuardExceeded, irregular_input, pyramidal_input
 from .engine import is_self_dual
 from .gale import GaleDual, coparallel_criterion, gale_dual
 from .intlinalg import (
@@ -234,10 +234,7 @@ def self_dual_via_sigma(c: Configuration) -> bool:
     configuration so that span membership expresses the affine condition.
     """
     if not c.regular:
-        raise InapplicableInput(
-            "the zero-set row-span test requires a regular configuration "
-            "(all-ones vector in the row span)"
-        )
+        raise irregular_input("the zero-set row-span test")
     for circ in enumerate_circuits(c):
         sigma = [0 if circ.relation[i] != 0 else 1 for i in range(c.npoints)]
         if not in_row_span(c.weights, sigma):
@@ -295,9 +292,7 @@ def strong_via_points(c: Configuration) -> bool:
     answer is exact, not probabilistic.
     """
     if not c.regular:
-        raise InapplicableInput(
-            "strong self-duality is defined for regular configurations"
-        )
+        raise irregular_input("strong self-duality")
     b = gale_dual(c)
     if b.zero_rows():  # every row is zero at corank 0
         raise pyramidal_input(b.zero_rows(), "strong self-duality")

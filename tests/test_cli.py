@@ -199,9 +199,27 @@ def test_generate_family_alpha(tmp_path, capsys):
 
 
 def test_generate_family_dim(capsys):
-    code, out, _ = run(capsys, "generate", "family-dim", "--r", "2", "--alphas", "2,-2")
+    code, out, _ = run(capsys, "generate", "family-dim", "--alphas", "2,-2")
     assert code == 0
     assert json.loads(out)["affine_dim"] == 3
+
+
+def test_generate_takes_r_from_the_alphas(capsys):
+    from toricdual.families import family_codim, family_dim
+
+    for argv, dim, c in (
+        (["family-dim", "--alphas", "1,1,-2"], 4, family_dim(3, [1, 1, -2])),
+        (["family-codim", "--m", "3", "--alphas", "2,-1,-1"], 5, family_codim(3, 3, [2, -1, -1])),
+    ):
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["affine_dim"] == dim
+        assert doc["matrix"]["entries"] == c.weights.tolist()
+    # the removed --r is a usage error, not an abbreviation of --rows
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "family-dim", "--r", "2", "--alphas", "1,-1"])
+    assert exc.value.code == 2
 
 
 def test_oracle_crosscheck(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import time
@@ -32,6 +33,7 @@ from toricdual.intlinalg import eye, imat, rank
 from toricdual.oracle import (
     random_configuration,
     random_lawrence_block,
+    self_dual_via_flats,
     self_dual_via_sigma,
     strong_via_points,
 )
@@ -389,6 +391,39 @@ def test_lawrence_parity_examples():
     assert sum(combination) % 2 == 1
 
 
+def test_lawrence_parity_sweep_against_row_subsets():
+    rng = random.Random(20081)
+    decided = 0
+    while decided < 500:
+        d, n = rng.randint(1, 5), rng.randint(1, 7)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        try:
+            v = lawrence_strong_parity(m)
+        except InapplicableInput as exc:
+            # the refusal names the zero rows of the lift's own Gale dual
+            zero = list(gale_dual(lawrence(m)).zero_rows())
+            assert zero and f"zero Gale rows at {zero}" in str(exc)
+            continue
+        decided += 1
+        odd_subset = any(
+            all(sum(m[i][j] for i in rows) % 2 for j in range(n))
+            for size in range(d + 1)
+            for rows in itertools.combinations(range(d), size)
+        )
+        assert v.value == odd_subset
+        if v.value:
+            rows = v.witness["rows"]
+            assert v.witness["kind"] == "odd_row_subset" and rows == sorted(set(rows))
+            assert v.witness["column_sums"] == [sum(m[i][j] for i in rows) for j in range(n)]
+            assert all(s % 2 for s in v.witness["column_sums"])
+        else:
+            combination = v.witness["combination"]
+            assert v.witness["kind"] == "odd_kernel_certificate"
+            assert len(combination) == n and set(combination) <= {0, 1}
+            assert all(sum(x * y for x, y in zip(row, combination)) % 2 == 0 for row in m)
+            assert sum(combination) % 2 == 1
+
+
 def test_lawrence_parity_matches_strong_on_lift():
     for m in ([[1, 1, 1]], [[2, 1]], [[1, 2, 3], [0, 1, 1]]):
         mm = imat(m)
@@ -497,6 +532,39 @@ def test_smooth_certificate_rejects_repeats():
         for criterion in (smooth_certificate, coparallel_criterion):
             with pytest.raises(InapplicableInput, match="repeated columns"):
                 criterion(parse_configuration(rows))
+
+
+NON_REGULAR = parse_configuration([[0, 1, 3]])
+REPEATS = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 1]])
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: is_strongly_self_dual(NON_REGULAR), "regular configuration"),
+        (lambda: strong_via_points(NON_REGULAR), "regular configuration"),
+        (lambda: self_dual_via_sigma(NON_REGULAR), "regular configuration"),
+        (lambda: smooth_certificate(REPEATS), "repeated columns"),
+        (lambda: coparallel_criterion(REPEATS), "repeated columns"),
+        (lambda: is_strongly_self_dual(PYRAMID), r"zero Gale rows at \[3\]"),
+        (lambda: line_sums_zero(gale_dual(PYRAMID)), r"zero Gale rows at \[3\]"),
+        (lambda: coparallel_criterion(PYRAMID), r"zero Gale rows at \[3\]"),
+        (lambda: self_dual_via_flats(gale_dual(PYRAMID)), r"zero Gale rows at \[3\]"),
+        # a trivial kernel: every row of the lift's Gale dual is zero
+        (lambda: lawrence_strong_parity([[1, 0], [0, 1]]), r"zero Gale rows at \[0, 1, 2, 3\]"),
+        # kernel row 2 is zero, so rows 2 and 2 + n of the lift are
+        (lambda: lawrence_strong_parity([[1, 1, 0], [0, 0, 1]]), r"zero Gale rows at \[2, 5\]"),
+    ],
+    ids=[
+        "strong-regular", "points-regular", "sigma-regular",
+        "smooth-repeats", "coparallel-repeats",
+        "strong-pyramid", "line-sums-pyramid", "coparallel-pyramid", "flats-pyramid",
+        "parity-no-kernel", "parity-zero-kernel-row",
+    ],
+)
+def test_refusals_name_their_hypothesis(refuse, message):
+    with pytest.raises(InapplicableInput, match=message):
+        refuse()
 
 
 def test_smooth_certificate_degenerate_point():

@@ -96,6 +96,19 @@ def test_config_from_gale_rejects_bad_input():
         config_from_gale([[2], [-2]])  # index-2 sublattice, not saturated
 
 
+def test_families_have_their_literal_shapes():
+    # Segre: (Id | Id ; 0 | 1...1), written out row by row
+    for m in range(2, 10):
+        unit = [[int(i == j) for j in range(m)] for i in range(m)]
+        rows = [row + row for row in unit] + [[0] * m + [1] * m]
+        assert segre(m).weights.tolist() == rows
+    # family_dim: the planar Gale rows (a_i, 0), (0, +-1), +-(1, 1)
+    for alphas in ([1, -1], [2, -2], [1, 1, -2], [3, -1, -2], [2, 2, -1, -3], [5, -1, -1, -1, -2]):
+        gale = [[a, 0] for a in alphas] + [[0, 1], [0, -1], [1, 1], [-1, -1]]
+        c = family_dim(len(alphas), alphas)
+        assert c.weights.tolist() == config_from_gale(gale).weights.tolist()
+
+
 def test_family_dim_examples():
     c = family_dim(2, [1, -1])
     assert affine_dim(c) == 3

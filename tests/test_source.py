@@ -50,6 +50,45 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def inapplicable_constructions(source: str) -> list:
+    """Lines of ``source`` that build an ``InapplicableInput``: a call of the
+    class, by name or as an attribute, or a ``raise`` of the bare class."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            target = node.func
+        elif isinstance(node, ast.Raise):
+            target = node.exc
+        else:
+            continue
+        if getattr(target, "id", getattr(target, "attr", None)) == "InapplicableInput":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_inapplicable_constructions_are_found():
+    source = (
+        "from .exceptions import InapplicableInput, pyramidal_input\n"
+        "raise InapplicableInput('regular')\n"
+        "raise InapplicableInput\n"
+        "e = exceptions.InapplicableInput('repeat-free')\n"
+        "raise pyramidal_input((), 'x')\n"
+        "try:\n    pass\nexcept InapplicableInput:\n    pass\n"
+        "isinstance(e, InapplicableInput)\n"
+    )
+    assert inapplicable_constructions(source) == [2, 3, 4]
+
+
+def test_inapplicable_input_is_built_only_in_exceptions():
+    # each hypothesis is worded once, by a function in exceptions.py
+    found = {
+        p.name: inapplicable_constructions(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("exceptions.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def unreferenced_private_functions(sources: dict) -> list:
     """``(file, name)`` of the module-level ``_private`` functions in
     ``sources`` (file name to text) that no source names, directly or as an
