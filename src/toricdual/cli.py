@@ -7,13 +7,15 @@ times it and writes one report, as JSON (default) or readable text.
 Witnesses are included verbatim so a skeptical consumer can recheck them,
 and ``--verify`` does that recheck with the brute-force oracles right away.
 The exit code is 1 on an input error, reported as one ``error:`` line, and
-when a report holds a disagreement with an oracle.  The oracles and the
+when a report holds a disagreement with an oracle; a reader that closes
+stdout early gets 141 and no ``error:`` line.  The oracles and the
 built-in families are imported only by the commands that run them, so
 ``check`` without ``--verify`` loads no oracle code.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -327,13 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and write its report.  Exit 1 on an input error (one
     ``error:`` line on stderr) or when the report holds a disagreement with
-    an oracle; 0 otherwise."""
+    an oracle; 141 (128 + SIGPIPE), silently, when the reader closes stdout
+    before the report is written; 0 otherwise."""
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         c = parse_configuration(read_matrix(args.matrix)) if "matrix" in args else None
         report = _report(start, *args.func(args, c))
         _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # later writes, and the flush at interpreter exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # InapplicableInput, GuardExceeded and JSONDecodeError are ValueErrors
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,9 @@ dual (the oracles keep the two-pass echelon route to the same basis as
 their reference); ``circuit_kernel`` is the fundamental-circuit basis, a
 kernel basis over Q only, and the self-duality verdict states its line-sum
 witnesses in its coordinates.  ``rational_rank`` and ``in_row_span`` keep
-``fractions.Fraction`` Gauss-Jordan elimination as the oracles' reference
-arithmetic; the package's fast predicates do not call them.
+``fractions.Fraction`` Gauss-Jordan elimination as reference arithmetic
+(the sigma referee's span test ranks with ``rational_rank``); the
+package's fast predicates do not call them.
 """
 
 from fractions import Fraction

@@ -1,43 +1,48 @@
 """Independent brute-force referees for every criterion in the package.
 
 Each referee decides its question by a different route from the fast
-predicate it checks: circuits come from subset enumeration, flats from
-growing the lattice of flats upward by Fraction row operations (no
-``intlinalg`` routine and no line classes), row-span tests from the Fraction
-``in_row_span`` (the fast path's rank is fraction-free, so the two do not
-share elimination code), faces from a separating-functional LP, strong
-self-duality from exact evaluation of the defining binomials on a grid large
-enough to certify a polynomial identity.  The inputs they start from are
-shared, not independent.  ``strong_via_points`` reads ``gale_dual`` (so
-``integer_kernel``, through the Gale kernel cached on each configuration)
-as the strong predicate does.  ``crosscheck`` compares the verdict that
-ships, ``is_self_dual`` (line sums on the fundamental-circuit basis), with
-``self_dual_via_flats`` on the canonical Gale dual, ``self_dual_via_sigma``
-and ``coparallel_criterion``, which reads the same circuit basis (cached on
-the configuration) for its classes and ``solve_linear`` for its
-functionals.  ``enumerate_circuits`` reads ``affine_dim`` (a Bareiss
-rank) as ``hypersurface_class`` and ``smooth_certificate`` do, and
-``regularize`` as ``coparallel_criterion`` does.  ``facial_via_separation`` reads the input
-columns only, not the Gale dual.  ``enumerate_circuits`` and
-``random_lawrence_block`` compute kernels with ``_hermite_kernel``, the
-two-pass Hermite echelon route kept here as the reference, so they share no
-kernel code with ``integer_kernel`` (a Hermite form modulo a determinant).
-The self-duality verdict reads the fundamental-circuit basis (a
-Bareiss-Jordan pass), so the flat-sum referee and it share no kernel
-either.  ``random_lawrence_block`` reads the column lattice through its
-Hermite basis (``column_lattice_saturated``).  These run at desk scale only
-and guard themselves with explicit size limits.
+predicate it checks.  Flats are grown upward through the lattice of flats
+by integer residue operations (``_reduce`` and ``_unit``: a residue kept
+divided by its gcd, a class key signed by its first nonzero entry), with no
+``intlinalg`` routine and no line classes.  Circuits come from a
+depth-first search over independent index tuples of ``[1; W]``, tested by
+the same residue operations; only a dependent candidate gets a kernel,
+from ``_hermite_kernel``, so ``enumerate_circuits`` reads neither
+``affine_dim`` nor ``regularize`` and makes no Bareiss rank.  Row-span
+tests use the Fraction ``rational_rank`` (the fast path's rank is
+fraction-free, so the two do not share elimination code), and
+``self_dual_via_sigma`` ranks the weights once per call.  Faces come from
+a separating-functional LP, and strong self-duality from exact evaluation
+of the defining binomials on a grid large enough to certify a polynomial
+identity.
+
+The inputs the referees start from are shared, not independent.
+``strong_via_points`` reads ``gale_dual`` (so ``integer_kernel``, through
+the Gale kernel cached on each configuration) as the strong predicate
+does.  ``crosscheck`` compares the verdict that ships, ``is_self_dual``
+(line sums on the fundamental-circuit basis), with ``self_dual_via_flats``
+on the canonical Gale dual, ``self_dual_via_sigma`` and
+``coparallel_criterion``, which reads the same circuit basis (cached on the
+configuration) for its classes and ``solve_linear`` for its functionals.
+``facial_via_separation`` reads the input columns only, not the Gale dual.
+``enumerate_circuits`` and ``random_lawrence_block`` compute kernels with
+``_hermite_kernel``, the two-pass Hermite echelon route kept here as the
+reference, so they share no kernel code with ``integer_kernel`` (a Hermite
+form modulo a determinant).  The self-duality verdict reads the
+fundamental-circuit basis (a Bareiss-Jordan pass), so the flat-sum referee
+and it share no kernel either.  ``random_lawrence_block`` reads the column
+lattice through its Hermite basis (``column_lattice_saturated``).  These
+run at desk scale only and guard themselves with explicit size limits.
 """
 
 import itertools
 import random
-from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .configuration import (
     Configuration,
-    affine_dim,
+    _ones_on_top,
     column_indices,
     parse_configuration,
     regularize,
@@ -50,9 +55,8 @@ from .intlinalg import (
     _echelon,
     column_lattice_saturated,
     imat,
-    in_row_span,
-    primitive_vector,
     rank,
+    rational_rank,
 )
 from .ratlp import feasible_nonneg
 
@@ -99,26 +103,38 @@ def _hermite_kernel(a) -> IntMatrix:
 
 
 def enumerate_circuits(c: Configuration) -> list:
-    """All circuits, by subset enumeration plus a kernel-rank-1 test.
+    """All circuits, by a depth-first search over independent prefixes.
 
-    A subset supports a circuit iff its affine relation space has rank one
-    and the generator is nonzero on the whole subset.
+    The points are the columns of ``[1; W]``, which have the affine
+    relations of ``W`` as their linear ones.  The search grows increasing
+    index tuples that stay independent, keeping the residue of every later
+    column modulo the prefix's span (integer residues, as the flats referee
+    keeps them).  A later point whose residue is zero makes the prefix
+    dependent with a one-dimensional relation space, read from
+    ``_hermite_kernel`` on those columns; the set is a circuit iff that
+    relation is nonzero on all of it.  No prefix outgrows the rank, so no
+    size bound is needed.  Circuits come sorted by size, then support.
     """
     _check_guard(c.npoints, "circuit enumeration")
-    reg = regularize(c)
-    max_size = affine_dim(c) + 2
+    points = imat(_ones_on_top(c))
     out = []
-    for size in range(2, max_size + 1):
-        for sub in itertools.combinations(range(c.npoints), size):
-            k = _hermite_kernel(reg.weights.select(sub))
-            if k.shape[1] != 1 or not all(k.column(0)):
-                continue
-            rel = [0] * c.npoints
-            vec = primitive_vector(k.column(0))
-            for pos, j in enumerate(sub):
-                rel[j] = vec[pos]
-            out.append(Circuit(support=tuple(sub), relation=tuple(rel)))
-    return out
+
+    def grow(prefix, residues):
+        for j, v in residues.items():
+            sub = (*prefix, j)
+            unit = _unit(v)
+            if unit is None:
+                rel = _hermite_kernel(points.select(sub)).column(0)
+                if all(rel):
+                    full = [0] * c.npoints
+                    for i, x in zip(sub, _unit(rel)[1]):
+                        full[i] = x
+                    out.append(Circuit(support=sub, relation=tuple(full)))
+            else:
+                grow(sub, {i: _reduce([unit], w) for i, w in residues.items() if i > j})
+
+    grow((), {j: list(col) for j, col in enumerate(points.T)})
+    return sorted(out, key=lambda circ: (len(circ.support), circ.support))
 
 
 def coparallel_via_circuits(c: Configuration) -> tuple:
@@ -144,24 +160,31 @@ def coparallel_via_circuits(c: Configuration) -> tuple:
 
 
 def _reduce(basis, v) -> list:
-    """``v`` minus its components along the pivots of ``basis``, in order;
-    this leaves ``v`` zero at every pivot, so the result is the zero vector
-    exactly when ``v`` lies in the span of ``basis``."""
-    for c, row in basis:
-        if v[c]:
-            f = v[c]
-            v = [x - f * y if y else x for x, y in zip(v, row)]
+    """Reduce the int vector ``v`` by each key ``(p, u)`` of ``basis`` in
+    order, ``v <- u[p]·v - v[p]·u`` and then divided by its gcd; this leaves
+    ``v`` zero at every pivot, so the result is the zero vector exactly when
+    ``v`` lies in the span of ``basis``.  With ``u[p] > 0`` each step keeps
+    ``v`` a positive multiple of its residue over the rationals."""
+    for p, u in basis:
+        f = v[p]
+        if f:
+            up = u[p]
+            v = [up * x - f * y for x, y in zip(v, u)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
     return v
 
 
 def _unit(v):
-    """``(p, v / v[p])`` for the first nonzero entry ``v[p]``; None when
-    ``v`` is zero."""
-    p = next((j for j, x in enumerate(v) if x), None)
-    if p is None:
-        return None
-    d = v[p]
-    return p, tuple(x / d if x else x for x in v)
+    """``(p, key)`` for the first nonzero entry ``v[p]``, where ``key`` is
+    ``v`` divided by its gcd and signed so that ``key[p] > 0``: the class
+    key of the line through ``v``.  None when ``v`` is zero."""
+    for p, x in enumerate(v):
+        if x:
+            g = gcd(*v) if x > 0 else -gcd(*v)
+            return p, tuple(v) if g == 1 else tuple(y // g for y in v)
+    return None
 
 
 def _lex_first_basis(rows, closure) -> tuple:
@@ -184,15 +207,16 @@ def enumerate_flats(b: GaleDual) -> list:
     The flat of a subset J is every row index whose row lies in the span of
     the rows indexed by J; J = {} gives the zero rows.  The flats are grown
     upward, one rank at a time, from that bottom flat.  Each flat F keeps the
-    residue of every row modulo span(F), in Fraction arithmetic; a row is in
-    F exactly when its residue is zero.  The flats covering F are F joined
-    with one parallel class of nonzero residues (residues scaled to 1 at
-    their first nonzero entry, then compared), and each cover's residues come
-    from F's by one row operation per row, with that scaled residue as the
-    pivot row.  A flat's generators are its lexicographically first basis.
+    residue of every row modulo span(F) as an int vector (``_reduce``); a row
+    is in F exactly when its residue is zero.  The flats covering F are F
+    joined with one parallel class of nonzero residues (residues compared by
+    their ``_unit`` key: divided by the gcd, first nonzero entry positive),
+    and each cover's residues come from F's by one integer row operation per
+    row, with that key as the pivot row.  A flat's generators are its
+    lexicographically first basis.
     """
     _check_guard(b.npoints, "flat enumeration")
-    rows = [[Fraction(x) for x in row] for row in b.matrix]
+    rows = list(b.matrix)
     bottom = tuple(i for i, row in enumerate(rows) if not any(row))
     generators = {bottom: ()}
     level = {bottom: rows}
@@ -230,14 +254,17 @@ def self_dual_via_sigma(c: Configuration) -> bool:
     """Self-duality referee via dual-variety dimension.
 
     For each circuit relation v, the 0/1 vector marking the zero set of v
-    must lie in the rational row span of the weights.  Requires a regular
-    configuration so that span membership expresses the affine condition.
+    must lie in the rational row span of the weights: appending it must not
+    raise their Fraction rank, which is computed once per call.  Requires a
+    regular configuration so that span membership expresses the affine
+    condition.
     """
     if not c.regular:
         raise irregular_input("the zero-set row-span test")
+    base = rational_rank(c.weights)
     for circ in enumerate_circuits(c):
-        sigma = [0 if circ.relation[i] != 0 else 1 for i in range(c.npoints)]
-        if not in_row_span(c.weights, sigma):
+        sigma = [0 if x else 1 for x in circ.relation]
+        if rational_rank([*c.weights, sigma]) != base:
             return False
     return True
 

@@ -341,13 +341,39 @@ def test_numpy_is_never_imported(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _child_env():
+    """The environment of a fresh interpreter that finds this checkout's package."""
+    src = os.path.dirname(os.path.dirname(toricdual.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _run_python(script):
     """Run ``script`` in a fresh interpreter that finds this checkout's package."""
-    src = os.path.dirname(os.path.dirname(toricdual.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=120
     )
+
+
+def test_a_closed_stdout_exits_141_without_an_error_line():
+    """A reader that stops early (``toricdual ... | head -c 10``) is not an
+    input error: the run exits 128 + SIGPIPE and writes nothing to stderr,
+    not even when the interpreter flushes stdout on exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricdual.cli", "check", "self-dual", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    # the report is written only after stdin is read, so the read end of
+    # stdout is closed before the first write
+    proc.stdout.close()
+    proc.stdin.write(b"1 0 1 0\n0 1 0 1\n0 0 1 1\n")
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_check_self_dual_loads_no_oracle_code(tmp_path):

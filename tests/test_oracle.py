@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricdual import intlinalg
-from toricdual.configuration import parse_configuration, regularize
+from toricdual.configuration import affine_dim, parse_configuration, regularize
 from toricdual.exceptions import GuardExceeded, InapplicableInput
 from toricdual.families import family_alpha, segre
 from toricdual.gale import (
@@ -17,7 +17,7 @@ from toricdual.gale import (
     is_facial,
     line_sums_zero,
 )
-from toricdual.intlinalg import imat, rational_rank
+from toricdual.intlinalg import imat, integer_kernel, primitive_vector, rational_rank
 from toricdual.oracle import (
     Circuit,
     coparallel_via_circuits,
@@ -53,6 +53,75 @@ def test_circuits_segre2_unique():
     assert circuits[0].relation == (1, -1, -1, 1)
 
 
+def _circuits_by_definition(c):
+    """Circuits by their definition: every subset of at most
+    ``affine_dim + 2`` points whose affine relations have rank one, with a
+    generator nonzero on the whole subset, in the order of subsets by size
+    and then lexicographically.  The kernel is ``integer_kernel``, not the
+    referee's ``_hermite_kernel``."""
+    reg = regularize(c)
+    out = []
+    for size in range(2, affine_dim(c) + 3):
+        for sub in itertools.combinations(range(c.npoints), size):
+            k = integer_kernel(reg.weights.select(sub))
+            if k.shape[1] != 1 or not all(k.column(0)):
+                continue
+            rel = [0] * c.npoints
+            for j, x in zip(sub, primitive_vector(k.column(0))):
+                rel[j] = x
+            out.append(Circuit(support=sub, relation=tuple(rel)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_circuits_match_the_definition(seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        c = random_configuration(rng, max_points=9)
+        assert enumerate_circuits(c) == _circuits_by_definition(c)
+
+
+@st.composite
+def raw_configurations(draw):
+    """1-3 rows of 1-6 drawn columns with entries in [-2, 2], then up to
+    three more, inserted anywhere: a repeat of a column, or its
+    multiple by -1, 2 or 3 (collinear with the origin) or by 0 (the zero
+    column); either of the last two makes the input not regular."""
+    d = draw(st.integers(1, 3))
+    cols = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        col = cols[draw(st.integers(0, len(cols) - 1))]
+        k = draw(st.sampled_from([1, 0, -1, 2, 3]))
+        cols.insert(draw(st.integers(0, len(cols))), [k * x for x in col])
+    return parse_configuration([list(row) for row in zip(*cols)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_configurations())
+def test_circuits_of_raw_input_match_the_definition(c):
+    assert enumerate_circuits(c) == _circuits_by_definition(c)
+
+
+def test_circuits_make_no_rank_or_fast_kernel_call(monkeypatch):
+    # the relation of a dependent candidate is put in canonical form by the
+    # referee's own _unit, so primitive_vector is watched too
+    names = ("_bareiss", "rank", "circuit_kernel", "integer_kernel", "primitive_vector")
+    for seed in range(4):
+        c = random_configuration(random.Random(seed))
+        expected = _circuits_by_definition(c)
+        assert c.regular
+        counts = _count_calls(monkeypatch, _toricdual_modules(), names)
+        assert enumerate_circuits(c) == expected
+        assert counts == dict.fromkeys(names, 0)
+        monkeypatch.undo()
+
+
 def test_circuits_guard():
     wide = parse_configuration([list(range(13))])
     with pytest.raises(GuardExceeded):
@@ -86,16 +155,17 @@ def test_flats_family_alpha_contains_line_classes():
 def _flats_by_rank(b):
     """Flats by their definition: the closure of J is every row i with
     rank(rows J + row i) == rank(rows J); the first J, in the order of
-    subsets by size and then lexicographically, names each closure."""
+    subsets by size and then lexicographically, names each closure.  The
+    rank is the Bareiss ``intlinalg.rank``, which the referee never calls."""
     rows = b.matrix
     seen = {}
     for size in range(b.npoints + 1):
         for sub in itertools.combinations(range(b.npoints), size):
-            base = rational_rank([rows[j] for j in sub]) if sub else 0
+            base = intlinalg.rank([rows[j] for j in sub]) if sub else 0
             closure = tuple(
                 i
                 for i in range(b.npoints)
-                if rational_rank([rows[j] for j in sub] + [rows[i]]) == base
+                if intlinalg.rank([rows[j] for j in sub] + [rows[i]]) == base
             )
             seen.setdefault(closure, sub)
     return sorted((cl, j) for cl, j in seen.items())
@@ -113,8 +183,8 @@ def test_flat_closures_match_the_rank_definition(seed):
 def gale_matrices(draw):
     """1-9 rows of corank 1-4 with entries in [-3, 3]: up to 6 drawn rows,
     then a zero row and up to two rows that repeat another row scaled by
-    ±1, ±2 or ±3, inserted anywhere.  The reference makes 2^n rank tests
-    (about 1 s at 9 rows), so most draws stay below 9 rows."""
+    ±1, ±2 or ±3, inserted anywhere.  The reference makes 2^n (n + 1) rank
+    tests, so most draws stay below 9 rows."""
     r = draw(st.integers(1, 4))
     rows = draw(
         st.lists(
