@@ -34,6 +34,25 @@ from .intlinalg import imat
 from .verdict import Verdict
 
 
+def _ints(tokens, refusal) -> list:
+    """The tokens as ints.  The first one that is not an integer raises
+    ``ValueError(refusal(position, token))``; an integer past the
+    interpreter's int-to-str digit limit keeps ``int``'s own message."""
+    out = []
+    for k, token in enumerate(tokens):
+        try:
+            out.append(int(token))
+        except ValueError:
+            if token.strip().lstrip("+-").isdecimal():
+                raise
+            raise ValueError(refusal(k, token)) from None
+    return out
+
+
+def _option_ints(tokens, option: str, shape: str) -> list:
+    return _ints(tokens, lambda _, token: f"{option} expects {shape}, got {token!r}")
+
+
 def read_matrix(path: str):
     """Load a matrix from a JSON or plain-text file ('-' reads stdin)."""
     if path == "-":
@@ -58,7 +77,9 @@ def read_matrix(path: str):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(tok) for tok in line.split()])
+        rows.append(
+            _ints(line.split(), lambda j, tok: f"non-integer entry {tok!r} at ({len(rows)},{j})")
+        )
     return imat(rows)
 
 
@@ -163,7 +184,7 @@ def cmd_check(args, c):
     else:  # facial
         if not args.subset:
             raise ValueError("check facial requires --subset i,j,k (zero-based)")
-        subset = [int(t) for t in args.subset.split(",")]
+        subset = _option_ints(args.subset.split(","), "--subset", "comma-separated integers")
         v = is_facial(c, subset)
         extra["subset"] = subset
         if args.verify:
@@ -206,7 +227,7 @@ def cmd_classify(args, c):
 
 
 def _parse_alphas(text):
-    return [int(t) for t in text.replace(",", " ").split()]
+    return _option_ints(text.replace(",", " ").split(), "--alphas", "comma-separated integers")
 
 
 def cmd_generate(args, _):
@@ -219,7 +240,10 @@ def cmd_generate(args, _):
     elif args.family == "lawrence":
         if not args.rows:
             raise ValueError('generate lawrence requires --rows "a b c; d e f"')
-        block = imat([[int(t) for t in part.split()] for part in args.rows.split(";")])
+        block = imat([
+            _option_ints(part.split(), "--rows", "integer rows separated by ';'")
+            for part in args.rows.split(";")
+        ])
         c = families.lawrence(block)
         parity = lawrence_strong_parity(block)
         extra["block"] = matrix_doc(block)

@@ -23,7 +23,7 @@ from math import gcd
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import irregular_input, pyramidal_input, repeated_columns
 from .gale import GaleDual, gale_dual, is_facial, line_sums_zero
-from .intlinalg import IntMatrix, circuit_kernel, imat, lattice_basis, primitive_vector
+from .intlinalg import IntMatrix, _bareiss, circuit_kernel, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
 
 
@@ -332,6 +332,36 @@ def full_decomposition(c: Configuration) -> DecompositionReport:
     return _decompose(c)[1]
 
 
+def _simplicial_edges(vertex, diffs, candidates, height, dim):
+    """The edges at ``vertex`` read off one elimination, or None when the
+    elimination cannot show that its tangent cone is simplicial.
+
+    ``height`` is an affine functional, 0 at the vertex and positive at
+    every other point, and ``diffs[k]`` is point k minus the vertex.  The
+    points of a candidate line lie on one ray from the vertex, so the point
+    of smallest height on it is its nearest point.  With the lines in order
+    of (height, candidate), the pivots of one fraction-free Gauss-Jordan
+    pass over their nearest differences are the greedy lex-first basis E.
+    When every Jordan row is sign-consistent with the last pivot, every
+    difference is a nonnegative combination of E, so the tangent cone is
+    the simplicial cone(E) and its edges are exactly the E lines: the
+    returned candidates, in sorted order.  At a smooth vertex every other
+    point has nonnegative integer E-coordinates, two of them nonzero, so it
+    is higher than each edge in its support and the pass picks the edges.
+    A non-simple vertex, or a simple one where a point off the edges is
+    lower than an edge, gives None.
+    """
+    nearest = {s: min((k for k in s if k != vertex), key=height.__getitem__) for s in candidates}
+    order = sorted(candidates, key=lambda s: (height[nearest[s]], s))
+    rows = [list(r) for r in zip(*(diffs[nearest[s]] for s in order))]
+    pivots, d = _bareiss(rows, jordan=True)
+    # the differences at a point span the directions of the affine hull
+    assert len(pivots) == dim
+    if any(x * d < 0 for row in rows for x in row):
+        return None
+    return sorted(order[p] for p in pivots)
+
+
 def smooth_certificate(c: Configuration) -> Verdict:
     """Sufficient smoothness certificate from the vertex charts.
 
@@ -343,6 +373,16 @@ def smooth_certificate(c: Configuration) -> Verdict:
     columns; line grouping, the nearest point on an edge and lattice equality
     do not change under an injective integral linear map, so any other
     presentation of the same relations gives the same verdict.
+
+    Each point gets one facial LP, which finds the vertices.  Its positive
+    dependency gives heights, an affine functional that vanishes at the
+    vertex only.  At a vertex whose tangent cone is simplicial, which every
+    vertex of certified input has, one elimination ordered by those heights
+    reads off the edges (:func:`_simplicial_edges`) with no LP.  Only at a
+    vertex where it cannot (one that is not simple, or one where a point off
+    the edges sits lower than an edge) is each line through the vertex
+    tested by its own facial LP; every subset decided, either way, is
+    remembered, so no line is tested twice.
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the smoothness certificate")
@@ -360,7 +400,14 @@ def smooth_certificate(c: Configuration) -> Verdict:
             facial[subset] = is_facial(c, subset).value
         return facial[subset]
 
-    vertices = [i for i in range(n) if is_face((i,))]
+    vertices, heights = [], {}
+    for i in range(n):
+        v = is_facial(c, (i,))
+        if v.value:
+            vertices.append(i)
+        if v.witness["kind"] == "positive_dependency":
+            h = v.witness["coefficients"]
+            heights[i] = [*h[:i], 0, *h[i:]]
     report = []
     certified = True
     for i in vertices:
@@ -370,7 +417,11 @@ def smooth_certificate(c: Configuration) -> Verdict:
             if j != i:
                 lines.setdefault(primitive_vector(diffs[j]), [i]).append(j)
         candidates = sorted(tuple(sorted(on_line)) for on_line in lines.values())
-        edges = [s for s in candidates if is_face(s)]
+        edges = _simplicial_edges(i, diffs, candidates, heights[i], dim) if i in heights else None
+        if edges is None:
+            edges = [s for s in candidates if is_face(s)]
+        else:
+            facial.update((s, s in edges) for s in candidates)
         entry = {"vertex": i, "edge_count": len(edges), "needed": dim}
         if len(edges) != dim:
             entry["reason"] = "edge count differs from dimension"

@@ -6,11 +6,12 @@ Python ints (arbitrary precision), so nothing here can overflow or round.
 take nested int sequences.
 
 The fast path is fraction-free and runs on plain int lists.  One Bareiss loop
-(``_bareiss``) serves ``rank`` (forward elimination), ``circuit_kernel`` and
-``ratlp.solve_linear`` (the same loop eliminating above each pivot too) and
-``integer_kernel`` (that Gauss-Jordan pass on the reversed columns, then a
-Hermite form kept modulo its last pivot); one Hermite echelon loop
-(``_echelon``) serves ``lattice_basis``.
+(``_bareiss``) serves ``rank`` (forward elimination), ``circuit_kernel``,
+``ratlp.solve_linear`` and the edges at a simple vertex in
+``engine.smooth_certificate`` (the same loop eliminating above each pivot
+too) and ``integer_kernel`` (that Gauss-Jordan pass on the reversed
+columns, then a Hermite form kept modulo its last pivot); one Hermite
+echelon loop (``_echelon``) serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
 saturation (``column_lattice_saturated``, which ``verify_gale_dual``

@@ -270,6 +270,19 @@ def test_reports_with_integers_past_the_digit_limit(tmp_path, capsys):
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_text_entries_past_the_digit_limit_keep_their_message(tmp_path, capsys):
+    # an integer too long to read under the int-to-str limit is not called
+    # a non-integer entry
+    path = tmp_path / "long.txt"
+    path.write_text("1 " + "7" * 5000 + "\n")
+    code, out, err = run(capsys, "gale", str(path))
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        _assert_one_error_line(code, out, err)
+        assert "digits" in err and "non-integer" not in err
+    else:
+        assert code == 0
+
+
 def _assert_one_error_line(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -465,6 +478,8 @@ def test_every_command_refuses_with_one_error_line(tmp_path, capsys, monkeypatch
     repeated = tmp_path / "repeated.txt"
     repeated.write_text("1 1 1 1\n0 1 2 1\n")
     path = write_segre2(tmp_path)
+    fractional = tmp_path / "fractional.txt"
+    fractional.write_text("# a comment line is not counted\n1 1 1\n1 1.5 2\n")
     for argv in (
         ("check", "strong", str(pyramid)),
         ("check", "facial", path, "--subset", "4"),
@@ -472,6 +487,19 @@ def test_every_command_refuses_with_one_error_line(tmp_path, capsys, monkeypatch
         ("generate", "lawrence"),
     ):
         _assert_one_error_line(*run(capsys, *argv))
+    # every integer the command line reads names its place when it is not one
+    for argv, message in (
+        (("check", "self-dual", str(fractional)), "non-integer entry '1.5' at (1,1)"),
+        (("check", "facial", path, "--subset", "0,,1"),
+         "--subset expects comma-separated integers, got ''"),
+        (("generate", "lawrence", "--rows", "1 a"),
+         "--rows expects integer rows separated by ';', got 'a'"),
+        (("generate", "family-dim", "--alphas", "2,-2.0"),
+         "--alphas expects comma-separated integers, got '-2.0'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        _assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
     monkeypatch.setattr(oracle, "facial_via_separation", lambda c, s: False)
     code, out, _ = run(capsys, "check", "facial", path, "--subset", "0", "--verify")
     assert code == 1 and json.loads(out)["oracle"]["status"] == "DISAGREEMENT"

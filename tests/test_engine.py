@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdual.configuration import dedup, parse_configuration
+from toricdual import engine
+from toricdual.configuration import affine_dim, dedup, parse_configuration
 from toricdual.engine import (
     HypersurfaceClass,
     full_decomposition,
@@ -26,10 +27,11 @@ from toricdual.gale import (
     GaleDual,
     coparallel_criterion,
     gale_dual,
+    is_facial,
     line_sums_zero,
     verify_gale_dual,
 )
-from toricdual.intlinalg import eye, imat, rank
+from toricdual.intlinalg import eye, imat, lattice_basis, primitive_vector, rank
 from toricdual.oracle import (
     random_configuration,
     random_lawrence_block,
@@ -492,24 +494,215 @@ def test_smooth_certificate_computes_the_gale_kernel_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_smooth_certificate_tests_each_subset_once(monkeypatch):
-    calls = []
+def _count_facial_tests(monkeypatch):
+    """Record every LP and every subset that ``smooth_certificate`` tests."""
+    lps, subsets = [], []
     for name, module in sorted(sys.modules.items()):
         if name.startswith("toricdual") and hasattr(module, "feasible_nonneg"):
 
             def counting(a, b, _original=module.feasible_nonneg):
-                calls.append(a)
+                lps.append(a)
                 return _original(a, b)
 
             monkeypatch.setattr(module, "feasible_nonneg", counting)
+
+    def recording(c, subset, _original=engine.is_facial):
+        subsets.append(tuple(subset))
+        return _original(c, subset)
+
+    monkeypatch.setattr(engine, "is_facial", recording)
+    return lps, subsets
+
+
+def test_smooth_certificate_tests_each_subset_once(monkeypatch):
+    lps, subsets = _count_facial_tests(monkeypatch)
     v = smooth_certificate(segre(6))
     assert v.value
-    # the 12 points are the vertices of a product of simplices, no three
-    # collinear, so every pair is one candidate edge: one LP per point and
-    # one per pair
+    # the 12 points are the vertices of a product of simplices, each simple:
+    # one LP per point finds the vertices and their heights, and every
+    # vertex's edges come from the elimination
     n = 12
     assert len(v.witness["vertices"]) == n
-    assert len(calls) == n + n * (n - 1) // 2
+    assert len(lps) == n
+    assert subsets == [(i,) for i in range(n)]
+
+
+# the apex 0 of a square pyramid has four edges in dimension 3: it is not
+# simple; each base vertex is
+SQUARE_PYRAMID = parse_configuration(
+    [[1, 1, 1, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 1, 0], [1, 0, 0, 0, 0]]
+)
+# every vertex of the octahedron has four edges in dimension 3
+OCTAHEDRON = parse_configuration(
+    [[1] * 6, [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]]
+)
+
+
+@pytest.mark.parametrize(
+    "c, edge_lps",
+    [
+        # the four lines at the apex, each tested before a base vertex
+        # reads it off
+        (SQUARE_PYRAMID, 4),
+        # the apex last: the base vertices have decided its four lines
+        (parse_configuration(SQUARE_PYRAMID.weights.select([1, 2, 3, 4, 0])), 0),
+        # every pair is a line at both of its ends, and is tested once
+        (OCTAHEDRON, 15),
+    ],
+    ids=["square-pyramid", "square-pyramid-apex-last", "octahedron"],
+)
+def test_smooth_certificate_tests_lines_at_a_non_simple_vertex_once(monkeypatch, c, edge_lps):
+    lps, subsets = _count_facial_tests(monkeypatch)
+    v = smooth_certificate(c)
+    assert len(subsets) == len(set(subsets)) == c.npoints + edge_lps
+    assert len(lps) == len(subsets)
+    assert not v.value
+
+
+def _lines_at(c, i):
+    """The differences to point i and the sorted candidate lines through it,
+    each the tuple of the points on it."""
+    cols = c.columns()
+    diffs = [[x - y for x, y in zip(col, cols[i])] for col in cols]
+    lines = {}
+    for j in range(c.npoints):
+        if j != i:
+            lines.setdefault(primitive_vector(diffs[j]), [i]).append(j)
+    return diffs, sorted(tuple(sorted(on_line)) for on_line in lines.values())
+
+
+def _smooth_by_lps(c):
+    """The smoothness certificate with one facial LP per point and per line
+    through a vertex: the reference for :func:`smooth_certificate` on
+    repeat-free input."""
+    dim = affine_dim(c)
+    cols = c.columns()
+    lattice = lattice_basis([[x - y for x, y in zip(col, cols[0])] for col in cols], c.dim)
+    report = []
+    certified = True
+    for i in range(c.npoints):
+        if not is_facial(c, (i,)).value:
+            continue
+        diffs, candidates = _lines_at(c, i)
+        edges = [s for s in candidates if is_facial(c, s).value]
+        entry = {"vertex": i, "edge_count": len(edges), "needed": dim}
+        if len(edges) != dim:
+            entry["reason"] = "edge count differs from dimension"
+            certified = False
+            report.append(entry)
+            continue
+        vectors = [
+            diffs[min((k for k in s if k != i), key=lambda k: sum(map(abs, diffs[k])))]
+            for s in edges
+        ]
+        ok = lattice_basis(vectors, c.dim) == lattice
+        entry["edge_vectors"] = vectors
+        entry["basis_of_difference_lattice"] = ok
+        certified = certified and ok
+        report.append(entry)
+    return Verdict(
+        value=certified,
+        criterion="vertex-chart-basis",
+        witness={
+            "kind": "smooth_certificate",
+            "certified": certified,
+            "vertices": report,
+            "note": "one-sided: not certified does not mean singular",
+        },
+    )
+
+
+def _simplex_product(*sizes):
+    """The vertices of a product of simplices, one indicator block per factor."""
+    points = list(itertools.product(*(range(s + 1) for s in sizes)))
+    return parse_configuration(
+        [[int(p[f] == i) for p in points] for f, s in enumerate(sizes) for i in range(s + 1)]
+    )
+
+
+def _grid_configuration(rng):
+    """Distinct points of {0, 1, 2}^d, d = 2 or 3, so that lines through a
+    vertex often hold three points."""
+    d = rng.randint(2, 3)
+    points = rng.sample(list(itertools.product(range(3), repeat=d)), rng.randint(d + 1, 9))
+    return parse_configuration([[1] * len(points)] + [list(r) for r in zip(*points)])
+
+
+def _repeat_free_lift(rng):
+    while True:
+        c = lawrence(random_lawrence_block(rng))
+        if len(set(c.columns())) == c.npoints:
+            return c
+
+
+def test_smooth_certificate_matches_the_lp_reference_on_families():
+    cases = [segre(m) for m in range(2, 6)]
+    cases += [_simplex_product(*p) for p in [(1, 1), (2, 2), (1, 1, 1), (1, 2), (2, 3)]]
+    cases += [INT_POINT_FACE, MISSING_POINTS, SQUARE_PYRAMID, OCTAHEDRON]
+    for c in cases:
+        assert smooth_certificate(c) == _smooth_by_lps(c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smooth_certificate_matches_the_lp_reference_on_seeded_draws(seed):
+    rng = random.Random(seed)
+    cases = [random_configuration(rng) for _ in range(15)]
+    cases += [_grid_configuration(rng) for _ in range(15)]
+    cases += [_repeat_free_lift(rng) for _ in range(3)]
+    for c in cases:
+        assert smooth_certificate(c) == _smooth_by_lps(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=7, unique=True
+        )
+    )
+)
+def test_smooth_certificate_matches_the_lp_reference(points):
+    c = parse_configuration([list(row) for row in zip(*points)])
+    assert smooth_certificate(c) == _smooth_by_lps(c)
+
+
+def _heights(c, i):
+    """The heights that the vertex test of point i gives: 0 at i."""
+    h = is_facial(c, (i,)).witness["coefficients"]
+    return [*h[:i], 0, *h[i:]]
+
+
+def _simplicial_edges(c, i):
+    diffs, candidates = _lines_at(c, i)
+    return engine._simplicial_edges(i, diffs, candidates, _heights(c, i), affine_dim(c))
+
+
+def _edges_by_lps(c, i):
+    return [s for s in _lines_at(c, i)[1] if is_facial(c, s).value]
+
+
+def test_simplicial_edges_needs_a_simple_vertex():
+    assert len(_edges_by_lps(SQUARE_PYRAMID, 0)) == 4
+    assert _simplicial_edges(SQUARE_PYRAMID, 0) is None
+    for i in range(1, 5):
+        assert _simplicial_edges(SQUARE_PYRAMID, i) == _edges_by_lps(SQUARE_PYRAMID, i)
+
+
+def test_simplicial_edges_refuses_a_middle_point_below_an_edge():
+    # the vertices 0, 2, 3, 5 are simple, but the middle point of the
+    # three-point line 3, 4, 5 (or 0, 1, 2) lies below an edge at 0 and 2
+    # (3 and 5), so the elimination cannot show the cone is simplicial
+    for i in (0, 2, 3, 5):
+        assert len(_edges_by_lps(INT_POINT_FACE, i)) == 3
+        assert _simplicial_edges(INT_POINT_FACE, i) is None
+
+
+def test_simplicial_edges_at_simple_vertices_whose_edges_are_no_basis():
+    witness = smooth_certificate(MISSING_POINTS).witness["vertices"]
+    for i in range(4):
+        assert _simplicial_edges(MISSING_POINTS, i) == _edges_by_lps(MISSING_POINTS, i)
+        assert witness[i]["vertex"] == i
+        assert not witness[i]["basis_of_difference_lattice"]
 
 
 def test_smooth_certificate_not_certified_examples():
