@@ -12,10 +12,12 @@ run toricdual check self-dual demos/data/family_alpha_1.json --verify
 run toricdual check self-dual demos/data/twisted_cubic.txt --verify
 run toricdual check self-dual demos/data/pyramid.txt --verify
 run toricdual check self-dual demos/data/random_26x100.txt --format text
+run toricdual check self-dual demos/data/wide_4x80.txt --format text
 run toricdual check strong demos/data/strong_7x9.json
 run toricdual check strong demos/data/strong_bigint.json
 run toricdual check facial demos/data/segre2.json --subset 0,2 --verify
 run toricdual decompose demos/data/pyramid.txt
+run toricdual decompose demos/data/random_26x100.txt
 run toricdual circuits demos/data/twisted_cubic.txt
 run toricdual flats demos/data/segre2.json
 run toricdual smooth-certificate demos/data/missing_points.json

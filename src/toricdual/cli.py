@@ -63,10 +63,14 @@ def read_matrix(path: str):
     text = text.strip()
     if not text:
         raise ValueError(f"empty matrix file: {path}")
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         doc = json.loads(text)
-        entries = doc["entries"]
-        m = imat(entries)
+        if not isinstance(doc, dict) or "entries" not in doc:
+            raise ValueError(
+                'a JSON matrix is an object with an "entries" field: '
+                '{"rows": d, "cols": n, "entries": [[...], ...]}'
+            )
+        m = imat(doc["entries"])
         if "rows" in doc and doc["rows"] != m.shape[0]:
             raise ValueError("'rows' field disagrees with the entries")
         if "cols" in doc and doc["cols"] != m.shape[1]:

@@ -14,7 +14,7 @@ import operator
 from functools import cached_property
 from typing import NamedTuple
 
-from .intlinalg import IntMatrix, circuit_kernel, imat, integer_kernel, rank
+from .intlinalg import CircuitForm, IntMatrix, circuit_form, imat, integer_kernel, rank
 from .verdict import ReadOnly
 
 
@@ -26,13 +26,17 @@ class Configuration(ReadOnly):
     origin (equivalently the all-ones vector is in the row span), so affine
     relations among columns coincide with linear ones.  ``relations`` is the
     saturated affine relation basis that :func:`gale_dual` wraps.
-    ``circuit_basis`` is the fundamental-circuit basis of the same relations
-    (:func:`circuit_kernel` of ``[1; W]``): it spans them over Q only, needs
-    no saturation step, and is what the self-duality verdict reads, so its
-    witnesses are stated in its coordinates.  ``weights``, ``relations`` and
-    ``circuit_basis`` are immutable :class:`IntMatrix` values, and each
-    invariant is computed at most once per configuration.  A configuration
-    refuses attribute assignment and equals only itself.
+    ``circuit_form`` is the fraction-free Gauss-Jordan form of ``[1; W]``
+    (:func:`circuit_form`), and ``circuit_basis`` the fundamental-circuit
+    basis of the same relations written out from it: it spans them over Q
+    only and needs no saturation step.  The self-duality verdict reads its
+    line classes off ``circuit_form`` without building ``circuit_basis``,
+    and states its witnesses in that basis's coordinates; every reader of
+    either shares the one elimination.  ``weights``, ``relations`` and
+    ``circuit_basis`` are immutable :class:`IntMatrix` values,
+    ``circuit_form`` an immutable :class:`CircuitForm`, and each invariant
+    is computed at most once per configuration.  A configuration refuses
+    attribute assignment and equals only itself.
     """
 
     def __init__(self, weights: IntMatrix):
@@ -55,8 +59,12 @@ class Configuration(ReadOnly):
         return affine_relation_kernel(self)
 
     @cached_property
+    def circuit_form(self) -> CircuitForm:
+        return circuit_form(_ones_on_top(self))
+
+    @cached_property
     def circuit_basis(self) -> IntMatrix:
-        return circuit_kernel(_ones_on_top(self))
+        return self.circuit_form.basis()
 
     def column(self, j: int) -> tuple:
         return self.weights.column(j)

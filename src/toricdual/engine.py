@@ -5,9 +5,14 @@ reads only its lattice of affine relations: merge repeated columns, then
 read the pyramid apexes off a Gale dual as its zero rows.  Zero rows, line
 classes and zero line sums do not change when the Gale basis is changed
 over Q, so the self-duality verdict reads the fundamental-circuit basis
-(``Configuration.circuit_basis``) and never saturates it; its line-sum
-witnesses give directions and sums in that basis and say so with
-``"basis": "fundamental_circuits"``.  The other questions that hold over Q
+and never saturates it; its line-sum witnesses give directions and sums in
+that basis and say so with ``"basis": "fundamental_circuits"``.  It does
+not write that n x (n - rank) basis out either: ``_decompose`` reads the
+line classes and the apexes off the Gauss-Jordan form that the
+configuration caches (``Configuration.circuit_form``), in which only the
+rank many pivot rows carry information, each free point lying on its own
+axis.  ``full_decomposition`` and ``gale.coparallel_criterion`` read the
+same partition.  The other questions that hold over Q
 read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, ``lawrence_strong_parity`` the zero rows of
 ``circuit_kernel(M)``, and ``is_segre`` its corank, its antipodal pairs
@@ -22,7 +27,14 @@ from math import gcd
 
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import irregular_input, pyramidal_input, repeated_columns
-from .gale import GaleDual, gale_dual, is_facial, line_sums_zero
+from .gale import (
+    LinePartition,
+    _circuit_partition,
+    _line_sums_verdict,
+    gale_dual,
+    is_facial,
+    line_sums_zero,
+)
 from .intlinalg import IntMatrix, _bareiss, circuit_kernel, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
 
@@ -30,15 +42,17 @@ from .verdict import Verdict
 def _decompose(c: Configuration):
     """The decision pipeline: merge repeats, then split off apexes.
 
-    Returns ``(b, report)``: the fundamental-circuit Gale dual of the
-    distinct columns of ``c`` (a rational, not a saturated, basis of their
-    relations) and the combined report.  Apexes are the zero rows of ``b``
-    and the core is every other row.
+    Returns ``(part, report)``: the line partition of the
+    fundamental-circuit Gale dual of the distinct columns of ``c`` (a
+    rational, not a saturated, basis of their relations), read off their
+    cached Gauss-Jordan form without building that n x (n - rank) basis,
+    and the combined report.  Apexes are the partition's zero rows and the
+    core is every other row.
     """
     rep = dedup(c)
-    b = GaleDual(matrix=rep.distinct.circuit_basis)
-    apex = b.zero_rows()
-    core = tuple(i for i in range(b.npoints) if i not in apex)
+    part = _circuit_partition(rep.distinct.circuit_form)
+    apex = part.zero_rows
+    core = tuple(i for i in range(rep.distinct.npoints) if i not in apex)
     k = rep.repeat_codim
     report = DecompositionReport(
         repeat_codim=k,
@@ -46,7 +60,7 @@ def _decompose(c: Configuration):
         core_indices=core,
         join_shape=(k, len(apex), len(core)),
     )
-    return b, report
+    return part, report
 
 
 def is_self_dual(c: Configuration) -> Verdict:
@@ -58,16 +72,17 @@ def is_self_dual(c: Configuration) -> Verdict:
     iterated join over the distinct-point core, which must be non-pyramidal
     with apex count equal to the number of repeats, and have a self-dual core
     (empty core means the variety is a linear subspace, self-dual exactly in
-    the half-dimensional pattern).  Everything is read off the
-    fundamental-circuit basis of ``c``'s relations; no other presentation
-    and no saturated Gale dual is computed.  Line class directions and sums
-    in the witness are in that basis, marked ``"basis":
+    the half-dimensional pattern).  Everything is read off one Gauss-Jordan
+    form of ``c``'s relations, that of the fundamental-circuit basis; no
+    other presentation and no saturated Gale dual is computed, and the
+    basis itself is never written out.  Line class directions and sums in
+    the witness are in that basis, marked ``"basis":
     "fundamental_circuits"``.
     """
-    b, dec = _decompose(c)
+    part, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
     if r == 0 and k == 0:
-        return _circuit_line_sums(b)
+        return _circuit_line_sums(part)
     if r != k:
         note = "self-duality of a join needs apex count == repeat count"
         value, head = False, {"kind": "apex_repeat_mismatch", "note": note}
@@ -75,17 +90,21 @@ def is_self_dual(c: Configuration) -> Verdict:
         note = "subspace of half the ambient dimension"
         value, head = True, {"kind": "linear_subspace", "note": note}
     else:
-        # the core's circuit basis is the distinct one without its zero rows
-        core_rows = IntMatrix([b.matrix[i] for i in dec.core_indices], b.corank)
-        core = _circuit_line_sums(GaleDual(matrix=core_rows))
+        # apexes lie in no circuit: the core's circuit basis is the distinct
+        # one without its zero rows, so its classes are these, renumbered
+        at = {i: t for t, i in enumerate(dec.core_indices)}
+        classes = tuple(
+            cls._replace(members=tuple(at[i] for i in cls.members)) for cls in part.classes
+        )
+        core = _circuit_line_sums(LinePartition(classes=classes, zero_rows=()))
         value, head = core.value, {"kind": "join_core", "core_verdict": core.witness}
     return Verdict(value, "join-decomposition", {**head, **dec.as_json()})
 
 
-def _circuit_line_sums(b: GaleDual) -> Verdict:
-    """:func:`line_sums_zero` on a fundamental-circuit basis, with the
-    witness marked as stated in that basis."""
-    v = line_sums_zero(b)
+def _circuit_line_sums(part: LinePartition) -> Verdict:
+    """The line-sum verdict on a partition of a fundamental-circuit basis,
+    with the witness marked as stated in that basis."""
+    v = _line_sums_verdict(part)
     return Verdict(v.value, v.criterion, {**v.witness, "basis": "fundamental_circuits"})
 
 

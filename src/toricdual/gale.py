@@ -8,12 +8,20 @@ faces of the convex hull correspond to strictly positive dependencies among
 complementary rows.
 """
 
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, column_indices, regularize
 from .exceptions import pyramidal_input, repeated_columns
-from .intlinalg import IntMatrix, column_lattice_saturated, imat, matmul, primitive_vector, rank
+from .intlinalg import (
+    CircuitForm,
+    IntMatrix,
+    column_lattice_saturated,
+    imat,
+    matmul,
+    primitive_vector,
+    rank,
+)
 from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import ReadOnly, Verdict
 
@@ -21,9 +29,11 @@ from .verdict import ReadOnly, Verdict
 class GaleDual(ReadOnly):
     """n x r matrix whose columns are a basis of the affine relations.
 
-    :func:`gale_dual` gives the saturated canonical basis; the self-duality
-    verdict wraps ``Configuration.circuit_basis``, a basis over Q only.  A
-    Gale dual refuses attribute assignment and equals only itself.
+    :func:`gale_dual` gives the saturated canonical basis;
+    ``Configuration.circuit_basis``, a basis over Q only, can be wrapped
+    too, though the self-duality verdict reads its line classes off
+    ``Configuration.circuit_form`` instead.  A Gale dual refuses attribute
+    assignment and equals only itself.
     """
 
     __slots__ = ("matrix",)
@@ -115,16 +125,58 @@ def line_partition(b: GaleDual) -> LinePartition:
     return LinePartition(classes=tuple(out), zero_rows=tuple(zero))
 
 
-def line_sums_zero(b: GaleDual) -> Verdict:
-    """Self-duality test for non-pyramidal configurations.
+def _circuit_partition(form: CircuitForm) -> LinePartition:
+    """:func:`line_partition` of the fundamental-circuit basis C of a
+    :class:`CircuitForm`, read off the form without building C; equal to it
+    entry for entry.
 
-    True iff every line class of dual rows sums to zero.  A zero row means
-    the configuration is pyramidal and the criterion does not apply.  The
-    verdict, the witness kind and its members are the same for every basis
-    of the relations over Q; the ``direction`` and ``sum`` of a witness are
-    coordinates in the columns of ``b`` as given.
+    With d the last pivot, s its sign, R the Jordan rows on the free
+    columns f_t and g_t the gcd of |d| and column t of R, row f_t of C is
+    ``(|d|/g_t)·e_t`` and row p_i of the i-th pivot is ``-s·R_i[t]/g_t``
+    over t.  So each free point lies on its own axis e_t, joined there by
+    any pivot row whose one nonzero entry is at t; the other nonzero pivot
+    rows group by their primitive vector, and the zero ones are the
+    apexes.  Only the pivot rows are formed: O(rank·corank) work.
     """
-    part = line_partition(b)
+    big = abs(form.pivot)
+    m = len(form.free)
+    g = [big] * m
+    for r in form.rows:
+        g = list(map(gcd, g, r))
+    neg = -1 if form.pivot > 0 else 1
+    # key of each point: t for the axis e_t, a primitive vector, or None
+    keys = [None] * form.ncols
+    for t, j in enumerate(form.free):
+        keys[j] = t
+    rows = {}
+    for p, r in zip(form.pivots, form.rows):
+        row = rows[p] = [neg * x // y for x, y in zip(r, g)]
+        support = m - row.count(0)
+        if support == 1:
+            keys[p] = next(t for t, x in enumerate(row) if x)
+        elif support:
+            keys[p] = primitive_vector(row)
+    classes, zero = {}, []
+    for i, key in enumerate(keys):
+        if key is None:
+            zero.append(i)
+        else:
+            classes.setdefault(key, []).append(i)
+    out = []
+    for key, members in classes.items():  # in order of first member
+        if type(key) is int:
+            total = big // g[key] + sum(rows[i][key] for i in members if i in rows)
+            head, tail = (0,) * key, (0,) * (m - key - 1)
+            direction, total = (*head, 1, *tail), (*head, total, *tail)
+        else:
+            direction = key
+            total = tuple(map(sum, zip(*(rows[i] for i in members))))
+        out.append(LineClass(direction=direction, members=tuple(members), total=total))
+    return LinePartition(classes=tuple(out), zero_rows=tuple(zero))
+
+
+def _line_sums_verdict(part: LinePartition) -> Verdict:
+    """The verdict of :func:`line_sums_zero` on a line partition."""
     if part.zero_rows:
         raise pyramidal_input(part.zero_rows, "the line-sum self-duality criterion")
     for cls in part.classes:
@@ -150,6 +202,18 @@ def line_sums_zero(b: GaleDual) -> Verdict:
             ],
         },
     )
+
+
+def line_sums_zero(b: GaleDual) -> Verdict:
+    """Self-duality test for non-pyramidal configurations.
+
+    True iff every line class of dual rows sums to zero.  A zero row means
+    the configuration is pyramidal and the criterion does not apply.  The
+    verdict, the witness kind and its members are the same for every basis
+    of the relations over Q; the ``direction`` and ``sum`` of a witness are
+    coordinates in the columns of ``b`` as given.
+    """
+    return _line_sums_verdict(line_partition(b))
 
 
 def coparallel_classes(b: GaleDual) -> tuple:
@@ -249,19 +313,21 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     a parallel face complement.
 
     Equivalent to :func:`line_sums_zero`; requires a repeat-free non-pyramidal
-    configuration.  The classes are read off ``c.circuit_basis``, since
+    configuration.  The classes are read off ``c.circuit_form``, the
+    partition that :func:`~toricdual.engine.is_self_dual` reads, since
     parallel and zero rows do not change with the basis over Q; the
     functionals are solved in the regular presentation, so that linear
     functionals capture affine conditions.
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the coparallelism criterion")
-    b = GaleDual(matrix=c.circuit_basis)
-    if b.zero_rows():
-        raise pyramidal_input(b.zero_rows(), "the coparallelism criterion")
+    part = _circuit_partition(c.circuit_form)
+    if part.zero_rows:
+        raise pyramidal_input(part.zero_rows, "the coparallelism criterion")
     reg = regularize(c)
     functionals = []
-    for cls in coparallel_classes(b):
+    # with no zero rows the classes are the line classes, by first member
+    for cls in (line.members for line in part.classes):
         sub = is_parallel_face_complement(reg, cls)
         if not sub.value:
             return Verdict(

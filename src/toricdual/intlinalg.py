@@ -6,11 +6,11 @@ Python ints (arbitrary precision), so nothing here can overflow or round.
 take nested int sequences.
 
 The fast path is fraction-free and runs on plain int lists.  One Bareiss loop
-(``_bareiss``) serves ``rank`` (forward elimination), ``circuit_kernel``,
+(``_bareiss``) serves ``rank`` (forward elimination); ``circuit_form``,
 ``ratlp.solve_linear`` and the edges at a simple vertex in
 ``engine.smooth_certificate`` (the same loop eliminating above each pivot
-too) and ``integer_kernel`` (that Gauss-Jordan pass on the reversed
-columns, then a Hermite form kept modulo its last pivot); one Hermite
+too); and ``integer_kernel`` (that Gauss-Jordan pass on the reversed
+columns, then a Hermite form kept modulo its last pivot).  One Hermite
 echelon loop (``_echelon``) serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
@@ -19,15 +19,18 @@ reads); no Smith form is needed for either.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual (the oracles keep the two-pass echelon route to the same basis as
 their reference); ``circuit_kernel`` is the fundamental-circuit basis, a
-kernel basis over Q only, and the self-duality verdict states its line-sum
-witnesses in its coordinates.  ``rational_rank`` and ``in_row_span`` keep
-``fractions.Fraction`` Gauss-Jordan elimination as reference arithmetic
-(the sigma referee's span test ranks with ``rational_rank``); the
-package's fast predicates do not call them.
+kernel basis over Q only, written out from the Gauss-Jordan form that
+``circuit_form`` returns.  The self-duality verdict reads its line classes
+off that form without writing the basis out, and states its line-sum
+witnesses in the basis's coordinates.  ``rational_rank`` and
+``in_row_span`` keep ``fractions.Fraction`` Gauss-Jordan elimination as
+reference arithmetic (the sigma referee's span test ranks with
+``rational_rank``); the package's fast predicates do not call them.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 class IntMatrix:
@@ -358,6 +361,54 @@ def integer_kernel(a) -> IntMatrix:
     return IntMatrix(reversed(list(zip(*out))), len(out))
 
 
+class CircuitForm(NamedTuple):
+    """The fraction-free Gauss-Jordan form of a matrix ``a`` with n columns.
+
+    ``pivots`` are the pivot columns, the lex-first column basis of ``a``;
+    ``free`` the other columns, in increasing order; ``pivot`` the last
+    pivot d, a ``rank(a)``-square minor of ``a`` up to sign.  ``rows[i][t]``
+    is R_i at ``free[t]``, where R_i is d times the reduced echelon row of
+    pivot i (on the pivot columns R_i is d times a unit vector, so those
+    entries are not kept).  The kernel of ``a`` is ``d·x_B + R·x_free = 0``
+    with B the pivots; :meth:`basis` writes out its fundamental circuits.
+    """
+
+    ncols: int
+    pivots: tuple
+    free: tuple
+    pivot: int
+    rows: tuple
+
+    def basis(self) -> IntMatrix:
+        """The fundamental-circuit basis: column t is ``|d|`` at ``free[t]``
+        and ``-sign(d)·rows[i][t]`` at ``pivots[i]``, divided by the gcd of
+        those entries."""
+        n, big = self.ncols, abs(self.pivot)
+        s = 1 if self.pivot > 0 else -1
+        cols = []
+        for t, j in enumerate(self.free):
+            v = [0] * n
+            v[j] = big
+            for c, row in zip(self.pivots, self.rows):
+                v[c] = -s * row[t]
+            g = gcd(*v)
+            cols.append([x // g for x in v])
+        return IntMatrix(cols, n).T
+
+
+def circuit_form(a) -> CircuitForm:
+    """The :class:`CircuitForm` of ``a`` (an :class:`IntMatrix` or nested
+    int sequences with at least one row): one fraction-free Gauss-Jordan
+    pass."""
+    rows = list(a)
+    n = len(rows[0])
+    pivots, d = _bareiss(rows, jordan=True)
+    taken = set(pivots)
+    free = tuple(j for j in range(n) if j not in taken)
+    jordan = tuple(tuple(row[j] for j in free) for row in rows[: len(pivots)])
+    return CircuitForm(n, tuple(pivots), free, d, jordan)
+
+
 def circuit_kernel(a) -> IntMatrix:
     """Fundamental-circuit basis of the rational kernel ``{v : a @ v = 0}``.
 
@@ -367,25 +418,10 @@ def circuit_kernel(a) -> IntMatrix:
     the basis plus j, positive at j.  It spans the kernel over Q but, unlike
     :func:`integer_kernel`, need not span the kernel lattice; no saturation
     step runs: before the column's common factor is divided out, each entry
-    is, up to sign, a ``rank(a)``-square minor of ``a``.
+    is, up to sign, a ``rank(a)``-square minor of ``a``.  The pass is
+    :func:`circuit_form`, and :meth:`CircuitForm.basis` writes the columns.
     """
-    rows = list(a)
-    n = len(rows[0])
-    pivots, d = _bareiss(rows, jordan=True)
-    # row t is d times the reduced echelon row of the t-th pivot
-    s = 1 if d > 0 else -1
-    taken = set(pivots)
-    cols = []
-    for j in range(n):
-        if j in taken:
-            continue
-        v = [0] * n
-        v[j] = abs(d)
-        for t, c in enumerate(pivots):
-            v[c] = -s * rows[t][j]
-        g = gcd(*v)
-        cols.append([x // g for x in v])
-    return IntMatrix(cols, n).T
+    return circuit_form(a).basis()
 
 
 def lattice_basis(vectors, dim: int) -> list:

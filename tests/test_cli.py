@@ -480,6 +480,14 @@ def test_every_command_refuses_with_one_error_line(tmp_path, capsys, monkeypatch
     path = write_segre2(tmp_path)
     fractional = tmp_path / "fractional.txt"
     fractional.write_text("# a comment line is not counted\n1 1 1\n1 1.5 2\n")
+    no_entries = tmp_path / "no_entries.json"
+    no_entries.write_text('{"rows": 2}')
+    bare_array = tmp_path / "bare_array.json"
+    bare_array.write_text("[[1,2],[3,4]]")
+    json_form = (
+        'a JSON matrix is an object with an "entries" field: '
+        '{"rows": d, "cols": n, "entries": [[...], ...]}'
+    )
     for argv in (
         ("check", "strong", str(pyramid)),
         ("check", "facial", path, "--subset", "4"),
@@ -490,6 +498,8 @@ def test_every_command_refuses_with_one_error_line(tmp_path, capsys, monkeypatch
     # every integer the command line reads names its place when it is not one
     for argv, message in (
         (("check", "self-dual", str(fractional)), "non-integer entry '1.5' at (1,1)"),
+        (("check", "self-dual", str(no_entries)), json_form),
+        (("decompose", str(bare_array)), json_form),
         (("check", "facial", path, "--subset", "0,,1"),
          "--subset expects comma-separated integers, got ''"),
         (("generate", "lawrence", "--rows", "1 a"),

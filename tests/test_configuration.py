@@ -24,7 +24,14 @@ from toricdual.engine import (
     smooth_certificate,
 )
 from toricdual.families import config_from_gale, family_alpha, segre
-from toricdual.gale import coparallel_criterion, gale_dual, is_facial, verify_gale_dual
+from toricdual.gale import (
+    GaleDual,
+    coparallel_criterion,
+    gale_dual,
+    is_facial,
+    line_partition,
+    verify_gale_dual,
+)
 from toricdual.intlinalg import (
     eye,
     imat,
@@ -258,13 +265,15 @@ def _same_rational_column_space(b, canonical):
 def test_core_gale_rows_are_the_core_gale_dual(rows):
     try:
         c = parse_configuration(rows)
-        b, dec = _decompose(c)
+        part, dec = _decompose(c)
     except ValueError:
         return
     distinct = dedup(c).distinct
+    b = GaleDual(matrix=distinct.circuit_basis)
+    assert part == line_partition(b)
     canonical = gale_dual(distinct)
     _same_rational_column_space(b.matrix, canonical.matrix)
-    assert b.zero_rows() == canonical.zero_rows() == dec.apex_indices
+    assert part.zero_rows == b.zero_rows() == canonical.zero_rows() == dec.apex_indices
     assume(dec.core_indices)
     core = subconfiguration(distinct, dec.core_indices)
     core_rows = imat([b.matrix[i] for i in dec.core_indices])
@@ -272,6 +281,12 @@ def test_core_gale_rows_are_the_core_gale_dual(rows):
     # the lex-first basis of the rest: the same columns, even unscaled
     assert core_rows == core.circuit_basis
     _same_rational_column_space(core_rows, gale_dual(core).matrix)
+    # so the core's classes are the distinct ones renumbered to core positions
+    at = {i: t for t, i in enumerate(dec.core_indices)}
+    renumbered = [(cls.direction, [at[i] for i in cls.members], cls.total) for cls in part.classes]
+    core_part = line_partition(GaleDual(matrix=core_rows))
+    assert [(cls.direction, list(cls.members), cls.total) for cls in core_part.classes] == renumbered
+    assert core_part.zero_rows == ()
 
 
 @settings(max_examples=150, deadline=None)
@@ -282,7 +297,9 @@ def test_decompose_matches_the_reduce_first_pipeline(rows, scale, seed):
     rows = [[scale * x for x in rows[0]]] + rows[1:]
     rows = [r + r[:1] + [0] for r in rows]
     c = parse_configuration(rows + [[0] * (len(rows[0]) - 1) + [1]])
-    b, dec = _decompose(c)
+    part, dec = _decompose(c)
+    b = GaleDual(matrix=dedup(c).distinct.circuit_basis)
+    assert part == line_partition(b)
     # a pipeline that changes the presentation first, and apexes by their
     # rank definition, written out
     rep = dedup(_other_presentation(c, seed))
@@ -367,14 +384,31 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     assert dec.repeat_codim == 0
     assert not dec.apex_indices
     kernels = ("affine_relation_kernel", "integer_kernel", "circuit_kernel")
-    counts = _count_calls(monkeypatch, _toricdual_modules(), kernels)
+    # one Gauss-Jordan pass, and the circuit basis is never written out
+    passes = ("circuit_form", "_bareiss")
     reductions = ("regularize",)
-    reduction_counts = _count_calls(monkeypatch, _toricdual_modules(), reductions)
-    fraction_counts = _fraction_rank_calls(monkeypatch)
-    is_self_dual(parse_configuration(rows))
-    assert fraction_counts == {"rational_rank": 0, "in_row_span": 0}
-    assert reduction_counts == dict.fromkeys(reductions, 0)
-    assert counts == {"affine_relation_kernel": 0, "integer_kernel": 0, "circuit_kernel": 1}
+    for decide in (is_self_dual, full_decomposition):
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, _toricdual_modules(), kernels + passes)
+            reduction_counts = _count_calls(patch, _toricdual_modules(), reductions)
+            fraction_counts = _fraction_rank_calls(patch)
+            decide(parse_configuration(rows))
+        assert fraction_counts == {"rational_rank": 0, "in_row_span": 0}
+        assert reduction_counts == dict.fromkeys(reductions, 0)
+        assert counts == {
+            "affine_relation_kernel": 0,
+            "integer_kernel": 0,
+            "circuit_kernel": 0,
+            "circuit_form": 1,
+            "_bareiss": 1,
+        }
+    # the readers of one configuration share its one elimination
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("circuit_form",))
+    c = parse_configuration(rows)
+    is_self_dual(c)
+    full_decomposition(c)
+    coparallel_criterion(c)
+    assert counts == {"circuit_form": 1}
 
 
 def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):

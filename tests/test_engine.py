@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 import sys
 import time
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricdual import engine
+from toricdual.cli import read_matrix
 from toricdual.configuration import affine_dim, dedup, parse_configuration
 from toricdual.engine import (
     HypersurfaceClass,
@@ -845,3 +848,92 @@ def test_circuit_basis_verdict_matches_the_canonical_line_sums(case, seed):
         assert ref.value == v.value
         assert ref.witness["kind"] == got["kind"]
         assert _members(ref.witness) == _members(got)
+
+
+def _self_dual_by_matrix(c):
+    """:func:`is_self_dual` with the fundamental-circuit basis written out
+    and grouped by :func:`line_sums_zero`: the reference for the verdict
+    read off the Gauss-Jordan form."""
+    rep = dedup(c)
+    b = GaleDual(matrix=rep.distinct.circuit_basis)
+    apex = b.zero_rows()
+    core = tuple(i for i in range(b.npoints) if i not in apex)
+    k, r = rep.repeat_codim, len(apex)
+
+    def marked(v):
+        return Verdict(v.value, v.criterion, {**v.witness, "basis": "fundamental_circuits"})
+
+    if r == 0 and k == 0:
+        return marked(line_sums_zero(b))
+    if r != k:
+        note = "self-duality of a join needs apex count == repeat count"
+        value, head = False, {"kind": "apex_repeat_mismatch", "note": note}
+    elif not core:
+        note = "subspace of half the ambient dimension"
+        value, head = True, {"kind": "linear_subspace", "note": note}
+    else:
+        core_rows = imat([b.matrix[i] for i in core])
+        v = marked(line_sums_zero(GaleDual(matrix=core_rows)))
+        value, head = v.value, {"kind": "join_core", "core_verdict": v.witness}
+    dec = {
+        "repeat_codim": k,
+        "apex_indices": list(apex),
+        "core_indices": list(core),
+        "join_shape": [k, r, len(core)],
+    }
+    return Verdict(value, "join-decomposition", {**head, **dec})
+
+
+def _assert_same_as_by_matrix(c):
+    v, ref = is_self_dual(c), _self_dual_by_matrix(c)
+    assert v == ref
+    # the same witness, key for key in the same order
+    assert json.dumps(v.witness) == json.dumps(ref.witness)
+    return v
+
+
+def test_self_dual_matches_the_matrix_reference_on_seeded_draws():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(300):
+        d, n = rng.randint(1, 4), rng.randint(2, 9)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        if rng.random() < 0.2:
+            rows = [[x * 10**30 + rng.randint(-2, 2) for x in row] for row in rows]
+        # as many repeats as apexes, often, so that a core is decided
+        k = rng.randint(0, 2)
+        r = k if rng.random() < 0.6 else rng.randint(0, 2)
+        rows = [row + [row[rng.randrange(n)] for _ in range(k)] for row in rows]
+        for _ in range(r):
+            rows = [row + [0] for row in rows] + [[0] * len(rows[0]) + [1]]
+        kinds.add(_assert_same_as_by_matrix(parse_configuration(rows)).witness["kind"])
+    for c in [segre(m) for m in range(2, 6)] + [family_alpha(a) for a in (1, 2, -3)]:
+        kinds.add(_assert_same_as_by_matrix(c).witness["kind"])
+        # the same core joined with one repeat and one apex
+        rows = [[*row, row[0], 0] for row in c.weights] + [[0] * (c.npoints + 1) + [1]]
+        kinds.add(_assert_same_as_by_matrix(parse_configuration(rows)).witness["kind"])
+    assert kinds == {
+        "violating_line_class",
+        "line_classes",
+        "apex_repeat_mismatch",
+        "linear_subspace",
+        "join_core",
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(decorated_configurations, st.integers(0, 2))
+def test_self_dual_matches_the_matrix_reference(case, big):
+    rows = [[x * 10**30 * big + x for x in row] for row in _decorated(*case)]
+    _assert_same_as_by_matrix(parse_configuration(rows))
+
+
+def test_wide_sample_matches_the_matrix_reference():
+    # demos/data/wide_4x80.txt: 80 points, corank 75, the seeded draw below
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data" / "wide_4x80.txt"
+    rng = random.Random(480)
+    rows = [[rng.randint(-100, 100) for _ in range(80)] for _ in range(4)]
+    assert read_matrix(str(path)) == imat(rows)
+    c = parse_configuration(rows)
+    assert len(c.circuit_form.free) == 75
+    _assert_same_as_by_matrix(c)

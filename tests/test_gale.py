@@ -1,11 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdual.configuration import parse_configuration, regularize, subconfiguration
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import family_alpha, family_alpha_gale, segre
 from toricdual.gale import (
+    GaleDual,
+    LineClass,
+    LinePartition,
+    _circuit_partition,
     coparallel_classes,
     coparallel_criterion,
     gale_dual,
@@ -15,7 +21,13 @@ from toricdual.gale import (
     line_sums_zero,
     verify_gale_dual,
 )
-from toricdual.intlinalg import imat, lattice_basis, primitive_vector
+from toricdual.intlinalg import (
+    circuit_form,
+    circuit_kernel,
+    imat,
+    lattice_basis,
+    primitive_vector,
+)
 from toricdual.oracle import facial_via_separation
 
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
@@ -119,6 +131,88 @@ def test_line_partition_strongly_selfdual_example():
     groups = {cls.members for cls in part.classes}
     assert groups == {(0, 1, 4), (2, 5, 7), (3, 6, 8)}
     assert all(all(x == 0 for x in cls.total) for cls in part.classes)
+
+
+def _partition_by_matrix(a):
+    """The line partition of the fundamental-circuit basis of ``a``, written
+    out: the reference for the partition read off the Gauss-Jordan form."""
+    return line_partition(GaleDual(matrix=circuit_kernel(a)))
+
+
+def _seeded_matrix(rng):
+    """A random matrix, as ``[1; W]`` or raw, with repeated and zero
+    columns, apexes, dependent rows or entries past 10^30 mixed in."""
+    d, n = rng.randint(1, 4), rng.randint(1, 9)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+    for _ in range(rng.randint(0, 2)):
+        j = rng.randrange(len(rows[0]))
+        for row in rows:
+            row.append(row[j] if rng.random() < 0.7 else 0)
+    if rng.random() < 0.3:  # an apex: a point on a coordinate of its own
+        rows = [row + [0] for row in rows] + [[0] * len(rows[0]) + [1]]
+    if rng.random() < 0.3:
+        rows.append([x + 2 * y for x, y in zip(rows[0], rows[-1])])
+    if rng.random() < 0.15:
+        rows = [[x * 10**30 + rng.randint(-2, 2) for x in row] for row in rows]
+    return [[1] * len(rows[0]), *rows] if rng.random() < 0.8 else rows
+
+
+def test_circuit_partition_matches_the_written_out_basis_on_seeded_draws():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(800):
+        a = _seeded_matrix(rng)
+        form = circuit_form(a)
+        part = _circuit_partition(form)
+        assert part == _partition_by_matrix(a)
+        seen |= {
+            ("negative pivot", form.pivot < 0),
+            ("corank 0", not form.free),
+            ("apex", bool(part.zero_rows)),
+            # a pivot row on a free point's axis
+            ("axis merge", any(1 in cls.direction and sum(map(abs, cls.direction)) == 1
+                               and len(cls.members) > 1 for cls in part.classes)),
+            ("pivot row off the axes", any(sum(map(bool, cls.direction)) > 1
+                                           for cls in part.classes)),
+            ("past 10^30", max(abs(x) for row in a for x in row) > 10**30),
+            ("regular", a[0] == [1] * len(a[0])),
+        }
+    assert {(what, True) for what, _ in seen} <= seen
+
+
+entries = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda x: x * 10**30 + 1))
+matrices = st.integers(1, 4).flatmap(
+    lambda d: st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(entries, st.just(0)), min_size=n, max_size=n),
+            min_size=d,
+            max_size=d,
+        )
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices, st.booleans(), st.booleans())
+def test_circuit_partition_matches_the_written_out_basis(rows, ones, repeat):
+    if repeat:  # a repeated column and a dependent row
+        rows = [row + row[:1] for row in rows]
+        rows.append([2 * x for x in rows[-1]])
+    a = [[1] * len(rows[0]), *rows] if ones else rows
+    assert _circuit_partition(circuit_form(a)) == _partition_by_matrix(a)
+
+
+def test_circuit_partition_at_corank_zero_and_a_negative_pivot():
+    # no relations: every point is an apex
+    a = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+    assert _circuit_partition(circuit_form(a)) == LinePartition(classes=(), zero_rows=(0, 1, 2))
+    # the pass ends on -2: column 2's circuit is (-1, -1, 2), positive at 2
+    a = [[1, 1, 1], [1, -1, 0]]
+    form = circuit_form(a)
+    assert form.pivot == -2
+    assert circuit_kernel(a) == imat([[-1], [-1], [2]])
+    axis = LineClass(direction=(1,), members=(0, 1, 2), total=(0,))
+    assert _circuit_partition(form) == LinePartition(classes=(axis,), zero_rows=())
 
 
 def test_line_sums_zero_family_alpha_true():
