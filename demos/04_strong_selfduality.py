@@ -1,12 +1,16 @@
 """Strong self-duality: equality with the dual, not just isomorphism.
 
 On top of the line sums vanishing, the variety coincides with its dual under
-the canonical coordinate identification iff every Gale basis column is
-balanced: prod e^e over positive entries == prod e^(-e) over negative
-entries (0^0 = 1).  The test compares exponents over a coprime base of the
-entries, so it never forms a power, and the answer is the same on every
-Gale basis.  For Lawrence lifts this collapses to a parity condition on the
-block: some subset of rows with all column sums odd.
+the canonical coordinate identification iff every integer affine relation
+is balanced: prod e^e over positive entries == prod e^(-e) over negative
+entries (0^0 = 1).  The test reads the fundamental circuits, the primitive
+relations on the lex-first column basis plus one more column, named by that
+column.  Their size is compared on exponents over a coprime base, so no
+power is formed; their sign is checked after halving sums of circuits that
+are relations too, so the generators reach all of the relation lattice up
+to odd index.  The answer is the same on every Gale basis.  For Lawrence
+lifts this collapses to a parity condition on the block: some subset of
+rows with all column sums odd.
 """
 
 from toricdual import (
@@ -29,7 +33,7 @@ point = parse_configuration([[1, 1]])
 print("self-dual:", is_self_dual(point).value)
 v = is_strongly_self_dual(point)
 print("strongly self-dual:", v.value)
-print("unbalanced Gale columns:", v.witness["unbalanced_columns"], "(1^1 vs (-1)^1)")
+print("unbalanced circuits:", v.witness["unbalanced_circuits"], "(1^1 vs (-1)^1)")
 
 print()
 print("=" * 72)
@@ -55,9 +59,9 @@ strong = parse_configuration(
 )
 v = is_strongly_self_dual(strong)
 print("strongly self-dual:", v.value)
-for column in zip(*v.witness["basis"]):
-    print(f"  Gale column {list(column)}")
-print("unbalanced Gale columns:", v.witness["unbalanced_columns"])
+for cls in v.witness["classes"]:
+    print(f"  line class {cls['members']}, multiples {cls['multiples']}")
+print("unbalanced circuits:", v.witness["unbalanced_circuits"])
 
 print()
 print("=" * 72)
@@ -66,14 +70,34 @@ print("=" * 72)
 scaled_conic = parse_configuration([[1, 1, 1], [0, 1, -1]])
 print("self-dual:", is_self_dual(scaled_conic).value)
 v = is_strongly_self_dual(scaled_conic)
-print("strongly self-dual:", v.value, " unbalanced Gale columns:", v.witness["unbalanced_columns"])
+print("strongly self-dual:", v.value, " unbalanced circuits:", v.witness["unbalanced_circuits"])
+
+print()
+print("=" * 72)
+print("Balanced circuits, yet not strong: half a sum of circuits decides")
+print("=" * 72)
+# Gale dual rows ±(1,0), ±(0,3), ±(1,-1), ±(1,1); the circuits span the
+# relations with index 2
+halving = parse_configuration(
+    [
+        [1, 0, 0, 1, 0, 2, 0, -1],
+        [0, 1, 0, 1, 0, 1, 0, -2],
+        [0, 0, 1, 1, 0, 0, 0, 0],
+        [0, 0, 0, 2, 0, 3, 0, -3],
+        [0, 0, 0, 0, 1, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 1],
+    ]
+)
+v = is_strongly_self_dual(halving)
+print("self-dual:", is_self_dual(halving).value, " strongly self-dual:", v.value)
+print("halvings:", v.witness["halvings"], " unbalanced circuits:", v.witness["unbalanced_circuits"])
 
 print()
 print("=" * 72)
 print("Entries far past any power: e^e is never formed")
 print("=" * 72)
 v = is_strongly_self_dual(family_alpha(10**30))
-print("family_alpha(10^30):", v.value, " unbalanced Gale columns:", v.witness["unbalanced_columns"])
+print("family_alpha(10^30):", v.value, " unbalanced circuits:", v.witness["unbalanced_circuits"])
 a, b = 10**30 + 1, 10**30 + 3
 v = is_strongly_self_dual(config_from_gale([[a], [b], [-a], [-b]]))
 print("Gale column (a, b, -a, -b), a = 10^30 + 1, b = 10^30 + 3:", v.value)

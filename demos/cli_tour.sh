@@ -15,6 +15,7 @@ run toricdual check self-dual demos/data/random_26x100.txt --format text
 run toricdual check self-dual demos/data/wide_4x80.txt --format text
 run toricdual check strong demos/data/strong_7x9.json
 run toricdual check strong demos/data/strong_bigint.json
+run toricdual check strong demos/data/halving_6x8.txt --verify --format text
 run toricdual check facial demos/data/segre2.json --subset 0,2 --verify
 run toricdual decompose demos/data/pyramid.txt
 run toricdual decompose demos/data/random_26x100.txt

@@ -23,19 +23,23 @@ class Configuration(ReadOnly):
     use and then kept.
 
     ``regular`` means the columns lie on a rational affine hyperplane off the
-    origin (equivalently the all-ones vector is in the row span), so affine
-    relations among columns coincide with linear ones.  ``relations`` is the
+    origin (equivalently the all-ones vector is in the row span, or
+    ``rank(W) == rank([1; W])``), so affine relations among columns
+    coincide with linear ones.  It is read off ``circuit_form``: every
+    column of ``[1; W]`` is a combination of its pivot columns B, so every
+    column of W is the same combination of the columns of W on B, and the
+    flag is ``rank(W_B) == |B|``, one d x |B| rank.  ``relations`` is the
     saturated affine relation basis that :func:`gale_dual` wraps.
     ``circuit_form`` is the fraction-free Gauss-Jordan form of ``[1; W]``
     (:func:`circuit_form`), and ``circuit_basis`` the fundamental-circuit
     basis of the same relations written out from it: it spans them over Q
-    only and needs no saturation step.  The self-duality verdict reads its
-    line classes off ``circuit_form`` without building ``circuit_basis``,
-    and states its witnesses in that basis's coordinates; every reader of
-    either shares the one elimination.  ``weights``, ``relations`` and
-    ``circuit_basis`` are immutable :class:`IntMatrix` values,
-    ``circuit_form`` an immutable :class:`CircuitForm`, and each invariant
-    is computed at most once per configuration.  A configuration refuses
+    only and needs no saturation step.  The self-duality and strong
+    verdicts read their line classes off ``circuit_form`` without building
+    ``circuit_basis``, and state their witnesses in that basis; every
+    reader of either shares the one elimination.  ``weights``,
+    ``relations`` and ``circuit_basis`` are immutable :class:`IntMatrix`
+    values, ``circuit_form`` an immutable :class:`CircuitForm`, and each
+    invariant is computed at most once per configuration.  A configuration refuses
     attribute assignment and equals only itself.
     """
 
@@ -52,7 +56,8 @@ class Configuration(ReadOnly):
 
     @cached_property
     def regular(self) -> bool:
-        return rank(self.weights) == rank(_ones_on_top(self))
+        pivots = self.circuit_form.pivots
+        return rank(self.weights.select(pivots)) == len(pivots)
 
     @cached_property
     def relations(self) -> IntMatrix:

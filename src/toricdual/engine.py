@@ -17,9 +17,15 @@ read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, ``lawrence_strong_parity`` the zero rows of
 ``circuit_kernel(M)``, and ``is_segre`` its corank, its antipodal pairs
 and its sign vector, a primitive 1-dimensional kernel; its lattice condition
-follows from those.  Only the strong test (whose sign condition needs a
-lattice basis) and the facial tests behind ``smooth_certificate`` read the
-saturated canonical basis of :func:`gale_dual` (``Configuration.relations``).
+follows from those.  The strong test reads the same form as the self-duality
+verdict, and the regular flag it needs is read off that form too: the size
+of its products is a homomorphism to a torsion-free group, decided on the
+fundamental circuits, and its sign is decided on generators of odd index in
+the relation lattice, found by halving sums of circuits.  The saturated
+canonical basis of :func:`gale_dual` (``Configuration.relations``) is read
+only by the facial tests behind ``smooth_certificate``, by ``gale_dual``
+itself and the commands that print it, by ``config_from_gale``, by the
+referees in ``oracle`` and by the benchmark's checks.
 """
 
 import enum
@@ -31,9 +37,7 @@ from .gale import (
     LinePartition,
     _circuit_partition,
     _line_sums_verdict,
-    gale_dual,
     is_facial,
-    line_sums_zero,
 )
 from .intlinalg import IntMatrix, _bareiss, circuit_kernel, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
@@ -50,7 +54,7 @@ def _decompose(c: Configuration):
     core is every other row.
     """
     rep = dedup(c)
-    part = _circuit_partition(rep.distinct.circuit_form)
+    part, _ = _circuit_partition(rep.distinct.circuit_form)
     apex = part.zero_rows
     core = tuple(i for i in range(rep.distinct.npoints) if i not in apex)
     k = rep.repeat_codim
@@ -127,28 +131,74 @@ def _coprime_base(numbers) -> list:
     return base
 
 
-def _balanced(column) -> bool:
-    """Whether ``prod e^e`` over ``column`` is 1 (``0^0 = 1``), with no power
-    formed.  Its sign is ``(-1)^(sum of the negative e)``; its size is
-    ``prod a^s_a`` with ``s_a`` the sum of the ``e`` with ``|e| = a``, which is
-    1 iff ``sum s_a v_p(a) = 0`` for each ``p`` of a coprime base of the ``a``.
-    """
-    if sum(e for e in column if e < 0) % 2:
-        return False
-    net = {}
-    for e in column:
-        if e:  # 0^0 = 1, and no valuation of 0 ends
-            net[abs(e)] = net.get(abs(e), 0) + e
-    net = {a: s for a, s in net.items() if a > 1 and s}
-    for p in _coprime_base(net):
-        exponent = 0
-        for a, s in net.items():
-            while a % p == 0:
-                a //= p
-                exponent += s
-        if exponent:
-            return False
-    return True
+def _mod2_dependency(vectors) -> int:
+    """A nonempty set of the integer ``vectors``, as a bitmask of their
+    indices, whose sum is even in every entry; 0 when they are independent
+    mod 2.  Each vector becomes the bitmask of its odd entries, reduced
+    against a GF(2) basis kept by lowest bit, each basis entry paired with
+    the bitmask of the vectors it combines."""
+    basis = {}
+    for t, v in enumerate(vectors):
+        a, combo = sum((x & 1) << i for i, x in enumerate(v)), 1 << t
+        while a:
+            low = a & -a
+            if low not in basis:
+                basis[low] = (a, combo)
+                break
+            b, w = basis[low]
+            a, combo = a ^ b, combo ^ w
+        else:
+            return combo
+    return 0
+
+
+def _unbalanced_generators(free, classes, multiples) -> tuple:
+    """``(unbalanced, halvings)`` of the strong test on the line classes of
+    a fundamental-circuit basis whose line sums vanish (see
+    :func:`is_strongly_self_dual`): the columns of ``free`` whose final
+    generator is unbalanced, and the halvings that made the generators."""
+    m = len(free)
+    gs = [gcd(*lam) for lam in multiples]
+    # class values y_C = g_C·u_C[t] of each circuit t, and the sign weights M_C
+    ys = [[g * cls.direction[t] for g, cls in zip(gs, classes)] for t in range(m)]
+    ms = [sum(x for x in lam if x < 0) // g for lam, g in zip(multiples, gs)]
+
+    def odd(y):
+        return sum(a * b for a, b in zip(ms, y)) & 1
+
+    nets = []  # per class: a -> the net multiple of absolute value a > 1
+    for lam in multiples:
+        net = {}
+        for x in lam:
+            if abs(x) > 1:
+                net[abs(x)] = net.get(abs(x), 0) + x
+        nets.append({a: s for a, s in net.items() if s})
+    base = _coprime_base({a for net in nets for a in net})
+    size = [[0] * len(base) for _ in range(m)]
+    for cls, net in zip(classes, nets):
+        if not net:  # K_C = 1
+            continue
+        nu = []  # K_C as exponents over the base
+        for p in base:
+            exponent = 0
+            for a, s in net.items():
+                while a % p == 0:
+                    a //= p
+                    exponent += s
+            nu.append(exponent)
+        for t, x in enumerate(cls.direction):
+            if x:
+                size[t] = [a + x * b for a, b in zip(size[t], nu)]
+    unbalanced = [free[t] for t in range(m) if any(size[t]) or odd(ys[t])]
+    if unbalanced:
+        return unbalanced, []
+    # the sign on generators of odd index: halve sums that are even
+    halvings = []
+    while w := _mod2_dependency(ys):
+        ts = [t for t in range(m) if w >> t & 1]
+        ys[ts[0]] = [sum(col) // 2 for col in zip(*(ys[t] for t in ts))]
+        halvings.append([free[t] for t in ts])
+    return [free[t] for t, y in enumerate(ys) if odd(y)], halvings
 
 
 def is_strongly_self_dual(c: Configuration) -> Verdict:
@@ -156,36 +206,79 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     coordinate identification).
 
     Requires a regular non-pyramidal configuration.  Two conditions on the
-    Gale dual ``B`` of :func:`gale_dual`: (a) every line class of rows sums
-    to zero, (b) every column is balanced, the product of e^e over its
-    entries being 1 (0^0 = 1); (b) is decided on exponents, no power formed.
-    When (a) fails, (b) is not evaluated and ``unbalanced_columns`` is None.
+    lattice L of integer affine relations: (a) the line classes of Gale
+    rows sum to zero, and (b) every v in L is balanced, the product of
+    ``e^e`` over its entries being 1 (``0^0 = 1``).  Both are decided on
+    ``Configuration.circuit_form``, the elimination that
+    :func:`is_self_dual` reads (the regular flag is read off it too), with
+    no power formed and no saturated Gale dual: ``Configuration.relations``
+    is left to the facial tests behind ``smooth_certificate``,
+    :func:`gale_dual` and its commands, ``config_from_gale``, the referees
+    and the benchmark.  The generators are the m fundamental circuits, the
+    primitive relations on the lex-first column basis of ``[1; W]`` plus
+    one other column, which names them; they span a sublattice of L of
+    finite index (they are a basis of the relations over Q only).
 
-    No other basis can change the verdict.  Under (a), write the rows of a
-    line class C as ``λ_i u_C``, ``u_C`` primitive and ``Σ λ_i = 0``; then
-    the column ``B u`` has ``∏ e^e = ∏_C K_C^<u_C, u>``, ``K_C = ∏ λ_i^λ_i``.
-    That is a homomorphism Z^r → Q^×, trivial on one basis of the saturated
-    relation lattice iff on all of it, so on every Gale dual that
-    :func:`verify_gale_dual` accepts.
+    (a) is read off the line classes of the circuit basis, as for
+    :func:`is_self_dual`.
+    Under (a), write class C's rows as ``λ_i·u_C`` with ``u_C`` primitive,
+    ``g_C = gcd(λ_i)`` and ``μ_i = λ_i/g_C``, so ``Σ μ_i = 0``.  A
+    rational combination x of the circuits is integral iff ``g_C·<u_C, x>``
+    is an integer for every class, so each v in L is fixed by its class
+    values ``y_C = g_C·<u_C, x>``, with entries ``v_i = μ_i·y_C``.  Then:
+
+    - size: ``|∏ e^e| = ∏_C k_C^y_C`` with ``k_C = ∏|μ_i|^μ_i`` (the
+      ``|y_C|`` factors cancel since ``Σ μ_i = 0``), which is
+      ``∏_C K_C^<u_C, x>`` with ``K_C = ∏|λ_i|^λ_i = k_C^g_C``.  Its values
+      lie in Q_{>0}, which has no torsion, so it is 1 on L iff on every
+      circuit t: ``Σ_C u_C[t]·v_p(K_C) = 0`` for each p of a coprime base
+      of the ``|λ_i| > 1``.
+    - sign: ``(-1)^(Σ_C M_C·y_C)`` with ``M_C = Σ_{μ_i<0} μ_i`` (when
+      ``y_C < 0`` the negative entries are the ``μ_i > 0``, whose sum is
+      ``-M_C·y_C``), a homomorphism to Z/2; it is trivial on L iff on a
+      sublattice of odd index.  While the class-value vectors of the
+      generators are dependent mod 2, a GF(2) kernel vector w gives the
+      vector ``(Σ_{t in w} y_t)/2`` of L, which replaces the generator of
+      the first column in w: that doubles the lattice they span, so the
+      2-part of its index halves and the loop ends, on an odd index.
+
+    Both tests run on the circuits; when every circuit passes, the sign
+    test runs again on the halved generators, whose size passes with the
+    circuits'.  The witness states this with
+    ``"basis": "fundamental_circuits"``: ``classes`` gives each line
+    class's ``members`` and ``multiples`` (the λ_i, for u_C with its first
+    nonzero entry positive), so (a) holds iff every class's multiples sum to
+    zero; ``halvings`` lists the halving steps in order, each as the columns
+    of the generators summed, the first being the one replaced; and
+    ``unbalanced_circuits`` names the final generators that are not
+    balanced by their columns, None when (a) fails (balance is then not
+    evaluated).  The verdict is True iff (a) holds and that list is empty.
+    No other Gale basis can change it: under (a) the product over ``B·u``
+    is a homomorphism of u, trivial on one basis of L iff on all of it.
     """
     if not c.regular:
         raise irregular_input("strong self-duality")
-    b = gale_dual(c)
-    apexes = b.zero_rows()
-    if apexes:
-        raise pyramidal_input(apexes, "strong self-duality")
-    sums_zero = bool(line_sums_zero(b).value)
-    unbalanced = None
+    form = c.circuit_form
+    part, multiples = _circuit_partition(form)
+    if part.zero_rows:
+        raise pyramidal_input(part.zero_rows, "strong self-duality")
+    sums_zero = not any(map(sum, multiples))
+    unbalanced, halvings = None, []
     if sums_zero:
-        unbalanced = [j for j, column in enumerate(b.matrix.T) if not _balanced(column)]
+        unbalanced, halvings = _unbalanced_generators(form.free, part.classes, multiples)
     return Verdict(
         value=unbalanced == [],
         criterion="strong-gale-products",
         witness={
             "kind": "strong_conditions",
             "line_sums_zero": sums_zero,
-            "unbalanced_columns": unbalanced,
-            "basis": b.matrix.tolist(),
+            "basis": "fundamental_circuits",
+            "classes": [
+                {"members": list(cls.members), "multiples": list(lam)}
+                for cls, lam in zip(part.classes, multiples)
+            ],
+            "halvings": halvings,
+            "unbalanced_circuits": unbalanced,
         },
     )
 

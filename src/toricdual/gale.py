@@ -125,10 +125,12 @@ def line_partition(b: GaleDual) -> LinePartition:
     return LinePartition(classes=tuple(out), zero_rows=tuple(zero))
 
 
-def _circuit_partition(form: CircuitForm) -> LinePartition:
-    """:func:`line_partition` of the fundamental-circuit basis C of a
-    :class:`CircuitForm`, read off the form without building C; equal to it
-    entry for entry.
+def _circuit_partition(form: CircuitForm) -> tuple:
+    """``(part, multiples)``: :func:`line_partition` of the fundamental-
+    circuit basis C of a :class:`CircuitForm`, read off the form without
+    building C and equal to it entry for entry, and for each class the
+    multiples λ_i with row i of C equal to ``λ_i·direction``, in member
+    order.
 
     With d the last pivot, s its sign, R the Jordan rows on the free
     columns f_t and g_t the gcd of |d| and column t of R, row f_t of C is
@@ -136,7 +138,8 @@ def _circuit_partition(form: CircuitForm) -> LinePartition:
     over t.  So each free point lies on its own axis e_t, joined there by
     any pivot row whose one nonzero entry is at t; the other nonzero pivot
     rows group by their primitive vector, and the zero ones are the
-    apexes.  Only the pivot rows are formed: O(rank·corank) work.
+    apexes.  A class total is the sum of its multiples times its direction.
+    Only the pivot rows are formed: O(rank·corank) work.
     """
     big = abs(form.pivot)
     m = len(form.free)
@@ -144,35 +147,41 @@ def _circuit_partition(form: CircuitForm) -> LinePartition:
     for r in form.rows:
         g = list(map(gcd, g, r))
     neg = -1 if form.pivot > 0 else 1
-    # key of each point: t for the axis e_t, a primitive vector, or None
+    # key of each point: t for the axis e_t, a primitive vector, or None;
+    # and its multiple of that direction
     keys = [None] * form.ncols
+    lams = [0] * form.ncols
     for t, j in enumerate(form.free):
-        keys[j] = t
-    rows = {}
+        keys[j], lams[j] = t, big // g[t]
     for p, r in zip(form.pivots, form.rows):
-        row = rows[p] = [neg * x // y for x, y in zip(r, g)]
+        row = [neg * x // y for x, y in zip(r, g)]
         support = m - row.count(0)
         if support == 1:
-            keys[p] = next(t for t, x in enumerate(row) if x)
+            t = next(t for t, x in enumerate(row) if x)
+            keys[p], lams[p] = t, row[t]
         elif support:
-            keys[p] = primitive_vector(row)
+            lam = gcd(*row)
+            if next(x for x in row if x) < 0:
+                lam = -lam
+            keys[p], lams[p] = tuple(x // lam for x in row), lam
     classes, zero = {}, []
     for i, key in enumerate(keys):
         if key is None:
             zero.append(i)
         else:
             classes.setdefault(key, []).append(i)
-    out = []
+    out, multiples = [], []
     for key, members in classes.items():  # in order of first member
+        lam = tuple(lams[i] for i in members)
+        s = sum(lam)
         if type(key) is int:
-            total = big // g[key] + sum(rows[i][key] for i in members if i in rows)
             head, tail = (0,) * key, (0,) * (m - key - 1)
-            direction, total = (*head, 1, *tail), (*head, total, *tail)
+            direction, total = (*head, 1, *tail), (*head, s, *tail)
         else:
-            direction = key
-            total = tuple(map(sum, zip(*(rows[i] for i in members))))
+            direction, total = key, tuple(map(s.__mul__, key))
         out.append(LineClass(direction=direction, members=tuple(members), total=total))
-    return LinePartition(classes=tuple(out), zero_rows=tuple(zero))
+        multiples.append(lam)
+    return LinePartition(classes=tuple(out), zero_rows=tuple(zero)), tuple(multiples)
 
 
 def _line_sums_verdict(part: LinePartition) -> Verdict:
@@ -321,7 +330,7 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the coparallelism criterion")
-    part = _circuit_partition(c.circuit_form)
+    part, _ = _circuit_partition(c.circuit_form)
     if part.zero_rows:
         raise pyramidal_input(part.zero_rows, "the coparallelism criterion")
     reg = regularize(c)

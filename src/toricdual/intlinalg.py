@@ -194,6 +194,12 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     same update (fraction-free Gauss-Jordan), which leaves row t, for t
     below the rank, equal to ``pivot`` times the reduced row echelon row of
     the t-th pivot.
+
+    The update of a row x by the pivot row y is ``(x·p - f·y) / prev``, with
+    f the row's entry in the pivot column.  When f is 0 that is ``x·p /
+    prev``, which is x itself when the new pivot p equals the previous one:
+    such a row is left as it is.  Sparse 0/±1 input (Segre and Lawrence
+    configurations) meets that case at almost every pivot.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -210,7 +216,10 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         for i in range(0 if jordan else r + 1, m):
             if i != r:
                 f = rows[i][c]
-                rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
+                if f:
+                    rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
+                elif p != prev:
+                    rows[i] = [x * p // prev for x in rows[i]]
         prev = p
         pivots.append(c)
         r += 1

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 import random
 import re
 import shlex
@@ -13,6 +14,8 @@ import pytest
 import toricdual
 from toricdual import oracle
 from toricdual.cli import main, read_matrix
+from toricdual.configuration import parse_configuration
+from test_engine import _replay_strong, _strong_reference
 
 
 def run(capsys, *argv):
@@ -112,12 +115,15 @@ def test_check_self_dual_verify_exits_one_on_a_disagreement(tmp_path, capsys, mo
 
 
 def test_check_strong(tmp_path, capsys):
-    code, out, _ = run(capsys, "check", "strong", write_segre2(tmp_path), "--verify")
+    path = write_segre2(tmp_path)
+    code, out, _ = run(capsys, "check", "strong", path, "--verify")
     assert code == 0
     doc = json.loads(out)
-    assert doc["verdict"] is True
+    c = parse_configuration(read_matrix(path))
+    assert doc["verdict"] is _strong_reference(c) is True
     assert doc["witness"]["line_sums_zero"] is True
-    assert doc["witness"]["unbalanced_columns"] == []
+    assert doc["witness"]["unbalanced_circuits"] == []
+    _replay_strong(c, doc["witness"])
     assert doc["oracle"] == {"status": "ok", "points": True}
 
 
@@ -138,12 +144,39 @@ def write_strong6x16(tmp_path):
 
 def test_check_strong_on_large_products_exits_zero(tmp_path, capsys):
     # the line sums fail, so the strong test stops before checking balance
-    code, out, err = run(capsys, "check", "strong", write_strong6x16(tmp_path))
+    path = write_strong6x16(tmp_path)
+    code, out, err = run(capsys, "check", "strong", path)
+    assert code == 0, err
+    doc = json.loads(out)
+    c = parse_configuration(read_matrix(path))
+    assert doc["verdict"] is _strong_reference(c) is False
+    assert doc["witness"]["line_sums_zero"] is False
+    assert doc["witness"]["unbalanced_circuits"] is None
+    _replay_strong(c, doc["witness"])
+
+
+def _integers(value):
+    """The number of integers in a JSON value."""
+    if isinstance(value, dict):
+        return sum(map(_integers, value.values()))
+    if isinstance(value, list):
+        return sum(map(_integers, value))
+    return type(value) is int
+
+
+def test_check_strong_witness_holds_o_n_integers(tmp_path, capsys):
+    # [1; W] for the tour's 26x100 sample: regular, 100 points, corank 73;
+    # the witness names classes and circuits, it does not hold a basis
+    sample = pathlib.Path(__file__).parents[1] / "demos" / "data" / "random_26x100.txt"
+    rows = read_matrix(str(sample))
+    path = tmp_path / "ones_26x100.txt"
+    path.write_text("\n".join(" ".join(map(str, row)) for row in [[1] * 100, *rows]) + "\n")
+    code, out, err = run(capsys, "check", "strong", str(path))
     assert code == 0, err
     doc = json.loads(out)
     assert doc["verdict"] is False
     assert doc["witness"]["line_sums_zero"] is False
-    assert doc["witness"]["unbalanced_columns"] is None
+    assert _integers(doc["witness"]) <= 3 * 100
 
 
 def test_check_strong_verify_reports_a_skipped_oracle_past_its_guard(tmp_path, capsys):

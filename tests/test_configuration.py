@@ -20,6 +20,7 @@ from toricdual.engine import (
     hypersurface_class,
     is_segre,
     is_self_dual,
+    is_strongly_self_dual,
     lawrence_strong_parity,
     smooth_certificate,
 )
@@ -40,7 +41,7 @@ from toricdual.intlinalg import (
     rank,
     rational_rank,
 )
-from test_engine import _unimodular
+from test_engine import STRONG_7x9, _unimodular
 from test_gale import _digits_3900, column_lattices_equal
 from test_intlinalg import product
 
@@ -411,6 +412,28 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     assert counts == {"circuit_form": 1}
 
 
+def test_strong_reads_the_shared_circuit_form(monkeypatch):
+    rng = random.Random(24)
+    rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
+    rows = [[1 - sum(col) for col in zip(*rows)], *rows]  # regular
+    names = ("integer_kernel", "gale_dual", "affine_relation_kernel", "circuit_form")
+    counts = _count_calls(monkeypatch, _toricdual_modules(), names)
+    for c in (parse_configuration(rows), segre(4), STRONG_7x9, family_alpha(3)):
+        is_strongly_self_dual(c)
+    assert counts == {
+        "integer_kernel": 0,
+        "gale_dual": 0,
+        "affine_relation_kernel": 0,
+        "circuit_form": 4,
+    }
+    # the regular flag, the self-dual verdict and the strong one share one
+    # elimination of the configuration
+    c = parse_configuration(rows)
+    is_self_dual(c)
+    is_strongly_self_dual(c)
+    assert counts["circuit_form"] == 5
+
+
 def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
     rng = random.Random(11)
     rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
@@ -481,6 +504,28 @@ def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):
 def test_regular_flag_is_the_fraction_row_span_test(rows):
     c = parse_configuration(rows)
     assert c.regular == in_row_span(c.weights, [1] * c.npoints)
+
+
+def test_regular_flag_is_the_two_rank_definition_on_seeded_draws():
+    # rank(W) == rank([1; W]) in Fraction arithmetic, against the flag read
+    # off the circuit form: regular draws, irregular ones, dependent rows and
+    # a zero row
+    rng = random.Random(23)
+    seen = set()
+    for k in range(400):
+        d, n = rng.randint(1, 4), rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        if k % 4 == 1:  # regular: the ones row is a combination of the rows
+            rows.append([1 - sum(col) for col in zip(*rows)])
+        elif k % 4 == 2:  # a dependent row
+            rows.append([x - 2 * y for x, y in zip(rows[0], rows[-1])])
+        elif k % 4 == 3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        c = parse_configuration(rows)
+        two_ranks = rational_rank(rows) == rational_rank([[1] * n, *rows])
+        assert c.regular is two_ranks, rows
+        seen.add(two_ranks)
+    assert seen == {True, False}
 
 
 def test_flags_are_read_only():

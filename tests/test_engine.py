@@ -4,7 +4,8 @@ import pathlib
 import random
 import sys
 import time
-from math import prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from toricdual.engine import (
     lawrence_strong_parity,
     smooth_certificate,
 )
-from toricdual.exceptions import InapplicableInput
+from toricdual.exceptions import GuardExceeded, InapplicableInput
 from toricdual.families import config_from_gale, family_alpha, lawrence, segre
 from toricdual.gale import (
     GaleDual,
@@ -220,36 +221,91 @@ def test_strong_point_in_p1_is_self_dual_but_not_strong():
     assert not is_strongly_self_dual(c).value
 
 
+def _rank_mod2(vectors):
+    """The rank over GF(2) of integer vectors, each as a bitmask of its odd
+    entries, by the tests' own elimination."""
+    basis = []
+    for v in vectors:
+        a = sum((int(x) & 1) << i for i, x in enumerate(v))
+        for b in basis:
+            a = min(a, a ^ b)
+        if a:
+            basis.append(a)
+    return len(basis)
+
+
+def _replay_strong(c, witness, balanced=_e_e_balanced):
+    """Check a witness of ``is_strongly_self_dual(c)`` against generators
+    rebuilt here in Fraction arithmetic, with no intlinalg echelon.
+
+    Its classes are those of the rows of the fundamental circuits of ``c``,
+    with their multiples; the generators are those circuits, named by their
+    column, after the listed halvings (each an integer vector); the ones
+    listed as unbalanced fail ``balanced`` and the others pass.  When none
+    is listed, or halvings ran, the final generators are independent mod 2,
+    so they span a sublattice of odd index of the saturated relation
+    lattice (whose index is the gcd of their maximal minors).
+    """
+    assert witness["kind"] == "strong_conditions"
+    assert witness["basis"] == "fundamental_circuits"
+    circuits = _fundamental_circuits(c)
+    classes = _row_classes(circuits, c.npoints).values()
+    expected = sorted([[i for i, _ in members], [lam for _, lam in members]] for members in classes)
+    assert sorted([cls["members"], cls["multiples"]] for cls in witness["classes"]) == expected
+    sums_zero = all(sum(cls["multiples"]) == 0 for cls in witness["classes"])
+    assert witness["line_sums_zero"] is sums_zero
+    if not sums_zero:
+        assert witness["unbalanced_circuits"] is None
+        assert witness["halvings"] == []
+        return
+    generators = {j: [Fraction(x) for x in col] for j, col in circuits.items()}
+    for step in witness["halvings"]:
+        half = [sum(entries) / 2 for entries in zip(*(generators[j] for j in step))]
+        assert all(x.denominator == 1 for x in half)
+        generators[step[0]] = half
+    listed = witness["unbalanced_circuits"]
+    assert set(listed) <= set(generators)
+    if witness["halvings"] or not listed:
+        assert _rank_mod2(generators.values()) == len(generators)
+    for j, g in generators.items():
+        assert balanced([int(x) for x in g]) is (j not in listed), (j, g)
+
+
 def test_strong_stops_at_failed_line_sums():
     c = parse_configuration(STRONG_6X16)
     assert not is_self_dual(c).value
     v = is_strongly_self_dual(c)
-    assert not v.value
+    assert v.value is _strong_reference(c) is False
     assert v.witness["line_sums_zero"] is False
     # balance is not evaluated when the line sums fail
-    assert v.witness["unbalanced_columns"] is None
+    assert v.witness["unbalanced_circuits"] is None
+    _replay_strong(c, v.witness)
 
 
 def test_strong_reports_unbalanced_columns():
     v = is_strongly_self_dual(STRONG_7x9)
+    assert v.value is _strong_reference(STRONG_7x9) is True
     assert v.witness["kind"] == "strong_conditions"
     assert v.witness["line_sums_zero"] is True
-    # both canonical columns give 2^2 == (-2)^2 (-1)^1 (-1)^1 = 4
-    assert v.witness["unbalanced_columns"] == []
-    assert v.witness["basis"] == gale_dual(STRONG_7x9).matrix.tolist()
-    # the point in P^1 has products 1 and (-1)^1: equal size, opposite sign
-    v = is_strongly_self_dual(parse_configuration([[1, 1]]))
+    # both circuits give 2^2 == (-2)^2 (-1)^1 (-1)^1 = 4
+    assert v.witness["unbalanced_circuits"] == []
+    _replay_strong(STRONG_7x9, v.witness)
+    # the point in P^1 has products 1 and (-1)^1: equal size, opposite sign;
+    # its one circuit is the relation (-1, 1) of column 1
+    c = parse_configuration([[1, 1]])
+    v = is_strongly_self_dual(c)
+    assert v.value is _strong_reference(c) is False
     assert v.witness["line_sums_zero"] is True
-    assert v.witness["unbalanced_columns"] == [0]
+    assert v.witness["classes"] == [{"members": [0, 1], "multiples": [-1, 1]}]
+    assert v.witness["unbalanced_circuits"] == [1]
+    _replay_strong(c, v.witness)
 
 
 def _strong_reference(c):
-    """The verdict and unbalanced columns by forming the e^e products."""
+    """The verdict by forming the e^e products of the saturated canonical
+    Gale dual's columns."""
     b = gale_dual(c)
-    if not line_sums_zero(b).value:
-        return False, None
-    unbalanced = [j for j, column in enumerate(b.matrix.T) if not _e_e_balanced(column)]
-    return unbalanced == [], unbalanced
+    return bool(line_sums_zero(b).value) and all(map(_e_e_balanced, b.matrix.T))
 
 
 def _strong_corpus(seed):
@@ -268,14 +324,159 @@ def _strong_corpus(seed):
     return corpus
 
 
+def _fraction_rref(rows):
+    """Reduced row echelon rows in Fraction arithmetic and their pivot
+    columns: the tests' own elimination, sharing no code with intlinalg."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _fundamental_circuits(c):
+    """``{j: circuit}`` for each column j off the lex-first column basis of
+    ``[1; W]``: the primitive integer relation supported on that basis plus
+    j, positive at j, found by :func:`_fraction_rref`."""
+    rref, pivots = _fraction_rref([[1] * c.npoints, *c.weights])
+    out = {}
+    for j in range(c.npoints):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * c.npoints
+        v[j] = Fraction(1)
+        for row, p in zip(rref, pivots):
+            v[p] = -row[j]
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        out[j] = [x // g for x in ints]
+    return out
+
+
+def _row_classes(circuits, n):
+    """The line classes of the rows of the circuit matrix (columns in the
+    order of their free columns): ``{u: [(i, λ_i), ...]}`` with row i equal
+    to ``λ_i·u``, u primitive with its first nonzero entry positive."""
+    cols = [circuits[j] for j in sorted(circuits)]
+    classes = {}
+    for i in range(n):
+        row = [col[i] for col in cols]
+        if any(row):
+            g = gcd(*row)
+            lam = g if next(x for x in row if x) > 0 else -g
+            classes.setdefault(tuple(x // lam for x in row), []).append((i, lam))
+    return classes
+
+
+def _line_sum_corpus(seed, count, multiples=(-3, -2, -1, 1, 2, 3), bound=2, most=4):
+    """Regular non-pyramidal input whose line sums vanish, built from Gale
+    duals: per class (at most ``most``) a direction u with entries up to
+    ``bound`` and a few ``multiples`` λ, completed to sum to zero (half the
+    time mirrored, λ and -λ alike), rows λ·u."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, most)):
+            u = [rng.randint(-bound, bound) for _ in range(r)]
+            if not any(u):
+                continue
+            lam = [rng.choice(multiples) for _ in range(rng.randint(1, 3))]
+            lam = lam + [-x for x in lam] if rng.random() < 0.5 else lam + [-sum(lam)]
+            rows += [[x * y for y in u] for x in lam if x]
+        try:
+            out.append(config_from_gale(rows))
+        except ValueError:  # no rows, dependent or unsaturated columns
+            pass
+    return out
+
+
+def test_strong_products_factor_through_class_values():
+    # the identities that let is_strongly_self_dual decide on the circuit
+    # form: once the line sums of the circuit rows vanish, every integer
+    # relation v has v_i = μ_i·y_C with y_C = g_C·<u_C, x> an integer (x its
+    # circuit coordinates), its sign is Σ_C M_C·y_C mod 2, and its product
+    # of e^e is ∏_C k_C^y_C, with k_C^g_C = K_C
+    rng = random.Random(31)
+    checked = 0
+    for c in _line_sum_corpus(3, 40) + [segre(3), STRONG_7x9, lawrence([[1, 2, 3]])]:
+        n = c.npoints
+        circuits = _fundamental_circuits(c)
+        classes = _row_classes(circuits, n)
+        assert not any(sum(lam for _, lam in members) for members in classes.values())
+        cmat = [[circuits[j][i] for j in sorted(circuits)] for i in range(n)]
+        basis = [list(col) for col in gale_dual(c).matrix.T]
+        combos = []
+        for _ in range(3):
+            coefficients = [rng.randint(-1, 1) for _ in basis]
+            combos.append([sum(a * col[i] for a, col in zip(coefficients, basis)) for i in range(n)])
+        for v in basis + combos:
+            x = [row[-1] for row in _fraction_rref([r + [e] for r, e in zip(cmat, v)])[0]]
+            sign, size = 0, Fraction(1)
+            for u, members in classes.items():
+                g = gcd(*(lam for _, lam in members))
+                y = g * sum(a * b for a, b in zip(u, x))
+                assert y.denominator == 1
+                mu = [lam // g for _, lam in members]
+                assert [v[i] for i, _ in members] == [m * y for m in mu]
+                sign += sum(m for m in mu if m < 0) * y
+                k = prod(Fraction(abs(m)) ** m for m in mu)
+                assert k**g == prod(Fraction(abs(lam)) ** lam for _, lam in members)
+                size *= k ** int(y)
+            assert sum(e for e in v if e < 0) % 2 == sign % 2
+            assert prod(Fraction(abs(e)) ** e for e in v if e) == size
+            checked += 1
+    assert checked >= 150
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_strong_matches_the_product_reference(seed):
     strong = 0
     for c in _strong_corpus(seed):
         v = is_strongly_self_dual(c)
-        assert (v.value, v.witness["unbalanced_columns"]) == _strong_reference(c), c.weights
+        assert v.value is _strong_reference(c), c.weights
+        _replay_strong(c, v.witness)
         strong += v.value
     assert strong >= 10
+
+
+def test_strong_sweep_needs_the_halvings():
+    # regular non-pyramidal input with vanishing line sums, where circuit
+    # lattices of even index are common: the circuits can all be balanced
+    # while a half-sum of them is not, and only the halved generators see it
+    even = halved = decided_by_halving = skipped = 0
+    for c in _line_sum_corpus(21, 500, multiples=(-3, -1, 1, 3), bound=1, most=5):
+        v = is_strongly_self_dual(c)
+        try:
+            assert strong_via_points(c) is v.value, c.weights
+        except GuardExceeded:
+            skipped += 1
+        _replay_strong(c, v.witness)
+        circuits = _fundamental_circuits(c)
+        even += _rank_mod2(circuits.values()) < len(circuits)
+        halved += bool(v.witness["halvings"])
+        decided_by_halving += bool(v.witness["halvings"] and v.witness["unbalanced_circuits"])
+    assert even >= 10 and halved >= 3 and decided_by_halving >= 2
+    assert skipped <= 10
+    rng = random.Random(22)
+    for _ in range(60):
+        block = random_lawrence_block(rng)
+        c = lawrence(block)
+        v = is_strongly_self_dual(c)
+        assert v.value is lawrence_strong_parity(block).value, block
+        _replay_strong(c, v.witness)
 
 
 def test_strong_matches_the_point_oracle_on_antipodal_pairs():
@@ -320,23 +521,50 @@ def test_strong_verdict_holds_on_every_gale_basis(r, classes, seed):
     assert all(_e_e_balanced(column) for column in zip(*changed)) == v.value
 
 
+def _e_e_balanced_past_any_power(column):
+    """Balance of a column whose powers cannot be formed: after cancelling
+    the e^e of equal |e| on the two sides, balanced iff nothing is left but
+    an even sign; otherwise it is unbalanced when the two sides differ
+    modulo the prime 2^61 - 1, and undecided (an error) when they agree."""
+    net = {}
+    for e in column:
+        if e:
+            net[abs(e)] = net.get(abs(e), 0) + e
+    if not any(net.values()):
+        return sum(e for e in column if e < 0) % 2 == 0
+    p = 2**61 - 1
+    positive = prod(pow(e, e, p) for e in column if e > 0) % p
+    negative = prod(pow(e, -e, p) for e in column if e < 0) % p
+    assert positive != negative, "undecided"
+    return False
+
+
 def test_strong_decides_family_alpha_past_any_power():
     # 10^30 ** 10^30 has about 10^31 bits; the exponents decide at once
+    c = family_alpha(10**30)
     start = time.process_time()
-    v = is_strongly_self_dual(family_alpha(10**30))
+    v = is_strongly_self_dual(c)
     assert time.process_time() - start < 1
     assert v.value is False
     assert v.witness["line_sums_zero"] is True
-    assert v.witness["unbalanced_columns"] == [0]
+    # each circuit holds (2a)^(2a) against a^a·a^a: a factor 2^(2a) apart
+    assert v.witness["unbalanced_circuits"] == [4, 6]
+    _replay_strong(c, v.witness, _e_e_balanced_past_any_power)
+    # the same verdict at a = 5, where the products can be formed
+    assert is_strongly_self_dual(family_alpha(5)).value is _strong_reference(family_alpha(5))
 
 
 def test_strong_accepts_antipodal_pair_past_any_power():
     a, b = 10**30 + 1, 10**30 + 3
+    c = config_from_gale([[a], [b], [-a], [-b]])
     start = time.process_time()
-    v = is_strongly_self_dual(config_from_gale([[a], [b], [-a], [-b]]))
+    v = is_strongly_self_dual(c)
     assert time.process_time() - start < 1
     assert v.value is True
-    assert v.witness["unbalanced_columns"] == []
+    assert v.witness["unbalanced_circuits"] == []
+    _replay_strong(c, v.witness, _e_e_balanced_past_any_power)
+    c = config_from_gale([[5], [7], [-5], [-7]])
+    assert is_strongly_self_dual(c).value is _strong_reference(c) is True
 
 
 def test_is_lawrence_round_trip():

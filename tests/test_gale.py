@@ -139,6 +139,17 @@ def _partition_by_matrix(a):
     return line_partition(GaleDual(matrix=circuit_kernel(a)))
 
 
+def _assert_multiples(a, part, multiples):
+    """Each class's multiples give its rows of the written-out circuit
+    basis as multiples of its direction."""
+    rows = circuit_kernel(a)
+    assert len(multiples) == len(part.classes)
+    for cls, lams in zip(part.classes, multiples):
+        assert [rows[i] for i in cls.members] == [
+            tuple(lam * x for x in cls.direction) for lam in lams
+        ]
+
+
 def _seeded_matrix(rng):
     """A random matrix, as ``[1; W]`` or raw, with repeated and zero
     columns, apexes, dependent rows or entries past 10^30 mixed in."""
@@ -163,8 +174,9 @@ def test_circuit_partition_matches_the_written_out_basis_on_seeded_draws():
     for _ in range(800):
         a = _seeded_matrix(rng)
         form = circuit_form(a)
-        part = _circuit_partition(form)
+        part, multiples = _circuit_partition(form)
         assert part == _partition_by_matrix(a)
+        _assert_multiples(a, part, multiples)
         seen |= {
             ("negative pivot", form.pivot < 0),
             ("corank 0", not form.free),
@@ -199,20 +211,22 @@ def test_circuit_partition_matches_the_written_out_basis(rows, ones, repeat):
         rows = [row + row[:1] for row in rows]
         rows.append([2 * x for x in rows[-1]])
     a = [[1] * len(rows[0]), *rows] if ones else rows
-    assert _circuit_partition(circuit_form(a)) == _partition_by_matrix(a)
+    part, multiples = _circuit_partition(circuit_form(a))
+    assert part == _partition_by_matrix(a)
+    _assert_multiples(a, part, multiples)
 
 
 def test_circuit_partition_at_corank_zero_and_a_negative_pivot():
     # no relations: every point is an apex
     a = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
-    assert _circuit_partition(circuit_form(a)) == LinePartition(classes=(), zero_rows=(0, 1, 2))
+    assert _circuit_partition(circuit_form(a)) == (LinePartition(classes=(), zero_rows=(0, 1, 2)), ())
     # the pass ends on -2: column 2's circuit is (-1, -1, 2), positive at 2
     a = [[1, 1, 1], [1, -1, 0]]
     form = circuit_form(a)
     assert form.pivot == -2
     assert circuit_kernel(a) == imat([[-1], [-1], [2]])
     axis = LineClass(direction=(1,), members=(0, 1, 2), total=(0,))
-    assert _circuit_partition(form) == LinePartition(classes=(axis,), zero_rows=())
+    assert _circuit_partition(form) == (LinePartition(classes=(axis,), zero_rows=()), ((-1, -1, 2),))
 
 
 def test_line_sums_zero_family_alpha_true():

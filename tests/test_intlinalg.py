@@ -390,6 +390,56 @@ def test_bareiss_det_equals_cofactor_expansion(rows):
         assert abs(pivot) == abs(d)
 
 
+def _bareiss_unskipped(rows, jordan=False):
+    """``_bareiss`` as it reads without the skip: every row other than the
+    pivot row gets the full update ``(x·p - f·y) / prev``."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    pivots, r, prev = [], 0, 1
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        p = pr[c]
+        for i in range(0 if jordan else r + 1, m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, prev
+
+
+def _identity_block(rows):
+    """``(I | rows)``: a unit block beside the draw, as in a Lawrence lift's
+    top rows, where most pivots equal the one before."""
+    return [[int(i == j) for j in range(len(rows))] + list(row) for i, row in enumerate(rows)]
+
+
+def _lawrence_rows(rows):
+    """The rows of the Lawrence lift ``(I | I ; 0 | M)`` of ``rows`` (d x n)."""
+    n = len(rows[0])
+    top = [[int(j % n == i) for j in range(2 * n)] for i in range(n)]
+    return top + [[0] * n + list(row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_matrices, st.sampled_from(["dense", "identity block", "lawrence"]), st.booleans())
+def test_bareiss_skip_leaves_every_output_as_the_full_update(rows, shape, jordan):
+    if shape == "identity block":
+        rows = _identity_block(rows)
+    elif shape == "lawrence":
+        rows = _lawrence_rows(rows)
+    skipped, full = [list(r) for r in rows], [list(r) for r in rows]
+    assert _bareiss(skipped, jordan) == _bareiss_unskipped(full, jordan)
+    assert [list(r) for r in skipped] == full
+
+
 def test_circuit_kernel_twisted_cubic():
     # basis {0, 1}; the circuits of columns 2 and 3 are 1-2+1 and 2-3+1
     k = circuit_kernel(imat([[1, 1, 1, 1], [0, 1, 2, 3]]))
