@@ -47,7 +47,6 @@ _SUBMODULE = {
     "gale_dual": "gale",
     "hypersurface_class": "engine",
     "imat": "intlinalg",
-    "in_row_span": "intlinalg",
     "integer_kernel": "intlinalg",
     "is_facial": "gale",
     "is_lawrence": "engine",
@@ -62,14 +61,12 @@ _SUBMODULE = {
     "matmul": "intlinalg",
     "parse_configuration": "configuration",
     "positive_dependency": "ratlp",
-    "rational_rank": "intlinalg",
     "regularize": "configuration",
     "segre": "families",
     "self_dual_via_flats": "oracle",
     "self_dual_via_sigma": "oracle",
     "smooth_certificate": "engine",
     "strong_via_points": "oracle",
-    "subconfiguration": "configuration",
     "verify_gale_dual": "gale",
 }
 

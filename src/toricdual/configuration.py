@@ -8,6 +8,8 @@ The two reductions here keep that lattice: ``regularize`` puts the columns
 on an affine hyperplane off the origin, and ``dedup`` merges repeated
 columns and records their multiplicities.  Apexes are split off in
 ``engine.full_decomposition``, as the zero rows of a Gale dual.
+``affine_dim`` is read off the Gauss-Jordan form of ``[1; W]`` that each
+configuration caches, the one place the rank of ``[1; W]`` is taken.
 """
 
 import operator
@@ -40,7 +42,8 @@ class Configuration(ReadOnly):
     ``relations`` and ``circuit_basis`` are immutable :class:`IntMatrix`
     values, ``circuit_form`` an immutable :class:`CircuitForm`, and each
     invariant is computed at most once per configuration.  A configuration refuses
-    attribute assignment and equals only itself.
+    attribute assignment and equals only itself; its repr gives the shape
+    only, so printing one computes nothing.
     """
 
     def __init__(self, weights: IntMatrix):
@@ -78,7 +81,7 @@ class Configuration(ReadOnly):
         return list(self.weights.T)
 
     def __repr__(self):
-        return f"Configuration({self.dim}x{self.npoints}, regular={self.regular})"
+        return f"Configuration({self.dim}x{self.npoints})"
 
 
 class DedupReport(NamedTuple):
@@ -149,11 +152,6 @@ def column_indices(c: Configuration, indices) -> list:
     return idx
 
 
-def subconfiguration(c: Configuration, indices) -> Configuration:
-    """The configuration made of the selected columns (order preserved)."""
-    return parse_configuration(c.weights.select(column_indices(c, indices)))
-
-
 def regularize(c: Configuration) -> Configuration:
     """Place the configuration on an affine hyperplane off the origin.
 
@@ -178,8 +176,9 @@ def affine_relation_kernel(c: Configuration) -> IntMatrix:
 
 def affine_dim(c: Configuration) -> int:
     """Dimension of the affine span of the columns (= dim of the toric variety):
-    rank([1; W]) - 1, which is n - 1 - (number of independent relations)."""
-    return rank(_ones_on_top(c)) - 1
+    rank([1; W]) - 1, which is n - 1 - (number of independent relations).
+    The rank is the pivot count of ``c.circuit_form``."""
+    return len(c.circuit_form.pivots) - 1
 
 
 def dedup(c: Configuration) -> DedupReport:

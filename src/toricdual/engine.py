@@ -14,18 +14,19 @@ rank many pivot rows carry information, each free point lying on its own
 axis.  ``full_decomposition`` and ``gale.coparallel_criterion`` read the
 same partition.  The other questions that hold over Q
 read a circuit basis too: ``hypersurface_class`` the one column of
-``circuit_basis``, ``lawrence_strong_parity`` the zero rows of
-``circuit_kernel(M)``, and ``is_segre`` its corank, its antipodal pairs
-and its sign vector, a primitive 1-dimensional kernel; its lattice condition
-follows from those.  The strong test reads the same form as the self-duality
-verdict, and the regular flag it needs is read off that form too: the size
-of its products is a homomorphism to a torsion-free group, decided on the
-fundamental circuits, and its sign is decided on generators of odd index in
-the relation lattice, found by halving sums of circuits.  The saturated
-canonical basis of :func:`gale_dual` (``Configuration.relations``) is read
-only by the facial tests behind ``smooth_certificate``, by ``gale_dual``
-itself and the commands that print it, by ``config_from_gale``, by the
-referees in ``oracle`` and by the benchmark's checks.
+``circuit_basis``, and ``is_segre`` its corank, its antipodal pairs and its
+sign vector, a primitive 1-dimensional kernel (its lattice condition
+follows from those); ``lawrence_strong_parity`` reads the zero rows of
+``circuit_form(M).basis()``.  The strong test reads the same form as the
+self-duality verdict, and the regular flag it needs is read off that form
+too: the size of its products is a homomorphism to a torsion-free group,
+decided on the fundamental circuits, and its sign is decided on generators
+of odd index in the relation lattice, found by halving sums of circuits.
+The saturated canonical basis of :func:`gale_dual`
+(``Configuration.relations``) is read only by the facial tests behind
+``smooth_certificate``, by ``gale_dual`` itself and the commands that print
+it, by ``config_from_gale``, by the referees in ``oracle`` and by the
+benchmark's checks.
 """
 
 import enum
@@ -39,7 +40,7 @@ from .gale import (
     _line_sums_verdict,
     is_facial,
 )
-from .intlinalg import IntMatrix, _bareiss, circuit_kernel, imat, lattice_basis, primitive_vector
+from .intlinalg import IntMatrix, _bareiss, circuit_form, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
 
 
@@ -327,7 +328,7 @@ def lawrence_strong_parity(m) -> Verdict:
     """
     mm = imat(m)
     d, n = mm.shape
-    zero = [i for i, row in enumerate(circuit_kernel(mm)) if not any(row)]
+    zero = [i for i, row in enumerate(circuit_form(mm).basis()) if not any(row)]
     if zero:  # a zero row, or no kernel at all
         raise pyramidal_input(zero + [n + i for i in zero], "the Lawrence parity criterion")
     # solve alpha @ M == 1 over GF(2): equation k is column k of M as a
@@ -381,7 +382,7 @@ def is_segre(c: Configuration):
     exactly when they pair under ``B``), so they are decided on
     ``c.circuit_basis``.  The m representatives span Q^(m-1), so their
     relations form one line: a zero-sum choice of signs exists iff its
-    primitive vector is all ±1, read off :func:`circuit_kernel`.  The
+    primitive vector is all ±1, read off their one fundamental circuit.  The
     lattice condition then holds by itself: the rows of a saturated basis
     generate Z^(m-1) (it extends to a unimodular matrix), each row is ± a
     representative, and with a ±1 zero-sum relation any m-1 of them
@@ -404,7 +405,7 @@ def is_segre(c: Configuration):
             return None
         unmatched.remove(j)
         reps.append(i)
-    signs = circuit_kernel(IntMatrix([rows[i] for i in reps], m - 1).T).column(0)
+    signs = circuit_form(IntMatrix([rows[i] for i in reps], m - 1).T).basis().column(0)
     return m if all(abs(s) == 1 for s in signs) else None
 
 

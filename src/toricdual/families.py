@@ -1,7 +1,19 @@
 """Constructors for the standard example families and the Gale-inverse map."""
 
+import operator
+
 from .configuration import Configuration, parse_configuration
 from .intlinalg import IntMatrix, column_lattice_saturated, imat, integer_kernel, rank
+
+
+def _integer(who: str, name: str, x) -> int:
+    """``x`` as an int, by ``operator.index`` as for column indices;
+    ``ValueError`` naming the argument otherwise, so a float is refused
+    rather than truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{who} requires an integer {name}, got {x!r}") from None
 
 
 def segre(m: int) -> Configuration:
@@ -10,7 +22,7 @@ def segre(m: int) -> Configuration:
     It is the Lawrence lift of the all-ones row: block shape (Id_m | Id_m)
     on top, (0...0 | 1...1) below.
     """
-    if m < 2:
+    if _integer("segre", "m", m) < 2:
         raise ValueError("segre requires m >= 2")
     return lawrence([[1] * m])
 
@@ -107,7 +119,9 @@ def family_codim(m: int, r: int, alphas) -> Configuration:
     Built from the Gale configuration in Z^m consisting of a_i e_1 for each of
     the r alphas, ±e_j for j = 2..m, and ±(e_1+...+e_m).
     """
-    alphas = [int(a) for a in alphas]
+    m = _integer("family_codim", "m", m)
+    r = _integer("family_codim", "r", r)
+    alphas = [_integer("family_codim", "alpha", a) for a in alphas]
     if m < 2:
         raise ValueError("family_codim requires m >= 2")
     if r < 2:

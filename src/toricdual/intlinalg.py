@@ -5,9 +5,9 @@ Python ints (arbitrary precision), so nothing here can overflow or round.
 :func:`imat` validates outside input into one, and the functions here also
 take nested int sequences.
 
-The fast path is fraction-free and runs on plain int lists.  One Bareiss loop
-(``_bareiss``) serves ``rank`` (forward elimination); ``circuit_form``,
-``ratlp.solve_linear`` and the edges at a simple vertex in
+Every elimination here is fraction-free and runs on plain int lists.  One
+Bareiss loop (``_bareiss``) serves ``rank`` (forward elimination);
+``circuit_form``, ``ratlp.solve_linear`` and the edges at a simple vertex in
 ``engine.smooth_certificate`` (the same loop eliminating above each pivot
 too); and ``integer_kernel`` (that Gauss-Jordan pass on the reversed
 columns, then a Hermite form kept modulo its last pivot).  One Hermite
@@ -18,18 +18,15 @@ saturation (``column_lattice_saturated``, which ``verify_gale_dual``
 reads); no Smith form is needed for either.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual (the oracles keep the two-pass echelon route to the same basis as
-their reference); ``circuit_kernel`` is the fundamental-circuit basis, a
-kernel basis over Q only, written out from the Gauss-Jordan form that
-``circuit_form`` returns.  The self-duality verdict reads its line classes
-off that form without writing the basis out, and states its line-sum
-witnesses in the basis's coordinates.  ``rational_rank`` and
-``in_row_span`` keep ``fractions.Fraction`` Gauss-Jordan elimination as
-reference arithmetic (the sigma referee's span test ranks with
-``rational_rank``); the package's fast predicates do not call them.
+their reference).  ``circuit_form`` is the Gauss-Jordan form whose
+:meth:`CircuitForm.basis` is the fundamental-circuit basis, a kernel basis
+over Q only.  The self-duality verdict reads its line classes off that form
+without writing the basis out, and states its line-sum witnesses in the
+basis's coordinates.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 
@@ -232,28 +229,6 @@ def rank(a) -> int:
     return len(_bareiss(list(a))[0])
 
 
-def rational_rank(a) -> int:
-    """Rank of the matrix over the rationals, computed exactly."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(m):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def integer_kernel(a) -> IntMatrix:
     """Saturated basis of the integer kernel ``{v : a @ v = 0}``.
 
@@ -389,9 +364,15 @@ class CircuitForm(NamedTuple):
     rows: tuple
 
     def basis(self) -> IntMatrix:
-        """The fundamental-circuit basis: column t is ``|d|`` at ``free[t]``
-        and ``-sign(d)·rows[i][t]`` at ``pivots[i]``, divided by the gcd of
-        those entries."""
+        """The fundamental-circuit basis of the rational kernel of ``a``.
+
+        Column t is ``|d|`` at ``free[t]`` and ``-sign(d)·rows[i][t]`` at
+        ``pivots[i]``, divided by the gcd of those entries: the primitive
+        kernel vector supported on the pivots plus ``free[t]``, positive
+        there.  Before that division each entry is, up to sign, a
+        ``rank(a)``-square minor of ``a``.  The columns span the kernel over
+        Q but, unlike :func:`integer_kernel`, need not span the kernel
+        lattice: no saturation step runs."""
         n, big = self.ncols, abs(self.pivot)
         s = 1 if self.pivot > 0 else -1
         cols = []
@@ -418,21 +399,6 @@ def circuit_form(a) -> CircuitForm:
     return CircuitForm(n, tuple(pivots), free, d, jordan)
 
 
-def circuit_kernel(a) -> IntMatrix:
-    """Fundamental-circuit basis of the rational kernel ``{v : a @ v = 0}``.
-
-    The pivot columns of a fraction-free Gauss-Jordan pass form the
-    lex-first column basis of ``a``.  Column t of the result belongs to the
-    t-th non-pivot column j: it is the primitive kernel vector supported on
-    the basis plus j, positive at j.  It spans the kernel over Q but, unlike
-    :func:`integer_kernel`, need not span the kernel lattice; no saturation
-    step runs: before the column's common factor is divided out, each entry
-    is, up to sign, a ``rank(a)``-square minor of ``a``.  The pass is
-    :func:`circuit_form`, and :meth:`CircuitForm.basis` writes the columns.
-    """
-    return circuit_form(a).basis()
-
-
 def lattice_basis(vectors, dim: int) -> list:
     """Canonical Hermite basis, as int lists, of the lattice that the integer
     vectors of length ``dim`` generate; equal lattices give equal bases."""
@@ -451,16 +417,6 @@ def column_lattice_saturated(a) -> bool:
     rows = list(a)
     h = lattice_basis(zip(*rows), len(rows))
     return lattice_basis(zip(*h), len(h)) == eye(len(h)).tolist()
-
-
-def in_row_span(a, v) -> bool:
-    """Whether vector ``v`` (ints or Fractions) is a rational combination of rows of ``a``."""
-    a = imat(a)
-    vec = [Fraction(x) for x in v]
-    if len(vec) != a.shape[1]:
-        raise ValueError(f"vector length {len(vec)} != matrix columns {a.shape[1]}")
-    den = lcm(*(x.denominator for x in vec))
-    return rational_rank([*a, [int(x * den) for x in vec]]) == rational_rank(a)
 
 
 def primitive_vector(v) -> tuple:

@@ -8,13 +8,13 @@ divided by its gcd, a class key signed by its first nonzero entry), with no
 depth-first search over independent index tuples of ``[1; W]``, tested by
 the same residue operations; only a dependent candidate gets a kernel,
 from ``_hermite_kernel``, so ``enumerate_circuits`` reads neither
-``affine_dim`` nor ``regularize`` and makes no Bareiss rank.  Row-span
-tests use the Fraction ``rational_rank`` (the fast path's rank is
-fraction-free, so the two do not share elimination code), and
-``self_dual_via_sigma`` ranks the weights once per call.  Faces come from
-a separating-functional LP, and strong self-duality from exact evaluation
-of the defining binomials on a grid large enough to certify a polynomial
-identity.
+``affine_dim`` nor ``regularize`` and makes no Bareiss rank.  The sigma
+referee's row-span test ranks with its own ``_rational_rank``, in Fraction
+arithmetic (every elimination in ``intlinalg`` is fraction-free, so the two
+share no elimination code), and ranks the weights once per call.  Faces
+come from a separating-functional LP, and strong self-duality from exact
+evaluation of the defining binomials on a grid large enough to certify a
+polynomial identity.
 
 The inputs the referees start from are shared, not independent.
 ``strong_via_points`` reads ``gale_dual`` (so ``integer_kernel``, through
@@ -37,6 +37,7 @@ run at desk scale only and guard themselves with explicit size limits.
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -56,7 +57,6 @@ from .intlinalg import (
     column_lattice_saturated,
     imat,
     rank,
-    rational_rank,
 )
 from .ratlp import feasible_nonneg
 
@@ -100,6 +100,30 @@ def _hermite_kernel(a) -> IntMatrix:
     rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a.T)]
     rows = _echelon(rows, m)
     return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
+
+
+def _rational_rank(a) -> int:
+    """Rank of the matrix over the rationals, by Gauss-Jordan elimination in
+    ``Fraction`` arithmetic: the referees' own rank, sharing no code with
+    the fraction-free eliminations of ``intlinalg``."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / pr[c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def enumerate_circuits(c: Configuration) -> list:
@@ -261,10 +285,10 @@ def self_dual_via_sigma(c: Configuration) -> bool:
     """
     if not c.regular:
         raise irregular_input("the zero-set row-span test")
-    base = rational_rank(c.weights)
+    base = _rational_rank(c.weights)
     for circ in enumerate_circuits(c):
         sigma = [0 if x else 1 for x in circ.relation]
-        if rational_rank([*c.weights, sigma]) != base:
+        if _rational_rank([*c.weights, sigma]) != base:
             return False
     return True
 
@@ -305,11 +329,6 @@ def facial_via_separation(c: Configuration, subset) -> bool:
     return x is not None
 
 
-def strong_binomial_degree(b: GaleDual) -> int:
-    """Largest one-sided degree among the basis binomials."""
-    return max((sum(x for x in column if x > 0) for column in b.matrix.T), default=0)
-
-
 def strong_via_points(c: Configuration) -> bool:
     """Strong self-duality referee by exact evaluation.
 
@@ -323,13 +342,14 @@ def strong_via_points(c: Configuration) -> bool:
     b = gale_dual(c)
     if b.zero_rows():  # every row is zero at corank 0
         raise pyramidal_input(b.zero_rows(), "strong self-duality")
-    per_axis = strong_binomial_degree(b) + 1
+    cols = list(b.matrix.T)
+    # more values per axis than the largest one-sided degree of a binomial
+    per_axis = max(sum(x for x in v if x > 0) for v in cols) + 1
     if per_axis**b.corank > 200_000:
         raise GuardExceeded(
             f"certifying grid would need {per_axis}^{b.corank} evaluations"
         )
     grid = [range(per_axis)] * b.corank
-    cols = list(b.matrix.T)
     for s in itertools.product(*grid):
         coords = [
             sum(s[j] * b.row(i)[j] for j in range(b.corank)) for i in range(b.npoints)

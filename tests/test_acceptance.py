@@ -13,7 +13,6 @@ from toricdual.configuration import (
     affine_dim,
     dedup,
     parse_configuration,
-    subconfiguration,
 )
 from toricdual.engine import (
     is_lawrence,
@@ -193,7 +192,7 @@ def test_criterion_09_hereditary_property(sweep_corpus):
             continue
         for size in range(1, c.npoints + 1):
             for sub in itertools.combinations(range(c.npoints), size):
-                d = subconfiguration(c, sub)
+                d = parse_configuration(c.weights.select(sub))
                 b = gale_dual(d)
                 if b.corank == 0 or b.zero_rows():
                     continue  # pyramidal subset: exempt

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from toricdual.configuration import (
     affine_dim,
     affine_relation_kernel,
+    column_indices,
     dedup,
     parse_configuration,
     regularize,
-    subconfiguration,
 )
 from toricdual import configuration
 from toricdual.engine import (
+    HypersurfaceClass,
     _decompose,
     full_decomposition,
     hypersurface_class,
@@ -33,17 +34,11 @@ from toricdual.gale import (
     line_partition,
     verify_gale_dual,
 )
-from toricdual.intlinalg import (
-    eye,
-    imat,
-    in_row_span,
-    lattice_basis,
-    rank,
-    rational_rank,
-)
+from toricdual.intlinalg import CircuitForm, eye, imat, lattice_basis, rank
+from toricdual.oracle import _rational_rank
 from test_engine import STRONG_7x9, _unimodular
 from test_gale import _digits_3900, column_lattices_equal
-from test_intlinalg import product
+from test_intlinalg import in_row_span, product
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -102,7 +97,7 @@ def test_a_configuration_needs_a_point():
             parse_configuration(rows)
     c = parse_configuration([[1, 2]])
     with pytest.raises(ValueError):
-        subconfiguration(c, [])
+        column_indices(c, [])
 
 
 def test_dedup_counts():
@@ -139,7 +134,7 @@ def test_affine_dim():
 
 def test_affine_dim_is_rank_of_regularized_minus_one():
     c = parse_configuration([[0, 1, 2, 5], [0, 0, 0, 1]])
-    assert affine_dim(c) == rational_rank(regularize(c).weights) - 1
+    assert affine_dim(c) == _rational_rank(regularize(c).weights) - 1
 
 
 def test_pyramid_decompose_cone_over_conic():
@@ -171,16 +166,6 @@ def test_pyramid_splitting_fails_off_the_spanned_lattice():
     assert full_decomposition(c).apex_indices == (0, 1)
 
 
-def test_subconfiguration():
-    c = parse_configuration(SEGRE2)
-    sub = subconfiguration(c, [0, 2])
-    assert sub.weights.tolist() == [[1, 1], [0, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        subconfiguration(c, [])
-    with pytest.raises(ValueError):
-        subconfiguration(c, [7])
-
-
 conf_matrices = st.integers(1, 3).flatmap(
     lambda d: st.integers(1, 6).flatmap(
         lambda n: st.lists(
@@ -204,11 +189,11 @@ def _apexes_by_rank(c):
     points that lie in no affine relation."""
     distinct = dedup(c).distinct
     ones_on_top = [[1] * distinct.npoints, *distinct.weights]
-    full = rational_rank(ones_on_top)
+    full = _rational_rank(ones_on_top)
     return tuple(
         i
         for i in range(distinct.npoints)
-        if rational_rank([row[:i] + row[i + 1 :] for row in ones_on_top]) < full
+        if _rational_rank([row[:i] + row[i + 1 :] for row in ones_on_top]) < full
     )
 
 
@@ -276,7 +261,7 @@ def test_core_gale_rows_are_the_core_gale_dual(rows):
     _same_rational_column_space(b.matrix, canonical.matrix)
     assert part.zero_rows == b.zero_rows() == canonical.zero_rows() == dec.apex_indices
     assume(dec.core_indices)
-    core = subconfiguration(distinct, dec.core_indices)
+    core = parse_configuration(distinct.weights.select(dec.core_indices))
     core_rows = imat([b.matrix[i] for i in dec.core_indices])
     # apexes lie in no circuit, so dropping them keeps every circuit and
     # the lex-first basis of the rest: the same columns, even unscaled
@@ -347,7 +332,8 @@ def test_handed_on_flags_match_recomputed(rows, flags_known):
 
 
 def _count_calls(monkeypatch, modules, names):
-    """Count calls to ``names`` made through any of ``modules``' bindings."""
+    """Count calls to ``names`` made through any of ``modules``' bindings
+    (a class among them has its methods counted)."""
     counts = dict.fromkeys(names, 0)
     for module in modules:
         for name in names:
@@ -368,11 +354,9 @@ def _toricdual_modules():
 
 
 def _fraction_rank_calls(monkeypatch):
-    """Count the Fraction reference routines wherever a toricdual module
-    holds them: intlinalg itself and every module that imported them."""
-    return _count_calls(
-        monkeypatch, _toricdual_modules(), ("rational_rank", "in_row_span")
-    )
+    """Count the referees' Fraction rank wherever a toricdual module holds
+    it."""
+    return _count_calls(monkeypatch, _toricdual_modules(), ("_rational_rank",))
 
 
 @pytest.mark.parametrize("doubled_row", [False, True])
@@ -384,22 +368,22 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     dec = full_decomposition(parse_configuration(rows))
     assert dec.repeat_codim == 0
     assert not dec.apex_indices
-    kernels = ("affine_relation_kernel", "integer_kernel", "circuit_kernel")
+    kernels = ("affine_relation_kernel", "integer_kernel", "basis")
     # one Gauss-Jordan pass, and the circuit basis is never written out
     passes = ("circuit_form", "_bareiss")
     reductions = ("regularize",)
     for decide in (is_self_dual, full_decomposition):
         with monkeypatch.context() as patch:
-            counts = _count_calls(patch, _toricdual_modules(), kernels + passes)
+            counts = _count_calls(patch, [*_toricdual_modules(), CircuitForm], kernels + passes)
             reduction_counts = _count_calls(patch, _toricdual_modules(), reductions)
             fraction_counts = _fraction_rank_calls(patch)
             decide(parse_configuration(rows))
-        assert fraction_counts == {"rational_rank": 0, "in_row_span": 0}
+        assert fraction_counts == {"_rational_rank": 0}
         assert reduction_counts == dict.fromkeys(reductions, 0)
         assert counts == {
             "affine_relation_kernel": 0,
             "integer_kernel": 0,
-            "circuit_kernel": 0,
+            "basis": 0,
             "circuit_form": 1,
             "_bareiss": 1,
         }
@@ -455,6 +439,42 @@ def test_affine_dim_computes_no_gale_kernel(monkeypatch):
     assert counts == dict.fromkeys(kernels, 0)
 
 
+def _hypersurface(seed):
+    """A random repeat-free 5 x 7 configuration with one affine relation."""
+    rng = random.Random(seed)
+    while True:
+        c = parse_configuration([[rng.randint(-3, 3) for _ in range(7)] for _ in range(5)])
+        if len(set(c.columns())) == 7 and rank([[1] * 7, *c.weights]) == 6:
+            return c
+
+
+def test_hypersurface_class_runs_one_elimination(monkeypatch):
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("_bareiss",))
+    for c in (_hypersurface(14), segre(2), parse_configuration([[0, 1, 2]])):
+        before = counts["_bareiss"]
+        assert hypersurface_class(c) != HypersurfaceClass.NOT_HYPERSURFACE
+        assert counts["_bareiss"] == before + 1
+
+
+def test_affine_dim_and_the_verdicts_share_one_circuit_form(monkeypatch):
+    c = _hypersurface(15)
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("circuit_form", "_bareiss"))
+    assert affine_dim(c) == 5
+    is_self_dual(c)
+    hypersurface_class(c)
+    assert counts == {"circuit_form": 1, "_bareiss": 1}
+
+
+def test_repr_runs_no_elimination(monkeypatch):
+    rng = random.Random(16)
+    rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("circuit_form", "_bareiss"))
+    c = parse_configuration(rows)
+    assert repr(c) == "Configuration(5x14)"
+    assert repr(dedup(c)).startswith("DedupReport(distinct=Configuration(5x14), ")
+    assert counts == {"circuit_form": 0, "_bareiss": 0}
+
+
 def test_rational_questions_compute_no_hermite_kernel(monkeypatch):
     counts = _count_calls(monkeypatch, _toricdual_modules(), ("integer_kernel",))
     assert coparallel_criterion(family_alpha(2)).value
@@ -496,7 +516,7 @@ def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):
     c = parse_configuration(rows)
     gale_dual(c)
     is_facial(c, [0, 1])
-    assert counts == {"rational_rank": 0, "in_row_span": 0}
+    assert counts == {"_rational_rank": 0}
 
 
 @settings(max_examples=150, deadline=None)
@@ -522,7 +542,7 @@ def test_regular_flag_is_the_two_rank_definition_on_seeded_draws():
         elif k % 4 == 3:
             rows.insert(rng.randrange(len(rows) + 1), [0] * n)
         c = parse_configuration(rows)
-        two_ranks = rational_rank(rows) == rational_rank([[1] * n, *rows])
+        two_ranks = _rational_rank(rows) == _rational_rank([[1] * n, *rows])
         assert c.regular is two_ranks, rows
         seen.add(two_ranks)
     assert seen == {True, False}

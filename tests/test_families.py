@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,8 @@ from toricdual.families import (
     segre,
 )
 from toricdual.gale import gale_dual, verify_gale_dual
-from toricdual.intlinalg import (
-    imat,
-    integer_kernel,
-    lattice_basis,
-    rational_rank,
-)
-from toricdual.oracle import _hermite_kernel
+from toricdual.intlinalg import imat, integer_kernel, lattice_basis
+from toricdual.oracle import _hermite_kernel, _rational_rank
 from test_engine import _nonsingular, _unimodular
 from test_gale import column_lattices_equal
 from test_intlinalg import cofactor_det, product
@@ -160,6 +156,15 @@ def test_family_validation():
         (lambda: family_codim(2, 1, [1]), "r >= 2"),
         (lambda: family_codim(2, 2, [0, 0]), "nonzero and sum to zero"),
         (lambda: family_codim(2, 2, [1, 1]), "nonzero and sum to zero"),
+        # non-integers are refused, not truncated: 2.7 - 2.2 is not 0
+        (lambda: family_dim(2, [2.7, -2.2]), "integer alpha, got 2.7"),
+        (lambda: family_codim(2, 2, ["1", "-1"]), "integer alpha, got '1'"),
+        (lambda: family_codim(2, 2, [Fraction(1, 2), Fraction(-1, 2)]), "integer alpha"),
+        (lambda: family_codim(2.9, 2, [1, -1]), "integer m, got 2.9"),
+        (lambda: family_dim(2.0, [1, -1]), "integer r, got 2.0"),
+        (lambda: family_codim(2, "2", [1, -1]), "integer r"),
+        (lambda: segre(2.5), "segre requires an integer m, got 2.5"),
+        (lambda: segre("3"), "integer m"),
     ],
 )
 def test_family_argument_errors(build, message):
@@ -174,7 +179,7 @@ def _canonical_verify(c, b):
     referees' two-pass Hermite kernel and the rank from Fractions."""
     ones_on_top = [[1] * c.npoints, *c.weights]
     bm = imat(b)
-    if any(map(any, product(ones_on_top, bm))) or rational_rank(bm) != bm.shape[1]:
+    if any(map(any, product(ones_on_top, bm))) or _rational_rank(bm) != bm.shape[1]:
         return False
     canonical = _hermite_kernel(ones_on_top)
     return bm.shape[1] == canonical.shape[1] and column_lattices_equal(bm, canonical)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdual.configuration import parse_configuration, regularize, subconfiguration
+from toricdual.configuration import parse_configuration, regularize
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import family_alpha, family_alpha_gale, segre
 from toricdual.gale import (
@@ -23,7 +23,6 @@ from toricdual.gale import (
 )
 from toricdual.intlinalg import (
     circuit_form,
-    circuit_kernel,
     imat,
     lattice_basis,
     primitive_vector,
@@ -136,13 +135,13 @@ def test_line_partition_strongly_selfdual_example():
 def _partition_by_matrix(a):
     """The line partition of the fundamental-circuit basis of ``a``, written
     out: the reference for the partition read off the Gauss-Jordan form."""
-    return line_partition(GaleDual(matrix=circuit_kernel(a)))
+    return line_partition(GaleDual(matrix=circuit_form(a).basis()))
 
 
 def _assert_multiples(a, part, multiples):
     """Each class's multiples give its rows of the written-out circuit
     basis as multiples of its direction."""
-    rows = circuit_kernel(a)
+    rows = circuit_form(a).basis()
     assert len(multiples) == len(part.classes)
     for cls, lams in zip(part.classes, multiples):
         assert [rows[i] for i in cls.members] == [
@@ -224,7 +223,7 @@ def test_circuit_partition_at_corank_zero_and_a_negative_pivot():
     a = [[1, 1, 1], [1, -1, 0]]
     form = circuit_form(a)
     assert form.pivot == -2
-    assert circuit_kernel(a) == imat([[-1], [-1], [2]])
+    assert form.basis() == imat([[-1], [-1], [2]])
     axis = LineClass(direction=(1,), members=(0, 1, 2), total=(0,))
     assert _circuit_partition(form) == (LinePartition(classes=(axis,), zero_rows=()), ((-1, -1, 2),))
 
@@ -296,7 +295,7 @@ def test_is_facial_conventions():
 )
 @pytest.mark.parametrize(
     "select",
-    [subconfiguration, is_facial, is_parallel_face_complement, facial_via_separation],
+    [is_facial, is_parallel_face_complement, facial_via_separation],
     ids=lambda f: f.__name__,
 )
 def test_index_lists_are_refused_alike(select, indices, match):

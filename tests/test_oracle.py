@@ -17,9 +17,10 @@ from toricdual.gale import (
     is_facial,
     line_sums_zero,
 )
-from toricdual.intlinalg import imat, integer_kernel, primitive_vector, rational_rank
+from toricdual.intlinalg import CircuitForm, imat, integer_kernel, primitive_vector
 from toricdual.oracle import (
     Circuit,
+    _rational_rank,
     coparallel_via_circuits,
     crosscheck,
     enumerate_circuits,
@@ -31,6 +32,7 @@ from toricdual.oracle import (
     strong_via_points,
 )
 from test_configuration import _count_calls, _toricdual_modules
+from test_intlinalg import in_row_span
 
 CONIC = parse_configuration([[0, 1, 2]])
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
@@ -110,13 +112,14 @@ def test_circuits_of_raw_input_match_the_definition(c):
 
 def test_circuits_make_no_rank_or_fast_kernel_call(monkeypatch):
     # the relation of a dependent candidate is put in canonical form by the
-    # referee's own _unit, so primitive_vector is watched too
-    names = ("_bareiss", "rank", "circuit_kernel", "integer_kernel", "primitive_vector")
+    # referee's own _unit, so primitive_vector is watched too, and no
+    # circuit basis is written out
+    names = ("_bareiss", "rank", "basis", "integer_kernel", "primitive_vector")
     for seed in range(4):
         c = random_configuration(random.Random(seed))
         expected = _circuits_by_definition(c)
         assert c.regular
-        counts = _count_calls(monkeypatch, _toricdual_modules(), names)
+        counts = _count_calls(monkeypatch, [*_toricdual_modules(), CircuitForm], names)
         assert enumerate_circuits(c) == expected
         assert counts == dict.fromkeys(names, 0)
         monkeypatch.undo()
@@ -225,18 +228,19 @@ def test_flats_guard():
 
 
 def test_flats_share_no_code_with_the_line_sum_test(monkeypatch):
-    # every intlinalg routine (its eliminations, ranks and primitive_vector)
-    # and the line classes behind line_sums_zero and coparallel_criterion
+    # every intlinalg routine (its eliminations, ranks, the circuit basis
+    # and primitive_vector), the referees' Fraction rank, and the line
+    # classes behind line_sums_zero and coparallel_criterion
     names = [
         name
         for name, f in vars(intlinalg).items()
         if inspect.isfunction(f) and f.__module__ == intlinalg.__name__
     ]
-    names += ["line_partition", "coparallel_classes"]
-    assert {"_bareiss", "_echelon", "rational_rank", "primitive_vector"} <= set(names)
+    names += ["basis", "_rational_rank", "line_partition", "coparallel_classes"]
+    assert {"_bareiss", "_echelon", "primitive_vector"} <= set(names)
     b = gale_dual(random_configuration(random.Random(2)))
     expected = bool(line_sums_zero(b).value)
-    counts = _count_calls(monkeypatch, _toricdual_modules(), names)
+    counts = _count_calls(monkeypatch, [*_toricdual_modules(), CircuitForm], names)
     assert enumerate_flats(b)
     assert self_dual_via_flats(b) == expected
     assert counts == dict.fromkeys(names, 0)
@@ -263,8 +267,6 @@ def test_self_dual_via_sigma():
 def test_sigma_twisted_cubic_witness():
     # sigma of the circuit on {0,1,2} is (0,0,0,1), which is not in the row span
     reg = regularize(TWISTED_CUBIC)
-    from toricdual.intlinalg import in_row_span
-
     assert not in_row_span(reg.weights, [0, 0, 0, 1])
 
 
@@ -319,7 +321,7 @@ def test_random_configuration_filters():
         # independent rows taken from [1; W]: rank([1; W]) of them, with the
         # relations of the draw
         ones_on_top = [[1] * len(draw[0]), *draw]
-        assert c.dim == rational_rank(c.weights) == rational_rank(ones_on_top)
+        assert c.dim == _rational_rank(c.weights) == _rational_rank(ones_on_top)
         assert all(list(row) in ones_on_top for row in c.weights)
         assert c.relations == parse_configuration(ones_on_top).relations
 

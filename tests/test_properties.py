@@ -16,7 +16,6 @@ from toricdual.configuration import (
     affine_dim,
     parse_configuration,
     regularize,
-    subconfiguration,
 )
 from toricdual.engine import is_self_dual, is_strongly_self_dual, smooth_certificate
 from toricdual.exceptions import GuardExceeded, InapplicableInput
@@ -102,7 +101,7 @@ def test_hereditary_property_on_deep_instances():
     for c in SELF_DUAL_DEEP:
         for size in range(2, c.npoints + 1):
             for sub in itertools.combinations(range(c.npoints), size):
-                d = subconfiguration(c, sub)
+                d = parse_configuration(c.weights.select(sub))
                 b = gale_dual(d)
                 if b.corank == 0 or b.zero_rows():
                     continue
