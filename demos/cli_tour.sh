@@ -23,6 +23,7 @@ run toricdual circuits demos/data/twisted_cubic.txt
 run toricdual flats demos/data/segre2.json
 run toricdual smooth-certificate demos/data/missing_points.json
 run toricdual smooth-certificate demos/data/segre2.json --format text
+run toricdual smooth-certificate demos/data/random_26x100.txt --format text
 run toricdual classify-hypersurface demos/data/segre2.json
 run toricdual classify-hypersurface demos/data/random_26x100.txt
 run toricdual generate segre --m 4

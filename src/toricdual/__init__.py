@@ -60,7 +60,6 @@ _SUBMODULE = {
     "line_sums_zero": "gale",
     "matmul": "intlinalg",
     "parse_configuration": "configuration",
-    "positive_dependency": "ratlp",
     "regularize": "configuration",
     "segre": "families",
     "self_dual_via_flats": "oracle",

@@ -64,7 +64,10 @@ def read_matrix(path: str):
     if not text:
         raise ValueError(f"empty matrix file: {path}")
     if text.startswith(("{", "[")):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("the JSON nests too deeply to be a matrix") from None
         if not isinstance(doc, dict) or "entries" not in doc:
             raise ValueError(
                 'a JSON matrix is an object with an "entries" field: '

@@ -458,11 +458,19 @@ def _simplicial_edges(vertex, diffs, candidates, height, dim):
     When every Jordan row is sign-consistent with the last pivot, every
     difference is a nonnegative combination of E, so the tangent cone is
     the simplicial cone(E) and its edges are exactly the E lines: the
-    returned candidates, in sorted order.  At a smooth vertex every other
-    point has nonnegative integer E-coordinates, two of them nonzero, so it
-    is higher than each edge in its support and the pass picks the edges.
-    A non-simple vertex, or a simple one where a point off the edges is
-    lower than an edge, gives None.
+    returned candidates, in sorted order.
+
+    A None means that the vertex fails the smoothness certificate.  Suppose
+    it passes: its dim nearest edge vectors E form a lattice basis and
+    generate its tangent cone, so every difference is a nonnegative integer
+    combination of E.  A point off the edges then has two or more nonzero
+    coordinates, so it is strictly higher than every edge in its support,
+    and a further point on an edge is a multiple of its nearest one.
+    Ordered by height, each edge is independent of every difference before
+    it, and every other difference lies in the span of the edges before it,
+    so the pass picks exactly E, with sign-consistent Jordan rows.  A
+    non-simple vertex, or a simple one where a point off the edges is lower
+    than an edge, gives None.
     """
     nearest = {s: min((k for k in s if k != vertex), key=height.__getitem__) for s in candidates}
     order = sorted(candidates, key=lambda s: (height[nearest[s]], s))
@@ -487,71 +495,59 @@ def smooth_certificate(c: Configuration) -> Verdict:
     do not change under an injective integral linear map, so any other
     presentation of the same relations gives the same verdict.
 
-    Each point gets one facial LP, which finds the vertices.  Its positive
+    One pass over the points, with one facial LP per point and none per
+    line.  A point's LP decides whether it is a vertex, and its positive
     dependency gives heights, an affine functional that vanishes at the
-    vertex only.  At a vertex whose tangent cone is simplicial, which every
-    vertex of certified input has, one elimination ordered by those heights
-    reads off the edges (:func:`_simplicial_edges`) with no LP.  Only at a
-    vertex where it cannot (one that is not simple, or one where a point off
-    the edges sits lower than an edge) is each line through the vertex
-    tested by its own facial LP; every subset decided, either way, is
-    remembered, so no line is tested twice.
+    vertex only.  A vertex with exactly dim candidate lines has those lines
+    as its edges (this covers the simplex and the single point, which have
+    no heights); at any other vertex one elimination ordered by the heights
+    reads off the edges (:func:`_simplicial_edges`).  The pass stops at the
+    first vertex that fails: one where the elimination shows no simplicial
+    tangent cone, which fails the certificate whatever its edges are, or
+    one whose edge vectors are not a basis.  So at most n LPs run, and
+    ``vertices`` in the witness ends at that vertex; its entry has no
+    ``edge_count`` when no simplicial cone was shown.
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the smoothness certificate")
-    n = c.npoints
     dim = affine_dim(c)
     cols = c.columns()
     # the differences to any one point generate the whole difference lattice
     to_first = [[x - y for x, y in zip(col, cols[0])] for col in cols]
     lattice = lattice_basis(to_first, c.dim)
-    facial = {}
-
-    def is_face(subset):
-        # an edge is a candidate at both of its ends: test each subset once
-        if subset not in facial:
-            facial[subset] = is_facial(c, subset).value
-        return facial[subset]
-
-    vertices, heights = [], {}
-    for i in range(n):
-        v = is_facial(c, (i,))
-        if v.value:
-            vertices.append(i)
-        if v.witness["kind"] == "positive_dependency":
-            h = v.witness["coefficients"]
-            heights[i] = [*h[:i], 0, *h[i:]]
     report = []
     certified = True
-    for i in vertices:
+    for i in range(c.npoints):
+        v = is_facial(c, (i,))
+        if not v.value:
+            continue
         diffs = [[x - y for x, y in zip(col, cols[i])] for col in cols]
         lines = {}
-        for j in range(n):
+        for j in range(c.npoints):
             if j != i:
                 lines.setdefault(primitive_vector(diffs[j]), [i]).append(j)
         candidates = sorted(tuple(sorted(on_line)) for on_line in lines.values())
-        edges = _simplicial_edges(i, diffs, candidates, heights[i], dim) if i in heights else None
-        if edges is None:
-            edges = [s for s in candidates if is_face(s)]
+        if len(candidates) == dim:
+            edges = candidates
         else:
-            facial.update((s, s in edges) for s in candidates)
-        entry = {"vertex": i, "edge_count": len(edges), "needed": dim}
-        if len(edges) != dim:
-            entry["reason"] = "edge count differs from dimension"
+            h = v.witness["coefficients"]
+            edges = _simplicial_edges(i, diffs, candidates, [*h[:i], 0, *h[i:]], dim)
+        if edges is None:
+            reason = "the elimination shows no simplicial tangent cone"
+            report.append({"vertex": i, "needed": dim, "reason": reason})
             certified = False
-            report.append(entry)
-            continue
+            break
         # the point nearest to the vertex along each edge, by the 1-norm
         vectors = [
             diffs[min((k for k in s if k != i), key=lambda k: sum(map(abs, diffs[k])))]
             for s in edges
         ]
         ok = lattice_basis(vectors, c.dim) == lattice
-        entry["edge_vectors"] = vectors
-        entry["basis_of_difference_lattice"] = ok
+        report.append({"vertex": i, "edge_count": dim, "needed": dim,
+                       "edge_vectors": vectors, "basis_of_difference_lattice": ok})
         if not ok:
             certified = False
-        report.append(entry)
+            break
     return Verdict(
         value=certified,
         criterion="vertex-chart-basis",

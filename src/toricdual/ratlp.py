@@ -143,27 +143,20 @@ def feasible_nonneg(a, b):
     return None, tuple(Fraction(v, d) for v in dy)
 
 
-def positive_dependency(rows):
-    """Strictly positive rational coefficients with ``sum r_i * rows[i] = 0``.
-
-    Returns a tuple of positive Fractions, or None when no such combination
-    exists.  Scaling lets us search for ``r >= 1`` instead of ``r > 0``, which
-    is exact-LP territory.  Zero-length vectors are trivially dependent.
-    """
-    r, _ = positive_dependency_certified(rows)
-    return r
-
-
 def positive_dependency_certified(rows):
-    """Like :func:`positive_dependency` but also returns a Farkas certificate.
+    """Strictly positive rational coefficients with ``sum r_i * rows[i] = 0``,
+    and a Farkas certificate when there are none.
 
-    The second item (when the first is None) is a vector ``z`` with
+    Returns ``(r, None)`` with r a tuple of positive Fractions, or
+    ``(None, z)``.  Scaling lets us search for ``r >= 1`` instead of
+    ``r > 0``, which is exact-LP territory.  Zero-length vectors are
+    trivially dependent.  The Farkas certificate ``z`` has
     ``<z, rows[i]> >= 0`` for every i and strict somewhere, witnessing that no
     strictly positive dependency can exist.
     """
     vecs = [list(v) for v in rows]
     if not vecs:
-        raise ValueError("positive_dependency of an empty family")
+        raise ValueError("a positive dependency of an empty family")
     dim = len(vecs[0])
     if any(len(v) != dim for v in vecs):
         raise ValueError("vectors of unequal length")

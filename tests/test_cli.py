@@ -322,6 +322,15 @@ def _assert_one_error_line(code, out, err):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_json_is_one_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (("check", "self-dual", str(path)), ("gale", str(path))):
+        code, out, err = run(capsys, *argv)
+        _assert_one_error_line(code, out, err)
+        assert err == "error: the JSON nests too deeply to be a matrix\n"
+
+
 @pytest.mark.parametrize("entries", [5, [5], [[1, 2], 3], None])
 def test_malformed_entries_are_input_errors(tmp_path, capsys, entries):
     path = tmp_path / "bad_shape.json"

@@ -770,24 +770,27 @@ OCTAHEDRON = parse_configuration(
 
 
 @pytest.mark.parametrize(
-    "c, edge_lps",
+    "c, lps",
     [
-        # the four lines at the apex, each tested before a base vertex
-        # reads it off
-        (SQUARE_PYRAMID, 4),
-        # the apex last: the base vertices have decided its four lines
-        (parse_configuration(SQUARE_PYRAMID.weights.select([1, 2, 3, 4, 0])), 0),
-        # every pair is a line at both of its ends, and is tested once
-        (OCTAHEDRON, 15),
+        # the apex fails at once
+        (SQUARE_PYRAMID, 1),
+        # the apex last: the four simple base vertices pass before it
+        (parse_configuration(SQUARE_PYRAMID.weights.select([1, 2, 3, 4, 0])), 5),
+        # no vertex is simple
+        (OCTAHEDRON, 1),
     ],
     ids=["square-pyramid", "square-pyramid-apex-last", "octahedron"],
 )
-def test_smooth_certificate_tests_lines_at_a_non_simple_vertex_once(monkeypatch, c, edge_lps):
-    lps, subsets = _count_facial_tests(monkeypatch)
+def test_smooth_certificate_stops_at_the_first_failing_vertex(monkeypatch, c, lps):
+    counted, subsets = _count_facial_tests(monkeypatch)
     v = smooth_certificate(c)
-    assert len(subsets) == len(set(subsets)) == c.npoints + edge_lps
-    assert len(lps) == len(subsets)
     assert not v.value
+    assert len(counted) == lps
+    assert subsets == [(i,) for i in range(lps)]
+    witness = v.witness["vertices"]
+    assert [e["vertex"] for e in witness] == list(range(lps))
+    assert "edge_count" not in witness[-1] and "reason" in witness[-1]
+    assert all(e["basis_of_difference_lattice"] for e in witness[:-1])
 
 
 def _lines_at(c, i):
@@ -866,12 +869,40 @@ def _repeat_free_lift(rng):
             return c
 
 
+# up to 7 distinct points of {-2, ..., 2}^d, d = 1, 2 or 3
+POINT_SETS = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=7, unique=True)
+)
+
+
+def _assert_matches_the_lp_reference(c):
+    """The verdict is the reference's, and so is the whole witness when
+    certified; otherwise the witness holds the reference's entries up to its
+    first failing vertex, which ends it."""
+    v, ref = smooth_certificate(c), _smooth_by_lps(c)
+    assert v.value == ref.value
+    if ref.value:
+        assert v == ref
+        return
+    *passed, failed = v.witness["vertices"]
+    expected = ref.witness["vertices"][: len(passed) + 1]
+    assert passed == expected[:-1]
+    assert all(e["basis_of_difference_lattice"] for e in passed)
+    assert not expected[-1].get("basis_of_difference_lattice")
+    if "edge_count" in failed:
+        assert failed == expected[-1]
+    else:
+        assert failed["vertex"] == expected[-1]["vertex"]
+        assert failed["needed"] == expected[-1]["needed"]
+    assert v.witness == {**ref.witness, "vertices": v.witness["vertices"]}
+
+
 def test_smooth_certificate_matches_the_lp_reference_on_families():
     cases = [segre(m) for m in range(2, 6)]
     cases += [_simplex_product(*p) for p in [(1, 1), (2, 2), (1, 1, 1), (1, 2), (2, 3)]]
     cases += [INT_POINT_FACE, MISSING_POINTS, SQUARE_PYRAMID, OCTAHEDRON]
     for c in cases:
-        assert smooth_certificate(c) == _smooth_by_lps(c)
+        _assert_matches_the_lp_reference(c)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -881,20 +912,13 @@ def test_smooth_certificate_matches_the_lp_reference_on_seeded_draws(seed):
     cases += [_grid_configuration(rng) for _ in range(15)]
     cases += [_repeat_free_lift(rng) for _ in range(3)]
     for c in cases:
-        assert smooth_certificate(c) == _smooth_by_lps(c)
+        _assert_matches_the_lp_reference(c)
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.lists(
-            st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=7, unique=True
-        )
-    )
-)
+@given(POINT_SETS)
 def test_smooth_certificate_matches_the_lp_reference(points):
-    c = parse_configuration([list(row) for row in zip(*points)])
-    assert smooth_certificate(c) == _smooth_by_lps(c)
+    _assert_matches_the_lp_reference(parse_configuration([list(row) for row in zip(*points)]))
 
 
 def _heights(c, i):
@@ -929,11 +953,55 @@ def test_simplicial_edges_refuses_a_middle_point_below_an_edge():
 
 
 def test_simplicial_edges_at_simple_vertices_whose_edges_are_no_basis():
-    witness = smooth_certificate(MISSING_POINTS).witness["vertices"]
     for i in range(4):
         assert _simplicial_edges(MISSING_POINTS, i) == _edges_by_lps(MISSING_POINTS, i)
-        assert witness[i]["vertex"] == i
-        assert not witness[i]["basis_of_difference_lattice"]
+    # the first vertex already fails, and ends the witness
+    (entry,) = smooth_certificate(MISSING_POINTS).witness["vertices"]
+    assert entry["vertex"] == 0
+    assert not entry["basis_of_difference_lattice"]
+
+
+def _assert_no_simplicial_cone_fails_the_vertex(c):
+    """At every vertex with heights where the elimination gives None, the
+    reference with one LP per line fails that vertex."""
+    ref = {e["vertex"]: e for e in _smooth_by_lps(c).witness["vertices"]}
+    for i, entry in ref.items():
+        if is_facial(c, (i,)).witness["kind"] != "positive_dependency":
+            continue
+        if _simplicial_edges(c, i) is None:
+            assert not entry.get("basis_of_difference_lattice"), (c.weights, i)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_simplicial_cone_fails_the_vertex_on_seeded_draws(seed):
+    rng = random.Random(seed)
+    cases = [random_configuration(rng) for _ in range(15)]
+    cases += [_grid_configuration(rng) for _ in range(15)]
+    cases += [INT_POINT_FACE, SQUARE_PYRAMID, OCTAHEDRON]
+    for c in cases:
+        _assert_no_simplicial_cone_fails_the_vertex(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINT_SETS)
+def test_no_simplicial_cone_fails_the_vertex(points):
+    _assert_no_simplicial_cone_fails_the_vertex(
+        parse_configuration([list(row) for row in zip(*points)])
+    )
+
+
+def test_smooth_certificate_ends_on_the_26x100_sample(monkeypatch):
+    # vertex 0 of demos/data/random_26x100.txt has 99 candidate lines in
+    # dimension 26, so it is not simple: one LP decides the verdict
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data" / "random_26x100.txt"
+    c = parse_configuration(read_matrix(str(path)))
+    lps, _ = _count_facial_tests(monkeypatch)
+    v = smooth_certificate(c)
+    assert not v.value
+    assert len(lps) == 1
+    assert v.witness["vertices"] == [
+        {"vertex": 0, "needed": 26, "reason": "the elimination shows no simplicial tangent cone"}
+    ]
 
 
 def test_smooth_certificate_not_certified_examples():

@@ -25,15 +25,15 @@ PUBLIC = {
     "is_lawrence", "is_parallel_face_complement", "is_segre", "is_self_dual",
     "is_strongly_self_dual", "lawrence", "lawrence_strong_parity",
     "line_partition", "line_sums_zero", "matmul", "parse_configuration",
-    "positive_dependency", "regularize", "segre",
+    "regularize", "segre",
     "self_dual_via_flats", "self_dual_via_sigma", "smooth_certificate",
     "strong_via_points", "verify_gale_dual",
 }
 
 
 def test_public_names():
-    assert len(PUBLIC) == 50
-    assert set(toricdual.__all__) == PUBLIC and len(toricdual.__all__) == 50
+    assert len(PUBLIC) == 49
+    assert set(toricdual.__all__) == PUBLIC and len(toricdual.__all__) == 49
     assert set(toricdual._SUBMODULE) == PUBLIC
 
 

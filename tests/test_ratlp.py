@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from toricdual import ratlp
 from toricdual.ratlp import (
     feasible_nonneg,
-    positive_dependency,
     positive_dependency_certified,
     solve_linear,
 )
@@ -171,31 +170,31 @@ def test_feasible_nonneg_simple():
 
 
 def test_positive_dependency_antiparallel_pair():
-    r = positive_dependency([(1,), (-1,)])
+    r = positive_dependency_certified([(1,), (-1,)])[0]
     assert r is not None
     assert r[0] * 1 + r[1] * (-1) == 0
     assert all(v > 0 for v in r)
 
 
 def test_positive_dependency_independent_pair():
-    assert positive_dependency([(1, 0), (0, 1)]) is None
+    assert positive_dependency_certified([(1, 0), (0, 1)])[0] is None
 
 
 def test_positive_dependency_family_rows():
     # rows 4 and 5 of the planar dual of the rank-two example family
-    r = positive_dependency([(1, 1), (-1, -1)])
+    r = positive_dependency_certified([(1, 1), (-1, -1)])[0]
     assert r is not None
 
 
 def test_positive_dependency_errors():
     with pytest.raises(ValueError):
-        positive_dependency([])
+        positive_dependency_certified([])
     with pytest.raises(ValueError):
-        positive_dependency([(1, 2), (1,)])
+        positive_dependency_certified([(1, 2), (1,)])
 
 
 def test_positive_dependency_zero_dim_convention():
-    assert positive_dependency([(), ()]) == (1, 1)
+    assert positive_dependency_certified([(), ()]) == ((1, 1), None)
 
 
 def test_certificate_signs():
@@ -283,7 +282,7 @@ def test_tampered_farkas_certificate_fails_the_recheck(monkeypatch):
 
 def test_tampered_positive_dependency_fails_the_recheck(monkeypatch):
     rows = [(1, 2), (-1, -2)]
-    assert positive_dependency(rows) is not None
+    assert positive_dependency_certified(rows)[0] is not None
     original = ratlp.feasible_nonneg
 
     def shifted(a, b):
@@ -292,4 +291,4 @@ def test_tampered_positive_dependency_fails_the_recheck(monkeypatch):
 
     monkeypatch.setattr(ratlp, "feasible_nonneg", shifted)
     with pytest.raises(AssertionError):
-        positive_dependency(rows)
+        positive_dependency_certified(rows)
