@@ -9,6 +9,7 @@ run() { echo; echo "\$ $*"; "$@"; }
 run toricdual gale demos/data/segre2.json
 run toricdual gale demos/data/random_26x100.txt
 run toricdual check self-dual demos/data/family_alpha_1.json --verify
+run toricdual check self-dual demos/data/segre6.json --verify
 run toricdual check self-dual demos/data/twisted_cubic.txt --verify
 run toricdual check self-dual demos/data/pyramid.txt --verify
 run toricdual check self-dual demos/data/random_26x100.txt --format text

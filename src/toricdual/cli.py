@@ -30,14 +30,15 @@ from .engine import (
 )
 from .exceptions import GuardExceeded
 from .gale import gale_dual, is_facial
-from .intlinalg import imat
+from .intlinalg import _excerpt, imat
 from .verdict import Verdict
 
 
 def _ints(tokens, refusal) -> list:
     """The tokens as ints.  The first one that is not an integer raises
-    ``ValueError(refusal(position, token))``; an integer past the
-    interpreter's int-to-str digit limit keeps ``int``'s own message."""
+    ``ValueError(refusal(position, shown))``, ``shown`` its repr cut to a
+    few dozen characters; an integer past the interpreter's int-to-str
+    digit limit keeps ``int``'s own message."""
     out = []
     for k, token in enumerate(tokens):
         try:
@@ -45,12 +46,12 @@ def _ints(tokens, refusal) -> list:
         except ValueError:
             if token.strip().lstrip("+-").isdecimal():
                 raise
-            raise ValueError(refusal(k, token)) from None
+            raise ValueError(refusal(k, _excerpt(token))) from None
     return out
 
 
 def _option_ints(tokens, option: str, shape: str) -> list:
-    return _ints(tokens, lambda _, token: f"{option} expects {shape}, got {token!r}")
+    return _ints(tokens, lambda _, token: f"{option} expects {shape}, got {token}")
 
 
 def read_matrix(path: str):
@@ -85,7 +86,7 @@ def read_matrix(path: str):
         if not line or line.startswith("#"):
             continue
         rows.append(
-            _ints(line.split(), lambda j, tok: f"non-integer entry {tok!r} at ({len(rows)},{j})")
+            _ints(line.split(), lambda j, tok: f"non-integer entry {tok} at ({len(rows)},{j})")
         )
     return imat(rows)
 

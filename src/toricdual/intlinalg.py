@@ -25,6 +25,7 @@ without writing the basis out, and states its line-sum witnesses in the
 basis's coordinates.
 """
 
+import reprlib
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -85,6 +86,13 @@ class IntMatrix:
         return f"IntMatrix({self.tolist()})"
 
 
+def _excerpt(value) -> str:
+    """``value``'s repr for an error message, cut to a few dozen characters
+    (``reprlib`` bounds its depth and lengths; the cut bounds the rest)."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def imat(rows) -> IntMatrix:
     """Validate nested sequences of integers into an :class:`IntMatrix`.
 
@@ -108,7 +116,7 @@ def imat(rows) -> IntMatrix:
         if not all(type(e) is int for e in row):
             for j, e in enumerate(row):
                 if isinstance(e, bool) or not isinstance(e, (int, Fraction)) or e.denominator != 1:
-                    raise ValueError(f"non-integer entry {e!r} at ({i},{j})")
+                    raise ValueError(f"non-integer entry {_excerpt(e)} at ({i},{j})")
             data[i] = tuple(map(int, row))
     return IntMatrix(data, ncols)
 

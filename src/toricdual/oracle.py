@@ -1,20 +1,22 @@
 """Independent brute-force referees for every criterion in the package.
 
 Each referee decides its question by a different route from the fast
-predicate it checks.  Flats are grown upward through the lattice of flats
-by integer residue operations (``_reduce`` and ``_unit``: a residue kept
+predicate it checks, and the self-duality referees stop at the first
+counterexample.  Flats are grown upward through the lattice of flats by
+integer residue operations (``_reduce`` and ``_unit``: a residue kept
 divided by its gcd, a class key signed by its first nonzero entry), with no
-``intlinalg`` routine and no line classes.  Circuits come from a
-depth-first search over independent index tuples of ``[1; W]``, tested by
-the same residue operations; only a dependent candidate gets a kernel,
-from ``_hermite_kernel``, so ``enumerate_circuits`` reads neither
-``affine_dim`` nor ``regularize`` and makes no Bareiss rank.  The sigma
-referee's row-span test ranks with its own ``_rational_rank``, in Fraction
-arithmetic (every elimination in ``intlinalg`` is fraction-free, so the two
-share no elimination code), and ranks the weights once per call.  Faces
-come from a separating-functional LP, and strong self-duality from exact
-evaluation of the defining binomials on a grid large enough to certify a
-polynomial identity.
+``intlinalg`` routine and no line classes, and ``_closures`` yields each
+one as it is found.  Circuits come the same way from ``_circuits``, a
+depth-first search over independent index tuples of ``[1; W]`` whose
+columns carry their coefficients, so a zero residue gives its relation with
+no kernel, and ``enumerate_circuits`` reads neither ``affine_dim`` nor
+``regularize`` and makes no Bareiss rank.  The sigma referee eliminates the
+weights once in Fraction arithmetic (``_fraction_echelon``; every
+elimination in ``intlinalg`` is fraction-free, so the two share no
+elimination code) and reduces each zero-set vector against those rows.
+Faces come from a separating-functional LP, and strong self-duality from
+exact evaluation of the defining binomials on a grid large enough to
+certify a polynomial identity.
 
 The inputs the referees start from are shared, not independent.
 ``strong_via_points`` reads ``gale_dual`` (so ``integer_kernel``, through
@@ -25,9 +27,9 @@ on the canonical Gale dual, ``self_dual_via_sigma`` and
 ``coparallel_criterion``, which reads the same circuit basis (cached on the
 configuration) for its classes and ``solve_linear`` for its functionals.
 ``facial_via_separation`` reads the input columns only, not the Gale dual.
-``enumerate_circuits`` and ``random_lawrence_block`` compute kernels with
-``_hermite_kernel``, the two-pass Hermite echelon route kept here as the
-reference, so they share no kernel code with ``integer_kernel`` (a Hermite
+``random_lawrence_block`` computes kernels with ``_hermite_kernel``, the
+two-pass Hermite echelon route kept here as the reference, so it shares no
+kernel code with ``integer_kernel`` (a Hermite
 form modulo a determinant).  The self-duality verdict reads the
 fundamental-circuit basis (a Bareiss-Jordan pass), so the flat-sum referee
 and it share no kernel either.  ``random_lawrence_block`` reads the column
@@ -102,63 +104,74 @@ def _hermite_kernel(a) -> IntMatrix:
     return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
 
 
+def _fraction_residue(echelon, v) -> list:
+    """``v`` in Fractions, reduced by each ``(p, row)`` of ``echelon`` in
+    order, ``v <- v - v[p]·row``: zero exactly when ``v`` lies in the span
+    of the rows."""
+    v = [Fraction(x) for x in v]
+    for p, row in echelon:
+        f = v[p]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+def _fraction_echelon(a) -> list:
+    """The referees' one elimination, in ``Fraction`` arithmetic: each row
+    of ``a`` reduced by the rows kept before it and, unless zero, kept as
+    ``(p, row)``, scaled so that its first nonzero entry ``row[p]`` is 1."""
+    echelon = []
+    for row in a:
+        v = _fraction_residue(echelon, row)
+        p = next((p for p, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, [x / v[p] for x in v]))
+    return echelon
+
+
 def _rational_rank(a) -> int:
-    """Rank of the matrix over the rationals, by Gauss-Jordan elimination in
-    ``Fraction`` arithmetic: the referees' own rank, sharing no code with
-    the fraction-free eliminations of ``intlinalg``."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over the rationals: the length of ``_fraction_echelon(a)``."""
+    return len(_fraction_echelon(a))
 
 
-def enumerate_circuits(c: Configuration) -> list:
-    """All circuits, by a depth-first search over independent prefixes.
+def _circuits(c: Configuration):
+    """Yield each circuit of ``c`` as the depth-first search finds it.
 
-    The points are the columns of ``[1; W]``, which have the affine
-    relations of ``W`` as their linear ones.  The search grows increasing
-    index tuples that stay independent, keeping the residue of every later
-    column modulo the prefix's span (integer residues, as the flats referee
-    keeps them).  A later point whose residue is zero makes the prefix
-    dependent with a one-dimensional relation space, read from
-    ``_hermite_kernel`` on those columns; the set is a circuit iff that
-    relation is nonzero on all of it.  No prefix outgrows the rank, so no
-    size bound is needed.  Circuits come sorted by size, then support.
+    The columns of ``[1; W]`` have the affine relations of ``W`` as their
+    linear ones.  The search grows increasing index tuples that stay
+    independent, keeping the residue of every later column modulo the
+    prefix's span (``_reduce``), with the column's m entries followed by
+    its coefficients, which start as ``e_j`` and are never zero.  A residue
+    that is zero (the ``_unit`` pivot is at m or beyond) makes the prefix
+    dependent, its key's coefficients are the primitive relation, first
+    nonzero entry positive, and the set is a circuit iff that relation is
+    nonzero on all of it.  No prefix outgrows the rank.
     """
     _check_guard(c.npoints, "circuit enumeration")
-    points = imat(_ones_on_top(c))
-    out = []
+    points = _ones_on_top(c)
+    m, n = len(points), c.npoints
 
     def grow(prefix, residues):
         for j, v in residues.items():
             sub = (*prefix, j)
-            unit = _unit(v)
-            if unit is None:
-                rel = _hermite_kernel(points.select(sub)).column(0)
-                if all(rel):
-                    full = [0] * c.npoints
-                    for i, x in zip(sub, _unit(rel)[1]):
-                        full[i] = x
-                    out.append(Circuit(support=sub, relation=tuple(full)))
+            p, key = unit = _unit(v)
+            if p >= m:
+                if all(key[m + i] for i in sub):
+                    yield Circuit(support=sub, relation=key[m:])
             else:
-                grow(sub, {i: _reduce([unit], w) for i, w in residues.items() if i > j})
+                yield from grow(sub, {i: _reduce([unit], w) for i, w in residues.items() if i > j})
 
-    grow((), {j: list(col) for j, col in enumerate(points.T)})
-    return sorted(out, key=lambda circ: (len(circ.support), circ.support))
+    columns = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(zip(*points))]
+    yield from grow((), dict(enumerate(columns)))
+
+
+def enumerate_circuits(c: Configuration) -> list:
+    """All circuits, from the depth-first search of ``_circuits``: integer
+    residues, as the flats referee keeps them, with no kernel, no
+    ``affine_dim``, no ``regularize`` and no Bareiss rank.  Circuits come
+    sorted by size, then support.
+    """
+    return sorted(_circuits(c), key=lambda circ: (len(circ.support), circ.support))
 
 
 def coparallel_via_circuits(c: Configuration) -> tuple:
@@ -225,24 +238,21 @@ def _lex_first_basis(rows, closure) -> tuple:
     return tuple(picked)
 
 
-def enumerate_flats(b: GaleDual) -> list:
-    """All distinct flats of the dual row configuration.
+def _closures(b: GaleDual):
+    """Yield the closure of each flat of the dual rows once, as it is found.
 
     The flat of a subset J is every row index whose row lies in the span of
     the rows indexed by J; J = {} gives the zero rows.  The flats are grown
     upward, one rank at a time, from that bottom flat.  Each flat F keeps the
-    residue of every row modulo span(F) as an int vector (``_reduce``); a row
-    is in F exactly when its residue is zero.  The flats covering F are F
-    joined with one parallel class of nonzero residues (residues compared by
-    their ``_unit`` key: divided by the gcd, first nonzero entry positive),
-    and each cover's residues come from F's by one integer row operation per
-    row, with that key as the pivot row.  A flat's generators are its
-    lexicographically first basis.
+    residue of every row modulo span(F) (``_reduce``), zero exactly on F.
+    The flats covering F join it with one parallel class of nonzero
+    residues (those with one ``_unit`` key), and a cover's residues are F's
+    reduced by that key.
     """
     _check_guard(b.npoints, "flat enumeration")
     rows = list(b.matrix)
     bottom = tuple(i for i, row in enumerate(rows) if not any(row))
-    generators = {bottom: ()}
+    yield bottom
     level = {bottom: rows}
     while level:
         covers = {}
@@ -254,43 +264,47 @@ def enumerate_flats(b: GaleDual) -> list:
                     classes.setdefault(unit, []).append(i)
             for unit, members in classes.items():
                 closure = tuple(sorted((*flat, *members)))
-                if closure not in generators:
-                    generators[closure] = _lex_first_basis(rows, closure)
+                if closure not in covers:  # a cover's rank is one more than F's
+                    yield closure
                     covers[closure] = [_reduce([unit], v) for v in residues]
         level = covers
-    return [Flat(generators=j, closure=cl) for cl, j in sorted(generators.items())]
+
+
+def enumerate_flats(b: GaleDual) -> list:
+    """All distinct flats of the dual row configuration, from ``_closures``,
+    sorted by closure; a flat's generators are its lexicographically first
+    basis."""
+    rows = list(b.matrix)
+    return [Flat(_lex_first_basis(rows, closure), closure) for closure in sorted(_closures(b))]
 
 
 def self_dual_via_flats(b: GaleDual) -> bool:
-    """Self-duality referee: every flat of the dual rows must sum to zero."""
+    """Self-duality referee: every flat of the dual rows must sum to zero.
+    False at the first closure ``_closures`` yields that does not; no flat's
+    generators are computed."""
     if b.zero_rows():
         raise pyramidal_input(b.zero_rows(), "the flat-sum test")
-    for flat in enumerate_flats(b):
-        total = [
-            sum(b.row(i)[j] for i in flat.closure) for j in range(b.corank)
-        ]
-        if any(x != 0 for x in total):
-            return False
-    return True
+    rows = list(b.matrix)
+    return not any(any(map(sum, zip(*(rows[i] for i in closure)))) for closure in _closures(b))
 
 
 def self_dual_via_sigma(c: Configuration) -> bool:
     """Self-duality referee via dual-variety dimension.
 
     For each circuit relation v, the 0/1 vector marking the zero set of v
-    must lie in the rational row span of the weights: appending it must not
-    raise their Fraction rank, which is computed once per call.  Requires a
-    regular configuration so that span membership expresses the affine
-    condition.
+    must lie in the rational row span of the weights: the weights are
+    eliminated once (``_fraction_echelon``), and False comes at the first
+    circuit from ``_circuits`` whose vector they leave a nonzero residue.
+    Requires a regular configuration so that span membership expresses the
+    affine condition.
     """
     if not c.regular:
         raise irregular_input("the zero-set row-span test")
-    base = _rational_rank(c.weights)
-    for circ in enumerate_circuits(c):
-        sigma = [0 if x else 1 for x in circ.relation]
-        if _rational_rank([*c.weights, sigma]) != base:
-            return False
-    return True
+    echelon = _fraction_echelon(c.weights)
+    return not any(
+        any(_fraction_residue(echelon, [0 if x else 1 for x in circ.relation]))
+        for circ in _circuits(c)
+    )
 
 
 def facial_via_separation(c: Configuration, subset) -> bool:

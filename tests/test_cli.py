@@ -322,6 +322,20 @@ def _assert_one_error_line(code, out, err):
     assert "Traceback" not in err
 
 
+def test_refusals_echo_a_short_excerpt_of_the_entry(tmp_path, capsys):
+    # an entry nested 900 deep (within the JSON parser's limit) and a
+    # 5000-character text token are cut, not echoed whole
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"entries": ' + "[" * 900 + "]" * 900 + "}")
+    token = tmp_path / "token.txt"
+    token.write_text("1 " + "x" * 5000 + "\n")
+    for path, place in ((nested, "(0,0)"), (token, "(0,1)")):
+        code, out, err = run(capsys, "gale", str(path))
+        _assert_one_error_line(code, out, err)
+        assert len(err) < 120 and "..." in err
+        assert err.startswith("error: non-integer entry ") and err.endswith(f" at {place}\n")
+
+
 def test_deeply_nested_json_is_one_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdual import intlinalg
+from toricdual import intlinalg, oracle
 from toricdual.configuration import affine_dim, parse_configuration, regularize
+from toricdual.engine import is_self_dual
 from toricdual.exceptions import GuardExceeded, InapplicableInput
-from toricdual.families import family_alpha, segre
+from toricdual.families import family_alpha, lawrence, segre
 from toricdual.gale import (
     GaleDual,
     coparallel_classes,
@@ -27,6 +28,7 @@ from toricdual.oracle import (
     enumerate_flats,
     facial_via_separation,
     random_configuration,
+    random_lawrence_block,
     self_dual_via_flats,
     self_dual_via_sigma,
     strong_via_points,
@@ -111,10 +113,11 @@ def test_circuits_of_raw_input_match_the_definition(c):
 
 
 def test_circuits_make_no_rank_or_fast_kernel_call(monkeypatch):
-    # the relation of a dependent candidate is put in canonical form by the
-    # referee's own _unit, so primitive_vector is watched too, and no
-    # circuit basis is written out
-    names = ("_bareiss", "rank", "basis", "integer_kernel", "primitive_vector")
+    # a dependent candidate's relation is read off its zero residue (so no
+    # kernel, _hermite_kernel included) and put in canonical form by the
+    # referee's own _unit (so no primitive_vector); no circuit basis is
+    # written out
+    names = ("_bareiss", "rank", "basis", "integer_kernel", "primitive_vector", "_hermite_kernel")
     for seed in range(4):
         c = random_configuration(random.Random(seed))
         expected = _circuits_by_definition(c)
@@ -268,6 +271,60 @@ def test_sigma_twisted_cubic_witness():
     # sigma of the circuit on {0,1,2} is (0,0,0,1), which is not in the row span
     reg = regularize(TWISTED_CUBIC)
     assert not in_row_span(reg.weights, [0, 0, 0, 1])
+
+
+def _agreement_corpus():
+    """Ten crosscheck draws for each seed 0-9, Segre 2-6, family_alpha(1..3)
+    and 20 Lawrence lifts."""
+    corpus = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        corpus += [random_configuration(rng) for _ in range(10)]
+    corpus += [segre(m) for m in range(2, 7)] + [family_alpha(a) for a in (1, 2, 3)]
+    rng = random.Random(0)
+    return corpus + [lawrence(random_lawrence_block(rng)) for _ in range(20)]
+
+
+def test_referees_answer_their_definitions():
+    # the definitions from the full lists: every flat sums to zero, and
+    # every zero-set vector leaves the Fraction rank of the weights as it is
+    self_dual = 0
+    for c in _agreement_corpus():
+        b, reg = gale_dual(c), regularize(c)
+        flats = all(
+            not any(map(sum, zip(*(b.matrix[i] for i in f.closure)))) for f in enumerate_flats(b)
+        )
+        base = _rational_rank(reg.weights)
+        sigma = all(
+            _rational_rank([*reg.weights, [0 if x else 1 for x in circ.relation]]) == base
+            for circ in enumerate_circuits(c)
+        )
+        assert self_dual_via_flats(b) == flats
+        assert self_dual_via_sigma(reg) == sigma
+        self_dual += flats
+    assert self_dual >= 20
+
+
+def test_referees_stop_at_the_first_counterexample(monkeypatch):
+    # the first draw of seed 0 that is not self-dual, and has more than one circuit
+    rng = random.Random(0)
+    draw = next(
+        c
+        for c in iter(lambda: random_configuration(rng), None)
+        if not is_self_dual(c).value and len(enumerate_circuits(c)) > 1
+    )
+    for c in (regularize(TWISTED_CUBIC), draw):
+        counts = _count_calls(monkeypatch, [oracle], ("_fraction_residue", "_lex_first_basis"))
+        assert not self_dual_via_sigma(c)
+        assert not self_dual_via_flats(gale_dual(c))
+        # one residue per weight row for the elimination, then one per sigma
+        reduced = counts["_fraction_residue"] - c.weights.shape[0]
+        assert 1 <= reduced < len(enumerate_circuits(c))
+        assert counts["_lex_first_basis"] == 0
+        monkeypatch.undo()
+    counts = _count_calls(monkeypatch, [oracle], ("_lex_first_basis",))
+    assert self_dual_via_flats(gale_dual(segre(4)))
+    assert counts == {"_lex_first_basis": 0}
 
 
 def test_strong_via_points_examples():
