@@ -133,9 +133,10 @@ def parse_configuration(matrix) -> Configuration:
     return Configuration(weights=w)
 
 
-def _ones_on_top(c: Configuration) -> list:
-    """Rows of ``[1; W]``: the weights under a row of ones."""
-    return [(1,) * c.npoints, *c.weights]
+def _ones_on_top(c: Configuration) -> IntMatrix:
+    """``[1; W]``: the weights under a row of ones, built trusted (the
+    weights were validated once), so no caller checks it again."""
+    return IntMatrix([(1,) * c.npoints, *c.weights], c.npoints)
 
 
 def column_indices(c: Configuration, indices) -> list:

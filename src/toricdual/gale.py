@@ -22,7 +22,6 @@ from .intlinalg import (
     primitive_vector,
     rank,
 )
-from .ratlp import positive_dependency_certified, solve_linear
 from .verdict import ReadOnly, Verdict
 
 
@@ -270,7 +269,9 @@ def is_facial(c: Configuration, subset) -> Verdict:
             criterion="gale-positive-dependency",
             witness={"kind": "simplex", "note": "no affine relations"},
         )
-    dep, farkas = positive_dependency_certified([b.matrix[i] for i in complement])
+    from . import ratlp  # loaded by the first LP: a plain check needs no Fraction
+
+    dep, farkas = ratlp.positive_dependency_certified([b.matrix[i] for i in complement])
     if dep is not None:
         return Verdict(
             value=True,
@@ -302,7 +303,9 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
     sel = sorted(set(column_indices(c, members)))
     inside = set(sel)
     targets = [int(j in inside) for j in range(c.npoints)]
-    ell = solve_linear(c.columns(), targets)
+    from . import ratlp
+
+    ell = ratlp.solve_linear(c.columns(), targets)
     if ell is None:
         return Verdict(
             value=False,

@@ -10,7 +10,13 @@ Bareiss loop (``_bareiss``) serves ``rank`` (forward elimination);
 ``circuit_form``, ``ratlp.solve_linear`` and the edges at a simple vertex in
 ``engine.smooth_certificate`` (the same loop eliminating above each pivot
 too); and ``integer_kernel`` (that Gauss-Jordan pass on the reversed
-columns, then a Hermite form kept modulo its last pivot).  One Hermite
+columns, then a Hermite form kept modulo its last pivot).  On a dense
+matrix with small entries that loop holds each row as one int, its entries
+the balanced base-2^w digits (``_bareiss_packed``): a row update is one
+big-int operation, exact because every stored entry is a minor of the
+input and so fits the slot Hadamard's bound sizes.  A fixed rule on the
+shape, the nonzero count and the slot width picks that path; every other
+matrix keeps the list loop, which skips untouched rows.  One Hermite
 echelon loop (``_echelon``) serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
@@ -26,8 +32,8 @@ basis's coordinates.
 """
 
 import reprlib
-from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 
@@ -114,6 +120,8 @@ def imat(rows) -> IntMatrix:
         if len(row) != ncols:
             raise ValueError("ragged rows in matrix input")
         if not all(type(e) is int for e in row):
+            from fractions import Fraction  # only here, off the int-only import path
+
             for j, e in enumerate(row):
                 if isinstance(e, bool) or not isinstance(e, (int, Fraction)) or e.denominator != 1:
                     raise ValueError(f"non-integer entry {_excerpt(e)} at ({i},{j})")
@@ -205,9 +213,34 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     prev``, which is x itself when the new pivot p equals the previous one:
     such a row is left as it is.  Sparse 0/±1 input (Segre and Lawrence
     configurations) meets that case at almost every pivot.
+
+    Packed rows.  A matrix with at least 16 columns and 7 rows (16 for
+    forward elimination, which makes half the updates for the same packing
+    cost), at least half its entries nonzero and slots of at most 256 bits
+    (32 bytes of ``_slot_bytes``) runs :func:`_bareiss_packed`: each row is
+    one int whose balanced base-2^w digits are its entries (Kronecker
+    substitution), so an update is ``(p·X - f·Y) // prev`` on the whole
+    row, one big-int operation where the list loop takes one interpreted
+    step per entry.
+    That is exact: every entry the pass stores is, up to sign, a minor of
+    the input (in the forward rows and in the Jordan rows alike), so
+    Hadamard's bound over the nonzero rows bounds it and sizes a slot that
+    never overflows; and every entry of ``p·X - f·Y`` is divisible by
+    ``prev``, so the packed int is ``prev`` times the packed update and
+    ``//`` returns that exactly.  Other matrices keep the list loop, which
+    is faster on small, sparse or huge-entry input: it leaves untouched
+    rows alone, and its cost does not grow with a slot width.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
+    if (
+        ncols >= 16
+        and m >= (7 if jordan else 16)
+        and 2 * sum(ncols - row.count(0) for row in rows) >= m * ncols
+    ):
+        nbytes = _slot_bytes(rows)
+        if nbytes <= 32:
+            return _bareiss_packed(rows, jordan, nbytes)
     pivots, r, prev = [], 0, 1
     for c in range(ncols):
         if r == m:
@@ -228,6 +261,67 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         prev = p
         pivots.append(c)
         r += 1
+    return pivots, prev
+
+
+def _slot_bytes(rows: list) -> int:
+    """Bytes per slot of ``_bareiss_packed`` on ``rows``: a slot of w bits
+    holds the entries below 2^(w-1) in absolute value, and Hadamard's bound
+    (the product of the lengths of the nonzero rows) bounds every minor."""
+    bound = 1  # the square of Hadamard's bound
+    for row in rows:
+        bound *= sum(map(mul, row, row)) or 1
+    return ((bound.bit_length() + 1) // 2 + 8) // 8
+
+
+def _bareiss_packed(rows: list, jordan: bool, nbytes: int) -> tuple:
+    """:func:`_bareiss` with each row held as one int, in slots of
+    ``nbytes`` bytes (``_slot_bytes(rows)`` or more); same result.
+
+    Row x is the int ``Σ_j x_j·2^(w·j)``, w = 8·nbytes.  Adding ``off``
+    (``half`` in every slot) makes every digit nonnegative, so an entry is
+    read with no carry by a shift and a mask.  The intermediate ``p·X -
+    f·Y`` may outgrow its slots, its quotient by ``prev`` does not.  The same
+    pivots are found and the same updates skipped as in the list loop; at
+    the end rows ``[:rank]`` are unpacked and the rest are zero.
+    """
+    m, n = len(rows), len(rows[0])
+    w = 8 * nbytes
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    off = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    packed = [
+        int.from_bytes(b"".join((x + half).to_bytes(nbytes, "little") for x in row), "little")
+        - off
+        for row in rows
+    ]
+    pivots, r, prev = [], 0, 1
+    for c in range(n):
+        if r == m:
+            break
+        s = w * c
+        # rows r.. are zero left of c, so their digit c needs no offset
+        piv = next((i for i in range(r, m) if packed[i] >> s & mask), None)
+        if piv is None:
+            continue
+        packed[r], packed[piv] = packed[piv], packed[r]
+        y = packed[r]
+        p = ((y >> s) + half & mask) - half
+        for i in range(0 if jordan else r + 1, m):
+            if i != r:
+                x = packed[i]
+                f = ((x + off) >> s & mask) - half
+                if f:
+                    packed[i] = (p * x - f * y) // prev
+                elif p != prev:
+                    packed[i] = x * p // prev
+        prev = p
+        pivots.append(c)
+        r += 1
+    cuts = [slice(k, k + nbytes) for k in range(0, nbytes * n, nbytes)]
+    for i in range(r):
+        data = (packed[i] + off).to_bytes(nbytes * n, "little")
+        rows[i] = [int.from_bytes(data[k], "little") - half for k in cuts]
+    rows[r:] = [[0] * n for _ in range(r, m)]
     return pivots, prev
 
 

@@ -470,6 +470,30 @@ def test_check_self_dual_loads_no_oracle_code(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_check_self_dual_leaves_fractions_unimported(tmp_path):
+    """A plain check runs on ints alone: ``imat`` imports ``Fraction`` only
+    for a non-int entry and ``ratlp`` loads only where an LP or a linear
+    solve runs, so neither ``fractions`` nor the ``decimal`` it imports is
+    loaded; a facial check in the same process still loads and runs them."""
+    path = write_segre2(tmp_path)
+    bare = set(_run_python("import sys; print('\\n'.join(sys.modules))").stdout.split())
+    watched = sorted({"fractions", "decimal", "toricdual.ratlp"} - bare)
+    assert "fractions" in watched and "toricdual.ratlp" in watched
+    script = "\n".join(
+        [
+            "import sys",
+            "import toricdual.cli",
+            f"assert toricdual.cli.main(['check', 'self-dual', {path!r}]) == 0",
+            f"loaded = [m for m in {watched!r} if m in sys.modules]",
+            "assert loaded == [], loaded",
+            f"assert toricdual.cli.main(['check', 'facial', {path!r}, '--subset', '0,1']) == 0",
+            "assert 'toricdual.ratlp' in sys.modules",
+        ]
+    )
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_inconsistent_json_header(tmp_path, capsys):
     path = tmp_path / "bad_dims.json"
     path.write_text(json.dumps({"rows": 5, "cols": 4, "entries": [[1, 0], [0, 1]]}))

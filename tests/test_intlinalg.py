@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricdual import intlinalg
 from toricdual.configuration import parse_configuration
 from toricdual.intlinalg import (
     IntMatrix,
     _bareiss,
+    _bareiss_packed,
+    _slot_bytes,
     circuit_form,
     column_lattice_saturated,
     eye,
@@ -438,16 +441,93 @@ def _lawrence_rows(rows):
     return top + [[0] * n + list(row) for row in rows]
 
 
+SHAPES = {"dense": list, "identity block": _identity_block, "lawrence": _lawrence_rows}
+
+
 @settings(max_examples=200, deadline=None)
-@given(any_matrices, st.sampled_from(["dense", "identity block", "lawrence"]), st.booleans())
+@given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
 def test_bareiss_skip_leaves_every_output_as_the_full_update(rows, shape, jordan):
-    if shape == "identity block":
-        rows = _identity_block(rows)
-    elif shape == "lawrence":
-        rows = _lawrence_rows(rows)
+    rows = SHAPES[shape](rows)
     skipped, full = [list(r) for r in rows], [list(r) for r in rows]
     assert _bareiss(skipped, jordan) == _bareiss_unskipped(full, jordan)
     assert [list(r) for r in skipped] == full
+
+
+def _packed_matches_reference(rows, jordan):
+    """``_bareiss_packed`` at the slot width of ``_slot_bytes``, called
+    directly (whatever the rule would pick), against the full update."""
+    packed, full = [list(r) for r in rows], [list(r) for r in rows]
+    assert _bareiss_packed(packed, jordan, _slot_bytes(packed)) == _bareiss_unskipped(full, jordan)
+    assert packed == [list(r) for r in full]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
+def test_packed_rows_leave_every_output_as_the_full_update(rows, shape, jordan):
+    _packed_matches_reference(SHAPES[shape](rows), jordan)
+
+
+def _sylvester(n):
+    """The n x n Sylvester-Hadamard matrix (n a power of 2): its
+    determinant meets Hadamard's bound, so every slot is as full as the
+    bound allows."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def _packed_edge_cases():
+    rng = random.Random(40)
+    for n in (8, 16):
+        for h in (_sylvester(n), [[-x for x in row] for row in _sylvester(n)]):
+            yield f"hadamard-{n}", h
+            yield f"hadamard-{n}-zero-column-repeated-row", [row + [0] for row in h] + [h[3] + [0]]
+    yield "7-equal-rows", [[1, -2, 3, 0, 5] * 4] * 7
+    yield "zero-8x20", [[0] * 20 for _ in range(8)]
+    yield "9x0", [[] for _ in range(9)]
+    yield "entries-1e40", [[rng.randint(-(10**40), 10**40) for _ in range(18)] for _ in range(8)]
+
+
+@pytest.mark.parametrize("jordan", [False, True], ids=["forward", "jordan"])
+@pytest.mark.parametrize("case", list(_packed_edge_cases()), ids=lambda case: case[0])
+def test_packed_rows_on_edge_cases(case, jordan):
+    _packed_matches_reference(case[1], jordan)
+
+
+def test_hadamard_matrix_fills_its_slots_to_the_bound():
+    # |det| = 16^8 = 2^32 meets Hadamard's bound and is the largest entry
+    # the pass stores; 33 bits and a sign bit, rounded up to whole bytes
+    h = _sylvester(16)
+    assert _slot_bytes(h) == 5
+    rows = [list(r) for r in h]
+    assert abs(_bareiss(rows, jordan=True)[1]) == 2**32 == max(abs(x) for r in rows for x in r)
+
+
+def _packed_calls(monkeypatch, rows, jordan=True):
+    """How many times ``_bareiss`` took the packed path on ``rows``."""
+    calls = []
+
+    def recording(rows, jordan, nbytes):
+        calls.append(nbytes)
+        return _bareiss_packed(rows, jordan, nbytes)
+
+    monkeypatch.setattr(intlinalg, "_bareiss_packed", recording)
+    _bareiss([list(r) for r in rows], jordan)
+    return len(calls)
+
+
+def test_the_rule_packs_dense_small_entry_matrices_only(monkeypatch):
+    rng = random.Random(2280)
+    dense = [[1] * 80] + [[rng.randint(-3, 3) for _ in range(80)] for _ in range(21)]
+    lifted = _lawrence_rows([[rng.randint(-3, 3) for _ in range(10)] for _ in range(4)])
+    small = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
+    huge = [[rng.randint(-(10**100), 10**100) for _ in range(30)] for _ in range(12)]
+    assert _packed_calls(monkeypatch, dense) == _packed_calls(monkeypatch, dense, False) == 1
+    assert [_packed_calls(monkeypatch, rows) for rows in (lifted, small, huge)] == [0, 0, 0]
+    # forward elimination makes half the updates: 8 rows pack only for Jordan
+    assert _packed_calls(monkeypatch, dense[:8]) == 1
+    assert _packed_calls(monkeypatch, dense[:8], False) == 0
 
 
 def test_circuit_kernel_twisted_cubic():
