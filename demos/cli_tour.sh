@@ -18,6 +18,9 @@ run toricdual check strong demos/data/strong_7x9.json
 run toricdual check strong demos/data/strong_bigint.json
 run toricdual check strong demos/data/halving_6x8.txt --verify --format text
 run toricdual check facial demos/data/segre2.json --subset 0,2 --verify
+# integer witnesses at 10^30: a positive dependency, then a Farkas certificate
+run toricdual check facial demos/data/strong_bigint.json --subset 0 --verify
+run toricdual check facial demos/data/strong_bigint.json --subset 0,1 --verify
 run toricdual decompose demos/data/pyramid.txt
 run toricdual decompose demos/data/random_26x100.txt
 run toricdual circuits demos/data/twisted_cubic.txt

@@ -8,7 +8,7 @@ faces of the convex hull correspond to strictly positive dependencies among
 complementary rows.
 """
 
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, column_indices, regularize
@@ -16,6 +16,8 @@ from .exceptions import pyramidal_input, repeated_columns
 from .intlinalg import (
     CircuitForm,
     IntMatrix,
+    _bareiss,
+    _lowest_terms,
     column_lattice_saturated,
     imat,
     matmul,
@@ -237,13 +239,6 @@ def coparallel_classes(b: GaleDual) -> tuple:
     return tuple(sorted(groups, key=lambda g: g[0]))
 
 
-def _cleared(values) -> tuple:
-    """``(ints, den)``: the rationals times ``den``, the lcm of their
-    denominators, so a witness is stated in integers."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def is_facial(c: Configuration, subset) -> Verdict:
     """Is ``subset`` exactly the set of points on some face of the hull?
 
@@ -251,8 +246,9 @@ def is_facial(c: Configuration, subset) -> Verdict:
     rational dependency among its dual rows.  The full set is the improper
     face; a configuration with no affine relations is a simplex, where every
     nonempty subset is facial.  The dependency, or the Farkas vector that
-    rules one out, is given in integers: the rational one times the lcm of
-    its denominators, which is a certificate too.
+    rules one out, is given in integers: the rational one in lowest terms
+    over a positive denominator, times that denominator, which is a
+    certificate too.
     """
     inside = set(column_indices(c, subset))
     complement = [i for i in range(c.npoints) if i not in inside]
@@ -269,7 +265,7 @@ def is_facial(c: Configuration, subset) -> Verdict:
             criterion="gale-positive-dependency",
             witness={"kind": "simplex", "note": "no affine relations"},
         )
-    from . import ratlp  # loaded by the first LP: a plain check needs no Fraction
+    from . import ratlp  # loaded by the first LP: a plain check imports no simplex
 
     dep, farkas = ratlp.positive_dependency_certified([b.matrix[i] for i in complement])
     if dep is not None:
@@ -279,7 +275,7 @@ def is_facial(c: Configuration, subset) -> Verdict:
             witness={
                 "kind": "positive_dependency",
                 "complement": complement,
-                "coefficients": _cleared(dep)[0],
+                "coefficients": dep[0],
             },
         )
     return Verdict(
@@ -288,7 +284,7 @@ def is_facial(c: Configuration, subset) -> Verdict:
         witness={
             "kind": "no_positive_dependency",
             "complement": complement,
-            "separating_certificate": _cleared(farkas)[0],
+            "separating_certificate": farkas[0],
         },
     )
 
@@ -298,21 +294,28 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
 
     When it does, ``members`` and its complement lie in parallel hyperplanes
     and both are faces; the witness gives the functional as ``ell``, integers
-    to be divided by ``denominator``.
+    to be divided by ``denominator``, in lowest terms.  It is read off one
+    fraction-free Gauss-Jordan pass (``_bareiss``, the pass behind
+    ``circuit_form``) over the rows ``[column_j | target_j]``: a pivot in
+    the target column means there is none; otherwise ``ell`` is the target
+    column of the Jordan rows over the last pivot, and 0 at the free
+    unknowns.
     """
     sel = sorted(set(column_indices(c, members)))
     inside = set(sel)
-    targets = [int(j in inside) for j in range(c.npoints)]
-    from . import ratlp
-
-    ell = ratlp.solve_linear(c.columns(), targets)
-    if ell is None:
+    dim = c.dim
+    rows = [[*col, int(j in inside)] for j, col in enumerate(c.columns())]
+    pivots, d = _bareiss(rows, jordan=True)
+    if dim in pivots:
         return Verdict(
             value=False,
             criterion="parallel-face-complement",
             witness={"kind": "no_functional", "members": sel},
         )
-    ell, den = _cleared(ell)
+    ell = [0] * dim
+    for p, row in zip(pivots, rows):
+        ell[p] = row[dim]
+    ell, den = _lowest_terms(ell, d)
     return Verdict(
         value=True,
         criterion="parallel-face-complement",

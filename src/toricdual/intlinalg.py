@@ -7,17 +7,18 @@ take nested int sequences.
 
 Every elimination here is fraction-free and runs on plain int lists.  One
 Bareiss loop (``_bareiss``) serves ``rank`` (forward elimination);
-``circuit_form``, ``ratlp.solve_linear`` and the edges at a simple vertex in
-``engine.smooth_certificate`` (the same loop eliminating above each pivot
-too); and ``integer_kernel`` (that Gauss-Jordan pass on the reversed
-columns, then a Hermite form kept modulo its last pivot).  On a dense
-matrix with small entries that loop holds each row as one int, its entries
-the balanced base-2^w digits (``_bareiss_packed``): a row update is one
-big-int operation, exact because every stored entry is a minor of the
-input and so fits the slot Hadamard's bound sizes.  A fixed rule on the
-shape, the nonzero count and the slot width picks that path; every other
-matrix keeps the list loop, which skips untouched rows.  One Hermite
-echelon loop (``_echelon``) serves ``lattice_basis``.
+``circuit_form``, the functional of ``gale.is_parallel_face_complement``
+and the edges at a simple vertex in ``engine.smooth_certificate`` (the
+same loop eliminating above each pivot too); and ``integer_kernel`` (that
+Gauss-Jordan pass on the reversed columns, then a Hermite form kept modulo
+its last pivot).  On a dense matrix with small entries that loop holds
+each row as one int, its entries the balanced base-2^w digits
+(``_bareiss_packed``): a row update is one big-int operation, exact
+because every stored entry is a minor of the input and so fits the slot
+Hadamard's bound sizes.  A fixed rule on the shape, the nonzero count and
+the slot width picks that path; every other matrix keeps the list loop,
+which skips untouched rows.  One Hermite echelon loop (``_echelon``)
+serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
 saturation (``column_lattice_saturated``, which ``verify_gale_dual``
@@ -267,16 +268,21 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
 def _slot_bytes(rows: list) -> int:
     """Bytes per slot of ``_bareiss_packed`` on ``rows``: a slot of w bits
     holds the entries below 2^(w-1) in absolute value, and Hadamard's bound
-    (the product of the lengths of the nonzero rows) bounds every minor."""
+    (the product of the lengths of the nonzero rows) bounds every minor.
+    Exact up to 32 bytes, the widest slot the rule packs; past that some
+    count above 32, as the product stops once it has more than 510 bits."""
     bound = 1  # the square of Hadamard's bound
     for row in rows:
         bound *= sum(map(mul, row, row)) or 1
+        if bound.bit_length() > 510:
+            break
     return ((bound.bit_length() + 1) // 2 + 8) // 8
 
 
 def _bareiss_packed(rows: list, jordan: bool, nbytes: int) -> tuple:
     """:func:`_bareiss` with each row held as one int, in slots of
-    ``nbytes`` bytes (``_slot_bytes(rows)`` or more); same result.
+    ``nbytes`` bytes, wide enough for Hadamard's bound on ``rows``
+    (``_slot_bytes(rows)`` or more when that is at most 32); same result.
 
     Row x is the int ``Σ_j x_j·2^(w·j)``, w = 8·nbytes.  Adding ``off``
     (``half`` in every slot) makes every digit nonnegative, so an entry is
@@ -519,6 +525,16 @@ def column_lattice_saturated(a) -> bool:
     rows = list(a)
     h = lattice_basis(zip(*rows), len(rows))
     return lattice_basis(zip(*h), len(h)) == eye(len(h)).tolist()
+
+
+def _lowest_terms(nums, den) -> tuple:
+    """``(v, e)``: the rational vector ``nums / den`` (``den`` nonzero) as
+    an int list ``v`` over ``e > 0`` with ``gcd(e, *v) = 1``, which is the
+    vector scaled by the lcm ``e`` of its entries' reduced denominators."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return [x // g for x in nums], den // g
 
 
 def primitive_vector(v) -> tuple:

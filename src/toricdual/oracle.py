@@ -25,7 +25,8 @@ does.  ``crosscheck`` compares the verdict that ships, ``is_self_dual``
 (line sums on the fundamental-circuit basis), with ``self_dual_via_flats``
 on the canonical Gale dual, ``self_dual_via_sigma`` and
 ``coparallel_criterion``, which reads the same circuit basis (cached on the
-configuration) for its classes and ``solve_linear`` for its functionals.
+configuration) for its classes and one fraction-free Gauss-Jordan pass
+(``intlinalg._bareiss``) for each functional.
 ``facial_via_separation`` reads the input columns only, not the Gale dual.
 ``random_lawrence_block`` computes kernels with ``_hermite_kernel``, the
 two-pass Hermite echelon route kept here as the reference, so it shares no

@@ -471,27 +471,32 @@ def test_check_self_dual_loads_no_oracle_code(tmp_path):
 
 
 def test_check_self_dual_leaves_fractions_unimported(tmp_path):
-    """A plain check runs on ints alone: ``imat`` imports ``Fraction`` only
-    for a non-int entry and ``ratlp`` loads only where an LP or a linear
-    solve runs, so neither ``fractions`` nor the ``decimal`` it imports is
-    loaded; a facial check in the same process still loads and runs them."""
+    """The checks run on ints alone: ``imat`` imports ``Fraction`` only for
+    a non-int entry and ``ratlp`` loads only where an LP runs, so a plain
+    check loads none of ``fractions``, the ``decimal`` it imports, and
+    ``ratlp``; a facial check and a smoothness certificate, each in a fresh
+    process after a plain check, load ``ratlp`` and still neither of the
+    other two."""
     path = write_segre2(tmp_path)
     bare = set(_run_python("import sys; print('\\n'.join(sys.modules))").stdout.split())
-    watched = sorted({"fractions", "decimal", "toricdual.ratlp"} - bare)
-    assert "fractions" in watched and "toricdual.ratlp" in watched
-    script = "\n".join(
-        [
-            "import sys",
-            "import toricdual.cli",
-            f"assert toricdual.cli.main(['check', 'self-dual', {path!r}]) == 0",
-            f"loaded = [m for m in {watched!r} if m in sys.modules]",
-            "assert loaded == [], loaded",
-            f"assert toricdual.cli.main(['check', 'facial', {path!r}, '--subset', '0,1']) == 0",
-            "assert 'toricdual.ratlp' in sys.modules",
-        ]
-    )
-    proc = _run_python(script)
-    assert proc.returncode == 0, proc.stderr
+    watched = sorted({"fractions", "decimal"} - bare)
+    assert "fractions" in watched and "toricdual.ratlp" not in bare
+    for argv in (["check", "facial", str(path), "--subset", "0,1"], ["smooth-certificate", str(path)]):
+        script = "\n".join(
+            [
+                "import sys",
+                "import toricdual.cli",
+                f"assert toricdual.cli.main(['check', 'self-dual', {str(path)!r}]) == 0",
+                f"loaded = [m for m in {watched + ['toricdual.ratlp']!r} if m in sys.modules]",
+                "assert loaded == [], loaded",
+                f"assert toricdual.cli.main({argv!r}) == 0",
+                f"loaded = [m for m in {watched!r} if m in sys.modules]",
+                "assert loaded == [], loaded",
+                "assert 'toricdual.ratlp' in sys.modules",
+            ]
+        )
+        proc = _run_python(script)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_inconsistent_json_header(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -453,12 +453,22 @@ def test_bareiss_skip_leaves_every_output_as_the_full_update(rows, shape, jordan
     assert [list(r) for r in skipped] == full
 
 
+def _hadamard_slot_bytes(rows):
+    """The slot width of the whole Hadamard bound on ``rows``: what
+    ``_slot_bytes`` returns up to 32 bytes, where it stops counting."""
+    bound = prod(sum(x * x for x in row) or 1 for row in rows)
+    return ((bound.bit_length() + 1) // 2 + 8) // 8
+
+
 def _packed_matches_reference(rows, jordan):
-    """``_bareiss_packed`` at the slot width of ``_slot_bytes``, called
+    """``_bareiss_packed`` at the slot width of Hadamard's bound, called
     directly (whatever the rule would pick), against the full update."""
     packed, full = [list(r) for r in rows], [list(r) for r in rows]
-    assert _bareiss_packed(packed, jordan, _slot_bytes(packed)) == _bareiss_unskipped(full, jordan)
+    width = _hadamard_slot_bytes(packed)
+    assert _bareiss_packed(packed, jordan, width) == _bareiss_unskipped(full, jordan)
     assert packed == [list(r) for r in full]
+    # the rule's width is that one up to 32 bytes, and past 32 past it
+    assert min(_slot_bytes(rows), 33) == min(width, 33)
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,8 +533,13 @@ def test_the_rule_packs_dense_small_entry_matrices_only(monkeypatch):
     lifted = _lawrence_rows([[rng.randint(-3, 3) for _ in range(10)] for _ in range(4)])
     small = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
     huge = [[rng.randint(-(10**100), 10**100) for _ in range(30)] for _ in range(12)]
+    # [1; W] of an 8x20 W with 1000-digit entries: its second row alone puts
+    # Hadamard's bound past 32-byte slots, where the rule stops counting
+    rng = random.Random(3)
+    digits = [[1] * 20] + [[rng.randrange(10**999, 10**1000) for _ in range(20)] for _ in range(8)]
+    assert 32 < _slot_bytes(digits) < _hadamard_slot_bytes(digits)
     assert _packed_calls(monkeypatch, dense) == _packed_calls(monkeypatch, dense, False) == 1
-    assert [_packed_calls(monkeypatch, rows) for rows in (lifted, small, huge)] == [0, 0, 0]
+    assert [_packed_calls(monkeypatch, rows) for rows in (lifted, small, huge, digits)] == [0] * 4
     # forward elimination makes half the updates: 8 rows pack only for Jordan
     assert _packed_calls(monkeypatch, dense[:8]) == 1
     assert _packed_calls(monkeypatch, dense[:8], False) == 0

@@ -8,7 +8,6 @@ two and three as well.
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -66,26 +65,26 @@ def on_proper_face(c, i) -> bool:
     """Exact LP: is there a supporting hyperplane through point i?"""
     reg = regularize(c)
     d = reg.dim
-    cols = [[Fraction(x) for x in col] for col in reg.columns()]
+    cols = [list(col) for col in reg.columns()]
     others = [j for j in range(reg.npoints) if j != i]
     nslack = len(others) + 1
     rows = []
     rhs = []
 
     def lhs(col, slack_idx=None):
-        row = col + [-x for x in col] + [Fraction(0)] * nslack
+        row = col + [-x for x in col] + [0] * nslack
         if slack_idx is not None:
-            row[2 * d + slack_idx] = Fraction(1)
+            row[2 * d + slack_idx] = 1
         return row
 
     rows.append(lhs(cols[i]))
-    rhs.append(Fraction(0))
+    rhs.append(0)
     for pos, j in enumerate(others):
         rows.append(lhs(cols[j], pos))
-        rhs.append(Fraction(0))
+        rhs.append(0)
     total = [sum(cols[j][t] for j in others) for t in range(d)]
     rows.append(lhs(total, len(others)))
-    rhs.append(Fraction(-1))
+    rhs.append(-1)
     x, _ = feasible_nonneg(rows, rhs)
     return x is not None
 

@@ -1,15 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricdual import ratlp
-from toricdual.ratlp import (
-    feasible_nonneg,
-    positive_dependency_certified,
-    solve_linear,
-)
+from toricdual import is_parallel_face_complement, parse_configuration, ratlp
+from toricdual.ratlp import feasible_nonneg, positive_dependency_certified
 
 
 def fraction_phase1(a, b):
@@ -63,8 +60,9 @@ def fraction_phase1(a, b):
 def fraction_solve(a, b):
     """Reference: Gauss-Jordan elimination on Fractions, free variables 0.
 
-    The reduced row echelon form of ``[a | b]`` is unique, so the
-    fraction-free ``solve_linear`` must return the identical tuple.
+    The reduced row echelon form of ``[a | b]`` is unique, so the functional
+    that ``is_parallel_face_complement`` reads off its fraction-free
+    Gauss-Jordan pass must be the identical vector.
     """
     rows = [[Fraction(x) for x in row] for row in a]
     rhs = [Fraction(x) for x in b]
@@ -96,9 +94,23 @@ def fraction_solve(a, b):
     return tuple(x)
 
 
+def as_fractions(pair):
+    """The rational vector ``nums / den`` of an integer answer, whose
+    denominator must be positive."""
+    nums, den = pair
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def rationals(result):
+    """``(x, y)`` of a ``feasible_nonneg`` answer as Fraction tuples."""
+    return tuple(None if pair is None else as_fractions(pair) for pair in result)
+
+
 def assert_valid(a, b, result):
     """``x >= 0`` solving ``a x = b``, or a Farkas ``y`` with ``y a <= 0 < y b``."""
-    x, y = result
+    x, y = rationals(result)
     assert (x is None) != (y is None)
     if x is not None:
         assert all(v >= 0 for v in x)
@@ -110,58 +122,71 @@ def assert_valid(a, b, result):
         assert sum(yi * rhs for yi, rhs in zip(y, b)) > 0
 
 
+def functional(weights, members):
+    """The functional of ``is_parallel_face_complement`` as Fractions, or
+    None when there is none; the witness must be in lowest terms."""
+    v = is_parallel_face_complement(parse_configuration(weights), members)
+    if not v.value:
+        assert v.witness == {"kind": "no_functional", "members": sorted(set(members))}
+        return None
+    ell, den = v.witness["ell"], v.witness["denominator"]
+    assert gcd(den, *ell) == 1
+    return as_fractions((ell, den))
+
+
 def test_solve_linear_basic():
-    x = solve_linear([[2, 0], [0, 4]], [1, 2])
-    assert x == (Fraction(1, 2), Fraction(1, 2))
-    assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
-    # underdetermined: free variable pinned to zero
-    x = solve_linear([[1, 2, 3]], [6])
-    assert x == (6, 0, 0)
-    with pytest.raises(ValueError):
-        solve_linear([[1, 2]], [1, 2])
+    # the points (2, 0) and (0, 4): ell = (1/2, 1/4) is 1 on both
+    v = is_parallel_face_complement(parse_configuration([[2, 0], [0, 4]]), [0, 1])
+    assert v.witness == {"kind": "functional", "members": [0, 1], "ell": [2, 1], "denominator": 4}
+    # a repeated point inside and outside the members: inconsistent
+    assert functional([[1, 1], [1, 1]], [1]) is None
+    # underdetermined: free unknowns pinned to zero
+    assert functional([[1], [2], [3]], [0]) == (1, 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        functional([[1, 2]], [2])
 
 
 @st.composite
 def linear_systems(draw):
-    """Int or rational systems with entries up to 10**30, some with a zero
-    row or a multiple of the first row, consistent or not."""
+    """``(weights, members)``: d x n integer points with entries up to
+    10**30, some with a zero row, some with a repeated (or scaled) point,
+    whose targets are inconsistent when it lies on one side of the members
+    and its copy on the other."""
     bound = draw(st.sampled_from([1, 3, 10**6, 10**30]))
     entry = st.integers(-bound, bound)
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    w = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(d)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.sampled_from([1, 1, -1, 2]))
+        for row in w:
+            row[-1] = k * row[0]
     if draw(st.booleans()):
-        entry = st.one_of(entry, st.builds(Fraction, entry, st.integers(1, 12)))
-    m = draw(st.integers(0, 5))
-    n = draw(st.integers(0, 6))
-    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
-    b = draw(st.lists(entry, min_size=m, max_size=m))
-    if m > 1 and draw(st.booleans()):
-        k = draw(entry)
-        a[-1] = [k * x for x in a[0]]
-        b[-1] = k * b[0] + draw(st.sampled_from([0, 0, 1]))
-    if m and draw(st.booleans()):
-        a[0] = [0] * n
-    return a, b
+        w[0] = [0] * n
+    members = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return w, members
 
 
 @settings(max_examples=400, deadline=None)
 @given(linear_systems())
-@example(([], []))
-@example(([[], []], [0, 1]))
-@example(([[1, 1], [2, 2]], [1, 3]))
-@example(([[10**30, 1], [10**30 + 1, 1]], [Fraction(1, 3), 0]))
+@example(([[0, 0]], [0]))
+@example(([[1, 2], [1, 2]], [0]))
+@example(([[10**30, 10**30 + 1], [1, 1]], [0]))
 def test_solve_linear_matches_fraction_reference(system):
-    a, b = system
-    got = solve_linear(a, b)
-    # repr also compares the types: Fractions, not ints
-    assert repr(got) == repr(fraction_solve(a, b))
+    w, members = system
+    columns = list(zip(*w))
+    targets = [int(j in members) for j in range(len(columns))]
+    got = functional(w, members)
+    assert got == fraction_solve(columns, targets)
     if got is not None:
-        assert [sum(v * w for v, w in zip(row, got)) for row in a] == list(b)
+        assert [sum(v * x for v, x in zip(got, col)) for col in columns] == targets
 
 
 def test_feasible_nonneg_simple():
-    x, cert = feasible_nonneg([[1, 1]], [2])
+    x, cert = rationals(feasible_nonneg([[1, 1]], [2]))
     assert cert is None
     assert sum(x) == 2 and all(v >= 0 for v in x)
-    x, cert = feasible_nonneg([[1, 1]], [-1])
+    x, cert = rationals(feasible_nonneg([[1, 1]], [-1]))
     assert x is None
     # certificate: y*a <= 0 and y*b > 0
     assert cert[0] * 1 <= 0 and cert[0] * (-1) > 0
@@ -170,10 +195,9 @@ def test_feasible_nonneg_simple():
 
 
 def test_positive_dependency_antiparallel_pair():
-    r = positive_dependency_certified([(1,), (-1,)])[0]
-    assert r is not None
-    assert r[0] * 1 + r[1] * (-1) == 0
-    assert all(v > 0 for v in r)
+    assert positive_dependency_certified([(1,), (-1,)]) == (([1, 1], 1), None)
+    # r = (3/2, 1) in lowest terms: numerators (3, 2) over 2
+    assert positive_dependency_certified([(2,), (-3,)]) == (([3, 2], 2), None)
 
 
 def test_positive_dependency_independent_pair():
@@ -194,13 +218,13 @@ def test_positive_dependency_errors():
 
 
 def test_positive_dependency_zero_dim_convention():
-    assert positive_dependency_certified([(), ()]) == ((1, 1), None)
+    assert positive_dependency_certified([(), ()]) == (([1, 1], 1), None)
 
 
 def test_certificate_signs():
     rows = [(2, 0), (1, 1)]
-    r, z = positive_dependency_certified(rows)
-    assert r is None
+    r, (z, den) = positive_dependency_certified(rows)
+    assert r is None and den > 0 and gcd(den, *z) == 1
     dots = [sum(a * b for a, b in zip(z, v)) for v in rows]
     assert all(d >= 0 for d in dots)
     assert any(d > 0 for d in dots)
@@ -215,10 +239,13 @@ def test_positive_dependency_is_sound_and_certified(rows):
     rows = [tuple(v) for v in rows]
     r, z = positive_dependency_certified(rows)
     if r is not None:
+        assert gcd(r[1], *r[0]) == 1
+        r = as_fractions(r)
         assert all(v > 0 for v in r)
         for j in range(2):
             assert sum(ri * v[j] for ri, v in zip(r, rows)) == 0
     else:
+        z = as_fractions(z)
         dots = [sum(a * b for a, b in zip(z, v)) for v in rows]
         assert all(d >= 0 for d in dots)
         assert any(d > 0 for d in dots)
@@ -247,35 +274,21 @@ def integer_lps(draw):
 def test_feasible_nonneg_matches_fraction_reference(lp):
     a, b = lp
     got = feasible_nonneg(a, b)
-    # repr also compares the types: Fractions, not ints
-    assert repr(got) == repr(fraction_phase1(a, b))
+    assert rationals(got) == fraction_phase1(a, b)
     if a:
         assert_valid(a, b, got)
-
-
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 5), st.data())
-def test_feasible_nonneg_rational_input(m, k, data):
-    a = [data.draw(st.lists(fractions, min_size=k, max_size=k)) for _ in range(m)]
-    b = data.draw(st.lists(fractions, min_size=m, max_size=m))
-    got = feasible_nonneg(a, b)
-    assert_valid(a, b, got)
-    assert (got[0] is None) == (fraction_phase1(a, b)[0] is None)
 
 
 def test_tampered_farkas_certificate_fails_the_recheck(monkeypatch):
     a, b = [[1, 1]], [-1]
     assert_valid(a, b, feasible_nonneg(a, b))
-    original = ratlp._integral_rows
+    original = ratlp._signed_rows
 
     def wrong_signs(a, b):
-        rows, scale = original(a, b)
-        return rows, [abs(s) for s in scale]
+        rows, signs = original(a, b)
+        return rows, [1] * len(signs)
 
-    monkeypatch.setattr(ratlp, "_integral_rows", wrong_signs)
+    monkeypatch.setattr(ratlp, "_signed_rows", wrong_signs)
     with pytest.raises(AssertionError):
         feasible_nonneg(a, b)
 
@@ -286,8 +299,8 @@ def test_tampered_positive_dependency_fails_the_recheck(monkeypatch):
     original = ratlp.feasible_nonneg
 
     def shifted(a, b):
-        x, y = original(a, b)
-        return (x[0] + 1, *x[1:]), y
+        (x, d), y = original(a, b)
+        return ([x[0] + d, *x[1:]], d), y
 
     monkeypatch.setattr(ratlp, "feasible_nonneg", shifted)
     with pytest.raises(AssertionError):

@@ -109,10 +109,15 @@ def test_fraction_calls_are_found():
     assert fraction_calls(source) == [3, 4]
 
 
-def test_intlinalg_is_fraction_free():
-    # exact elimination stays fraction-free; the referees in oracle keep the
-    # Fraction arithmetic they check against
-    assert fraction_calls((PACKAGE / "intlinalg.py").read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "oracle.py"],
+    ids=lambda p: p.name,
+)
+def test_module_is_fraction_free(path):
+    # exact elimination, the simplex and every witness stay in integers; the
+    # referees in oracle keep the Fraction arithmetic they check against
+    assert fraction_calls(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_private_functions(sources: dict) -> list:
