@@ -10,10 +10,10 @@ one as it is found.  Circuits come the same way from ``_circuits``, a
 depth-first search over independent index tuples of ``[1; W]`` whose
 columns carry their coefficients, so a zero residue gives its relation with
 no kernel, and ``enumerate_circuits`` reads neither ``affine_dim`` nor
-``regularize`` and makes no Bareiss rank.  The sigma referee eliminates the
-weights once in Fraction arithmetic (``_fraction_echelon``; every
-elimination in ``intlinalg`` is fraction-free, so the two share no
-elimination code) and reduces each zero-set vector against those rows.
+``regularize`` and makes no Bareiss rank.  The sigma referee keeps a
+``_reduce`` basis of the weights, built as a flat's greedy basis is, and
+reduces each zero-set vector against it, so it too runs on ints with no
+``intlinalg`` elimination.
 Faces come from a separating-functional LP, and strong self-duality from
 exact evaluation of the defining binomials on a grid large enough to
 certify a polynomial identity.
@@ -40,7 +40,6 @@ run at desk scale only and guard themselves with explicit size limits.
 
 import itertools
 import random
-from fractions import Fraction
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -56,10 +55,10 @@ from .engine import is_self_dual
 from .gale import GaleDual, coparallel_criterion, gale_dual
 from .intlinalg import (
     IntMatrix,
+    _bareiss,
     _echelon,
     column_lattice_saturated,
     imat,
-    rank,
 )
 from .ratlp import feasible_nonneg
 
@@ -103,36 +102,6 @@ def _hermite_kernel(a) -> IntMatrix:
     rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a.T)]
     rows = _echelon(rows, m)
     return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
-
-
-def _fraction_residue(echelon, v) -> list:
-    """``v`` in Fractions, reduced by each ``(p, row)`` of ``echelon`` in
-    order, ``v <- v - v[p]·row``: zero exactly when ``v`` lies in the span
-    of the rows."""
-    v = [Fraction(x) for x in v]
-    for p, row in echelon:
-        f = v[p]
-        if f:
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
-
-
-def _fraction_echelon(a) -> list:
-    """The referees' one elimination, in ``Fraction`` arithmetic: each row
-    of ``a`` reduced by the rows kept before it and, unless zero, kept as
-    ``(p, row)``, scaled so that its first nonzero entry ``row[p]`` is 1."""
-    echelon = []
-    for row in a:
-        v = _fraction_residue(echelon, row)
-        p = next((p for p, x in enumerate(v) if x), None)
-        if p is not None:
-            echelon.append((p, [x / v[p] for x in v]))
-    return echelon
-
-
-def _rational_rank(a) -> int:
-    """Rank over the rationals: the length of ``_fraction_echelon(a)``."""
-    return len(_fraction_echelon(a))
 
 
 def _circuits(c: Configuration):
@@ -225,18 +194,24 @@ def _unit(v):
     return None
 
 
+def _greedy_basis(rows):
+    """Yield ``(i, unit)`` for each row ``rows[i]`` that is independent of
+    the rows before it, ``unit`` the ``_unit`` key of its residue modulo
+    them; the units, in order, are a ``_reduce`` basis of the row span."""
+    basis = []
+    for i, row in enumerate(rows):
+        unit = _unit(_reduce(basis, row))
+        if unit is not None:
+            basis.append(unit)
+            yield i, unit
+
+
 def _lex_first_basis(rows, closure) -> tuple:
     """The rows of ``closure`` that are independent of the rows before them:
     the greedy basis, which is the lexicographically first basis of the flat
     and so the first subset, by size and then lexicographically, that
     generates it."""
-    basis, picked = [], []
-    for i in closure:
-        unit = _unit(_reduce(basis, rows[i]))
-        if unit is not None:
-            basis.append(unit)
-            picked.append(i)
-    return tuple(picked)
+    return tuple(closure[i] for i, _ in _greedy_basis([rows[i] for i in closure]))
 
 
 def _closures(b: GaleDual):
@@ -294,17 +269,17 @@ def self_dual_via_sigma(c: Configuration) -> bool:
 
     For each circuit relation v, the 0/1 vector marking the zero set of v
     must lie in the rational row span of the weights: the weights are
-    eliminated once (``_fraction_echelon``), and False comes at the first
-    circuit from ``_circuits`` whose vector they leave a nonzero residue.
+    reduced once to a ``_reduce`` basis (``_greedy_basis``, integer residues
+    kept divided by their gcd), and False comes at the first circuit from
+    ``_circuits`` whose vector that basis leaves a nonzero residue.
     Requires a regular configuration so that span membership expresses the
     affine condition.
     """
     if not c.regular:
         raise irregular_input("the zero-set row-span test")
-    echelon = _fraction_echelon(c.weights)
+    basis = [unit for _, unit in _greedy_basis(c.weights)]
     return not any(
-        any(_fraction_residue(echelon, [0 if x else 1 for x in circ.relation]))
-        for circ in _circuits(c)
+        any(_reduce(basis, [0 if x else 1 for x in circ.relation])) for circ in _circuits(c)
     )
 
 
@@ -380,33 +355,38 @@ def random_configuration(
     rng: random.Random, max_points: int = 8, non_pyramidal: bool = True
 ) -> Configuration:
     """One random regular, repeat-free configuration of at most
-    ``max_points`` points, drawn in dimension at most 4 with entries in
-    [-3, 3]; with ``non_pyramidal`` it also has a relation and no apex.
+    ``max_points`` points, drawn in dimension at most 4 (and below
+    ``max_points``) with entries in [-3, 3]; with ``non_pyramidal`` it also
+    has a relation and no apex.  ``ValueError`` when ``max_points`` is
+    below 2, or below 3 with ``non_pyramidal``: two points have no relation.
 
     Drawing is rejection-based (at most 20000 draws) but fully determined by
     the caller's ``rng``, so seeded sweeps are reproducible; the benchmark's
-    ``oracle_instance`` replays the draws.  The filters run on the raw draw.
+    ``oracle_instance`` replays the draws.  The filters run on the raw
+    draw's ``circuit_form``: the corank is the number of free columns, and
+    a point is an apex exactly when it is a pivot whose Jordan row is zero.
     The draw that is kept is regularized, and of its rows only those that
-    raise the rank, read top to bottom, are returned: ``rank([1; W])``
-    independent rows, still regular, with the draw's own relations and
-    entries.
+    raise the rank, read top to bottom, are returned (the pivots of one
+    forward elimination of the transpose): ``rank([1; W])`` independent
+    rows, still regular, with the draw's own relations and entries.
     """
+    least = 3 if non_pyramidal else 2
+    if max_points < least:
+        raise ValueError(f"max_points must be at least {least}, got {max_points}")
     for _ in range(20_000):
-        d = rng.randint(1, 4)
+        d = rng.randint(1, min(4, max_points - 1))
         n = rng.randint(max(2, d + 1), max_points)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
         c = parse_configuration(rows)
         if len(set(c.columns())) != c.npoints:
             continue
         if non_pyramidal:
-            b = GaleDual(matrix=c.circuit_basis)
-            if b.corank == 0 or b.zero_rows():
+            form = c.circuit_form
+            if not form.free or not all(map(any, form.rows)):
                 continue
-        basis = []
-        for row in regularize(c).weights:
-            if rank([*basis, row]) > len(basis):
-                basis.append(row)
-        return parse_configuration(basis)
+        weights = regularize(c).weights
+        pivots, _ = _bareiss(list(weights.T))
+        return parse_configuration([weights[i] for i in pivots])
     raise RuntimeError("rejection sampling starved; loosen the filters")
 
 

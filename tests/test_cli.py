@@ -471,17 +471,22 @@ def test_check_self_dual_loads_no_oracle_code(tmp_path):
 
 
 def test_check_self_dual_leaves_fractions_unimported(tmp_path):
-    """The checks run on ints alone: ``imat`` imports ``Fraction`` only for
-    a non-int entry and ``ratlp`` loads only where an LP runs, so a plain
-    check loads none of ``fractions``, the ``decimal`` it imports, and
-    ``ratlp``; a facial check and a smoothness certificate, each in a fresh
-    process after a plain check, load ``ratlp`` and still neither of the
-    other two."""
+    """The checks and the referees run on ints alone: ``imat`` imports
+    ``Fraction`` only for a non-int entry and ``ratlp`` loads only where an
+    LP runs, so a plain check loads none of ``fractions``, the ``decimal``
+    it imports, and ``ratlp``; a facial check, a smoothness certificate, a
+    verified check and a crosscheck, each in a fresh process after a plain
+    check, load ``ratlp`` and still neither of the other two."""
     path = write_segre2(tmp_path)
     bare = set(_run_python("import sys; print('\\n'.join(sys.modules))").stdout.split())
     watched = sorted({"fractions", "decimal"} - bare)
     assert "fractions" in watched and "toricdual.ratlp" not in bare
-    for argv in (["check", "facial", str(path), "--subset", "0,1"], ["smooth-certificate", str(path)]):
+    for argv in (
+        ["check", "facial", str(path), "--subset", "0,1"],
+        ["smooth-certificate", str(path)],
+        ["check", "self-dual", str(path), "--verify"],
+        ["oracle", "crosscheck", "--count", "3"],
+    ):
         script = "\n".join(
             [
                 "import sys",

@@ -30,15 +30,13 @@ from toricdual.gale import (
     GaleDual,
     coparallel_criterion,
     gale_dual,
-    is_facial,
     line_partition,
     verify_gale_dual,
 )
 from toricdual.intlinalg import CircuitForm, eye, imat, lattice_basis, rank
-from toricdual.oracle import _rational_rank
 from test_engine import STRONG_7x9, _unimodular
 from test_gale import _digits_3900, column_lattices_equal
-from test_intlinalg import in_row_span, product
+from test_intlinalg import fraction_rank, in_row_span, product
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
 
@@ -134,7 +132,7 @@ def test_affine_dim():
 
 def test_affine_dim_is_rank_of_regularized_minus_one():
     c = parse_configuration([[0, 1, 2, 5], [0, 0, 0, 1]])
-    assert affine_dim(c) == _rational_rank(regularize(c).weights) - 1
+    assert affine_dim(c) == fraction_rank(regularize(c).weights) - 1
 
 
 def test_pyramid_decompose_cone_over_conic():
@@ -189,11 +187,11 @@ def _apexes_by_rank(c):
     points that lie in no affine relation."""
     distinct = dedup(c).distinct
     ones_on_top = [[1] * distinct.npoints, *distinct.weights]
-    full = _rational_rank(ones_on_top)
+    full = fraction_rank(ones_on_top)
     return tuple(
         i
         for i in range(distinct.npoints)
-        if _rational_rank([row[:i] + row[i + 1 :] for row in ones_on_top]) < full
+        if fraction_rank([row[:i] + row[i + 1 :] for row in ones_on_top]) < full
     )
 
 
@@ -353,12 +351,6 @@ def _toricdual_modules():
     return [m for k, m in sorted(sys.modules.items()) if k.startswith("toricdual")]
 
 
-def _fraction_rank_calls(monkeypatch):
-    """Count the referees' Fraction rank wherever a toricdual module holds
-    it."""
-    return _count_calls(monkeypatch, _toricdual_modules(), ("_rational_rank",))
-
-
 @pytest.mark.parametrize("doubled_row", [False, True])
 def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     rng = random.Random(8)
@@ -376,9 +368,7 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
         with monkeypatch.context() as patch:
             counts = _count_calls(patch, [*_toricdual_modules(), CircuitForm], kernels + passes)
             reduction_counts = _count_calls(patch, _toricdual_modules(), reductions)
-            fraction_counts = _fraction_rank_calls(patch)
             decide(parse_configuration(rows))
-        assert fraction_counts == {"_rational_rank": 0}
         assert reduction_counts == dict.fromkeys(reductions, 0)
         assert counts == {
             "affine_relation_kernel": 0,
@@ -509,16 +499,6 @@ def test_gale_dual_checks_compute_no_second_kernel(monkeypatch):
     assert c.relations == b
 
 
-def test_fast_predicates_make_no_fraction_rank_call(monkeypatch):
-    rng = random.Random(9)
-    rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(4)]
-    counts = _fraction_rank_calls(monkeypatch)
-    c = parse_configuration(rows)
-    gale_dual(c)
-    is_facial(c, [0, 1])
-    assert counts == {"_rational_rank": 0}
-
-
 @settings(max_examples=150, deadline=None)
 @given(conf_matrices)
 def test_regular_flag_is_the_fraction_row_span_test(rows):
@@ -542,7 +522,7 @@ def test_regular_flag_is_the_two_rank_definition_on_seeded_draws():
         elif k % 4 == 3:
             rows.insert(rng.randrange(len(rows) + 1), [0] * n)
         c = parse_configuration(rows)
-        two_ranks = _rational_rank(rows) == _rational_rank([[1] * n, *rows])
+        two_ranks = fraction_rank(rows) == fraction_rank([[1] * n, *rows])
         assert c.regular is two_ranks, rows
         seen.add(two_ranks)
     assert seen == {True, False}

@@ -18,10 +18,10 @@ from toricdual.families import (
 )
 from toricdual.gale import gale_dual, verify_gale_dual
 from toricdual.intlinalg import imat, integer_kernel, lattice_basis
-from toricdual.oracle import _hermite_kernel, _rational_rank
+from toricdual.oracle import _hermite_kernel
 from test_engine import _nonsingular, _unimodular
 from test_gale import column_lattices_equal
-from test_intlinalg import cofactor_det, product
+from test_intlinalg import cofactor_det, fraction_rank, product
 
 
 def test_segre_shape_and_flags():
@@ -179,7 +179,7 @@ def _canonical_verify(c, b):
     referees' two-pass Hermite kernel and the rank from Fractions."""
     ones_on_top = [[1] * c.npoints, *c.weights]
     bm = imat(b)
-    if any(map(any, product(ones_on_top, bm))) or _rational_rank(bm) != bm.shape[1]:
+    if any(map(any, product(ones_on_top, bm))) or fraction_rank(bm) != bm.shape[1]:
         return False
     canonical = _hermite_kernel(ones_on_top)
     return bm.shape[1] == canonical.shape[1] and column_lattices_equal(bm, canonical)

@@ -24,7 +24,7 @@ from toricdual.intlinalg import (
     primitive_vector,
     rank,
 )
-from toricdual.oracle import _hermite_kernel, _rational_rank
+from toricdual.oracle import _hermite_kernel
 from test_gale import _digits_3900, column_lattices_equal
 
 
@@ -223,7 +223,7 @@ def _check_hermite_basis(vectors, dim):
     h = lattice_basis(vectors, dim)
     k = len(h)
     assert _is_column_hermite(IntMatrix([[row[i] for row in h] for i in range(dim)], k))
-    assert k == _rational_rank(vectors)
+    assert k == fraction_rank(vectors)
     assert all(_in_lattice(h, v) for v in vectors)
     if k:
         assert minor_gcd(h, k) == minor_gcd(vectors, k)
@@ -278,7 +278,7 @@ def test_kernel_is_saturated_and_annihilates(rows):
         # saturated basis: its maximal minors are coprime
         assert minor_gcd(k.tolist(), k.shape[1]) == 1
         assert _is_column_hermite(k)
-    assert k.shape == (m.shape[1], m.shape[1] - _rational_rank(m))
+    assert k.shape == (m.shape[1], m.shape[1] - fraction_rank(m))
 
 
 def _with_columns(rows, extras, ones):
@@ -327,22 +327,45 @@ def test_kernel_equals_two_pass_reference_at_scale(weights):
     assert integer_kernel(a) == _hermite_kernel(a)
 
 
+def fraction_echelon(a) -> list:
+    """The tests' reference elimination, in ``Fraction`` arithmetic: each
+    row of ``a`` reduced by the rows kept before it, ``v <- v - v[p]·row``,
+    and, unless zero, kept as ``(p, row)`` scaled so that its first nonzero
+    entry ``row[p]`` is 1."""
+    echelon = []
+    for row in a:
+        v = [Fraction(x) for x in row]
+        for p, kept in echelon:
+            f = v[p]
+            if f:
+                v = [x - f * y for x, y in zip(v, kept)]
+        p = next((p for p, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, [x / v[p] for x in v]))
+    return echelon
+
+
+def fraction_rank(a) -> int:
+    """Rank over the rationals: the length of ``fraction_echelon(a)``; no
+    package module computes a rank this way."""
+    return len(fraction_echelon(a))
+
+
 def test_rank_examples():
-    assert _rational_rank(eye(5)) == 5
-    assert _rational_rank(imat([[0, 0], [0, 0]])) == 0
-    assert _rational_rank(imat([[1, 2], [2, 4]])) == 1
+    for a, r in ((eye(5), 5), (imat([[0, 0], [0, 0]]), 0), (imat([[1, 2], [2, 4]]), 1)):
+        assert fraction_rank(a) == rank(a) == r
 
 
 def in_row_span(a, v) -> bool:
     """Whether vector ``v`` (ints or Fractions) is a rational combination of
     rows of ``a``: the tests' reference for row-span membership, by the
-    referees' Fraction rank."""
+    Fraction rank."""
     a = imat(a)
     vec = [Fraction(x) for x in v]
     if len(vec) != a.shape[1]:
         raise ValueError(f"vector length {len(vec)} != matrix columns {a.shape[1]}")
     den = lcm(*(x.denominator for x in vec))
-    return _rational_rank([*a, [int(x * den) for x in vec]]) == _rational_rank(a)
+    return fraction_rank([*a, [int(x * den) for x in vec]]) == fraction_rank(a)
 
 
 def test_in_row_span():
@@ -374,7 +397,7 @@ def test_big_integers_survive():
 @settings(max_examples=150, deadline=None)
 @given(any_matrices)
 def test_saturation_and_normalized_flag_match_minor_gcd(rows):
-    r = _rational_rank(imat(rows))
+    r = fraction_rank(imat(rows))
     assert column_lattice_saturated(rows) == (r == 0 or minor_gcd(rows, r) == 1)
     assert column_lattice_saturated(imat(rows)) == column_lattice_saturated(rows)
     # the columns span Z^d exactly when their Hermite basis is the identity
@@ -386,7 +409,7 @@ def test_saturation_and_normalized_flag_match_minor_gcd(rows):
 @given(any_matrices)
 def test_bareiss_rank_equals_fraction_rank(rows):
     m = imat(rows)
-    assert rank(m) == rank(rows) == rank(m.T) == _rational_rank(m)
+    assert rank(m) == rank(rows) == rank(m.T) == fraction_rank(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -555,7 +578,7 @@ def _lex_first_basis(m):
     """Greedy column basis, each column tested with the Fraction rank."""
     basis = []
     for j in range(m.shape[1]):
-        if _rational_rank(m.select(basis + [j])) > len(basis):
+        if fraction_rank(m.select(basis + [j])) > len(basis):
             basis.append(j)
     return basis
 
@@ -569,7 +592,7 @@ def test_circuit_basis_columns_are_fundamental_circuits(rows):
     assert k == circuit_form(a).basis()
     basis = _lex_first_basis(a)
     free = [j for j in range(c.npoints) if j not in basis]
-    assert k.shape == (c.npoints, c.npoints - _rational_rank(a))
+    assert k.shape == (c.npoints, c.npoints - fraction_rank(a))
     for t, j in enumerate(free):
         col = list(k.column(t))
         # an affine relation, primitive, on the basis plus j, positive at j

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdual import intlinalg, oracle
@@ -18,10 +18,10 @@ from toricdual.gale import (
     is_facial,
     line_sums_zero,
 )
-from toricdual.intlinalg import CircuitForm, imat, integer_kernel, primitive_vector
+from toricdual.intlinalg import CircuitForm, imat, integer_kernel, matmul, primitive_vector
 from toricdual.oracle import (
+    ENUMERATION_GUARD,
     Circuit,
-    _rational_rank,
     coparallel_via_circuits,
     crosscheck,
     enumerate_circuits,
@@ -34,7 +34,8 @@ from toricdual.oracle import (
     strong_via_points,
 )
 from test_configuration import _count_calls, _toricdual_modules
-from test_intlinalg import in_row_span
+from test_engine import _unimodular
+from test_intlinalg import fraction_rank, in_row_span
 
 CONIC = parse_configuration([[0, 1, 2]])
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
@@ -232,14 +233,14 @@ def test_flats_guard():
 
 def test_flats_share_no_code_with_the_line_sum_test(monkeypatch):
     # every intlinalg routine (its eliminations, ranks, the circuit basis
-    # and primitive_vector), the referees' Fraction rank, and the line
-    # classes behind line_sums_zero and coparallel_criterion
+    # and primitive_vector), and the line classes behind line_sums_zero and
+    # coparallel_criterion
     names = [
         name
         for name, f in vars(intlinalg).items()
         if inspect.isfunction(f) and f.__module__ == intlinalg.__name__
     ]
-    names += ["basis", "_rational_rank", "line_partition", "coparallel_classes"]
+    names += ["basis", "line_partition", "coparallel_classes"]
     assert {"_bareiss", "_echelon", "primitive_vector"} <= set(names)
     b = gale_dual(random_configuration(random.Random(2)))
     expected = bool(line_sums_zero(b).value)
@@ -285,6 +286,16 @@ def _agreement_corpus():
     return corpus + [lawrence(random_lawrence_block(rng)) for _ in range(20)]
 
 
+def _sigma_by_definition(c) -> bool:
+    """Every zero-set vector of a circuit leaves the Fraction rank of the
+    weights as it is."""
+    base = fraction_rank(c.weights)
+    return all(
+        fraction_rank([*c.weights, [0 if x else 1 for x in circ.relation]]) == base
+        for circ in enumerate_circuits(c)
+    )
+
+
 def test_referees_answer_their_definitions():
     # the definitions from the full lists: every flat sums to zero, and
     # every zero-set vector leaves the Fraction rank of the weights as it is
@@ -294,15 +305,44 @@ def test_referees_answer_their_definitions():
         flats = all(
             not any(map(sum, zip(*(b.matrix[i] for i in f.closure)))) for f in enumerate_flats(b)
         )
-        base = _rational_rank(reg.weights)
-        sigma = all(
-            _rational_rank([*reg.weights, [0 if x else 1 for x in circ.relation]]) == base
-            for circ in enumerate_circuits(c)
-        )
         assert self_dual_via_flats(b) == flats
-        assert self_dual_via_sigma(reg) == sigma
+        assert self_dual_via_sigma(reg) == _sigma_by_definition(reg)
         self_dual += flats
     assert self_dual >= 20
+
+
+@st.composite
+def _regular_large_weights(draw):
+    """d + 1 rows of n <= 8 columns, entries small or up to 10^30, whose sum
+    is the ones row (so the weights are regular), then one row plus a
+    multiple, up to 10^30, of another (the row span is kept)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=d, max_size=d))
+    rows.append([1 - sum(col) for col in zip(*rows)])
+    i, j = draw(st.integers(0, d)), draw(st.integers(0, d))
+    if i != j:
+        f = draw(st.integers(-(10**30), 10**30))
+        rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_regular_large_weights(), st.integers(0, 2**32))
+# Segre(2) and family_alpha(1), both self-dual, after a row operation by 10^30
+@example([[1, 0, 1, 0], [0, 1, 0, 1], [10**30, 10**30, 10**30 + 1, 10**30 + 1]], 0)
+@example(
+    [*family_alpha(1).weights[:4], [10**30 + x for x in family_alpha(1).weights[4]]], 1
+)
+def test_sigma_is_its_definition_at_large_entries(rows, seed):
+    c = parse_configuration(rows)
+    assert c.regular and c.npoints <= ENUMERATION_GUARD
+    expected = _sigma_by_definition(c)
+    assert self_dual_via_sigma(c) == expected
+    # U·W has the row span of W, for any unimodular U
+    u = _unimodular(random.Random(seed), c.dim)
+    assert self_dual_via_sigma(parse_configuration(matmul(u, c.weights))) == expected
 
 
 def test_referees_stop_at_the_first_counterexample(monkeypatch):
@@ -314,12 +354,21 @@ def test_referees_stop_at_the_first_counterexample(monkeypatch):
         if not is_self_dual(c).value and len(enumerate_circuits(c)) > 1
     )
     for c in (regularize(TWISTED_CUBIC), draw):
-        counts = _count_calls(monkeypatch, [oracle], ("_fraction_residue", "_lex_first_basis"))
+        ncircuits = len(enumerate_circuits(c))
+        drawn = 0
+
+        def counting(c, _circuits=oracle._circuits):
+            nonlocal drawn
+            for circ in _circuits(c):
+                drawn += 1
+                yield circ
+
+        monkeypatch.setattr(oracle, "_circuits", counting)
+        counts = _count_calls(monkeypatch, [oracle], ("_lex_first_basis",))
         assert not self_dual_via_sigma(c)
         assert not self_dual_via_flats(gale_dual(c))
-        # one residue per weight row for the elimination, then one per sigma
-        reduced = counts["_fraction_residue"] - c.weights.shape[0]
-        assert 1 <= reduced < len(enumerate_circuits(c))
+        # sigma stops at the first circuit whose zero-set vector fails
+        assert 1 <= drawn < ncircuits
         assert counts["_lex_first_basis"] == 0
         monkeypatch.undo()
     counts = _count_calls(monkeypatch, [oracle], ("_lex_first_basis",))
@@ -378,9 +427,30 @@ def test_random_configuration_filters():
         # independent rows taken from [1; W]: rank([1; W]) of them, with the
         # relations of the draw
         ones_on_top = [[1] * len(draw[0]), *draw]
-        assert c.dim == _rational_rank(c.weights) == _rational_rank(ones_on_top)
+        assert c.dim == fraction_rank(c.weights) == fraction_rank(ones_on_top)
         assert all(list(row) in ones_on_top for row in c.weights)
         assert c.relations == parse_configuration(ones_on_top).relations
+
+
+@pytest.mark.parametrize("max_points", range(1, 10))
+def test_random_configuration_at_every_max_points(max_points):
+    # two distinct points have no relation, and one point is refused too;
+    # a refusal comes before any draw
+    for non_pyramidal in (True, False):
+        least = 3 if non_pyramidal else 2
+        for seed in range(50):
+            rng = random.Random(seed)
+            if max_points < least:
+                with pytest.raises(ValueError, match=f"at least {least}"):
+                    random_configuration(rng, max_points, non_pyramidal)
+                assert rng.random() == random.Random(seed).random()
+                continue
+            c = random_configuration(rng, max_points, non_pyramidal)
+            assert c.regular and c.npoints <= max_points
+            assert len(set(c.columns())) == c.npoints
+            if non_pyramidal:
+                b = gale_dual(c)
+                assert b.corank and not b.zero_rows()
 
 
 def test_random_configuration_deterministic():

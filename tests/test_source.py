@@ -109,14 +109,10 @@ def test_fraction_calls_are_found():
     assert fraction_calls(source) == [3, 4]
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "oracle.py"],
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_is_fraction_free(path):
-    # exact elimination, the simplex and every witness stay in integers; the
-    # referees in oracle keep the Fraction arithmetic they check against
+    # exact elimination, the simplex, the referees and every witness stay in
+    # integers; the Fraction references live in the tests
     assert fraction_calls(path.read_text(encoding="utf-8")) == []
 
 
