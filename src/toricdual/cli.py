@@ -75,10 +75,10 @@ def read_matrix(path: str):
                 '{"rows": d, "cols": n, "entries": [[...], ...]}'
             )
         m = imat(doc["entries"])
-        if "rows" in doc and doc["rows"] != m.shape[0]:
-            raise ValueError("'rows' field disagrees with the entries")
-        if "cols" in doc and doc["cols"] != m.shape[1]:
-            raise ValueError("'cols' field disagrees with the entries")
+        for key, size in zip(("rows", "cols"), m.shape):
+            # JSON true and 3.0 compare equal to 1 and 3 but are no sizes
+            if key in doc and (type(doc[key]) is not int or doc[key] != size):
+                raise ValueError(f"'{key}' field disagrees with the entries")
         return m
     rows = []
     for line in text.splitlines():

@@ -141,9 +141,13 @@ def _ones_on_top(c: Configuration) -> IntMatrix:
 
 def column_indices(c: Configuration, indices) -> list:
     """``indices`` as a list of ints, in the order given; ``ValueError`` when
-    it is empty, holds a non-integer, or names no column of ``c``."""
+    it is empty, holds a non-integer (a bool too), or names no column of
+    ``c``."""
     try:
-        idx = [operator.index(j) for j in indices]
+        items = list(indices)
+        if bool in map(type, items):
+            raise TypeError("a bool is no column index")
+        idx = list(map(operator.index, items))
     except TypeError:
         raise ValueError("column indices must be integers") from None
     if not idx:

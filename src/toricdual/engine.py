@@ -17,11 +17,12 @@ read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, and ``is_segre`` its corank, its antipodal pairs and its
 sign vector, a primitive 1-dimensional kernel (its lattice condition
 follows from those); ``lawrence_strong_parity`` reads the zero rows of
-``circuit_form(M).basis()``.  The strong test reads the same form as the
-self-duality verdict, and the regular flag it needs is read off that form
-too: the size of its products is a homomorphism to a torsion-free group,
-decided on the fundamental circuits, and its sign is decided on generators
-of odd index in the relation lattice, found by halving sums of circuits.
+``circuit_form(M)`` without writing its basis out.  The strong test reads
+the same form as the self-duality verdict, and the regular flag it needs
+is read off that form too: the size of its products is a homomorphism to
+a torsion-free group, decided on the fundamental circuits, and its sign is
+decided on generators of odd index in the relation lattice, found by
+halving sums of circuits.
 The saturated canonical basis of :func:`gale_dual`
 (``Configuration.relations``) is read only by the facial tests behind
 ``smooth_certificate``, by ``gale_dual`` itself and the commands that print
@@ -40,7 +41,7 @@ from .gale import (
     _line_sums_verdict,
     is_facial,
 )
-from .intlinalg import IntMatrix, _bareiss, circuit_form, imat, lattice_basis, primitive_vector
+from .intlinalg import IntMatrix, circuit_form, imat, lattice_basis, primitive_vector
 from .verdict import Verdict
 
 
@@ -328,7 +329,7 @@ def lawrence_strong_parity(m) -> Verdict:
     """
     mm = imat(m)
     d, n = mm.shape
-    zero = [i for i, row in enumerate(circuit_form(mm).basis()) if not any(row)]
+    zero = list(circuit_form(mm).zero_rows())
     if zero:  # a zero row, or no kernel at all
         raise pyramidal_input(zero + [n + i for i in zero], "the Lawrence parity criterion")
     # solve alpha @ M == 1 over GF(2): equation k is column k of M as a
@@ -453,12 +454,13 @@ def _simplicial_edges(vertex, diffs, candidates, height, dim):
     every other point, and ``diffs[k]`` is point k minus the vertex.  The
     points of a candidate line lie on one ray from the vertex, so the point
     of smallest height on it is its nearest point.  With the lines in order
-    of (height, candidate), the pivots of one fraction-free Gauss-Jordan
-    pass over their nearest differences are the greedy lex-first basis E.
-    When every Jordan row is sign-consistent with the last pivot, every
-    difference is a nonnegative combination of E, so the tangent cone is
-    the simplicial cone(E) and its edges are exactly the E lines: the
-    returned candidates, in sorted order.
+    of (height, candidate), the pivots of the ``circuit_form`` of their
+    nearest differences are the greedy lex-first basis E.  When every
+    Jordan row is sign-consistent with the last pivot (only its free
+    entries are tested: on the pivot columns it is the pivot times a unit
+    vector), every difference is a nonnegative combination of E, so the
+    tangent cone is the simplicial cone(E) and its edges are exactly the E
+    lines: the returned candidates, in sorted order.
 
     A None means that the vertex fails the smoothness certificate.  Suppose
     it passes: its dim nearest edge vectors E form a lattice basis and
@@ -474,13 +476,13 @@ def _simplicial_edges(vertex, diffs, candidates, height, dim):
     """
     nearest = {s: min((k for k in s if k != vertex), key=height.__getitem__) for s in candidates}
     order = sorted(candidates, key=lambda s: (height[nearest[s]], s))
-    rows = [list(r) for r in zip(*(diffs[nearest[s]] for s in order))]
-    pivots, d = _bareiss(rows, jordan=True)
+    form = circuit_form(list(zip(*(diffs[nearest[s]] for s in order))))
     # the differences at a point span the directions of the affine hull
-    assert len(pivots) == dim
-    if any(x * d < 0 for row in rows for x in row):
+    assert len(form.pivots) == dim
+    d = form.pivot
+    if any(x * d < 0 for row in form.rows for x in row):
         return None
-    return sorted(order[p] for p in pivots)
+    return sorted(order[p] for p in form.pivots)
 
 
 def smooth_certificate(c: Configuration) -> Verdict:

@@ -9,8 +9,10 @@ from .intlinalg import IntMatrix, column_lattice_saturated, imat, integer_kernel
 def _integer(who: str, name: str, x) -> int:
     """``x`` as an int, by ``operator.index`` as for column indices;
     ``ValueError`` naming the argument otherwise, so a float is refused
-    rather than truncated."""
+    rather than truncated, and a bool rather than read as 0 or 1."""
     try:
+        if isinstance(x, bool):
+            raise TypeError("a bool is no integer argument")
         return operator.index(x)
     except TypeError:
         raise ValueError(f"{who} requires an integer {name}, got {x!r}") from None

@@ -16,8 +16,8 @@ from .exceptions import pyramidal_input, repeated_columns
 from .intlinalg import (
     CircuitForm,
     IntMatrix,
-    _bareiss,
     _lowest_terms,
+    circuit_form,
     column_lattice_saturated,
     imat,
     matmul,
@@ -90,9 +90,11 @@ def verify_gale_dual(c: Configuration, b) -> bool:
 
     Decided from the defining properties, with no Gale dual computed: the
     columns are affine relations (``[1; W]·b = 0``), independent, as many
-    as the corank ``n - rank([1; W])``, and they span a saturated lattice.
-    The first three make them a basis of the relations over Q; a saturated
-    lattice of that rank inside them is all of their integer points.
+    as the corank ``n - rank([1; W])`` (the free columns of
+    ``c.circuit_form``, so ``[1; W]`` is eliminated at most once per
+    configuration), and they span a saturated lattice.  The first three
+    make them a basis of the relations over Q; a saturated lattice of that
+    rank inside them is all of their integer points.
     """
     bm = imat(b)
     if bm.shape[0] != c.npoints:
@@ -102,7 +104,7 @@ def verify_gale_dual(c: Configuration, b) -> bool:
     a = _ones_on_top(c)
     return (
         not any(map(any, matmul(a, bm)))
-        and bm.shape[1] == c.npoints - rank(a) == rank(bm)
+        and bm.shape[1] == len(c.circuit_form.free) == rank(bm)
         and column_lattice_saturated(bm)
     )
 
@@ -294,28 +296,27 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
 
     When it does, ``members`` and its complement lie in parallel hyperplanes
     and both are faces; the witness gives the functional as ``ell``, integers
-    to be divided by ``denominator``, in lowest terms.  It is read off one
-    fraction-free Gauss-Jordan pass (``_bareiss``, the pass behind
-    ``circuit_form``) over the rows ``[column_j | target_j]``: a pivot in
-    the target column means there is none; otherwise ``ell`` is the target
-    column of the Jordan rows over the last pivot, and 0 at the free
+    to be divided by ``denominator``, in lowest terms.  It is read off the
+    :func:`~toricdual.intlinalg.circuit_form` of the rows ``[column_j |
+    target_j]``: a pivot in the target column means there is none;
+    otherwise the target column is the last free one, ``ell`` is the last
+    free entry of each Jordan row over the last pivot, and 0 at the free
     unknowns.
     """
     sel = sorted(set(column_indices(c, members)))
     inside = set(sel)
     dim = c.dim
-    rows = [[*col, int(j in inside)] for j, col in enumerate(c.columns())]
-    pivots, d = _bareiss(rows, jordan=True)
-    if dim in pivots:
+    form = circuit_form([[*col, int(j in inside)] for j, col in enumerate(c.columns())])
+    if dim in form.pivots:
         return Verdict(
             value=False,
             criterion="parallel-face-complement",
             witness={"kind": "no_functional", "members": sel},
         )
     ell = [0] * dim
-    for p, row in zip(pivots, rows):
-        ell[p] = row[dim]
-    ell, den = _lowest_terms(ell, d)
+    for p, row in zip(form.pivots, form.rows):
+        ell[p] = row[-1]
+    ell, den = _lowest_terms(ell, form.pivot)
     return Verdict(
         value=True,
         criterion="parallel-face-complement",

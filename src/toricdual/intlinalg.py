@@ -5,27 +5,28 @@ Python ints (arbitrary precision), so nothing here can overflow or round.
 :func:`imat` validates outside input into one, and the functions here also
 take nested int sequences.
 
-Every elimination here is fraction-free and runs on plain int lists.  One
-Bareiss loop (``_bareiss``) serves ``rank`` (forward elimination);
-``circuit_form``, the functional of ``gale.is_parallel_face_complement``
-and the edges at a simple vertex in ``engine.smooth_certificate`` (the
-same loop eliminating above each pivot too); and ``integer_kernel`` (that
-Gauss-Jordan pass on the reversed columns, then a Hermite form kept modulo
-its last pivot).  On a dense matrix with small entries that loop holds
-each row as one int, its entries the balanced base-2^w digits
-(``_bareiss_packed``): a row update is one big-int operation, exact
-because every stored entry is a minor of the input and so fits the slot
-Hadamard's bound sizes.  A fixed rule on the shape, the nonzero count and
-the slot width picks that path; every other matrix keeps the list loop,
-which skips untouched rows.  One Hermite echelon loop (``_echelon``)
-serves ``lattice_basis``.
+Every elimination here is fraction-free and runs on plain int lists, and
+this is the one module that runs or reads an elimination loop: other
+modules go through ``rank``, ``circuit_form``, ``integer_kernel`` and
+``lattice_basis``.  One Bareiss loop (``_bareiss``) serves ``rank``
+(forward elimination); ``circuit_form`` (the same loop eliminating above
+each pivot too), whose :class:`CircuitForm` is how every other module
+reads a Gauss-Jordan pass; and ``integer_kernel`` (that pass on the
+reversed columns, then a Hermite form kept modulo its last pivot).  On a
+dense matrix with small entries that loop holds each row as one int, its
+entries the balanced base-2^w digits (``_bareiss_packed``): a row update
+is one big-int operation, exact because every stored entry is a minor of
+the input and so fits the slot Hadamard's bound sizes.  A fixed rule on
+the shape, the nonzero count and the slot width picks that path; every
+other matrix keeps the list loop, which skips untouched rows.  One Hermite
+echelon loop (``_echelon``) serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
 saturation (``column_lattice_saturated``, which ``verify_gale_dual``
 reads); no Smith form is needed for either.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
-dual (the oracles keep the two-pass echelon route to the same basis as
-their reference).  ``circuit_form`` is the Gauss-Jordan form whose
+dual (the tests keep the two-pass echelon route to the same basis as its
+reference).  ``circuit_form`` is the Gauss-Jordan form whose
 :meth:`CircuitForm.basis` is the fundamental-circuit basis, a kernel basis
 over Q only.  The self-duality verdict reads its line classes off that form
 without writing the basis out, and states its line-sum witnesses in the
@@ -34,7 +35,7 @@ basis's coordinates.
 
 import reprlib
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 
@@ -462,7 +463,8 @@ class CircuitForm(NamedTuple):
     is R_i at ``free[t]``, where R_i is d times the reduced echelon row of
     pivot i (on the pivot columns R_i is d times a unit vector, so those
     entries are not kept).  The kernel of ``a`` is ``d·x_B + R·x_free = 0``
-    with B the pivots; :meth:`basis` writes out its fundamental circuits.
+    with B the pivots; :meth:`basis` writes out its fundamental circuits
+    and :meth:`zero_rows` names that basis's zero rows.
     """
 
     ncols: int
@@ -493,6 +495,13 @@ class CircuitForm(NamedTuple):
             cols.append([x // g for x in v])
         return IntMatrix(cols, n).T
 
+    def zero_rows(self) -> tuple:
+        """The zero rows of :meth:`basis`, without writing it out: the
+        pivots whose Jordan row is zero, which is every column when none is
+        free (the kernel is then 0).  These are the points of ``a`` that lie
+        in no circuit."""
+        return tuple(p for p, row in zip(self.pivots, self.rows) if not any(row))
+
 
 def circuit_form(a) -> CircuitForm:
     """The :class:`CircuitForm` of ``a`` (an :class:`IntMatrix` or nested
@@ -503,8 +512,9 @@ def circuit_form(a) -> CircuitForm:
     pivots, d = _bareiss(rows, jordan=True)
     taken = set(pivots)
     free = tuple(j for j in range(n) if j not in taken)
-    jordan = tuple(tuple(row[j] for j in free) for row in rows[: len(pivots)])
-    return CircuitForm(n, tuple(pivots), free, d, jordan)
+    # itemgetter of one index gives the entry itself, of none an error
+    pick = itemgetter(*free) if len(free) > 1 else lambda row: tuple(map(row.__getitem__, free))
+    return CircuitForm(n, tuple(pivots), free, d, tuple(map(pick, rows[: len(pivots)])))
 
 
 def lattice_basis(vectors, dim: int) -> list:

@@ -25,17 +25,17 @@ does.  ``crosscheck`` compares the verdict that ships, ``is_self_dual``
 (line sums on the fundamental-circuit basis), with ``self_dual_via_flats``
 on the canonical Gale dual, ``self_dual_via_sigma`` and
 ``coparallel_criterion``, which reads the same circuit basis (cached on the
-configuration) for its classes and one fraction-free Gauss-Jordan pass
-(``intlinalg._bareiss``) for each functional.
+configuration) for its classes and one ``circuit_form`` for each
+functional.
 ``facial_via_separation`` reads the input columns only, not the Gale dual.
-``random_lawrence_block`` computes kernels with ``_hermite_kernel``, the
-two-pass Hermite echelon route kept here as the reference, so it shares no
-kernel code with ``integer_kernel`` (a Hermite
-form modulo a determinant).  The self-duality verdict reads the
-fundamental-circuit basis (a Bareiss-Jordan pass), so the flat-sum referee
-and it share no kernel either.  ``random_lawrence_block`` reads the column
-lattice through its Hermite basis (``column_lattice_saturated``).  These
-run at desk scale only and guard themselves with explicit size limits.
+The self-duality verdict reads the fundamental-circuit basis (a
+Bareiss-Jordan pass) and the flat-sum referee the canonical Gale dual
+(``integer_kernel``, a Hermite form modulo a determinant), so the two
+share no kernel.  The generators are not referees: ``random_configuration``
+and ``random_lawrence_block`` refuse pyramids by the zero rows of a
+``circuit_form``, and ``random_lawrence_block`` reads the column lattice
+through its Hermite basis (``column_lattice_saturated``).  These run at
+desk scale only and guard themselves with explicit size limits.
 """
 
 import itertools
@@ -53,13 +53,7 @@ from .configuration import (
 from .exceptions import GuardExceeded, irregular_input, pyramidal_input
 from .engine import is_self_dual
 from .gale import GaleDual, coparallel_criterion, gale_dual
-from .intlinalg import (
-    IntMatrix,
-    _bareiss,
-    _echelon,
-    column_lattice_saturated,
-    imat,
-)
+from .intlinalg import IntMatrix, circuit_form, column_lattice_saturated, imat
 from .ratlp import feasible_nonneg
 
 ENUMERATION_GUARD = 12
@@ -85,23 +79,6 @@ def _check_guard(n: int, what: str):
             f"{what} enumerates subsets of {n} points; the guard is "
             f"{ENUMERATION_GUARD}"
         )
-
-
-def _hermite_kernel(a) -> IntMatrix:
-    """The referees' saturated kernel basis, by the two-pass Hermite route.
-
-    An echelon pass over the first m columns of ``[a^T | I_n]`` leaves, in
-    the rows that vanish there, a unimodular basis of ``ker(a) ∩ Z^n``;
-    echelon those rows on their own for the Hermite form.  The result equals
-    ``integer_kernel(a)``, which reaches the same form modulo a determinant;
-    keeping this route here means a referee and the predicate it checks do
-    not share kernel code.
-    """
-    a = imat(a)
-    m, n = a.shape
-    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a.T)]
-    rows = _echelon(rows, m)
-    return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
 
 
 def _circuits(c: Configuration):
@@ -362,13 +339,13 @@ def random_configuration(
 
     Drawing is rejection-based (at most 20000 draws) but fully determined by
     the caller's ``rng``, so seeded sweeps are reproducible; the benchmark's
-    ``oracle_instance`` replays the draws.  The filters run on the raw
-    draw's ``circuit_form``: the corank is the number of free columns, and
-    a point is an apex exactly when it is a pivot whose Jordan row is zero.
-    The draw that is kept is regularized, and of its rows only those that
-    raise the rank, read top to bottom, are returned (the pivots of one
-    forward elimination of the transpose): ``rank([1; W])`` independent
-    rows, still regular, with the draw's own relations and entries.
+    ``oracle_instance`` replays the draws.  The non-pyramidal filter reads
+    the raw draw's ``circuit_form``: a draw with no relation, or with a
+    point in no circuit, has zero rows (``CircuitForm.zero_rows``).  The
+    draw that is kept is regularized, and of its rows only those that raise
+    the rank, read top to bottom, are returned (``_greedy_basis``, as a
+    flat's lex-first basis is found): ``rank([1; W])`` independent rows,
+    still regular, with the draw's own relations and entries.
     """
     least = 3 if non_pyramidal else 2
     if max_points < least:
@@ -380,13 +357,10 @@ def random_configuration(
         c = parse_configuration(rows)
         if len(set(c.columns())) != c.npoints:
             continue
-        if non_pyramidal:
-            form = c.circuit_form
-            if not form.free or not all(map(any, form.rows)):
-                continue
+        if non_pyramidal and c.circuit_form.zero_rows():
+            continue
         weights = regularize(c).weights
-        pivots, _ = _bareiss(list(weights.T))
-        return parse_configuration([weights[i] for i in pivots])
+        return parse_configuration([weights[i] for i, _ in _greedy_basis(weights)])
     raise RuntimeError("rejection sampling starved; loosen the filters")
 
 
@@ -398,7 +372,7 @@ def random_lawrence_block(rng: random.Random) -> IntMatrix:
         d = rng.randint(1, 4)
         n = rng.randint(1, 4)
         m = imat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-        if not all(map(any, _hermite_kernel(m))):
+        if circuit_form(m).zero_rows():
             continue  # pyramidal lift: a zero kernel row, or no kernel at all
         if not column_lattice_saturated(m):
             continue

@@ -511,6 +511,16 @@ def test_inconsistent_json_header(tmp_path, capsys):
     assert code == 1 and "disagrees" in err
 
 
+@pytest.mark.parametrize("header", [{"rows": True}, {"cols": 3.0}], ids=["rows-true", "cols-float"])
+def test_json_sizes_must_be_integers(tmp_path, capsys, header):
+    # true == 1 and 3.0 == 3 in Python, but neither is a size
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({**header, "entries": [[1, 2, 3]]}))
+    code, out, err = run(capsys, "check", "self-dual", str(path))
+    assert code == 1 and out == ""
+    assert f"'{next(iter(header))}' field disagrees with the entries" in err
+
+
 def test_enumeration_guard_surfaces_as_error(tmp_path, capsys):
     wide = tmp_path / "wide.txt"
     wide.write_text(" ".join(str(i) for i in range(13)) + "\n")

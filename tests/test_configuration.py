@@ -377,8 +377,10 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
             "circuit_form": 1,
             "_bareiss": 1,
         }
-    # the readers of one configuration share its one elimination
-    counts = _count_calls(monkeypatch, _toricdual_modules(), ("circuit_form",))
+    # the readers of one configuration share its one elimination: the
+    # binding the cached property calls (coparallel_criterion's functionals
+    # eliminate other matrices)
+    counts = _count_calls(monkeypatch, [configuration], ("circuit_form",))
     c = parse_configuration(rows)
     is_self_dual(c)
     full_decomposition(c)
@@ -415,6 +417,16 @@ def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
     counts = _count_calls(monkeypatch, _toricdual_modules(), ("_bareiss", "_echelon"))
     assert gale_dual(c).corank == 14 - 6
     assert counts == {"_bareiss": 1, "_echelon": 0}
+
+
+def test_verify_gale_dual_reads_the_corank_off_the_cached_form(monkeypatch):
+    rng = random.Random(12)
+    c = parse_configuration([[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)])
+    b = gale_dual(c).matrix
+    is_self_dual(c)
+    counts = _count_calls(monkeypatch, _toricdual_modules(), ("_bareiss",))
+    assert verify_gale_dual(c, b)
+    assert counts == {"_bareiss": 1}  # the rank of b
 
 
 def test_affine_dim_computes_no_gale_kernel(monkeypatch):

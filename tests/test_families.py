@@ -18,10 +18,9 @@ from toricdual.families import (
 )
 from toricdual.gale import gale_dual, verify_gale_dual
 from toricdual.intlinalg import imat, integer_kernel, lattice_basis
-from toricdual.oracle import _hermite_kernel
 from test_engine import _nonsingular, _unimodular
 from test_gale import column_lattices_equal
-from test_intlinalg import cofactor_det, fraction_rank, product
+from test_intlinalg import _hermite_kernel, cofactor_det, fraction_rank, product
 
 
 def test_segre_shape_and_flags():
@@ -160,6 +159,7 @@ def test_family_validation():
         (lambda: family_dim(2, [2.7, -2.2]), "integer alpha, got 2.7"),
         (lambda: family_codim(2, 2, ["1", "-1"]), "integer alpha, got '1'"),
         (lambda: family_codim(2, 2, [Fraction(1, 2), Fraction(-1, 2)]), "integer alpha"),
+        (lambda: family_codim(2, 2, [True, -1]), "integer alpha, got True"),
         (lambda: family_codim(2.9, 2, [1, -1]), "integer m, got 2.9"),
         (lambda: family_dim(2.0, [1, -1]), "integer r, got 2.0"),
         (lambda: family_codim(2, "2", [1, -1]), "integer r"),
@@ -176,7 +176,8 @@ def _canonical_verify(c, b):
     """The former ``verify_gale_dual``, kept as the reference: the columns
     are affine relations, independent, as many as the canonical Gale dual's
     and generate the same lattice; the canonical basis comes from the
-    referees' two-pass Hermite kernel and the rank from Fractions."""
+    two-pass Hermite kernel of ``test_intlinalg`` and the rank from
+    Fractions."""
     ones_on_top = [[1] * c.npoints, *c.weights]
     bm = imat(b)
     if any(map(any, product(ones_on_top, bm))) or fraction_rank(bm) != bm.shape[1]:

@@ -291,6 +291,7 @@ def test_is_facial_conventions():
         ([3], "out of range"),
         ([0, 3], "out of range"),
         ([0.9], "must be integers"),
+        ([True], "must be integers"),
     ],
 )
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdual import intlinalg
@@ -13,6 +13,7 @@ from toricdual.intlinalg import (
     IntMatrix,
     _bareiss,
     _bareiss_packed,
+    _echelon,
     _slot_bytes,
     circuit_form,
     column_lattice_saturated,
@@ -24,7 +25,6 @@ from toricdual.intlinalg import (
     primitive_vector,
     rank,
 )
-from toricdual.oracle import _hermite_kernel
 from test_gale import _digits_3900, column_lattices_equal
 
 
@@ -305,6 +305,23 @@ kernel_matrices = st.one_of(
     # rank 0: the kernel is everything
     st.tuples(st.integers(1, 3), st.integers(1, 5)).map(lambda s: [[0] * s[1]] * s[0]),
 )
+
+
+def _hermite_kernel(a) -> IntMatrix:
+    """The saturated kernel basis by the two-pass Hermite route, the
+    reference ``integer_kernel`` is checked against.
+
+    An echelon pass over the first m columns of ``[a^T | I_n]`` leaves, in
+    the rows that vanish there, a unimodular basis of ``ker(a) ∩ Z^n``;
+    echelon those rows on their own for the Hermite form.  The result equals
+    ``integer_kernel(a)``, which reaches the same form modulo a determinant
+    without the second pass's entry growth.
+    """
+    a = imat(a)
+    m, n = a.shape
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a.T)]
+    rows = _echelon(rows, m)
+    return IntMatrix(_echelon([row[m:] for row in rows if not any(row[:m])], n), n).T
 
 
 @settings(max_examples=300, deadline=None)
@@ -600,3 +617,14 @@ def test_circuit_basis_columns_are_fundamental_circuits(rows):
         assert gcd(*col) == 1
         assert all(x == 0 for i, x in enumerate(col) if i != j and i not in basis)
         assert col[j] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_matrices)
+@example([[0, 0, 0], [0, 0, 0]])  # rank 0: no zero row
+@example([[2, 1], [1, 3]])  # corank 0: every row is zero
+@example([[1, 0, 0], [0, 1, 1]])  # column 0 lies in no circuit
+def test_zero_rows_are_the_zero_rows_of_the_basis(rows):
+    form = circuit_form(rows)
+    expected = tuple(i for i, row in enumerate(form.basis()) if not any(row))
+    assert form.zero_rows() == expected

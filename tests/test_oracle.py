@@ -62,8 +62,8 @@ def _circuits_by_definition(c):
     """Circuits by their definition: every subset of at most
     ``affine_dim + 2`` points whose affine relations have rank one, with a
     generator nonzero on the whole subset, in the order of subsets by size
-    and then lexicographically.  The kernel is ``integer_kernel``, not the
-    referee's ``_hermite_kernel``."""
+    and then lexicographically.  The kernel is ``integer_kernel``; the
+    referee computes none."""
     reg = regularize(c)
     out = []
     for size in range(2, affine_dim(c) + 3):
@@ -115,10 +115,9 @@ def test_circuits_of_raw_input_match_the_definition(c):
 
 def test_circuits_make_no_rank_or_fast_kernel_call(monkeypatch):
     # a dependent candidate's relation is read off its zero residue (so no
-    # kernel, _hermite_kernel included) and put in canonical form by the
-    # referee's own _unit (so no primitive_vector); no circuit basis is
-    # written out
-    names = ("_bareiss", "rank", "basis", "integer_kernel", "primitive_vector", "_hermite_kernel")
+    # kernel) and put in canonical form by the referee's own _unit (so no
+    # primitive_vector); no circuit basis is written out
+    names = ("_bareiss", "rank", "basis", "integer_kernel", "primitive_vector")
     for seed in range(4):
         c = random_configuration(random.Random(seed))
         expected = _circuits_by_definition(c)

@@ -181,3 +181,64 @@ def test_readme_commands_run_in_the_cli_tour():
     # a tour line may add options (--verify, --format text) after the README's
     missing = [c for c in commands if not any(t[: len(c)] == c for t in tour)]
     assert missing == []
+
+
+def readme_python_example(readme: str) -> str:
+    """The ``python`` code block of the README's "Python API" section."""
+    section = readme.split("## Python API", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_example_runs(capsys):
+    example = readme_python_example((ROOT / "README.md").read_text(encoding="utf-8"))
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # the values its comments state exactly (the first line is up to sign)
+    assert printed[1:] == ["True gale-line-sums", "True", "False"]
+
+
+ELIMINATION_LOOPS = ("_bareiss", "_bareiss_packed", "_slot_bytes", "_echelon")
+
+
+def elimination_names(source: str) -> list:
+    """``(line, name)`` wherever ``source`` names one of the elimination
+    loops of ``intlinalg``: as a name, an attribute, an imported name or a
+    function it defines (text in strings and docstrings does not count)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in ELIMINATION_LOOPS]
+    return sorted(found)
+
+
+def test_elimination_names_are_found():
+    source = (
+        "from .intlinalg import _bareiss, rank\n"
+        '"""_echelon, in a docstring"""\n'
+        "pivots, d = _bareiss(rows, jordan=True)\n"
+        "intlinalg._slot_bytes(rows)\n"
+        "def _echelon(rows):\n    return rank(rows)\n"
+    )
+    assert elimination_names(source) == [
+        (1, "_bareiss"), (3, "_bareiss"), (4, "_slot_bytes"), (5, "_echelon")
+    ]
+
+
+def test_only_intlinalg_names_its_elimination_loops():
+    # every other module reads an elimination through circuit_form, rank,
+    # integer_kernel or lattice_basis
+    found = {
+        p.name: elimination_names(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "intlinalg.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
