@@ -474,15 +474,15 @@ def _simplicial_edges(vertex, diffs, candidates, height, dim):
     non-simple vertex, or a simple one where a point off the edges is lower
     than an edge, gives None.
     """
-    nearest = {s: min((k for k in s if k != vertex), key=height.__getitem__) for s in candidates}
-    order = sorted(candidates, key=lambda s: (height[nearest[s]], s))
-    form = circuit_form(list(zip(*(diffs[nearest[s]] for s in order))))
+    # each line's nearest point as (height, line, point), in that order
+    lines = sorted(min((height[k], s, k) for k in s if k != vertex) for s in candidates)
+    form = circuit_form(list(zip(*(diffs[k] for _, _, k in lines))))
     # the differences at a point span the directions of the affine hull
     assert len(form.pivots) == dim
     d = form.pivot
     if any(x * d < 0 for row in form.rows for x in row):
         return None
-    return sorted(order[p] for p in form.pivots)
+    return sorted(lines[p][1] for p in form.pivots)
 
 
 def smooth_certificate(c: Configuration) -> Verdict:

@@ -92,9 +92,12 @@ def verify_gale_dual(c: Configuration, b) -> bool:
     columns are affine relations (``[1; W]·b = 0``), independent, as many
     as the corank ``n - rank([1; W])`` (the free columns of
     ``c.circuit_form``, so ``[1; W]`` is eliminated at most once per
-    configuration), and they span a saturated lattice.  The first three
-    make them a basis of the relations over Q; a saturated lattice of that
-    rank inside them is all of their integer points.
+    configuration), and they span a saturated lattice.  The pass is shared
+    only when another reader, such as ``is_self_dual``, has built the form
+    already; on a fresh configuration this call builds it, a Gauss-Jordan
+    pass where a forward rank would do about half the row updates.  The
+    first three make them a basis of the relations over Q; a saturated
+    lattice of that rank inside them is all of their integer points.
     """
     bm = imat(b)
     if bm.shape[0] != c.npoints:

@@ -35,7 +35,7 @@ basis's coordinates.
 
 import reprlib
 from math import gcd
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 
@@ -512,9 +512,8 @@ def circuit_form(a) -> CircuitForm:
     pivots, d = _bareiss(rows, jordan=True)
     taken = set(pivots)
     free = tuple(j for j in range(n) if j not in taken)
-    # itemgetter of one index gives the entry itself, of none an error
-    pick = itemgetter(*free) if len(free) > 1 else lambda row: tuple(map(row.__getitem__, free))
-    return CircuitForm(n, tuple(pivots), free, d, tuple(map(pick, rows[: len(pivots)])))
+    jordan = tuple(tuple(map(row.__getitem__, free)) for row in rows[: len(pivots)])
+    return CircuitForm(n, tuple(pivots), free, d, jordan)
 
 
 def lattice_basis(vectors, dim: int) -> list:

@@ -13,7 +13,6 @@ from toricdual.configuration import (
     parse_configuration,
     regularize,
 )
-from toricdual import configuration
 from toricdual.engine import (
     HypersurfaceClass,
     _decompose,
@@ -377,15 +376,18 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
             "circuit_form": 1,
             "_bareiss": 1,
         }
-    # the readers of one configuration share its one elimination: the
-    # binding the cached property calls (coparallel_criterion's functionals
-    # eliminate other matrices)
-    counts = _count_calls(monkeypatch, [configuration], ("circuit_form",))
-    c = parse_configuration(rows)
-    is_self_dual(c)
-    full_decomposition(c)
-    coparallel_criterion(c)
-    assert counts == {"circuit_form": 1}
+    # the readers of one configuration share its one elimination; the only
+    # other passes are coparallel_criterion's functionals, one per line
+    # class it solves (the random rows fail at their first class)
+    for c in (parse_configuration(rows), segre(3)):
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, _toricdual_modules(), ("circuit_form",))
+            is_self_dual(c)
+            full_decomposition(c)
+            v = coparallel_criterion(c)
+        solved = len(v.witness["classes"]) if v.value else 1
+        assert v.value or v.witness["members"] == [0]
+        assert counts == {"circuit_form": 1 + solved}
 
 
 def test_strong_reads_the_shared_circuit_form(monkeypatch):
