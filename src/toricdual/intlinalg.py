@@ -12,14 +12,16 @@ modules go through ``rank``, ``circuit_form``, ``integer_kernel`` and
 (forward elimination); ``circuit_form`` (the same loop eliminating above
 each pivot too), whose :class:`CircuitForm` is how every other module
 reads a Gauss-Jordan pass; and ``integer_kernel`` (that pass on the
-reversed columns, then a Hermite form kept modulo its last pivot).  On a
-dense matrix with small entries that loop holds each row as one int, its
-entries the balanced base-2^w digits (``_bareiss_packed``): a row update
-is one big-int operation, exact because every stored entry is a minor of
-the input and so fits the slot Hadamard's bound sizes.  A fixed rule on
-the shape, the nonzero count and the slot width picks that path; every
-other matrix keeps the list loop, which skips untouched rows.  One Hermite
-echelon loop (``_echelon``) serves ``lattice_basis``.
+reversed columns, then a Hermite form kept modulo its last pivot).  A
+row with a 0 in the pivot column is not rescaled but keeps its own
+denominator until its next update.  On a dense matrix with small entries
+that loop holds each row as one int, its entries the balanced base-2^w
+digits (``_bareiss_packed``, packed a row at a time by ``struct``): a row
+update is one big-int operation, exact because every stored entry is a
+minor of the input and so fits the slot Hadamard's bound sizes.  A fixed
+rule on the shape, the nonzero count and the slot width picks that path;
+every other matrix keeps the list loop.  One Hermite echelon loop
+(``_echelon``) serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
 saturation (``column_lattice_saturated``, which ``verify_gale_dual``
@@ -36,6 +38,7 @@ basis's coordinates.
 import reprlib
 from math import gcd
 from operator import mul
+from struct import Struct
 from typing import NamedTuple
 
 
@@ -211,10 +214,17 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     the t-th pivot.
 
     The update of a row x by the pivot row y is ``(x·p - f·y) / prev``, with
-    f the row's entry in the pivot column.  When f is 0 that is ``x·p /
-    prev``, which is x itself when the new pivot p equals the previous one:
-    such a row is left as it is.  Sparse 0/±1 input (Segre and Lawrence
-    configurations) meets that case at almost every pivot.
+    f the row's entry in the pivot column.  When f is 0 that only rescales x
+    by p/prev, so the row is left as it is and keeps ``s``, the pivot it was
+    last brought to, as its own denominator (its true row is x·prev/s).  Its
+    next update ``(x·p - f·y) // s`` is exact and equals the eager one,
+    ``(prev/s)·(x·p - f·y) / prev``.  A row so kept is brought up to
+    ``prev`` when it becomes the pivot row or, in a Jordan pass, at the end;
+    forward pivot rows are not touched after their step, and rows past the
+    rank are zero, so every output is the eager loop's.  Sparse 0/±1 input
+    (joins, Segre and Lawrence configurations) meets f = 0 at about half of
+    all updates.  Rows under 6 entries are rescaled at once, which costs
+    less, and nothing is recorded until a row is first kept.
 
     Packed rows.  A matrix with at least 16 columns and 7 rows (16 for
     forward elimination, which makes half the updates for the same packing
@@ -244,6 +254,7 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         if nbytes <= 32:
             return _bareiss_packed(rows, jordan, nbytes)
     pivots, r, prev = [], 0, 1
+    scale = None  # scale[i]: the pivot row i was left at, 0 once brought up
     for c in range(ncols):
         if r == m:
             break
@@ -251,18 +262,45 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        p = pr[c]
-        for i in range(0 if jordan else r + 1, m):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
-                elif p != prev:
-                    rows[i] = [x * p // prev for x in rows[i]]
+        if scale is None:
+            pr = rows[r]
+            p = pr[c]
+            for i in range(0 if jordan else r + 1, m):
+                if i != r:
+                    f = rows[i][c]
+                    if f:
+                        rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
+                    elif p == prev:
+                        pass
+                    elif ncols < 6:  # a row this short is rescaled faster than tracked
+                        rows[i] = [x * p // prev for x in rows[i]]
+                    else:
+                        if scale is None:
+                            scale = [0] * m
+                        scale[i] = prev
+        else:
+            s, scale[piv], scale[r] = scale[piv], scale[r], 0
+            if s and s != prev:
+                rows[r] = [x * prev // s for x in rows[r]]
+            pr = rows[r]
+            p = pr[c]
+            for i in range(0 if jordan else r + 1, m):
+                if i != r:
+                    f = rows[i][c]
+                    if f:
+                        s = scale[i] or prev
+                        scale[i] = 0
+                        rows[i] = [(x * p - f * y) // s for x, y in zip(rows[i], pr)]
+                    elif p != prev and not scale[i]:
+                        scale[i] = prev
         prev = p
         pivots.append(c)
         r += 1
+    if scale:
+        for i in range(r):
+            s = scale[i]
+            if s and s != prev:
+                rows[i] = [x * prev // s for x in rows[i]]
     return pivots, prev
 
 
@@ -289,18 +327,30 @@ def _bareiss_packed(rows: list, jordan: bool, nbytes: int) -> tuple:
     (``half`` in every slot) makes every digit nonnegative, so an entry is
     read with no carry by a shift and a mask.  The intermediate ``p·X -
     f·Y`` may outgrow its slots, its quotient by ``prev`` does not.  The same
-    pivots are found and the same updates skipped as in the list loop; at
-    the end rows ``[:rank]`` are unpacked and the rest are zero.
+    pivots are found as in the list loop, but a row with f = 0 is rescaled
+    at once: on rows this dense that is rare, and deferring it measured no
+    faster.  At the end rows ``[:rank]`` are unpacked and the rest are zero.
+    A slot of at most 8 bytes is widened to 1, 2, 4 or 8, so that one
+    ``struct`` call packs or unpacks a whole row from its two's complement
+    bytes, which are those of ``x + half`` with the top bit of each slot
+    flipped (one ``^ off``); a wider slot goes entry by entry.
     """
     m, n = len(rows), len(rows[0])
+    fmt = None
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()
+        fmt = Struct(f"<{n}{ {1: 'b', 2: 'h', 4: 'i', 8: 'q'}[nbytes] }")
     w = 8 * nbytes
     half, mask = 1 << (w - 1), (1 << w) - 1
     off = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
-    packed = [
-        int.from_bytes(b"".join((x + half).to_bytes(nbytes, "little") for x in row), "little")
-        - off
-        for row in rows
-    ]
+    if fmt:
+        packed = [(int.from_bytes(fmt.pack(*row), "little") ^ off) - off for row in rows]
+    else:
+        packed = [
+            int.from_bytes(b"".join((x + half).to_bytes(nbytes, "little") for x in row), "little")
+            - off
+            for row in rows
+        ]
     pivots, r, prev = [], 0, 1
     for c in range(n):
         if r == m:
@@ -324,10 +374,14 @@ def _bareiss_packed(rows: list, jordan: bool, nbytes: int) -> tuple:
         prev = p
         pivots.append(c)
         r += 1
-    cuts = [slice(k, k + nbytes) for k in range(0, nbytes * n, nbytes)]
-    for i in range(r):
-        data = (packed[i] + off).to_bytes(nbytes * n, "little")
-        rows[i] = [int.from_bytes(data[k], "little") - half for k in cuts]
+    if fmt:
+        for i in range(r):
+            rows[i] = list(fmt.unpack(((packed[i] + off) ^ off).to_bytes(nbytes * n, "little")))
+    else:
+        cuts = [slice(k, k + nbytes) for k in range(0, nbytes * n, nbytes)]
+        for i in range(r):
+            data = (packed[i] + off).to_bytes(nbytes * n, "little")
+            rows[i] = [int.from_bytes(data[k], "little") - half for k in cuts]
     rows[r:] = [[0] * n for _ in range(r, m)]
     return pivots, prev
 

@@ -3,8 +3,9 @@
 The input is integer and so is every answer: a rational vector comes back
 as int numerators over one positive int denominator.  The simplex behind
 ``feasible_nonneg`` is fraction-free, with no floating point and no
-tolerance, and infeasibility comes with a Farkas certificate that the
-caller can recheck by two inner products.
+tolerance (each tableau row keeps a positive denominator of its own, so a
+pivot rewrites only the rows it changes), and infeasibility comes with a
+Farkas certificate that the caller can recheck by two inner products.
 """
 
 from .intlinalg import _lowest_terms
@@ -28,11 +29,19 @@ def feasible_nonneg(a, b):
     finite and deterministic.
 
     The tableau is fraction-free (Edmonds' integer-preserving pivoting): int
-    rows ``M`` with one positive common denominator ``d``, the true tableau
-    being ``M / d``.  A pivot on ``p = M[r][c] > 0`` replaces every other row
-    by ``(p * M[i] - M[i][c] * M[r]) // d``, an exact division, and sets
-    ``d = p``.  Signs and ratio comparisons read ``M`` directly, so the pivot
-    sequence is that of the same simplex on Fractions.
+    rows ``M`` over the last pivot ``d``, the true tableau being ``M / d``.
+    A pivot on ``p = M[r][c] > 0`` replaces every other row by ``(p * M[i] -
+    M[i][c] * M[r]) // d``, an exact division, and sets ``d = p``.  A row
+    with ``M[i][c] = 0`` would only be rescaled by ``p / d``; it is left as
+    it is instead, over its own denominator ``s_i`` (the ``d`` it was last
+    brought to), its true row being ``M[i] / s_i``, and its next update
+    divides by ``s_i``, exactly, to the same row the eager update gives.
+    A row left so that becomes the pivot row is first brought up to ``d``,
+    and at the end only the solution's entries are.  Every ``s_i`` is a
+    past pivot, so positive: signs and the ratio test (each ratio is of two
+    entries of one row) read ``M`` directly, and the pivot sequence is that
+    of the same simplex on Fractions.  The objective row is updated at
+    every pivot, so the Farkas vector reads it unchanged.
     """
     m = len(a)
     k = len(a[0]) if m else 0
@@ -52,6 +61,7 @@ def feasible_nonneg(a, b):
     obj = [-sum(col) for col in zip(*rows)]
     obj[k:k] = [0] * m
     d = 1
+    scale = None  # scale[i]: the d row i was left at, 0 once brought up
 
     while True:
         enter = next((j for j in range(last) if obj[j] < 0), None)
@@ -70,26 +80,46 @@ def feasible_nonneg(a, b):
                     if diff < 0 or (diff == 0 and basis[i] < basis[row]):
                         row, num, den = i, t[last], p
         assert row is not None, "phase-1 objective is bounded below by zero"
-        pr = tab[row]
-        p = pr[enter]
-        for i in range(m):
-            if i != row:
-                t = tab[i]
-                f = t[enter]
-                if f:
-                    tab[i] = [(p * x - f * y) // d for x, y in zip(t, pr)]
-                else:  # only rescaled to the new denominator
-                    tab[i] = [p * x // d for x in t]
+        if scale is None:
+            pr = tab[row]
+            p = pr[enter]
+            for i in range(m):
+                if i != row:
+                    t = tab[i]
+                    f = t[enter]
+                    if f:
+                        tab[i] = [(p * x - f * y) // d for x, y in zip(t, pr)]
+                    elif p != d:
+                        if scale is None:
+                            scale = [0] * m
+                        scale[i] = d
+        else:
+            s, scale[row] = scale[row], 0
+            if s and s != d:
+                tab[row] = [x * d // s for x in tab[row]]
+            pr = tab[row]
+            p = pr[enter]
+            for i in range(m):
+                if i != row:
+                    t = tab[i]
+                    f = t[enter]
+                    if f:
+                        s = scale[i] or d
+                        scale[i] = 0
+                        tab[i] = [(p * x - f * y) // s for x, y in zip(t, pr)]
+                    elif p != d and not scale[i]:
+                        scale[i] = d
         f = obj[enter]
         obj = [(p * x - f * y) // d for x, y in zip(obj, pr)]
         d = p
         basis[row] = enter
 
     if obj[last] == 0:
+        scale = scale or [0] * m
         x = [0] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                x[bv] = tab[i][last]
+                x[bv] = tab[i][last] * d // (scale[i] or d)
         return (x, d), None
     # d * y, rechecked exactly against the caller's system before handing out
     dy = [s * (d - obj[k + i]) for i, s in enumerate(signs)]

@@ -444,8 +444,9 @@ def test_bareiss_det_equals_cofactor_expansion(rows):
 
 
 def _bareiss_unskipped(rows, jordan=False):
-    """``_bareiss`` as it reads without the skip: every row other than the
-    pivot row gets the full update ``(x·p - f·y) / prev``."""
+    """The eager Bareiss loop that ``_bareiss`` must match: at every pivot,
+    every row other than the pivot row gets the full update ``(x·p - f·y) /
+    prev``, so no row is left out or kept over a denominator of its own."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots, r, prev = [], 0, 1
@@ -481,7 +482,26 @@ def _lawrence_rows(rows):
     return top + [[0] * n + list(row) for row in rows]
 
 
-SHAPES = {"dense": list, "identity block": _identity_block, "lawrence": _lawrence_rows}
+def _block_diagonal(rows):
+    """Two or three copies of ``rows`` (the k-th times k) down the diagonal,
+    over one dense row across them all: a row sits out every pivot of the
+    blocks before its own, and enters its own block as the pivot row while
+    still left out."""
+    n, copies = len(rows[0]), 2 + len(rows) % 2
+    out = [
+        [0] * (k * n) + [(k + 1) * x for x in row] + [0] * ((copies - k - 1) * n)
+        for k in range(copies)
+        for row in rows
+    ]
+    return out + [[1 + j % 3 for j in range(copies * n)]]
+
+
+SHAPES = {
+    "dense": list,
+    "identity block": _identity_block,
+    "lawrence": _lawrence_rows,
+    "block diagonal": _block_diagonal,
+}
 
 
 @settings(max_examples=200, deadline=None)
@@ -515,6 +535,21 @@ def _packed_matches_reference(rows, jordan):
 @given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
 def test_packed_rows_leave_every_output_as_the_full_update(rows, shape, jordan):
     _packed_matches_reference(SHAPES[shape](rows), jordan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
+@example([[1]], "dense", False)
+@example([[1, -1], [2, 3]], "block diagonal", True)
+def test_packed_rows_at_every_slot_width(rows, shape, jordan):
+    # from Hadamard's width up to 9 bytes: slots of 1, 2, 4 and 8 bytes go
+    # through struct (3 and 5-7 round up), wider ones through bytes
+    rows = SHAPES[shape](rows)
+    width = _hadamard_slot_bytes(rows)
+    for nbytes in range(width, max(width, 9) + 1):
+        packed, full = [list(r) for r in rows], [list(r) for r in rows]
+        assert _bareiss_packed(packed, jordan, nbytes) == _bareiss_unskipped(full, jordan)
+        assert packed == full
 
 
 def _sylvester(n):
