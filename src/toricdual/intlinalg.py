@@ -254,7 +254,7 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         if nbytes <= 32:
             return _bareiss_packed(rows, jordan, nbytes)
     pivots, r, prev = [], 0, 1
-    scale = None  # scale[i]: the pivot row i was left at, 0 once brought up
+    scale = None  # scale[i]: the pivot row i was left at, 0 while it is at prev
     for c in range(ncols):
         if r == m:
             break

@@ -61,7 +61,7 @@ def feasible_nonneg(a, b):
     obj = [-sum(col) for col in zip(*rows)]
     obj[k:k] = [0] * m
     d = 1
-    scale = None  # scale[i]: the d row i was left at, 0 once brought up
+    scale = None  # scale[i]: the d row i was left at, 0 while it is at d
 
     while True:
         enter = next((j for j in range(last) if obj[j] < 0), None)
