@@ -12,15 +12,16 @@ modules go through ``rank``, ``circuit_form``, ``integer_kernel`` and
 (forward elimination); ``circuit_form`` (the same loop eliminating above
 each pivot too), whose :class:`CircuitForm` is how every other module
 reads a Gauss-Jordan pass; and ``integer_kernel`` (that pass on the
-reversed columns, then a Hermite form kept modulo its last pivot).  A
-row with a 0 in the pivot column is not rescaled but keeps its own
-denominator until its next update.  On a dense matrix with small entries
-that loop holds each row as one int, its entries the balanced base-2^w
-digits (``_bareiss_packed``, packed a row at a time by ``struct``): a row
-update is one big-int operation, exact because every stored entry is a
-minor of the input and so fits the slot Hadamard's bound sizes.  A fixed
-rule on the shape, the nonzero count and the slot width picks that path;
-every other matrix keeps the list loop.  One Hermite echelon loop
+reversed columns, then a Hermite form kept modulo its last pivot).  In
+the list loop a row with a 0 in the pivot column is not rescaled but keeps
+its own denominator until its next update.  On a dense matrix with small
+entries the loop instead holds each row as one int, its entries the
+balanced base-2^w digits (``_bareiss_packed``, packed a row at a time by
+``struct``, which rescales such a row at once): a row update is one
+big-int operation, exact because every stored entry is a minor of the
+input and so fits the slot Hadamard's bound sizes.  A fixed rule on the
+shape, the nonzero count and the slot width picks that path; every other
+matrix keeps the list loop.  One Hermite echelon loop
 (``_echelon``) serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
@@ -223,8 +224,7 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     forward pivot rows are not touched after their step, and rows past the
     rank are zero, so every output is the eager loop's.  Sparse 0/±1 input
     (joins, Segre and Lawrence configurations) meets f = 0 at about half of
-    all updates.  Rows under 6 entries are rescaled at once, which costs
-    less, and nothing is recorded until a row is first kept.
+    all updates.
 
     Packed rows.  A matrix with at least 16 columns and 7 rows (16 for
     forward elimination, which makes half the updates for the same packing
@@ -254,7 +254,7 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         if nbytes <= 32:
             return _bareiss_packed(rows, jordan, nbytes)
     pivots, r, prev = [], 0, 1
-    scale = None  # scale[i]: the pivot row i was left at, 0 while it is at prev
+    scale = [1] * m  # scale[i]: the pivot row i was last brought to
     for c in range(ncols):
         if r == m:
             break
@@ -262,44 +262,26 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        if scale is None:
-            pr = rows[r]
-            p = pr[c]
-            for i in range(0 if jordan else r + 1, m):
-                if i != r:
-                    f = rows[i][c]
-                    if f:
-                        rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
-                    elif p == prev:
-                        pass
-                    elif ncols < 6:  # a row this short is rescaled faster than tracked
-                        rows[i] = [x * p // prev for x in rows[i]]
-                    else:
-                        if scale is None:
-                            scale = [0] * m
-                        scale[i] = prev
-        else:
-            s, scale[piv], scale[r] = scale[piv], scale[r], 0
-            if s and s != prev:
-                rows[r] = [x * prev // s for x in rows[r]]
-            pr = rows[r]
-            p = pr[c]
-            for i in range(0 if jordan else r + 1, m):
-                if i != r:
-                    f = rows[i][c]
-                    if f:
-                        s = scale[i] or prev
-                        scale[i] = 0
-                        rows[i] = [(x * p - f * y) // s for x, y in zip(rows[i], pr)]
-                    elif p != prev and not scale[i]:
-                        scale[i] = prev
+        scale[r], scale[piv] = scale[piv], scale[r]
+        s = scale[r]
+        if s != prev:
+            rows[r] = [x * prev // s for x in rows[r]]
+        pr = rows[r]
+        p = scale[r] = pr[c]
+        for i in range(0 if jordan else r + 1, m):
+            if i != r:
+                f = rows[i][c]
+                if f:
+                    s = scale[i]
+                    rows[i] = [(x * p - f * y) // s for x, y in zip(rows[i], pr)]
+                    scale[i] = p
         prev = p
         pivots.append(c)
         r += 1
-    if scale:
+    if jordan:
         for i in range(r):
             s = scale[i]
-            if s and s != prev:
+            if s != prev:
                 rows[i] = [x * prev // s for x in rows[i]]
     return pivots, prev
 

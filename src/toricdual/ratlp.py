@@ -4,8 +4,9 @@ The input is integer and so is every answer: a rational vector comes back
 as int numerators over one positive int denominator.  The simplex behind
 ``feasible_nonneg`` is fraction-free, with no floating point and no
 tolerance (each tableau row keeps a positive denominator of its own, so a
-pivot rewrites only the rows it changes), and infeasibility comes with a
-Farkas certificate that the caller can recheck by two inner products.
+pivot rewrites only the rows it changes, and the pivot row when that lags
+behind), and infeasibility comes with a Farkas certificate that the caller
+can recheck by two inner products.
 """
 
 from .intlinalg import _lowest_terms
@@ -61,7 +62,7 @@ def feasible_nonneg(a, b):
     obj = [-sum(col) for col in zip(*rows)]
     obj[k:k] = [0] * m
     d = 1
-    scale = None  # scale[i]: the d row i was left at, 0 while it is at d
+    scale = [1] * m  # scale[i]: the d row i was last brought to
 
     while True:
         enter = next((j for j in range(last) if obj[j] < 0), None)
@@ -80,46 +81,29 @@ def feasible_nonneg(a, b):
                     if diff < 0 or (diff == 0 and basis[i] < basis[row]):
                         row, num, den = i, t[last], p
         assert row is not None, "phase-1 objective is bounded below by zero"
-        if scale is None:
-            pr = tab[row]
-            p = pr[enter]
-            for i in range(m):
-                if i != row:
-                    t = tab[i]
-                    f = t[enter]
-                    if f:
-                        tab[i] = [(p * x - f * y) // d for x, y in zip(t, pr)]
-                    elif p != d:
-                        if scale is None:
-                            scale = [0] * m
-                        scale[i] = d
-        else:
-            s, scale[row] = scale[row], 0
-            if s and s != d:
-                tab[row] = [x * d // s for x in tab[row]]
-            pr = tab[row]
-            p = pr[enter]
-            for i in range(m):
-                if i != row:
-                    t = tab[i]
-                    f = t[enter]
-                    if f:
-                        s = scale[i] or d
-                        scale[i] = 0
-                        tab[i] = [(p * x - f * y) // s for x, y in zip(t, pr)]
-                    elif p != d and not scale[i]:
-                        scale[i] = d
+        s = scale[row]
+        if s != d:
+            tab[row] = [x * d // s for x in tab[row]]
+        pr = tab[row]
+        p = scale[row] = pr[enter]
+        for i in range(m):
+            if i != row:
+                t = tab[i]
+                f = t[enter]
+                if f:
+                    s = scale[i]
+                    tab[i] = [(p * x - f * y) // s for x, y in zip(t, pr)]
+                    scale[i] = p
         f = obj[enter]
         obj = [(p * x - f * y) // d for x, y in zip(obj, pr)]
         d = p
         basis[row] = enter
 
     if obj[last] == 0:
-        scale = scale or [0] * m
         x = [0] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                x[bv] = tab[i][last] * d // (scale[i] or d)
+                x[bv] = tab[i][last] * d // scale[i]
         return (x, d), None
     # d * y, rechecked exactly against the caller's system before handing out
     dy = [s * (d - obj[k + i]) for i, s in enumerate(signs)]

@@ -504,7 +504,7 @@ SHAPES = {
 }
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=267, deadline=None)
 @given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
 def test_bareiss_skip_leaves_every_output_as_the_full_update(rows, shape, jordan):
     rows = SHAPES[shape](rows)
@@ -531,13 +531,13 @@ def _packed_matches_reference(rows, jordan):
     assert min(_slot_bytes(rows), 33) == min(width, 33)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=267, deadline=None)
 @given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
 def test_packed_rows_leave_every_output_as_the_full_update(rows, shape, jordan):
     _packed_matches_reference(SHAPES[shape](rows), jordan)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
 @example([[1]], "dense", False)
 @example([[1, -1], [2, 3]], "block diagonal", True)

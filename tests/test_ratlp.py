@@ -271,7 +271,7 @@ def integer_lps(draw):
     return a, b
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(integer_lps())
 @example(([], []))
 def test_feasible_nonneg_matches_fraction_reference(lp):
