@@ -6,6 +6,18 @@ cd "$(dirname "$0")/.."
 
 run() { echo; echo "\$ $*"; "$@"; }
 
+# the command must exit 1 with exactly one error: line on stderr, which is
+# printed (a traceback exits 1 too)
+refused() {
+    local status=0 err
+    err=$("$@" 2>&1 >/dev/null) || status=$?
+    echo "$err"
+    if [[ $status -ne 1 || $err != "error: "* || $err == *$'\n'* ]]; then
+        echo "expected exit 1 and one error: line on stderr, got exit $status" >&2
+        exit 1
+    fi
+}
+
 run toricdual gale demos/data/segre2.json
 run toricdual gale demos/data/random_26x100.txt
 run toricdual check self-dual demos/data/family_alpha_1.json --verify
@@ -38,11 +50,7 @@ run toricdual generate family-codim --m 2 --alphas 1,-1
 run toricdual oracle crosscheck --seed 7 --count 200 --format text
 echo
 echo "pyramidal input is refused with the violated hypothesis named:"
-status=0
-err=$(toricdual check strong demos/data/pyramid.txt 2>&1 >/dev/null) || status=$?
-echo "$err"
-# a traceback exits 1 too: require exactly one error: line
-if [[ $status -ne 1 || $err != "error: "* || $err == *$'\n'* ]]; then
-    echo "expected exit 1 and one error: line on stderr, got exit $status" >&2
-    exit 1
-fi
+refused toricdual check strong demos/data/pyramid.txt
+echo
+echo "a text entry is an optional sign and ASCII digits, so 1_0 is refused:"
+printf '1 1 1\n0 1 1_0\n' | refused toricdual check self-dual -

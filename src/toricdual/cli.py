@@ -16,6 +16,7 @@ built-in families are imported only by the commands that run them, so
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -34,20 +35,30 @@ from .intlinalg import _excerpt, imat
 from .verdict import Verdict
 
 
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
 def _ints(tokens, refusal) -> list:
-    """The tokens as ints.  The first one that is not an integer raises
-    ``ValueError(refusal(position, shown))``, ``shown`` its repr cut to a
-    few dozen characters; an integer past the interpreter's int-to-str
+    """The tokens as ints, each an optional sign and ASCII digits (``int``
+    alone also reads ``1_0``, other scripts' digits and spaces).  The first
+    other token raises ``ValueError(refusal(position, shown))``, ``shown``
+    its repr cut to a few dozen characters; an integer past the int-to-str
     digit limit keeps ``int``'s own message."""
     out = []
     for k, token in enumerate(tokens):
-        try:
-            out.append(int(token))
-        except ValueError:
-            if token.strip().lstrip("+-").isdecimal():
-                raise
-            raise ValueError(refusal(k, _excerpt(token))) from None
+        if not _INTEGER.fullmatch(token):
+            raise ValueError(refusal(k, _excerpt(token)))
+        out.append(int(token))
     return out
+
+
+def _int_option(text: str) -> int:
+    """The ``type`` of the integer options: one token read as :func:`_ints`
+    reads it; argparse reports the refusal (exit 2)."""
+    try:
+        return _ints([text], lambda _, token: f"expects an integer, got {token}")[0]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _option_ints(tokens, option: str, shape: str) -> list:
@@ -343,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         "family",
         choices=("segre", "lawrence", "family-alpha", "family-dim", "family-codim"),
     )
-    sp.add_argument("--m", type=int, default=2, help="segre block size / codimension")
-    sp.add_argument("--alpha", type=int, default=1, help="parameter for family-alpha")
+    sp.add_argument("--m", type=_int_option, default=2, help="segre block size / codimension")
+    sp.add_argument("--alpha", type=_int_option, default=1, help="parameter for family-alpha")
     sp.add_argument("--alphas", default="1,-1", help="comma-separated nonzero integers summing to 0; r is their count")
     sp.add_argument("--rows", help='lawrence block, rows separated by ";": "1 1 1" or "1 0; 2 1"')
     sp.add_argument("--output", help="also write the matrix JSON to this file")
@@ -352,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", parents=[common], help="randomized cross-validation sweeps")
     sp.add_argument("mode", choices=("crosscheck",))
-    sp.add_argument("--seed", type=int, default=0, help="seed for reproducible corpora")
-    sp.add_argument("--count", type=int, default=50, help="number of random instances")
+    sp.add_argument("--seed", type=_int_option, default=0, help="seed for reproducible corpora")
+    sp.add_argument("--count", type=_int_option, default=50, help="number of random instances")
     sp.set_defaults(func=cmd_oracle)
     return p
 

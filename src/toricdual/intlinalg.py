@@ -8,21 +8,21 @@ take nested int sequences.
 Every elimination here is fraction-free and runs on plain int lists, and
 this is the one module that runs or reads an elimination loop: other
 modules go through ``rank``, ``circuit_form``, ``integer_kernel`` and
-``lattice_basis``.  One Bareiss loop (``_bareiss``) serves ``rank``
-(forward elimination); ``circuit_form`` (the same loop eliminating above
-each pivot too), whose :class:`CircuitForm` is how every other module
-reads a Gauss-Jordan pass; and ``integer_kernel`` (that pass on the
-reversed columns, then a Hermite form kept modulo its last pivot).  In
-the list loop a row with a 0 in the pivot column is not rescaled but keeps
-its own denominator until its next update.  On a dense matrix with small
-entries the loop instead holds each row as one int, its entries the
-balanced base-2^w digits (``_bareiss_packed``, packed a row at a time by
-``struct``, which rescales such a row at once): a row update is one
-big-int operation, exact because every stored entry is a minor of the
+``lattice_basis`` (the simplex of ``ratlp`` takes its pivot steps through
+``_pivot``).  One Bareiss loop (``_bareiss``) serves ``rank`` (forward
+elimination) and ``circuit_form`` (eliminating above each pivot too),
+whose :class:`CircuitForm` is how every other function reads a
+Gauss-Jordan pass, ``integer_kernel`` included.  Each step of the list
+loop is one ``_pivot``, in which a row with a 0 in the pivot column is not
+rescaled but keeps its own denominator until its next update.  On a dense
+matrix with small entries the loop instead holds each row as one int, its
+entries the balanced base-2^w digits (``_bareiss_packed``, packed a row at
+a time by ``struct``, which rescales such a row at once): a row update is
+one big-int operation, exact because every stored entry is a minor of the
 input and so fits the slot Hadamard's bound sizes.  A fixed rule on the
 shape, the nonzero count and the slot width picks that path; every other
-matrix keeps the list loop.  One Hermite echelon loop
-(``_echelon``) serves ``lattice_basis``.
+matrix keeps the list loop.  One Hermite echelon loop (``_echelon``)
+serves ``lattice_basis``.
 ``lattice_basis`` answers every question about a lattice: equality (equal
 lattices have equal bases, which ``smooth_certificate`` compares) and
 saturation (``column_lattice_saturated``, which ``verify_gale_dual``
@@ -202,6 +202,35 @@ def _echelon(rows: list, ncols: int) -> list:
     return rows
 
 
+def _pivot(rows: list, scale: list, r: int, c: int, prev: int, start: int) -> int:
+    """One fraction-free pivot step on ``rows[r][c]``, in place; returns
+    that entry p, the new pivot.  ``scale[i]`` is the pivot row i was last
+    brought to and ``prev`` the last pivot.
+
+    The update of a row x by the pivot row y is ``(x·p - f·y) / prev``, f
+    its entry in column c.  When f is 0 that only rescales x by p/prev, so
+    the row is left as it is and keeps ``s = scale[i]`` as its own
+    denominator (its true row is x·prev/s); its next update ``(x·p - f·y) //
+    s`` is exact and equals the eager one, ``(prev/s)·(x·p - f·y) / prev``.
+    Row r is first brought up to ``prev``; the rows from ``start`` on are
+    updated.  Sparse 0/±1 input (joins, Segre and Lawrence configurations)
+    meets f = 0 at about half of all updates.
+    """
+    s = scale[r]
+    if s != prev:
+        rows[r] = [x * prev // s for x in rows[r]]
+    pr = rows[r]
+    p = scale[r] = pr[c]
+    for i in range(start, len(rows)):
+        if i != r:
+            f = rows[i][c]
+            if f:
+                s = scale[i]
+                rows[i] = [(x * p - f * y) // s for x, y in zip(rows[i], pr)]
+                scale[i] = p
+    return p
+
+
 def _bareiss(rows: list, jordan: bool = False) -> tuple:
     """Fraction-free (Bareiss 1968) elimination of ``rows``, in place.
 
@@ -214,17 +243,10 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     below the rank, equal to ``pivot`` times the reduced row echelon row of
     the t-th pivot.
 
-    The update of a row x by the pivot row y is ``(x·p - f·y) / prev``, with
-    f the row's entry in the pivot column.  When f is 0 that only rescales x
-    by p/prev, so the row is left as it is and keeps ``s``, the pivot it was
-    last brought to, as its own denominator (its true row is x·prev/s).  Its
-    next update ``(x·p - f·y) // s`` is exact and equals the eager one,
-    ``(prev/s)·(x·p - f·y) / prev``.  A row so kept is brought up to
-    ``prev`` when it becomes the pivot row or, in a Jordan pass, at the end;
-    forward pivot rows are not touched after their step, and rows past the
-    rank are zero, so every output is the eager loop's.  Sparse 0/±1 input
-    (joins, Segre and Lawrence configurations) meets f = 0 at about half of
-    all updates.
+    Each pivot is one :func:`_pivot`, whose rows keep their own
+    denominators; a Jordan pass brings every row up to the last pivot at
+    the end.  Forward pivot rows are not touched after their step, and rows
+    past the rank are zero, so every output is the eager loop's.
 
     Packed rows.  A matrix with at least 16 columns and 7 rows (16 for
     forward elimination, which makes half the updates for the same packing
@@ -263,19 +285,7 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         scale[r], scale[piv] = scale[piv], scale[r]
-        s = scale[r]
-        if s != prev:
-            rows[r] = [x * prev // s for x in rows[r]]
-        pr = rows[r]
-        p = scale[r] = pr[c]
-        for i in range(0 if jordan else r + 1, m):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    s = scale[i]
-                    rows[i] = [(x * p - f * y) // s for x, y in zip(rows[i], pr)]
-                    scale[i] = p
-        prev = p
+        prev = _pivot(rows, scale, r, c, prev, 0 if jordan else r + 1)
         pivots.append(c)
         r += 1
     if jordan:
@@ -381,12 +391,12 @@ def integer_kernel(a) -> IntMatrix:
     not a finite-index sublattice, and are its column Hermite form, so the
     output is deterministic.  Method: Hermite form modulo a determinant
     (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, *A Course
-    in Computational Algebraic Number Theory*, Alg. 2.4.8) behind one
-    fraction-free Gauss-Jordan pass over ``a`` with its columns reversed.
+    in Computational Algebraic Number Theory*, Alg. 2.4.8) behind the
+    :func:`circuit_form` of ``a`` with its columns reversed.
 
-    That pass picks B, the lex-last column basis (k = rank(a) columns), and
-    ends on the pivot d; with D = |d|, P the other columns in increasing
-    order and R the k Jordan rows on P, the kernel is
+    That form's pivots are B, the lex-last column basis (k = rank(a)
+    columns), and its pivot is d; with D = |d|, P its free columns (in
+    increasing order) and R its rows on P, the kernel is
     ``d·x_B + R·x_P = 0``.  A vector of L can have its first nonzero entry
     at column j iff column j of ``a`` lies in the span of the later columns,
     i.e. iff j is in P, so P is the pivot set of the Hermite form H of L.
@@ -411,21 +421,17 @@ def integer_kernel(a) -> IntMatrix:
     """
     a = imat(a)
     n = a.shape[1]
-    rows = [row[::-1] for row in a]
-    pivots, d = _bareiss(rows, jordan=True)
+    _, pivots, free, d, rows = circuit_form([row[::-1] for row in a])
     k = len(pivots)
     big = abs(d)
-    cols = list(zip(*rows[:k])) if k else [()] * n  # R's columns, reversed numbering
+    cols = list(zip(*rows)) if k else [()] * len(free)  # R's columns on P
     lam = [[big if s == t else 0 for s in range(k)] for t in range(k)]
-    taken = set(pivots)
-    # slots: the columns with h > 1, in sweep order; hs: their h; full: their
-    # rows of H on the slots (h last)
+    # slots: the positions in free of the columns with h > 1, in sweep order;
+    # hs: their h; full: their rows of H on the slots (h last)
     slots, hs, full = [], [], []
     out = []
-    for j in range(n):
-        if j in taken:
-            continue
-        v = [y % big for y in cols[j]] + [0] * len(slots)
+    for pos, j in enumerate(free):
+        v = [y % big for y in cols[pos]] + [0] * len(slots)
         old, h = None, 1
         for t in range(k):
             x = v[t]
@@ -468,17 +474,17 @@ def integer_kernel(a) -> IntMatrix:
                 for t in range(s + 1):
                     x[t] -= q * rs[t]
         if h > 1:
-            slots.append(j)
+            slots.append(pos)
             hs.append(h)
             full.append(x)
         vec = [0] * n
         vec[j] = h
-        lift = [h * y for y in cols[j]]
+        lift = [h * y for y in cols[pos]]
         for s in range(ns):
             c = x[s]
             if c:
                 i = slots[s]
-                vec[i] = c
+                vec[free[i]] = c
                 lift = [z + c * y for z, y in zip(lift, cols[i])]
         for p, y in zip(pivots, lift):
             vec[p] = -y // d

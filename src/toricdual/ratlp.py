@@ -3,13 +3,12 @@
 The input is integer and so is every answer: a rational vector comes back
 as int numerators over one positive int denominator.  The simplex behind
 ``feasible_nonneg`` is fraction-free, with no floating point and no
-tolerance (each tableau row keeps a positive denominator of its own, so a
-pivot rewrites only the rows it changes, and the pivot row when that lags
-behind), and infeasibility comes with a Farkas certificate that the caller
-can recheck by two inner products.
+tolerance: each pivot is one ``intlinalg._pivot`` on a tableau whose last
+row is the objective.  Infeasibility comes with a Farkas certificate that
+the caller can recheck by two inner products.
 """
 
-from .intlinalg import _lowest_terms
+from .intlinalg import _lowest_terms, _pivot
 
 
 def _signed_rows(a, b):
@@ -30,19 +29,15 @@ def feasible_nonneg(a, b):
     finite and deterministic.
 
     The tableau is fraction-free (Edmonds' integer-preserving pivoting): int
-    rows ``M`` over the last pivot ``d``, the true tableau being ``M / d``.
-    A pivot on ``p = M[r][c] > 0`` replaces every other row by ``(p * M[i] -
-    M[i][c] * M[r]) // d``, an exact division, and sets ``d = p``.  A row
-    with ``M[i][c] = 0`` would only be rescaled by ``p / d``; it is left as
-    it is instead, over its own denominator ``s_i`` (the ``d`` it was last
-    brought to), its true row being ``M[i] / s_i``, and its next update
-    divides by ``s_i``, exactly, to the same row the eager update gives.
-    A row left so that becomes the pivot row is first brought up to ``d``,
-    and at the end only the solution's entries are.  Every ``s_i`` is a
-    past pivot, so positive: signs and the ratio test (each ratio is of two
-    entries of one row) read ``M`` directly, and the pivot sequence is that
-    of the same simplex on Fractions.  The objective row is updated at
-    every pivot, so the Farkas vector reads it unchanged.
+    rows ``M`` over the last pivot ``d``, and each pivot on ``p = M[r][c] >
+    0`` is one ``intlinalg._pivot``, after which ``d = p``.  The rows keep
+    denominators of their own, every one a past pivot and so positive:
+    signs and the ratio test (each ratio is of two entries of one row) read
+    ``M`` directly, and the pivot sequence is that of the same simplex on
+    Fractions.  At the end only the solution's entries are brought up to
+    ``d``.  The objective is the last row; its entry in the entering column
+    is negative, so every pivot updates it, its denominator stays ``d`` and
+    the Farkas vector reads it unchanged.
     """
     m = len(a)
     k = len(a[0]) if m else 0
@@ -58,13 +53,15 @@ def feasible_nonneg(a, b):
         art[i] = 1
         tab.append(row[:k] + art + row[k:])
     basis = list(range(k, last))
-    # reduced-cost row for the objective "minimize sum of artificials"
+    # the last row: reduced costs of "minimize the sum of artificials"
     obj = [-sum(col) for col in zip(*rows)]
     obj[k:k] = [0] * m
+    tab.append(obj)
     d = 1
-    scale = [1] * m  # scale[i]: the d row i was last brought to
+    scale = [1] * (m + 1)  # scale[i]: the d row i was last brought to
 
     while True:
+        obj = tab[m]
         enter = next((j for j in range(last) if obj[j] < 0), None)
         if enter is None:
             break
@@ -81,22 +78,7 @@ def feasible_nonneg(a, b):
                     if diff < 0 or (diff == 0 and basis[i] < basis[row]):
                         row, num, den = i, t[last], p
         assert row is not None, "phase-1 objective is bounded below by zero"
-        s = scale[row]
-        if s != d:
-            tab[row] = [x * d // s for x in tab[row]]
-        pr = tab[row]
-        p = scale[row] = pr[enter]
-        for i in range(m):
-            if i != row:
-                t = tab[i]
-                f = t[enter]
-                if f:
-                    s = scale[i]
-                    tab[i] = [(p * x - f * y) // s for x, y in zip(t, pr)]
-                    scale[i] = p
-        f = obj[enter]
-        obj = [(p * x - f * y) // d for x, y in zip(obj, pr)]
-        d = p
+        d = _pivot(tab, scale, row, enter, d, 0)
         basis[row] = enter
 
     if obj[last] == 0:

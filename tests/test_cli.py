@@ -322,6 +322,43 @@ def _assert_one_error_line(code, out, err):
     assert "Traceback" not in err
 
 
+# int() alone reads "1_0" as 10 and the Arabic-Indic digit as 3, and
+# refuses "+-2" with its own message
+NOT_INTEGERS = ["1_0", "٣", "+-2"]
+
+
+@pytest.mark.parametrize("token", NOT_INTEGERS)
+@pytest.mark.parametrize("place", ["matrix", "--subset", "--alphas"])
+def test_an_integer_is_a_sign_and_ascii_digits(tmp_path, capsys, place, token):
+    path = tmp_path / "matrix.txt"
+    path.write_text(f"1 1 1\n0 1 {token}\n")
+    argv, message = {
+        "matrix": (("check", "self-dual", str(path)), f"non-integer entry {token!r} at (1,2)"),
+        "--subset": (
+            ("check", "facial", write_segre2(tmp_path), "--subset", f"0,{token}"),
+            f"--subset expects comma-separated integers, got {token!r}",
+        ),
+        "--alphas": (
+            ("generate", "family-dim", "--alphas", f"{token},-2"),
+            f"--alphas expects comma-separated integers, got {token!r}",
+        ),
+    }[place]
+    code, out, err = run(capsys, *argv)
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("token", NOT_INTEGERS)
+def test_an_integer_option_is_a_sign_and_ascii_digits(capsys, token):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "segre", "--m", token])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"toricdual generate: error: argument --m: expects an integer, got {token!r}"
+    ]
+
+
 def test_refusals_echo_a_short_excerpt_of_the_entry(tmp_path, capsys):
     # an entry nested 900 deep (within the JSON parser's limit) and a
     # 5000-character text token are cut, not echoed whole

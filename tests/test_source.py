@@ -242,3 +242,43 @@ def test_only_intlinalg_names_its_elimination_loops():
         if p.name != "intlinalg.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _is_binop(node, op) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
+
+def bareiss_updates(source: str) -> list:
+    """Lines of ``source`` with a row comprehension whose element is the
+    fraction-free update ``(A*B - C*D) // E``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+        and _is_binop(node.elt, ast.FloorDiv)
+        and _is_binop(node.elt.left, ast.Sub)
+        and _is_binop(node.elt.left.left, ast.Mult)
+        and _is_binop(node.elt.left.right, ast.Mult)
+    )
+
+
+def test_bareiss_updates_are_found():
+    source = (
+        "rows[i] = [(x * p - f * y) // s for x, y in zip(rows[i], pr)]\n"
+        "obj = list((p * x - f * y) // d for x, y in zip(obj, pr))\n"
+        "v = [(g * z - x * y) % big for y, z in zip(row, v)]\n"
+        "w = [(x - q * y) // s for x, y in zip(row, pr)]\n"
+        "packed[i] = (p * x - f * y) // prev\n"
+    )
+    assert bareiss_updates(source) == [1, 2]
+
+
+def test_the_bareiss_update_is_written_once():
+    # the list loop of _bareiss and the simplex of ratlp both step through
+    # intlinalg._pivot, which holds the one per-row-denominator update
+    found = {
+        p.name: bareiss_updates(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert len(found.pop("intlinalg.py")) == 1
+    assert {name: lines for name, lines in found.items() if lines} == {}
