@@ -53,10 +53,11 @@ def _ints(tokens, refusal) -> list:
 
 
 def _int_option(text: str) -> int:
-    """The ``type`` of the integer options: one token read as :func:`_ints`
-    reads it; argparse reports the refusal (exit 2)."""
+    """The ``type`` of the integer options: one token, spaces around it
+    stripped, read as :func:`_ints` reads it; argparse reports the refusal
+    (exit 2)."""
     try:
-        return _ints([text], lambda _, token: f"expects an integer, got {token}")[0]
+        return _ints([text.strip()], lambda _, token: f"expects an integer, got {token}")[0]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -203,7 +204,9 @@ def cmd_check(args, c):
     else:  # facial
         if not args.subset:
             raise ValueError("check facial requires --subset i,j,k (zero-based)")
-        subset = _option_ints(args.subset.split(","), "--subset", "comma-separated integers")
+        subset = _option_ints(
+            [t.strip() for t in args.subset.split(",")], "--subset", "comma-separated integers"
+        )
         v = is_facial(c, subset)
         extra["subset"] = subset
         if args.verify:

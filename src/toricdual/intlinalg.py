@@ -10,9 +10,10 @@ this is the one module that runs or reads an elimination loop: other
 modules go through ``rank``, ``circuit_form``, ``integer_kernel`` and
 ``lattice_basis`` (the simplex of ``ratlp`` takes its pivot steps through
 ``_pivot``).  One Bareiss loop (``_bareiss``) serves ``rank`` (forward
-elimination) and ``circuit_form`` (eliminating above each pivot too),
-whose :class:`CircuitForm` is how every other function reads a
-Gauss-Jordan pass, ``integer_kernel`` included.  Each step of the list
+elimination); ``circuit_form`` (eliminating above each pivot too), whose
+:class:`CircuitForm` is how every other module reads a Gauss-Jordan pass;
+and ``integer_kernel`` (that pass on the reversed columns, read on its full
+rows, then a Hermite form kept modulo its last pivot).  Each step of the list
 loop is one ``_pivot``, in which a row with a 0 in the pivot column is not
 rescaled but keeps its own denominator until its next update.  On a dense
 matrix with small entries the loop instead holds each row as one int, its
@@ -391,12 +392,15 @@ def integer_kernel(a) -> IntMatrix:
     not a finite-index sublattice, and are its column Hermite form, so the
     output is deterministic.  Method: Hermite form modulo a determinant
     (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, *A Course
-    in Computational Algebraic Number Theory*, Alg. 2.4.8) behind the
-    :func:`circuit_form` of ``a`` with its columns reversed.
+    in Computational Algebraic Number Theory*, Alg. 2.4.8) behind one
+    fraction-free Gauss-Jordan pass over ``a`` with its columns reversed:
+    the pass of :func:`circuit_form`, each pivot one :func:`_pivot`, read
+    on its full rows (building the :class:`CircuitForm` costs a facial test
+    about 5%).
 
-    That form's pivots are B, the lex-last column basis (k = rank(a)
-    columns), and its pivot is d; with D = |d|, P its free columns (in
-    increasing order) and R its rows on P, the kernel is
+    That pass picks B, the lex-last column basis (k = rank(a) columns), and
+    ends on the pivot d; with D = |d|, P the other columns in increasing
+    order and R the k Jordan rows on P, the kernel is
     ``d·x_B + R·x_P = 0``.  A vector of L can have its first nonzero entry
     at column j iff column j of ``a`` lies in the span of the later columns,
     i.e. iff j is in P, so P is the pivot set of the Hermite form H of L.
@@ -421,17 +425,21 @@ def integer_kernel(a) -> IntMatrix:
     """
     a = imat(a)
     n = a.shape[1]
-    _, pivots, free, d, rows = circuit_form([row[::-1] for row in a])
+    rows = [row[::-1] for row in a]
+    pivots, d = _bareiss(rows, jordan=True)
     k = len(pivots)
     big = abs(d)
-    cols = list(zip(*rows)) if k else [()] * len(free)  # R's columns on P
+    cols = list(zip(*rows[:k])) if k else [()] * n  # R's columns, reversed numbering
     lam = [[big if s == t else 0 for s in range(k)] for t in range(k)]
-    # slots: the positions in free of the columns with h > 1, in sweep order;
-    # hs: their h; full: their rows of H on the slots (h last)
+    taken = set(pivots)
+    # slots: the columns with h > 1, in sweep order; hs: their h; full: their
+    # rows of H on the slots (h last)
     slots, hs, full = [], [], []
     out = []
-    for pos, j in enumerate(free):
-        v = [y % big for y in cols[pos]] + [0] * len(slots)
+    for j in range(n):
+        if j in taken:
+            continue
+        v = [y % big for y in cols[j]] + [0] * len(slots)
         old, h = None, 1
         for t in range(k):
             x = v[t]
@@ -474,17 +482,17 @@ def integer_kernel(a) -> IntMatrix:
                 for t in range(s + 1):
                     x[t] -= q * rs[t]
         if h > 1:
-            slots.append(pos)
+            slots.append(j)
             hs.append(h)
             full.append(x)
         vec = [0] * n
         vec[j] = h
-        lift = [h * y for y in cols[pos]]
+        lift = [h * y for y in cols[j]]
         for s in range(ns):
             c = x[s]
             if c:
                 i = slots[s]
-                vec[free[i]] = c
+                vec[i] = c
                 lift = [z + c * y for z, y in zip(lift, cols[i])]
         for p, y in zip(pivots, lift):
             vec[p] = -y // d

@@ -348,6 +348,13 @@ def test_an_integer_is_a_sign_and_ascii_digits(tmp_path, capsys, place, token):
     assert err == f"error: {message}\n"
 
 
+def test_spaces_around_an_integer_are_read(tmp_path, capsys):
+    code, out, _ = run(capsys, "check", "facial", write_segre2(tmp_path), "--subset", "0, 2")
+    assert code == 0 and json.loads(out)["subset"] == [0, 2]
+    code, out, _ = run(capsys, "generate", "segre", "--m", " 2")
+    assert code == 0 and json.loads(out)["m"] == 2
+
+
 @pytest.mark.parametrize("token", NOT_INTEGERS)
 def test_an_integer_option_is_a_sign_and_ascii_digits(capsys, token):
     with pytest.raises(SystemExit) as exc:

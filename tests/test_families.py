@@ -77,6 +77,16 @@ def test_config_from_gale_round_trip_family_alpha():
     assert column_lattices_equal(gale_dual(c).matrix, gale_dual(family_alpha(2)).matrix)
 
 
+def test_config_from_gale_round_trip_simplex():
+    # a simplex has no affine relations: its Gale dual has no columns
+    b = gale_dual(parse_configuration([[0, 1, 0], [0, 0, 1]])).matrix
+    assert b.shape == (3, 0)
+    for gale in (b, [[], [], []]):
+        c = config_from_gale(gale)
+        assert c.weights.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert verify_gale_dual(c, b)
+
+
 def test_config_from_gale_regularity():
     c = config_from_gale([[1, 0], [-1, 0], [0, 1], [0, -1], [2, -2], [-2, 2]])
     assert c.regular

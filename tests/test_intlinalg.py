@@ -258,6 +258,10 @@ def test_kernel_identity_is_trivial():
     assert k.shape == (4, 0)
 
 
+def test_kernel_of_no_rows_is_identity():
+    assert integer_kernel(IntMatrix([], 3)) == eye(3)
+
+
 def test_kernel_twisted_cubic_lattice():
     m = imat([[1, 1, 1, 1], [0, 1, 2, 3]])
     k = integer_kernel(m)
