@@ -35,15 +35,15 @@ from .intlinalg import _excerpt, imat
 from .verdict import Verdict
 
 
-_INTEGER = re.compile("[+-]?[0-9]+")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _ints(tokens, refusal) -> list:
-    """The tokens as ints, each an optional sign and ASCII digits (``int``
-    alone also reads ``1_0``, other scripts' digits and spaces).  The first
-    other token raises ``ValueError(refusal(position, shown))``, ``shown``
-    its repr cut to a few dozen characters; an integer past the int-to-str
-    digit limit keeps ``int``'s own message."""
+    """The tokens as ints, each an optional sign and ASCII digits, spaces
+    around them allowed (``int`` alone also reads ``1_0`` and other
+    scripts' digits).  The first other token raises ``ValueError(refusal(
+    position, shown))``, ``shown`` its repr cut to a few dozen characters;
+    an integer past the int-to-str digit limit keeps ``int``'s own message."""
     out = []
     for k, token in enumerate(tokens):
         if not _INTEGER.fullmatch(token):
@@ -53,11 +53,10 @@ def _ints(tokens, refusal) -> list:
 
 
 def _int_option(text: str) -> int:
-    """The ``type`` of the integer options: one token, spaces around it
-    stripped, read as :func:`_ints` reads it; argparse reports the refusal
-    (exit 2)."""
+    """The ``type`` of the integer options: one token read as :func:`_ints`
+    reads it; argparse reports the refusal (exit 2)."""
     try:
-        return _ints([text.strip()], lambda _, token: f"expects an integer, got {token}")[0]
+        return _ints([text], lambda _, token: f"expects an integer, got {token}")[0]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -204,9 +203,7 @@ def cmd_check(args, c):
     else:  # facial
         if not args.subset:
             raise ValueError("check facial requires --subset i,j,k (zero-based)")
-        subset = _option_ints(
-            [t.strip() for t in args.subset.split(",")], "--subset", "comma-separated integers"
-        )
+        subset = _option_ints(args.subset.split(","), "--subset", "comma-separated integers")
         v = is_facial(c, subset)
         extra["subset"] = subset
         if args.verify:

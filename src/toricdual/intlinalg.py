@@ -204,18 +204,15 @@ def _echelon(rows: list, ncols: int) -> list:
 
 
 def _pivot(rows: list, scale: list, r: int, c: int, prev: int, start: int) -> int:
-    """One fraction-free pivot step on ``rows[r][c]``, in place; returns
-    that entry p, the new pivot.  ``scale[i]`` is the pivot row i was last
-    brought to and ``prev`` the last pivot.
+    """One fraction-free pivot step on ``rows[r][c]``, in place, after the
+    pivot ``prev``; returns that entry p, the new pivot.  Row r is first
+    brought up to ``prev``; the rows from ``start`` on are then updated.
 
-    The update of a row x by the pivot row y is ``(x·p - f·y) / prev``, f
-    its entry in column c.  When f is 0 that only rescales x by p/prev, so
-    the row is left as it is and keeps ``s = scale[i]`` as its own
-    denominator (its true row is x·prev/s); its next update ``(x·p - f·y) //
-    s`` is exact and equals the eager one, ``(prev/s)·(x·p - f·y) / prev``.
-    Row r is first brought up to ``prev``; the rows from ``start`` on are
-    updated.  Sparse 0/±1 input (joins, Segre and Lawrence configurations)
-    meets f = 0 at about half of all updates.
+    A row x with entry f in column c becomes ``(x·p - f·y) / prev``, y the
+    pivot row.  When f is 0 that only rescales x, so x is left as it is and
+    keeps ``s = scale[i]``, the pivot it was last brought to, as its own
+    denominator: its next update ``(x·p - f·y) // s`` is exact and equals
+    the eager one.  Sparse 0/±1 input meets f = 0 at about half the updates.
     """
     s = scale[r]
     if s != prev:
@@ -281,8 +278,10 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
     for c in range(ncols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, m):
+            if rows[piv][c]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         scale[r], scale[piv] = scale[piv], scale[r]
@@ -392,11 +391,9 @@ def integer_kernel(a) -> IntMatrix:
     not a finite-index sublattice, and are its column Hermite form, so the
     output is deterministic.  Method: Hermite form modulo a determinant
     (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, *A Course
-    in Computational Algebraic Number Theory*, Alg. 2.4.8) behind one
-    fraction-free Gauss-Jordan pass over ``a`` with its columns reversed:
-    the pass of :func:`circuit_form`, each pivot one :func:`_pivot`, read
-    on its full rows (building the :class:`CircuitForm` costs a facial test
-    about 5%).
+    in Computational Algebraic Number Theory*, Alg. 2.4.8) behind the
+    Gauss-Jordan pass of :func:`circuit_form` (each pivot one :func:`_pivot`)
+    over ``a`` with its columns reversed, read on its full rows.
 
     That pass picks B, the lex-last column basis (k = rank(a) columns), and
     ends on the pivot d; with D = |d|, P the other columns in increasing

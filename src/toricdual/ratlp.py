@@ -62,8 +62,10 @@ def feasible_nonneg(a, b):
 
     while True:
         obj = tab[m]
-        enter = next((j for j in range(last) if obj[j] < 0), None)
-        if enter is None:
+        for enter in range(last):
+            if obj[enter] < 0:
+                break
+        else:
             break
         row = None
         for i in range(m):
