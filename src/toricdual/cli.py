@@ -66,11 +66,12 @@ def _option_ints(tokens, option: str, shape: str) -> list:
 
 
 def read_matrix(path: str):
-    """Load a matrix from a JSON or plain-text file ('-' reads stdin)."""
+    """Load a matrix from a JSON or plain-text file ('-' reads stdin).  A
+    leading UTF-8 byte order mark, which some editors write, is dropped."""
     if path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.read().removeprefix("\ufeff")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     text = text.strip()
     if not text:

@@ -26,8 +26,8 @@ halving sums of circuits.
 The saturated canonical basis of :func:`gale_dual`
 (``Configuration.relations``) is read only by the facial tests behind
 ``smooth_certificate``, by ``gale_dual`` itself and the commands that print
-it, by ``config_from_gale``, by the referees in ``oracle`` and by the
-benchmark's checks.
+it, by the referees in ``oracle`` and by the benchmark's checks
+(``config_from_gale`` runs ``integer_kernel`` on its own input).
 """
 
 import enum
@@ -41,7 +41,7 @@ from .gale import (
     _line_sums_verdict,
     is_facial,
 )
-from .intlinalg import IntMatrix, circuit_form, imat, lattice_basis, primitive_vector
+from .intlinalg import IntMatrix, circuit_form, imat, primitive_vector
 from .verdict import Verdict
 
 
@@ -215,11 +215,11 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     :func:`is_self_dual` reads (the regular flag is read off it too), with
     no power formed and no saturated Gale dual: ``Configuration.relations``
     is left to the facial tests behind ``smooth_certificate``,
-    :func:`gale_dual` and its commands, ``config_from_gale``, the referees
-    and the benchmark.  The generators are the m fundamental circuits, the
-    primitive relations on the lex-first column basis of ``[1; W]`` plus
-    one other column, which names them; they span a sublattice of L of
-    finite index (they are a basis of the relations over Q only).
+    :func:`gale_dual` and its commands, the referees and the benchmark.
+    The generators are the m fundamental circuits, the primitive relations
+    on the lex-first column basis of ``[1; W]`` plus one other column,
+    which names them; they span a sublattice of L of finite index (they are
+    a basis of the relations over Q only).
 
     (a) is read off the line classes of the circuit basis, as for
     :func:`is_self_dual`.
@@ -446,43 +446,49 @@ def full_decomposition(c: Configuration) -> DecompositionReport:
     return _decompose(c)[1]
 
 
-def _simplicial_edges(vertex, diffs, candidates, height, dim):
-    """The edges at ``vertex`` read off one elimination, or None when the
-    elimination cannot show that its tangent cone is simplicial.
+def _simplicial_edges(vertex, diffs, candidates, height):
+    """The edges at ``vertex`` and their lattice test, read off one
+    elimination: ``(rank, edges, basis)``.
 
     ``height`` is an affine functional, 0 at the vertex and positive at
     every other point, and ``diffs[k]`` is point k minus the vertex.  The
     points of a candidate line lie on one ray from the vertex, so the point
-    of smallest height on it is its nearest point.  With the lines in order
-    of (height, candidate), the pivots of the ``circuit_form`` of their
-    nearest differences are the greedy lex-first basis E.  When every
-    Jordan row is sign-consistent with the last pivot (only its free
-    entries are tested: on the pivot columns it is the pivot times a unit
-    vector), every difference is a nonnegative combination of E, so the
-    tangent cone is the simplicial cone(E) and its edges are exactly the E
-    lines: the returned candidates, in sorted order.
+    of smallest height on it is its nearest point.  One ``circuit_form``
+    runs over the nearest differences in order of (height, candidate), then
+    every other difference.  Its pivots are the greedy lex-first basis E of
+    the nearest ones, and ``rank`` is the affine dimension.  When every
+    Jordan row is sign-consistent with the last pivot d (only its free
+    entries are tested: on the pivot columns it is d times a unit vector),
+    every difference is a nonnegative combination of E, so the tangent cone
+    is the simplicial cone(E) and its edges are exactly the E lines:
+    ``edges``, as sorted (line, nearest point) pairs.  Column f is
+    ``Σ_i (R_i[f]/d)·E_i`` and the differences at a point generate the
+    difference lattice, so ``basis``, whether E is a basis of it, is
+    whether d divides every Jordan entry.
 
-    A None means that the vertex fails the smoothness certificate.  Suppose
-    it passes: its dim nearest edge vectors E form a lattice basis and
-    generate its tangent cone, so every difference is a nonnegative integer
-    combination of E.  A point off the edges then has two or more nonzero
-    coordinates, so it is strictly higher than every edge in its support,
-    and a further point on an edge is a multiple of its nearest one.
-    Ordered by height, each edge is independent of every difference before
-    it, and every other difference lies in the span of the edges before it,
-    so the pass picks exactly E, with sign-consistent Jordan rows.  A
-    non-simple vertex, or a simple one where a point off the edges is lower
-    than an edge, gives None.
+    Otherwise ``edges`` and ``basis`` are None: the vertex fails the
+    smoothness certificate.  Suppose it passes: its dim nearest edge vectors
+    E form a lattice basis and generate its tangent cone, so every
+    difference is a nonnegative integer combination of E.  A point off the
+    edges then has two or more nonzero coordinates, so it is strictly higher
+    than every edge in its support, and a further point on an edge is a
+    multiple of its nearest one.  Ordered by height, each edge is
+    independent of every difference before it, and every other difference
+    lies in the span of the edges before it, so the pass picks exactly E,
+    with sign-consistent Jordan rows.  A non-simple vertex, or a simple one
+    where a point off the edges is lower than an edge, gives None.
     """
     # each line's nearest point as (height, line, point), in that order
     lines = sorted(min((height[k], s, k) for k in s if k != vertex) for s in candidates)
-    form = circuit_form(list(zip(*(diffs[k] for _, _, k in lines))))
-    # the differences at a point span the directions of the affine hull
-    assert len(form.pivots) == dim
+    order = [k for _, _, k in lines]
+    nearest = set(order)
+    order += [k for k in range(len(diffs)) if k != vertex and k not in nearest]
+    form = circuit_form(IntMatrix([diffs[k] for k in order], len(diffs[vertex])).T)
     d = form.pivot
     if any(x * d < 0 for row in form.rows for x in row):
-        return None
-    return sorted(lines[p][1] for p in form.pivots)
+        return len(form.pivots), None, None
+    edges = sorted(lines[p][1:] for p in form.pivots)
+    return len(form.pivots), edges, not any(x % d for row in form.rows for x in row)
 
 
 def smooth_certificate(c: Configuration) -> Verdict:
@@ -500,23 +506,20 @@ def smooth_certificate(c: Configuration) -> Verdict:
     One pass over the points, with one facial LP per point and none per
     line.  A point's LP decides whether it is a vertex, and its positive
     dependency gives heights, an affine functional that vanishes at the
-    vertex only.  A vertex with exactly dim candidate lines has those lines
-    as its edges (this covers the simplex and the single point, which have
-    no heights); at any other vertex one elimination ordered by the heights
-    reads off the edges (:func:`_simplicial_edges`).  The pass stops at the
-    first vertex that fails: one where the elimination shows no simplicial
-    tangent cone, which fails the certificate whatever its edges are, or
-    one whose edge vectors are not a basis.  So at most n LPs run, and
-    ``vertices`` in the witness ends at that vertex; its entry has no
-    ``edge_count`` when no simplicial cone was shown.
+    vertex only.  At each vertex one elimination ordered by the heights
+    reads off its edges, their lattice test and ``needed``, the affine
+    dimension (:func:`_simplicial_edges`); the simplex and the single point
+    have no heights, but each line there holds one point, so any order
+    works.  The pass stops at the first vertex that fails: one where the
+    elimination shows no simplicial tangent cone, which fails the
+    certificate whatever its edges are, or one whose edge vectors are not a
+    basis.  So at most n LPs run, and ``vertices`` in the witness ends at
+    that vertex; its entry has no ``edge_count`` when no simplicial cone was
+    shown.
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the smoothness certificate")
-    dim = affine_dim(c)
     cols = c.columns()
-    # the differences to any one point generate the whole difference lattice
-    to_first = [[x - y for x, y in zip(col, cols[0])] for col in cols]
-    lattice = lattice_basis(to_first, c.dim)
     report = []
     certified = True
     for i in range(c.npoints):
@@ -529,24 +532,15 @@ def smooth_certificate(c: Configuration) -> Verdict:
             if j != i:
                 lines.setdefault(primitive_vector(diffs[j]), [i]).append(j)
         candidates = sorted(tuple(sorted(on_line)) for on_line in lines.values())
-        if len(candidates) == dim:
-            edges = candidates
-        else:
-            h = v.witness["coefficients"]
-            edges = _simplicial_edges(i, diffs, candidates, [*h[:i], 0, *h[i:]], dim)
+        h = v.witness.get("coefficients", [0] * (c.npoints - 1))
+        needed, edges, ok = _simplicial_edges(i, diffs, candidates, [*h[:i], 0, *h[i:]])
         if edges is None:
             reason = "the elimination shows no simplicial tangent cone"
-            report.append({"vertex": i, "needed": dim, "reason": reason})
-            certified = False
-            break
-        # the point nearest to the vertex along each edge, by the 1-norm
-        vectors = [
-            diffs[min((k for k in s if k != i), key=lambda k: sum(map(abs, diffs[k])))]
-            for s in edges
-        ]
-        ok = lattice_basis(vectors, c.dim) == lattice
-        report.append({"vertex": i, "edge_count": dim, "needed": dim,
-                       "edge_vectors": vectors, "basis_of_difference_lattice": ok})
+            report.append({"vertex": i, "needed": needed, "reason": reason})
+        else:
+            vectors = [diffs[k] for _, k in edges]
+            report.append({"vertex": i, "edge_count": len(edges), "needed": needed,
+                           "edge_vectors": vectors, "basis_of_difference_lattice": ok})
         if not ok:
             certified = False
             break

@@ -336,7 +336,10 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     partition that :func:`~toricdual.engine.is_self_dual` reads, since
     parallel and zero rows do not change with the basis over Q; the
     functionals are solved in the regular presentation, so that linear
-    functionals capture affine conditions.
+    functionals capture affine conditions.  Each class gets its own pass,
+    and the loop stops at the first class that fails: one pass with every
+    class target as an extra column made ``crosscheck``, whose draws are
+    mostly not self-dual, 7.6% slower.
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the coparallelism criterion")

@@ -8,26 +8,26 @@ take nested int sequences.
 Every elimination here is fraction-free and runs on plain int lists, and
 this is the one module that runs or reads an elimination loop: other
 modules go through ``rank``, ``circuit_form``, ``integer_kernel`` and
-``lattice_basis`` (the simplex of ``ratlp`` takes its pivot steps through
-``_pivot``).  One Bareiss loop (``_bareiss``) serves ``rank`` (forward
-elimination); ``circuit_form`` (eliminating above each pivot too), whose
-:class:`CircuitForm` is how every other module reads a Gauss-Jordan pass;
-and ``integer_kernel`` (that pass on the reversed columns, read on its full
-rows, then a Hermite form kept modulo its last pivot).  Each step of the list
-loop is one ``_pivot``, in which a row with a 0 in the pivot column is not
-rescaled but keeps its own denominator until its next update.  On a dense
-matrix with small entries the loop instead holds each row as one int, its
-entries the balanced base-2^w digits (``_bareiss_packed``, packed a row at
-a time by ``struct``, which rescales such a row at once): a row update is
-one big-int operation, exact because every stored entry is a minor of the
-input and so fits the slot Hadamard's bound sizes.  A fixed rule on the
-shape, the nonzero count and the slot width picks that path; every other
-matrix keeps the list loop.  One Hermite echelon loop (``_echelon``)
-serves ``lattice_basis``.
-``lattice_basis`` answers every question about a lattice: equality (equal
-lattices have equal bases, which ``smooth_certificate`` compares) and
-saturation (``column_lattice_saturated``, which ``verify_gale_dual``
-reads); no Smith form is needed for either.
+``column_lattice_saturated`` (the simplex of ``ratlp`` takes its pivot
+steps through ``_pivot``).  One Bareiss loop (``_bareiss``) serves ``rank``
+(forward elimination); ``circuit_form`` (eliminating above each pivot too),
+whose :class:`CircuitForm` is how every other module reads a Gauss-Jordan
+pass; and ``integer_kernel`` (that pass on the reversed columns, read on
+its full rows, then a Hermite form kept modulo its last pivot).  Each step
+of the list loop is one ``_pivot``, in which a row with a 0 in the pivot
+column is not rescaled but keeps its own denominator until its next update.
+On a dense matrix with small entries the loop instead holds each row as one
+int, its entries the balanced base-2^w digits (``_bareiss_packed``, packed
+a row at a time by ``struct``, which rescales such a row at once): a row
+update is one big-int operation, exact because every stored entry is a
+minor of the input and so fits the slot Hadamard's bound sizes.  A fixed
+rule on the shape, the nonzero count and the slot width picks that path;
+every other matrix keeps the list loop.  One Hermite echelon loop (``_echelon``)
+serves ``lattice_basis``, whose canonical basis decides saturation
+(``column_lattice_saturated``, which ``verify_gale_dual`` reads) with no
+Smith form; equal lattices have equal bases.  ``smooth_certificate``
+needs no Hermite form: its lattice test is whether the last pivot of a
+``circuit_form`` divides every Jordan entry.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
 dual (the tests keep the two-pass echelon route to the same basis as its
 reference).  ``circuit_form`` is the Gauss-Jordan form whose

@@ -20,12 +20,13 @@ certify a polynomial identity.
 
 The inputs the referees start from are shared, not independent.
 ``strong_via_points`` reads ``gale_dual`` (so ``integer_kernel``, through
-the Gale kernel cached on each configuration) as the strong predicate
-does.  ``crosscheck`` compares the verdict that ships, ``is_self_dual``
+the Gale kernel cached on each configuration); the strong predicate reads
+``circuit_form`` instead, so these two share only the configuration.
+``crosscheck`` compares the verdict that ships, ``is_self_dual``
 (line sums on the fundamental-circuit basis), with ``self_dual_via_flats``
 on the canonical Gale dual, ``self_dual_via_sigma`` and
-``coparallel_criterion``, which reads the same circuit basis (cached on the
-configuration) for its classes and one ``circuit_form`` for each
+``coparallel_criterion``, which reads the same circuit form (cached on the
+configuration) for its classes and one more ``circuit_form`` for each
 functional.
 ``facial_via_separation`` reads the input columns only, not the Gale dual.
 The self-duality verdict reads the fundamental-circuit basis (a

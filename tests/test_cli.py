@@ -425,6 +425,27 @@ def test_read_matrix_from_stdin(capsys, monkeypatch):
     assert json.loads(out)["config_echo"]["entries"] == rows
 
 
+SEGRE2_TEXT = "1 0 1 0\n0 1 0 1\n0 0 1 1\n"
+SEGRE2_JSON = '{"entries": [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]}'
+
+
+@pytest.mark.parametrize(
+    "text, source",
+    [(SEGRE2_TEXT, "file"), (SEGRE2_JSON, "file"), (SEGRE2_TEXT, "stdin")],
+    ids=["text-file", "json-file", "stdin"],
+)
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, text, source):
+    rows = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        path = "-"
+    code, out, err = run(capsys, "check", "self-dual", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config_echo"]["entries"] == rows
+
+
 def test_read_matrix_refusals(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text(" \n\n")
@@ -657,3 +678,41 @@ def test_every_command_refuses_with_one_error_line(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(oracle, "facial_via_separation", lambda c, s: False)
     code, out, _ = run(capsys, "check", "facial", path, "--subset", "0", "--verify")
     assert code == 1 and json.loads(out)["oracle"]["status"] == "DISAGREEMENT"
+
+
+def _fuzz_matrix_file(rng):
+    """The body of a random small matrix file, a JSON object or text, half
+    of them regular; about one in three has a defect that the reader must
+    refuse: a ragged row, an entry that is no integer, or a JSON size that
+    disagrees."""
+    d, n = rng.randint(1, 3), rng.randint(1, 7)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+    if rng.random() < 0.5:  # regular, so that the strong test runs
+        rows[0] = [1] * n
+    defect = rng.choice([None, None, None, None, "ragged", "size", 1.5, "x", True])
+    if defect == "ragged":
+        rows[-1].append(1)
+    elif defect not in (None, "size"):
+        rows[rng.randrange(d)][rng.randrange(n)] = defect
+    if defect == "size":
+        return json.dumps({"rows": d, "cols": n + 1, "entries": rows})
+    if rng.random() < 0.5:
+        sizes = {"rows": d, "cols": n} if rng.random() < 0.5 else {}
+        return json.dumps({**sizes, "entries": rows})
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def test_matrix_commands_keep_their_exit_contract_on_random_input(tmp_path, capsys):
+    # every matrix command, --verify included, on seeded random files: exit
+    # 0 with a JSON report, or exit 1 with one error: line and nothing else
+    rng = random.Random(20)
+    commands = [shlex.split(c) for c in COMMAND_KEYS if "SEGRE2" in c]
+    path = tmp_path / "matrix"
+    for _ in range(80):
+        path.write_text(_fuzz_matrix_file(rng))
+        for command in commands:
+            code, out, err = run(capsys, *[str(path) if a == "SEGRE2" else a for a in command])
+            if code == 0:
+                assert err == "" and "timings" in json.loads(out), command
+            else:
+                _assert_one_error_line(code, out, err)

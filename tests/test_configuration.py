@@ -29,6 +29,7 @@ from toricdual.gale import (
     GaleDual,
     coparallel_criterion,
     gale_dual,
+    is_facial,
     line_partition,
     verify_gale_dual,
 )
@@ -396,7 +397,9 @@ def test_strong_reads_the_shared_circuit_form(monkeypatch):
     rows = [[1 - sum(col) for col in zip(*rows)], *rows]  # regular
     names = ("integer_kernel", "gale_dual", "affine_relation_kernel", "circuit_form")
     counts = _count_calls(monkeypatch, _toricdual_modules(), names)
-    for c in (parse_configuration(rows), segre(4), STRONG_7x9, family_alpha(3)):
+    # a fresh copy: another test may have cached the shared instance's form
+    strong = parse_configuration(STRONG_7x9.weights)
+    for c in (parse_configuration(rows), segre(4), strong, family_alpha(3)):
         is_strongly_self_dual(c)
     assert counts == {
         "integer_kernel": 0,
@@ -419,6 +422,50 @@ def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
     counts = _count_calls(monkeypatch, _toricdual_modules(), ("_bareiss", "_echelon"))
     assert gale_dual(c).corank == 14 - 6
     assert counts == {"_bareiss": 1, "_echelon": 0}
+
+
+# each public predicate as called on a fresh configuration c, then its
+# (_bareiss, _echelon) calls on segre(4) and on a regular random 6 x 14
+# draw.  b is the Gale matrix of another configuration with the same
+# weights, so verify_gale_dual runs cold (its two echelons are the
+# saturation test); the parity test takes c's weights as the block of a
+# Lawrence lift.  coparallel_criterion adds one pass per line class it
+# solves (4 on segre(4); the draw fails its first), smooth_certificate one
+# per vertex it reaches (8 on segre(4), 1 on the draw) after the Gale
+# kernel of its LPs
+ELIMINATIONS = {
+    "is_self_dual": (lambda c, b: is_self_dual(c), (1, 0), (1, 0)),
+    "is_strongly_self_dual": (lambda c, b: is_strongly_self_dual(c), (2, 0), (2, 0)),
+    "coparallel_criterion": (lambda c, b: coparallel_criterion(c), (6, 0), (3, 0)),
+    "is_facial": (lambda c, b: is_facial(c, (0,)), (1, 0), (1, 0)),
+    "smooth_certificate": (lambda c, b: smooth_certificate(c), (9, 0), (2, 0)),
+    "is_segre": (lambda c, b: is_segre(c), (2, 0), (1, 0)),
+    "hypersurface_class": (lambda c, b: hypersurface_class(c), (1, 0), (1, 0)),
+    "full_decomposition": (lambda c, b: full_decomposition(c), (1, 0), (1, 0)),
+    "gale_dual": (lambda c, b: gale_dual(c), (1, 0), (1, 0)),
+    "verify_gale_dual": (lambda c, b: verify_gale_dual(c, b), (2, 2), (2, 2)),
+    "lawrence_strong_parity": (lambda c, b: lawrence_strong_parity(c.weights), (1, 0), (1, 0)),
+}
+
+
+def _regular_draw():
+    rng = random.Random(8)
+    rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(5)]
+    return [[1 - sum(col) for col in zip(*rows)], *rows]
+
+
+@pytest.mark.parametrize("name", list(ELIMINATIONS))
+def test_eliminations_per_public_predicate(monkeypatch, name):
+    predicate, *expected = ELIMINATIONS[name]
+    counted = []
+    for weights in (segre(4).weights, _regular_draw()):
+        b = gale_dual(parse_configuration(weights)).matrix
+        c = parse_configuration(weights)
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, _toricdual_modules(), ("_bareiss", "_echelon"))
+            predicate(c, b)
+        counted.append((counts["_bareiss"], counts["_echelon"]))
+    assert counted == expected
 
 
 def test_verify_gale_dual_reads_the_corank_off_the_cached_form(monkeypatch):

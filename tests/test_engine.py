@@ -928,8 +928,11 @@ def _heights(c, i):
 
 
 def _simplicial_edges(c, i):
+    """The edge lines that the elimination at vertex i reads, or None."""
     diffs, candidates = _lines_at(c, i)
-    return engine._simplicial_edges(i, diffs, candidates, _heights(c, i), affine_dim(c))
+    rank, edges, _ = engine._simplicial_edges(i, diffs, candidates, _heights(c, i))
+    assert rank == affine_dim(c)
+    return None if edges is None else [s for s, _ in edges]
 
 
 def _edges_by_lps(c, i):
