@@ -29,6 +29,7 @@ run toricdual check self-dual demos/data/wide_4x80.txt --format text
 run toricdual check strong demos/data/strong_7x9.json
 run toricdual check strong demos/data/strong_bigint.json
 run toricdual check strong demos/data/halving_6x8.txt --verify --format text
+run toricdual check strong demos/data/twisted_cubic.txt --verify
 run toricdual check facial demos/data/segre2.json --subset 0,2 --verify
 # integer witnesses at 10^30: a positive dependency, then a Farkas certificate
 run toricdual check facial demos/data/strong_bigint.json --subset 0 --verify

@@ -20,7 +20,7 @@ import re
 import sys
 import time
 
-from .configuration import affine_dim, parse_configuration, regularize
+from .configuration import affine_dim, parse_configuration
 from .engine import (
     full_decomposition,
     hypersurface_class,
@@ -162,9 +162,7 @@ def _oracle_verify_self_dual(c, verdict: Verdict):
         return {"status": "skipped", "reason": "enumeration guard"}
     # the verdict read the circuit basis; the referee reads the canonical one
     flats = self_dual_via_flats(gale_dual(c))
-    # the sigma test needs a regular presentation; regularize keeps the
-    # relations, so it answers for the input
-    sigma = self_dual_via_sigma(regularize(c))
+    sigma = self_dual_via_sigma(c)
     agree = flats == sigma == verdict.value
     return {"status": "ok" if agree else "DISAGREEMENT", "flats": flats, "sigma": sigma}
 

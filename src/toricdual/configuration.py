@@ -74,9 +74,6 @@ class Configuration(ReadOnly):
     def circuit_basis(self) -> IntMatrix:
         return self.circuit_form.basis()
 
-    def column(self, j: int) -> tuple:
-        return self.weights.column(j)
-
     def columns(self) -> list:
         return list(self.weights.T)
 

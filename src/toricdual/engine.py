@@ -18,23 +18,23 @@ read a circuit basis too: ``hypersurface_class`` the one column of
 sign vector, a primitive 1-dimensional kernel (its lattice condition
 follows from those); ``lawrence_strong_parity`` reads the zero rows of
 ``circuit_form(M)`` without writing its basis out.  The strong test reads
-the same form as the self-duality verdict, and the regular flag it needs
-is read off that form too: the size of its products is a homomorphism to
-a torsion-free group, decided on the fundamental circuits, and its sign is
-decided on generators of odd index in the relation lattice, found by
-halving sums of circuits.
+the same form as the self-duality verdict, and needs no regular flag: the
+size of its products is a homomorphism to a torsion-free group, decided on
+the fundamental circuits, and its sign is decided on generators of odd
+index in the relation lattice, found by halving sums of circuits.
 The saturated canonical basis of :func:`gale_dual`
-(``Configuration.relations``) is read only by the facial tests behind
-``smooth_certificate``, by ``gale_dual`` itself and the commands that print
-it, by the referees in ``oracle`` and by the benchmark's checks
-(``config_from_gale`` runs ``integer_kernel`` on its own input).
+(``Configuration.relations``) is read only by ``is_facial`` (so by
+``check facial`` and the facial tests behind ``smooth_certificate``), by
+``gale_dual`` itself and the commands that print it, by the referees in
+``oracle`` and by the benchmark's checks (``config_from_gale`` runs
+``integer_kernel`` on its own input).
 """
 
 import enum
 from math import gcd
 
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
-from .exceptions import irregular_input, pyramidal_input, repeated_columns
+from .exceptions import pyramidal_input, repeated_columns
 from .gale import (
     LinePartition,
     _circuit_partition,
@@ -207,15 +207,17 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     """Decide strong self-duality (equality with the dual under the canonical
     coordinate identification).
 
-    Requires a regular non-pyramidal configuration.  Two conditions on the
-    lattice L of integer affine relations: (a) the line classes of Gale
-    rows sum to zero, and (b) every v in L is balanced, the product of
-    ``e^e`` over its entries being 1 (``0^0 = 1``).  Both are decided on
-    ``Configuration.circuit_form``, the elimination that
-    :func:`is_self_dual` reads (the regular flag is read off it too), with
-    no power formed and no saturated Gale dual: ``Configuration.relations``
-    is left to the facial tests behind ``smooth_certificate``,
-    :func:`gale_dual` and its commands, the referees and the benchmark.
+    Requires a non-pyramidal configuration.  Regularity is no hypothesis:
+    scalars act trivially on P(V), so W and ``[1; W]`` have one variety, and
+    the test reads only the affine relations, the linear ones of ``[1; W]``.
+    Two conditions on the lattice L of integer affine relations: (a) the
+    line classes of Gale rows sum to zero, and (b) every v in L is
+    balanced, the product of ``e^e`` over its entries being 1
+    (``0^0 = 1``).  Both are decided on ``Configuration.circuit_form``, the
+    elimination that :func:`is_self_dual` reads, with no power formed and no
+    saturated Gale dual: ``Configuration.relations`` is left to
+    :func:`is_facial`, :func:`gale_dual` and its commands, the referees and
+    the benchmark.
     The generators are the m fundamental circuits, the primitive relations
     on the lex-first column basis of ``[1; W]`` plus one other column,
     which names them; they span a sublattice of L of finite index (they are
@@ -258,8 +260,6 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     No other Gale basis can change it: under (a) the product over ``B·u``
     is a homomorphism of u, trivial on one basis of L iff on all of it.
     """
-    if not c.regular:
-        raise irregular_input("strong self-duality")
     form = c.circuit_form
     part, multiples = _circuit_partition(form)
     if part.zero_rows:
@@ -329,6 +329,8 @@ def lawrence_strong_parity(m) -> Verdict:
     """
     mm = imat(m)
     d, n = mm.shape
+    if not n:
+        raise ValueError("a Lawrence block needs at least one column: its lift has no points")
     zero = list(circuit_form(mm).zero_rows())
     if zero:  # a zero row, or no kernel at all
         raise pyramidal_input(zero + [n + i for i in zero], "the Lawrence parity criterion")

@@ -1,7 +1,7 @@
 class InapplicableInput(ValueError):
     """The input violates a hypothesis of the requested criterion.
 
-    The message names the hypothesis (non-pyramidal, regular, repeat-free)
+    The message names the hypothesis (non-pyramidal, repeat-free)
     so callers can tell a wrong-shaped question from a negative answer.
     Each hypothesis is worded once, by one of the functions below.
     """
@@ -16,14 +16,6 @@ def pyramidal_input(zero_rows, criterion: str) -> InapplicableInput:
     return InapplicableInput(
         f"pyramidal input (zero Gale rows at {list(zero_rows)}): "
         f"{criterion} requires a non-pyramidal configuration"
-    )
-
-
-def irregular_input(criterion: str) -> InapplicableInput:
-    """The refusal of a criterion that needs a regular configuration."""
-    return InapplicableInput(
-        "irregular input (the all-ones vector is not in the row span): "
-        f"{criterion} requires a regular configuration"
     )
 
 

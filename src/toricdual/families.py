@@ -47,9 +47,9 @@ def family_alpha(alpha: int) -> Configuration:
     Its planar Gale dual has three line classes, each summing to zero, for
     every nonzero integer alpha.
     """
-    if alpha == 0:
+    a = _integer("family_alpha", "alpha", alpha)
+    if a == 0:
         raise ValueError("family_alpha requires alpha != 0")
-    a = alpha
     return parse_configuration(
         [
             [1, 1, 1, 1, 1, 1, 1],
@@ -63,9 +63,9 @@ def family_alpha(alpha: int) -> Configuration:
 
 def family_alpha_gale(alpha: int) -> IntMatrix:
     """The companion 7 x 2 Gale dual matrix for :func:`family_alpha`."""
-    if alpha == 0:
-        raise ValueError("family_alpha requires alpha != 0")
-    a = alpha
+    a = _integer("family_alpha_gale", "alpha", alpha)
+    if a == 0:
+        raise ValueError("family_alpha_gale requires alpha != 0")
     return imat(
         [
             [2 * a, 0],

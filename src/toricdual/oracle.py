@@ -11,9 +11,10 @@ depth-first search over independent index tuples of ``[1; W]`` whose
 columns carry their coefficients, so a zero residue gives its relation with
 no kernel, and ``enumerate_circuits`` reads neither ``affine_dim`` nor
 ``regularize`` and makes no Bareiss rank.  The sigma referee keeps a
-``_reduce`` basis of the weights, built as a flat's greedy basis is, and
-reduces each zero-set vector against it, so it too runs on ints with no
-``intlinalg`` elimination.
+``_reduce`` basis of the rows of ``[1; W]``, built as a flat's greedy basis
+is, and reduces each zero-set vector against it, so it too runs on ints
+with no ``intlinalg`` elimination.  No referee needs a regular input: each
+reads ``[1; W]``, whose variety is that of W.
 Faces come from a separating-functional LP, and strong self-duality from
 exact evaluation of the defining binomials on a grid large enough to
 certify a polynomial identity.
@@ -51,7 +52,7 @@ from .configuration import (
     parse_configuration,
     regularize,
 )
-from .exceptions import GuardExceeded, irregular_input, pyramidal_input
+from .exceptions import GuardExceeded, pyramidal_input
 from .engine import is_self_dual
 from .gale import GaleDual, coparallel_criterion, gale_dual
 from .intlinalg import IntMatrix, circuit_form, column_lattice_saturated, imat
@@ -246,16 +247,13 @@ def self_dual_via_sigma(c: Configuration) -> bool:
     """Self-duality referee via dual-variety dimension.
 
     For each circuit relation v, the 0/1 vector marking the zero set of v
-    must lie in the rational row span of the weights: the weights are
-    reduced once to a ``_reduce`` basis (``_greedy_basis``, integer residues
-    kept divided by their gcd), and False comes at the first circuit from
-    ``_circuits`` whose vector that basis leaves a nonzero residue.
-    Requires a regular configuration so that span membership expresses the
-    affine condition.
+    must lie in the rational row span of ``[1; W]``, where span membership
+    is the affine condition: its rows are reduced once to a ``_reduce``
+    basis (``_greedy_basis``, integer residues kept divided by their gcd),
+    and False comes at the first circuit from ``_circuits`` whose vector
+    that basis leaves a nonzero residue.
     """
-    if not c.regular:
-        raise irregular_input("the zero-set row-span test")
-    basis = [unit for _, unit in _greedy_basis(c.weights)]
+    basis = [unit for _, unit in _greedy_basis(_ones_on_top(c))]
     return not any(
         any(_reduce(basis, [0 if x else 1 for x in circ.relation])) for circ in _circuits(c)
     )
@@ -269,20 +267,18 @@ def facial_via_separation(c: Configuration, subset) -> bool:
     ``feasible_nonneg`` with ``is_facial`` but on a different LP: the primal
     one, whose unknowns are the functional and one slack per outside point,
     where ``is_facial`` looks for a positive dependency among the Gale dual
-    rows of the complement.
+    rows of the complement.  An affine functional of W is a linear one of
+    ``[1; W]``, so the LP runs on its columns.
     """
     sel = sorted(set(column_indices(c, subset)))
     inside = set(sel)
     outside = [j for j in range(c.npoints) if j not in inside]
     if not outside:
         return True
-    reg = regularize(c)
-    d = reg.dim
     # variables: ell = p - q (free), one slack per strict inequality
-    nvars = 2 * d + len(outside)
     rows = []
     rhs = []
-    cols = reg.columns()
+    cols = _ones_on_top(c).T
     for j in sel:
         col = list(cols[j])
         rows.append(col + [-x for x in col] + [0] * len(outside))
@@ -303,10 +299,9 @@ def strong_via_points(c: Configuration) -> bool:
     Substitutes the dual parameterization into each basis binomial and checks
     the two sides agree on an integer grid with more values per coordinate
     than the degree bound — which certifies the polynomial identity, so the
-    answer is exact, not probabilistic.
+    answer is exact, not probabilistic.  It reads ``gale_dual``, the
+    kernel of ``[1; W]``, so it needs no regular input.
     """
-    if not c.regular:
-        raise irregular_input("strong self-duality")
     b = gale_dual(c)
     if b.zero_rows():  # every row is zero at corank 0
         raise pyramidal_input(b.zero_rows(), "strong self-duality")
@@ -329,14 +324,12 @@ def strong_via_points(c: Configuration) -> bool:
     return True
 
 
-def random_configuration(
-    rng: random.Random, max_points: int = 8, non_pyramidal: bool = True
-) -> Configuration:
-    """One random regular, repeat-free configuration of at most
-    ``max_points`` points, drawn in dimension at most 4 (and below
-    ``max_points``) with entries in [-3, 3]; with ``non_pyramidal`` it also
-    has a relation and no apex.  ``ValueError`` when ``max_points`` is
-    below 2, or below 3 with ``non_pyramidal``: two points have no relation.
+def random_configuration(rng: random.Random, max_points: int = 8) -> Configuration:
+    """One random regular, repeat-free, non-pyramidal configuration (it has
+    a relation and no apex) of at most ``max_points`` points, drawn in
+    dimension at most 4 (and below ``max_points``) with entries in [-3, 3].
+    ``ValueError`` when ``max_points`` is below 3: two points have no
+    relation.
 
     Drawing is rejection-based (at most 20000 draws) but fully determined by
     the caller's ``rng``, so seeded sweeps are reproducible; the benchmark's
@@ -348,17 +341,14 @@ def random_configuration(
     flat's lex-first basis is found): ``rank([1; W])`` independent rows,
     still regular, with the draw's own relations and entries.
     """
-    least = 3 if non_pyramidal else 2
-    if max_points < least:
-        raise ValueError(f"max_points must be at least {least}, got {max_points}")
+    if max_points < 3:
+        raise ValueError(f"max_points must be at least 3, got {max_points}")
     for _ in range(20_000):
         d = rng.randint(1, min(4, max_points - 1))
         n = rng.randint(max(2, d + 1), max_points)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
         c = parse_configuration(rows)
-        if len(set(c.columns())) != c.npoints:
-            continue
-        if non_pyramidal and c.circuit_form.zero_rows():
+        if len(set(c.columns())) != c.npoints or c.circuit_form.zero_rows():
             continue
         weights = regularize(c).weights
         return parse_configuration([weights[i] for i, _ in _greedy_basis(weights)])

@@ -171,10 +171,23 @@ def test_criterion_07_coparallelism_equivalence():
     print("ACCEPTANCE 7: PASS  100 instances: dual-row parallelism == circuit classes")
 
 
-def test_criterion_08_facial_equivalence():
+def _facial_draws(count):
+    """Seeded repeat-free draws of at most 7 points in dimension at most 4,
+    entries in [-3, 3], taken as they come: pyramids, simplices and
+    non-regular presentations included."""
     rng = random.Random(FACIAL_SEED)
-    for _ in range(30):
-        c = random_configuration(rng, max_points=7, non_pyramidal=False)
+    draws = []
+    while len(draws) < count:
+        d = rng.randint(1, 4)
+        n = rng.randint(2, 7)
+        c = parse_configuration([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
+        if len(set(c.columns())) == n:
+            draws.append(c)
+    return draws
+
+
+def test_criterion_08_facial_equivalence():
+    for c in _facial_draws(30):
         for size in range(1, c.npoints + 1):
             for sub in itertools.combinations(range(c.npoints), size):
                 assert is_facial(c, sub).value == facial_via_separation(c, sub), (

@@ -70,7 +70,7 @@ def test_check_self_dual(tmp_path, capsys):
 
 
 def test_check_self_dual_verify_on_non_regular_input(tmp_path, capsys):
-    # the sigma oracle needs a regular presentation of the distinct columns
+    # the referees read [1; W], so non-regular input is answered
     path = tmp_path / "twisted_cubic.txt"
     path.write_text("0 1 2 3\n")
     code, out, err = run(capsys, "check", "self-dual", str(path), "--verify")
@@ -687,7 +687,7 @@ def _fuzz_matrix_file(rng):
     disagrees."""
     d, n = rng.randint(1, 3), rng.randint(1, 7)
     rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
-    if rng.random() < 0.5:  # regular, so that the strong test runs
+    if rng.random() < 0.5:  # a row of ones: both presentations occur
         rows[0] = [1] * n
     defect = rng.choice([None, None, None, None, "ragged", "size", 1.5, "x", True])
     if defect == "ragged":

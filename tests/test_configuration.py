@@ -407,8 +407,8 @@ def test_strong_reads_the_shared_circuit_form(monkeypatch):
         "affine_relation_kernel": 0,
         "circuit_form": 4,
     }
-    # the regular flag, the self-dual verdict and the strong one share one
-    # elimination of the configuration
+    # the self-dual verdict and the strong one share one elimination of the
+    # configuration
     c = parse_configuration(rows)
     is_self_dual(c)
     is_strongly_self_dual(c)
@@ -435,7 +435,7 @@ def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
 # kernel of its LPs
 ELIMINATIONS = {
     "is_self_dual": (lambda c, b: is_self_dual(c), (1, 0), (1, 0)),
-    "is_strongly_self_dual": (lambda c, b: is_strongly_self_dual(c), (2, 0), (2, 0)),
+    "is_strongly_self_dual": (lambda c, b: is_strongly_self_dual(c), (1, 0), (1, 0)),
     "coparallel_criterion": (lambda c, b: coparallel_criterion(c), (6, 0), (3, 0)),
     "is_facial": (lambda c, b: is_facial(c, (0,)), (1, 0), (1, 0)),
     "smooth_certificate": (lambda c, b: smooth_certificate(c), (9, 0), (2, 0)),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from toricdual import engine
 from toricdual.cli import read_matrix
-from toricdual.configuration import affine_dim, dedup, parse_configuration
+from toricdual.configuration import affine_dim, dedup, parse_configuration, regularize
 from toricdual.engine import (
     HypersurfaceClass,
     full_decomposition,
@@ -116,8 +116,6 @@ def test_self_dual_examples_from_corpus():
     assert is_self_dual(INT_POINT_FACE).value
     assert is_self_dual(MISSING_POINTS).value
     # sigma referee agrees
-    from toricdual.configuration import regularize
-
     assert self_dual_via_sigma(regularize(INT_POINT_FACE))
     assert self_dual_via_sigma(regularize(MISSING_POINTS))
 
@@ -211,8 +209,6 @@ def test_strong_rejects_unbalanced_conic_variant():
 def test_strong_rejects_bad_inputs():
     with pytest.raises(InapplicableInput):
         is_strongly_self_dual(PYRAMID)
-    with pytest.raises(InapplicableInput):
-        is_strongly_self_dual(parse_configuration([[0, 1, 3]]))
 
 
 def test_strong_point_in_p1_is_self_dual_but_not_strong():
@@ -612,6 +608,12 @@ def test_lawrence_parity_examples():
     # zero matrix: kernel is everything (full support), but all sums are even
     v = lawrence_strong_parity([[0, 0, 0]])
     assert not v.value
+    # a block with no columns has a lift with no points, as lawrence says
+    for block in ([[]], [[], []]):
+        with pytest.raises(ValueError, match="at least one column"):
+            lawrence_strong_parity(block)
+        with pytest.raises(ValueError, match="at least one point"):
+            lawrence(block)
 
     # no subset of these rows has an odd sum in every column; the certificate
     # is a mod-2 kernel vector of M with an odd sum
@@ -1029,16 +1031,12 @@ def test_smooth_certificate_rejects_repeats():
                 criterion(parse_configuration(rows))
 
 
-NON_REGULAR = parse_configuration([[0, 1, 3]])
 REPEATS = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 1]])
 
 
 @pytest.mark.parametrize(
     "refuse, message",
     [
-        (lambda: is_strongly_self_dual(NON_REGULAR), "regular configuration"),
-        (lambda: strong_via_points(NON_REGULAR), "regular configuration"),
-        (lambda: self_dual_via_sigma(NON_REGULAR), "regular configuration"),
         (lambda: smooth_certificate(REPEATS), "repeated columns"),
         (lambda: coparallel_criterion(REPEATS), "repeated columns"),
         (lambda: is_strongly_self_dual(PYRAMID), r"zero Gale rows at \[3\]"),
@@ -1051,7 +1049,6 @@ REPEATS = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 1]])
         (lambda: lawrence_strong_parity([[1, 1, 0], [0, 0, 1]]), r"zero Gale rows at \[2, 5\]"),
     ],
     ids=[
-        "strong-regular", "points-regular", "sigma-regular",
         "smooth-repeats", "coparallel-repeats",
         "strong-pyramid", "line-sums-pyramid", "coparallel-pyramid", "flats-pyramid",
         "parity-no-kernel", "parity-zero-kernel-row",
@@ -1060,6 +1057,53 @@ REPEATS = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 1]])
 def test_refusals_name_their_hypothesis(refuse, message):
     with pytest.raises(InapplicableInput, match=message):
         refuse()
+
+
+def _irregular_draws(seed, count=300):
+    """Three points on a line, the unit square (P^1 x P^1, strongly
+    self-dual), then seeded non-regular, non-pyramidal configurations,
+    d <= 4 and n <= 9 with entries in [-2, 2], repeats allowed."""
+    rng = random.Random(seed)
+    draws = [parse_configuration([[0, 1, 3]]), parse_configuration([[0, 1, 0, 1], [0, 0, 1, 1]])]
+    while len(draws) < count:
+        d = rng.randint(1, 4)
+        n = rng.randint(d + 1, 9)
+        c = parse_configuration([[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)])
+        if not c.regular and not c.circuit_form.zero_rows():
+            draws.append(c)
+    return draws
+
+
+def test_strong_on_irregular_input_is_the_strong_test_of_its_regularization():
+    # W and [1; W] have one variety and one circuit form, so value,
+    # criterion and witness agree
+    values = set()
+    for c in _irregular_draws(32):
+        v = is_strongly_self_dual(c)
+        assert v == is_strongly_self_dual(regularize(c)), c.weights.tolist()
+        values.add(v.value)
+    assert values == {True, False}
+
+
+def test_strong_via_points_agrees_on_irregular_input():
+    checked = {True: 0, False: 0}
+    for c in _irregular_draws(33):
+        try:
+            points = strong_via_points(c)
+        except GuardExceeded:
+            continue
+        assert points is is_strongly_self_dual(c).value, c.weights.tolist()
+        checked[points] += 1
+    assert checked[True] and checked[False] > 150
+
+
+def test_sigma_on_irregular_input_is_sigma_of_its_regularization():
+    values = set()
+    for c in _irregular_draws(34):
+        sigma = self_dual_via_sigma(c)
+        assert sigma is self_dual_via_sigma(regularize(c)), c.weights.tolist()
+        values.add(sigma)
+    assert values == {True, False}
 
 
 def test_smooth_certificate_degenerate_point():

@@ -160,6 +160,7 @@ def test_family_validation():
     "build, message",
     [
         (lambda: family_alpha_gale(0), "alpha != 0"),
+        (lambda: family_alpha_gale(0), "^family_alpha_gale requires alpha != 0$"),
         (lambda: family_dim(3, [1, -1]), "expected 3 alpha values"),
         (lambda: family_dim(2, [0, 0]), "nonzero and sum to zero"),
         (lambda: family_codim(2, 1, [1]), "r >= 2"),
@@ -175,6 +176,13 @@ def test_family_validation():
         (lambda: family_codim(2, "2", [1, -1]), "integer r"),
         (lambda: segre(2.5), "segre requires an integer m, got 2.5"),
         (lambda: segre("3"), "integer m"),
+        # alpha is refused as the caller wrote it, not as an entry built from it
+        (lambda: family_alpha(True), r"family_alpha requires an integer alpha, got True$"),
+        (lambda: family_alpha(2.0), r"integer alpha, got 2\.0$"),
+        (lambda: family_alpha(1.5), r"integer alpha, got 1\.5$"),
+        (lambda: family_alpha_gale(True), r"family_alpha_gale requires an integer alpha, got True$"),
+        (lambda: family_alpha_gale(2.0), r"integer alpha, got 2\.0$"),
+        (lambda: family_alpha_gale(1.5), r"integer alpha, got 1\.5$"),
     ],
 )
 def test_family_argument_errors(build, message):

@@ -263,8 +263,8 @@ def test_self_dual_via_sigma():
     assert not self_dual_via_sigma(regularize(TWISTED_CUBIC))
     # circuit-free: vacuously self-dual by this test
     assert self_dual_via_sigma(parse_configuration([[1, 0], [0, 1]]))
-    with pytest.raises(InapplicableInput):
-        self_dual_via_sigma(parse_configuration([[0, 1, 3]]))
+    # non-regular input is answered on [1; W]
+    assert not self_dual_via_sigma(TWISTED_CUBIC)
 
 
 def test_sigma_twisted_cubic_witness():
@@ -381,8 +381,9 @@ def test_strong_via_points_examples():
     # conic variant with dual column (-2, 1, 1): 4 s^2 != s^2
     c = parse_configuration([[1, 1, 1], [0, 1, -1]])
     assert not strong_via_points(c)
-    with pytest.raises(InapplicableInput):
-        strong_via_points(parse_configuration([[0, 1, 3]]))
+    # non-regular: the unit square is P^1 x P^1, and 0, 1, 3 gives 2^2 != 3^3
+    assert strong_via_points(parse_configuration([[0, 1, 0, 1], [0, 0, 1, 1]]))
+    assert not strong_via_points(parse_configuration([[0, 1, 3]]))
 
 
 def test_facial_via_separation_matches_gale_test():
@@ -435,21 +436,18 @@ def test_random_configuration_filters():
 def test_random_configuration_at_every_max_points(max_points):
     # two distinct points have no relation, and one point is refused too;
     # a refusal comes before any draw
-    for non_pyramidal in (True, False):
-        least = 3 if non_pyramidal else 2
-        for seed in range(50):
-            rng = random.Random(seed)
-            if max_points < least:
-                with pytest.raises(ValueError, match=f"at least {least}"):
-                    random_configuration(rng, max_points, non_pyramidal)
-                assert rng.random() == random.Random(seed).random()
-                continue
-            c = random_configuration(rng, max_points, non_pyramidal)
-            assert c.regular and c.npoints <= max_points
-            assert len(set(c.columns())) == c.npoints
-            if non_pyramidal:
-                b = gale_dual(c)
-                assert b.corank and not b.zero_rows()
+    for seed in range(50):
+        rng = random.Random(seed)
+        if max_points < 3:
+            with pytest.raises(ValueError, match="at least 3"):
+                random_configuration(rng, max_points)
+            assert rng.random() == random.Random(seed).random()
+            continue
+        c = random_configuration(rng, max_points)
+        assert c.regular and c.npoints <= max_points
+        assert len(set(c.columns())) == c.npoints
+        b = gale_dual(c)
+        assert b.corank and not b.zero_rows()
 
 
 def test_random_configuration_deterministic():

@@ -172,7 +172,7 @@ def linear_systems(draw):
 @example(([[0, 0]], [0]))
 @example(([[1, 2], [1, 2]], [0]))
 @example(([[10**30, 10**30 + 1], [1, 1]], [0]))
-def test_solve_linear_matches_fraction_reference(system):
+def test_parallel_face_functional_matches_fraction_reference(system):
     w, members = system
     columns = list(zip(*w))
     targets = [int(j in members) for j in range(len(columns))]
