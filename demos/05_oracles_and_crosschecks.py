@@ -19,7 +19,6 @@ from toricdual import (
     facial_via_separation,
     gale_dual,
     is_facial,
-    parse_configuration,
     segre,
 )
 from toricdual.oracle import random_configuration

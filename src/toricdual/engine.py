@@ -41,7 +41,7 @@ from .gale import (
     _line_sums_verdict,
     is_facial,
 )
-from .intlinalg import IntMatrix, circuit_form, imat, primitive_vector
+from .intlinalg import IntMatrix, circuit_form, imat
 from .verdict import Verdict
 
 
@@ -448,49 +448,50 @@ def full_decomposition(c: Configuration) -> DecompositionReport:
     return _decompose(c)[1]
 
 
-def _simplicial_edges(vertex, diffs, candidates, height):
+def _simplicial_edges(c, vertex, height):
     """The edges at ``vertex`` and their lattice test, read off one
     elimination: ``(rank, edges, basis)``.
 
     ``height`` is an affine functional, 0 at the vertex and positive at
-    every other point, and ``diffs[k]`` is point k minus the vertex.  The
-    points of a candidate line lie on one ray from the vertex, so the point
-    of smallest height on it is its nearest point.  One ``circuit_form``
-    runs over the nearest differences in order of (height, candidate), then
-    every other difference.  Its pivots are the greedy lex-first basis E of
-    the nearest ones, and ``rank`` is the affine dimension.  When every
-    Jordan row is sign-consistent with the last pivot d (only its free
-    entries are tested: on the pivot columns it is d times a unit vector),
-    every difference is a nonnegative combination of E, so the tangent cone
-    is the simplicial cone(E) and its edges are exactly the E lines:
-    ``edges``, as sorted (line, nearest point) pairs.  Column f is
+    every other point.  One ``circuit_form`` runs over the differences of
+    the other points to the vertex, in order of (height, point); its pivots
+    are the greedy lex-first basis E of those differences, and ``rank`` is
+    the affine dimension.  When every Jordan row is sign-consistent with the
+    last pivot d (only its free entries are tested: on the pivot columns it
+    is d times a unit vector), every difference is a nonnegative combination
+    of E, so the tangent cone is cone(E) and every pivot lies on an edge.
+    Then ``edges`` lists the pivot points, sorted by the smallest point on
+    each edge's line: the pivot and every free point whose Jordan column
+    has a single nonzero entry, in that pivot's row.  Column f is
     ``Σ_i (R_i[f]/d)·E_i`` and the differences at a point generate the
     difference lattice, so ``basis``, whether E is a basis of it, is
-    whether d divides every Jordan entry.
+    whether d divides every Jordan entry.  Otherwise ``edges`` and
+    ``basis`` are None: the vertex fails the smoothness certificate.
 
-    Otherwise ``edges`` and ``basis`` are None: the vertex fails the
-    smoothness certificate.  Suppose it passes: its dim nearest edge vectors
-    E form a lattice basis and generate its tangent cone, so every
-    difference is a nonnegative integer combination of E.  A point off the
-    edges then has two or more nonzero coordinates, so it is strictly higher
-    than every edge in its support, and a further point on an edge is a
-    multiple of its nearest one.  Ordered by height, each edge is
-    independent of every difference before it, and every other difference
-    lies in the span of the edges before it, so the pass picks exactly E,
-    with sign-consistent Jordan rows.  A non-simple vertex, or a simple one
-    where a point off the edges is lower than an edge, gives None.
+    Why the order finds the edges.  Heights are positive and linear along
+    a ray from the vertex, so a ray's nearest point comes before its
+    farther points, which are multiples of it and never pivots.  At a
+    smooth vertex the edge vectors are a lattice basis and generate the
+    tangent cone, so every difference is a nonnegative integer combination
+    of them, and a point off the edges, with two or more nonzero
+    coefficients, is strictly higher than every edge in its support.  So
+    the pivots are exactly the edges, each at its nearest point, with
+    sign-consistent Jordan rows.  Both tests depend on E, not on the order
+    of the other columns.  A non-simple vertex, or a simple one where a
+    point off the edges comes before an edge in its support, gives None.
     """
-    # each line's nearest point as (height, line, point), in that order
-    lines = sorted(min((height[k], s, k) for k in s if k != vertex) for s in candidates)
-    order = [k for _, _, k in lines]
-    nearest = set(order)
-    order += [k for k in range(len(diffs)) if k != vertex and k not in nearest]
-    form = circuit_form(IntMatrix([diffs[k] for k in order], len(diffs[vertex])).T)
-    d = form.pivot
+    order = sorted((k for k in range(c.npoints) if k != vertex), key=height.__getitem__)
+    form = circuit_form([[row[k] - row[vertex] for k in order] for row in c.weights])
+    d, rank = form.pivot, len(form.pivots)
     if any(x * d < 0 for row in form.rows for x in row):
-        return len(form.pivots), None, None
-    edges = sorted(lines[p][1:] for p in form.pivots)
-    return len(form.pivots), edges, not any(x % d for row in form.rows for x in row)
+        return rank, None, None
+    least = [order[p] for p in form.pivots]
+    for f, col in zip(form.free, zip(*form.rows)):
+        if col.count(0) == rank - 1:
+            i = next(i for i, x in enumerate(col) if x)
+            least[i] = min(least[i], order[f])
+    edges = [order[p] for _, p in sorted(zip(least, form.pivots))]
+    return rank, edges, not any(x % d for row in form.rows for x in row)
 
 
 def smooth_certificate(c: Configuration) -> Verdict:
@@ -501,46 +502,42 @@ def smooth_certificate(c: Configuration) -> Verdict:
     edge form a basis of the difference lattice.  Not certified does not mean
     singular: the test is one-sided.  Repeat-free input required.  The check
     runs on ``c`` itself, so the edge vectors are differences of input
-    columns; line grouping, the nearest point on an edge and lattice equality
-    do not change under an injective integral linear map, so any other
-    presentation of the same relations gives the same verdict.
+    columns; edges, the nearest point on an edge and lattice equality do not
+    change under an injective integral linear map, so any other presentation
+    of the same relations gives the same verdict.
 
     One pass over the points, with one facial LP per point and none per
-    line.  A point's LP decides whether it is a vertex, and its positive
-    dependency gives heights, an affine functional that vanishes at the
-    vertex only.  At each vertex one elimination ordered by the heights
-    reads off its edges, their lattice test and ``needed``, the affine
-    dimension (:func:`_simplicial_edges`); the simplex and the single point
-    have no heights, but each line there holds one point, so any order
-    works.  The pass stops at the first vertex that fails: one where the
-    elimination shows no simplicial tangent cone, which fails the
-    certificate whatever its edges are, or one whose edge vectors are not a
-    basis.  So at most n LPs run, and ``vertices`` in the witness ends at
-    that vertex; its entry has no ``edge_count`` when no simplicial cone was
-    shown.
+    line, and no grouping of the points into lines.  A point's LP decides
+    whether it is a vertex, and its positive dependency gives heights, an
+    affine functional that vanishes at the vertex only.  At each vertex one
+    elimination of the other points in order of (height, point) reads off
+    its edges, their lattice test and ``needed``, the affine dimension
+    (:func:`_simplicial_edges`, which says why that order finds the edges);
+    the simplex and the single point have no heights, but each line there
+    holds one point, so the points' own order works.  The pass stops at the
+    first vertex that fails: one where the elimination shows no simplicial
+    tangent cone, which fails the certificate whatever its edges are, or one
+    whose edge vectors are not a basis.  So at most n LPs run, and
+    ``vertices`` in the witness ends at that vertex; its entry has no
+    ``edge_count`` when no simplicial cone was shown.  Edge vectors are
+    listed by the smallest point on their line.
     """
-    if len(set(c.columns())) != c.npoints:
-        raise repeated_columns("the smoothness certificate")
     cols = c.columns()
+    if len(set(cols)) != c.npoints:
+        raise repeated_columns("the smoothness certificate")
     report = []
     certified = True
     for i in range(c.npoints):
         v = is_facial(c, (i,))
         if not v.value:
             continue
-        diffs = [[x - y for x, y in zip(col, cols[i])] for col in cols]
-        lines = {}
-        for j in range(c.npoints):
-            if j != i:
-                lines.setdefault(primitive_vector(diffs[j]), [i]).append(j)
-        candidates = sorted(tuple(sorted(on_line)) for on_line in lines.values())
         h = v.witness.get("coefficients", [0] * (c.npoints - 1))
-        needed, edges, ok = _simplicial_edges(i, diffs, candidates, [*h[:i], 0, *h[i:]])
+        needed, edges, ok = _simplicial_edges(c, i, [*h[:i], 0, *h[i:]])
         if edges is None:
             reason = "the elimination shows no simplicial tangent cone"
             report.append({"vertex": i, "needed": needed, "reason": reason})
         else:
-            vectors = [diffs[k] for _, k in edges]
+            vectors = [[x - y for x, y in zip(cols[k], cols[i])] for k in edges]
             report.append({"vertex": i, "edge_count": len(edges), "needed": needed,
                            "edge_vectors": vectors, "basis_of_difference_lattice": ok})
         if not ok:

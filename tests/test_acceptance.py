@@ -9,11 +9,7 @@ import random
 
 import pytest
 
-from toricdual.configuration import (
-    affine_dim,
-    dedup,
-    parse_configuration,
-)
+from toricdual.configuration import affine_dim, parse_configuration
 from toricdual.engine import (
     is_lawrence,
     is_segre,

@@ -931,10 +931,12 @@ def _heights(c, i):
 
 def _simplicial_edges(c, i):
     """The edge lines that the elimination at vertex i reads, or None."""
-    diffs, candidates = _lines_at(c, i)
-    rank, edges, _ = engine._simplicial_edges(i, diffs, candidates, _heights(c, i))
+    rank, edges, _ = engine._simplicial_edges(c, i, _heights(c, i))
     assert rank == affine_dim(c)
-    return None if edges is None else [s for s, _ in edges]
+    if edges is None:
+        return None
+    lines = _lines_at(c, i)[1]
+    return [next(s for s in lines if k in s) for k in edges]
 
 
 def _edges_by_lps(c, i):
@@ -964,6 +966,18 @@ def test_simplicial_edges_at_simple_vertices_whose_edges_are_no_basis():
     (entry,) = smooth_certificate(MISSING_POINTS).witness["vertices"]
     assert entry["vertex"] == 0
     assert not entry["basis_of_difference_lattice"]
+
+
+def test_edge_vectors_follow_the_smallest_point_on_their_line():
+    # at vertex 2, the origin, the x-axis line holds 0 and 3 and the y-axis
+    # line 1 and 4: the x-axis edge comes first although its nearest point,
+    # 3, is a later pivot than 1
+    c = parse_configuration([[2, 0, 0, 1, 0, 1], [0, 1, 0, 0, 2, 1]])
+    v = smooth_certificate(c)
+    assert v.value
+    (entry,) = [e for e in v.witness["vertices"] if e["vertex"] == 2]
+    assert entry["edge_vectors"] == [[1, 0], [0, 1]]
+    assert _simplicial_edges(c, 2) == [(0, 2, 3), (1, 2, 4)]
 
 
 def _assert_no_simplicial_cone_fails_the_vertex(c):

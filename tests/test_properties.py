@@ -9,8 +9,6 @@ two and three as well.
 import itertools
 import random
 
-import pytest
-
 from toricdual.configuration import (
     affine_dim,
     parse_configuration,

@@ -134,7 +134,7 @@ def functional(weights, members):
     return as_fractions((ell, den))
 
 
-def test_solve_linear_basic():
+def test_parallel_face_functional_basic():
     # the points (2, 0) and (0, 4): ell = (1/2, 1/4) is 1 on both
     v = is_parallel_face_complement(parse_configuration([[2, 0], [0, 4]]), [0, 1])
     assert v.witness == {"kind": "functional", "members": [0, 1], "ell": [2, 1], "denominator": 4}

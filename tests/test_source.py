@@ -45,7 +45,11 @@ def test_unused_imports_are_found():
     assert unused_imports(derived) == [(1, "x")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
