@@ -1,10 +1,11 @@
 """Repeats, pyramids, and the join decomposition.
 
-The reductions shown here (regularize: put the points on an affine
-hyperplane off the origin; merge repeated columns; split off pyramid
-apexes) all keep the lattice of affine relations.  The duality criteria therefore read that lattice off the
-input as given: they merge repeated columns and take the apexes from the
-zero rows of the Gale dual.  The variety is an iterated join over what
+The weights W and the weights [1; W] under a row of ones present one
+projective variety with one lattice of affine relations, and the
+reductions shown here (merge repeated columns, split off pyramid apexes)
+keep that lattice too.  The duality criteria therefore read the lattice off
+the input as given: they merge repeated columns and take the apexes from
+the zero rows of the Gale dual.  The variety is an iterated join over what
 remains, and self-duality of the join needs the apex count to match the
 repeat count.
 """
@@ -13,21 +14,22 @@ from toricdual import (
     affine_dim,
     dedup,
     full_decomposition,
+    gale_dual,
     is_self_dual,
     parse_configuration,
-    regularize,
 )
 
 print(__doc__)
 
 print("=" * 72)
-print("Regularize")
+print("W and [1; W]: one variety, one answer")
 print("=" * 72)
 c = parse_configuration([[0, 2, 4]])
-print("input:", c.weights.tolist(), "regular:", c.regular)
-r = regularize(c)
-print("regularized:", r.weights.tolist(), "regular:", r.regular)
-print("affine dimension is invariant:", affine_dim(c), "==", affine_dim(r))
+lifted = parse_configuration([[1] * c.npoints, *c.weights])
+print("W:     ", c.weights.tolist())
+print("[1; W]:", lifted.weights.tolist())
+print("Gale duals:", gale_dual(c).matrix.tolist(), "==", gale_dual(lifted).matrix.tolist())
+print("affine dimensions:", affine_dim(c), "==", affine_dim(lifted))
 
 print()
 print("=" * 72)

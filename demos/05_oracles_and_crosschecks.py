@@ -49,9 +49,10 @@ print("Face membership two ways on a random instance")
 print("=" * 72)
 inst = random_configuration(random.Random(11), max_points=6)
 print("instance:", inst.weights.tolist())
-print("(the draw as random_configuration returns it: regularized, and only the rows")
-print(" that raise the rank kept, so its entries are the draw's; another presentation")
-print(" would print other numbers with the same affine relations and the same answers)")
+print("(the draw W as random_configuration returns it: of the rows of [1; W], only")
+print(" those that raise the rank are kept, so its entries are the draw's; another")
+print(" presentation would print other numbers with the same affine relations and")
+print(" the same answers)")
 for sub in ([0], [0, 1], [1, 2, 3]):
     fast = is_facial(inst, sub).value
     slow = facial_via_separation(inst, sub)

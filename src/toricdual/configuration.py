@@ -3,10 +3,10 @@
 A configuration is a d x n integer matrix whose columns are lattice points
 (weights of a torus action); columns may repeat.  Every duality criterion in
 this package reads a configuration only through the lattice of affine
-relations among its columns, so the verdicts work on the input as given.
-The two reductions here keep that lattice: ``regularize`` puts the columns
-on an affine hyperplane off the origin, and ``dedup`` merges repeated
-columns and records their multiplicities.  Apexes are split off in
+relations among its columns, so the verdicts work on the input as given:
+W and ``[1; W]`` present one projective variety and get one answer.  The
+reduction here keeps that lattice: ``dedup`` merges repeated columns and
+records their multiplicities.  Apexes are split off in
 ``engine.full_decomposition``, as the zero rows of a Gale dual.
 ``affine_dim`` is read off the Gauss-Jordan form of ``[1; W]`` that each
 configuration caches, the one place the rank of ``[1; W]`` is taken.
@@ -16,7 +16,7 @@ import operator
 from functools import cached_property
 from typing import NamedTuple
 
-from .intlinalg import CircuitForm, IntMatrix, circuit_form, imat, integer_kernel, rank
+from .intlinalg import CircuitForm, IntMatrix, circuit_form, imat, integer_kernel
 from .verdict import ReadOnly
 
 
@@ -24,26 +24,20 @@ class Configuration(ReadOnly):
     """A d x n matrix of column weights; every invariant is computed on first
     use and then kept.
 
-    ``regular`` means the columns lie on a rational affine hyperplane off the
-    origin (equivalently the all-ones vector is in the row span, or
-    ``rank(W) == rank([1; W])``), so affine relations among columns
-    coincide with linear ones.  It is read off ``circuit_form``: every
-    column of ``[1; W]`` is a combination of its pivot columns B, so every
-    column of W is the same combination of the columns of W on B, and the
-    flag is ``rank(W_B) == |B|``, one d x |B| rank.  ``relations`` is the
-    saturated affine relation basis that :func:`gale_dual` wraps.
-    ``circuit_form`` is the fraction-free Gauss-Jordan form of ``[1; W]``
-    (:func:`circuit_form`), and ``circuit_basis`` the fundamental-circuit
-    basis of the same relations written out from it: it spans them over Q
-    only and needs no saturation step.  The self-duality and strong
-    verdicts read their line classes off ``circuit_form`` without building
-    ``circuit_basis``, and state their witnesses in that basis; every
-    reader of either shares the one elimination.  ``weights``,
-    ``relations`` and ``circuit_basis`` are immutable :class:`IntMatrix`
-    values, ``circuit_form`` an immutable :class:`CircuitForm`, and each
-    invariant is computed at most once per configuration.  A configuration refuses
-    attribute assignment and equals only itself; its repr gives the shape
-    only, so printing one computes nothing.
+    ``relations`` is the saturated affine relation basis that
+    :func:`gale_dual` wraps.  ``circuit_form`` is the fraction-free
+    Gauss-Jordan form of ``[1; W]`` (:func:`circuit_form`), and
+    ``circuit_basis`` the fundamental-circuit basis of the same relations
+    written out from it: it spans them over Q only and needs no saturation
+    step.  The self-duality and strong verdicts read their line classes off
+    ``circuit_form`` without building ``circuit_basis``, and state their
+    witnesses in that basis; every reader of either shares the one
+    elimination.  ``weights``, ``relations`` and ``circuit_basis`` are
+    immutable :class:`IntMatrix` values, ``circuit_form`` an immutable
+    :class:`CircuitForm`, and each invariant is computed at most once per
+    configuration.  A configuration refuses attribute assignment and equals
+    only itself; its repr gives the shape only, so printing one computes
+    nothing.
     """
 
     def __init__(self, weights: IntMatrix):
@@ -56,11 +50,6 @@ class Configuration(ReadOnly):
     @property
     def npoints(self) -> int:
         return self.weights.shape[1]
-
-    @cached_property
-    def regular(self) -> bool:
-        pivots = self.circuit_form.pivots
-        return rank(self.weights.select(pivots)) == len(pivots)
 
     @cached_property
     def relations(self) -> IntMatrix:
@@ -122,8 +111,8 @@ class DecompositionReport(NamedTuple):
 
 
 def parse_configuration(matrix) -> Configuration:
-    """Validate an integer matrix with at least one column; flags are
-    computed on use."""
+    """Validate an integer matrix with at least one column; its invariants
+    are computed on use."""
     w = imat(matrix)
     if not w.shape[1]:
         raise ValueError("a configuration needs at least one point (column)")
@@ -154,23 +143,11 @@ def column_indices(c: Configuration, indices) -> list:
     return idx
 
 
-def regularize(c: Configuration) -> Configuration:
-    """Place the configuration on an affine hyperplane off the origin.
-
-    A regular configuration is returned unchanged.  Otherwise a row of ones
-    is prepended, which leaves the affine relation lattice untouched while
-    turning affine relations into linear ones.
-    """
-    if c.regular:
-        return c
-    return parse_configuration(_ones_on_top(c))
-
-
 def affine_relation_kernel(c: Configuration) -> IntMatrix:
     """Saturated basis (as columns) of the affine relations among the columns.
 
-    Always computed as the integer kernel of the weights with a prepended
-    all-ones row, so regular and non-regular inputs go through one code path.
+    Computed as the integer kernel of ``[1; W]``, whose linear relations
+    are the affine relations of W.
     ``c.relations`` keeps the result; call this only to recompute it.
     """
     return integer_kernel(_ones_on_top(c))

@@ -18,10 +18,10 @@ read a circuit basis too: ``hypersurface_class`` the one column of
 sign vector, a primitive 1-dimensional kernel (its lattice condition
 follows from those); ``lawrence_strong_parity`` reads the zero rows of
 ``circuit_form(M)`` without writing its basis out.  The strong test reads
-the same form as the self-duality verdict, and needs no regular flag: the
-size of its products is a homomorphism to a torsion-free group, decided on
-the fundamental circuits, and its sign is decided on generators of odd
-index in the relation lattice, found by halving sums of circuits.
+the same form as the self-duality verdict, so W and ``[1; W]`` get one
+answer: the size of its products is a homomorphism to a torsion-free group,
+decided on the fundamental circuits, and its sign is decided on generators
+of odd index in the relation lattice, found by halving sums of circuits.
 The saturated canonical basis of :func:`gale_dual`
 (``Configuration.relations``) is read only by ``is_facial`` (so by
 ``check facial`` and the facial tests behind ``smooth_certificate``), by

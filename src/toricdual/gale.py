@@ -11,7 +11,7 @@ complementary rows.
 from math import gcd
 from typing import NamedTuple
 
-from .configuration import Configuration, _ones_on_top, column_indices, regularize
+from .configuration import Configuration, _ones_on_top, column_indices
 from .exceptions import pyramidal_input, repeated_columns
 from .intlinalg import (
     CircuitForm,
@@ -295,12 +295,15 @@ def is_facial(c: Configuration, subset) -> Verdict:
 
 
 def is_parallel_face_complement(c: Configuration, members) -> Verdict:
-    """Does a linear functional take value 0 off ``members`` and 1 on them?
+    """Does an affine functional take value 0 off ``members`` and 1 on them?
 
     When it does, ``members`` and its complement lie in parallel hyperplanes
-    and both are faces; the witness gives the functional as ``ell``, integers
-    to be divided by ``denominator``, in lowest terms.  It is read off the
-    :func:`~toricdual.intlinalg.circuit_form` of the rows ``[column_j |
+    and both are faces.  An affine functional of W is a linear one of
+    ``[1; W]``, so the question is solved on its columns and W and ``[1; W]``
+    get one answer; the witness gives the functional as ``ell``, its d + 1
+    coefficients on ``[1; W]`` (the constant term first) as integers to be
+    divided by ``denominator``, in lowest terms.  It is read off the
+    :func:`~toricdual.intlinalg.circuit_form` of the rows ``[1 | column_j |
     target_j]``: a pivot in the target column means there is none;
     otherwise the target column is the last free one, ``ell`` is the last
     free entry of each Jordan row over the last pivot, and 0 at the free
@@ -308,15 +311,16 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
     """
     sel = sorted(set(column_indices(c, members)))
     inside = set(sel)
-    dim = c.dim
-    form = circuit_form([[*col, int(j in inside)] for j, col in enumerate(c.columns())])
-    if dim in form.pivots:
+    points = _ones_on_top(c)
+    target = len(points)
+    form = circuit_form([[*col, int(j in inside)] for j, col in enumerate(points.T)])
+    if target in form.pivots:
         return Verdict(
             value=False,
             criterion="parallel-face-complement",
             witness={"kind": "no_functional", "members": sel},
         )
-    ell = [0] * dim
+    ell = [0] * target
     for p, row in zip(form.pivots, form.rows):
         ell[p] = row[-1]
     ell, den = _lowest_terms(ell, form.pivot)
@@ -334,23 +338,22 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     Equivalent to :func:`line_sums_zero`; requires a repeat-free non-pyramidal
     configuration.  The classes are read off ``c.circuit_form``, the
     partition that :func:`~toricdual.engine.is_self_dual` reads, since
-    parallel and zero rows do not change with the basis over Q; the
-    functionals are solved in the regular presentation, so that linear
-    functionals capture affine conditions.  Each class gets its own pass,
-    and the loop stops at the first class that fails: one pass with every
-    class target as an extra column made ``crosscheck``, whose draws are
-    mostly not self-dual, 7.6% slower.
+    parallel and zero rows do not change with the basis over Q; each
+    functional is the affine one of :func:`is_parallel_face_complement`,
+    solved on ``[1; W]``.  Each class gets its own pass, and the loop stops
+    at the first class that fails: one pass with every class target as an
+    extra column made ``crosscheck``, whose draws are mostly not self-dual,
+    7.6% slower.
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the coparallelism criterion")
     part, _ = _circuit_partition(c.circuit_form)
     if part.zero_rows:
         raise pyramidal_input(part.zero_rows, "the coparallelism criterion")
-    reg = regularize(c)
     functionals = []
     # with no zero rows the classes are the line classes, by first member
     for cls in (line.members for line in part.classes):
-        sub = is_parallel_face_complement(reg, cls)
+        sub = is_parallel_face_complement(c, cls)
         if not sub.value:
             return Verdict(
                 value=False,

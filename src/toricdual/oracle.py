@@ -9,12 +9,11 @@ divided by its gcd, a class key signed by its first nonzero entry), with no
 one as it is found.  Circuits come the same way from ``_circuits``, a
 depth-first search over independent index tuples of ``[1; W]`` whose
 columns carry their coefficients, so a zero residue gives its relation with
-no kernel, and ``enumerate_circuits`` reads neither ``affine_dim`` nor
-``regularize`` and makes no Bareiss rank.  The sigma referee keeps a
-``_reduce`` basis of the rows of ``[1; W]``, built as a flat's greedy basis
-is, and reduces each zero-set vector against it, so it too runs on ints
-with no ``intlinalg`` elimination.  No referee needs a regular input: each
-reads ``[1; W]``, whose variety is that of W.
+no kernel, and ``enumerate_circuits`` reads no ``affine_dim`` and makes no
+Bareiss rank.  The sigma referee keeps a ``_reduce`` basis of the rows of
+``[1; W]``, built as a flat's greedy basis is, and reduces each zero-set
+vector against it, so it too runs on ints with no ``intlinalg``
+elimination.  Each referee reads ``[1; W]``, whose variety is that of W.
 Faces come from a separating-functional LP, and strong self-duality from
 exact evaluation of the defining binomials on a grid large enough to
 certify a polynomial identity.
@@ -50,7 +49,6 @@ from .configuration import (
     _ones_on_top,
     column_indices,
     parse_configuration,
-    regularize,
 )
 from .exceptions import GuardExceeded, pyramidal_input
 from .engine import is_self_dual
@@ -117,8 +115,8 @@ def _circuits(c: Configuration):
 def enumerate_circuits(c: Configuration) -> list:
     """All circuits, from the depth-first search of ``_circuits``: integer
     residues, as the flats referee keeps them, with no kernel, no
-    ``affine_dim``, no ``regularize`` and no Bareiss rank.  Circuits come
-    sorted by size, then support.
+    ``affine_dim`` and no Bareiss rank.  Circuits come sorted by size, then
+    support.
     """
     return sorted(_circuits(c), key=lambda circ: (len(circ.support), circ.support))
 
@@ -300,7 +298,7 @@ def strong_via_points(c: Configuration) -> bool:
     the two sides agree on an integer grid with more values per coordinate
     than the degree bound — which certifies the polynomial identity, so the
     answer is exact, not probabilistic.  It reads ``gale_dual``, the
-    kernel of ``[1; W]``, so it needs no regular input.
+    kernel of ``[1; W]``, so W and ``[1; W]`` get one answer.
     """
     b = gale_dual(c)
     if b.zero_rows():  # every row is zero at corank 0
@@ -325,8 +323,8 @@ def strong_via_points(c: Configuration) -> bool:
 
 
 def random_configuration(rng: random.Random, max_points: int = 8) -> Configuration:
-    """One random regular, repeat-free, non-pyramidal configuration (it has
-    a relation and no apex) of at most ``max_points`` points, drawn in
+    """One random repeat-free, non-pyramidal configuration (it has a
+    relation and no apex) of at most ``max_points`` points, drawn in
     dimension at most 4 (and below ``max_points``) with entries in [-3, 3].
     ``ValueError`` when ``max_points`` is below 3: two points have no
     relation.
@@ -335,11 +333,11 @@ def random_configuration(rng: random.Random, max_points: int = 8) -> Configurati
     the caller's ``rng``, so seeded sweeps are reproducible; the benchmark's
     ``oracle_instance`` replays the draws.  The non-pyramidal filter reads
     the raw draw's ``circuit_form``: a draw with no relation, or with a
-    point in no circuit, has zero rows (``CircuitForm.zero_rows``).  The
-    draw that is kept is regularized, and of its rows only those that raise
+    point in no circuit, has zero rows (``CircuitForm.zero_rows``).  Of the
+    rows of ``[1; W]`` for the draw W that is kept, only those that raise
     the rank, read top to bottom, are returned (``_greedy_basis``, as a
     flat's lex-first basis is found): ``rank([1; W])`` independent rows,
-    still regular, with the draw's own relations and entries.
+    the first all ones, with the draw's own relations and entries.
     """
     if max_points < 3:
         raise ValueError(f"max_points must be at least 3, got {max_points}")
@@ -350,8 +348,8 @@ def random_configuration(rng: random.Random, max_points: int = 8) -> Configurati
         c = parse_configuration(rows)
         if len(set(c.columns())) != c.npoints or c.circuit_form.zero_rows():
             continue
-        weights = regularize(c).weights
-        return parse_configuration([weights[i] for i, _ in _greedy_basis(weights)])
+        points = _ones_on_top(c)
+        return parse_configuration([points[i] for i, _ in _greedy_basis(points)])
     raise RuntimeError("rejection sampling starved; loosen the filters")
 
 

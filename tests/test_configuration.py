@@ -11,7 +11,6 @@ from toricdual.configuration import (
     column_indices,
     dedup,
     parse_configuration,
-    regularize,
 )
 from toricdual.engine import (
     HypersurfaceClass,
@@ -35,20 +34,10 @@ from toricdual.gale import (
 )
 from toricdual.intlinalg import CircuitForm, eye, imat, lattice_basis, rank
 from test_engine import STRONG_7x9, _unimodular
-from test_gale import _digits_3900, column_lattices_equal
-from test_intlinalg import fraction_rank, in_row_span, product
+from test_gale import _digits_3900, column_lattices_equal, ones_row_lift
+from test_intlinalg import fraction_rank, product
 
 SEGRE2 = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
-
-
-def test_parse_flags():
-    c = parse_configuration(SEGRE2)
-    assert c.regular  # rows 1+2 sum to the all-ones vector
-    # e1, e2 lie on the hyperplane x + y = 1, so the identity is regular
-    c2 = parse_configuration([[1, 0], [0, 1]])
-    assert c2.regular
-    c3 = parse_configuration([[2, 4]])
-    assert not c3.regular
 
 
 def test_parse_rejects_empty():
@@ -67,26 +56,6 @@ def test_missing_points_example_spans_its_lattice():
     )
     assert lattice_basis(c.weights.T, c.dim) == eye(4).tolist()
     assert affine_dim(c) == 3
-
-
-def test_regularize_prepends_ones():
-    c = parse_configuration([[0, 1, 2]])
-    r = regularize(c)
-    assert r.weights.tolist() == [[1, 1, 1], [0, 1, 2]]
-    assert r.regular
-
-
-def test_regularize_identity_on_regular():
-    c = parse_configuration(SEGRE2)
-    assert regularize(c) is c
-
-
-def test_regularize_preserves_affine_relations():
-    c = parse_configuration([[0, 1, 2, 3]])
-    before = affine_relation_kernel(c)
-    after = affine_relation_kernel(regularize(c))
-    assert column_lattices_equal(before, after)
-    assert before.shape[1] == 2
 
 
 def test_a_configuration_needs_a_point():
@@ -132,7 +101,7 @@ def test_affine_dim():
 
 def test_affine_dim_is_rank_of_regularized_minus_one():
     c = parse_configuration([[0, 1, 2, 5], [0, 0, 0, 1]])
-    assert affine_dim(c) == fraction_rank(regularize(c).weights) - 1
+    assert affine_dim(c) == fraction_rank(ones_row_lift(c).weights) - 1
 
 
 def test_pyramid_decompose_cone_over_conic():
@@ -176,10 +145,10 @@ conf_matrices = st.integers(1, 3).flatmap(
 
 
 def _other_presentation(c, seed):
-    """``regularize(U W)`` for a random unimodular U: other columns with the
+    """``[1; U W]`` for a random unimodular U: other columns with the
     relations of ``c``, and the same repeats."""
     u = _unimodular(random.Random(seed), c.dim)
-    return regularize(parse_configuration(product(u, c.weights)))
+    return ones_row_lift(parse_configuration(product(u, c.weights)))
 
 
 def _apexes_by_rank(c):
@@ -203,7 +172,6 @@ seeds = st.integers(0, 2**16)
 def test_reductions_preserve_relations_and_flags(rows, seed):
     c = parse_configuration(rows)
     red = _other_presentation(c, seed)
-    assert red.regular
     assert column_lattices_equal(affine_relation_kernel(c), affine_relation_kernel(red))
     assert affine_dim(c) == affine_dim(red)
 
@@ -322,11 +290,11 @@ def test_smooth_certificate_runs_on_the_input_columns(rows, scale, seed):
 @given(conf_matrices, st.booleans())
 def test_handed_on_flags_match_recomputed(rows, flags_known):
     c = parse_configuration([r + r[:1] for r in rows])  # one repeated column
-    if flags_known:  # computed before the reductions run
-        _ = c.regular
-    for d in (regularize(c), dedup(c).distinct):
-        fresh = parse_configuration(d.weights)
-        assert d.regular == fresh.regular
+    if flags_known:  # computed before the reduction runs
+        _ = c.circuit_form
+    d = dedup(c).distinct
+    fresh = parse_configuration(d.weights)
+    assert d.circuit_form == fresh.circuit_form and d.relations == fresh.relations
 
 
 def _count_calls(monkeypatch, modules, names):
@@ -363,13 +331,10 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
     kernels = ("affine_relation_kernel", "integer_kernel", "basis")
     # one Gauss-Jordan pass, and the circuit basis is never written out
     passes = ("circuit_form", "_bareiss")
-    reductions = ("regularize",)
     for decide in (is_self_dual, full_decomposition):
         with monkeypatch.context() as patch:
             counts = _count_calls(patch, [*_toricdual_modules(), CircuitForm], kernels + passes)
-            reduction_counts = _count_calls(patch, _toricdual_modules(), reductions)
             decide(parse_configuration(rows))
-        assert reduction_counts == dict.fromkeys(reductions, 0)
         assert counts == {
             "affine_relation_kernel": 0,
             "integer_kernel": 0,
@@ -436,7 +401,7 @@ def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
 ELIMINATIONS = {
     "is_self_dual": (lambda c, b: is_self_dual(c), (1, 0), (1, 0)),
     "is_strongly_self_dual": (lambda c, b: is_strongly_self_dual(c), (1, 0), (1, 0)),
-    "coparallel_criterion": (lambda c, b: coparallel_criterion(c), (6, 0), (3, 0)),
+    "coparallel_criterion": (lambda c, b: coparallel_criterion(c), (5, 0), (2, 0)),
     "is_facial": (lambda c, b: is_facial(c, (0,)), (1, 0), (1, 0)),
     "smooth_certificate": (lambda c, b: smooth_certificate(c), (9, 0), (2, 0)),
     "is_segre": (lambda c, b: is_segre(c), (2, 0), (1, 0)),
@@ -560,37 +525,9 @@ def test_gale_dual_checks_compute_no_second_kernel(monkeypatch):
     assert c.relations == b
 
 
-@settings(max_examples=150, deadline=None)
-@given(conf_matrices)
-def test_regular_flag_is_the_fraction_row_span_test(rows):
-    c = parse_configuration(rows)
-    assert c.regular == in_row_span(c.weights, [1] * c.npoints)
-
-
-def test_regular_flag_is_the_two_rank_definition_on_seeded_draws():
-    # rank(W) == rank([1; W]) in Fraction arithmetic, against the flag read
-    # off the circuit form: regular draws, irregular ones, dependent rows and
-    # a zero row
-    rng = random.Random(23)
-    seen = set()
-    for k in range(400):
-        d, n = rng.randint(1, 4), rng.randint(1, 8)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
-        if k % 4 == 1:  # regular: the ones row is a combination of the rows
-            rows.append([1 - sum(col) for col in zip(*rows)])
-        elif k % 4 == 2:  # a dependent row
-            rows.append([x - 2 * y for x, y in zip(rows[0], rows[-1])])
-        elif k % 4 == 3:
-            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
-        c = parse_configuration(rows)
-        two_ranks = fraction_rank(rows) == fraction_rank([[1] * n, *rows])
-        assert c.regular is two_ranks, rows
-        seen.add(two_ranks)
-    assert seen == {True, False}
-
-
 def test_flags_are_read_only():
     c = parse_configuration(SEGRE2)
-    assert c.regular
-    with pytest.raises(AttributeError):
-        c.regular = False
+    assert c.relations.tolist() == [[1], [-1], [-1], [1]]
+    for name in ("relations", "circuit_form", "circuit_basis"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from toricdual import engine
 from toricdual.cli import read_matrix
-from toricdual.configuration import affine_dim, dedup, parse_configuration, regularize
+from toricdual.configuration import affine_dim, dedup, parse_configuration
 from toricdual.engine import (
     HypersurfaceClass,
     full_decomposition,
@@ -44,7 +44,8 @@ from toricdual.oracle import (
     strong_via_points,
 )
 from toricdual.verdict import Verdict
-from test_intlinalg import cofactor_det, product
+from test_gale import ones_row_lift
+from test_intlinalg import cofactor_det, in_row_span, product
 
 # two faces of this one contain a configuration point in their relative interior
 INT_POINT_FACE = parse_configuration(
@@ -116,8 +117,8 @@ def test_self_dual_examples_from_corpus():
     assert is_self_dual(INT_POINT_FACE).value
     assert is_self_dual(MISSING_POINTS).value
     # sigma referee agrees
-    assert self_dual_via_sigma(regularize(INT_POINT_FACE))
-    assert self_dual_via_sigma(regularize(MISSING_POINTS))
+    assert self_dual_via_sigma(ones_row_lift(INT_POINT_FACE))
+    assert self_dual_via_sigma(ones_row_lift(MISSING_POINTS))
 
 
 def test_self_dual_twisted_cubic_false():
@@ -1075,15 +1076,16 @@ def test_refusals_name_their_hypothesis(refuse, message):
 
 def _irregular_draws(seed, count=300):
     """Three points on a line, the unit square (P^1 x P^1, strongly
-    self-dual), then seeded non-regular, non-pyramidal configurations,
-    d <= 4 and n <= 9 with entries in [-2, 2], repeats allowed."""
+    self-dual), then seeded non-pyramidal configurations whose points lie on
+    no affine hyperplane off the origin (the ones row is not in the row span
+    of W), d <= 4 and n <= 9 with entries in [-2, 2], repeats allowed."""
     rng = random.Random(seed)
     draws = [parse_configuration([[0, 1, 3]]), parse_configuration([[0, 1, 0, 1], [0, 0, 1, 1]])]
     while len(draws) < count:
         d = rng.randint(1, 4)
         n = rng.randint(d + 1, 9)
         c = parse_configuration([[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)])
-        if not c.regular and not c.circuit_form.zero_rows():
+        if not c.circuit_form.zero_rows() and not in_row_span(c.weights, [1] * n):
             draws.append(c)
     return draws
 
@@ -1094,7 +1096,7 @@ def test_strong_on_irregular_input_is_the_strong_test_of_its_regularization():
     values = set()
     for c in _irregular_draws(32):
         v = is_strongly_self_dual(c)
-        assert v == is_strongly_self_dual(regularize(c)), c.weights.tolist()
+        assert v == is_strongly_self_dual(ones_row_lift(c)), c.weights.tolist()
         values.add(v.value)
     assert values == {True, False}
 
@@ -1115,7 +1117,7 @@ def test_sigma_on_irregular_input_is_sigma_of_its_regularization():
     values = set()
     for c in _irregular_draws(34):
         sigma = self_dual_via_sigma(c)
-        assert sigma is self_dual_via_sigma(regularize(c)), c.weights.tolist()
+        assert sigma is self_dual_via_sigma(ones_row_lift(c)), c.weights.tolist()
         values.add(sigma)
     assert values == {True, False}
 

@@ -20,13 +20,13 @@ from toricdual.gale import gale_dual, verify_gale_dual
 from toricdual.intlinalg import imat, integer_kernel, lattice_basis
 from test_engine import _nonsingular, _unimodular
 from test_gale import column_lattices_equal
-from test_intlinalg import _hermite_kernel, cofactor_det, fraction_rank, product
+from test_intlinalg import _hermite_kernel, cofactor_det, fraction_rank, in_row_span, product
 
 
 def test_segre_shape_and_flags():
     c = segre(2)
     assert c.weights.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
-    assert c.regular
+    assert in_row_span(c.weights, [1] * c.npoints)  # on the hyperplane x + y = 1
     # the columns span Z^3: their Hermite basis is the identity
     assert lattice_basis(c.weights.T, c.dim) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(ValueError):
@@ -89,7 +89,8 @@ def test_config_from_gale_round_trip_simplex():
 
 def test_config_from_gale_regularity():
     c = config_from_gale([[1, 0], [-1, 0], [0, 1], [0, -1], [2, -2], [-2, 2]])
-    assert c.regular
+    # the points lie on an affine hyperplane off the origin
+    assert in_row_span(c.weights, [1] * c.npoints)
 
 
 def test_config_from_gale_rejects_bad_input():

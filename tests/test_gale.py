@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdual.configuration import parse_configuration, regularize
+from toricdual.configuration import parse_configuration
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import family_alpha, family_alpha_gale, segre
 from toricdual.gale import (
@@ -31,6 +31,12 @@ from toricdual.oracle import facial_via_separation
 
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
 CONIC = parse_configuration([[0, 1, 2]])
+
+
+def ones_row_lift(c):
+    """``[1; W]`` as a configuration: the tests' second presentation of the
+    variety of W, with the same affine relations."""
+    return parse_configuration([[1] * c.npoints, *c.weights])
 
 
 def column_lattices_equal(a, b) -> bool:
@@ -320,13 +326,20 @@ def test_is_facial_simplex_everything():
 
 def test_parallel_face_complement_segre2():
     c = segre(2)
-    # the two columns sharing first coordinate 1; ell = (1,0,0) works
+    # the two columns sharing first coordinate 1; on [1; W] the affine
+    # functional x_1, constant term 0, works
     v = is_parallel_face_complement(c, [0, 2])
     assert v.value
-    assert v.witness["ell"] == [1, 0, 0] and v.witness["denominator"] == 1
-    # the whole set: solvable iff the configuration is regular
-    assert is_parallel_face_complement(c, [0, 1, 2, 3]).value
-    assert not is_parallel_face_complement(parse_configuration([[0, 1, 2]]), [0, 1, 2]).value
+    assert v.witness["ell"] == [0, 1, 0, 0] and v.witness["denominator"] == 1
+    # the whole set: the constant functional 1 is affine, so always solvable
+    assert is_parallel_face_complement(c, [0, 1, 2, 3]).witness["ell"] == [1, 0, 0, 0]
+    for points in ([[0, 1, 2]], [[2, 4]], [[0]]):
+        v = is_parallel_face_complement(parse_configuration(points), range(len(points[0])))
+        assert v.value and v.witness["ell"][0] == v.witness["denominator"] == 1
+    # members on y = 0 and the rest on y = 1, with no linear functional
+    # separating them: the affine one is 1 - y
+    v = is_parallel_face_complement(parse_configuration([[1, 2, 3, 4], [0, 1, 0, 1]]), [0, 2])
+    assert v.witness["ell"] == [1, 0, -1] and v.witness["denominator"] == 1
 
 
 def _digits_3900(rows, cols):
@@ -354,13 +367,14 @@ def test_parallel_face_witness_in_integers_past_the_digit_limit():
     ell, den = v.witness["ell"], v.witness["denominator"]
     assert all(type(x) is int for x in ell) and den > 0
     assert den.bit_length() > 14300
-    values = [sum(x * y for x, y in zip(ell, col)) for col in c.columns()]
+    values = [sum(x * y for x, y in zip(ell, (1, *col))) for col in c.columns()]
     assert values == [den, 0, 0]
 
 
 def test_parallel_face_complement_needs_facial():
     # {0,2} in the conic is not even facial, and indeed no functional exists
-    assert not is_parallel_face_complement(regularize(CONIC), [0, 2]).value
+    assert not is_parallel_face_complement(CONIC, [0, 2]).value
+    assert not is_parallel_face_complement(ones_row_lift(CONIC), [0, 2]).value
 
 
 def test_coparallel_criterion_matches_line_sums():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdual import intlinalg, oracle
-from toricdual.configuration import affine_dim, parse_configuration, regularize
+from toricdual.configuration import affine_dim, parse_configuration
 from toricdual.engine import is_self_dual
 from toricdual.exceptions import GuardExceeded, InapplicableInput
 from toricdual.families import family_alpha, lawrence, segre
@@ -35,6 +35,7 @@ from toricdual.oracle import (
 )
 from test_configuration import _count_calls, _toricdual_modules
 from test_engine import _unimodular
+from test_gale import ones_row_lift
 from test_intlinalg import fraction_rank, in_row_span
 
 CONIC = parse_configuration([[0, 1, 2]])
@@ -64,7 +65,7 @@ def _circuits_by_definition(c):
     generator nonzero on the whole subset, in the order of subsets by size
     and then lexicographically.  The kernel is ``integer_kernel``; the
     referee computes none."""
-    reg = regularize(c)
+    reg = ones_row_lift(c)
     out = []
     for size in range(2, affine_dim(c) + 3):
         for sub in itertools.combinations(range(c.npoints), size):
@@ -91,7 +92,8 @@ def raw_configurations(draw):
     """1-3 rows of 1-6 drawn columns with entries in [-2, 2], then up to
     three more, inserted anywhere: a repeat of a column, or its
     multiple by -1, 2 or 3 (collinear with the origin) or by 0 (the zero
-    column); either of the last two makes the input not regular."""
+    column); either of the last two puts the points on no affine hyperplane
+    off the origin."""
     d = draw(st.integers(1, 3))
     cols = draw(
         st.lists(
@@ -121,7 +123,7 @@ def test_circuits_make_no_rank_or_fast_kernel_call(monkeypatch):
     for seed in range(4):
         c = random_configuration(random.Random(seed))
         expected = _circuits_by_definition(c)
-        assert c.regular
+        _assert_presents_the_draw(c, _replayed_draw(random.Random(seed)))
         counts = _count_calls(monkeypatch, [*_toricdual_modules(), CircuitForm], names)
         assert enumerate_circuits(c) == expected
         assert counts == dict.fromkeys(names, 0)
@@ -259,17 +261,17 @@ def test_self_dual_via_flats():
 
 
 def test_self_dual_via_sigma():
-    assert self_dual_via_sigma(regularize(family_alpha(1)))
-    assert not self_dual_via_sigma(regularize(TWISTED_CUBIC))
+    assert self_dual_via_sigma(ones_row_lift(family_alpha(1)))
+    assert not self_dual_via_sigma(ones_row_lift(TWISTED_CUBIC))
     # circuit-free: vacuously self-dual by this test
     assert self_dual_via_sigma(parse_configuration([[1, 0], [0, 1]]))
-    # non-regular input is answered on [1; W]
+    # W itself is answered on [1; W]
     assert not self_dual_via_sigma(TWISTED_CUBIC)
 
 
 def test_sigma_twisted_cubic_witness():
     # sigma of the circuit on {0,1,2} is (0,0,0,1), which is not in the row span
-    reg = regularize(TWISTED_CUBIC)
+    reg = ones_row_lift(TWISTED_CUBIC)
     assert not in_row_span(reg.weights, [0, 0, 0, 1])
 
 
@@ -300,7 +302,7 @@ def test_referees_answer_their_definitions():
     # every zero-set vector leaves the Fraction rank of the weights as it is
     self_dual = 0
     for c in _agreement_corpus():
-        b, reg = gale_dual(c), regularize(c)
+        b, reg = gale_dual(c), ones_row_lift(c)
         flats = all(
             not any(map(sum, zip(*(b.matrix[i] for i in f.closure)))) for f in enumerate_flats(b)
         )
@@ -313,7 +315,7 @@ def test_referees_answer_their_definitions():
 @st.composite
 def _regular_large_weights(draw):
     """d + 1 rows of n <= 8 columns, entries small or up to 10^30, whose sum
-    is the ones row (so the weights are regular), then one row plus a
+    is the ones row (so the ones row is in their span), then one row plus a
     multiple, up to 10^30, of another (the row span is kept)."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(d + 1, 8))
@@ -336,7 +338,7 @@ def _regular_large_weights(draw):
 )
 def test_sigma_is_its_definition_at_large_entries(rows, seed):
     c = parse_configuration(rows)
-    assert c.regular and c.npoints <= ENUMERATION_GUARD
+    assert in_row_span(c.weights, [1] * c.npoints) and c.npoints <= ENUMERATION_GUARD
     expected = _sigma_by_definition(c)
     assert self_dual_via_sigma(c) == expected
     # U·W has the row span of W, for any unimodular U
@@ -352,7 +354,7 @@ def test_referees_stop_at_the_first_counterexample(monkeypatch):
         for c in iter(lambda: random_configuration(rng), None)
         if not is_self_dual(c).value and len(enumerate_circuits(c)) > 1
     )
-    for c in (regularize(TWISTED_CUBIC), draw):
+    for c in (ones_row_lift(TWISTED_CUBIC), draw):
         ncircuits = len(enumerate_circuits(c))
         drawn = 0
 
@@ -401,12 +403,13 @@ def test_facial_via_separation_refuses_bad_subsets(subset):
         facial_via_separation(CONIC, subset)
 
 
-def _replayed_draw(rng):
-    """The draw ``random_configuration(rng)`` keeps, found by replaying its
-    rejection sampling with the default filters on the saturated Gale dual."""
+def _replayed_draw(rng, max_points=8):
+    """The draw ``random_configuration(rng, max_points)`` keeps, found by
+    replaying its rejection sampling with the default filters on the
+    saturated Gale dual, as the benchmark's ``oracle_instance`` does."""
     while True:
-        d = rng.randint(1, 4)
-        n = rng.randint(max(2, d + 1), 8)
+        d = rng.randint(1, min(4, max_points - 1))
+        n = rng.randint(max(2, d + 1), max_points)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
         c = parse_configuration(rows)
         if len(set(c.columns())) != n:
@@ -416,20 +419,34 @@ def _replayed_draw(rng):
             return rows
 
 
+def _assert_presents_the_draw(c, draw):
+    """``c`` is the draw W as ``random_configuration`` returns it:
+    rank([1; W]) independent rows taken from [1; W], the first all ones,
+    with the canonical Gale dual of W itself."""
+    ones_on_top = [[1] * len(draw[0]), *draw]
+    assert c.weights[0] == (1,) * c.npoints
+    assert c.dim == fraction_rank(c.weights) == fraction_rank(ones_on_top)
+    assert all(list(row) in ones_on_top for row in c.weights)
+    assert gale_dual(c).matrix == gale_dual(parse_configuration(draw)).matrix
+
+
+def test_random_configuration_presents_the_replayed_draw():
+    for seed in range(40):
+        draw = _replayed_draw(random.Random(seed))
+        _assert_presents_the_draw(random_configuration(random.Random(seed)), draw)
+        # a crosscheck report's dim is rank([1; W]) of the draw
+        (entry,) = crosscheck(seed, 1)["results"]
+        n = len(draw[0])
+        assert (entry["points"], entry["dim"]) == (n, fraction_rank([[1] * n, *draw]))
+
+
 def test_random_configuration_filters():
     rng, replay = random.Random(7), random.Random(7)
     for _ in range(10):
         c = random_configuration(rng)
-        draw = _replayed_draw(replay)
-        assert c.regular
         assert len(set(c.columns())) == c.npoints
         assert not gale_dual(c).zero_rows()
-        # independent rows taken from [1; W]: rank([1; W]) of them, with the
-        # relations of the draw
-        ones_on_top = [[1] * len(draw[0]), *draw]
-        assert c.dim == fraction_rank(c.weights) == fraction_rank(ones_on_top)
-        assert all(list(row) in ones_on_top for row in c.weights)
-        assert c.relations == parse_configuration(ones_on_top).relations
+        _assert_presents_the_draw(c, _replayed_draw(replay))
 
 
 @pytest.mark.parametrize("max_points", range(1, 10))
@@ -444,7 +461,8 @@ def test_random_configuration_at_every_max_points(max_points):
             assert rng.random() == random.Random(seed).random()
             continue
         c = random_configuration(rng, max_points)
-        assert c.regular and c.npoints <= max_points
+        _assert_presents_the_draw(c, _replayed_draw(random.Random(seed), max_points))
+        assert c.npoints <= max_points
         assert len(set(c.columns())) == c.npoints
         b = gale_dual(c)
         assert b.corank and not b.zero_rows()

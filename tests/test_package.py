@@ -25,15 +25,14 @@ PUBLIC = {
     "is_lawrence", "is_parallel_face_complement", "is_segre", "is_self_dual",
     "is_strongly_self_dual", "lawrence", "lawrence_strong_parity",
     "line_partition", "line_sums_zero", "matmul", "parse_configuration",
-    "regularize", "segre",
-    "self_dual_via_flats", "self_dual_via_sigma", "smooth_certificate",
+    "segre", "self_dual_via_flats", "self_dual_via_sigma", "smooth_certificate",
     "strong_via_points", "verify_gale_dual",
 }
 
 
 def test_public_names():
-    assert len(PUBLIC) == 49
-    assert set(toricdual.__all__) == PUBLIC and len(toricdual.__all__) == 49
+    assert len(PUBLIC) == 48
+    assert set(toricdual.__all__) == PUBLIC and len(toricdual.__all__) == 48
     assert set(toricdual._SUBMODULE) == PUBLIC
 
 
@@ -160,7 +159,7 @@ def test_configuration_and_gale_dual_equal_only_themselves():
 def test_configuration_and_gale_dual_refuse_assignment():
     c = parse_configuration([[0, 1, 2]])
     b = GaleDual(matrix=imat([[1], [-2], [1]]))
-    for obj, name in ((c, "weights"), (c, "regular"), (c, "extra"), (b, "matrix"), (b, "extra")):
+    for obj, name in ((c, "weights"), (c, "extra"), (b, "matrix"), (b, "extra")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
     with pytest.raises(AttributeError):
@@ -168,5 +167,5 @@ def test_configuration_and_gale_dual_refuse_assignment():
     with pytest.raises(AttributeError):
         del b.matrix
     # a cached invariant is still computed once and kept
-    assert c.regular is False and c.relations is c.relations
+    assert c.circuit_form is c.circuit_form and c.relations is c.relations
     assert c.weights.tolist() == [[0, 1, 2]]

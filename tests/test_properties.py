@@ -9,15 +9,24 @@ two and three as well.
 import itertools
 import random
 
-from toricdual.configuration import (
-    affine_dim,
-    parse_configuration,
-    regularize,
+from toricdual.configuration import affine_dim, parse_configuration
+from toricdual.engine import (
+    full_decomposition,
+    hypersurface_class,
+    is_segre,
+    is_self_dual,
+    is_strongly_self_dual,
+    smooth_certificate,
 )
-from toricdual.engine import is_self_dual, is_strongly_self_dual, smooth_certificate
 from toricdual.exceptions import GuardExceeded, InapplicableInput
 from toricdual.families import family_alpha, family_codim, lawrence, segre
-from toricdual.gale import coparallel_classes, gale_dual, is_facial
+from toricdual.gale import (
+    coparallel_classes,
+    coparallel_criterion,
+    gale_dual,
+    is_facial,
+    is_parallel_face_complement,
+)
 from toricdual.oracle import (
     enumerate_circuits,
     enumerate_flats,
@@ -25,7 +34,8 @@ from toricdual.oracle import (
     strong_via_points,
 )
 from toricdual.ratlp import feasible_nonneg
-from test_intlinalg import product
+from test_gale import ones_row_lift
+from test_intlinalg import in_row_span, product
 
 INT_POINT_FACE = parse_configuration(
     [
@@ -61,7 +71,7 @@ def codim(c):
 
 def on_proper_face(c, i) -> bool:
     """Exact LP: is there a supporting hyperplane through point i?"""
-    reg = regularize(c)
+    reg = ones_row_lift(c)
     d = reg.dim
     cols = [list(col) for col in reg.columns()]
     others = [j for j in range(reg.npoints) if j != i]
@@ -231,6 +241,51 @@ def test_self_duality_is_an_affine_invariant():
             [[x + s for x, s in zip(row, srow)] for row, srow in zip(c.weights, shift)]
         )
         assert is_self_dual(translated).value == base
+
+
+def _answers(c):
+    """Each public predicate's answer on ``c``: the whole verdict, or only
+    its value where the witness is stated in the columns of W (edge
+    vectors, a functional), or the type of the refusal."""
+
+    def answer(question):
+        try:
+            return question()
+        except ValueError as refusal:  # InapplicableInput and GuardExceeded too
+            return type(refusal)
+
+    n = c.npoints
+    subsets = ([0], [0, 1][:n], list(range(n)))
+    return {
+        "is_self_dual": answer(lambda: is_self_dual(c)),
+        "is_strongly_self_dual": answer(lambda: is_strongly_self_dual(c)),
+        "is_facial": [answer(lambda s=s: is_facial(c, s)) for s in subsets],
+        "full_decomposition": answer(lambda: full_decomposition(c)),
+        "affine_dim": answer(lambda: affine_dim(c)),
+        "hypersurface_class": answer(lambda: hypersurface_class(c)),
+        "is_segre": answer(lambda: is_segre(c)),
+        "gale_dual": answer(lambda: gale_dual(c).matrix),
+        "smooth_certificate": answer(lambda: smooth_certificate(c).value),
+        "coparallel_criterion": answer(lambda: coparallel_criterion(c).value),
+        "is_parallel_face_complement": [
+            answer(lambda s=s: is_parallel_face_complement(c, s).value) for s in subsets
+        ],
+    }
+
+
+def test_every_predicate_answers_w_and_its_ones_row_lift_alike():
+    # W and [1; W] present one projective variety, with one lattice of
+    # affine relations, so every question gets one answer on both; most
+    # draws lie on no affine hyperplane off the origin, where a linear
+    # functional of W is not an affine one
+    rng = random.Random(11)
+    off_hyperplanes = 0
+    for _ in range(400):
+        d, n = rng.randint(1, 3), rng.randint(1, 7)
+        c = parse_configuration([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
+        off_hyperplanes += not in_row_span(c.weights, [1] * n)
+        assert _answers(c) == _answers(ones_row_lift(c)), c.weights.tolist()
+    assert off_hyperplanes > 250
 
 
 def test_join_reduction_matches_core_verdict():

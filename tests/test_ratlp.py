@@ -123,8 +123,9 @@ def assert_valid(a, b, result):
 
 
 def functional(weights, members):
-    """The functional of ``is_parallel_face_complement`` as Fractions, or
-    None when there is none; the witness must be in lowest terms."""
+    """The affine functional of ``is_parallel_face_complement`` as
+    Fractions, constant term first, or None when there is none; the witness
+    must be in lowest terms."""
     v = is_parallel_face_complement(parse_configuration(weights), members)
     if not v.value:
         assert v.witness == {"kind": "no_functional", "members": sorted(set(members))}
@@ -135,13 +136,18 @@ def functional(weights, members):
 
 
 def test_parallel_face_functional_basic():
-    # the points (2, 0) and (0, 4): ell = (1/2, 1/4) is 1 on both
-    v = is_parallel_face_complement(parse_configuration([[2, 0], [0, 4]]), [0, 1])
-    assert v.witness == {"kind": "functional", "members": [0, 1], "ell": [2, 1], "denominator": 4}
+    # the points (2, 0) and (0, 4) off the origin: ell = 0 + x/2 + y/4 is 1
+    # on both and 0 at the origin, constant term first
+    v = is_parallel_face_complement(parse_configuration([[2, 0, 0], [0, 4, 0]]), [0, 1])
+    assert v.witness == {
+        "kind": "functional", "members": [0, 1], "ell": [0, 2, 1], "denominator": 4
+    }
+    # members on y = 0, the rest on y = 1: only an affine functional, 1 - y
+    assert functional([[1, 2, 3, 4], [0, 1, 0, 1]], [0, 2]) == (1, 0, -1)
     # a repeated point inside and outside the members: inconsistent
     assert functional([[1, 1], [1, 1]], [1]) is None
-    # underdetermined: free unknowns pinned to zero
-    assert functional([[1], [2], [3]], [0]) == (1, 0, 0)
+    # underdetermined: free unknowns pinned to zero, so the constant 1
+    assert functional([[1], [2], [3]], [0]) == (1, 0, 0, 0)
     with pytest.raises(ValueError, match="out of range"):
         functional([[1, 2]], [2])
 
@@ -149,9 +155,9 @@ def test_parallel_face_functional_basic():
 @st.composite
 def linear_systems(draw):
     """``(weights, members)``: d x n integer points with entries up to
-    10**30, some with a zero row, some with a repeated (or scaled) point,
-    whose targets are inconsistent when it lies on one side of the members
-    and its copy on the other."""
+    10**30, some with a zero row, some with a repeated (or scaled) point; a
+    repeated point makes the targets inconsistent when it lies on one side
+    of the members and its copy on the other."""
     bound = draw(st.sampled_from([1, 3, 10**6, 10**30]))
     entry = st.integers(-bound, bound)
     d = draw(st.integers(1, 5))
@@ -173,8 +179,9 @@ def linear_systems(draw):
 @example(([[1, 2], [1, 2]], [0]))
 @example(([[10**30, 10**30 + 1], [1, 1]], [0]))
 def test_parallel_face_functional_matches_fraction_reference(system):
+    # the functional is affine: solved on the columns of [1; W]
     w, members = system
-    columns = list(zip(*w))
+    columns = [(1, *col) for col in zip(*w)]
     targets = [int(j in members) for j in range(len(columns))]
     got = functional(w, members)
     assert got == fraction_solve(columns, targets)
