@@ -11,8 +11,11 @@ not write that n x (n - rank) basis out either: ``_decompose`` reads the
 line classes and the apexes off the Gauss-Jordan form that the
 configuration caches (``Configuration.circuit_form``), in which only the
 rank many pivot rows carry information, each free point lying on its own
-axis.  ``full_decomposition`` and ``gale.coparallel_criterion`` read the
-same partition.  The other questions that hold over Q
+axis.  The classes and their line sums are decided on those Jordan rows as
+they stand; coordinates in the circuit basis are formed only for what a
+witness or the strong test prints (``gale._circuit_partition``).
+``full_decomposition`` and ``gale.coparallel_criterion`` read the same
+partition and write no class out.  The other questions that hold over Q
 read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, and ``is_segre`` its corank, its antipodal pairs and its
 sign vector, a primitive 1-dimensional kernel (its lattice condition
@@ -35,12 +38,7 @@ from math import gcd
 
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import pyramidal_input, repeated_columns
-from .gale import (
-    LinePartition,
-    _circuit_partition,
-    _line_sums_verdict,
-    is_facial,
-)
+from .gale import _circuit_partition, _CircuitClasses, _line_sums_verdict, is_facial
 from .intlinalg import IntMatrix, circuit_form, imat
 from .verdict import Verdict
 
@@ -48,15 +46,15 @@ from .verdict import Verdict
 def _decompose(c: Configuration):
     """The decision pipeline: merge repeats, then split off apexes.
 
-    Returns ``(part, report)``: the line partition of the
+    Returns ``(part, report)``: the line classes of the
     fundamental-circuit Gale dual of the distinct columns of ``c`` (a
-    rational, not a saturated, basis of their relations), read off their
-    cached Gauss-Jordan form without building that n x (n - rank) basis,
-    and the combined report.  Apexes are the partition's zero rows and the
-    core is every other row.
+    rational, not a saturated, basis of their relations), decided on their
+    cached Gauss-Jordan form without building that n x (n - rank) basis or
+    writing any class out, and the combined report.  Apexes are the
+    partition's zero rows and the core is every other row.
     """
     rep = dedup(c)
-    part, _ = _circuit_partition(rep.distinct.circuit_form)
+    part = _circuit_partition(rep.distinct.circuit_form)
     apex = part.zero_rows
     core = tuple(i for i in range(rep.distinct.npoints) if i not in apex)
     k = rep.repeat_codim
@@ -81,9 +79,12 @@ def is_self_dual(c: Configuration) -> Verdict:
     the half-dimensional pattern).  Everything is read off one Gauss-Jordan
     form of ``c``'s relations, that of the fundamental-circuit basis; no
     other presentation and no saturated Gale dual is computed, and the
-    basis itself is never written out.  Line class directions and sums in
-    the witness are in that basis, marked ``"basis":
-    "fundamental_circuits"``.
+    basis itself is never written out.  The line classes and whether their
+    sums vanish are decided on the Jordan rows; a class's direction and sum
+    in the circuit basis are formed only when the witness prints them: the
+    first violating class of a False verdict, every class of a True one,
+    and none for an apex-repeat mismatch or a linear subspace.  They are
+    marked ``"basis": "fundamental_circuits"``.
     """
     part, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
@@ -99,18 +100,22 @@ def is_self_dual(c: Configuration) -> Verdict:
         # apexes lie in no circuit: the core's circuit basis is the distinct
         # one without its zero rows, so its classes are these, renumbered
         at = {i: t for t, i in enumerate(dec.core_indices)}
-        classes = tuple(
-            cls._replace(members=tuple(at[i] for i in cls.members)) for cls in part.classes
-        )
-        core = _circuit_line_sums(LinePartition(classes=classes, zero_rows=()))
+        members = tuple(tuple(at[i] for i in ms) for ms in part.members)
+        core = _circuit_line_sums(part._replace(members=members, zero_rows=()))
         value, head = core.value, {"kind": "join_core", "core_verdict": core.witness}
     return Verdict(value, "join-decomposition", {**head, **dec.as_json()})
 
 
-def _circuit_line_sums(part: LinePartition) -> Verdict:
-    """The line-sum verdict on a partition of a fundamental-circuit basis,
-    with the witness marked as stated in that basis."""
-    v = _line_sums_verdict(part)
+def _circuit_line_sums(part: _CircuitClasses) -> Verdict:
+    """The line-sum verdict on the classes of a fundamental-circuit basis,
+    with the witness marked as stated in that basis: decided on the Jordan
+    rows, with the first violating class written out for a False verdict
+    and every class for a True one."""
+    k = part.violating()
+    if k is None:
+        v = _line_sums_verdict(None, part.written()[0].classes)
+    else:
+        v = _line_sums_verdict(part.line_class(k)[0])
     return Verdict(v.value, v.criterion, {**v.witness, "basis": "fundamental_circuits"})
 
 
@@ -224,7 +229,9 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     a basis of the relations over Q only).
 
     (a) is read off the line classes of the circuit basis, as for
-    :func:`is_self_dual`.
+    :func:`is_self_dual`: they are decided on the Jordan rows, and since
+    the witness prints every class's multiples, every class is then written
+    out in circuit coordinates, once.
     Under (a), write class C's rows as ``λ_i·u_C`` with ``u_C`` primitive,
     ``g_C = gcd(λ_i)`` and ``μ_i = λ_i/g_C``, so ``Σ μ_i = 0``.  A
     rational combination x of the circuits is integral iff ``g_C·<u_C, x>``
@@ -261,9 +268,10 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     is a homomorphism of u, trivial on one basis of L iff on all of it.
     """
     form = c.circuit_form
-    part, multiples = _circuit_partition(form)
-    if part.zero_rows:
-        raise pyramidal_input(part.zero_rows, "strong self-duality")
+    classes = _circuit_partition(form)
+    if classes.zero_rows:
+        raise pyramidal_input(classes.zero_rows, "strong self-duality")
+    part, multiples = classes.written()
     sums_zero = not any(map(sum, multiples))
     unbalanced, halvings = None, []
     if sums_zero:

@@ -8,7 +8,8 @@ faces of the convex hull correspond to strictly positive dependencies among
 complementary rows.
 """
 
-from math import gcd
+from itertools import compress
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, column_indices
@@ -131,81 +132,140 @@ def line_partition(b: GaleDual) -> LinePartition:
     return LinePartition(classes=tuple(out), zero_rows=tuple(zero))
 
 
-def _circuit_partition(form: CircuitForm) -> tuple:
-    """``(part, multiples)``: :func:`line_partition` of the fundamental-
-    circuit basis C of a :class:`CircuitForm`, read off the form without
-    building C and equal to it entry for entry, and for each class the
-    multiples λ_i with row i of C equal to ``λ_i·direction``, in member
-    order.
+class _CircuitClasses(NamedTuple):
+    """The line classes of the fundamental-circuit basis C of a
+    :class:`CircuitForm`, decided on its Jordan rows by
+    :func:`_circuit_partition`; :meth:`line_class` writes one out in C's
+    coordinates.  Classes are in order of first member."""
+
+    form: CircuitForm
+    keys: tuple  # per class: t for the axis e_t, or a primitive Jordan direction
+    members: tuple  # per class: its points, increasing
+    mus: tuple  # per class: each member's multiple μ_i of its key
+    zero_rows: tuple
+
+    def violating(self):
+        """The first class whose line sum does not vanish, or None."""
+        return next((k for k, mus in enumerate(self.mus) if sum(mus)), None)
+
+    def line_class(self, k: int, g=None) -> tuple:
+        """``(LineClass, λ)``: class k as :func:`line_partition` of C gives
+        it, and the λ_i with row i of C equal to ``λ_i·direction``.
+
+        ``g`` holds the g_t of every free column (as :meth:`written` takes
+        them); without it they are taken on the class's support only.  On that
+        support C's rows of the class are ``μ_i·key_t/g_t``: with L the lcm
+        of those g_t and ``w_t = key_t·L/g_t``, the direction is w over
+        ``h = gcd(w)``, positive where the key is, and ``λ_i = μ_i·h/L``.
+        """
+        form, key, mus = self.form, self.keys[k], self.mus[k]
+        members = self.members[k]
+        if type(key) is int:
+            gt = g[key] if g is not None else gcd(form.pivot, *(r[key] for r in form.rows))
+            lam = mus if gt == 1 else tuple(map(gt.__rfloordiv__, mus))
+            axis = [0] * len(form.free)
+            axis[key] = 1
+            direction = tuple(axis)
+            axis[key] = sum(lam)
+            return LineClass(direction, members, tuple(axis)), lam
+        if g is None:  # g_t on the support, in order
+            gs = [abs(form.pivot)] * (len(key) - key.count(0))
+            for r in form.rows:
+                gs = list(map(gcd, gs, compress(r, key)))
+        else:
+            gs = list(compress(g, key))
+        big_l = lcm(*gs)
+        direction, lam = key, mus
+        if big_l > 1:
+            scale = iter([big_l // y for y in gs])  # taken in order at the support
+            w = [x and x * next(scale) for x in key]
+            h = gcd(*w)
+            direction = tuple(w) if h == 1 else tuple(map(h.__rfloordiv__, w))
+            lam = tuple(mu * h // big_l for mu in mus)
+        s = sum(lam)
+        return LineClass(direction, members, tuple(map(s.__mul__, direction))), lam
+
+    def written(self) -> tuple:
+        """``(part, multiples)``: every class written out by
+        :meth:`line_class`, each g_t taken once; ``part`` equals
+        :func:`line_partition` of C entry for entry."""
+        big = abs(self.form.pivot)
+        g = [big] * len(self.form.free)
+        for r in self.form.rows if big > 1 else ():  # each g_t divides |d|
+            g = list(map(gcd, g, r))
+        out = [self.line_class(k, g) for k in range(len(self.keys))]
+        classes = tuple(line for line, _ in out)
+        return LinePartition(classes, self.zero_rows), tuple(lam for _, lam in out)
+
+
+def _circuit_partition(form: CircuitForm) -> _CircuitClasses:
+    """The line classes of the fundamental-circuit basis C of a
+    :class:`CircuitForm`, decided on its Jordan rows without building C.
 
     With d the last pivot, s its sign, R the Jordan rows on the free
-    columns f_t and g_t the gcd of |d| and column t of R, row f_t of C is
-    ``(|d|/g_t)·e_t`` and row p_i of the i-th pivot is ``-s·R_i[t]/g_t``
-    over t.  So each free point lies on its own axis e_t, joined there by
-    any pivot row whose one nonzero entry is at t; the other nonzero pivot
-    rows group by their primitive vector, and the zero ones are the
-    apexes.  A class total is the sum of its multiples times its direction.
-    Only the pivot rows are formed: O(rank·corank) work.
+    columns f_t and g_t the gcd of |d| and column t of R, C is B'·D for
+    ``D = diag(1/g_t)``, where row f_t of B' is ``|d|·e_t`` and row p_i of
+    the i-th pivot is ``-s·R_i``.  A positive column scaling changes
+    neither which rows are parallel nor the sign of a row's first nonzero
+    entry, so the classes are grouped on B': each free point lies on its
+    own axis e_t, joined there by any pivot row whose one nonzero entry is
+    at t; the other nonzero pivot rows group by their primitive vector, and
+    the zero ones are the apexes.  Each point keeps its multiple μ_i of
+    that key.  C's multiples of a class are ``λ_i = c·μ_i`` for one
+    ``c > 0``, so its line sum vanishes iff ``Σ μ_i = 0``: the line-sum
+    verdicts are decided here, and C's coordinates are formed only for the
+    classes a witness or the strong test prints
+    (:meth:`_CircuitClasses.line_class`).  Only the pivot rows are read:
+    O(rank·corank) work.
     """
     big = abs(form.pivot)
-    m = len(form.free)
-    g = [big] * m
-    for r in form.rows:
-        g = list(map(gcd, g, r))
     neg = -1 if form.pivot > 0 else 1
-    # key of each point: t for the axis e_t, a primitive vector, or None;
-    # and its multiple of that direction
-    keys = [None] * form.ncols
-    lams = [0] * form.ncols
+    m = len(form.free)
+    # per point: its key (None for an apex) and its multiple of the key
+    key_of = [None] * form.ncols
+    mu_of = [0] * form.ncols
     for t, j in enumerate(form.free):
-        keys[j], lams[j] = t, big // g[t]
+        key_of[j], mu_of[j] = t, big
     for p, r in zip(form.pivots, form.rows):
-        row = [neg * x // y for x, y in zip(r, g)]
-        support = m - row.count(0)
+        support = m - r.count(0)
         if support == 1:
-            t = next(t for t, x in enumerate(row) if x)
-            keys[p], lams[p] = t, row[t]
+            t = next(t for t, x in enumerate(r) if x)
+            key_of[p], mu_of[p] = t, neg * r[t]
         elif support:
-            lam = gcd(*row)
-            if next(x for x in row if x) < 0:
-                lam = -lam
-            keys[p], lams[p] = tuple(x // lam for x in row), lam
+            # row p of B' is neg·r = mu·key, key's first nonzero entry > 0
+            q = gcd(*r) if next(filter(None, r)) > 0 else -gcd(*r)
+            key_of[p] = r if q == 1 else tuple(map(q.__rfloordiv__, r))
+            mu_of[p] = neg * q
     classes, zero = {}, []
-    for i, key in enumerate(keys):
+    for i, key in enumerate(key_of):
         if key is None:
             zero.append(i)
         else:
             classes.setdefault(key, []).append(i)
-    out, multiples = [], []
-    for key, members in classes.items():  # in order of first member
-        lam = tuple(lams[i] for i in members)
-        s = sum(lam)
-        if type(key) is int:
-            head, tail = (0,) * key, (0,) * (m - key - 1)
-            direction, total = (*head, 1, *tail), (*head, s, *tail)
-        else:
-            direction, total = key, tuple(map(s.__mul__, key))
-        out.append(LineClass(direction=direction, members=tuple(members), total=total))
-        multiples.append(lam)
-    return LinePartition(classes=tuple(out), zero_rows=tuple(zero)), tuple(multiples)
+    return _CircuitClasses(
+        form=form,
+        keys=tuple(classes),
+        members=tuple(map(tuple, classes.values())),
+        mus=tuple(tuple(map(mu_of.__getitem__, members)) for members in classes.values()),
+        zero_rows=tuple(zero),
+    )
 
 
-def _line_sums_verdict(part: LinePartition) -> Verdict:
-    """The verdict of :func:`line_sums_zero` on a line partition."""
-    if part.zero_rows:
-        raise pyramidal_input(part.zero_rows, "the line-sum self-duality criterion")
-    for cls in part.classes:
-        if any(x != 0 for x in cls.total):
-            return Verdict(
-                value=False,
-                criterion="gale-line-sums",
-                witness={
-                    "kind": "violating_line_class",
-                    "direction": list(cls.direction),
-                    "members": list(cls.members),
-                    "sum": list(cls.total),
-                },
-            )
+def _line_sums_verdict(bad, classes=()) -> Verdict:
+    """The verdict of :func:`line_sums_zero`: False with ``bad``, the first
+    line class whose sum does not vanish, else (``bad`` None) True with
+    every class of ``classes``."""
+    if bad is not None:
+        return Verdict(
+            value=False,
+            criterion="gale-line-sums",
+            witness={
+                "kind": "violating_line_class",
+                "direction": list(bad.direction),
+                "members": list(bad.members),
+                "sum": list(bad.total),
+            },
+        )
     return Verdict(
         value=True,
         criterion="gale-line-sums",
@@ -213,7 +273,7 @@ def _line_sums_verdict(part: LinePartition) -> Verdict:
             "kind": "line_classes",
             "classes": [
                 {"direction": list(c.direction), "members": list(c.members)}
-                for c in part.classes
+                for c in classes
             ],
         },
     )
@@ -228,7 +288,11 @@ def line_sums_zero(b: GaleDual) -> Verdict:
     of the relations over Q; the ``direction`` and ``sum`` of a witness are
     coordinates in the columns of ``b`` as given.
     """
-    return _line_sums_verdict(line_partition(b))
+    part = line_partition(b)
+    if part.zero_rows:
+        raise pyramidal_input(part.zero_rows, "the line-sum self-duality criterion")
+    bad = next((cls for cls in part.classes if any(cls.total)), None)
+    return _line_sums_verdict(bad, part.classes)
 
 
 def coparallel_classes(b: GaleDual) -> tuple:
@@ -347,12 +411,12 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the coparallelism criterion")
-    part, _ = _circuit_partition(c.circuit_form)
+    part = _circuit_partition(c.circuit_form)
     if part.zero_rows:
         raise pyramidal_input(part.zero_rows, "the coparallelism criterion")
     functionals = []
     # with no zero rows the classes are the line classes, by first member
-    for cls in (line.members for line in part.classes):
+    for cls in part.members:
         sub = is_parallel_face_complement(c, cls)
         if not sub.value:
             return Verdict(

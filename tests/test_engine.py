@@ -29,6 +29,7 @@ from toricdual.exceptions import GuardExceeded, InapplicableInput
 from toricdual.families import config_from_gale, family_alpha, lawrence, segre
 from toricdual.gale import (
     GaleDual,
+    _CircuitClasses,
     coparallel_criterion,
     gale_dual,
     is_facial,
@@ -1090,7 +1091,7 @@ def _irregular_draws(seed, count=300):
     return draws
 
 
-def test_strong_on_irregular_input_is_the_strong_test_of_its_regularization():
+def test_strong_test_of_w_is_that_of_its_ones_row_lift():
     # W and [1; W] have one variety and one circuit form, so value,
     # criterion and witness agree
     values = set()
@@ -1113,7 +1114,7 @@ def test_strong_via_points_agrees_on_irregular_input():
     assert checked[True] and checked[False] > 150
 
 
-def test_sigma_on_irregular_input_is_sigma_of_its_regularization():
+def test_sigma_of_w_is_that_of_its_ones_row_lift():
     values = set()
     for c in _irregular_draws(34):
         sigma = self_dual_via_sigma(c)
@@ -1296,3 +1297,60 @@ def test_wide_sample_matches_the_matrix_reference():
     c = parse_configuration(rows)
     assert len(c.circuit_form.free) == 75
     _assert_same_as_by_matrix(c)
+
+
+def _count_class_write_outs(monkeypatch):
+    """Count, per class, the line classes written out in fundamental-circuit
+    coordinates (all at once or one at a time)."""
+    counts = {}
+    original = _CircuitClasses.line_class
+
+    def counting(self, k, g=None):
+        counts[k] = counts.get(k, 0) + 1
+        return original(self, k, g)
+
+    monkeypatch.setattr(_CircuitClasses, "line_class", counting)
+    return counts
+
+
+def test_a_false_line_sum_verdict_writes_one_class(monkeypatch):
+    counts = _count_class_write_outs(monkeypatch)
+    rng = random.Random(480)  # the wide sample: 80 classes
+    wide = [[rng.randint(-100, 100) for _ in range(80)] for _ in range(4)]
+    for rows in [[[0, 1, 2, 3]], wide]:
+        counts.clear()
+        v = is_self_dual(parse_configuration(rows))
+        assert v.witness["kind"] == "violating_line_class"
+        assert list(counts.values()) == [1]
+    # a core joined with a repeat and an apex prints its one violating class
+    counts.clear()
+    rows = [[*row, row[0], 0] for row in wide] + [[0] * 81 + [1]]
+    v = is_self_dual(parse_configuration(rows))
+    assert v.witness["core_verdict"]["kind"] == "violating_line_class"
+    assert list(counts.values()) == [1]
+
+
+def test_a_mismatch_and_the_coparallel_criterion_write_no_class(monkeypatch):
+    counts = _count_class_write_outs(monkeypatch)
+    pyramid = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
+    assert is_self_dual(pyramid).witness["kind"] == "apex_repeat_mismatch"
+    for c in [family_alpha(2), parse_configuration([[0, 1, 2, 3]])]:
+        coparallel_criterion(c)
+    assert counts == {}
+
+
+def test_true_verdicts_and_the_strong_test_write_each_class_once(monkeypatch):
+    counts = _count_class_write_outs(monkeypatch)
+    alpha = family_alpha(2)
+    joined = parse_configuration(
+        [[*row, row[0], 0] for row in alpha.weights] + [[0] * (alpha.npoints + 1) + [1]]
+    )
+    for c in [alpha, joined]:
+        counts.clear()
+        v = is_self_dual(c)
+        classes = v.witness.get("core_verdict", v.witness)["classes"]
+        assert v.value and counts == dict.fromkeys(range(len(classes)), 1)
+    for c in [STRONG_7x9, segre(3), parse_configuration([[0, 1, 2, 3]])]:
+        counts.clear()
+        v = is_strongly_self_dual(c)
+        assert counts == dict.fromkeys(range(len(v.witness["classes"])), 1)

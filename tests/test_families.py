@@ -23,7 +23,7 @@ from test_gale import column_lattices_equal
 from test_intlinalg import _hermite_kernel, cofactor_det, fraction_rank, in_row_span, product
 
 
-def test_segre_shape_and_flags():
+def test_segre_shape_and_lattice():
     c = segre(2)
     assert c.weights.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
     assert in_row_span(c.weights, [1] * c.npoints)  # on the hyperplane x + y = 1

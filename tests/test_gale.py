@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,27 @@ def _assert_multiples(a, part, multiples):
         ]
 
 
+def _assert_written_out(a):
+    """The classes decided on the Jordan rows of ``a`` are those of the
+    written-out circuit basis: written all at once and one at a time, each
+    class equals :func:`line_partition`'s entry for entry (direction,
+    members, total) with its multiples, and the first class whose line sum
+    does not vanish is the reference's.  Returns the decided classes and
+    the written partition."""
+    classes = _circuit_partition(circuit_form(a))
+    part, multiples = classes.written()
+    ref = _partition_by_matrix(a)
+    assert part == ref
+    _assert_multiples(a, part, multiples)
+    assert classes.members == tuple(cls.members for cls in ref.classes)
+    assert classes.zero_rows == ref.zero_rows
+    for k in range(len(ref.classes)):
+        assert classes.line_class(k) == (ref.classes[k], multiples[k])
+    violating = next((k for k, cls in enumerate(ref.classes) if any(cls.total)), None)
+    assert classes.violating() == violating
+    return classes, part
+
+
 def _seeded_matrix(rng):
     """A random matrix, as ``[1; W]`` or raw, with repeated and zero
     columns, apexes, dependent rows or entries past 10^30 mixed in."""
@@ -178,13 +200,10 @@ def test_circuit_partition_matches_the_written_out_basis_on_seeded_draws():
     seen = set()
     for _ in range(800):
         a = _seeded_matrix(rng)
-        form = circuit_form(a)
-        part, multiples = _circuit_partition(form)
-        assert part == _partition_by_matrix(a)
-        _assert_multiples(a, part, multiples)
+        classes, part = _assert_written_out(a)
         seen |= {
-            ("negative pivot", form.pivot < 0),
-            ("corank 0", not form.free),
+            ("negative pivot", classes.form.pivot < 0),
+            ("corank 0", not classes.form.free),
             ("apex", bool(part.zero_rows)),
             # a pivot row on a free point's axis
             ("axis merge", any(1 in cls.direction and sum(map(abs, cls.direction)) == 1
@@ -192,9 +211,26 @@ def test_circuit_partition_matches_the_written_out_basis_on_seeded_draws():
             ("pivot row off the axes", any(sum(map(bool, cls.direction)) > 1
                                            for cls in part.classes)),
             ("past 10^30", max(abs(x) for row in a for x in row) > 10**30),
-            ("regular", a[0] == [1] * len(a[0])),
+            ("ones row", a[0] == [1] * len(a[0])),
+            ("line sums vanish", classes.violating() is None and bool(part.classes)),
         }
     assert {(what, True) for what, _ in seen} <= seen
+
+
+def test_circuit_partition_matches_the_written_out_basis_at_the_bigint_shapes():
+    # the wide and large-entry shapes of the benchmark's gale-bigint corpus,
+    # as [1; W] with a repeated column and an apex added; some of C's
+    # column gcds g_t exceed 1
+    rng = random.Random(35)
+    wide_gcds = 0
+    for d, n, bound in [(4, 80, 100), (6, 30, 10**6)] * 3:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(d)]
+        rows = [row + row[:1] + [0] for row in rows] + [[0] * (n + 1) + [1]]
+        classes, part = _assert_written_out([[1] * (n + 2), *rows])
+        assert part.zero_rows == (n + 1,)
+        form = classes.form
+        wide_gcds += any(gcd(form.pivot, *col) > 1 for col in zip(*form.rows))
+    assert wide_gcds
 
 
 entries = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda x: x * 10**30 + 1))
@@ -215,23 +251,25 @@ def test_circuit_partition_matches_the_written_out_basis(rows, ones, repeat):
     if repeat:  # a repeated column and a dependent row
         rows = [row + row[:1] for row in rows]
         rows.append([2 * x for x in rows[-1]])
-    a = [[1] * len(rows[0]), *rows] if ones else rows
-    part, multiples = _circuit_partition(circuit_form(a))
-    assert part == _partition_by_matrix(a)
-    _assert_multiples(a, part, multiples)
+    _assert_written_out([[1] * len(rows[0]), *rows] if ones else rows)
 
 
 def test_circuit_partition_at_corank_zero_and_a_negative_pivot():
     # no relations: every point is an apex
     a = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
-    assert _circuit_partition(circuit_form(a)) == (LinePartition(classes=(), zero_rows=(0, 1, 2)), ())
+    classes = _circuit_partition(circuit_form(a))
+    assert (classes.members, classes.zero_rows) == ((), (0, 1, 2))
+    assert classes.written() == (LinePartition(classes=(), zero_rows=(0, 1, 2)), ())
     # the pass ends on -2: column 2's circuit is (-1, -1, 2), positive at 2
     a = [[1, 1, 1], [1, -1, 0]]
     form = circuit_form(a)
     assert form.pivot == -2
     assert form.basis() == imat([[-1], [-1], [2]])
     axis = LineClass(direction=(1,), members=(0, 1, 2), total=(0,))
-    assert _circuit_partition(form) == (LinePartition(classes=(axis,), zero_rows=()), ((-1, -1, 2),))
+    classes = _circuit_partition(form)
+    assert classes.violating() is None
+    assert classes.written() == (LinePartition(classes=(axis,), zero_rows=()), ((-1, -1, 2),))
+    assert classes.line_class(0) == (axis, (-1, -1, 2))
 
 
 def test_line_sums_zero_family_alpha_true():
