@@ -3,7 +3,7 @@
 import operator
 
 from .configuration import Configuration, parse_configuration
-from .intlinalg import IntMatrix, column_lattice_saturated, imat, integer_kernel, rank
+from .intlinalg import IntMatrix, column_lattice, imat, integer_kernel
 
 
 def _integer(who: str, name: str, x) -> int:
@@ -86,7 +86,9 @@ def config_from_gale(b) -> Configuration:
     columns of ``b`` (canonicalized by Hermite form, since the configuration
     is only determined up to affine equivalence).  Requires the rows of ``b``
     to sum to zero, its columns to be independent, and the columns to span a
-    saturated lattice — exactly the properties a Gale dual matrix has.  Then
+    saturated lattice — exactly the properties a Gale dual matrix has; the
+    last two are read off one Hermite basis of the columns
+    (``column_lattice``), whose length is their rank.  Then
     the all-ones row lies in the row span of the result, so the columns of
     ``b`` are affine relations, as many as its corank: the result passes
     :func:`verify_gale_dual` by construction.
@@ -94,9 +96,10 @@ def config_from_gale(b) -> Configuration:
     bm = imat(b)
     if any(map(sum, bm.T)):
         raise ValueError("rows of a Gale dual must sum to zero")
-    if rank(bm) != bm.shape[1]:
+    rank, saturated = column_lattice(bm)
+    if rank != bm.shape[1]:
         raise ValueError("columns of a Gale dual must be linearly independent")
-    if not column_lattice_saturated(bm):
+    if not saturated:
         raise ValueError(
             "columns do not span a saturated relation lattice; "
             "no configuration has this exact matrix as a Gale dual"

@@ -19,11 +19,10 @@ from .intlinalg import (
     IntMatrix,
     _lowest_terms,
     circuit_form,
-    column_lattice_saturated,
+    column_lattice,
     imat,
     matmul,
     primitive_vector,
-    rank,
 )
 from .verdict import ReadOnly, Verdict
 
@@ -90,15 +89,16 @@ def verify_gale_dual(c: Configuration, b) -> bool:
     """Check that ``b`` is a legitimate Gale dual matrix for ``c``.
 
     Decided from the defining properties, with no Gale dual computed: the
-    columns are affine relations (``[1; W]·b = 0``), independent, as many
-    as the corank ``n - rank([1; W])`` (the free columns of
-    ``c.circuit_form``, so ``[1; W]`` is eliminated at most once per
-    configuration), and they span a saturated lattice.  The pass is shared
-    only when another reader, such as ``is_self_dual``, has built the form
-    already; on a fresh configuration this call builds it, a Gauss-Jordan
-    pass where a forward rank would do about half the row updates.  The
-    first three make them a basis of the relations over Q; a saturated
-    lattice of that rank inside them is all of their integer points.
+    columns are affine relations (``[1; W]·b = 0``), as many as the corank
+    ``n - rank([1; W])`` (the free columns of ``c.circuit_form``, so
+    ``[1; W]`` is eliminated at most once per configuration), independent,
+    and they span a saturated lattice.  The pass is shared only when another
+    reader, such as ``is_self_dual``, has built the form already; on a fresh
+    configuration this call builds it.  Independence and saturation are
+    read off one Hermite basis of the columns (``column_lattice``), whose
+    length is their rank.  The first three make them a basis of the
+    relations over Q; a saturated lattice of that rank inside them is all
+    of their integer points.
     """
     bm = imat(b)
     if bm.shape[0] != c.npoints:
@@ -108,8 +108,8 @@ def verify_gale_dual(c: Configuration, b) -> bool:
     a = _ones_on_top(c)
     return (
         not any(map(any, matmul(a, bm)))
-        and bm.shape[1] == len(c.circuit_form.free) == rank(bm)
-        and column_lattice_saturated(bm)
+        and bm.shape[1] == len(c.circuit_form.free)
+        and column_lattice(bm) == (bm.shape[1], True)
     )
 
 

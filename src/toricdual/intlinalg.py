@@ -7,13 +7,13 @@ take nested int sequences.
 
 Every elimination here is fraction-free and runs on plain int lists, and
 this is the one module that runs or reads an elimination loop: other
-modules go through ``rank``, ``circuit_form``, ``integer_kernel`` and
-``column_lattice_saturated`` (the simplex of ``ratlp`` takes its pivot
-steps through ``_pivot``).  One Bareiss loop (``_bareiss``) serves ``rank``
-(forward elimination); ``circuit_form`` (eliminating above each pivot too),
-whose :class:`CircuitForm` is how every other module reads a Gauss-Jordan
-pass; and ``integer_kernel`` (that pass on the reversed columns, read on
-its full rows, then a Hermite form kept modulo its last pivot).  Each step
+modules go through ``circuit_form``, ``integer_kernel`` and
+``column_lattice`` (the simplex of ``ratlp`` takes its pivot steps through
+``_pivot``).  One Bareiss loop (``_bareiss``), always Gauss-Jordan
+(eliminating above each pivot too), serves ``circuit_form``, whose
+:class:`CircuitForm` is how every other module reads that pass, and
+``integer_kernel`` (the pass on the reversed columns, read on its full
+rows, then a Hermite form kept modulo its last pivot).  Each step
 of the list loop is one ``_pivot``, in which a row with a 0 in the pivot
 column is not rescaled but keeps its own denominator until its next update.
 On a dense matrix with small entries the loop instead holds each row as one
@@ -23,9 +23,10 @@ update is one big-int operation, exact because every stored entry is a
 minor of the input and so fits the slot Hadamard's bound sizes.  A fixed
 rule on the shape, the nonzero count and the slot width picks that path;
 every other matrix keeps the list loop.  One Hermite echelon loop (``_echelon``)
-serves ``lattice_basis``, whose canonical basis decides saturation
-(``column_lattice_saturated``, which ``verify_gale_dual`` reads) with no
-Smith form; equal lattices have equal bases.  ``smooth_certificate``
+serves ``lattice_basis``, whose canonical basis gives the rank of a column
+lattice and decides its saturation (``column_lattice``, which
+``verify_gale_dual`` and ``config_from_gale`` read) with no Smith form;
+equal lattices have equal bases.  ``smooth_certificate``
 needs no Hermite form: its lattice test is whether the last pivot of a
 ``circuit_form`` divides every Jordan entry.
 ``integer_kernel`` is the saturated canonical kernel basis behind the Gale
@@ -203,10 +204,10 @@ def _echelon(rows: list, ncols: int) -> list:
     return rows
 
 
-def _pivot(rows: list, scale: list, r: int, c: int, prev: int, start: int) -> int:
+def _pivot(rows: list, scale: list, r: int, c: int, prev: int) -> int:
     """One fraction-free pivot step on ``rows[r][c]``, in place, after the
     pivot ``prev``; returns that entry p, the new pivot.  Row r is first
-    brought up to ``prev``; the rows from ``start`` on are then updated.
+    brought up to ``prev``; every other row is then updated.
 
     A row x with entry f in column c becomes ``(x·p - f·y) / prev``, y the
     pivot row.  When f is 0 that only rescales x, so x is left as it is and
@@ -219,7 +220,7 @@ def _pivot(rows: list, scale: list, r: int, c: int, prev: int, start: int) -> in
         rows[r] = [x * prev // s for x in rows[r]]
     pr = rows[r]
     p = scale[r] = pr[c]
-    for i in range(start, len(rows)):
+    for i in range(len(rows)):
         if i != r:
             f = rows[i][c]
             if f:
@@ -229,50 +230,42 @@ def _pivot(rows: list, scale: list, r: int, c: int, prev: int, start: int) -> in
     return p
 
 
-def _bareiss(rows: list, jordan: bool = False) -> tuple:
-    """Fraction-free (Bareiss 1968) elimination of ``rows``, in place.
+def _bareiss(rows: list) -> tuple:
+    """Fraction-free (Bareiss 1968) Gauss-Jordan elimination of ``rows``,
+    in place.
 
     Columns without a pivot are skipped, so every division is exact on any
     shape.  Returns ``(pivots, pivot)``: ``pivots`` lists the pivot columns
     in order (their count is the rank) and ``pivot`` is the last pivot, a
-    rank-square minor of the input up to sign.  Forward elimination by
-    default; with ``jordan`` the rows above each pivot are eliminated by the
-    same update (fraction-free Gauss-Jordan), which leaves row t, for t
-    below the rank, equal to ``pivot`` times the reduced row echelon row of
-    the t-th pivot.
+    rank-square minor of the input up to sign.  The rows above each pivot
+    are eliminated by the same update as those below, which leaves row t,
+    for t below the rank, equal to ``pivot`` times the reduced row echelon
+    row of the t-th pivot; the rows past the rank are zero.
 
     Each pivot is one :func:`_pivot`, whose rows keep their own
-    denominators; a Jordan pass brings every row up to the last pivot at
-    the end.  Forward pivot rows are not touched after their step, and rows
-    past the rank are zero, so every output is the eager loop's.
+    denominators; every row is brought up to the last pivot at the end, so
+    every output is the eager loop's.
 
-    Packed rows.  A matrix with at least 16 columns and 7 rows (16 for
-    forward elimination, which makes half the updates for the same packing
-    cost), at least half its entries nonzero and slots of at most 256 bits
-    (32 bytes of ``_slot_bytes``) runs :func:`_bareiss_packed`: each row is
-    one int whose balanced base-2^w digits are its entries (Kronecker
-    substitution), so an update is ``(p·X - f·Y) // prev`` on the whole
-    row, one big-int operation where the list loop takes one interpreted
-    step per entry.
+    Packed rows.  A matrix with at least 16 columns and 7 rows, at least
+    half its entries nonzero and slots of at most 256 bits (32 bytes of
+    ``_slot_bytes``) runs :func:`_bareiss_packed`: each row is one int whose
+    balanced base-2^w digits are its entries (Kronecker substitution), so
+    an update is ``(p·X - f·Y) // prev`` on the whole row, one big-int
+    operation where the list loop takes one interpreted step per entry.
     That is exact: every entry the pass stores is, up to sign, a minor of
-    the input (in the forward rows and in the Jordan rows alike), so
-    Hadamard's bound over the nonzero rows bounds it and sizes a slot that
-    never overflows; and every entry of ``p·X - f·Y`` is divisible by
-    ``prev``, so the packed int is ``prev`` times the packed update and
-    ``//`` returns that exactly.  Other matrices keep the list loop, which
-    is faster on small, sparse or huge-entry input: it leaves untouched
-    rows alone, and its cost does not grow with a slot width.
+    the input, so Hadamard's bound over the nonzero rows bounds it and
+    sizes a slot that never overflows; and every entry of ``p·X - f·Y`` is
+    divisible by ``prev``, so the packed int is ``prev`` times the packed
+    update and ``//`` returns that exactly.  Other matrices keep the list
+    loop, which is faster on small, sparse or huge-entry input: it leaves
+    untouched rows alone, and its cost does not grow with a slot width.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    if (
-        ncols >= 16
-        and m >= (7 if jordan else 16)
-        and 2 * sum(ncols - row.count(0) for row in rows) >= m * ncols
-    ):
+    if ncols >= 16 and m >= 7 and 2 * sum(ncols - row.count(0) for row in rows) >= m * ncols:
         nbytes = _slot_bytes(rows)
         if nbytes <= 32:
-            return _bareiss_packed(rows, jordan, nbytes)
+            return _bareiss_packed(rows, nbytes)
     pivots, r, prev = [], 0, 1
     scale = [1] * m  # scale[i]: the pivot row i was last brought to
     for c in range(ncols):
@@ -285,14 +278,13 @@ def _bareiss(rows: list, jordan: bool = False) -> tuple:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         scale[r], scale[piv] = scale[piv], scale[r]
-        prev = _pivot(rows, scale, r, c, prev, 0 if jordan else r + 1)
+        prev = _pivot(rows, scale, r, c, prev)
         pivots.append(c)
         r += 1
-    if jordan:
-        for i in range(r):
-            s = scale[i]
-            if s != prev:
-                rows[i] = [x * prev // s for x in rows[i]]
+    for i in range(r):
+        s = scale[i]
+        if s != prev:
+            rows[i] = [x * prev // s for x in rows[i]]
     return pivots, prev
 
 
@@ -310,7 +302,7 @@ def _slot_bytes(rows: list) -> int:
     return ((bound.bit_length() + 1) // 2 + 8) // 8
 
 
-def _bareiss_packed(rows: list, jordan: bool, nbytes: int) -> tuple:
+def _bareiss_packed(rows: list, nbytes: int) -> tuple:
     """:func:`_bareiss` with each row held as one int, in slots of
     ``nbytes`` bytes, wide enough for Hadamard's bound on ``rows``
     (``_slot_bytes(rows)`` or more when that is at most 32); same result.
@@ -355,7 +347,7 @@ def _bareiss_packed(rows: list, jordan: bool, nbytes: int) -> tuple:
         packed[r], packed[piv] = packed[piv], packed[r]
         y = packed[r]
         p = ((y >> s) + half & mask) - half
-        for i in range(0 if jordan else r + 1, m):
+        for i in range(m):
             if i != r:
                 x = packed[i]
                 f = ((x + off) >> s & mask) - half
@@ -376,12 +368,6 @@ def _bareiss_packed(rows: list, jordan: bool, nbytes: int) -> tuple:
             rows[i] = [int.from_bytes(data[k], "little") - half for k in cuts]
     rows[r:] = [[0] * n for _ in range(r, m)]
     return pivots, prev
-
-
-def rank(a) -> int:
-    """Rank of an integer matrix (or nested int sequences), by fraction-free
-    elimination."""
-    return len(_bareiss(list(a))[0])
 
 
 def integer_kernel(a) -> IntMatrix:
@@ -423,7 +409,7 @@ def integer_kernel(a) -> IntMatrix:
     a = imat(a)
     n = a.shape[1]
     rows = [row[::-1] for row in a]
-    pivots, d = _bareiss(rows, jordan=True)
+    pivots, d = _bareiss(rows)
     k = len(pivots)
     big = abs(d)
     cols = list(zip(*rows[:k])) if k else [()] * n  # R's columns, reversed numbering
@@ -556,7 +542,7 @@ def circuit_form(a) -> CircuitForm:
     pass."""
     rows = list(a)
     n = len(rows[0])
-    pivots, d = _bareiss(rows, jordan=True)
+    pivots, d = _bareiss(rows)
     taken = set(pivots)
     free = tuple(j for j in range(n) if j not in taken)
     jordan = tuple(tuple(map(row.__getitem__, free)) for row in rows[: len(pivots)])
@@ -569,18 +555,20 @@ def lattice_basis(vectors, dim: int) -> list:
     return [row for row in _echelon([list(v) for v in vectors], dim) if any(row)]
 
 
-def column_lattice_saturated(a) -> bool:
-    """Whether the column lattice L of ``a`` (or of nested int sequences) is
-    saturated, L = span_Q(L) ∩ Z^d: every nonzero invariant factor is 1.
+def column_lattice(a) -> tuple:
+    """``(rank, saturated)`` for the column lattice L of ``a`` (or of nested
+    int sequences): the rank of ``a``, and whether L is saturated,
+    L = span_Q(L) ∩ Z^d, which is whether every nonzero invariant factor
+    is 1.
 
-    With H the r x d Hermite basis of L, the index of L in its saturation is
-    the gcd of the r-square minors of H, which is the index in Z^r of the
-    lattice that H's d columns generate; so L is saturated iff those columns
-    have the identity as their Hermite basis.
+    With H the r x d Hermite basis of L, r is the rank, and the index of L
+    in its saturation is the gcd of the r-square minors of H, which is the
+    index in Z^r of the lattice that H's d columns generate; so L is
+    saturated iff those columns have the identity as their Hermite basis.
     """
     rows = list(a)
     h = lattice_basis(zip(*rows), len(rows))
-    return lattice_basis(zip(*h), len(h)) == eye(len(h)).tolist()
+    return len(h), lattice_basis(zip(*h), len(h)) == eye(len(h)).tolist()
 
 
 def _lowest_terms(nums, den) -> tuple:

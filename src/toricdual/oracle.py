@@ -35,7 +35,7 @@ Bareiss-Jordan pass) and the flat-sum referee the canonical Gale dual
 share no kernel.  The generators are not referees: ``random_configuration``
 and ``random_lawrence_block`` refuse pyramids by the zero rows of a
 ``circuit_form``, and ``random_lawrence_block`` reads the column lattice
-through its Hermite basis (``column_lattice_saturated``).  These run at
+through its Hermite basis (``column_lattice``).  These run at
 desk scale only and guard themselves with explicit size limits.
 """
 
@@ -53,7 +53,7 @@ from .configuration import (
 from .exceptions import GuardExceeded, pyramidal_input
 from .engine import is_self_dual
 from .gale import GaleDual, coparallel_criterion, gale_dual
-from .intlinalg import IntMatrix, circuit_form, column_lattice_saturated, imat
+from .intlinalg import IntMatrix, circuit_form, column_lattice, imat
 from .ratlp import feasible_nonneg
 
 ENUMERATION_GUARD = 12
@@ -363,7 +363,7 @@ def random_lawrence_block(rng: random.Random) -> IntMatrix:
         m = imat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
         if circuit_form(m).zero_rows():
             continue  # pyramidal lift: a zero kernel row, or no kernel at all
-        if not column_lattice_saturated(m):
+        if not column_lattice(m)[1]:
             continue
         return m
     raise RuntimeError("rejection sampling starved")

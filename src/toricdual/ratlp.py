@@ -80,7 +80,7 @@ def feasible_nonneg(a, b):
                     if diff < 0 or (diff == 0 and basis[i] < basis[row]):
                         row, num, den = i, t[last], p
         assert row is not None, "phase-1 objective is bounded below by zero"
-        d = _pivot(tab, scale, row, enter, d, 0)
+        d = _pivot(tab, scale, row, enter, d)
         basis[row] = enter
 
     if obj[last] == 0:

@@ -263,6 +263,16 @@ def test_oracle_crosscheck(capsys):
     assert doc["disagreements"] == []
 
 
+def test_oracle_crosscheck_exits_1_on_a_disagreement(capsys, monkeypatch):
+    sigma = oracle.self_dual_via_sigma
+    monkeypatch.setattr(oracle, "self_dual_via_sigma", lambda c: not sigma(c))
+    code, out, err = run(capsys, "oracle", "crosscheck", "--seed", "3", "--count", "2")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["agreements"] == 0
+    assert [entry["index"] for entry in doc["disagreements"]] == [0, 1]
+
+
 def test_oracle_crosscheck_refuses_a_negative_count(capsys):
     _assert_one_error_line(*run(capsys, "oracle", "crosscheck", "--count", "-1"))
     code, out, _ = run(capsys, "oracle", "crosscheck", "--count", "0")
@@ -301,6 +311,22 @@ def test_reports_with_integers_past_the_digit_limit(tmp_path, capsys):
         assert code == 0 and err == ""
         assert max(map(len, re.findall(r"\d+", out))) > 4300
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_reports_are_written_where_ints_have_no_digit_limit(tmp_path, capsys, monkeypatch):
+    # an interpreter with no int-to-str limit (Python 3.10) has neither the
+    # getter nor the setter: the report is written as it is, with no limit
+    # lifted or put back
+    path = write_segre2(tmp_path)
+    code, out, err = run(capsys, "check", "self-dual", path)
+    for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+        monkeypatch.delattr(sys, name, raising=False)
+    unlimited = run(capsys, "check", "self-dual", path)
+    assert (code, err) == (unlimited[0], unlimited[2]) == (0, "")
+    docs = [json.loads(out), json.loads(unlimited[1])]
+    for doc in docs:
+        del doc["timings"]
+    assert docs[0] == docs[1] and docs[0]["verdict"] is True
 
 
 def test_text_entries_past_the_digit_limit_keep_their_message(tmp_path, capsys):

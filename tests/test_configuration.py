@@ -32,7 +32,7 @@ from toricdual.gale import (
     line_partition,
     verify_gale_dual,
 )
-from toricdual.intlinalg import CircuitForm, eye, imat, lattice_basis, rank
+from toricdual.intlinalg import CircuitForm, eye, imat, lattice_basis
 from test_engine import STRONG_7x9, _unimodular
 from test_gale import _digits_3900, column_lattices_equal, ones_row_lift
 from test_intlinalg import fraction_rank, product
@@ -209,7 +209,7 @@ def _same_rational_column_space(b, canonical):
     """Equal ranks of ``b``, ``canonical`` and the two side by side."""
     assert b.shape == canonical.shape
     both = [row + other for row, other in zip(b, canonical)]
-    assert rank(b) == rank(canonical) == rank(both) == b.shape[1]
+    assert fraction_rank(b) == fraction_rank(canonical) == fraction_rank(both) == b.shape[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,8 +393,9 @@ def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
 # each public predicate as called on a fresh configuration c, then its
 # (_bareiss, _echelon) calls on segre(4) and on a regular random 6 x 14
 # draw.  b is the Gale matrix of another configuration with the same
-# weights, so verify_gale_dual runs cold (its two echelons are the
-# saturation test); the parity test takes c's weights as the block of a
+# weights, so verify_gale_dual runs cold (its pass is c's circuit form,
+# its two echelons the Hermite basis of b's columns, read for their rank
+# and saturation); the parity test takes c's weights as the block of a
 # Lawrence lift.  coparallel_criterion adds one pass per line class it
 # solves (4 on segre(4); the draw fails its first), smooth_certificate one
 # per vertex it reaches (8 on segre(4), 1 on the draw) after the Gale
@@ -409,7 +410,7 @@ ELIMINATIONS = {
     "hypersurface_class": (lambda c, b: hypersurface_class(c), (1, 0), (1, 0)),
     "full_decomposition": (lambda c, b: full_decomposition(c), (1, 0), (1, 0)),
     "gale_dual": (lambda c, b: gale_dual(c), (1, 0), (1, 0)),
-    "verify_gale_dual": (lambda c, b: verify_gale_dual(c, b), (2, 2), (2, 2)),
+    "verify_gale_dual": (lambda c, b: verify_gale_dual(c, b), (1, 2), (1, 2)),
     "lawrence_strong_parity": (lambda c, b: lawrence_strong_parity(c.weights), (1, 0), (1, 0)),
 }
 
@@ -441,7 +442,7 @@ def test_verify_gale_dual_reads_the_corank_off_the_cached_form(monkeypatch):
     is_self_dual(c)
     counts = _count_calls(monkeypatch, _toricdual_modules(), ("_bareiss",))
     assert verify_gale_dual(c, b)
-    assert counts == {"_bareiss": 1}  # the rank of b
+    assert counts == {"_bareiss": 0}  # b's rank is the length of its Hermite basis
 
 
 def test_affine_dim_computes_no_gale_kernel(monkeypatch):
@@ -461,7 +462,7 @@ def _hypersurface(seed):
     rng = random.Random(seed)
     while True:
         c = parse_configuration([[rng.randint(-3, 3) for _ in range(7)] for _ in range(5)])
-        if len(set(c.columns())) == 7 and rank([[1] * 7, *c.weights]) == 6:
+        if len(set(c.columns())) == 7 and fraction_rank([[1] * 7, *c.weights]) == 6:
             return c
 
 

@@ -36,7 +36,7 @@ from toricdual.gale import (
     line_sums_zero,
     verify_gale_dual,
 )
-from toricdual.intlinalg import eye, imat, lattice_basis, primitive_vector, rank
+from toricdual.intlinalg import eye, imat, lattice_basis, primitive_vector
 from toricdual.oracle import (
     random_configuration,
     random_lawrence_block,
@@ -46,7 +46,7 @@ from toricdual.oracle import (
 )
 from toricdual.verdict import Verdict
 from test_gale import ones_row_lift
-from test_intlinalg import cofactor_det, in_row_span, product
+from test_intlinalg import cofactor_det, fraction_rank, in_row_span, product
 
 # two faces of this one contain a configuration point in their relative interior
 INT_POINT_FACE = parse_configuration(
@@ -1175,7 +1175,7 @@ def _unimodular(rng, r):
 def _nonsingular(rng, r):
     while True:
         m = imat([[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)])
-        if rank(m) == r:
+        if fraction_rank(m) == r:
             return m
 
 

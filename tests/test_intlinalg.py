@@ -16,14 +16,13 @@ from toricdual.intlinalg import (
     _echelon,
     _slot_bytes,
     circuit_form,
-    column_lattice_saturated,
+    column_lattice,
     eye,
     imat,
     integer_kernel,
     lattice_basis,
     matmul,
     primitive_vector,
-    rank,
 )
 from test_gale import _digits_3900, column_lattices_equal
 
@@ -372,9 +371,14 @@ def fraction_rank(a) -> int:
     return len(fraction_echelon(a))
 
 
+def pivot_count(a) -> int:
+    """The rank as the number of pivots of ``_bareiss`` on a copy of ``a``."""
+    return len(_bareiss([list(row) for row in a])[0])
+
+
 def test_rank_examples():
     for a, r in ((eye(5), 5), (imat([[0, 0], [0, 0]]), 0), (imat([[1, 2], [2, 4]]), 1)):
-        assert fraction_rank(a) == rank(a) == r
+        assert fraction_rank(a) == pivot_count(a) == column_lattice(a)[0] == r
 
 
 def in_row_span(a, v) -> bool:
@@ -419,8 +423,8 @@ def test_big_integers_survive():
 @given(any_matrices)
 def test_saturation_and_normalized_flag_match_minor_gcd(rows):
     r = fraction_rank(imat(rows))
-    assert column_lattice_saturated(rows) == (r == 0 or minor_gcd(rows, r) == 1)
-    assert column_lattice_saturated(imat(rows)) == column_lattice_saturated(rows)
+    assert column_lattice(rows) == (r, r == 0 or minor_gcd(rows, r) == 1)
+    assert column_lattice(imat(rows)) == column_lattice(rows)
     # the columns span Z^d exactly when their Hermite basis is the identity
     spans = lattice_basis(imat(rows).T, len(rows)) == eye(len(rows)).tolist()
     assert spans == (minor_gcd(rows, len(rows)) == 1)
@@ -430,7 +434,7 @@ def test_saturation_and_normalized_flag_match_minor_gcd(rows):
 @given(any_matrices)
 def test_bareiss_rank_equals_fraction_rank(rows):
     m = imat(rows)
-    assert rank(m) == rank(rows) == rank(m.T) == fraction_rank(m)
+    assert pivot_count(m) == pivot_count(rows) == pivot_count(m.T) == fraction_rank(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -447,10 +451,11 @@ def test_bareiss_det_equals_cofactor_expansion(rows):
         assert abs(pivot) == abs(d)
 
 
-def _bareiss_unskipped(rows, jordan=False):
-    """The eager Bareiss loop that ``_bareiss`` must match: at every pivot,
-    every row other than the pivot row gets the full update ``(x·p - f·y) /
-    prev``, so no row is left out or kept over a denominator of its own."""
+def _bareiss_unskipped(rows):
+    """The eager Bareiss Gauss-Jordan loop that ``_bareiss`` must match: at
+    every pivot, every row other than the pivot row gets the full update
+    ``(x·p - f·y) / prev``, so no row is left out or kept over a denominator
+    of its own."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots, r, prev = [], 0, 1
@@ -463,7 +468,7 @@ def _bareiss_unskipped(rows, jordan=False):
         rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
         p = pr[c]
-        for i in range(0 if jordan else r + 1, m):
+        for i in range(m):
             if i != r:
                 f = rows[i][c]
                 rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], pr)]
@@ -509,11 +514,11 @@ SHAPES = {
 
 
 @settings(max_examples=267, deadline=None)
-@given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
-def test_bareiss_skip_leaves_every_output_as_the_full_update(rows, shape, jordan):
+@given(any_matrices, st.sampled_from(sorted(SHAPES)))
+def test_bareiss_skip_leaves_every_output_as_the_full_update(rows, shape):
     rows = SHAPES[shape](rows)
     skipped, full = [list(r) for r in rows], [list(r) for r in rows]
-    assert _bareiss(skipped, jordan) == _bareiss_unskipped(full, jordan)
+    assert _bareiss(skipped) == _bareiss_unskipped(full)
     assert [list(r) for r in skipped] == full
 
 
@@ -524,35 +529,35 @@ def _hadamard_slot_bytes(rows):
     return ((bound.bit_length() + 1) // 2 + 8) // 8
 
 
-def _packed_matches_reference(rows, jordan):
+def _packed_matches_reference(rows):
     """``_bareiss_packed`` at the slot width of Hadamard's bound, called
     directly (whatever the rule would pick), against the full update."""
     packed, full = [list(r) for r in rows], [list(r) for r in rows]
     width = _hadamard_slot_bytes(packed)
-    assert _bareiss_packed(packed, jordan, width) == _bareiss_unskipped(full, jordan)
+    assert _bareiss_packed(packed, width) == _bareiss_unskipped(full)
     assert packed == [list(r) for r in full]
     # the rule's width is that one up to 32 bytes, and past 32 past it
     assert min(_slot_bytes(rows), 33) == min(width, 33)
 
 
 @settings(max_examples=267, deadline=None)
-@given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
-def test_packed_rows_leave_every_output_as_the_full_update(rows, shape, jordan):
-    _packed_matches_reference(SHAPES[shape](rows), jordan)
+@given(any_matrices, st.sampled_from(sorted(SHAPES)))
+def test_packed_rows_leave_every_output_as_the_full_update(rows, shape):
+    _packed_matches_reference(SHAPES[shape](rows))
 
 
 @settings(max_examples=200, deadline=None)
-@given(any_matrices, st.sampled_from(sorted(SHAPES)), st.booleans())
-@example([[1]], "dense", False)
-@example([[1, -1], [2, 3]], "block diagonal", True)
-def test_packed_rows_at_every_slot_width(rows, shape, jordan):
+@given(any_matrices, st.sampled_from(sorted(SHAPES)))
+@example([[1]], "dense")
+@example([[1, -1], [2, 3]], "block diagonal")
+def test_packed_rows_at_every_slot_width(rows, shape):
     # from Hadamard's width up to 9 bytes: slots of 1, 2, 4 and 8 bytes go
     # through struct (3 and 5-7 round up), wider ones through bytes
     rows = SHAPES[shape](rows)
     width = _hadamard_slot_bytes(rows)
     for nbytes in range(width, max(width, 9) + 1):
         packed, full = [list(r) for r in rows], [list(r) for r in rows]
-        assert _bareiss_packed(packed, jordan, nbytes) == _bareiss_unskipped(full, jordan)
+        assert _bareiss_packed(packed, nbytes) == _bareiss_unskipped(full)
         assert packed == full
 
 
@@ -578,10 +583,11 @@ def _packed_edge_cases():
     yield "entries-1e40", [[rng.randint(-(10**40), 10**40) for _ in range(18)] for _ in range(8)]
 
 
-@pytest.mark.parametrize("jordan", [False, True], ids=["forward", "jordan"])
+# every pass is Gauss-Jordan; the ids keep naming it, so that they stay stable
+@pytest.mark.parametrize("elimination", ["jordan"])
 @pytest.mark.parametrize("case", list(_packed_edge_cases()), ids=lambda case: case[0])
-def test_packed_rows_on_edge_cases(case, jordan):
-    _packed_matches_reference(case[1], jordan)
+def test_packed_rows_on_edge_cases(case, elimination):
+    _packed_matches_reference(case[1])
 
 
 def test_hadamard_matrix_fills_its_slots_to_the_bound():
@@ -590,19 +596,19 @@ def test_hadamard_matrix_fills_its_slots_to_the_bound():
     h = _sylvester(16)
     assert _slot_bytes(h) == 5
     rows = [list(r) for r in h]
-    assert abs(_bareiss(rows, jordan=True)[1]) == 2**32 == max(abs(x) for r in rows for x in r)
+    assert abs(_bareiss(rows)[1]) == 2**32 == max(abs(x) for r in rows for x in r)
 
 
-def _packed_calls(monkeypatch, rows, jordan=True):
+def _packed_calls(monkeypatch, rows):
     """How many times ``_bareiss`` took the packed path on ``rows``."""
     calls = []
 
-    def recording(rows, jordan, nbytes):
+    def recording(rows, nbytes):
         calls.append(nbytes)
-        return _bareiss_packed(rows, jordan, nbytes)
+        return _bareiss_packed(rows, nbytes)
 
     monkeypatch.setattr(intlinalg, "_bareiss_packed", recording)
-    _bareiss([list(r) for r in rows], jordan)
+    _bareiss([list(r) for r in rows])
     return len(calls)
 
 
@@ -617,11 +623,11 @@ def test_the_rule_packs_dense_small_entry_matrices_only(monkeypatch):
     rng = random.Random(3)
     digits = [[1] * 20] + [[rng.randrange(10**999, 10**1000) for _ in range(20)] for _ in range(8)]
     assert 32 < _slot_bytes(digits) < _hadamard_slot_bytes(digits)
-    assert _packed_calls(monkeypatch, dense) == _packed_calls(monkeypatch, dense, False) == 1
+    assert _packed_calls(monkeypatch, dense) == 1
     assert [_packed_calls(monkeypatch, rows) for rows in (lifted, small, huge, digits)] == [0] * 4
-    # forward elimination makes half the updates: 8 rows pack only for Jordan
-    assert _packed_calls(monkeypatch, dense[:8]) == 1
-    assert _packed_calls(monkeypatch, dense[:8], False) == 0
+    # the rule's least shape: 7 rows and 16 columns
+    assert [_packed_calls(monkeypatch, dense[:k]) for k in (6, 7)] == [0, 1]
+    assert [_packed_calls(monkeypatch, [r[:k] for r in dense]) for k in (15, 16)] == [0, 1]
 
 
 def test_circuit_kernel_twisted_cubic():

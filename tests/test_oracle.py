@@ -36,7 +36,7 @@ from toricdual.oracle import (
 from test_configuration import _count_calls, _toricdual_modules
 from test_engine import _unimodular
 from test_gale import ones_row_lift
-from test_intlinalg import fraction_rank, in_row_span
+from test_intlinalg import fraction_rank, in_row_span, pivot_count
 
 CONIC = parse_configuration([[0, 1, 2]])
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
@@ -119,7 +119,7 @@ def test_circuits_make_no_rank_or_fast_kernel_call(monkeypatch):
     # a dependent candidate's relation is read off its zero residue (so no
     # kernel) and put in canonical form by the referee's own _unit (so no
     # primitive_vector); no circuit basis is written out
-    names = ("_bareiss", "rank", "basis", "integer_kernel", "primitive_vector")
+    names = ("_bareiss", "basis", "integer_kernel", "primitive_vector")
     for seed in range(4):
         c = random_configuration(random.Random(seed))
         expected = _circuits_by_definition(c)
@@ -164,16 +164,17 @@ def _flats_by_rank(b):
     """Flats by their definition: the closure of J is every row i with
     rank(rows J + row i) == rank(rows J); the first J, in the order of
     subsets by size and then lexicographically, names each closure.  The
-    rank is the Bareiss ``intlinalg.rank``, which the referee never calls."""
+    rank is the pivot count of a Bareiss pass, which the referee never
+    runs."""
     rows = b.matrix
     seen = {}
     for size in range(b.npoints + 1):
         for sub in itertools.combinations(range(b.npoints), size):
-            base = intlinalg.rank([rows[j] for j in sub]) if sub else 0
+            base = pivot_count([rows[j] for j in sub])
             closure = tuple(
                 i
                 for i in range(b.npoints)
-                if intlinalg.rank([rows[j] for j in sub] + [rows[i]]) == base
+                if pivot_count([rows[j] for j in sub] + [rows[i]]) == base
             )
             seen.setdefault(closure, sub)
     return sorted((cl, j) for cl, j in seen.items())
@@ -478,6 +479,32 @@ def test_crosscheck_small_run():
     report = crosscheck(seed=5, count=8)
     assert report["count"] == 8
     assert report["disagreements"] == []
+
+
+def test_crosscheck_reports_a_disagreeing_referee(monkeypatch):
+    sigma = oracle.self_dual_via_sigma
+    monkeypatch.setattr(oracle, "self_dual_via_sigma", lambda c: not sigma(c))
+    report = crosscheck(seed=5, count=3)
+    assert report["disagreements"] == report["results"]
+    for entry in report["disagreements"]:
+        answers = entry["answers"]
+        assert not entry["agree"]
+        assert answers["sigma"] != answers["line_sums_zero"] == answers["flats"]
+
+
+class _LowestDraws(random.Random):
+    """A generator whose ``randint`` always returns its lower bound."""
+
+    def randint(self, a, b):
+        return a
+
+
+@pytest.mark.parametrize("generator", [random_configuration, random_lawrence_block])
+def test_generators_raise_when_every_draw_is_rejected(generator):
+    # the lowest draw is a repeated point, or a 1 x 1 block with no
+    # relation, every time
+    with pytest.raises(RuntimeError, match="rejection sampling starved"):
+        generator(_LowestDraws())
 
 
 def test_crosscheck_refuses_a_negative_count():

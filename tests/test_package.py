@@ -132,6 +132,9 @@ def test_value_records_compare_by_field_and_refuse_assignment(make, text):
 def test_value_records_differ_when_a_field_does():
     assert Verdict(True, "c") != Verdict(False, "c")
     assert Verdict(True, "c") != Verdict(True, "c", {"kind": "k"})
+    # a verdict equals no value of another type, not even its own fields
+    assert Verdict(True, "c").__eq__(True) is NotImplemented
+    assert Verdict(True, "c") not in (True, "c", (True, "c", {}))
     assert Circuit((0, 1), (1, -1)) != Circuit((0, 1), (-1, 1))
     assert Flat((0,), (0,)) != Flat((1,), (0,))
     assert LineClass((1,), (0,), (1,)) != LineClass((1,), (0,), (2,))

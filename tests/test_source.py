@@ -226,11 +226,11 @@ def elimination_names(source: str) -> list:
 
 def test_elimination_names_are_found():
     source = (
-        "from .intlinalg import _bareiss, rank\n"
+        "from .intlinalg import _bareiss, circuit_form\n"
         '"""_echelon, in a docstring"""\n'
-        "pivots, d = _bareiss(rows, jordan=True)\n"
+        "pivots, d = _bareiss(rows)\n"
         "intlinalg._slot_bytes(rows)\n"
-        "def _echelon(rows):\n    return rank(rows)\n"
+        "def _echelon(rows):\n    return circuit_form(rows)\n"
     )
     assert elimination_names(source) == [
         (1, "_bareiss"), (3, "_bareiss"), (4, "_slot_bytes"), (5, "_echelon")
@@ -238,8 +238,8 @@ def test_elimination_names_are_found():
 
 
 def test_only_intlinalg_names_its_elimination_loops():
-    # every other module reads an elimination through circuit_form, rank,
-    # integer_kernel or lattice_basis
+    # every other module reads an elimination through circuit_form,
+    # integer_kernel or column_lattice
     found = {
         p.name: elimination_names(p.read_text(encoding="utf-8"))
         for p in sorted(PACKAGE.glob("*.py"))
