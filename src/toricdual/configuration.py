@@ -165,21 +165,12 @@ def dedup(c: Configuration) -> DedupReport:
 
     Without repeats the distinct configuration is ``c`` itself.
     """
-    seen = {}
-    order = []
-    index_map = []
-    for j, col in enumerate(c.columns()):
-        if col not in seen:
-            seen[col] = len(order)
-            order.append(j)
-        index_map.append(seen[col])
-    mult = [0] * len(order)
+    seen = {}  # distinct column -> its index, in order of first occurrence
+    index_map = tuple(seen.setdefault(col, len(seen)) for col in zip(*c.weights))
+    if len(seen) == c.npoints:
+        return DedupReport(distinct=c, multiplicity=(1,) * len(seen), index_map=index_map)
+    mult = [0] * len(seen)
     for t in index_map:
         mult[t] += 1
-    if len(order) == c.npoints:
-        distinct = c
-    else:
-        distinct = parse_configuration(c.weights.select(order))
-    return DedupReport(
-        distinct=distinct, multiplicity=tuple(mult), index_map=tuple(index_map)
-    )
+    distinct = Configuration(IntMatrix(zip(*seen), len(seen)))
+    return DedupReport(distinct=distinct, multiplicity=tuple(mult), index_map=index_map)

@@ -7,15 +7,15 @@ classes and zero line sums do not change when the Gale basis is changed
 over Q, so the self-duality verdict reads the fundamental-circuit basis
 and never saturates it; its line-sum witnesses give directions and sums in
 that basis and say so with ``"basis": "fundamental_circuits"``.  It does
-not write that n x (n - rank) basis out either: ``_decompose`` reads the
-line classes and the apexes off the Gauss-Jordan form that the
-configuration caches (``Configuration.circuit_form``), in which only the
-rank many pivot rows carry information, each free point lying on its own
-axis.  The classes and their line sums are decided on those Jordan rows as
-they stand; coordinates in the circuit basis are formed only for what a
-witness or the strong test prints (``gale._circuit_partition``).
-``full_decomposition`` and ``gale.coparallel_criterion`` read the same
-partition and write no class out.  The other questions that hold over Q
+not write that n x (n - rank) basis out either.  Only the rank many pivot
+rows of the Gauss-Jordan form that the configuration caches
+(``Configuration.circuit_form``) carry information, each free point lying
+alone on its own axis: ``_decompose`` reads the apexes off its zero rows
+and groups no class, and ``gale._circuit_partition`` groups the pivot rows
+alone, from which a False verdict finds its first violating class.  Every
+class is listed only for what prints them all (a True verdict, the strong
+test, ``gale.coparallel_criterion``) and is written in the circuit basis
+only when printed.  The other questions that hold over Q
 read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, and ``is_segre`` its corank, its antipodal pairs and its
 sign vector, a primitive 1-dimensional kernel (its lattice condition
@@ -34,11 +34,12 @@ The saturated canonical basis of :func:`gale_dual`
 """
 
 import enum
+from bisect import bisect
 from math import gcd
 
 from .configuration import Configuration, DecompositionReport, affine_dim, dedup
 from .exceptions import pyramidal_input, repeated_columns
-from .gale import _circuit_partition, _CircuitClasses, _line_sums_verdict, is_facial
+from .gale import _circuit_partition, _line_sums_verdict, is_facial
 from .intlinalg import IntMatrix, circuit_form, imat
 from .verdict import Verdict
 
@@ -46,25 +47,19 @@ from .verdict import Verdict
 def _decompose(c: Configuration):
     """The decision pipeline: merge repeats, then split off apexes.
 
-    Returns ``(part, report)``: the line classes of the
-    fundamental-circuit Gale dual of the distinct columns of ``c`` (a
-    rational, not a saturated, basis of their relations), decided on their
-    cached Gauss-Jordan form without building that n x (n - rank) basis or
-    writing any class out, and the combined report.  Apexes are the
-    partition's zero rows and the core is every other row.
+    Returns ``(form, report)``: the cached Gauss-Jordan form of the
+    distinct columns of ``c``, whose pivot rows carry the line classes of
+    their fundamental-circuit Gale dual (a rational, not a saturated, basis
+    of their relations), and the combined report.  Apexes are the zero
+    rows of that basis and the core is every other point; no class is
+    grouped.
     """
     rep = dedup(c)
-    part = _circuit_partition(rep.distinct.circuit_form)
-    apex = part.zero_rows
+    form = rep.distinct.circuit_form
+    apex = form.zero_rows()
     core = tuple(i for i in range(rep.distinct.npoints) if i not in apex)
     k = rep.repeat_codim
-    report = DecompositionReport(
-        repeat_codim=k,
-        apex_indices=apex,
-        core_indices=core,
-        join_shape=(k, len(apex), len(core)),
-    )
-    return part, report
+    return form, DecompositionReport(k, apex, core, join_shape=(k, len(apex), len(core)))
 
 
 def is_self_dual(c: Configuration) -> Verdict:
@@ -79,17 +74,17 @@ def is_self_dual(c: Configuration) -> Verdict:
     the half-dimensional pattern).  Everything is read off one Gauss-Jordan
     form of ``c``'s relations, that of the fundamental-circuit basis; no
     other presentation and no saturated Gale dual is computed, and the
-    basis itself is never written out.  The line classes and whether their
-    sums vanish are decided on the Jordan rows; a class's direction and sum
-    in the circuit basis are formed only when the witness prints them: the
-    first violating class of a False verdict, every class of a True one,
-    and none for an apex-repeat mismatch or a linear subspace.  They are
-    marked ``"basis": "fundamental_circuits"``.
+    basis itself is never written out.  The apexes are its zero rows, and a
+    False verdict finds its first violating class on the pivot rows alone.
+    A class's direction and sum in the circuit basis are formed only when
+    the witness prints them: the first violating class of a False verdict,
+    every class of a True one, and none for an apex-repeat mismatch or a
+    linear subspace.  They are marked ``"basis": "fundamental_circuits"``.
     """
-    part, dec = _decompose(c)
+    form, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
     if r == 0 and k == 0:
-        return _circuit_line_sums(part)
+        return _circuit_line_sums(form)
     if r != k:
         note = "self-duality of a join needs apex count == repeat count"
         value, head = False, {"kind": "apex_repeat_mismatch", "note": note}
@@ -99,23 +94,22 @@ def is_self_dual(c: Configuration) -> Verdict:
     else:
         # apexes lie in no circuit: the core's circuit basis is the distinct
         # one without its zero rows, so its classes are these, renumbered
-        at = {i: t for t, i in enumerate(dec.core_indices)}
-        members = tuple(tuple(at[i] for i in ms) for ms in part.members)
-        core = _circuit_line_sums(part._replace(members=members, zero_rows=()))
+        core = _circuit_line_sums(form, dec.apex_indices)
         value, head = core.value, {"kind": "join_core", "core_verdict": core.witness}
     return Verdict(value, "join-decomposition", {**head, **dec.as_json()})
 
 
-def _circuit_line_sums(part: _CircuitClasses) -> Verdict:
-    """The line-sum verdict on the classes of a fundamental-circuit basis,
-    with the witness marked as stated in that basis: decided on the Jordan
-    rows, with the first violating class written out for a False verdict
-    and every class for a True one."""
-    k = part.violating()
-    if k is None:
-        v = _line_sums_verdict(None, part.written()[0].classes)
-    else:
-        v = _line_sums_verdict(part.line_class(k)[0])
+def _circuit_line_sums(form, apex=()) -> Verdict:
+    """The line-sum verdict on the classes of the fundamental-circuit basis
+    of ``form``, the witness marked as stated in that basis: the first
+    violating class written out for a False verdict, every class for a True
+    one.  Members are numbered past ``apex``, the points a core leaves out."""
+    part = _circuit_partition(form)
+    bad = part.violating()
+    lines = part.written()[0].classes if bad is None else (part.line_class(bad)[0],)
+    if apex:
+        lines = [ln._replace(members=tuple(i - bisect(apex, i) for i in ln.members)) for ln in lines]
+    v = _line_sums_verdict(None if bad is None else lines[0], lines)
     return Verdict(v.value, v.criterion, {**v.witness, "basis": "fundamental_circuits"})
 
 

@@ -8,8 +8,9 @@ faces of the convex hull correspond to strictly positive dependencies among
 complementary rows.
 """
 
-from itertools import compress
+from itertools import compress, filterfalse, repeat
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, column_indices
@@ -134,32 +135,53 @@ def line_partition(b: GaleDual) -> LinePartition:
 
 class _CircuitClasses(NamedTuple):
     """The line classes of the fundamental-circuit basis C of a
-    :class:`CircuitForm`, decided on its Jordan rows by
-    :func:`_circuit_partition`; :meth:`line_class` writes one out in C's
-    coordinates.  Classes are in order of first member."""
+    :class:`CircuitForm` as :func:`_circuit_partition` keeps them: the
+    classes that hold a pivot row, a free point alone on its axis formed
+    only when asked for.  A class is ``(key, members, mus)``: the key (t
+    for the axis e_t, else a primitive Jordan direction), its points in
+    increasing order and each one's multiple μ_i of the key."""
 
     form: CircuitForm
-    keys: tuple  # per class: t for the axis e_t, or a primitive Jordan direction
-    members: tuple  # per class: its points, increasing
-    mus: tuple  # per class: each member's multiple μ_i of its key
+    groups: dict  # key -> class: the pivot groups and the joined axes
     zero_rows: tuple
 
     def violating(self):
-        """The first class whose line sum does not vanish, or None."""
-        return next((k for k, mus in enumerate(self.mus) if sum(mus)), None)
+        """The first class whose line sum does not vanish, or None, found
+        without visiting the free points alone on their axes: the first of
+        those (its sum is |d|) and every pivot group or joined axis whose
+        ``Σ μ`` does not vanish are the candidates."""
+        free, groups = self.form.free, self.groups
+        bad = [cls for cls in groups.values() if sum(cls[2])]
+        t = next(filterfalse(groups.__contains__, range(len(free))), None)
+        if t is not None:
+            bad.append((t, (free[t],), (abs(self.form.pivot),)))
+        return min(bad, key=itemgetter(1), default=None)
 
-    def line_class(self, k: int, g=None) -> tuple:
-        """``(LineClass, λ)``: class k as :func:`line_partition` of C gives
-        it, and the λ_i with row i of C equal to ``λ_i·direction``.
+    def ordered(self) -> list:
+        """Every class, in order of first member."""
+        big, groups = abs(self.form.pivot), self.groups
+        lone = [(t, (f,), (big,)) for t, f in enumerate(self.form.free) if t not in groups]
+        return sorted([*groups.values(), *lone], key=itemgetter(1))
+
+    def _gcds(self) -> list:
+        """The g_t of every free column, each a divisor of |d|."""
+        big, rows = abs(self.form.pivot), self.form.rows
+        if big == 1 or not rows:  # without rows, map would run on repeat alone
+            return [big] * len(self.form.free)
+        return list(map(gcd, repeat(big), *rows))
+
+    def line_class(self, cls, g=None) -> tuple:
+        """``(LineClass, λ)``: class ``cls`` as :func:`line_partition` of C
+        gives it, and the λ_i with row i of C equal to ``λ_i·direction``.
 
         ``g`` holds the g_t of every free column (as :meth:`written` takes
-        them); without it they are taken on the class's support only.  On that
+        them); without it an axis takes its own g_t only.  On the key's
         support C's rows of the class are ``μ_i·key_t/g_t``: with L the lcm
         of those g_t and ``w_t = key_t·L/g_t``, the direction is w over
         ``h = gcd(w)``, positive where the key is, and ``λ_i = μ_i·h/L``.
         """
-        form, key, mus = self.form, self.keys[k], self.mus[k]
-        members = self.members[k]
+        form = self.form
+        key, members, mus = cls
         if type(key) is int:
             gt = g[key] if g is not None else gcd(form.pivot, *(r[key] for r in form.rows))
             lam = mus if gt == 1 else tuple(map(gt.__rfloordiv__, mus))
@@ -168,12 +190,7 @@ class _CircuitClasses(NamedTuple):
             direction = tuple(axis)
             axis[key] = sum(lam)
             return LineClass(direction, members, tuple(axis)), lam
-        if g is None:  # g_t on the support, in order
-            gs = [abs(form.pivot)] * (len(key) - key.count(0))
-            for r in form.rows:
-                gs = list(map(gcd, gs, compress(r, key)))
-        else:
-            gs = list(compress(g, key))
+        gs = list(compress(self._gcds() if g is None else g, key))
         big_l = lcm(*gs)
         direction, lam = key, mus
         if big_l > 1:
@@ -189,66 +206,59 @@ class _CircuitClasses(NamedTuple):
         """``(part, multiples)``: every class written out by
         :meth:`line_class`, each g_t taken once; ``part`` equals
         :func:`line_partition` of C entry for entry."""
-        big = abs(self.form.pivot)
-        g = [big] * len(self.form.free)
-        for r in self.form.rows if big > 1 else ():  # each g_t divides |d|
-            g = list(map(gcd, g, r))
-        out = [self.line_class(k, g) for k in range(len(self.keys))]
+        g = self._gcds()
+        out = [self.line_class(cls, g) for cls in self.ordered()]
         classes = tuple(line for line, _ in out)
         return LinePartition(classes, self.zero_rows), tuple(lam for _, lam in out)
 
 
 def _circuit_partition(form: CircuitForm) -> _CircuitClasses:
     """The line classes of the fundamental-circuit basis C of a
-    :class:`CircuitForm`, decided on its Jordan rows without building C.
+    :class:`CircuitForm`, decided on its pivot rows without building C.
 
     With d the last pivot, s its sign, R the Jordan rows on the free
     columns f_t and g_t the gcd of |d| and column t of R, C is B'·D for
     ``D = diag(1/g_t)``, where row f_t of B' is ``|d|·e_t`` and row p_i of
     the i-th pivot is ``-s·R_i``.  A positive column scaling changes
     neither which rows are parallel nor the sign of a row's first nonzero
-    entry, so the classes are grouped on B': each free point lies on its
-    own axis e_t, joined there by any pivot row whose one nonzero entry is
+    entry, so the classes are those of B': each free point lies alone on
+    its axis e_t, joined there by any pivot row whose one nonzero entry is
     at t; the other nonzero pivot rows group by their primitive vector, and
-    the zero ones are the apexes.  Each point keeps its multiple μ_i of
-    that key.  C's multiples of a class are ``λ_i = c·μ_i`` for one
-    ``c > 0``, so its line sum vanishes iff ``Σ μ_i = 0``: the line-sum
-    verdicts are decided here, and C's coordinates are formed only for the
-    classes a witness or the strong test prints
-    (:meth:`_CircuitClasses.line_class`).  Only the pivot rows are read:
-    O(rank·corank) work.
+    the zero ones are the apexes.  Each point has a multiple μ_i of that
+    key (|d| for a free point).  C's multiples of a class are
+    ``λ_i = c·μ_i`` for one ``c > 0``, so its line sum vanishes iff
+    ``Σ μ_i = 0``.  Only the rank many pivot rows are grouped, in
+    O(rank·corank) work; a free point alone on its axis is not visited
+    until the full list is asked for, and C's coordinates are formed only
+    for the classes printed.
     """
-    big = abs(form.pivot)
     neg = -1 if form.pivot > 0 else 1
     m = len(form.free)
-    # per point: its key (None for an apex) and its multiple of the key
-    key_of = [None] * form.ncols
-    mu_of = [0] * form.ncols
-    for t, j in enumerate(form.free):
-        key_of[j], mu_of[j] = t, big
+    groups, zero = {}, []
     for p, r in zip(form.pivots, form.rows):
         support = m - r.count(0)
         if support == 1:
-            t = next(t for t, x in enumerate(r) if x)
-            key_of[p], mu_of[p] = t, neg * r[t]
+            key = next(t for t, x in enumerate(r) if x)
+            mu = neg * r[key]
         elif support:
             # row p of B' is neg·r = mu·key, key's first nonzero entry > 0
             q = gcd(*r) if next(filter(None, r)) > 0 else -gcd(*r)
-            key_of[p] = r if q == 1 else tuple(map(q.__rfloordiv__, r))
-            mu_of[p] = neg * q
-    classes, zero = {}, []
-    for i, key in enumerate(key_of):
-        if key is None:
-            zero.append(i)
+            key = r if q == 1 else tuple(map(q.__rfloordiv__, r))
+            mu = neg * q
         else:
-            classes.setdefault(key, []).append(i)
-    return _CircuitClasses(
-        form=form,
-        keys=tuple(classes),
-        members=tuple(map(tuple, classes.values())),
-        mus=tuple(tuple(map(mu_of.__getitem__, members)) for members in classes.values()),
-        zero_rows=tuple(zero),
-    )
+            zero.append(p)
+            continue
+        ps, mus = groups.setdefault(key, ([], []))
+        ps.append(p)
+        mus.append(mu)
+    # a free point follows every pivot row on its axis: a Jordan row is zero
+    # left of its pivot
+    classes = {
+        key: (key, (*ps, form.free[key]), (*mus, abs(form.pivot))) if type(key) is int
+        else (key, tuple(ps), tuple(mus))
+        for key, (ps, mus) in groups.items()
+    }
+    return _CircuitClasses(form, classes, tuple(zero))
 
 
 def _line_sums_verdict(bad, classes=()) -> Verdict:
@@ -416,7 +426,7 @@ def coparallel_criterion(c: Configuration) -> Verdict:
         raise pyramidal_input(part.zero_rows, "the coparallelism criterion")
     functionals = []
     # with no zero rows the classes are the line classes, by first member
-    for cls in part.members:
+    for _, cls, _ in part.ordered():
         sub = is_parallel_face_complement(c, cls)
         if not sub.value:
             return Verdict(

@@ -127,7 +127,7 @@ def imat(rows) -> IntMatrix:
     for i, row in enumerate(data):
         if len(row) != ncols:
             raise ValueError("ragged rows in matrix input")
-        if not all(type(e) is int for e in row):
+        if not {int}.issuperset(map(type, row)):
             from fractions import Fraction  # only here, off the int-only import path
 
             for j, e in enumerate(row):

@@ -26,6 +26,7 @@ from toricdual.engine import (
 from toricdual.families import config_from_gale, family_alpha, segre
 from toricdual.gale import (
     GaleDual,
+    _circuit_partition,
     coparallel_criterion,
     gale_dual,
     is_facial,
@@ -76,12 +77,19 @@ def test_dedup_counts():
 
     c = parse_configuration([[1, 2, 3]])
     assert dedup(c).repeat_codim == 0
+    # without repeats the report hands on c itself
+    assert dedup(c) == (c, (1, 1, 1), (0, 1, 2)) and dedup(c).distinct is c
 
     c = parse_configuration([[5, 5, 7, 7, 7]])
     rep = dedup(c)
     assert rep.multiplicity == (2, 3)
     assert rep.repeat_codim == 3
     assert rep.index_map == (0, 0, 1, 1, 1)
+    assert rep.distinct.weights == imat([[5, 7]])
+    # columns are equal only when every row agrees; first occurrences in order
+    rep = dedup(parse_configuration([[1, 2, 1, 1, 2], [0, 0, 3, 0, 0]]))
+    assert rep.distinct.weights == imat([[1, 2, 1], [0, 0, 3]])
+    assert (rep.multiplicity, rep.index_map) == ((2, 2, 1), (0, 1, 2, 0, 1))
 
 
 def test_affine_dim():
@@ -217,12 +225,13 @@ def _same_rational_column_space(b, canonical):
 def test_core_gale_rows_are_the_core_gale_dual(rows):
     try:
         c = parse_configuration(rows)
-        part, dec = _decompose(c)
+        form, dec = _decompose(c)
     except ValueError:
         return
     distinct = dedup(c).distinct
+    assert form == distinct.circuit_form
     b = GaleDual(matrix=distinct.circuit_basis)
-    part = part.written()[0]
+    part = _circuit_partition(form).written()[0]
     assert part == line_partition(b)
     canonical = gale_dual(distinct)
     _same_rational_column_space(b.matrix, canonical.matrix)
@@ -250,9 +259,9 @@ def test_decompose_matches_the_reduce_first_pipeline(rows, scale, seed):
     rows = [[scale * x for x in rows[0]]] + rows[1:]
     rows = [r + r[:1] + [0] for r in rows]
     c = parse_configuration(rows + [[0] * (len(rows[0]) - 1) + [1]])
-    part, dec = _decompose(c)
+    form, dec = _decompose(c)
     b = GaleDual(matrix=dedup(c).distinct.circuit_basis)
-    assert part.written()[0] == line_partition(b)
+    assert _circuit_partition(form).written()[0] == line_partition(b)
     # a pipeline that changes the presentation first, and apexes by their
     # rank definition, written out
     rep = dedup(_other_presentation(c, seed))

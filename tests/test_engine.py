@@ -1297,24 +1297,44 @@ def test_wide_sample_matches_the_matrix_reference():
     c = parse_configuration(rows)
     assert len(c.circuit_form.free) == 75
     _assert_same_as_by_matrix(c)
+    # joined with a repeat and an apex: a False core verdict, renumbered
+    joined = parse_configuration([[*row, row[0], 0] for row in rows] + [[0] * 81 + [1]])
+    v = _assert_same_as_by_matrix(joined)
+    assert not v.value and v.witness["core_verdict"]["kind"] == "violating_line_class"
 
 
 def _count_class_write_outs(monkeypatch):
     """Count, per class, the line classes written out in fundamental-circuit
-    coordinates (all at once or one at a time)."""
+    coordinates (all at once or one at a time), keyed by the class's place
+    in order of first member."""
     counts = {}
-    original = _CircuitClasses.line_class
+    original, ordered = _CircuitClasses.line_class, _CircuitClasses.ordered
 
-    def counting(self, k, g=None):
+    def counting(self, cls, g=None):
+        k = ordered(self).index(cls)
         counts[k] = counts.get(k, 0) + 1
-        return original(self, k, g)
+        return original(self, cls, g)
 
     monkeypatch.setattr(_CircuitClasses, "line_class", counting)
     return counts
 
 
+def _count_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of ``owner.name``."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def test_a_false_line_sum_verdict_writes_one_class(monkeypatch):
     counts = _count_class_write_outs(monkeypatch)
+    listed = _count_calls(monkeypatch, _CircuitClasses, "ordered")
+    grouped = _count_calls(monkeypatch, engine, "_circuit_partition")
     rng = random.Random(480)  # the wide sample: 80 classes
     wide = [[rng.randint(-100, 100) for _ in range(80)] for _ in range(4)]
     for rows in [[[0, 1, 2, 3]], wide]:
@@ -1322,18 +1342,28 @@ def test_a_false_line_sum_verdict_writes_one_class(monkeypatch):
         v = is_self_dual(parse_configuration(rows))
         assert v.witness["kind"] == "violating_line_class"
         assert list(counts.values()) == [1]
+    # the wide sample groups its 5 pivot rows and lists no class
+    assert (len(grouped), listed) == (2, [])
     # a core joined with a repeat and an apex prints its one violating class
     counts.clear()
     rows = [[*row, row[0], 0] for row in wide] + [[0] * 81 + [1]]
     v = is_self_dual(parse_configuration(rows))
     assert v.witness["core_verdict"]["kind"] == "violating_line_class"
     assert list(counts.values()) == [1]
+    assert (len(grouped), listed) == (3, [])
+    # the decomposition alone reads the zero rows and groups no class
+    for rows in [wide, rows]:
+        full_decomposition(parse_configuration(rows))
+    assert (len(grouped), listed) == (3, [])
 
 
 def test_a_mismatch_and_the_coparallel_criterion_write_no_class(monkeypatch):
     counts = _count_class_write_outs(monkeypatch)
+    grouped = _count_calls(monkeypatch, engine, "_circuit_partition")
     pyramid = parse_configuration([[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]])
     assert is_self_dual(pyramid).witness["kind"] == "apex_repeat_mismatch"
+    # the mismatch is read off the zero rows: no class is grouped
+    assert grouped == []
     for c in [family_alpha(2), parse_configuration([[0, 1, 2, 3]])]:
         coparallel_criterion(c)
     assert counts == {}

@@ -157,24 +157,35 @@ def _assert_multiples(a, part, multiples):
 
 
 def _assert_written_out(a):
-    """The classes decided on the Jordan rows of ``a`` are those of the
+    """The classes decided on the pivot rows of ``a`` are those of the
     written-out circuit basis: written all at once and one at a time, each
     class equals :func:`line_partition`'s entry for entry (direction,
     members, total) with its multiples, and the first class whose line sum
-    does not vanish is the reference's.  Returns the decided classes and
-    the written partition."""
+    does not vanish, found without listing the classes, is the
+    reference's.  Returns the decided classes, the written partition and
+    that first violating class (None when every line sum vanishes)."""
     classes = _circuit_partition(circuit_form(a))
     part, multiples = classes.written()
     ref = _partition_by_matrix(a)
     assert part == ref
     _assert_multiples(a, part, multiples)
-    assert classes.members == tuple(cls.members for cls in ref.classes)
+    ordered = classes.ordered()
+    assert tuple(members for _, members, _ in ordered) == tuple(cls.members for cls in ref.classes)
     assert classes.zero_rows == ref.zero_rows
     for k in range(len(ref.classes)):
-        assert classes.line_class(k) == (ref.classes[k], multiples[k])
+        assert classes.line_class(ordered[k]) == (ref.classes[k], multiples[k])
     violating = next((k for k, cls in enumerate(ref.classes) if any(cls.total)), None)
-    assert classes.violating() == violating
-    return classes, part
+    bad = classes.violating()
+    assert bad == (None if violating is None else ordered[violating])
+    return classes, part, bad
+
+
+def _candidate_kind(bad) -> str:
+    """Which kind of candidate a first violating class is."""
+    key, members, _ = bad
+    if type(key) is not int:
+        return "pivot group"
+    return "joined axis" if len(members) > 1 else "free point alone"
 
 
 def _seeded_matrix(rng):
@@ -200,7 +211,7 @@ def test_circuit_partition_matches_the_written_out_basis_on_seeded_draws():
     seen = set()
     for _ in range(800):
         a = _seeded_matrix(rng)
-        classes, part = _assert_written_out(a)
+        classes, part, bad = _assert_written_out(a)
         seen |= {
             ("negative pivot", classes.form.pivot < 0),
             ("corank 0", not classes.form.free),
@@ -212,7 +223,12 @@ def test_circuit_partition_matches_the_written_out_basis_on_seeded_draws():
                                            for cls in part.classes)),
             ("past 10^30", max(abs(x) for row in a for x in row) > 10**30),
             ("ones row", a[0] == [1] * len(a[0])),
-            ("line sums vanish", classes.violating() is None and bool(part.classes)),
+            ("line sums vanish", bad is None and bool(part.classes)),
+            # each kind of candidate is the first violating class somewhere
+            *((kind, bad is not None and _candidate_kind(bad) == kind)
+              for kind in ("free point alone", "joined axis", "pivot group")),
+            ("violating beside an apex", bad is not None and bool(part.zero_rows)),
+            ("violating at a negative pivot", bad is not None and classes.form.pivot < 0),
         }
     assert {(what, True) for what, _ in seen} <= seen
 
@@ -226,7 +242,7 @@ def test_circuit_partition_matches_the_written_out_basis_at_the_bigint_shapes():
     for d, n, bound in [(4, 80, 100), (6, 30, 10**6)] * 3:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(d)]
         rows = [row + row[:1] + [0] for row in rows] + [[0] * (n + 1) + [1]]
-        classes, part = _assert_written_out([[1] * (n + 2), *rows])
+        classes, part, _ = _assert_written_out([[1] * (n + 2), *rows])
         assert part.zero_rows == (n + 1,)
         form = classes.form
         wide_gcds += any(gcd(form.pivot, *col) > 1 for col in zip(*form.rows))
@@ -258,7 +274,8 @@ def test_circuit_partition_at_corank_zero_and_a_negative_pivot():
     # no relations: every point is an apex
     a = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
     classes = _circuit_partition(circuit_form(a))
-    assert (classes.members, classes.zero_rows) == ((), (0, 1, 2))
+    assert (classes.ordered(), classes.zero_rows) == ([], (0, 1, 2))
+    assert classes.violating() is None
     assert classes.written() == (LinePartition(classes=(), zero_rows=(0, 1, 2)), ())
     # the pass ends on -2: column 2's circuit is (-1, -1, 2), positive at 2
     a = [[1, 1, 1], [1, -1, 0]]
@@ -269,7 +286,15 @@ def test_circuit_partition_at_corank_zero_and_a_negative_pivot():
     classes = _circuit_partition(form)
     assert classes.violating() is None
     assert classes.written() == (LinePartition(classes=(axis,), zero_rows=()), ((-1, -1, 2),))
-    assert classes.line_class(0) == (axis, (-1, -1, 2))
+    assert classes.line_class(classes.ordered()[0]) == (axis, (-1, -1, 2))
+
+
+def test_circuit_partition_without_pivot_rows():
+    # a zero matrix has rank 0: every point is free and alone on its axis
+    classes, part, bad = _assert_written_out([[0, 0, 0]])
+    assert classes.form.rows == () and classes.groups == {}
+    assert [cls.members for cls in part.classes] == [(0,), (1,), (2,)]
+    assert bad == (0, (0,), (1,))
 
 
 def test_line_sums_zero_family_alpha_true():

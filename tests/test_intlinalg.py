@@ -131,6 +131,21 @@ def test_imat_rejects_non_integers():
         imat([[1, 2], [3]])
     with pytest.raises(ValueError):
         imat([[True, 0]])
+    # each refusal says what is wrong, and where
+    for rows, message in [
+        ([[1, 2.5]], "non-integer entry 2.5 at (0,1)"),
+        ([[0], [True]], "non-integer entry True at (1,0)"),
+        ([[1, Fraction(1, 2)]], "non-integer entry Fraction(1, 2) at (0,1)"),
+        ([[1, "x"]], "non-integer entry 'x' at (0,1)"),
+        ([[1, 2], [3]], "ragged rows in matrix input"),
+        ([[1, 2], 3], "a matrix must be a sequence of rows of integers"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            imat(rows)
+        assert str(info.value) == message
+    # an integral Fraction is taken as the int it equals
+    m = imat([[Fraction(4, 2), 3]])
+    assert m == imat([[2, 3]]) and {int} == set(map(type, m[0]))
 
 
 def test_imat_rejects_rows_that_are_not_sequences():
