@@ -25,6 +25,8 @@ the same form as the self-duality verdict, so W and ``[1; W]`` get one
 answer: the size of its products is a homomorphism to a torsion-free group,
 decided on the fundamental circuits, and its sign is decided on generators
 of odd index in the relation lattice, found by halving sums of circuits.
+The halvings and the Lawrence parity, both over GF(2), read the mod-2
+dependencies that one elimination, ``_mod2_dependencies``, yields.
 The saturated canonical basis of :func:`gale_dual`
 (``Configuration.relations``) is read only by ``is_facial`` (so by
 ``check facial`` and the facial tests behind ``smooth_certificate``), by
@@ -132,12 +134,13 @@ def _coprime_base(numbers) -> list:
     return base
 
 
-def _mod2_dependency(vectors) -> int:
-    """A nonempty set of the integer ``vectors``, as a bitmask of their
-    indices, whose sum is even in every entry; 0 when they are independent
-    mod 2.  Each vector becomes the bitmask of its odd entries, reduced
-    against a GF(2) basis kept by lowest bit, each basis entry paired with
-    the bitmask of the vectors it combines."""
+def _mod2_dependencies(vectors):
+    """Yield, for each integer vector that depends mod 2 on the ones before
+    it, that dependency: a bitmask of vector indices, the vector's own the
+    highest, whose vectors sum to even entries; together a basis of the
+    GF(2) kernel.  Each vector becomes the bitmask of its odd entries,
+    reduced against the lex-first GF(2) basis, kept by lowest bit, each
+    entry paired with the bitmask of the vectors it combines."""
     basis = {}
     for t, v in enumerate(vectors):
         a, combo = sum((x & 1) << i for i, x in enumerate(v)), 1 << t
@@ -149,8 +152,7 @@ def _mod2_dependency(vectors) -> int:
             b, w = basis[low]
             a, combo = a ^ b, combo ^ w
         else:
-            return combo
-    return 0
+            yield combo
 
 
 def _unbalanced_generators(free, classes, multiples) -> tuple:
@@ -195,7 +197,7 @@ def _unbalanced_generators(free, classes, multiples) -> tuple:
         return unbalanced, []
     # the sign on generators of odd index: halve sums that are even
     halvings = []
-    while w := _mod2_dependency(ys):
+    while w := next(_mod2_dependencies(ys), 0):
         ts = [t for t in range(m) if w >> t & 1]
         ys[ts[0]] = [sum(col) // 2 for col in zip(*(ys[t] for t in ts))]
         halvings.append([free[t] for t in ts])
@@ -327,7 +329,12 @@ def lawrence_strong_parity(m) -> Verdict:
     i.e. the all-ones vector lies in the GF(2) row span of M.  Applies when
     the lift is non-pyramidal: the lift's Gale dual is ``(-K ; K)`` for a
     kernel basis K of M, so its zero rows are i and n + i for each zero row
-    i of K.
+    i of K.  A True witness gives the ``rows`` I, the dependency of the ones
+    row on the rows of M (:func:`_mod2_dependencies`, so the solution on
+    their lex-first mod-2 basis), and their ``column_sums``.  Otherwise the
+    dependencies of M's columns, a basis of its mod-2 kernel, are not all
+    even, and the ``combination`` x is the first odd one: M·x ≡ 0, Σx odd,
+    and its last column is the first that depends oddly on those before it.
     """
     mm = imat(m)
     d, n = mm.shape
@@ -336,37 +343,13 @@ def lawrence_strong_parity(m) -> Verdict:
     zero = list(circuit_form(mm).zero_rows())
     if zero:  # a zero row, or no kernel at all
         raise pyramidal_input(zero + [n + i for i in zero], "the Lawrence parity criterion")
-    # solve alpha @ M == 1 over GF(2): equation k is column k of M as a
-    # bitmask, bit d its right-hand side, paired with the bitmask of the
-    # columns combined into it, for a certificate
-    eqs = [
-        (sum((x & 1) << i for i, x in enumerate(col)) | 1 << d, 1 << k)
-        for k, col in enumerate(mm.T)
-    ]
-    pivots = []
-    for col in range(d):
-        r, bit = len(pivots), 1 << col
-        piv = next((i for i in range(r, n) if eqs[i][0] & bit), None)
-        if piv is None:
-            continue
-        eqs[r], eqs[piv] = eqs[piv], eqs[r]
-        e, t = eqs[r]
-        for i, (a, b) in enumerate(eqs):
-            if i != r and a & bit:
-                eqs[i] = (a ^ e, b ^ t)
-        pivots.append(col)
-    for a, t in eqs[len(pivots):]:
-        if a >> d & 1:
-            # 0 = 1 row: its columns give a mod-2 kernel vector of M with odd sum
-            return Verdict(
-                value=False,
-                criterion="lawrence-parity",
-                witness={
-                    "kind": "odd_kernel_certificate",
-                    "combination": [t >> k & 1 for k in range(n)],
-                },
-            )
-    subset = [col for (a, _), col in zip(eqs, pivots) if a >> d & 1]
+    # alpha @ M == 1 over GF(2): the ones row depends on M's rows
+    ones = next((w for w in _mod2_dependencies([*mm, [1] * n]) if w >> d & 1), 0)
+    if not ones:
+        odd = next(w for w in _mod2_dependencies(mm.T) if w.bit_count() & 1)
+        witness = {"kind": "odd_kernel_certificate", "combination": [odd >> k & 1 for k in range(n)]}
+        return Verdict(value=False, criterion="lawrence-parity", witness=witness)
+    subset = [i for i in range(d) if ones >> i & 1]
     sums = [sum(column[i] for i in subset) for column in mm.T]
     assert all(s % 2 == 1 for s in sums)
     return Verdict(

@@ -126,7 +126,10 @@ def family_codim(m: int, r: int, alphas) -> Configuration:
     """
     m = _integer("family_codim", "m", m)
     r = _integer("family_codim", "r", r)
-    alphas = [_integer("family_codim", "alpha", a) for a in alphas]
+    try:
+        alphas = [_integer("family_codim", "alpha", a) for a in alphas]
+    except TypeError:  # _integer raises ValueError only: alphas is no iterable
+        raise ValueError(f"family_codim requires an iterable alphas, got {alphas!r}") from None
     if m < 2:
         raise ValueError("family_codim requires m >= 2")
     if r < 2:

@@ -52,6 +52,7 @@ from .configuration import (
 )
 from .exceptions import GuardExceeded, pyramidal_input
 from .engine import is_self_dual
+from .families import _integer
 from .gale import GaleDual, coparallel_criterion, gale_dual
 from .intlinalg import IntMatrix, circuit_form, column_lattice, imat
 from .ratlp import feasible_nonneg
@@ -326,8 +327,8 @@ def random_configuration(rng: random.Random, max_points: int = 8) -> Configurati
     """One random repeat-free, non-pyramidal configuration (it has a
     relation and no apex) of at most ``max_points`` points, drawn in
     dimension at most 4 (and below ``max_points``) with entries in [-3, 3].
-    ``ValueError`` when ``max_points`` is below 3: two points have no
-    relation.
+    ``ValueError`` when ``max_points`` is no integer (a bool or a float
+    neither) or is below 3: two points have no relation.
 
     Drawing is rejection-based (at most 20000 draws) but fully determined by
     the caller's ``rng``, so seeded sweeps are reproducible; the benchmark's
@@ -339,7 +340,7 @@ def random_configuration(rng: random.Random, max_points: int = 8) -> Configurati
     flat's lex-first basis is found): ``rank([1; W])`` independent rows,
     the first all ones, with the draw's own relations and entries.
     """
-    if max_points < 3:
+    if (max_points := _integer("random_configuration", "max_points", max_points)) < 3:
         raise ValueError(f"max_points must be at least 3, got {max_points}")
     for _ in range(20_000):
         d = rng.randint(1, min(4, max_points - 1))
@@ -375,9 +376,10 @@ def crosscheck(seed: int, count: int) -> dict:
     The ``"line_sums_zero"`` answer is the shipped verdict,
     ``is_self_dual(c).value``; the other three are the referees.  Returns a
     report with one entry per instance and the list of any disagreements
-    (there should never be one).  A negative ``count`` raises ``ValueError``.
+    (there should never be one).  A ``count`` that is no integer (a bool or
+    a float neither) or is negative raises ``ValueError``.
     """
-    if count < 0:
+    if (count := _integer("crosscheck", "count", count)) < 0:
         raise ValueError(f"crosscheck count must be at least 0, got {count}")
     rng = random.Random(seed)
     results = []

@@ -603,6 +603,10 @@ def test_lawrence_parity_examples():
 
     v = lawrence_strong_parity([[2, 1]])
     assert not v.value
+    # the certificate ends at the first column with an odd dependency on
+    # the columns before it: column 0, even in the one row
+    v = lawrence_strong_parity([[-2, 2, -1]])
+    assert not v.value and v.witness["combination"] == [1, 0, 0]
 
     # trivial kernel -> pyramidal lift -> criterion inapplicable
     with pytest.raises(InapplicableInput):
@@ -659,6 +663,46 @@ def test_lawrence_parity_sweep_against_row_subsets():
             assert len(combination) == n and set(combination) <= {0, 1}
             assert all(sum(x * y for x, y in zip(row, combination)) % 2 == 0 for row in m)
             assert sum(combination) % 2 == 1
+            # canonical: its last column t is the least that ends an odd
+            # mod-2 kernel vector, and its other columns are independent of
+            # the columns before them, so it is the dependency of column t
+            # on the lex-first basis of the columns before t
+            odd_kernel = [
+                x for x in itertools.product((0, 1), repeat=n)
+                if sum(x) % 2 and all(sum(a * b for a, b in zip(row, x)) % 2 == 0 for row in m)
+            ]
+            t = max(k for k in range(n) if combination[k])
+            assert t == min(max(k for k in range(n) if x[k]) for x in odd_kernel)
+            assert all(not _in_mod2_span(m, k) for k in range(t) if combination[k])
+
+
+def _in_mod2_span(m, k):
+    """Whether column k of ``m`` is a mod-2 sum of the columns before it."""
+    return any(
+        all((sum(row[j] for j in cols) - row[k]) % 2 == 0 for row in m)
+        for size in range(k + 1)
+        for cols in itertools.combinations(range(k), size)
+    )
+
+
+def test_mod2_dependencies_are_a_kernel_basis():
+    # one dependency per vector in the mod-2 span of the vectors before
+    # it, ending at that vector: n - rank_2 of them, each even in every entry
+    rng = random.Random(20083)
+    for _ in range(300):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        vectors = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]
+        masks = list(engine._mod2_dependencies(vectors))
+        span = {tuple(sum(v[i] for v in chosen) % 2 for i in range(d))
+                for size in range(n + 1) for chosen in itertools.combinations(vectors, size)}
+        assert len(masks) == n - (len(span).bit_length() - 1)
+        stacked = list(map(list, zip(*vectors)))  # the vectors as columns
+        assert [w.bit_length() - 1 for w in masks] == [
+            k for k in range(n) if _in_mod2_span(stacked, k)
+        ]
+        for w in masks:
+            chosen = [v for t, v in enumerate(vectors) if w >> t & 1]
+            assert all(sum(col) % 2 == 0 for col in zip(*chosen))
 
 
 def test_lawrence_parity_matches_strong_on_lift():

@@ -172,6 +172,8 @@ def test_family_validation():
         (lambda: family_codim(2, 2, ["1", "-1"]), "integer alpha, got '1'"),
         (lambda: family_codim(2, 2, [Fraction(1, 2), Fraction(-1, 2)]), "integer alpha"),
         (lambda: family_codim(2, 2, [True, -1]), "integer alpha, got True"),
+        (lambda: family_codim(2, 2, None), "family_codim requires an iterable alphas, got None$"),
+        (lambda: family_dim(2, 5), "iterable alphas, got 5$"),
         (lambda: family_codim(2.9, 2, [1, -1]), "integer m, got 2.9"),
         (lambda: family_dim(2.0, [1, -1]), "integer r, got 2.0"),
         (lambda: family_codim(2, "2", [1, -1]), "integer r"),

@@ -450,14 +450,15 @@ def test_random_configuration_filters():
         _assert_presents_the_draw(c, _replayed_draw(replay))
 
 
-@pytest.mark.parametrize("max_points", range(1, 10))
+@pytest.mark.parametrize("max_points", [*range(1, 10), 4.0, 3.5, True])
 def test_random_configuration_at_every_max_points(max_points):
-    # two distinct points have no relation, and one point is refused too;
-    # a refusal comes before any draw
+    # two distinct points have no relation, and one point is refused too,
+    # as is a bool or a float; a refusal comes before any draw
     for seed in range(50):
         rng = random.Random(seed)
-        if max_points < 3:
-            with pytest.raises(ValueError, match="at least 3"):
+        if type(max_points) is not int or max_points < 3:
+            message = "at least 3" if type(max_points) is int else "integer max_points"
+            with pytest.raises(ValueError, match=message):
                 random_configuration(rng, max_points)
             assert rng.random() == random.Random(seed).random()
             continue
@@ -512,6 +513,10 @@ def test_crosscheck_refuses_a_negative_count():
         crosscheck(seed=5, count=-1)
     empty = crosscheck(seed=5, count=0)
     assert (empty["count"], empty["results"], empty["disagreements"]) == (0, [], [])
+    # a bool or a float is refused, not run as one draw or left to a TypeError
+    for count in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match=f"crosscheck requires an integer count, got {count}$"):
+            crosscheck(seed=5, count=count)
 
 
 def test_pyramidal_refusals_name_the_zero_rows():

@@ -286,3 +286,42 @@ def test_the_bareiss_update_is_written_once():
     }
     assert len(found.pop("intlinalg.py")) == 1
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def xor_functions(source: str) -> list:
+    """Names of the functions of ``source`` whose own body XORs two values
+    (``a ^ b`` or ``a ^= b``); a nested function is named for itself."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.BitXor):
+                    found.append(owner)
+                visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(set(found), key=str)
+
+
+def test_xor_functions_are_found():
+    source = (
+        "def f(a, b):\n    return a | b\n"
+        "def g(a, b):\n    a ^= b\n    def h():\n        return a ^ 1\n    return h\n"
+        "x = 1 ^ 2\n"
+    )
+    assert xor_functions(source) == [None, "g", "h"]
+
+
+def test_the_gf2_reduction_is_written_once():
+    # the halvings of the strong test and the Lawrence parity test read one
+    # GF(2) elimination; the packed Bareiss pass flips its sign offset with
+    # an XOR, which is no GF(2) reduction
+    found = {
+        f"{p.stem}.{name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name in xor_functions(p.read_text(encoding="utf-8"))
+    }
+    assert found - {"intlinalg._bareiss_packed"} == {"engine._mod2_dependencies"}
