@@ -125,16 +125,25 @@ def _ones_on_top(c: Configuration) -> IntMatrix:
     return IntMatrix([(1,) * c.npoints, *c.weights], c.npoints)
 
 
+def _integer(who: str, name: str, x) -> int:
+    """``x`` as an int, by ``operator.index``; ``ValueError`` naming the
+    argument otherwise, so a float is refused rather than truncated, and a
+    bool rather than read as 0 or 1."""
+    try:
+        if isinstance(x, bool):
+            raise TypeError("a bool is no integer argument")
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{who} requires an integer {name}, got {x!r}") from None
+
+
 def column_indices(c: Configuration, indices) -> list:
     """``indices`` as a list of ints, in the order given; ``ValueError`` when
-    it is empty, holds a non-integer (a bool too), or names no column of
-    ``c``."""
+    it is empty, holds a non-integer (a bool too, by :func:`_integer`), or
+    names no column of ``c``."""
     try:
-        items = list(indices)
-        if bool in map(type, items):
-            raise TypeError("a bool is no column index")
-        idx = list(map(operator.index, items))
-    except TypeError:
+        idx = [_integer("a column selection", "index", x) for x in indices]
+    except TypeError:  # _integer raises ValueError only: indices is no iterable
         raise ValueError("column indices must be integers") from None
     if not idx:
         raise ValueError("empty column selection")

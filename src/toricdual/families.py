@@ -1,21 +1,7 @@
 """Constructors for the standard example families and the Gale-inverse map."""
 
-import operator
-
-from .configuration import Configuration, parse_configuration
+from .configuration import Configuration, _integer, parse_configuration
 from .intlinalg import IntMatrix, column_lattice, imat, integer_kernel
-
-
-def _integer(who: str, name: str, x) -> int:
-    """``x`` as an int, by ``operator.index`` as for column indices;
-    ``ValueError`` naming the argument otherwise, so a float is refused
-    rather than truncated, and a bool rather than read as 0 or 1."""
-    try:
-        if isinstance(x, bool):
-            raise TypeError("a bool is no integer argument")
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{who} requires an integer {name}, got {x!r}") from None
 
 
 def segre(m: int) -> Configuration:

@@ -10,7 +10,7 @@ complementary rows.
 
 from itertools import compress, filterfalse, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, column_indices
@@ -34,14 +34,15 @@ class GaleDual(ReadOnly):
     :func:`gale_dual` gives the saturated canonical basis;
     ``Configuration.circuit_basis``, a basis over Q only, can be wrapped
     too, though the self-duality verdict reads its line classes off
-    ``Configuration.circuit_form`` instead.  A Gale dual refuses attribute
-    assignment and equals only itself.
+    ``Configuration.circuit_form`` instead.  The matrix is checked by
+    ``imat`` (an :class:`IntMatrix` passes as it is); a Gale dual refuses
+    attribute assignment and equals only itself.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: IntMatrix):
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", imat(matrix))
 
     def __repr__(self):
         return f"GaleDual(matrix={self.matrix!r})"
@@ -368,6 +369,36 @@ def is_facial(c: Configuration, subset) -> Verdict:
     )
 
 
+def _face_functionals(c: Configuration, targets) -> list:
+    """The witness ``{"members", "ell", "denominator"}`` of each point set
+    of ``targets``, in order and up to the first that has none: ``ell`` over
+    ``denominator``, in lowest terms, is the affine functional on ``[1; W]``
+    that is 1 on the set and 0 off it.
+
+    One :func:`circuit_form` solves them all, on the rows ``[a_p | χ_1(p)
+    .. χ_k(p)]`` at the pivot points p of ``c.circuit_form`` (a_p is column
+    p of ``[1; W]``).  These are independent, so the pivots are coordinate
+    columns, and a target's column of the Jordan rows over the last pivot
+    d, with 0 at the free unknowns, is the reduced echelon solution on all
+    n points if there is one.  There is iff every free point f has
+    ``Σ ell_q·a_f[q] == d·χ(f)``, checked by evaluation.
+    """
+    form, points = c.circuit_form, _ones_on_top(c).T
+    chis = [[int(j in s) for j in range(c.npoints)] for s in map(set, targets)]
+    solve = circuit_form([[*points[p], *(chi[p] for chi in chis)] for p in form.pivots])
+    d, out = solve.pivot, []
+    # the target columns are the last len(chis) free ones of the solve
+    for t, members, chi in zip(range(-len(chis), 0), targets, chis):
+        ell = [0] * (c.dim + 1)
+        for q, row in zip(solve.pivots, solve.rows):
+            ell[q] = row[t]
+        if any(sum(map(mul, ell, points[f])) != d * chi[f] for f in form.free):
+            break
+        ell, den = _lowest_terms(ell, d)
+        out.append({"members": list(members), "ell": ell, "denominator": den})
+    return out
+
+
 def is_parallel_face_complement(c: Configuration, members) -> Verdict:
     """Does an affine functional take value 0 off ``members`` and 1 on them?
 
@@ -376,33 +407,15 @@ def is_parallel_face_complement(c: Configuration, members) -> Verdict:
     ``[1; W]``, so the question is solved on its columns and W and ``[1; W]``
     get one answer; the witness gives the functional as ``ell``, its d + 1
     coefficients on ``[1; W]`` (the constant term first) as integers to be
-    divided by ``denominator``, in lowest terms.  It is read off the
-    :func:`~toricdual.intlinalg.circuit_form` of the rows ``[1 | column_j |
-    target_j]``: a pivot in the target column means there is none;
-    otherwise the target column is the last free one, ``ell`` is the last
-    free entry of each Jordan row over the last pivot, and 0 at the free
-    unknowns.
+    divided by ``denominator``, in lowest terms: the one-target case of
+    ``_face_functionals``, solved on the pivot points of ``c.circuit_form``
+    and checked at the other points by evaluation.
     """
     sel = sorted(set(column_indices(c, members)))
-    inside = set(sel)
-    points = _ones_on_top(c)
-    target = len(points)
-    form = circuit_form([[*col, int(j in inside)] for j, col in enumerate(points.T)])
-    if target in form.pivots:
-        return Verdict(
-            value=False,
-            criterion="parallel-face-complement",
-            witness={"kind": "no_functional", "members": sel},
-        )
-    ell = [0] * target
-    for p, row in zip(form.pivots, form.rows):
-        ell[p] = row[-1]
-    ell, den = _lowest_terms(ell, form.pivot)
-    return Verdict(
-        value=True,
-        criterion="parallel-face-complement",
-        witness={"kind": "functional", "members": sel, "ell": ell, "denominator": den},
-    )
+    witness = {"kind": "no_functional", "members": sel}
+    if found := _face_functionals(c, [sel]):
+        witness = {"kind": "functional", **found[0]}
+    return Verdict(value=bool(found), criterion="parallel-face-complement", witness=witness)
 
 
 def coparallel_criterion(c: Configuration) -> Verdict:
@@ -412,34 +425,22 @@ def coparallel_criterion(c: Configuration) -> Verdict:
     Equivalent to :func:`line_sums_zero`; requires a repeat-free non-pyramidal
     configuration.  The classes are read off ``c.circuit_form``, the
     partition that :func:`~toricdual.engine.is_self_dual` reads, since
-    parallel and zero rows do not change with the basis over Q; each
-    functional is the affine one of :func:`is_parallel_face_complement`,
-    solved on ``[1; W]``.  Each class gets its own pass, and the loop stops
-    at the first class that fails: one pass with every class target as an
-    extra column made ``crosscheck``, whose draws are mostly not self-dual,
-    7.6% slower.
+    parallel and zero rows do not change with the basis over Q.  Their
+    functionals, those of :func:`is_parallel_face_complement`, are solved
+    in one pass on the pivot points (``_face_functionals``), and the check
+    by evaluation stops at the first class that fails, which the witness
+    names.
     """
     if len(set(c.columns())) != c.npoints:
         raise repeated_columns("the coparallelism criterion")
     part = _circuit_partition(c.circuit_form)
     if part.zero_rows:
         raise pyramidal_input(part.zero_rows, "the coparallelism criterion")
-    functionals = []
     # with no zero rows the classes are the line classes, by first member
-    for _, cls, _ in part.ordered():
-        sub = is_parallel_face_complement(c, cls)
-        if not sub.value:
-            return Verdict(
-                value=False,
-                criterion="coparallel-face-complements",
-                witness={"kind": "violating_class", "members": list(cls)},
-            )
-        w = sub.witness
-        functionals.append(
-            {"members": list(cls), "ell": w["ell"], "denominator": w["denominator"]}
-        )
-    return Verdict(
-        value=True,
-        criterion="coparallel-face-complements",
-        witness={"kind": "class_functionals", "classes": functionals},
-    )
+    classes = [cls for _, cls, _ in part.ordered()]
+    found = _face_functionals(c, classes)
+    if len(found) < len(classes):
+        bad = {"kind": "violating_class", "members": list(classes[len(found)])}
+        return Verdict(value=False, criterion="coparallel-face-complements", witness=bad)
+    witness = {"kind": "class_functionals", "classes": found}
+    return Verdict(value=True, criterion="coparallel-face-complements", witness=witness)

@@ -25,9 +25,10 @@ the Gale kernel cached on each configuration); the strong predicate reads
 ``crosscheck`` compares the verdict that ships, ``is_self_dual``
 (line sums on the fundamental-circuit basis), with ``self_dual_via_flats``
 on the canonical Gale dual, ``self_dual_via_sigma`` and
-``coparallel_criterion``, which reads the same circuit form (cached on the
-configuration) for its classes and one more ``circuit_form`` for each
-functional.
+``coparallel_criterion``, which reads the circuit form cached on the
+configuration for its classes and solves every functional in one more
+``circuit_form`` on its pivot points: it shares the verdict's pivot
+choice, not its Jordan-row sums.
 ``facial_via_separation`` reads the input columns only, not the Gale dual.
 The self-duality verdict reads the fundamental-circuit basis (a
 Bareiss-Jordan pass) and the flat-sum referee the canonical Gale dual
@@ -46,13 +47,13 @@ from typing import NamedTuple
 
 from .configuration import (
     Configuration,
+    _integer,
     _ones_on_top,
     column_indices,
     parse_configuration,
 )
 from .exceptions import GuardExceeded, pyramidal_input
 from .engine import is_self_dual
-from .families import _integer
 from .gale import GaleDual, coparallel_criterion, gale_dual
 from .intlinalg import IntMatrix, circuit_form, column_lattice, imat
 from .ratlp import feasible_nonneg
@@ -376,9 +377,10 @@ def crosscheck(seed: int, count: int) -> dict:
     The ``"line_sums_zero"`` answer is the shipped verdict,
     ``is_self_dual(c).value``; the other three are the referees.  Returns a
     report with one entry per instance and the list of any disagreements
-    (there should never be one).  A ``count`` that is no integer (a bool or
-    a float neither) or is negative raises ``ValueError``.
+    (there should never be one).  A non-integer ``seed`` or ``count`` (a
+    bool or a float too) or a negative ``count`` raises ``ValueError``.
     """
+    seed = _integer("crosscheck", "seed", seed)
     if (count := _integer("crosscheck", "count", count)) < 0:
         raise ValueError(f"crosscheck count must be at least 0, got {count}")
     rng = random.Random(seed)

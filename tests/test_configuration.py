@@ -353,17 +353,17 @@ def test_self_dual_computes_each_invariant_once(monkeypatch, doubled_row):
             "_bareiss": 1,
         }
     # the readers of one configuration share its one elimination; the only
-    # other passes are coparallel_criterion's functionals, one per line
-    # class it solves (the random rows fail at their first class)
+    # other pass is the one that solves all of coparallel_criterion's
+    # functionals on the pivot points, whether it fails (the random rows
+    # fail at their first class) or solves every class (segre(3))
     for c in (parse_configuration(rows), segre(3)):
         with monkeypatch.context() as patch:
             counts = _count_calls(patch, _toricdual_modules(), ("circuit_form",))
             is_self_dual(c)
             full_decomposition(c)
             v = coparallel_criterion(c)
-        solved = len(v.witness["classes"]) if v.value else 1
         assert v.value or v.witness["members"] == [0]
-        assert counts == {"circuit_form": 1 + solved}
+        assert counts == {"circuit_form": 2}
 
 
 def test_strong_reads_the_shared_circuit_form(monkeypatch):
@@ -405,14 +405,14 @@ def test_gale_dual_runs_one_bareiss_pass_and_no_echelon(monkeypatch):
 # weights, so verify_gale_dual runs cold (its pass is c's circuit form,
 # its two echelons the Hermite basis of b's columns, read for their rank
 # and saturation); the parity test takes c's weights as the block of a
-# Lawrence lift.  coparallel_criterion adds one pass per line class it
-# solves (4 on segre(4); the draw fails its first), smooth_certificate one
+# Lawrence lift.  coparallel_criterion adds one pass on the pivot points
+# for all its line classes, whatever their count; smooth_certificate one
 # per vertex it reaches (8 on segre(4), 1 on the draw) after the Gale
 # kernel of its LPs
 ELIMINATIONS = {
     "is_self_dual": (lambda c, b: is_self_dual(c), (1, 0), (1, 0)),
     "is_strongly_self_dual": (lambda c, b: is_strongly_self_dual(c), (1, 0), (1, 0)),
-    "coparallel_criterion": (lambda c, b: coparallel_criterion(c), (5, 0), (2, 0)),
+    "coparallel_criterion": (lambda c, b: coparallel_criterion(c), (2, 0), (2, 0)),
     "is_facial": (lambda c, b: is_facial(c, (0,)), (1, 0), (1, 0)),
     "smooth_certificate": (lambda c, b: smooth_certificate(c), (9, 0), (2, 0)),
     "is_segre": (lambda c, b: is_segre(c), (2, 0), (1, 0)),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricdual.configuration import parse_configuration
+from toricdual.engine import is_self_dual
 from toricdual.exceptions import InapplicableInput
 from toricdual.families import family_alpha, family_alpha_gale, segre
 from toricdual.gale import (
@@ -25,10 +26,11 @@ from toricdual.gale import (
 from toricdual.intlinalg import (
     circuit_form,
     imat,
+    integer_kernel,
     lattice_basis,
     primitive_vector,
 )
-from toricdual.oracle import facial_via_separation
+from toricdual.oracle import facial_via_separation, self_dual_via_flats
 
 TWISTED_CUBIC = parse_configuration([[0, 1, 2, 3]])
 CONIC = parse_configuration([[0, 1, 2]])
@@ -359,8 +361,15 @@ def test_is_facial_conventions():
         ([-1], "out of range"),
         ([3], "out of range"),
         ([0, 3], "out of range"),
-        ([0.9], "must be integers"),
-        ([True], "must be integers"),
+        # configuration._integer's wording; the ids are those of the earlier wording
+        pytest.param(
+            [0.9], r"a column selection requires an integer index, got 0\.9$",
+            id="indices4-must be integers",
+        ),
+        pytest.param(
+            [True], "a column selection requires an integer index, got True$",
+            id="indices5-must be integers",
+        ),
     ],
 )
 @pytest.mark.parametrize(
@@ -451,6 +460,60 @@ def test_coparallel_criterion_rejects_pyramid_and_repeats():
         coparallel_criterion(pyramid)
     with pytest.raises(InapplicableInput):
         coparallel_criterion(parse_configuration([[1, 1]]))
+
+
+def _dense_self_dual(rng, lines):
+    """Rows of a dense self-dual W built from its Gale side: ``lines``
+    primitive directions u in [-3, 3]^lines of full rank, each carrying the
+    zero-sum rows a·u, b·u, -(a + b)·u (a, b in [1, 3]), so every line sum
+    vanishes.  Their rows sum to 0, so the saturated kernel K of their
+    transpose holds the ones row; W is a random [-3, 3] image of K with one
+    row fewer, so ``[1; W]`` is K's 2·lines x 3·lines row space presented
+    densely with full row rank, and one changed entry of W leaves every
+    point in a circuit."""
+    while True:
+        dirs = set()
+        while len(dirs) < lines:
+            u = [rng.randint(-3, 3) for _ in range(lines)]
+            if any(u):
+                dirs.add(primitive_vector(u))
+        gale = []
+        for u in dirs:
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            gale += ([m * x for x in u] for m in (a, b, -a - b))
+        if len(circuit_form(gale).pivots) == lines:
+            break
+    rng.shuffle(gale)
+    kernel = integer_kernel(imat(gale).T).T
+    mix = [[rng.randint(-3, 3) for _ in kernel] for _ in kernel[1:]]
+    return [[sum(map(int.__mul__, m, col)) for col in zip(*kernel)] for m in mix]
+
+
+def test_coparallel_criterion_at_scale_replays_every_functional():
+    w = _dense_self_dual(random.Random(40), 20)
+    c = parse_configuration(w)
+    assert (c.dim, c.npoints, len(c.circuit_form.free)) == (39, 60, 20)
+    v = coparallel_criterion(c)
+    assert v.value and is_self_dual(c).value
+    points = [(1, *col) for col in zip(*w)]
+    for cls in v.witness["classes"]:
+        assert len(cls["members"]) == 3  # one class per line of the Gale side
+        ell, den = cls["ell"], cls["denominator"]
+        for j, p in enumerate(points):
+            assert sum(map(int.__mul__, ell, p)) == den * (j in cls["members"])
+    w[0][0] += 1
+    near = parse_configuration(w)
+    assert not coparallel_criterion(near).value and not is_self_dual(near).value
+
+
+def test_gale_dual_validates_its_matrix():
+    # through imat, as every other matrix input: an IntMatrix is kept as it is
+    assert GaleDual([[1], [-1]]).matrix == imat([[1], [-1]])
+    assert self_dual_via_flats(GaleDual([[1], [-1]]))
+    assert GaleDual(gale_dual(CONIC).matrix).matrix is gale_dual(CONIC).matrix
+    for bad, match in ((None, "sequence of rows"), ([[1], [0.5]], "non-integer entry")):
+        with pytest.raises(ValueError, match=match):
+            line_sums_zero(GaleDual(bad))
 
 
 def test_gale_dual_is_cached_and_read_only():

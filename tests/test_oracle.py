@@ -517,6 +517,10 @@ def test_crosscheck_refuses_a_negative_count():
     for count in (True, 2.5, 2.0):
         with pytest.raises(ValueError, match=f"crosscheck requires an integer count, got {count}$"):
             crosscheck(seed=5, count=count)
+    # a seed too: not reported as True, seeded as a float, or left to random's TypeError
+    for seed, shown in ((True, "True"), (2.5, r"2\.5"), ([1], r"\[1\]")):
+        with pytest.raises(ValueError, match=f"crosscheck requires an integer seed, got {shown}$"):
+            crosscheck(seed=seed, count=1)
 
 
 def test_pyramidal_refusals_name_the_zero_rows():

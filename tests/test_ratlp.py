@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricdual import is_parallel_face_complement, parse_configuration, ratlp
+from toricdual import (
+    InapplicableInput,
+    coparallel_criterion,
+    is_parallel_face_complement,
+    parse_configuration,
+    ratlp,
+)
 from toricdual.ratlp import feasible_nonneg, positive_dependency_certified
 
 
@@ -178,6 +184,10 @@ def linear_systems(draw):
 @example(([[0, 0]], [0]))
 @example(([[1, 2], [1, 2]], [0]))
 @example(([[10**30, 10**30 + 1], [1, 1]], [0]))
+# segre(3): its coparallel verdict is True, with three class functionals
+@example(
+    ([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 1, 1]], [0])
+)
 def test_parallel_face_functional_matches_fraction_reference(system):
     # the functional is affine: solved on the columns of [1; W]
     w, members = system
@@ -187,6 +197,16 @@ def test_parallel_face_functional_matches_fraction_reference(system):
     assert got == fraction_solve(columns, targets)
     if got is not None:
         assert [sum(v * x for v, x in zip(got, col)) for col in columns] == targets
+    # every class functional of a True coparallel verdict, all solved in one
+    # pass, is the reference's too
+    try:
+        v = coparallel_criterion(parse_configuration(w))
+    except InapplicableInput:  # repeated points or a pyramid
+        return
+    for cls in v.witness["classes"] if v.value else ():
+        chi = [int(j in cls["members"]) for j in range(len(columns))]
+        assert gcd(cls["denominator"], *cls["ell"]) == 1
+        assert as_fractions((cls["ell"], cls["denominator"])) == fraction_solve(columns, chi)
 
 
 def test_feasible_nonneg_simple():
