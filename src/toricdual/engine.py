@@ -12,10 +12,10 @@ rows of the Gauss-Jordan form that the configuration caches
 (``Configuration.circuit_form``) carry information, each free point lying
 alone on its own axis: ``_decompose`` reads the apexes off its zero rows
 and groups no class, and ``gale._circuit_partition`` groups the pivot rows
-alone, from which a False verdict finds its first violating class.  Every
-class is listed only for what prints them all (a True verdict, the strong
-test, ``gale.coparallel_criterion``) and is written in the circuit basis
-only when printed.  The other questions that hold over Q
+alone, in circuit coordinates, from which a False verdict finds its first
+violating class.  Every class is listed only for what prints them all (a
+True verdict, the strong test, ``gale.coparallel_criterion``), and no class
+is rewritten in another basis.  The other questions that hold over Q
 read a circuit basis too: ``hypersurface_class`` the one column of
 ``circuit_basis``, and ``is_segre`` its corank, its antipodal pairs and its
 sign vector, a primitive 1-dimensional kernel (its lattice condition
@@ -77,11 +77,11 @@ def is_self_dual(c: Configuration) -> Verdict:
     form of ``c``'s relations, that of the fundamental-circuit basis; no
     other presentation and no saturated Gale dual is computed, and the
     basis itself is never written out.  The apexes are its zero rows, and a
-    False verdict finds its first violating class on the pivot rows alone.
-    A class's direction and sum in the circuit basis are formed only when
-    the witness prints them: the first violating class of a False verdict,
-    every class of a True one, and none for an apex-repeat mismatch or a
-    linear subspace.  They are marked ``"basis": "fundamental_circuits"``.
+    False verdict finds its first violating class on the pivot rows alone,
+    grouped in circuit coordinates.  The witness prints the first violating
+    class of a False verdict, every class of a True one, and none for an
+    apex-repeat mismatch or a linear subspace, each as grouped, with no
+    rewrite; they are marked ``"basis": "fundamental_circuits"``.
     """
     form, dec = _decompose(c)
     k, r = dec.repeat_codim, len(dec.apex_indices)
@@ -225,9 +225,9 @@ def is_strongly_self_dual(c: Configuration) -> Verdict:
     a basis of the relations over Q only).
 
     (a) is read off the line classes of the circuit basis, as for
-    :func:`is_self_dual`: they are decided on the Jordan rows, and since
-    the witness prints every class's multiples, every class is then written
-    out in circuit coordinates, once.
+    :func:`is_self_dual`: they are grouped on the pivot rows in circuit
+    coordinates, so the multiples the witness prints are the ones grouped,
+    with no class rewritten.
     Under (a), write class C's rows as ``λ_i·u_C`` with ``u_C`` primitive,
     ``g_C = gcd(λ_i)`` and ``μ_i = λ_i/g_C``, so ``Σ μ_i = 0``.  A
     rational combination x of the circuits is integral iff ``g_C·<u_C, x>``

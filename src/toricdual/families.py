@@ -101,7 +101,7 @@ def family_dim(r: int, alphas) -> Configuration:
     {(a_1,0),...,(a_r,0),(0,1),(0,-1),(1,1),(-1,-1)} where the nonzero
     integers a_i sum to zero.
     """
-    return family_codim(2, r, alphas)
+    return _family("family_dim", 2, r, alphas)
 
 
 def family_codim(m: int, r: int, alphas) -> Configuration:
@@ -110,16 +110,21 @@ def family_codim(m: int, r: int, alphas) -> Configuration:
     Built from the Gale configuration in Z^m consisting of a_i e_1 for each of
     the r alphas, ±e_j for j = 2..m, and ±(e_1+...+e_m).
     """
-    m = _integer("family_codim", "m", m)
-    r = _integer("family_codim", "r", r)
+    return _family("family_codim", m, r, alphas)
+
+
+def _family(who: str, m, r, alphas) -> Configuration:
+    """:func:`family_codim`, its refusals naming ``who``, the caller."""
+    m = _integer(who, "m", m)
+    r = _integer(who, "r", r)
     try:
-        alphas = [_integer("family_codim", "alpha", a) for a in alphas]
+        alphas = [_integer(who, "alpha", a) for a in alphas]
     except TypeError:  # _integer raises ValueError only: alphas is no iterable
-        raise ValueError(f"family_codim requires an iterable alphas, got {alphas!r}") from None
+        raise ValueError(f"{who} requires an iterable alphas, got {alphas!r}") from None
     if m < 2:
-        raise ValueError("family_codim requires m >= 2")
+        raise ValueError(f"{who} requires m >= 2")
     if r < 2:
-        raise ValueError("family_codim requires r >= 2")
+        raise ValueError(f"{who} requires r >= 2")
     if len(alphas) != r:
         raise ValueError(f"expected {r} alpha values")
     if any(a == 0 for a in alphas) or sum(alphas) != 0:

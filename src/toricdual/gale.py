@@ -8,9 +8,9 @@ faces of the convex hull correspond to strictly positive dependencies among
 complementary rows.
 """
 
-from itertools import compress, filterfalse, repeat
-from math import gcd, lcm
-from operator import itemgetter, mul
+from itertools import filterfalse, repeat
+from math import gcd
+from operator import floordiv, itemgetter, mul
 from typing import NamedTuple
 
 from .configuration import Configuration, _ones_on_top, column_indices
@@ -136,79 +136,54 @@ def line_partition(b: GaleDual) -> LinePartition:
 
 class _CircuitClasses(NamedTuple):
     """The line classes of the fundamental-circuit basis C of a
-    :class:`CircuitForm` as :func:`_circuit_partition` keeps them: the
-    classes that hold a pivot row, a free point alone on its axis formed
-    only when asked for.  A class is ``(key, members, mus)``: the key (t
-    for the axis e_t, else a primitive Jordan direction), its points in
-    increasing order and each one's multiple μ_i of the key."""
+    :class:`CircuitForm` as :func:`_circuit_partition` keeps them, grouped
+    in C's own coordinates: the classes that hold a pivot row, a free point
+    alone on its axis formed only when asked for.  A class is ``(key,
+    members, lams)``: the key (t for the axis e_t, else C's primitive
+    direction), its points in increasing order and each one's multiple λ_i
+    of the key, so row i of C is ``λ_i·key``."""
 
     form: CircuitForm
+    axes: list  # C's entry |d|/g_t at the free point f_t
     groups: dict  # key -> class: the pivot groups and the joined axes
     zero_rows: tuple
 
     def violating(self):
         """The first class whose line sum does not vanish, or None, found
         without visiting the free points alone on their axes: the first of
-        those (its sum is |d|) and every pivot group or joined axis whose
-        ``Σ μ`` does not vanish are the candidates."""
+        those (its sum is |d|/g_t) and every pivot group or joined axis
+        whose ``Σ λ`` does not vanish are the candidates."""
         free, groups = self.form.free, self.groups
         bad = [cls for cls in groups.values() if sum(cls[2])]
         t = next(filterfalse(groups.__contains__, range(len(free))), None)
         if t is not None:
-            bad.append((t, (free[t],), (abs(self.form.pivot),)))
+            bad.append((t, (free[t],), (self.axes[t],)))
         return min(bad, key=itemgetter(1), default=None)
 
     def ordered(self) -> list:
         """Every class, in order of first member."""
-        big, groups = abs(self.form.pivot), self.groups
-        lone = [(t, (f,), (big,)) for t, f in enumerate(self.form.free) if t not in groups]
+        groups = self.groups
+        lone = [(t, (f,), (self.axes[t],)) for t, f in enumerate(self.form.free) if t not in groups]
         return sorted([*groups.values(), *lone], key=itemgetter(1))
 
-    def _gcds(self) -> list:
-        """The g_t of every free column, each a divisor of |d|."""
-        big, rows = abs(self.form.pivot), self.form.rows
-        if big == 1 or not rows:  # without rows, map would run on repeat alone
-            return [big] * len(self.form.free)
-        return list(map(gcd, repeat(big), *rows))
-
-    def line_class(self, cls, g=None) -> tuple:
+    def line_class(self, cls) -> tuple:
         """``(LineClass, λ)``: class ``cls`` as :func:`line_partition` of C
-        gives it, and the λ_i with row i of C equal to ``λ_i·direction``.
-
-        ``g`` holds the g_t of every free column (as :meth:`written` takes
-        them); without it an axis takes its own g_t only.  On the key's
-        support C's rows of the class are ``μ_i·key_t/g_t``: with L the lcm
-        of those g_t and ``w_t = key_t·L/g_t``, the direction is w over
-        ``h = gcd(w)``, positive where the key is, and ``λ_i = μ_i·h/L``.
-        """
-        form = self.form
-        key, members, mus = cls
+        gives it, and the λ_i with row i of C equal to ``λ_i·direction``."""
+        key, members, lams = cls
+        s = sum(lams)
         if type(key) is int:
-            gt = g[key] if g is not None else gcd(form.pivot, *(r[key] for r in form.rows))
-            lam = mus if gt == 1 else tuple(map(gt.__rfloordiv__, mus))
-            axis = [0] * len(form.free)
+            axis = [0] * len(self.form.free)
             axis[key] = 1
             direction = tuple(axis)
-            axis[key] = sum(lam)
-            return LineClass(direction, members, tuple(axis)), lam
-        gs = list(compress(self._gcds() if g is None else g, key))
-        big_l = lcm(*gs)
-        direction, lam = key, mus
-        if big_l > 1:
-            scale = iter([big_l // y for y in gs])  # taken in order at the support
-            w = [x and x * next(scale) for x in key]
-            h = gcd(*w)
-            direction = tuple(w) if h == 1 else tuple(map(h.__rfloordiv__, w))
-            lam = tuple(mu * h // big_l for mu in mus)
-        s = sum(lam)
-        return LineClass(direction, members, tuple(map(s.__mul__, direction))), lam
+            axis[key] = s
+            return LineClass(direction, members, tuple(axis)), lams
+        return LineClass(key, members, tuple(map(s.__mul__, key))), lams
 
     def written(self) -> tuple:
         """``(part, multiples)``: every class written out by
-        :meth:`line_class`, each g_t taken once; ``part`` equals
-        :func:`line_partition` of C entry for entry."""
-        g = self._gcds()
-        out = [self.line_class(cls, g) for cls in self.ordered()]
+        :meth:`line_class`; ``part`` equals :func:`line_partition` of C
+        entry for entry."""
+        out = [self.line_class(cls) for cls in self.ordered()]
         classes = tuple(line for line, _ in out)
         return LinePartition(classes, self.zero_rows), tuple(lam for _, lam in out)
 
@@ -218,48 +193,50 @@ def _circuit_partition(form: CircuitForm) -> _CircuitClasses:
     :class:`CircuitForm`, decided on its pivot rows without building C.
 
     With d the last pivot, s its sign, R the Jordan rows on the free
-    columns f_t and g_t the gcd of |d| and column t of R, C is B'·D for
-    ``D = diag(1/g_t)``, where row f_t of B' is ``|d|·e_t`` and row p_i of
-    the i-th pivot is ``-s·R_i``.  A positive column scaling changes
-    neither which rows are parallel nor the sign of a row's first nonzero
-    entry, so the classes are those of B': each free point lies alone on
-    its axis e_t, joined there by any pivot row whose one nonzero entry is
-    at t; the other nonzero pivot rows group by their primitive vector, and
-    the zero ones are the apexes.  Each point has a multiple μ_i of that
-    key (|d| for a free point).  C's multiples of a class are
-    ``λ_i = c·μ_i`` for one ``c > 0``, so its line sum vanishes iff
-    ``Σ μ_i = 0``.  Only the rank many pivot rows are grouped, in
-    O(rank·corank) work; a free point alone on its axis is not visited
-    until the full list is asked for, and C's coordinates are formed only
-    for the classes printed.
+    columns f_t and g_t the gcd of |d| and column t of R, row f_t of C is
+    ``|d|/g_t·e_t`` and row p_i of the i-th pivot is ``-s·R_i`` with each
+    entry t divided by g_t (exactly, as g_t divides column t).  The classes
+    are grouped in those coordinates, so none is rewritten later: each free
+    point lies alone on its axis e_t, joined there by any pivot row whose
+    one nonzero entry is at t; the other nonzero pivot rows group by their
+    primitive vector, and the zero ones are the apexes.  Each point keeps
+    its multiple λ_i of that key, so a line sum vanishes iff ``Σ λ_i = 0``.
+    Only the rank many pivot rows are grouped, in O(rank·corank) work, and
+    a free point alone on its axis is not visited until the full list is
+    asked for.
     """
-    neg = -1 if form.pivot > 0 else 1
-    m = len(form.free)
+    big, neg = abs(form.pivot), -1 if form.pivot > 0 else 1
+    m, rows = len(form.free), form.rows
+    # without rows, map would run on repeat alone
+    g = [big] * m if big == 1 or not rows else list(map(gcd, repeat(big), *rows))
     groups, zero = {}, []
-    for p, r in zip(form.pivots, form.rows):
+    for p, r in zip(form.pivots, rows):
         support = m - r.count(0)
         if support == 1:
             key = next(t for t, x in enumerate(r) if x)
-            mu = neg * r[key]
+            lam = neg * r[key] // g[key]
         elif support:
-            # row p of B' is neg·r = mu·key, key's first nonzero entry > 0
+            if big > 1:
+                r = list(map(floordiv, r, g))
+            # row p of C is neg·r = lam·key, key's first nonzero entry > 0
             q = gcd(*r) if next(filter(None, r)) > 0 else -gcd(*r)
-            key = r if q == 1 else tuple(map(q.__rfloordiv__, r))
-            mu = neg * q
+            key = tuple(r) if q == 1 else tuple(map(q.__rfloordiv__, r))
+            lam = neg * q
         else:
             zero.append(p)
             continue
-        ps, mus = groups.setdefault(key, ([], []))
+        ps, lams = groups.setdefault(key, ([], []))
         ps.append(p)
-        mus.append(mu)
+        lams.append(lam)
+    axes = [big // y for y in g]
     # a free point follows every pivot row on its axis: a Jordan row is zero
     # left of its pivot
     classes = {
-        key: (key, (*ps, form.free[key]), (*mus, abs(form.pivot))) if type(key) is int
-        else (key, tuple(ps), tuple(mus))
-        for key, (ps, mus) in groups.items()
+        key: (key, (*ps, form.free[key]), (*lams, axes[key])) if type(key) is int
+        else (key, tuple(ps), tuple(lams))
+        for key, (ps, lams) in groups.items()
     }
-    return _CircuitClasses(form, classes, tuple(zero))
+    return _CircuitClasses(form, axes, classes, tuple(zero))
 
 
 def _line_sums_verdict(bad, classes=()) -> Verdict:

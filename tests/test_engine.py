@@ -1354,10 +1354,10 @@ def _count_class_write_outs(monkeypatch):
     counts = {}
     original, ordered = _CircuitClasses.line_class, _CircuitClasses.ordered
 
-    def counting(self, cls, g=None):
+    def counting(self, cls):
         k = ordered(self).index(cls)
         counts[k] = counts.get(k, 0) + 1
-        return original(self, cls, g)
+        return original(self, cls)
 
     monkeypatch.setattr(_CircuitClasses, "line_class", counting)
     return counts

@@ -177,6 +177,12 @@ def test_family_validation():
         (lambda: family_codim(2.9, 2, [1, -1]), "integer m, got 2.9"),
         (lambda: family_dim(2.0, [1, -1]), "integer r, got 2.0"),
         (lambda: family_codim(2, "2", [1, -1]), "integer r"),
+        # family_dim's refusals name family_dim, not the family_codim it builds
+        (lambda: family_dim(1, [1]), "^family_dim requires r >= 2$"),
+        (lambda: family_dim(2.0, [1, -1]), r"^family_dim requires an integer r, got 2\.0$"),
+        (lambda: family_dim(2, [1.5, -1.5]), r"^family_dim requires an integer alpha, got 1\.5$"),
+        (lambda: family_dim(2, None), "^family_dim requires an iterable alphas, got None$"),
+        (lambda: family_codim(2, 1, [1]), "^family_codim requires r >= 2$"),
         (lambda: segre(2.5), "segre requires an integer m, got 2.5"),
         (lambda: segre("3"), "integer m"),
         # alpha is refused as the caller wrote it, not as an entry built from it

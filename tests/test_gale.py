@@ -162,9 +162,10 @@ def _assert_written_out(a):
     """The classes decided on the pivot rows of ``a`` are those of the
     written-out circuit basis: written all at once and one at a time, each
     class equals :func:`line_partition`'s entry for entry (direction,
-    members, total) with its multiples, and the first class whose line sum
-    does not vanish, found without listing the classes, is the
-    reference's.  Returns the decided classes, the written partition and
+    members, total) with its multiples, each class as grouped already holds
+    those multiples and (off the axes) that direction, and the first class
+    whose line sum does not vanish, found without listing the classes, is
+    the reference's.  Returns the decided classes, the written partition and
     that first violating class (None when every line sum vanishes)."""
     classes = _circuit_partition(circuit_form(a))
     part, multiples = classes.written()
@@ -176,6 +177,10 @@ def _assert_written_out(a):
     assert classes.zero_rows == ref.zero_rows
     for k in range(len(ref.classes)):
         assert classes.line_class(ordered[k]) == (ref.classes[k], multiples[k])
+        # grouped in C's coordinates: C's multiples, and C's direction as key
+        key, _, lams = ordered[k]
+        assert lams == multiples[k]
+        assert type(key) is int or key == ref.classes[k].direction
     violating = next((k for k, cls in enumerate(ref.classes) if any(cls.total)), None)
     bad = classes.violating()
     assert bad == (None if violating is None else ordered[violating])
@@ -231,6 +236,10 @@ def test_circuit_partition_matches_the_written_out_basis_on_seeded_draws():
               for kind in ("free point alone", "joined axis", "pivot group")),
             ("violating beside an apex", bad is not None and bool(part.zero_rows)),
             ("violating at a negative pivot", bad is not None and classes.form.pivot < 0),
+            # its multiple |d|/g_t is below |d|
+            ("violating free point with g_t > 1", bad is not None
+             and _candidate_kind(bad) == "free point alone"
+             and bad[2][0] < abs(classes.form.pivot)),
         }
     assert {(what, True) for what, _ in seen} <= seen
 
